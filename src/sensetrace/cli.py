@@ -19,13 +19,19 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import GroundTruthLabel, read_trace, write_trace
+from .core import (
+    atomic_write,
+    canonical_pair,
+    label_from_record,
+    label_to_json,
+    read_jsonl,
+    read_trace,
+    write_trace,
+)
 from .errors import SenseTraceError
 from .evaluation import (
     TierSpec,
@@ -37,67 +43,45 @@ from .evaluation import (
     magnitude_sequences,
     tier_gates,
 )
-from .fusion import decision_from_json, decision_to_json
+from .fusion import decision_from_record, decision_to_json
 from .simulator import config_hash, generate_traces, load_scenario
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+Instance = tuple[tuple[str, str], float, float]
 
 
-def _truth_path(data_dir: Path) -> Path:
-    return data_dir / "truth.jsonl"
+def _instance_to_json(pair: tuple[str, str], window: tuple[float, float]) -> str:
+    return json.dumps({"pair": sorted(pair), "window": list(window)}, separators=(",", ":"))
 
 
-def _write_truth(path: Path, labels: Sequence[GroundTruthLabel]) -> None:
-    lines = [
-        json.dumps(
-            {
-                "pair": list(lb.pair),
-                "window": [lb.start, lb.end],
-                "true_distance_m": lb.true_distance,
-                "is_contact": lb.is_contact,
-            },
-            separators=(",", ":"),
-        )
-        for lb in labels
-    ]
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _read_instances(path: Path) -> list[Instance]:
+    """Every (pair, start, end) line of ``path``; a repeated instance is an error."""
+    seen: set[Instance] = set()
 
+    def parse(record: dict) -> Instance:
+        start, end = record["window"]
+        if not end > start:
+            raise ValueError("window end must exceed start")
+        instance = (canonical_pair(record["pair"]), start, end)
+        if instance in seen:
+            raise ValueError(f"duplicate instance {instance}")
+        seen.add(instance)
+        return instance
 
-def _read_truth(path: Path) -> list[GroundTruthLabel]:
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            p = json.loads(line)
-            labels.append(
-                GroundTruthLabel(
-                    pair=tuple(p["pair"]),
-                    start=p["window"][0],
-                    end=p["window"][1],
-                    true_distance=p["true_distance_m"],
-                    is_contact=p["is_contact"],
-                )
-            )
-    return labels
+    return read_jsonl(path, parse)
 
 
 def _read_meta(data_dir: Path) -> dict:
-    meta_path = data_dir / "meta.json"
-    if meta_path.exists():
-        return json.loads(meta_path.read_text(encoding="utf-8"))
-    return {}
+    path = data_dir / "meta.json"
+    if not path.exists():
+        return {}
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise SenseTraceError(f"{path}:{getattr(exc, 'lineno', 1)}: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SenseTraceError(f"{path}:1: expected a JSON object")
+    return meta
 
 
 def _load_traces(data_dir: Path) -> dict:
@@ -125,20 +109,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
 
     for device, samples in sorted(data.traces.items()):
-        trace_dir = out / "traces"
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        tmp = trace_dir / f".{device}.tmp"
-        write_trace(tmp, samples)
-        os.replace(tmp, trace_dir / f"{device}.jsonl")
-
-    _write_truth(_truth_path(out), data.labels)
-
-    instance_lines = [
-        json.dumps({"pair": sorted(inst.pair), "window": [data.window[0], data.window[1]]},
-                   separators=(",", ":"))
-        for inst in data.instances
-    ]
-    _atomic_write(out / "instances.jsonl", "\n".join(instance_lines) + "\n")
+        write_trace(out / "traces" / f"{device}.jsonl", samples)
+    atomic_write(out / "truth.jsonl", "".join(label_to_json(lb) + "\n" for lb in data.labels))
+    atomic_write(
+        out / "instances.jsonl",
+        "".join(_instance_to_json(inst.pair, data.window) + "\n" for inst in data.instances),
+    )
 
     meta = {
         "seed": data.seed,
@@ -146,7 +122,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "instances": len(data.instances),
         "devices": len(data.traces),
     }
-    _atomic_write(out / "meta.json", json.dumps(meta, indent=2) + "\n")
+    atomic_write(out / "meta.json", json.dumps(meta, indent=2) + "\n")
     print(f"generated {len(data.instances)} instances / {len(data.traces)} traces -> {out}")
     return 0
 
@@ -157,16 +133,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     tier = TierSpec(args.tier)
     traces = _load_traces(data_dir)
 
-    instances = []
-    with open(data_dir / "instances.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                p = json.loads(line)
-                instances.append((tuple(p["pair"]), p["window"][0], p["window"][1]))
-
+    instances = _read_instances(data_dir / "instances.jsonl")
     records = detect_instances(traces, instances, scenario.fusion, tier_gates(tier))
     name = args.out or f"decisions_{tier.value.lower()}.jsonl"
-    _atomic_write(data_dir / name, "\n".join(decision_to_json(r) for r in records) + "\n")
+    atomic_write(data_dir / name, "".join(decision_to_json(r) + "\n" for r in records))
     contacts = sum(1 for r in records if r.decision.contact)
     print(f"{tier.value}: {contacts}/{len(records)} contacts -> {data_dir / name}")
     return 0
@@ -174,9 +144,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
-    truth = _read_truth(_truth_path(data_dir))
-    with open(data_dir / args.decisions, encoding="utf-8") as fh:
-        records = [decision_from_json(line) for line in fh if line.strip()]
+    truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
+    records = read_jsonl(data_dir / args.decisions, decision_from_record)
 
     counts = confusion(records, truth)
     acc = accuracy(counts)
@@ -192,9 +161,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ["fn", counts.fn],
         ["accuracy", f"{acc:.6f}"],
     ]
-    _atomic_write(data_dir / "metrics.csv", _csv_text(comments, ["metric", "value"], rows))
+    atomic_write(data_dir / "metrics.csv", _csv_text(comments, ["metric", "value"], rows))
     payload = {**counts.as_dict(), "accuracy": acc, **meta}
-    _atomic_write(data_dir / "confusion.json", json.dumps(payload, indent=2) + "\n")
+    atomic_write(data_dir / "confusion.json", json.dumps(payload, indent=2) + "\n")
     print(
         f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn} "
         f"accuracy={acc:.4f} -> {data_dir / 'metrics.csv'}"
@@ -204,9 +173,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
-    truth = _read_truth(_truth_path(data_dir))
-    with open(data_dir / args.decisions, encoding="utf-8") as fh:
-        records = [decision_from_json(line) for line in fh if line.strip()]
+    truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
+    records = read_jsonl(data_dir / args.decisions, decision_from_record)
     traces = _load_traces(data_dir)
     meta = _read_meta(data_dir)
     comments = [
@@ -223,7 +191,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             actual.append(label.true_distance)
     if estimated:
         cdf = distance_error_cdf(estimated, actual)
-        _atomic_write(
+        atomic_write(
             data_dir / "cdf.csv",
             _csv_text(comments, ["abs_error_m", "cumulative_fraction"], cdf),
         )
@@ -242,7 +210,7 @@ def cmd_report(args: argparse.Namespace) -> int:
          "" if s.std is None else f"{s.std:.6f}"]
         for s in stats
     ]
-    _atomic_write(
+    atomic_write(
         data_dir / "magnetic_buckets.csv",
         _csv_text(comments, ["d_lo_m", "d_hi_m", "count", "mean_euclid_ut", "std_euclid_ut"], rows),
     )

@@ -3,19 +3,25 @@
 All types are immutable value records and safe to share between workers.
 Trace files are JSON-lines, one sample per line, with fields
 ``t``, ``kind``, ``value``, ``src``, ``obs`` (nullable); floats round-trip
-bit-exactly through the default JSON float formatting.
+bit-exactly through the default JSON float formatting. Every file the
+package writes goes through ``atomic_write`` and every JSON-lines file it
+reads through ``read_jsonl``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar, Union
 
-from .errors import EmptyWindow
+from .errors import EmptyWindow, SenseTraceError
+
+T = TypeVar("T")
 
 # WHO guidance: a contact is two people within 1 metre for the window duration.
 CONTACT_DISTANCE_M = 1.0
@@ -191,30 +197,42 @@ def make_window(
     return ContactWindow(pair=key, start=start, end=end, samples=tuple(picked))
 
 
-def iter_windows(
-    samples: Sequence[SensorSample],
-    pair: Sequence[str],
-    start: float,
-    length: float,
-    stride: Optional[float] = None,
-    until: Optional[float] = None,
-) -> Iterator[ContactWindow]:
-    """Yield successive windows from ``start``; default stride is tumbling
-    (stride = length). Windows with no relevant samples are skipped."""
-    step = length if stride is None else stride
-    if step <= 0:
-        raise ValueError("stride must be positive")
-    stop = until if until is not None else max((s.timestamp for s in samples), default=start)
-    t = start
-    while t < stop:
-        try:
-            yield make_window(samples, pair, t, length)
-        except EmptyWindow:
-            pass
-        t += step
+# --- record files ------------------------------------------------------------
 
 
-# --- trace JSONL I/O ------------------------------------------------------
+def atomic_write(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, so readers see either the old file or the whole new one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def read_jsonl(path: Union[str, Path], parse: Callable[[Any], T]) -> list[T]:
+    """``parse`` applied to every non-blank line's JSON value, in file order.
+
+    A line that is not UTF-8 JSON, or that ``parse`` rejects with a
+    ValueError, KeyError, TypeError or IndexError, raises SenseTraceError
+    whose message starts with ``path:line``.
+    """
+    out = []
+    with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 names its line
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line.decode("utf-8"))))
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise SenseTraceError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+    return out
 
 
 def sample_to_json(sample: SensorSample) -> str:
@@ -229,8 +247,7 @@ def sample_to_json(sample: SensorSample) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def sample_from_json(line: str) -> SensorSample:
-    record = json.loads(line)
+def sample_from_record(record: dict) -> SensorSample:
     value = record["value"]
     if isinstance(value, list):
         value = tuple(float(c) for c in value)
@@ -243,16 +260,30 @@ def sample_from_json(line: str) -> SensorSample:
     )
 
 
+def label_to_json(label: GroundTruthLabel) -> str:
+    record = {
+        "pair": list(label.pair),
+        "window": [label.start, label.end],
+        "true_distance_m": label.true_distance,
+        "is_contact": label.is_contact,
+    }
+    return json.dumps(record, separators=(",", ":"))
+
+
+def label_from_record(record: dict) -> GroundTruthLabel:
+    start, end = record["window"]
+    return GroundTruthLabel(
+        pair=canonical_pair(record["pair"]),
+        start=start,
+        end=end,
+        true_distance=record["true_distance_m"],
+        is_contact=record["is_contact"],
+    )
+
+
 def write_trace(path: Union[str, Path], samples: Iterable[SensorSample]) -> None:
-    lines = [sample_to_json(s) for s in samples]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    atomic_write(path, "".join(sample_to_json(s) + "\n" for s in samples))
 
 
 def read_trace(path: Union[str, Path]) -> list[SensorSample]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(sample_from_json(line))
-    return out
+    return read_jsonl(path, sample_from_record)

@@ -63,20 +63,26 @@ def tier_gates(tier: TierSpec) -> StageGates:
     return StageGates(use_chirp_votes=True, gate_distance=True, gate_environment=True)
 
 
+def _unique(what: str, items: Iterable[tuple]) -> dict:
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise EvaluationError(f"duplicate {what} key {key}")
+        out[key] = value
+    return out
+
+
 def confusion(
     decisions: Iterable[DecisionRecord],
     truth: Iterable[GroundTruthLabel],
 ) -> ConfusionCounts:
     """Standard 2x2 tally of decision.contact against label.is_contact.
 
-    Both inputs must be keyed by exactly the same (pair, window) set.
+    Both inputs must be keyed by exactly the same (pair, window) set, each
+    key once.
     """
-    decided = {}
-    for rec in decisions:
-        decided[rec.key] = rec.decision.contact
-    labelled = {}
-    for label in truth:
-        labelled[(label.pair, label.start, label.end)] = label.is_contact
+    decided = _unique("decision", ((rec.key, rec.decision.contact) for rec in decisions))
+    labelled = _unique("truth", (((lb.pair, lb.start, lb.end), lb.is_contact) for lb in truth))
     if set(decided) != set(labelled):
         missing = set(labelled) - set(decided)
         extra = set(decided) - set(labelled)

@@ -20,6 +20,7 @@ from .core import (
     DeviceId,
     ProximityState,
     SensorKind,
+    canonical_pair,
 )
 from .envmatch import EnvThresholds, env_similar, magnitude, select_env_sensor
 from .errors import InsufficientEvidence, NoContact
@@ -41,7 +42,6 @@ class FusionConfig:
 
     contact_radius: float = 1.0
     window_length: float = 900.0
-    stride: Optional[float] = None  # None = tumbling windows
     ble_scan_period: float = 30.0
     wifi_scan_cap: int = 4  # scans per 120 s (platform restriction)
     noise_gate_db: float = 20.0  # default = chirp amplitude
@@ -61,8 +61,6 @@ class FusionConfig:
             raise ValueError("wifi_scan_cap must be >= 1")
         if self.ble_scan_period <= 0 or self.window_length <= 0:
             raise ValueError("periods must be positive")
-        if self.stride is not None and self.stride <= 0:
-            raise ValueError("stride must be positive")
 
     @property
     def wifi_scan_period(self) -> float:
@@ -396,8 +394,7 @@ def decision_to_json(record: DecisionRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def decision_from_json(line: str) -> DecisionRecord:
-    p = json.loads(line)
+def decision_from_record(p: dict) -> DecisionRecord:
     sensor = p.get("env_sensor")
     decision = ContactDecision(
         appearance=p["appearance"],
@@ -407,9 +404,5 @@ def decision_from_json(line: str) -> DecisionRecord:
         contact=p["contact"],
         degraded_reason=p.get("degraded_reason"),
     )
-    return DecisionRecord(
-        pair=tuple(p["pair"]),
-        start=p["window"][0],
-        end=p["window"][1],
-        decision=decision,
-    )
+    start, end = p["window"]
+    return DecisionRecord(pair=canonical_pair(p["pair"]), start=start, end=end, decision=decision)

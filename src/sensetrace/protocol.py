@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .core import ContactDecision, ContactWindow, DeviceId
+from .core import ContactDecision, ContactWindow, DeviceId, atomic_write
 from .errors import ModeError, NoContact, NotDue
 from .fusion import ContactLogEntry, register_contact
 
@@ -62,8 +62,7 @@ class EventLog:
         self.events.append({"event": event, **fields})
 
     def write_jsonl(self, path: Union[str, Path]) -> None:
-        lines = [json.dumps(e, separators=(",", ":")) for e in self.events]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        atomic_write(path, "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in self.events))
 
 
 @dataclass

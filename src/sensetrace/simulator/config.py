@@ -16,6 +16,7 @@ from typing import Any, Optional, Union
 
 import yaml
 
+from ..core import atomic_write
 from ..envmatch import EnvThresholds
 from ..errors import ScenarioError
 from ..fusion import FusionConfig
@@ -233,7 +234,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         fusion = FusionConfig(
             contact_radius=float(fz.get("contact_radius_m", 1.0)),
             window_length=float(window.get("length_s", 900.0)),
-            stride=window.get("stride_s"),
             ble_scan_period=float(fz.get("ble_scan_period_s", 30.0)),
             wifi_scan_cap=int(fz.get("wifi_scan_cap_per_120s", 4)),
             noise_gate_db=float(fz.get("noise_gate_db", 20.0)),
@@ -319,4 +319,4 @@ def config_hash(raw: dict) -> str:
 
 
 def write_config(path: Union[str, Path], raw: dict) -> None:
-    Path(path).write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    atomic_write(path, yaml.safe_dump(raw, sort_keys=False))

@@ -5,6 +5,7 @@ lines. Every randomized check pins its seed; tolerances are fixed here and
 nowhere else.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -255,9 +256,31 @@ def test_criterion_7_protocol_privacy_invariants():
     report(7, f"1000 randomized runs, both modes clean ({t.elapsed:.1f}s)")
 
 
+# SHA-256 of the seed-42 outputs of the standard scenario. The trace digest
+# hashes each trace file's name, a NUL byte and its bytes, in name order; it
+# and the decision digests equal ``PINNED["standard"]`` in perfbench/pipeline.py.
+SEED42_DIGESTS = {
+    "traces": "5b4ec571d16807be41277c164cd64f157e8d7e9e975032e28b6129b7e7b49f16",
+    "truth.jsonl": "3697a7a9a0c2f62ded8f23fa06321311115d0970a6aff2468047fd4a6b978c47",
+    "instances.jsonl": "f0c9fb883a8cbbdf3939d7df612e9c3d32f3313e2aab8a750bdeb4a766ab1dbe",
+    "decisions_appearance_only.jsonl": "27ab1fe1a05b69d2d51c46cec60160999186018d8f8eb162bf78cd89ad6b6ce4",
+    "decisions_appearance_distance.jsonl": "b73b3a81cb66ddcfa763db1b02d0d39a2173681de1fd79a801bf2bcbc4df1d26",
+    "decisions_full.jsonl": "be9db7143bca3b205dc5ac7520703d3e0ac50815e2a1c5feee82444130fb8cda",
+}
+
+
+def _trace_digest(run_dir):
+    h = hashlib.sha256()
+    for path in sorted((run_dir / "traces").glob("*.jsonl")):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def test_criterion_8_generate_determinism(tmp_path):
     """Two consecutive `generate` runs with the same seed write byte-identical
-    trace files."""
+    trace files, and the seed-42 traces, truth, instances and decisions of
+    all three tiers match their pinned digests."""
     import yaml
 
     with Timer() as t:
@@ -278,5 +301,14 @@ def test_criterion_8_generate_determinism(tmp_path):
             compared += 1
         assert (out1 / "truth.jsonl").read_bytes() == (out2 / "truth.jsonl").read_bytes()
         assert (out1 / "instances.jsonl").read_bytes() == (out2 / "instances.jsonl").read_bytes()
+
+        for tier in TierSpec:
+            argv = ["detect", "--data", str(out1), "--config", str(config), "--tier", tier.value]
+            assert cli_main(argv) == 0
+        digests = {"traces": _trace_digest(out1)}
+        for name in SEED42_DIGESTS:
+            if name != "traces":
+                digests[name] = hashlib.sha256((out1 / name).read_bytes()).hexdigest()
+        assert digests == SEED42_DIGESTS
     assert t.elapsed < 30.0
-    report(8, f"{compared} trace files byte-identical across two runs ({t.elapsed:.1f}s)")
+    report(8, f"{compared} trace files byte-identical across two runs, seed-42 digests pinned ({t.elapsed:.1f}s)")

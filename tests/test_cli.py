@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,93 @@ class TestShippedConfig:
         loaded, raw = load_scenario(path)
         assert raw == default_scenario_dict()
         assert loaded == standard_scenario(seed=42)
+
+
+def _rewrite_line(path, lineno, edit):
+    """Replace line ``lineno`` (1-based) of a JSONL file by ``edit(record)``."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = json.dumps(edit(json.loads(lines[lineno - 1])), separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _without(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+def _with(**fields):
+    return lambda record: {**record, **fields}
+
+
+@pytest.fixture(scope="module")
+def detected_run(tmp_path_factory):
+    """A generated run with FULL-tier decisions, copied by each test."""
+    root = tmp_path_factory.mktemp("malformed")
+    raw = default_scenario_dict()
+    raw["seed"] = 11
+    raw["window"] = {"length_s": 300.0}
+    raw["instances"]["buckets"] = [{"range_m": [0.0, 2.0], "indoor": 2, "outdoor": 1}]
+    config = root / "scenario.yaml"
+    config.write_text(yaml.safe_dump(raw, sort_keys=False))
+    data = root / "run"
+    assert run(["generate", "--config", config, "--out", data]) == 0
+    assert run(["detect", "--data", data, "--config", config, "--tier", "FULL"]) == 0
+    return config, data
+
+
+def _first_trace(data):
+    return sorted((data / "traces").glob("*.jsonl"))[0]
+
+
+# (file, subcommand that reads it, key a record needs, a field the record type rejects)
+MALFORMED_FILES = {
+    "trace": (_first_trace, "detect", "kind", _with(kind="BLE_RSS", value=5.0, obs="zz")),
+    "truth": (lambda d: d / "truth.jsonl", "evaluate", "is_contact", _with(true_distance_m=0.5, is_contact=False)),
+    "instances": (lambda d: d / "instances.jsonl", "detect", "window", _with(pair=["a", "a"])),
+    "decisions": (lambda d: d / "decisions_full.jsonl", "evaluate", "contact", _with(env_sensor="SONAR")),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("breakage", ["truncated", "missing_key", "bad_value"])
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_FILES))
+    def test_one_line_json_error_naming_file_and_line(self, detected_run, tmp_path, capsys, kind, breakage):
+        config, original = detected_run
+        data = tmp_path / "run"
+        shutil.copytree(original, data)
+        locate, command, required, reject = MALFORMED_FILES[kind]
+        path = locate(data)
+        if breakage == "truncated":
+            lines = path.read_text().splitlines()
+            lineno = len(lines)
+            path.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]))
+        else:
+            lineno = 2
+            _rewrite_line(path, lineno, _without(required) if breakage == "missing_key" else reject)
+        argv = {
+            "detect": ["detect", "--data", data, "--config", config, "--tier", "FULL"],
+            "evaluate": ["evaluate", "--data", data, "--decisions", "decisions_full.jsonl"],
+        }[command]
+        capsys.readouterr()
+
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SenseTraceError"
+        assert f"{path}:{lineno}:" in payload["message"]
+
+    def test_duplicate_instance_rejected(self, detected_run, tmp_path, capsys):
+        config, original = detected_run
+        data = tmp_path / "run"
+        shutil.copytree(original, data)
+        path = data / "instances.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[0]]) + "\n")
+        capsys.readouterr()
+
+        assert run(["detect", "--data", data, "--config", config, "--tier", "FULL", "--out", "dup.jsonl"]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "SenseTraceError"
+        assert f"{path}:{len(lines) + 1}:" in payload["message"]
+        assert "duplicate" in payload["message"]
+        assert not (data / "dup.jsonl").exists()

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -11,15 +12,16 @@ from sensetrace.core import (
     ProximityState,
     SensorKind,
     SensorSample,
+    atomic_write,
     canonical_pair,
-    iter_windows,
     make_window,
+    read_jsonl,
     read_trace,
-    sample_from_json,
+    sample_from_record,
     sample_to_json,
     write_trace,
 )
-from sensetrace.errors import EmptyWindow
+from sensetrace.errors import EmptyWindow, SenseTraceError
 
 
 def ble(t, src, obs, rss=-60.0):
@@ -153,24 +155,6 @@ class TestMakeWindow:
             canonical_pair(("a", "a"))
 
 
-class TestIterWindows:
-    def test_tumbling_default(self):
-        samples = [ble(t * 100.0, "a", "b") for t in range(18)]
-        windows = list(iter_windows(samples, ("a", "b"), 0.0, 900.0))
-        assert [w.start for w in windows] == [0.0, 900.0]
-        assert len(windows[0].samples) == 9
-
-    def test_sliding_stride(self):
-        samples = [ble(t * 100.0, "a", "b") for t in range(18)]
-        windows = list(iter_windows(samples, ("a", "b"), 0.0, 900.0, stride=450.0))
-        assert [w.start for w in windows] == [0.0, 450.0, 900.0, 1350.0]
-
-    def test_empty_windows_skipped(self):
-        samples = [ble(50.0, "a", "b"), ble(1850.0, "a", "b")]
-        windows = list(iter_windows(samples, ("a", "b"), 0.0, 900.0))
-        assert [w.start for w in windows] == [0.0, 1800.0]
-
-
 class TestTraceIO:
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = random.Random(3)
@@ -202,11 +186,34 @@ class TestTraceIO:
         record = json.loads(line)
         assert set(record) == {"t", "kind", "value", "src", "obs"}
         assert record["obs"] == "b"
-        assert sample_from_json(line) == ble(1.5, "a", "b", rss=-59.5)
+        assert sample_from_record(record) == ble(1.5, "a", "b", rss=-59.5)
 
     def test_proximity_state_from_value(self):
         assert ProximityState.from_value(1.0) is ProximityState.NEAR
         assert ProximityState.from_value(0.0) is ProximityState.FAR
+
+
+class TestRecordFiles:
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"x": 1}\n\n  \n{"x": 2}\n{"y": 3}\n')
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:5: KeyError"):
+            read_jsonl(path, lambda r: r["x"])
+        path.write_bytes(b'{"x": 1}\n\n{"x": 2}\n')
+        assert read_jsonl(path, lambda r: r["x"]) == [1, 2]
+
+    def test_bad_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"x": 1}\n{"x": "\xff"}\n')
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:2: UnicodeDecodeError"):
+            read_jsonl(path, lambda r: r["x"])
+
+    def test_atomic_write_replaces_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "sub" / "out.txt"
+        atomic_write(path, "old\n")
+        atomic_write(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
 
 
 class TestContactWindowInvariants:

@@ -76,6 +76,18 @@ class TestConfusion:
         with pytest.raises(EvaluationError):
             confusion(decisions, truth)
 
+    def test_duplicate_decision_key_rejected(self):
+        decisions = [record(("a", "b"), 0.0, True), record(("a", "b"), 0.0, False)]
+        truth = [label(("a", "b"), 0.0, 0.5)]
+        with pytest.raises(EvaluationError, match="duplicate decision"):
+            confusion(decisions, truth)
+
+    def test_duplicate_truth_key_rejected(self):
+        decisions = [record(("a", "b"), 0.0, True)]
+        truth = [label(("a", "b"), 0.0, 0.5), label(("a", "b"), 0.0, 0.5)]
+        with pytest.raises(EvaluationError, match="duplicate truth"):
+            confusion(decisions, truth)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ConfusionCounts(tp=-1)

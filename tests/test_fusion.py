@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from sensetrace.fusion import (
     StageGates,
     build_evidence,
     decide,
-    decision_from_json,
+    decision_from_record,
     decision_to_json,
     noise_gate,
     register_contact,
@@ -485,7 +486,7 @@ class TestDecisionJson:
             end=900.0,
             decision=ContactDecision(True, 0.82, 0.03, SensorKind.BAROMETER, True),
         )
-        assert decision_from_json(decision_to_json(rec)) == rec
+        assert decision_from_record(json.loads(decision_to_json(rec))) == rec
 
     def test_degraded_roundtrip(self):
         rec = DecisionRecord(
@@ -494,6 +495,6 @@ class TestDecisionJson:
             end=900.0,
             decision=ContactDecision(False, None, None, None, False, "distance: no WiFi"),
         )
-        back = decision_from_json(decision_to_json(rec))
+        back = decision_from_record(json.loads(decision_to_json(rec)))
         assert back == rec
         assert back.decision.degraded_reason == "distance: no WiFi"
