@@ -41,15 +41,6 @@ from .fusion import (
     stage_distance,
     stage_environment,
 )
-from .ranging import (
-    ChirpSpec,
-    DistanceEstimate,
-    PathLossParams,
-    aggregate_window_distance,
-    combine_distances,
-    distance_from_rss,
-    rss_from_distance,
-    sound_distance,
-)
+from .ranging import ChirpSpec, PathLossParams, distance_from_rss, rss_from_distance, sound_distance
 
 __version__ = "0.1.0"

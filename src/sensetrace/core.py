@@ -25,8 +25,6 @@ T = TypeVar("T")
 
 # WHO guidance: a contact is two people within 1 metre for the window duration.
 CONTACT_DISTANCE_M = 1.0
-DEFAULT_WINDOW_S = 900.0
-RELAXED_WINDOW_S = 300.0
 
 
 class SensorKind(Enum):

@@ -2,9 +2,10 @@
 pressure sequences.
 
 Sequences may have different lengths (sensor rates differ between phones);
-DTW aligns them with squared local cost, the accumulated cost is normalized
-by the optimal warping path's cell count, and the square root of that score
-is compared against a threshold in the sensor's natural unit (hPa or uT).
+DTW aligns them with squared local cost in one forward pass over two rows,
+the accumulated cost is normalized by the cell count of the shortest optimal
+warping path, and the square root of that score is compared against a
+threshold in the sensor's natural unit (hPa or uT).
 """
 
 from __future__ import annotations
@@ -64,47 +65,38 @@ def _validate(seq: ScalarSequence, name: str) -> None:
 def dtw_score(a: ScalarSequence, b: ScalarSequence) -> float:
     """Normalized DTW score between two scalar sequences.
 
-    Fills the N x M accumulated-cost matrix with
-    ``w(i,j) = cost(i,j) + min(w(i-1,j), w(i-1,j-1), w(i,j-1))`` (first row
-    and column accumulate along their only direction), then divides the
-    terminal cost by the cell count of the optimal warping path. The path is
-    recovered by backtracking; ties prefer diagonal, then vertical, then
-    horizontal steps, which keeps the result deterministic and favors the
-    shortest optimal path.
+    Accumulates ``w(i,j) = cost(i,j) + min(w(i-1,j), w(i-1,j-1), w(i,j-1))``
+    row by row (first row and column accumulate along their only direction)
+    and divides the terminal cost by the cell count of the optimal warping
+    path. Each cell also counts the cells of its path: on equal cost the
+    predecessor with fewer cells wins, so the count is that of the shortest
+    optimal path and the score is symmetric in ``a`` and ``b``. Only the
+    previous and the current row of costs and counts are kept.
     """
     _validate(a, "first")
     _validate(b, "second")
-    n, m = len(a), len(b)
-
-    acc = [[0.0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for j in range(m):
-            c = local_cost(ai, b[j])
-            if i == 0 and j == 0:
-                acc[i][j] = c
-            elif i == 0:
-                acc[i][j] = c + acc[0][j - 1]
-            elif j == 0:
-                acc[i][j] = c + acc[i - 1][0]
-            else:
-                acc[i][j] = c + min(acc[i - 1][j], acc[i - 1][j - 1], acc[i][j - 1])
-
-    # Backtrack to count cells on the optimal path.
-    i, j = n - 1, m - 1
-    cells = 1
-    while i > 0 or j > 0:
-        best = None
-        if i > 0 and j > 0:
-            best = (i - 1, j - 1)
-        if i > 0 and (best is None or acc[i - 1][j] < acc[best[0]][best[1]]):
-            best = (i - 1, j)
-        if j > 0 and (best is None or acc[i][j - 1] < acc[best[0]][best[1]]):
-            best = (i, j - 1)
-        i, j = best
-        cells += 1
-
-    return acc[n - 1][m - 1] / cells
+    inf, no_path = math.inf, len(a) + len(b)  # no_path: more cells than any path
+    # Row -1: only the virtual origin before (0, 0) is reachable.
+    prev_cost, prev_cells = [0.0] + [inf] * len(b), [0] * (len(b) + 1)
+    for ai in a:
+        cost, cells = [inf], [0]  # column -1 is unreachable
+        for j, bj in enumerate(b, 1):
+            up, diag, left = prev_cost[j], prev_cost[j - 1], cost[j - 1]
+            best = up if up < diag else diag
+            if left < best:
+                best = left
+            n = no_path
+            if up == best:
+                n = prev_cells[j]
+            if diag == best and prev_cells[j - 1] < n:
+                n = prev_cells[j - 1]
+            if left == best and cells[j - 1] < n:
+                n = cells[j - 1]
+            d = ai - bj  # local_cost, inlined
+            cost.append(d * d + best)
+            cells.append(n + 1)
+        prev_cost, prev_cells = cost, cells
+    return prev_cost[-1] / prev_cells[-1]
 
 
 def env_similar(

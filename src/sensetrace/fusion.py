@@ -24,15 +24,12 @@ from .core import (
 )
 from .envmatch import EnvThresholds, env_similar, magnitude, select_env_sensor
 from .errors import InsufficientEvidence, NoContact
-from .ranging import (
-    ChirpSpec,
-    DistanceEstimate,
-    PathLossParams,
-    aggregate_window_distance,
-    combine_distances,
-    distance_from_rss,
-    sound_distance,
-)
+from .ranging import ChirpSpec, PathLossParams, distance_from_rss, sound_distance
+
+# A WiFi estimate is averaged only with a sound estimate closer in time than this.
+PAIR_TOLERANCE_S = 15.0
+# Timestamps this close name the same chirp attempt.
+SAME_INSTANT_S = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class FusionConfig:
     radio_params: PathLossParams = field(default_factory=PathLossParams)
     sound_params: PathLossParams = field(default_factory=PathLossParams)
     chirp: ChirpSpec = field(default_factory=ChirpSpec)
-    distance_pair_tolerance: float = 15.0  # max |t_wifi - t_sound| to average
 
     def __post_init__(self) -> None:
         if self.contact_radius <= 0:
@@ -85,24 +81,19 @@ class StageEvidence:
     """Window evidence for one pair, grouped by pipeline stage.
 
     ``ble_seen`` holds one boolean per scheduled BLE scan (both directions);
-    ``attempt_times``, ``noise_db`` and ``chirp_heard`` are parallel lists,
-    one entry per chirp attempt; the environment sequences are keyed by
+    ``chirps`` one ``(time, noise_db, heard)`` triple per chirp attempt;
+    ``wifi_distances`` and ``sound_distances`` one ``(time, metres)`` pair
+    per estimate, in time order. The environment sequences are keyed by
     device then sensor kind. Proximity states are the per-device window
     majority.
     """
 
     ble_seen: tuple[bool, ...]
-    attempt_times: tuple[float, ...]
-    noise_db: tuple[float, ...]
-    chirp_heard: tuple[bool, ...]
-    wifi_distances: tuple[DistanceEstimate, ...]
-    sound_distances: tuple[DistanceEstimate, ...]
+    chirps: tuple[tuple[float, float, bool], ...]
+    wifi_distances: tuple[tuple[float, float], ...]
+    sound_distances: tuple[tuple[float, float], ...]
     env_sequences: Mapping[str, Mapping[SensorKind, tuple[float, ...]]]
     prox_states: Mapping[str, ProximityState]
-
-    def __post_init__(self) -> None:
-        if not (len(self.attempt_times) == len(self.noise_db) == len(self.chirp_heard)):
-            raise ValueError("chirp attempt lists must be parallel")
 
 
 def noise_gate(noise_db: float, cfg: FusionConfig) -> bool:
@@ -129,47 +120,36 @@ def stage_appearance(
     votes = len(evidence.ble_seen)
     positives = sum(evidence.ble_seen)
     if use_chirp_votes:
-        for noise, heard in zip(evidence.noise_db, evidence.chirp_heard):
+        for _, noise, heard in evidence.chirps:
             if noise_gate(noise, cfg):
                 votes += 1
                 positives += heard
     return any(evidence.ble_seen) and positives > cfg.appearance_quorum * votes
 
 
-def _usable_sound(evidence: StageEvidence, cfg: FusionConfig) -> list[DistanceEstimate]:
-    """Sound estimates at attempts where the gate passed and the chirp was heard."""
-    ok_times = [
-        t
-        for t, noise, heard in zip(evidence.attempt_times, evidence.noise_db, evidence.chirp_heard)
-        if heard and noise_gate(noise, cfg)
-    ]
-    return [
-        e
-        for e in evidence.sound_distances
-        if any(abs(e.timestamp - t) <= 1e-6 for t in ok_times)
-    ]
-
-
 def stage_distance(evidence: StageEvidence, cfg: FusionConfig) -> float:
     """Mean pairwise-combined distance over the window.
 
-    Each WiFi estimate is averaged with the nearest usable sound estimate
-    (within the pairing tolerance); where none exists the WiFi estimate
-    stands alone.
+    A sound estimate is usable when a heard chirp attempt that passed the
+    noise gate shares its time. Each WiFi estimate is averaged with the
+    nearest usable sound estimate within ``PAIR_TOLERANCE_S`` (the earlier
+    one on an equal gap); where none exists the WiFi estimate stands alone.
     """
     if not evidence.wifi_distances:
         raise InsufficientEvidence("no WiFi distance estimates in window")
-    sound = _usable_sound(evidence, cfg)
+    ok_times = [t for t, noise, heard in evidence.chirps if heard and noise_gate(noise, cfg)]
+    sound = [
+        (ts, metres)
+        for ts, metres in evidence.sound_distances
+        if any(abs(ts - t) <= SAME_INSTANT_S for t in ok_times)
+    ]
     combined = []
-    for w in evidence.wifi_distances:
-        nearest = None
-        for s in sound:
-            if abs(s.timestamp - w.timestamp) < cfg.distance_pair_tolerance:
-                if nearest is None or abs(s.timestamp - w.timestamp) < abs(nearest.timestamp - w.timestamp):
-                    nearest = s
-        metres = combine_distances(w.metres, nearest.metres if nearest else None)
-        combined.append(DistanceEstimate(metres, w.source, w.timestamp))
-    return aggregate_window_distance(combined)
+    for t, metres in evidence.wifi_distances:
+        near = [s for s in sound if abs(s[0] - t) < PAIR_TOLERANCE_S]
+        if near:
+            metres = (metres + min(near, key=lambda s: abs(s[0] - t))[1]) / 2.0
+        combined.append(metres)
+    return sum(combined) / len(combined)
 
 
 def stage_environment(
@@ -304,32 +284,28 @@ def build_evidence(window: ContactWindow, cfg: FusionConfig) -> StageEvidence:
             ble_seen.append(any(lo <= t < hi for t in hits))
 
     # Chirp attempts: each ambient-noise check is one listening attempt.
-    attempt_times: list[float] = []
-    noise_db: list[float] = []
-    chirp_heard: list[bool] = []
     heard_times: dict[str, list[float]] = {a: [], b: []}
     for s in by_kind[SensorKind.SOUND_AMPLITUDE]:
         heard_times.setdefault(s.src, []).append(s.timestamp)
-    for s in sorted(by_kind[SensorKind.AMBIENT_NOISE], key=lambda x: (x.timestamp, x.src)):
-        attempt_times.append(s.timestamp)
-        noise_db.append(float(s.value))
-        heard = any(abs(t - s.timestamp) <= 1e-6 for t in heard_times.get(s.src, ()))
-        chirp_heard.append(heard)
+    chirps = tuple(
+        (
+            s.timestamp,
+            float(s.value),
+            any(abs(t - s.timestamp) <= SAME_INSTANT_S for t in heard_times.get(s.src, ())),
+        )
+        for s in sorted(by_kind[SensorKind.AMBIENT_NOISE], key=lambda x: (x.timestamp, x.src))
+    )
 
-    wifi = [
-        DistanceEstimate(distance_from_rss(float(s.value), cfg.radio_params), SensorKind.WIFI_RSS, s.timestamp)
+    wifi = tuple(
+        (s.timestamp, distance_from_rss(float(s.value), cfg.radio_params))
         for s in by_kind[SensorKind.WIFI_RSS]
-    ]
+    )
     # A chirp received above the nominal emission level (hotter speaker than
     # assumed) is treated as at-reference-distance rather than rejected.
-    sound = [
-        DistanceEstimate(
-            sound_distance(min(float(s.value), cfg.chirp.amplitude), cfg.chirp, cfg.sound_params),
-            SensorKind.SOUND_AMPLITUDE,
-            s.timestamp,
-        )
+    sound = tuple(
+        (s.timestamp, sound_distance(min(float(s.value), cfg.chirp.amplitude), cfg.chirp, cfg.sound_params))
         for s in by_kind[SensorKind.SOUND_AMPLITUDE]
-    ]
+    )
 
     env: dict[str, dict[SensorKind, tuple[float, ...]]] = {a: {}, b: {}}
     for dev in (a, b):
@@ -355,11 +331,9 @@ def build_evidence(window: ContactWindow, cfg: FusionConfig) -> StageEvidence:
 
     return StageEvidence(
         ble_seen=tuple(ble_seen),
-        attempt_times=tuple(attempt_times),
-        noise_db=tuple(noise_db),
-        chirp_heard=tuple(chirp_heard),
-        wifi_distances=tuple(wifi),
-        sound_distances=tuple(sound),
+        chirps=chirps,
+        wifi_distances=wifi,
+        sound_distances=sound,
         env_sequences=env,
         prox_states=prox,
     )

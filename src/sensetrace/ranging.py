@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
-from .core import SensorKind
-from .errors import EmptyWindow, InvalidDistance, InvalidMeasure
+from .errors import InvalidDistance, InvalidMeasure
 
 # Converted estimates are clamped to keep downstream statistics bounded.
 MIN_DISTANCE_M = 0.01
 MAX_DISTANCE_M = 1000.0
+# How far a heard chirp may exceed the emission amplitude and still count.
+SOUND_TOLERANCE_DB = 1.0
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,6 @@ class ChirpSpec:
             raise ValueError("chirp duration must be positive")
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
-    metres: float
-    source: SensorKind
-    timestamp: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.metres) and self.metres >= 0.0):
-            raise ValueError(f"distance must be finite and >= 0, got {self.metres}")
-
-
 def _clamp(metres: float) -> float:
     return min(max(metres, MIN_DISTANCE_M), MAX_DISTANCE_M)
 
@@ -84,12 +73,7 @@ def rss_from_distance(d: float, params: PathLossParams) -> float:
     return params.power_at_1m - 10.0 * params.exponent * math.log10(d)
 
 
-def sound_distance(
-    received_amp: float,
-    chirp: ChirpSpec,
-    sound_params: PathLossParams,
-    tolerance: float = 1.0,
-) -> float:
+def sound_distance(received_amp: float, chirp: ChirpSpec, sound_params: PathLossParams) -> float:
     """Distance from a heard chirp's amplitude in dB.
 
     The 1-metre reference is the chirp's emission amplitude; only the
@@ -98,28 +82,9 @@ def sound_distance(
     """
     if not math.isfinite(received_amp):
         raise InvalidMeasure(f"received amplitude must be finite, got {received_amp}")
-    if received_amp > chirp.amplitude + tolerance:
+    if received_amp > chirp.amplitude + SOUND_TOLERANCE_DB:
         raise InvalidMeasure(
             f"received {received_amp} dB exceeds emitted {chirp.amplitude} dB beyond tolerance"
         )
     exponent = sound_params.exponent
     return _clamp(10.0 ** ((chirp.amplitude - received_amp) / (10.0 * exponent)))
-
-
-def aggregate_window_distance(estimates: Sequence[DistanceEstimate]) -> float:
-    """Arithmetic mean of the estimates over a window."""
-    if not estimates:
-        raise EmptyWindow("cannot aggregate an empty estimate sequence")
-    return sum(e.metres for e in estimates) / len(estimates)
-
-
-def combine_distances(wifi_d: float, sound_d: Optional[float] = None) -> float:
-    """Average the WiFi and sound estimates when both exist; otherwise the
-    WiFi estimate stands alone (too-noisy-for-sound path)."""
-    if not math.isfinite(wifi_d):
-        raise InvalidMeasure(f"wifi distance must be finite, got {wifi_d}")
-    if sound_d is None:
-        return wifi_d
-    if not math.isfinite(sound_d):
-        raise InvalidMeasure(f"sound distance must be finite, got {sound_d}")
-    return (wifi_d + sound_d) / 2.0

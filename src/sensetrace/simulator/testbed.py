@@ -108,9 +108,6 @@ class DevicePlacement:
     floor: int = 0
     posture: ProximityState = ProximityState.FAR  # NEAR = pocketed
 
-    def position(self) -> tuple[float, float, int]:
-        return (self.x, self.y, self.floor)
-
 
 def _segments_intersect(p1, p2, q1, q2) -> bool:
     """Proper segment intersection via orientation tests."""

@@ -12,33 +12,28 @@ from typing import Sequence
 def brute_force_dtw(a: Sequence[float], b: Sequence[float]) -> float:
     """Normalized DTW score by exhaustive enumeration of warping paths.
 
-    Enumerates every monotone path from (0, 0) to (N-1, M-1), takes the
-    minimum total squared cost, and among minimum-cost paths picks the one
-    whose backward step sequence prefers diagonal, then vertical, then
-    horizontal moves (the same deterministic tie-break the implementation
-    documents). Returns min_cost / len(chosen path). Only usable for tiny
-    products N*M.
+    Enumerates every monotone path from (0, 0) to (N-1, M-1) and picks the
+    minimum of (total squared cost, path length): among minimum-cost paths
+    the shortest wins (the same policy the implementation documents).
+    Returns min_cost / len(chosen path). Only usable for tiny products N*M.
     """
     n, m = len(a), len(b)
-    best: dict = {"cost": None, "steps": None, "length": None}
+    best = (float("inf"), 0)
 
-    def walk(i: int, j: int, cost: float, steps: list[int]) -> None:
+    def walk(i: int, j: int, cost: float, length: int) -> None:
+        nonlocal best
         cost += (a[i] - b[j]) ** 2
+        length += 1
         if i == n - 1 and j == m - 1:
-            # Backward step codes: diagonal=0 < vertical=1 < horizontal=2.
-            reversed_steps = steps[::-1]
-            key = (cost, reversed_steps)
-            if best["cost"] is None or key < (best["cost"], best["steps"]):
-                best["cost"] = cost
-                best["steps"] = reversed_steps
-                best["length"] = len(steps) + 1
+            best = min(best, (cost, length))
             return
         if i + 1 < n and j + 1 < m:
-            walk(i + 1, j + 1, cost, steps + [0])
+            walk(i + 1, j + 1, cost, length)
         if i + 1 < n:
-            walk(i + 1, j, cost, steps + [1])
+            walk(i + 1, j, cost, length)
         if j + 1 < m:
-            walk(i, j + 1, cost, steps + [2])
+            walk(i, j + 1, cost, length)
 
-    walk(0, 0, 0.0, [])
-    return best["cost"] / best["length"]
+    walk(0, 0, 0.0, 0)
+    cost, length = best
+    return cost / length

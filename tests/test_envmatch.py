@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensetrace.core import ProximityState, SensorKind
@@ -108,6 +108,7 @@ class TestDtwScore:
         b=st.lists(dyadic, min_size=1, max_size=8),
     )
     @settings(max_examples=200, deadline=None)
+    @example(a=[0.0, 0.0, -0.0625, 0.0], b=[0.0, 0.0625, 0.0])
     def test_symmetry_and_nonnegativity(self, a, b):
         s = dtw_score(a, b)
         assert s >= 0.0

@@ -14,6 +14,7 @@ from sensetrace.core import (
 )
 from sensetrace.errors import InsufficientEvidence, NoContact
 from sensetrace.fusion import (
+    PAIR_TOLERANCE_S,
     ContactLogEntry,
     DecisionRecord,
     FusionConfig,
@@ -29,16 +30,13 @@ from sensetrace.fusion import (
     stage_distance,
     stage_environment,
 )
-from sensetrace.ranging import DistanceEstimate
 
 CFG = FusionConfig()
 
 
 def evidence(
     ble_seen=(True,) * 6 + (False,) * 4,
-    attempts=(),
-    noise=(),
-    heard=(),
+    chirps=(),
     wifi=(),
     sound=(),
     env=None,
@@ -53,9 +51,7 @@ def evidence(
         prox = {"a": ProximityState.FAR, "b": ProximityState.FAR}
     return StageEvidence(
         ble_seen=tuple(ble_seen),
-        attempt_times=tuple(attempts),
-        noise_db=tuple(noise),
-        chirp_heard=tuple(heard),
+        chirps=tuple(chirps),
         wifi_distances=tuple(wifi),
         sound_distances=tuple(sound),
         env_sequences=env,
@@ -63,16 +59,9 @@ def evidence(
     )
 
 
-def wifi_est(values, t0=0.0, step=30.0):
-    return tuple(
-        DistanceEstimate(v, SensorKind.WIFI_RSS, t0 + i * step) for i, v in enumerate(values)
-    )
-
-
-def sound_est(values, t0=0.0, step=30.0):
-    return tuple(
-        DistanceEstimate(v, SensorKind.SOUND_AMPLITUDE, t0 + i * step) for i, v in enumerate(values)
-    )
+def timed(values, step=30.0):
+    """(time, value) pairs, one every ``step`` seconds from t = 0."""
+    return tuple((i * step, v) for i, v in enumerate(values))
 
 
 class TestNoiseGate:
@@ -108,27 +97,21 @@ class TestStageAppearance:
         # 6/10 BLE alone passes; 10 quiet unheard chirps dilute it to 6/20.
         ev = evidence(
             ble_seen=(True,) * 6 + (False,) * 4,
-            attempts=tuple(float(i) for i in range(10)),
-            noise=(10.0,) * 10,
-            heard=(False,) * 10,
+            chirps=[(float(i), 10.0, False) for i in range(10)],
         )
         assert stage_appearance(ev, CFG) is False
 
     def test_loud_chirp_attempts_do_not_vote(self):
         ev = evidence(
             ble_seen=(True,) * 6 + (False,) * 4,
-            attempts=tuple(float(i) for i in range(10)),
-            noise=(35.0,) * 10,
-            heard=(False,) * 10,
+            chirps=[(float(i), 35.0, False) for i in range(10)],
         )
         assert stage_appearance(ev, CFG) is True
 
     def test_chirp_hearings_add_positive_votes(self):
         ev = evidence(
             ble_seen=(True,) * 5 + (False,) * 5,
-            attempts=(0.0, 30.0),
-            noise=(10.0, 10.0),
-            heard=(True, True),
+            chirps=[(0.0, 10.0, True), (30.0, 10.0, True)],
         )
         # 7 positives of 12 votes.
         assert stage_appearance(ev, CFG) is True
@@ -138,44 +121,36 @@ class TestStageAppearance:
         # stays negative no matter how many chirps were heard.
         ev = evidence(
             ble_seen=(False,) * 2,
-            attempts=tuple(float(i) for i in range(10)),
-            noise=(10.0,) * 10,
-            heard=(True,) * 10,
+            chirps=[(float(i), 10.0, True) for i in range(10)],
         )
         assert stage_appearance(ev, CFG) is False
 
     def test_ble_only_mode_ignores_chirps(self):
         ev = evidence(
             ble_seen=(True,) * 6 + (False,) * 4,
-            attempts=tuple(float(i) for i in range(10)),
-            noise=(10.0,) * 10,
-            heard=(False,) * 10,
+            chirps=[(float(i), 10.0, False) for i in range(10)],
         )
         assert stage_appearance(ev, CFG, use_chirp_votes=False) is True
 
 
 class TestStageDistance:
     def test_wifi_only(self):
-        ev = evidence(wifi=wifi_est([2.0, 2.0, 2.0]))
+        ev = evidence(wifi=timed([2.0, 2.0, 2.0]))
         assert stage_distance(ev, CFG) == pytest.approx(2.0)
 
     def test_wifi_and_sound_every_step(self):
         ev = evidence(
-            wifi=wifi_est([2.0, 2.0, 2.0]),
-            sound=sound_est([1.0, 1.0, 1.0]),
-            attempts=(0.0, 30.0, 60.0),
-            noise=(10.0, 10.0, 10.0),
-            heard=(True, True, True),
+            wifi=timed([2.0, 2.0, 2.0]),
+            sound=timed([1.0, 1.0, 1.0]),
+            chirps=[(0.0, 10.0, True), (30.0, 10.0, True), (60.0, 10.0, True)],
         )
         assert stage_distance(ev, CFG) == pytest.approx(1.5)
 
     def test_gated_out_sound_ignored(self):
         ev = evidence(
-            wifi=wifi_est([2.0, 2.0]),
-            sound=sound_est([1.0, 1.0]),
-            attempts=(0.0, 30.0),
-            noise=(35.0, 35.0),  # too loud: sound untrusted
-            heard=(True, True),
+            wifi=timed([2.0, 2.0]),
+            sound=timed([1.0, 1.0]),
+            chirps=[(0.0, 35.0, True), (30.0, 35.0, True)],  # too loud: sound untrusted
         )
         assert stage_distance(ev, CFG) == pytest.approx(2.0)
 
@@ -186,42 +161,30 @@ class TestStageDistance:
     def test_mixed_availability_matches_scripted_oracle(self):
         rng = random.Random(21)
         times = [i * 30.0 for i in range(30)]
-        wifi = tuple(
-            DistanceEstimate(rng.uniform(0.5, 6.0), SensorKind.WIFI_RSS, t) for t in times
-        )
-        attempts, noises, heards, sounds = [], [], [], []
+        wifi = tuple((t, rng.uniform(0.5, 6.0)) for t in times)
+        chirps, sounds = [], []
         for t in times:
-            attempts.append(t)
-            noises.append(rng.choice([10.0, 35.0]))
+            noise = rng.choice([10.0, 35.0])
             heard = rng.random() < 0.6
-            heards.append(heard)
+            chirps.append((t, noise, heard))
             if heard:
-                sounds.append(DistanceEstimate(rng.uniform(0.5, 4.0), SensorKind.SOUND_AMPLITUDE, t))
-        ev = evidence(
-            wifi=wifi,
-            sound=tuple(sounds),
-            attempts=tuple(attempts),
-            noise=tuple(noises),
-            heard=tuple(heards),
-        )
+                sounds.append((t, rng.uniform(0.5, 4.0)))
+        ev = evidence(wifi=wifi, sound=tuple(sounds), chirps=chirps)
 
         # Naive reference: replay the rule step by step.
         usable = {
-            s.timestamp: s.metres
-            for s in sounds
-            if any(
-                abs(s.timestamp - t) <= 1e-6 and n <= CFG.noise_gate_db and h
-                for t, n, h in zip(attempts, noises, heards)
-            )
+            ts: metres
+            for ts, metres in sounds
+            if any(abs(ts - t) <= 1e-6 and n <= CFG.noise_gate_db and h for t, n, h in chirps)
         }
         per_step = []
-        for w in wifi:
-            near = [ts for ts in usable if abs(ts - w.timestamp) < CFG.distance_pair_tolerance]
+        for tw, metres in wifi:
+            near = [ts for ts in usable if abs(ts - tw) < PAIR_TOLERANCE_S]
             if near:
-                ts = min(near, key=lambda x: abs(x - w.timestamp))
-                per_step.append((w.metres + usable[ts]) / 2.0)
+                ts = min(near, key=lambda x: abs(x - tw))
+                per_step.append((metres + usable[ts]) / 2.0)
             else:
-                per_step.append(w.metres)
+                per_step.append(metres)
         expected = sum(per_step) / len(per_step)
 
         assert stage_distance(ev, CFG) == pytest.approx(expected, rel=1e-12)
@@ -266,7 +229,7 @@ class TestDecide:
     def good_evidence(self):
         return evidence(
             ble_seen=(True,) * 8 + (False,) * 2,
-            wifi=wifi_est([0.8, 0.8, 0.8]),
+            wifi=timed([0.8, 0.8, 0.8]),
         )
 
     def test_all_gates_pass(self):
@@ -284,7 +247,7 @@ class TestDecide:
         }
         ev = evidence(
             ble_seen=(True,) * 8 + (False,) * 2,
-            wifi=wifi_est([0.8, 0.8, 0.8]),
+            wifi=timed([0.8, 0.8, 0.8]),
             env=env,
         )
         d = decide(ev, CFG)
@@ -293,7 +256,7 @@ class TestDecide:
         assert d.contact is False
 
     def test_appearance_false_forces_no_contact(self):
-        ev = evidence(ble_seen=(False,) * 10, wifi=wifi_est([0.5, 0.5]))
+        ev = evidence(ble_seen=(False,) * 10, wifi=timed([0.5, 0.5]))
         d = decide(ev, CFG)
         assert d.contact is False
         # All metrics still computed and reported.
@@ -318,7 +281,7 @@ class TestDecide:
             n_pos = rng.randint(0, 10)
             ev = evidence(
                 ble_seen=(True,) * n_pos + (False,) * (10 - n_pos),
-                wifi=wifi_est([rng.uniform(0.3, 3.0) for _ in range(4)]),
+                wifi=timed([rng.uniform(0.3, 3.0) for _ in range(4)]),
                 env={
                     "a": {
                         SensorKind.BAROMETER: (1012.4,) * 4,
@@ -348,7 +311,7 @@ class TestDecide:
         # negative verdict to positive.
         base = evidence(
             ble_seen=(True,) * 6 + (False,) * 4,
-            wifi=wifi_est([0.9, 1.1, 1.0]),
+            wifi=timed([0.9, 1.1, 1.0]),
             env={
                 "a": {SensorKind.BAROMETER: (1012.40,) * 4, SensorKind.MAGNETOMETER: (50.0,) * 4},
                 "b": {SensorKind.BAROMETER: (1012.52,) * 4, SensorKind.MAGNETOMETER: (50.0,) * 4},
@@ -363,7 +326,7 @@ class TestDecide:
         )
         worse_wifi = evidence(
             ble_seen=base.ble_seen,
-            wifi=tuple(DistanceEstimate(e.metres + 1.0, e.source, e.timestamp) for e in base.wifi_distances),
+            wifi=tuple((t, metres + 1.0) for t, metres in base.wifi_distances),
             env=dict(base.env_sequences),
         )
         worse_env = evidence(
@@ -384,7 +347,7 @@ class TestDecide:
     def test_disabled_gates_count_as_passed(self):
         ev = evidence(
             ble_seen=(True,) * 8 + (False,) * 2,
-            wifi=wifi_est([5.0, 5.0]),  # clearly beyond the radius
+            wifi=timed([5.0, 5.0]),  # clearly beyond the radius
         )
         full = decide(ev, CFG)
         appearance_only = decide(
@@ -458,8 +421,8 @@ class TestBuildEvidence:
         ev = build_evidence(window, CFG)
         assert len(ev.ble_seen) == 60  # 30 slots per device, both directions
         assert sum(ev.ble_seen) == 45
-        assert len(ev.attempt_times) == len(ev.noise_db) == len(ev.chirp_heard) == 60
-        assert sum(ev.chirp_heard) == 30  # only a heard b
+        assert len(ev.chirps) == 60
+        assert sum(heard for _, _, heard in ev.chirps) == 30  # only a heard b
         assert len(ev.wifi_distances) == 30
         assert len(ev.sound_distances) == 30
         assert ev.prox_states == {"a": ProximityState.FAR, "b": ProximityState.NEAR}

@@ -1,20 +1,15 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensetrace.core import SensorKind
-from sensetrace.errors import EmptyWindow, InvalidDistance, InvalidMeasure
+from sensetrace.errors import InvalidDistance, InvalidMeasure
 from sensetrace.ranging import (
     MAX_DISTANCE_M,
     MIN_DISTANCE_M,
     ChirpSpec,
-    DistanceEstimate,
     PathLossParams,
-    aggregate_window_distance,
-    combine_distances,
     distance_from_rss,
     rss_from_distance,
     sound_distance,
@@ -135,57 +130,6 @@ class TestSoundDistance:
 
     def test_louder_than_emitted_rejected(self):
         with pytest.raises(InvalidMeasure):
-            sound_distance(22.0, ChirpSpec(amplitude=20.0), PathLossParams(), tolerance=1.0)
+            sound_distance(22.0, ChirpSpec(amplitude=20.0), PathLossParams())
         # Within tolerance is accepted and clamps near the reference.
         assert sound_distance(20.5, ChirpSpec(amplitude=20.0), PathLossParams()) < 1.0
-
-
-class TestAggregateWindowDistance:
-    def est(self, values):
-        return [DistanceEstimate(v, SensorKind.WIFI_RSS, float(i)) for i, v in enumerate(values)]
-
-    def test_singleton(self):
-        assert aggregate_window_distance(self.est([2.0])) == 2.0
-
-    def test_two_values(self):
-        assert aggregate_window_distance(self.est([1.0, 3.0])) == 2.0
-
-    def test_matches_naive_summation(self):
-        rng = random.Random(11)
-        values = [rng.uniform(0.01, 50.0) for _ in range(100)]
-        total = 0.0
-        for v in values:  # independent naive re-summation
-            total += v
-        assert aggregate_window_distance(self.est(values)) == pytest.approx(total / 100, rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyWindow):
-            aggregate_window_distance([])
-
-
-class TestCombineDistances:
-    def test_both_present(self):
-        assert combine_distances(4.0, 2.0) == 3.0
-
-    def test_wifi_only_path(self):
-        # Sound unavailable (environment too noisy): WiFi stands alone.
-        assert combine_distances(4.0, None) == 4.0
-
-    def test_idempotent_on_equal_inputs(self):
-        for x in (0.01, 1.0, 7.5, 100.0):
-            assert combine_distances(x, x) == x
-
-    @given(
-        w=st.floats(min_value=0.01, max_value=1000.0),
-        s=st.floats(min_value=0.01, max_value=1000.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_output_between_inputs(self, w, s):
-        out = combine_distances(w, s)
-        assert min(w, s) <= out <= max(w, s)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidMeasure):
-            combine_distances(math.inf)
-        with pytest.raises(InvalidMeasure):
-            combine_distances(1.0, math.nan)
