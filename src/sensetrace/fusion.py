@@ -45,7 +45,7 @@ class FusionConfig:
     appearance_quorum: float = 0.5  # strict majority
     env_thresholds: EnvThresholds = field(default_factory=EnvThresholds)
     radio_params: PathLossParams = field(default_factory=PathLossParams)
-    sound_params: PathLossParams = field(default_factory=PathLossParams)
+    sound_exponent: float = 2.0
     chirp: ChirpSpec = field(default_factory=ChirpSpec)
 
     def __post_init__(self) -> None:
@@ -57,6 +57,8 @@ class FusionConfig:
             raise ValueError("wifi_scan_cap must be >= 1")
         if self.ble_scan_period <= 0 or self.window_length <= 0:
             raise ValueError("periods must be positive")
+        if not (self.sound_exponent > 0 and math.isfinite(self.sound_exponent)):
+            raise ValueError(f"sound_exponent must be > 0, got {self.sound_exponent}")
 
     @property
     def wifi_scan_period(self) -> float:
@@ -303,7 +305,7 @@ def build_evidence(window: ContactWindow, cfg: FusionConfig) -> StageEvidence:
     # A chirp received above the nominal emission level (hotter speaker than
     # assumed) is treated as at-reference-distance rather than rejected.
     sound = tuple(
-        (s.timestamp, sound_distance(min(float(s.value), cfg.chirp.amplitude), cfg.chirp, cfg.sound_params))
+        (s.timestamp, sound_distance(min(float(s.value), cfg.chirp.amplitude), cfg.chirp, cfg.sound_exponent))
         for s in by_kind[SensorKind.SOUND_AMPLITUDE]
     )
 

@@ -73,7 +73,6 @@ class DeviceState:
     identity: DeviceId
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
-    rotation_period: float = DEFAULT_ROTATION_PERIOD_S
     last_rotation: float = 0.0
     epoch_times: dict[int, float] = field(default_factory=dict)
 
@@ -131,9 +130,9 @@ def rotate_id(device: DeviceState, now: float, events: Optional[EventLog] = None
 
     The device keeps its own past ids resolvable for exposure matching.
     """
-    if now < device.last_rotation + device.rotation_period:
+    if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
         raise NotDue(
-            f"rotation at t={now} before {device.last_rotation + device.rotation_period}"
+            f"rotation at t={now} before {device.last_rotation + DEFAULT_ROTATION_PERIOD_S}"
         )
     new_epoch = device.identity.epoch + 1
     device.identity = DeviceId(

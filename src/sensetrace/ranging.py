@@ -73,18 +73,13 @@ def rss_from_distance(d: float, params: PathLossParams) -> float:
     return params.power_at_1m - 10.0 * params.exponent * math.log10(d)
 
 
-def sound_distance(received_amp: float, chirp: ChirpSpec, sound_params: PathLossParams) -> float:
-    """Distance from a heard chirp's amplitude in dB.
-
-    The 1-metre reference is the chirp's emission amplitude; only the
-    exponent of ``sound_params`` applies (its radio reference field plays
-    no role for sound).
-    """
+def sound_distance(received_amp: float, chirp: ChirpSpec, exponent: float) -> float:
+    """Distance from a heard chirp's amplitude in dB; the 1-metre reference
+    is the chirp's emission amplitude."""
     if not math.isfinite(received_amp):
         raise InvalidMeasure(f"received amplitude must be finite, got {received_amp}")
     if received_amp > chirp.amplitude + SOUND_TOLERANCE_DB:
         raise InvalidMeasure(
             f"received {received_amp} dB exceeds emitted {chirp.amplitude} dB beyond tolerance"
         )
-    exponent = sound_params.exponent
     return _clamp(10.0 ** ((chirp.amplitude - received_amp) / (10.0 * exponent)))

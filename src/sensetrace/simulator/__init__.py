@@ -3,7 +3,6 @@ trace generation."""
 
 from .config import (
     config_hash,
-    default_scenario_dict,
     load_scenario,
     scenario_from_dict,
     standard_scenario,
@@ -54,7 +53,6 @@ __all__ = [
     "Testbed",
     "Wall",
     "config_hash",
-    "default_scenario_dict",
     "generate_traces",
     "load_scenario",
     "place_instances",

@@ -41,8 +41,8 @@ class BucketSpec:
 
     d_lo: float
     d_hi: float
-    indoor: int
-    outdoor: int
+    indoor: int = 0
+    outdoor: int = 0
     cross_floor_fraction: float = 0.0
 
     def __post_init__(self) -> None:
@@ -82,7 +82,6 @@ class Scenario:
     pocket_probability: float = 0.5
     sound_period: float = 30.0
     env_period: float = 30.0
-    sound_exponent: float = 2.0
     seed: int = 42
     explicit_instances: Optional[tuple[tuple[DevicePlacement, DevicePlacement], ...]] = None
 
@@ -215,91 +214,94 @@ def generate_traces(scenario: Scenario) -> GeneratedData:
     env_slots = _slot_times(length, scenario.env_period)
 
     for inst in instances:
-        a, b = inst.a, inst.b
-        tx_offset = {
-            a.device_id: float(rng.normal(0.0, noise.tx_power_sigma_db)) if noise.tx_power_sigma_db > 0 else 0.0,
-            b.device_id: float(rng.normal(0.0, noise.tx_power_sigma_db)) if noise.tx_power_sigma_db > 0 else 0.0,
-        }
-        snd_offset = {
-            a.device_id: float(rng.normal(0.0, noise.sound_level_sigma_db)) if noise.sound_level_sigma_db > 0 else 0.0,
-            b.device_id: float(rng.normal(0.0, noise.sound_level_sigma_db)) if noise.sound_level_sigma_db > 0 else 0.0,
-        }
-        # Reciprocal multipath gain of this static pair, one draw per band.
-        mp_sigma = (
-            noise.multipath_sigma_indoor_db
-            if inst.environment == INDOOR
-            else noise.multipath_sigma_outdoor_db
-        )
-        path_bias = {
-            SensorKind.BLE_RSS: float(rng.normal(0.0, mp_sigma)) if mp_sigma > 0 else 0.0,
-            SensorKind.WIFI_RSS: float(rng.normal(0.0, mp_sigma)) if mp_sigma > 0 else 0.0,
-        }
-        samples: dict[str, list[SensorSample]] = {a.device_id: [], b.device_id: []}
+        try:
+            a, b = inst.a, inst.b
+            tx_offset = {
+                a.device_id: float(rng.normal(0.0, noise.tx_power_sigma_db)) if noise.tx_power_sigma_db > 0 else 0.0,
+                b.device_id: float(rng.normal(0.0, noise.tx_power_sigma_db)) if noise.tx_power_sigma_db > 0 else 0.0,
+            }
+            snd_offset = {
+                a.device_id: float(rng.normal(0.0, noise.sound_level_sigma_db)) if noise.sound_level_sigma_db > 0 else 0.0,
+                b.device_id: float(rng.normal(0.0, noise.sound_level_sigma_db)) if noise.sound_level_sigma_db > 0 else 0.0,
+            }
+            # Reciprocal multipath gain of this static pair, one draw per band.
+            mp_sigma = (
+                noise.multipath_sigma_indoor_db
+                if inst.environment == INDOOR
+                else noise.multipath_sigma_outdoor_db
+            )
+            path_bias = {
+                SensorKind.BLE_RSS: float(rng.normal(0.0, mp_sigma)) if mp_sigma > 0 else 0.0,
+                SensorKind.WIFI_RSS: float(rng.normal(0.0, mp_sigma)) if mp_sigma > 0 else 0.0,
+            }
+            samples: dict[str, list[SensorSample]] = {a.device_id: [], b.device_id: []}
 
-        for kind, slots in ((SensorKind.BLE_RSS, ble_slots), (SensorKind.WIFI_RSS, wifi_slots)):
-            for t in slots:
+            for kind, slots in ((SensorKind.BLE_RSS, ble_slots), (SensorKind.WIFI_RSS, wifi_slots)):
+                for t in slots:
+                    for rx, tx in ((a, b), (b, a)):
+                        rss = simulate_rss(
+                            tx, rx, kind, tb, noise, cfg.radio_params, rng,
+                            tx_offset_db=tx_offset[tx.device_id],
+                            path_bias_db=path_bias[kind],
+                        )
+                        if rss is not None:
+                            samples[rx.device_id].append(
+                                SensorSample(t, kind, rss, src=rx.device_id, obs=tx.device_id)
+                            )
+
+            for t in sound_slots:
                 for rx, tx in ((a, b), (b, a)):
-                    rss = simulate_rss(
-                        tx, rx, kind, tb, noise, cfg.radio_params, rng,
-                        tx_offset_db=tx_offset[tx.device_id],
-                        path_bias_db=path_bias[kind],
+                    ambient = tb.ambient_noise_at(rx.x, rx.y)
+                    if noise.ambient_sigma_db > 0:
+                        ambient += float(rng.normal(0.0, noise.ambient_sigma_db))
+                    samples[rx.device_id].append(
+                        SensorSample(t, SensorKind.AMBIENT_NOISE, ambient, src=rx.device_id)
                     )
-                    if rss is not None:
+                    heard = simulate_sound(
+                        tx, rx, cfg.chirp, tb, noise, rng,
+                        exponent=cfg.sound_exponent,
+                        tx_level_db=snd_offset[tx.device_id],
+                    )
+                    if heard is not None:
                         samples[rx.device_id].append(
-                            SensorSample(t, kind, rss, src=rx.device_id, obs=tx.device_id)
+                            SensorSample(t, SensorKind.SOUND_AMPLITUDE, heard, src=rx.device_id, obs=tx.device_id)
                         )
 
-        for t in sound_slots:
-            for rx, tx in ((a, b), (b, a)):
-                ambient = tb.ambient_noise_at(rx.x, rx.y)
-                if noise.ambient_sigma_db > 0:
-                    ambient += float(rng.normal(0.0, noise.ambient_sigma_db))
-                samples[rx.device_id].append(
-                    SensorSample(t, SensorKind.AMBIENT_NOISE, ambient, src=rx.device_id)
-                )
-                heard = simulate_sound(
-                    tx, rx, cfg.chirp, tb, noise, rng,
-                    exponent=scenario.sound_exponent,
-                    tx_level_db=snd_offset[tx.device_id],
-                )
-                if heard is not None:
-                    samples[rx.device_id].append(
-                        SensorSample(t, SensorKind.SOUND_AMPLITUDE, heard, src=rx.device_id, obs=tx.device_id)
+            for t in env_slots:
+                for dev in (a, b):
+                    samples[dev.device_id].append(
+                        SensorSample(t, SensorKind.BAROMETER, simulate_barometer(dev, tb, rng), src=dev.device_id)
+                    )
+                    samples[dev.device_id].append(
+                        SensorSample(
+                            t, SensorKind.MAGNETOMETER, simulate_magnetometer(dev, tb, rng), src=dev.device_id
+                        )
+                    )
+                    samples[dev.device_id].append(
+                        SensorSample(
+                            t,
+                            SensorKind.PROXIMITY,
+                            1.0 if dev.posture is ProximityState.NEAR else 0.0,
+                            src=dev.device_id,
+                        )
                     )
 
-        for t in env_slots:
-            for dev in (a, b):
-                samples[dev.device_id].append(
-                    SensorSample(t, SensorKind.BAROMETER, simulate_barometer(dev, tb, rng), src=dev.device_id)
-                )
-                samples[dev.device_id].append(
-                    SensorSample(
-                        t, SensorKind.MAGNETOMETER, simulate_magnetometer(dev, tb, rng), src=dev.device_id
-                    )
-                )
-                samples[dev.device_id].append(
-                    SensorSample(
-                        t,
-                        SensorKind.PROXIMITY,
-                        1.0 if dev.posture is ProximityState.NEAR else 0.0,
-                        src=dev.device_id,
-                    )
-                )
+            for dev_id, recs in samples.items():
+                recs.sort(key=lambda s: (s.timestamp, s.kind.value, s.obs or ""))
+                traces[dev_id] = recs
 
-        for dev_id, recs in samples.items():
-            recs.sort(key=lambda s: (s.timestamp, s.kind.value, s.obs or ""))
-            traces[dev_id] = recs
-
-        d = tb.true_distance(a, b)
-        labels.append(
-            GroundTruthLabel(
-                pair=inst.pair,
-                start=0.0,
-                end=length,
-                true_distance=d,
-                is_contact=d <= CONTACT_DISTANCE_M,
+            d = tb.true_distance(a, b)
+            labels.append(
+                GroundTruthLabel(
+                    pair=inst.pair,
+                    start=0.0,
+                    end=length,
+                    true_distance=d,
+                    is_contact=d <= CONTACT_DISTANCE_M,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ScenarioError(f"instance {inst.index} {inst.pair}: {exc}") from exc
 
     return GeneratedData(
         traces=traces,

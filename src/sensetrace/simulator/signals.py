@@ -33,7 +33,6 @@ class PropagationNoise:
     ble_hop_sigma_db: float = 6.0
     wifi_sigma_db: float = 2.0
     sound_sigma_db: float = 0.5
-    wall_loss_db: float = 8.0
     floor_loss_ble_db: float = 12.0
     sound_max_range_m: float = 15.0
     sound_max_floors: int = 1  # >= 2 floors apart: never heard

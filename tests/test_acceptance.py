@@ -9,6 +9,7 @@ import hashlib
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from sensetrace.simulator import (
     PropagationNoise,
     Region,
     Testbed,
-    default_scenario_dict,
     generate_traces,
     simulate_barometer,
     simulate_sound,
@@ -281,11 +281,8 @@ def test_criterion_8_generate_determinism(tmp_path):
     """Two consecutive `generate` runs with the same seed write byte-identical
     trace files, and the seed-42 traces, truth, instances and decisions of
     all three tiers match their pinned digests."""
-    import yaml
-
     with Timer() as t:
-        config = tmp_path / "standard.yaml"
-        config.write_text(yaml.safe_dump(default_scenario_dict(), sort_keys=False))
+        config = Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         assert cli_main(["generate", "--config", str(config), "--out", str(out1)]) == 0
         assert cli_main(["generate", "--config", str(config), "--out", str(out2)]) == 0

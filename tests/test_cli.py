@@ -6,15 +6,19 @@ import pytest
 import yaml
 
 from sensetrace.cli import main
-from sensetrace.simulator import default_scenario_dict, load_scenario, standard_scenario
+from sensetrace.simulator import load_scenario, standard_scenario
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+STANDARD = Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
+
+
+def standard_raw():
+    return yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
 
 
 @pytest.fixture()
 def small_config(tmp_path):
     """A reduced scenario: short relaxed windows, a handful of instances."""
-    raw = default_scenario_dict()
+    raw = standard_raw()
     raw["seed"] = 11
     raw["window"] = {"length_s": 300.0}
     raw["instances"]["buckets"] = [
@@ -76,6 +80,27 @@ class TestGenerate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScenarioError"
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda raw: raw["noise"].update(ble_hop_sigma=0.0), "unknown key noise.ble_hop_sigma "),
+            # Every barometer sample then breaks the sample contract.
+            (lambda raw: raw["testbed"]["pressure"].update(base_hpa=2000.0), "instance 0 "),
+        ],
+        ids=["unknown_key", "sample_contract"],
+    )
+    def test_bad_scenario_is_one_json_line(self, small_config, tmp_path, capsys, edit, named):
+        raw = yaml.safe_load(small_config.read_text())
+        edit(raw)
+        small_config.write_text(yaml.safe_dump(raw, sort_keys=False))
+        capsys.readouterr()
+        assert run(["generate", "--config", small_config, "--out", tmp_path / "x"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ScenarioError"
+        assert named in payload["message"]
+
 
 class TestDetectEvaluateReport:
     @pytest.fixture()
@@ -126,11 +151,8 @@ class TestDetectEvaluateReport:
 
 
 class TestShippedConfig:
-    def test_standard_yaml_matches_reference_dict(self):
-        path = REPO_ROOT / "configs" / "standard.yaml"
-        loaded, raw = load_scenario(path)
-        assert raw == default_scenario_dict()
-        assert loaded == standard_scenario(seed=42)
+    def test_standard_yaml_is_standard_scenario(self):
+        assert load_scenario(STANDARD)[0] == standard_scenario(seed=42)
 
 
 def _rewrite_line(path, lineno, edit):
@@ -152,7 +174,7 @@ def _with(**fields):
 def detected_run(tmp_path_factory):
     """A generated run with FULL-tier decisions, copied by each test."""
     root = tmp_path_factory.mktemp("malformed")
-    raw = default_scenario_dict()
+    raw = standard_raw()
     raw["seed"] = 11
     raw["window"] = {"length_s": 300.0}
     raw["instances"]["buckets"] = [{"range_m": [0.0, 2.0], "indoor": 2, "outdoor": 1}]

@@ -64,6 +64,13 @@ def timed(values, step=30.0):
     return tuple((i * step, v) for i, v in enumerate(values))
 
 
+class TestFusionConfig:
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, float("inf"), float("nan")])
+    def test_sound_exponent_must_be_positive_and_finite(self, exponent):
+        with pytest.raises(ValueError, match="sound_exponent"):
+            FusionConfig(sound_exponent=exponent)
+
+
 class TestNoiseGate:
     def test_quiet_passes(self):
         assert noise_gate(15.0, CFG) is True

@@ -115,21 +115,21 @@ class TestRssFromDistance:
 class TestSoundDistance:
     def test_reference_amplitude_gives_one_metre(self):
         chirp = ChirpSpec(amplitude=20.0)
-        assert sound_distance(20.0, chirp, PathLossParams()) == 1.0
+        assert sound_distance(20.0, chirp, 2.0) == 1.0
 
     def test_twelve_db_drop(self):
         # 10^(12/20) with exponent 2.
         chirp = ChirpSpec(amplitude=20.0)
-        got = sound_distance(8.0, chirp, PathLossParams(exponent=2.0))
+        got = sound_distance(8.0, chirp, 2.0)
         assert got == pytest.approx(10 ** 0.6)
         assert got == pytest.approx(3.981, abs=1e-3)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidMeasure):
-            sound_distance(math.nan, ChirpSpec(), PathLossParams())
+            sound_distance(math.nan, ChirpSpec(), 2.0)
 
     def test_louder_than_emitted_rejected(self):
         with pytest.raises(InvalidMeasure):
-            sound_distance(22.0, ChirpSpec(amplitude=20.0), PathLossParams())
+            sound_distance(22.0, ChirpSpec(amplitude=20.0), 2.0)
         # Within tolerance is accepted and clamps near the reference.
-        assert sound_distance(20.5, ChirpSpec(amplitude=20.0), PathLossParams()) < 1.0
+        assert sound_distance(20.5, ChirpSpec(amplitude=20.0), 2.0) < 1.0
