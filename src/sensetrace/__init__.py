@@ -10,6 +10,7 @@ from .core import (
     ProximityState,
     SensorKind,
     SensorSample,
+    Trace,
     make_window,
     read_trace,
     write_trace,

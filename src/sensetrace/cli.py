@@ -129,7 +129,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
-    scenario, _ = load_scenario(args.config)
+    meta = _read_meta(data_dir)
+    # Hashed with the run's seed applied, as generate --seed hashes it.
+    scenario, raw = load_scenario(args.config, seed=meta.get("seed"))
+    if "config_sha256" in meta and config_hash(raw) != meta["config_sha256"]:
+        raise SenseTraceError(
+            f"{args.config} has config_sha256 {config_hash(raw)} but the run in {data_dir} "
+            f"was generated with config_sha256 {meta['config_sha256']}"
+        )
     tier = TierSpec(args.tier)
     traces = _load_traces(data_dir)
 

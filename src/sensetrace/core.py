@@ -1,11 +1,12 @@
 """Shared domain vocabulary: samples, traces, device identity, windows, decisions.
 
-All types are immutable value records and safe to share between workers.
 Trace files are JSON-lines, one sample per line, with fields
 ``t``, ``kind``, ``value``, ``src``, ``obs`` (nullable); floats round-trip
-bit-exactly through the default JSON float formatting. Every file the
-package writes goes through ``atomic_write`` and every JSON-lines file it
-reads through ``read_jsonl``.
+bit-exactly through the default JSON float formatting. ``read_trace``
+decodes a file into a columnar ``Trace``, which carries the samples from
+the file to the window; ``SensorSample`` is its row type. Every file the
+package writes goes through ``atomic_write`` and every other JSON-lines
+file it reads through ``read_jsonl``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+
+import numpy as np
 
 from .errors import EmptyWindow, SenseTraceError
 
@@ -74,14 +81,181 @@ class SensorSample:
             if not all(math.isfinite(c) for c in self.value):
                 raise ValueError("magnetometer components must be finite")
         else:
-            if not isinstance(self.value, (int, float)) or not math.isfinite(self.value):
-                raise ValueError(f"{self.kind.name} value must be a finite scalar")
+            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)) or not math.isfinite(self.value):
+                raise ValueError(f"{self.kind.name} value must be a finite number, got {self.value!r}")
             if self.kind in (SensorKind.BLE_RSS, SensorKind.WIFI_RSS) and not -120.0 <= self.value <= 0.0:
                 raise ValueError(f"RSS must lie in [-120, 0] dBm, got {self.value}")
             if self.kind is SensorKind.BAROMETER and not 300.0 <= self.value <= 1100.0:
                 raise ValueError(f"barometer must lie in [300, 1100] hPa, got {self.value}")
-        if self.obs is not None and self.obs == self.src:
-            raise ValueError("a device cannot observe itself")
+        if not (isinstance(self.src, str) and self.src):
+            raise ValueError(f"src must name a device, got {self.src!r}")
+        if self.obs is not None:
+            if not (isinstance(self.obs, str) and self.obs):
+                raise ValueError(f"obs must name a device or be null, got {self.obs!r}")
+            if self.obs == self.src:
+                raise ValueError("a device cannot observe itself")
+
+
+# Kinds in order of their names: a kind code sorts as ``kind.value`` does.
+KINDS = tuple(sorted(SensorKind, key=lambda k: k.value))
+KIND_CODES = {k: i for i, k in enumerate(KINDS)}
+_CODE_OF_NAME = {k.value: i for i, k in enumerate(KINDS)}
+_MAG = KIND_CODES[SensorKind.MAGNETOMETER]
+_NUMBERS = {int, float}
+
+
+class Trace:
+    """Samples as columns, one row per sample, in input order.
+
+    ``t``, ``value`` (NaN on magnetometer rows) and ``mag`` (n x 3, NaN on
+    the other rows) are float64; ``kind`` is an index into ``KINDS``;
+    ``src`` and ``obs`` index the sorted ``names`` (``obs`` -1 for none), so
+    every code sorts as the string it stands for. Rows hold only what
+    ``SensorSample`` accepts; iterating yields them as ``SensorSample``.
+    """
+
+    __slots__ = ("t", "kind", "value", "mag", "src", "obs", "names", "_by_time")
+
+    def __init__(self, t, kind, value, mag, src, obs, names: tuple[str, ...]) -> None:
+        self.t, self.kind, self.value, self.mag = t, kind, value, mag
+        self.src, self.obs, self.names = src, obs, names
+        self._by_time: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @classmethod
+    def _build(cls, t, kinds, scalars, vectors, src, obs) -> "Trace":
+        """Columns from per-row lists, except that ``vectors`` holds the
+        values of the magnetometer rows and ``scalars`` those of the others."""
+        n = len(kinds)
+        kind = np.array(kinds, dtype=np.int8)
+        is_mag = kind == _MAG
+        value = np.full(n, math.nan)
+        value[~is_mag] = scalars
+        mag = np.full((n, 3), math.nan)
+        mag[is_mag] = np.array(vectors, dtype=float).reshape(-1, 3)
+        names = sorted(set(src).union(obs).difference([None]))
+        index = {None: -1, **{name: i for i, name in enumerate(names)}}
+        return cls(
+            np.array(t, dtype=float),
+            kind,
+            value,
+            mag,
+            np.fromiter(map(index.__getitem__, src), dtype=np.int32, count=n),
+            np.fromiter(map(index.__getitem__, obs), dtype=np.int32, count=n),
+            tuple(names),
+        )
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[SensorSample]) -> "Trace":
+        samples = list(samples)
+        return cls._build(
+            [s.timestamp for s in samples],
+            [KIND_CODES[s.kind] for s in samples],
+            [s.value for s in samples if s.kind is not SensorKind.MAGNETOMETER],
+            [s.value for s in samples if s.kind is SensorKind.MAGNETOMETER],
+            [s.src for s in samples],
+            [s.obs for s in samples],
+        )
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def _row(self, t, kind, value, mag, src, obs) -> SensorSample:
+        kind = KINDS[kind]
+        return SensorSample(
+            t,
+            kind,
+            tuple(mag) if kind is SensorKind.MAGNETOMETER else value,
+            self.names[src],
+            self.names[obs] if obs >= 0 else None,
+        )
+
+    def __iter__(self) -> Iterator[SensorSample]:
+        columns = (self.t, self.kind, self.value, self.mag, self.src, self.obs)
+        for row in zip(*(c.tolist() for c in columns)):
+            yield self._row(*row)
+
+    def __getitem__(self, i: int) -> SensorSample:
+        return self._row(*(c[i].tolist() for c in (self.t, self.kind, self.value, self.mag, self.src, self.obs)))
+
+    def _labels(self, codes: np.ndarray) -> np.ndarray:
+        return np.array([*self.names, None], dtype=object)[codes]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            np.array_equal(self.t, other.t)
+            and np.array_equal(self.kind, other.kind)
+            and np.array_equal(self.value, other.value, equal_nan=True)
+            and np.array_equal(self.mag, other.mag, equal_nan=True)
+            and np.array_equal(self._labels(self.src), other._labels(other.src))
+            and np.array_equal(self._labels(self.obs), other._labels(other.obs))
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _recode(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """``src`` and ``obs`` as indices into ``names``, a superset of ours."""
+        if names == self.names:
+            return self.src, self.obs
+        lut = np.array([bisect_left(names, n) for n in self.names] + [-1], dtype=np.int32)
+        return lut[self.src], lut[self.obs]
+
+    def __add__(self, other: "Trace") -> "Trace":
+        """The rows of ``self`` followed by those of ``other``."""
+        if not isinstance(other, Trace):
+            return NotImplemented
+        names = tuple(sorted({*self.names, *other.names}))
+        (src_a, obs_a), (src_b, obs_b) = self._recode(names), other._recode(names)
+        return Trace(
+            np.concatenate([self.t, other.t]),
+            np.concatenate([self.kind, other.kind]),
+            np.concatenate([self.value, other.value]),
+            np.concatenate([self.mag, other.mag]),
+            np.concatenate([src_a, src_b]),
+            np.concatenate([obs_a, obs_b]),
+            names,
+        )
+
+    def take(self, rows: np.ndarray) -> "Trace":
+        return Trace(
+            self.t[rows], self.kind[rows], self.value[rows], self.mag[rows],
+            self.src[rows], self.obs[rows], self.names,
+        )
+
+    def code(self, name: str) -> int:
+        """The index of device ``name`` in ``names``; -2 (matching no row) if absent."""
+        i = bisect_left(self.names, name)
+        return i if i < len(self.names) and self.names[i] == name else -2
+
+    def rows(self, kind: SensorKind, src: Optional[str] = None, obs: Optional[str] = None) -> np.ndarray:
+        """Indices, in row order, of the ``kind`` rows recorded by ``src``
+        and observing ``obs`` (None: any device)."""
+        mask = self.kind == KIND_CODES[kind]
+        if src is not None:
+            mask &= self.src == self.code(src)
+        if obs is not None:
+            mask &= self.obs == self.code(obs)
+        return np.flatnonzero(mask)
+
+    def between(self, start: float, end: float) -> np.ndarray:
+        """Indices, in row order, of the rows with ``start <= t < end``."""
+        if self._by_time is None:
+            order = np.argsort(self.t, kind="stable")
+            self._by_time = order, self.t[order]
+        order, times = self._by_time
+        lo, hi = np.searchsorted(times, (start, end))
+        return np.sort(order[lo:hi])
+
+    def magnitudes(self, rows: np.ndarray) -> list[float]:
+        """Magnetic magnitude of each of ``rows``, computed as
+        ``envmatch.magnitude`` does."""
+        x, y, z = self.mag[rows].T
+        return np.sqrt(x * x + y * y + z * z).tolist()
+
+
+def as_trace(samples: Union[Trace, Iterable[SensorSample]]) -> Trace:
+    return samples if isinstance(samples, Trace) else Trace.from_samples(samples)
 
 
 @dataclass(frozen=True)
@@ -102,21 +276,26 @@ class DeviceId:
 
 @dataclass(frozen=True)
 class ContactWindow:
-    """Pair-relevant samples for one device pair over [start, end)."""
+    """Pair-relevant samples for one device pair over [start, end).
+
+    ``samples`` is a ``Trace``; any other iterable of samples is converted.
+    """
 
     pair: tuple[str, str]
     start: float
     end: float
-    samples: tuple[SensorSample, ...]
+    samples: Trace
 
     def __post_init__(self) -> None:
         if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
             raise ValueError("pair must name two distinct devices")
         if not self.end > self.start:
             raise ValueError("window end must exceed start")
-        for s in self.samples:
-            if not self.start <= s.timestamp < self.end:
-                raise ValueError(f"sample at t={s.timestamp} outside [{self.start}, {self.end})")
+        object.__setattr__(self, "samples", as_trace(self.samples))
+        t = self.samples.t
+        outside = np.flatnonzero((t < self.start) | (t >= self.end))
+        if outside.size:
+            raise ValueError(f"sample at t={float(t[outside[0]])} outside [{self.start}, {self.end})")
 
     @property
     def length(self) -> float:
@@ -162,19 +341,14 @@ def canonical_pair(pair: Sequence[str]) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
-def _relevant_to_pair(sample: SensorSample, pair: tuple[str, str]) -> bool:
-    if sample.obs is None:
-        return sample.src in pair
-    return {sample.src, sample.obs} == set(pair)
-
-
 def make_window(
-    samples: Iterable[SensorSample],
+    samples: Union[Trace, Iterable[SensorSample]],
     pair: Sequence[str],
     start: float,
     length: float,
 ) -> ContactWindow:
-    """Extract the pair-relevant samples in [start, start + length).
+    """Extract the pair-relevant samples in [start, start + length), ordered
+    by (time, kind, src, obs), ties in input order.
 
     Peer-directed samples must have both endpoints in the pair; ambient
     samples must originate from one of the pair's devices. Raises
@@ -184,15 +358,15 @@ def make_window(
         raise ValueError("window length must be positive")
     key = canonical_pair(pair)
     end = start + length
-    picked = [
-        s
-        for s in samples
-        if start <= s.timestamp < end and _relevant_to_pair(s, key)
-    ]
-    if not picked:
+    trace = as_trace(samples)
+    rows = trace.between(start, end)
+    a, b = trace.code(key[0]), trace.code(key[1])
+    src, obs = trace.src[rows], trace.obs[rows]
+    rows = rows[((src == a) | (src == b)) & ((obs == -1) | (obs == a) | (obs == b))]
+    if not rows.size:
         raise EmptyWindow(f"no samples for pair {key} in [{start}, {end})")
-    picked.sort(key=lambda s: (s.timestamp, s.kind.value, s.src, s.obs or ""))
-    return ContactWindow(pair=key, start=start, end=end, samples=tuple(picked))
+    rows = rows[np.lexsort((trace.obs[rows], trace.src[rows], trace.kind[rows], trace.t[rows]))]
+    return ContactWindow(pair=key, start=start, end=end, samples=trace.take(rows))
 
 
 # --- record files ------------------------------------------------------------
@@ -283,5 +457,73 @@ def write_trace(path: Union[str, Path], samples: Iterable[SensorSample]) -> None
     atomic_write(path, "".join(sample_to_json(s) + "\n" for s in samples))
 
 
-def read_trace(path: Union[str, Path]) -> list[SensorSample]:
-    return read_jsonl(path, sample_from_record)
+# Two records on one line of a trace file.
+_MERGED_RECORDS = re.compile(rb"\}\s*,\s*\{")
+_FIELDS = itemgetter("t", "kind", "value", "src")
+
+
+def _decode_trace(data: bytes) -> Optional[Trace]:
+    """The trace in ``data``, decoded with one ``json.loads`` over all its
+    lines joined into one array, or None if any line is not exactly one
+    record ``sample_from_record`` and ``SensorSample`` accept as they stand.
+
+    Joining can only hide a bad line by moving a record boundary: a record
+    split over two lines then decodes as one, so the count falls short
+    unless another line holds two records, which ``_MERGED_RECORDS`` finds.
+    Blank lines and values needing a cast are left to the per-line reader.
+    """
+    body = data[:-1] if data.endswith(b"\n") else data
+    if _MERGED_RECORDS.search(body):
+        return None
+    try:
+        records = json.loads("[" + body.replace(b"\n", b",").decode("utf-8") + "]")
+        if len(records) != body.count(b"\n") + 1:
+            return None
+        t, kinds, values, src = zip(*map(_FIELDS, records))
+        obs = [r.get("obs") for r in records]
+        kinds = list(map(_CODE_OF_NAME.__getitem__, kinds))
+    except (ValueError, KeyError, TypeError):
+        return None
+    vectors = list(compress(values, map(_MAG.__eq__, kinds)))
+    scalars = list(compress(values, map(_MAG.__ne__, kinds)))
+    if not (
+        set(map(type, t)) <= _NUMBERS
+        and set(map(type, scalars)) <= _NUMBERS
+        and set(map(type, vectors)) <= {list}
+        and set(map(len, vectors)) <= {3}
+        and set(map(type, chain.from_iterable(vectors))) <= _NUMBERS
+        and set(map(type, src)) == {str}
+        and set(map(type, obs)) <= {str, type(None)}
+        and "" not in src
+        and "" not in obs
+    ):
+        return None
+    try:
+        trace = Trace._build(t, kinds, scalars, vectors, src, obs)
+    except OverflowError:
+        return None
+    kind, value = trace.kind, trace.value
+    rss = (kind == KIND_CODES[SensorKind.BLE_RSS]) | (kind == KIND_CODES[SensorKind.WIFI_RSS])
+    baro = kind == KIND_CODES[SensorKind.BAROMETER]
+    ok = (
+        np.all(trace.t >= 0.0)
+        and np.isfinite(trace.t).all()
+        and np.isfinite(value[kind != _MAG]).all()
+        and np.isfinite(trace.mag[kind == _MAG]).all()
+        and np.all((value[rss] >= -120.0) & (value[rss] <= 0.0))
+        and np.all((value[baro] >= 300.0) & (value[baro] <= 1100.0))
+        and not np.any(trace.src == trace.obs)
+    )
+    return trace if ok else None
+
+
+def read_trace(path: Union[str, Path]) -> Trace:
+    """The samples of one trace file as a ``Trace``.
+
+    A file that the one-pass decoder does not take as it stands is read
+    line by line instead, so a bad line fails with ``path:line``.
+    """
+    trace = _decode_trace(Path(path).read_bytes())
+    if trace is None:
+        trace = Trace.from_samples(read_jsonl(path, sample_from_record))
+    return trace

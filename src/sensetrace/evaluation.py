@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import GroundTruthLabel, SensorKind, SensorSample, make_window
-from .envmatch import magnitude
+import numpy as np
+
+from .core import GroundTruthLabel, SensorKind, SensorSample, Trace, as_trace, make_window
 from .errors import EvaluationError
 from .fusion import (
     DecisionRecord,
@@ -110,8 +111,11 @@ def accuracy(c: ConfusionCounts) -> float:
     return (c.tp + c.tn) / c.total
 
 
+Traces = Mapping[str, Union[Trace, Sequence[SensorSample]]]
+
+
 def detect_instances(
-    traces: Mapping[str, Sequence[SensorSample]],
+    traces: Traces,
     instances: Iterable[tuple[tuple[str, str], float, float]],
     cfg: FusionConfig,
     gates: StageGates = StageGates(),
@@ -120,7 +124,7 @@ def detect_instances(
     records = []
     for pair, start, end in instances:
         a, b = pair
-        pool = list(traces.get(a, ())) + list(traces.get(b, ()))
+        pool = as_trace(traces.get(a, ())) + as_trace(traces.get(b, ()))
         window = make_window(pool, pair, start, end - start)
         decision = decide(build_evidence(window, cfg), cfg, gates)
         records.append(DecisionRecord(pair=window.pair, start=start, end=end, decision=decision))
@@ -128,7 +132,7 @@ def detect_instances(
 
 
 def run_tier(
-    traces: Mapping[str, Sequence[SensorSample]],
+    traces: Traces,
     truth: Sequence[GroundTruthLabel],
     tier: TierSpec,
     cfg: FusionConfig,
@@ -206,13 +210,8 @@ def magnetic_separation_report(
     return stats
 
 
-def magnitude_sequences(
-    traces: Mapping[str, Sequence[SensorSample]],
-    device: str,
-) -> list[float]:
+def magnitude_sequences(traces: Traces, device: str) -> list[float]:
     """Time-ordered magnetic magnitudes recorded by one device."""
-    rows = [
-        s for s in traces.get(device, ()) if s.kind is SensorKind.MAGNETOMETER
-    ]
-    rows.sort(key=lambda s: s.timestamp)
-    return [magnitude(*s.value) for s in rows]
+    trace = as_trace(traces.get(device, ()))
+    rows = trace.rows(SensorKind.MAGNETOMETER)
+    return trace.magnitudes(rows[np.argsort(trace.t[rows], kind="stable")])

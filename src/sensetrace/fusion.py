@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from operator import itemgetter
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     ContactDecision,
@@ -22,7 +26,7 @@ from .core import (
     SensorKind,
     canonical_pair,
 )
-from .envmatch import EnvThresholds, env_similar, magnitude, select_env_sensor
+from .envmatch import EnvThresholds, env_similar, select_env_sensor
 from .errors import InsufficientEvidence, NoContact
 from .ranging import ChirpSpec, PathLossParams, distance_from_rss, sound_distance
 
@@ -129,6 +133,32 @@ def stage_appearance(
     return any(evidence.ble_seen) and positives > cfg.appearance_quorum * votes
 
 
+def _near_any(times: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For each of ``x``, whether a time of the sorted ``times`` is within
+    SAME_INSTANT_S of it.
+
+    Float subtraction is monotone, so the two neighbours of each decide.
+    """
+    if not times.size:
+        return np.zeros(x.shape, dtype=bool)
+    i = np.searchsorted(times, x)
+    left = times[np.maximum(i - 1, 0)]
+    right = times[np.minimum(i, times.size - 1)]
+    return (np.abs(left - x) <= SAME_INSTANT_S) | (np.abs(right - x) <= SAME_INSTANT_S)
+
+
+def _nearest(times: Sequence[float], t: float) -> Optional[int]:
+    """Index of the time in the sorted ``times`` nearest ``t`` and closer
+    than PAIR_TOLERANCE_S, the first one on an equal gap; None if none is."""
+    i = bisect_left(times, t)
+    best, gap = (i, times[i] - t) if i < len(times) else (None, math.inf)
+    if i > 0 and abs(times[i - 1] - t) <= gap:
+        best, gap = i - 1, abs(times[i - 1] - t)
+        while best > 0 and abs(times[best - 1] - t) == gap:
+            best -= 1
+    return best if gap < PAIR_TOLERANCE_S else None
+
+
 def stage_distance(evidence: StageEvidence, cfg: FusionConfig) -> float:
     """Mean pairwise-combined distance over the window.
 
@@ -139,17 +169,16 @@ def stage_distance(evidence: StageEvidence, cfg: FusionConfig) -> float:
     """
     if not evidence.wifi_distances:
         raise InsufficientEvidence("no WiFi distance estimates in window")
-    ok_times = [t for t, noise, heard in evidence.chirps if heard and noise_gate(noise, cfg)]
-    sound = [
-        (ts, metres)
-        for ts, metres in evidence.sound_distances
-        if any(abs(ts - t) <= SAME_INSTANT_S for t in ok_times)
-    ]
+    ok_times = np.sort([t for t, noise, heard in evidence.chirps if heard and noise_gate(noise, cfg)])
+    sound = sorted(evidence.sound_distances, key=itemgetter(0))
+    usable = _near_any(ok_times, np.array([ts for ts, _ in sound], dtype=float))
+    sound = [s for s, ok in zip(sound, usable.tolist()) if ok]
+    sound_times = [ts for ts, _ in sound]
     combined = []
     for t, metres in evidence.wifi_distances:
-        near = [s for s in sound if abs(s[0] - t) < PAIR_TOLERANCE_S]
-        if near:
-            metres = (metres + min(near, key=lambda s: abs(s[0] - t))[1]) / 2.0
+        j = _nearest(sound_times, t)
+        if j is not None:
+            metres = (metres + sound[j][1]) / 2.0
         combined.append(metres)
     return sum(combined) / len(combined)
 
@@ -262,7 +291,7 @@ def register_contact(
 
 
 def build_evidence(window: ContactWindow, cfg: FusionConfig) -> StageEvidence:
-    """Assemble stage evidence from a window's raw samples.
+    """Assemble stage evidence from a window's sample columns.
 
     BLE attempts are reconstructed from the scan cadence (a miss leaves no
     sample); chirp attempts are anchored to the ambient-noise checks each
@@ -270,66 +299,53 @@ def build_evidence(window: ContactWindow, cfg: FusionConfig) -> StageEvidence:
     open (FAR).
     """
     a, b = window.pair
-    by_kind: dict[SensorKind, list] = {k: [] for k in SensorKind}
-    for s in window.samples:
-        by_kind[s.kind].append(s)
+    w = window.samples
+    t, value = w.t, w.value
 
     # One BLE attempt per device per scan period; positive if a sighting
     # of the peer landed in that slot.
     ble_seen: list[bool] = []
     n_slots = max(1, int(round(window.length / cfg.ble_scan_period)))
+    lo = window.start + np.arange(n_slots) * cfg.ble_scan_period
+    hi = lo + cfg.ble_scan_period
     for dev, peer in ((a, b), (b, a)):
-        hits = [s.timestamp for s in by_kind[SensorKind.BLE_RSS] if s.src == dev and s.obs == peer]
-        for k in range(n_slots):
-            lo = window.start + k * cfg.ble_scan_period
-            hi = lo + cfg.ble_scan_period
-            ble_seen.append(any(lo <= t < hi for t in hits))
+        hits = np.sort(t[w.rows(SensorKind.BLE_RSS, dev, peer)])
+        ble_seen += (np.searchsorted(hits, lo) < np.searchsorted(hits, hi)).tolist()
 
-    # Chirp attempts: each ambient-noise check is one listening attempt.
-    heard_times: dict[str, list[float]] = {a: [], b: []}
-    for s in by_kind[SensorKind.SOUND_AMPLITUDE]:
-        heard_times.setdefault(s.src, []).append(s.timestamp)
-    chirps = tuple(
-        (
-            s.timestamp,
-            float(s.value),
-            any(abs(t - s.timestamp) <= SAME_INSTANT_S for t in heard_times.get(s.src, ())),
-        )
-        for s in sorted(by_kind[SensorKind.AMBIENT_NOISE], key=lambda x: (x.timestamp, x.src))
-    )
+    # Chirp attempts: each ambient-noise check is one listening attempt,
+    # heard if the same device recorded a chirp at that instant.
+    noise = w.rows(SensorKind.AMBIENT_NOISE)
+    noise = noise[np.lexsort((w.src[noise], t[noise]))]
+    heard = np.zeros(noise.size, dtype=bool)
+    for code in np.unique(w.src[noise]):
+        mine = w.src[noise] == code
+        chirp_times = np.sort(t[w.rows(SensorKind.SOUND_AMPLITUDE, w.names[code])])
+        heard[mine] = _near_any(chirp_times, t[noise[mine]])
+    chirps = tuple(zip(t[noise].tolist(), value[noise].tolist(), heard.tolist()))
 
+    wifi_rows = w.rows(SensorKind.WIFI_RSS)
     wifi = tuple(
-        (s.timestamp, distance_from_rss(float(s.value), cfg.radio_params))
-        for s in by_kind[SensorKind.WIFI_RSS]
+        (ts, distance_from_rss(v, cfg.radio_params))
+        for ts, v in zip(t[wifi_rows].tolist(), value[wifi_rows].tolist())
     )
     # A chirp received above the nominal emission level (hotter speaker than
     # assumed) is treated as at-reference-distance rather than rejected.
+    sound_rows = w.rows(SensorKind.SOUND_AMPLITUDE)
     sound = tuple(
-        (s.timestamp, sound_distance(min(float(s.value), cfg.chirp.amplitude), cfg.chirp, cfg.sound_exponent))
-        for s in by_kind[SensorKind.SOUND_AMPLITUDE]
+        (ts, sound_distance(min(v, cfg.chirp.amplitude), cfg.chirp, cfg.sound_exponent))
+        for ts, v in zip(t[sound_rows].tolist(), value[sound_rows].tolist())
     )
 
-    env: dict[str, dict[SensorKind, tuple[float, ...]]] = {a: {}, b: {}}
-    for dev in (a, b):
-        env[dev][SensorKind.BAROMETER] = tuple(
-            float(s.value) for s in by_kind[SensorKind.BAROMETER] if s.src == dev
-        )
-        env[dev][SensorKind.MAGNETOMETER] = tuple(
-            magnitude(*s.value) for s in by_kind[SensorKind.MAGNETOMETER] if s.src == dev
-        )
-
+    env: dict[str, dict[SensorKind, tuple[float, ...]]] = {}
     prox: dict[str, ProximityState] = {}
     for dev in (a, b):
-        states = [
-            ProximityState.from_value(float(s.value))
-            for s in by_kind[SensorKind.PROXIMITY]
-            if s.src == dev
-        ]
-        if states:
-            near = sum(1 for st in states if st is ProximityState.NEAR)
-            prox[dev] = ProximityState.NEAR if near > len(states) / 2 else ProximityState.FAR
-        else:
-            prox[dev] = ProximityState.FAR
+        env[dev] = {
+            SensorKind.BAROMETER: tuple(value[w.rows(SensorKind.BAROMETER, dev)].tolist()),
+            SensorKind.MAGNETOMETER: tuple(w.magnitudes(w.rows(SensorKind.MAGNETOMETER, dev))),
+        }
+        states = value[w.rows(SensorKind.PROXIMITY, dev)]
+        near = int(np.count_nonzero(states >= 0.5))  # as ProximityState.from_value
+        prox[dev] = ProximityState.NEAR if near > states.size / 2 else ProximityState.FAR
 
     return StageEvidence(
         ble_seen=tuple(ble_seen),

@@ -58,6 +58,21 @@ def _scalar_types(cls: type) -> dict[str, type]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if hints[f.name] in (float, int, str)}
 
 
+def _cast(cast: type, value: Any, where: str) -> Any:
+    """``value`` as a field of type ``cast``: a str field takes it as text,
+    a float field any number, an int field an integral one. A bool is not a
+    number."""
+    if cast is str:
+        return str(value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and not (cast is int and isinstance(value, float) and not value.is_integer()):
+        try:
+            return cast(value)
+        except OverflowError:
+            pass
+    raise ScenarioError(f"{where} must be {cast.__name__}, got {value!r}")
+
+
 def _mapping(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{path or 'scenario config'} must be a mapping")
@@ -95,11 +110,7 @@ def _fields(section: Any, path: str, cls: type, keys=None, prefix: str = "", nes
             continue
         if key not in names:
             raise ScenarioError(f"unknown key {where} in scenario config")
-        cast = types[names[key]]
-        try:
-            kwargs[names[key]] = cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{where} must be {cast.__name__}, got {value!r}") from exc
+        kwargs[names[key]] = _cast(types[names[key]], value, where)
     return kwargs
 
 
@@ -112,8 +123,8 @@ def _build(cls: type, section: Any, path: str, nested=(), **given: Any) -> Any:
         if key not in section:
             raise ScenarioError(f"missing {path}.{key} in scenario config")
         try:
-            given[lo], given[hi] = (float(v) for v in section[key])
-        except (TypeError, ValueError) as exc:
+            given[lo], given[hi] = (_cast(float, v, f"{path}.{key}") for v in section[key])
+        except (TypeError, ValueError, ScenarioError) as exc:
             raise ScenarioError(f"{path}.{key} must be a pair of numbers, got {section[key]!r}") from exc
     keys = [name for name in _scalar_types(cls) if name not in given]
     kwargs = {**_fields(section, path, cls, keys, nested=(*nested, *pairs)), **given}
@@ -135,10 +146,9 @@ def _testbed(tb: dict, noise: dict) -> Testbed:
         hotspots=tuple(_build(Hotspot, h, p) for h, p in _items(mg, at, "hotspots")),
     )
     # noise.wall_loss_db is the loss of every wall that sets no loss_db.
-    try:
-        wall_default = {"loss_db": float(noise["wall_loss_db"])} if "wall_loss_db" in noise else {}
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"noise.wall_loss_db must be float, got {noise['wall_loss_db']!r}") from exc
+    wall_default = {}
+    if "wall_loss_db" in noise:
+        wall_default["loss_db"] = _cast(float, noise["wall_loss_db"], "noise.wall_loss_db")
     return _build(
         Testbed, tb, "testbed", ("pressure", "magnetic", "regions", "walls"),
         regions=tuple(_build(Region, r, p) for r, p in _items(tb, "testbed", "regions", required=True)),
@@ -178,7 +188,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 def load_scenario(path: Union[str, Path], seed: Optional[int] = None) -> tuple[Scenario, dict]:
     """Read a YAML scenario file; optionally override its seed. Returns the
-    scenario plus the (possibly overridden) raw dict for hashing."""
+    scenario plus the raw dict, with the seed the scenario runs with, for
+    hashing."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
@@ -187,8 +198,9 @@ def load_scenario(path: Union[str, Path], seed: Optional[int] = None) -> tuple[S
     if not isinstance(raw, dict):
         raise ScenarioError(f"scenario file {path} does not contain a mapping")
     if seed is not None:
-        raw = {**raw, "seed": int(seed)}
-    return scenario_from_dict(raw), raw
+        raw = {**raw, "seed": seed}
+    scenario = scenario_from_dict(raw)
+    return scenario, {**raw, "seed": scenario.seed}
 
 
 def standard_scenario(seed: int = 42) -> Scenario:

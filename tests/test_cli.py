@@ -6,7 +6,8 @@ import pytest
 import yaml
 
 from sensetrace.cli import main
-from sensetrace.simulator import load_scenario, standard_scenario
+from sensetrace.core import SensorSample, read_trace
+from sensetrace.simulator import config_hash, load_scenario, standard_scenario
 
 STANDARD = Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
 
@@ -148,6 +149,71 @@ class TestDetectEvaluateReport:
     def test_unknown_tier_rejected_by_parser(self, generated, small_config):
         with pytest.raises(SystemExit):
             run(["detect", "--data", generated, "--config", small_config, "--tier", "BOGUS"])
+
+
+class TestDetectChecksConfig:
+    @pytest.fixture()
+    def generated(self, small_config, tmp_path):
+        out = tmp_path / "run"
+        assert run(["generate", "--config", small_config, "--out", out, "--seed", 99]) == 0
+        return out
+
+    def other_config(self, small_config, tmp_path, edit):
+        raw = yaml.safe_load(small_config.read_text())
+        edit(raw)
+        path = tmp_path / "other.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        return path
+
+    def test_config_of_the_run_with_its_seed_override(self, generated, small_config):
+        assert run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"]) == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda raw: raw["thresholds"].update(pressure_hpa=5.0), id="threshold"),
+            pytest.param(lambda raw: raw.update(window={"length_s": 60.0}), id="window_length"),
+        ],
+    )
+    def test_other_config_is_one_json_line(self, generated, small_config, tmp_path, capsys, edit):
+        other = self.other_config(small_config, tmp_path, edit)
+        capsys.readouterr()
+        assert run(["detect", "--data", generated, "--config", other, "--tier", "FULL"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SenseTraceError"
+        meta = json.loads((generated / "meta.json").read_text())
+        _, raw = load_scenario(other, seed=99)
+        assert meta["config_sha256"] in payload["message"]
+        assert config_hash(raw) in payload["message"]
+        assert not (generated / "decisions_full.jsonl").exists()
+
+    def test_config_without_seed_key(self, small_config, tmp_path):
+        seedless = self.other_config(small_config, tmp_path, lambda raw: raw.pop("seed"))
+        out = tmp_path / "seedless"
+        assert run(["generate", "--config", seedless, "--out", out]) == 0
+        assert run(["detect", "--data", out, "--config", seedless, "--tier", "FULL"]) == 0
+
+
+class TestNoSampleObjects:
+    def test_detect_and_report_build_no_sensor_sample(self, small_config, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run(["generate", "--config", small_config, "--out", out]) == 0
+        built = []
+        init = SensorSample.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SensorSample, "__init__", counting_init)
+        for tier in ("APPEARANCE_ONLY", "FULL"):
+            assert run(["detect", "--data", out, "--config", small_config, "--tier", tier]) == 0
+        assert run(["report", "--data", out, "--decisions", "decisions_full.jsonl"]) == 0
+        assert built == []
+        # The count sees the samples the line-by-line reader builds.
+        assert len(list(read_trace(next((out / "traces").glob("*.jsonl"))))) == len(built) > 0
 
 
 class TestShippedConfig:

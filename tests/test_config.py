@@ -149,6 +149,38 @@ class TestValues:
 
     @cases(
         [
+            ("testbed.floors", lambda raw: raw["testbed"].update(floors=2.7)),
+            ("fusion.wifi_scan_cap_per_120s", lambda raw: raw["fusion"].update(wifi_scan_cap_per_120s=4.9)),
+            ("instances.buckets[0].indoor", lambda raw: raw["instances"]["buckets"][0].update(indoor=1.5)),
+            ("seed", lambda raw: raw.update(seed=True)),
+            ("testbed.field_seed", lambda raw: raw["testbed"].update(field_seed=False)),
+            ("testbed.regions[0].ambient_noise_db", lambda raw: raw["testbed"]["regions"][0].update(ambient_noise_db=True)),
+            ("noise.wall_loss_db", lambda raw: raw["noise"].update(wall_loss_db=True)),
+            ("testbed.floors", lambda raw: raw["testbed"].update(floors="2")),
+            ("window.length_s", lambda raw: raw["window"].update(length_s="300")),
+        ]
+    )
+    def test_no_truncation_and_no_booleans(self, path, edit):
+        raw = standard_raw()
+        edit(raw)
+        assert error_message(raw).startswith(f"{path} must be ")
+
+    def test_boolean_in_a_pair_rejected(self):
+        raw = standard_raw()
+        raw["instances"]["buckets"][0]["range_m"] = [0.0, True]
+        assert error_message(raw).startswith("instances.buckets[0].range_m must be a pair of numbers")
+
+    def test_integral_numbers_keep_their_field_type(self):
+        raw = standard_raw()
+        raw["testbed"]["floors"] = 2.0
+        raw["testbed"]["regions"][0]["ambient_noise_db"] = 10
+        scenario = scenario_from_dict(raw)
+        assert scenario.testbed.floors == 2 and type(scenario.testbed.floors) is int
+        assert scenario.testbed.regions[0].ambient_noise_db == 10.0
+        assert type(scenario.testbed.regions[0].ambient_noise_db) is float
+
+    @cases(
+        [
             ("testbed", lambda raw: raw.pop("testbed")),
             ("testbed.regions", lambda raw: raw["testbed"].pop("regions")),
             ("instances.buckets", lambda raw: raw.pop("instances")),

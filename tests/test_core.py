@@ -12,6 +12,7 @@ from sensetrace.core import (
     ProximityState,
     SensorKind,
     SensorSample,
+    Trace,
     atomic_write,
     canonical_pair,
     make_window,
@@ -21,6 +22,7 @@ from sensetrace.core import (
     sample_to_json,
     write_trace,
 )
+from sensetrace.envmatch import magnitude
 from sensetrace.errors import EmptyWindow, SenseTraceError
 
 
@@ -155,6 +157,150 @@ class TestMakeWindow:
             canonical_pair(("a", "a"))
 
 
+class TestTraceColumns:
+    def samples(self):
+        return [
+            ble(5.0, "b", "a"),
+            baro(1.0, "a"),
+            SensorSample(3.0, SensorKind.MAGNETOMETER, (1.0, -2.0, 3.5), src="b"),
+            ble(1.0, "a", "c", rss=-70.0),
+        ]
+
+    def test_rows_in_input_order(self):
+        trace = Trace.from_samples(self.samples())
+        assert len(trace) == 4
+        assert list(trace) == self.samples()
+        assert trace[2] == self.samples()[2]
+        assert trace[-1] == self.samples()[-1]
+
+    def test_concatenation_merges_device_names(self):
+        left = Trace.from_samples(self.samples()[:2])
+        right = Trace.from_samples([ble(2.0, "c", "d"), baro(4.0, "b")])
+        joined = left + right
+        assert joined.names == ("a", "b", "c", "d")
+        assert list(joined) == list(left) + list(right)
+        assert joined == Trace.from_samples(list(left) + list(right))
+
+    def test_equality_reads_names_not_codes(self):
+        one = Trace.from_samples([baro(1.0, "b")])
+        other = (Trace.from_samples([ble(0.0, "a", "c")]) + Trace.from_samples([baro(1.0, "b")])).take([1])
+        assert one.names != other.names
+        assert one == other
+        assert one != Trace.from_samples([baro(1.0, "c")])
+
+    def test_magnitudes_equal_envmatch_magnitude(self, standard_data):
+        samples = [s for trace in list(standard_data.traces.values())[:40] for s in trace]
+        trace = Trace.from_samples(samples)
+        want = [magnitude(*s.value) for s in samples if s.kind is SensorKind.MAGNETOMETER]
+        assert trace.magnitudes(trace.rows(SensorKind.MAGNETOMETER)) == want
+
+    def test_window_of_trace_equals_window_of_its_samples(self, standard_data):
+        rng = random.Random(5)
+        for label in rng.sample(standard_data.labels, 20):
+            a, b = label.pair
+            trace = Trace.from_samples(standard_data.traces[a]) + Trace.from_samples(standard_data.traces[b])
+            for start, length in ((label.start, label.end - label.start), (100.0, 300.0)):
+                assert make_window(trace, label.pair, start, length) == make_window(list(trace), label.pair, start, length)
+
+
+GOOD_RECORDS = [
+    {"t": 0.0, "kind": "BLE_RSS", "value": -60.0, "src": "a", "obs": "b"},
+    {"t": 1.5, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None},
+    {"t": 2, "kind": "MAGNETOMETER", "value": [1.0, 2, -3.5], "src": "a", "obs": None},
+    {"t": 3.0, "kind": "PROXIMITY", "value": 1, "src": "a"},
+]
+
+# One record per rejection SensorSample (or the record reader) makes.
+REJECTED = {
+    "nan_time": {"t": math.nan, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None},
+    "negative_time": {"t": -1.0, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None},
+    "rss_above_0": {"t": 1.0, "kind": "BLE_RSS", "value": 5.0, "src": "a", "obs": "b"},
+    "rss_below_-120": {"t": 1.0, "kind": "WIFI_RSS", "value": -121.0, "src": "a", "obs": "b"},
+    "barometer_below_300": {"t": 1.0, "kind": "BAROMETER", "value": 200.0, "src": "a", "obs": None},
+    "barometer_above_1100": {"t": 1.0, "kind": "BAROMETER", "value": 1200.0, "src": "a", "obs": None},
+    "boolean_value": {"t": 1.0, "kind": "AMBIENT_NOISE", "value": True, "src": "a", "obs": None},
+    "string_value": {"t": 1.0, "kind": "AMBIENT_NOISE", "value": "12.0", "src": "a", "obs": None},
+    "infinite_value": {"t": 1.0, "kind": "AMBIENT_NOISE", "value": math.inf, "src": "a", "obs": None},
+    "two_component_magnetometer": {"t": 1.0, "kind": "MAGNETOMETER", "value": [1.0, 2.0], "src": "a", "obs": None},
+    "scalar_magnetometer": {"t": 1.0, "kind": "MAGNETOMETER", "value": 5.0, "src": "a", "obs": None},
+    "unknown_kind": {"t": 1.0, "kind": "SONAR", "value": 1.0, "src": "a", "obs": None},
+    "self_observation": {"t": 1.0, "kind": "BLE_RSS", "value": -60.0, "src": "a", "obs": "a"},
+    "missing_src": {"t": 1.0, "kind": "BAROMETER", "value": 1012.0, "obs": None},
+    "empty_src": {"t": 1.0, "kind": "BAROMETER", "value": 1012.0, "src": "", "obs": None},
+    "not_a_record": [1.0, "BAROMETER", 1012.0, "a", None],
+}
+
+
+def dumps(record):
+    return json.dumps(record, separators=(",", ":"))
+
+
+class TestReadTrace:
+    def test_decodes_every_standard_trace_as_the_line_reader_does(self, standard_data, tmp_path):
+        for device, samples in standard_data.traces.items():
+            path = tmp_path / f"{device}.jsonl"
+            write_trace(path, samples)
+            trace = read_trace(path)
+            assert list(trace) == read_jsonl(path, sample_from_record)
+            assert trace == Trace.from_samples(samples)
+
+    def test_good_records(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(dumps(r) + "\n" for r in GOOD_RECORDS))
+        assert list(read_trace(path)) == read_jsonl(path, sample_from_record)
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejection_names_its_line(self, tmp_path, name):
+        lines = [dumps(r) for r in GOOD_RECORDS]
+        lines[2] = dumps(REJECTED[name])
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:3: "):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            pytest.param(
+                [GOOD_RECORDS[0], '{"t":1.0,"kind":"BAROMETER"', '"value":1012.0,"src":"a","obs":null}', GOOD_RECORDS[3]],
+                2,
+                id="record_split_between_fields",
+            ),
+            pytest.param(
+                [GOOD_RECORDS[0], '{"t":2,"kind":"MAGNETOMETER","value":[1.0', '2.0,3.0],"src":"a","obs":null}'],
+                2,
+                id="record_split_inside_a_list",
+            ),
+            pytest.param(
+                [GOOD_RECORDS[0], dumps(GOOD_RECORDS[1]) + "," + dumps(GOOD_RECORDS[3]), GOOD_RECORDS[2]],
+                2,
+                id="two_records_on_one_line",
+            ),
+            pytest.param(
+                [
+                    dumps(GOOD_RECORDS[0]) + ", " + dumps(GOOD_RECORDS[1]),
+                    '{"t":1.0,"kind":"BAROMETER"',
+                    '"value":1012.0,"src":"a","obs":null}',
+                ],
+                1,
+                id="split_and_merged_lines_of_equal_count",
+            ),
+        ],
+    )
+    def test_lines_valid_only_once_joined_are_rejected(self, tmp_path, lines, bad_line):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join((line if isinstance(line, str) else dumps(line)) + "\n" for line in lines))
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:{bad_line}: "):
+            read_trace(path)
+
+    def test_blank_lines_and_missing_final_newline(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n" + dumps(GOOD_RECORDS[0]) + "\n\n  \n" + dumps(GOOD_RECORDS[1]))
+        assert list(read_trace(path)) == [sample_from_record(r) for r in GOOD_RECORDS[:2]]
+        path.write_text("")
+        assert len(read_trace(path)) == 0
+
+
 class TestTraceIO:
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = random.Random(3)
@@ -175,7 +321,7 @@ class TestTraceIO:
         path = tmp_path / "trace.jsonl"
         write_trace(path, samples)
         back = read_trace(path)
-        assert back == samples
+        assert list(back) == samples
         # Re-serializing must produce identical bytes.
         again = tmp_path / "again.jsonl"
         write_trace(again, back)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from sensetrace.fusion import (
     stage_distance,
     stage_environment,
 )
+from sensetrace.ranging import sound_distance
 
 CFG = FusionConfig()
 
@@ -195,6 +197,31 @@ class TestStageDistance:
         expected = sum(per_step) / len(per_step)
 
         assert stage_distance(ev, CFG) == pytest.approx(expected, rel=1e-12)
+
+    def test_equals_the_scan_over_all_pairs_with_ties(self):
+        # Times on a 5 s grid: equal gaps on both sides, two devices'
+        # estimates at one instant, and chirp checks off the sound times.
+        def scan(ev):
+            ok = [t for t, noise, heard in ev.chirps if heard and noise_gate(noise, CFG)]
+            sound = [s for s in ev.sound_distances if any(abs(s[0] - t) <= 1e-6 for t in ok)]
+            combined = []
+            for t, metres in ev.wifi_distances:
+                near = [s for s in sound if abs(s[0] - t) < PAIR_TOLERANCE_S]
+                if near:
+                    metres = (metres + min(near, key=lambda s: abs(s[0] - t))[1]) / 2.0
+                combined.append(metres)
+            return sum(combined) / len(combined)
+
+        rng = random.Random(8)
+        for _ in range(200):
+            grid = [i * 5.0 for i in range(40)]
+            chirps = sorted((t, rng.choice([10.0, 35.0]), rng.random() < 0.7) for t in rng.sample(grid, 20))
+            sound = sorted(
+                (t, rng.uniform(0.5, 4.0)) for t in rng.sample(grid, 15) for _ in range(rng.choice([1, 2]))
+            )
+            wifi = tuple((t, rng.uniform(0.5, 6.0)) for t in sorted(rng.sample(grid, 10)))
+            ev = evidence(wifi=wifi, sound=sound, chirps=chirps)
+            assert stage_distance(ev, CFG) == scan(ev)
 
 
 class TestStageEnvironment:
@@ -436,6 +463,45 @@ class TestBuildEvidence:
         # Magnitudes are orientation-free: both devices read 50 uT.
         assert ev.env_sequences["a"][SensorKind.MAGNETOMETER] == (50.0,) * 30
         assert ev.env_sequences["b"][SensorKind.MAGNETOMETER] == (50.0,) * 30
+
+    def test_ble_hit_on_a_slot_edge_counts_for_the_slot_it_opens(self):
+        start, period = 0.1, CFG.ble_scan_period
+        edges = [start + k * period for k in range(30)]
+        hits = [edges[0], edges[7], edges[29], math.nextafter(edges[12], 0.0)]
+        samples = [SensorSample(t, SensorKind.BLE_RSS, -60.0, src="a", obs="b") for t in hits]
+        ev = build_evidence(make_window(samples, ("a", "b"), start, 900.0), CFG)
+        # The rule written out: a slot [lo, lo + period) is seen if a hit lies in it.
+        want = [any(lo <= t < lo + period for t in hits) for lo in edges]
+        assert list(ev.ble_seen[:30]) == want
+        assert [k for k, seen in enumerate(want) if seen] == [0, 7, 11, 29]
+        assert not any(ev.ble_seen[30:])
+
+    def sound_window(self, sound_times, wifi_time):
+        """Quiet chirp checks on both devices, a chirp heard by each device
+        at each of ``sound_times``, and one WiFi scan at ``wifi_time``."""
+        samples = [SensorSample(wifi_time, SensorKind.WIFI_RSS, -62.0, src="a", obs="b")]
+        for t in sound_times:
+            for dev, peer, level in (("b", "a", 8.0), ("a", "b", 14.0)):
+                samples.append(SensorSample(t, SensorKind.AMBIENT_NOISE, 11.0, src=dev))
+                samples.append(SensorSample(t, SensorKind.SOUND_AMPLITUDE, level, src=dev, obs=peer))
+        return build_evidence(make_window(samples, ("a", "b"), 0.0, 900.0), CFG)
+
+    def test_sound_estimates_at_one_instant_from_both_devices(self):
+        ev = self.sound_window([100.0], 100.0)
+        assert [heard for _, _, heard in ev.chirps] == [True, True]
+        # Window order puts device a's estimate first; it wins the equal gap.
+        (t_a, from_a), (t_b, from_b) = ev.sound_distances
+        assert t_a == t_b == 100.0 and from_a != from_b
+        assert from_a == sound_distance(14.0, CFG.chirp, CFG.sound_exponent)
+        wifi = ev.wifi_distances[0][1]
+        assert stage_distance(ev, CFG) == (wifi + from_a) / 2.0
+
+    def test_equal_gaps_either_side_go_to_the_earlier_sound(self):
+        ev = self.sound_window([90.0, 110.0], 100.0)
+        wifi = ev.wifi_distances[0][1]
+        earliest = ev.sound_distances[0]
+        assert earliest[0] == 90.0
+        assert stage_distance(ev, CFG) == (wifi + earliest[1]) / 2.0
 
     def test_missing_proximity_defaults_to_open(self):
         samples = [
