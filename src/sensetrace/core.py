@@ -2,9 +2,11 @@
 
 Trace files are JSON-lines, one sample per line, with fields
 ``t``, ``kind``, ``value``, ``src``, ``obs`` (nullable); floats round-trip
-bit-exactly through the default JSON float formatting. ``read_trace``
-decodes a file into a columnar ``Trace``, which carries the samples from
-the file to the window; ``SensorSample`` is its row type. Every file the
+bit-exactly through the default JSON float formatting. A columnar
+``Trace`` carries the samples from the simulator to the file
+(``write_trace``) and from the file to the window (``read_trace``);
+``Trace.check`` applies the sample contract to its columns, and
+``SensorSample`` is its row type. Every file the
 package writes goes through ``atomic_write`` and every other JSON-lines
 file it reads through ``read_jsonl``.
 """
@@ -247,6 +249,39 @@ class Trace:
         lo, hi = np.searchsorted(times, (start, end))
         return np.sort(order[lo:hi])
 
+    def check(self) -> Optional[tuple[int, str]]:
+        """The first row that breaks the sample contract and why, or None.
+
+        The rules and their messages are those of ``SensorSample``, taken in
+        its order, so a row reports the rule ``SensorSample`` would raise.
+        """
+        t, kind, value = self.t, self.kind, self.value
+        is_mag = kind == _MAG
+        rss = (kind == KIND_CODES[SensorKind.BLE_RSS]) | (kind == KIND_CODES[SensorKind.WIFI_RSS])
+        baro = kind == KIND_CODES[SensorKind.BAROMETER]
+        rules = [  # NaN fails every comparison, so only the finiteness rules see it
+            (~((t >= 0.0) & (t < math.inf)), lambda i: f"timestamp must be finite and >= 0, got {t[i]}"),
+            (is_mag & ~np.isfinite(self.mag).all(axis=1), lambda i: "magnetometer components must be finite"),
+            (~(is_mag | np.isfinite(value)),
+             lambda i: f"{KINDS[kind[i]].name} value must be a finite number, got {value[i]!r}"),
+            (rss & ((value < -120.0) | (value > 0.0)), lambda i: f"RSS must lie in [-120, 0] dBm, got {value[i]}"),
+            (baro & ((value < 300.0) | (value > 1100.0)),
+             lambda i: f"barometer must lie in [300, 1100] hPa, got {value[i]}"),
+        ]
+        if not all(isinstance(n, str) and n for n in self.names):  # else no row breaks a name rule
+            unnamed = np.array([not (isinstance(n, str) and n) for n in self.names] + [False])
+            rules += [
+                (unnamed[self.src], lambda i: f"src must name a device, got {self.names[self.src[i]]!r}"),
+                (unnamed[self.obs], lambda i: f"obs must name a device or be null, got {self.names[self.obs[i]]!r}"),
+            ]
+        rules.append((self.obs == self.src, lambda i: "a device cannot observe itself"))
+        firsts = [int(np.argmax(bad)) if bad.any() else len(self) for bad, _ in rules]
+        row = min(firsts)
+        if row == len(self):
+            return None
+        t, value = t.tolist(), value.tolist()  # messages print Python floats
+        return row, rules[firsts.index(row)][1](row)
+
     def magnitudes(self, rows: np.ndarray) -> list[float]:
         """Magnetic magnitude of each of ``rows``, computed as
         ``envmatch.magnitude`` does."""
@@ -407,18 +442,6 @@ def read_jsonl(path: Union[str, Path], parse: Callable[[Any], T]) -> list[T]:
     return out
 
 
-def sample_to_json(sample: SensorSample) -> str:
-    value = list(sample.value) if isinstance(sample.value, tuple) else sample.value
-    record = {
-        "t": sample.timestamp,
-        "kind": sample.kind.value,
-        "value": value,
-        "src": sample.src,
-        "obs": sample.obs,
-    }
-    return json.dumps(record, separators=(",", ":"))
-
-
 def sample_from_record(record: dict) -> SensorSample:
     value = record["value"]
     if isinstance(value, list):
@@ -453,8 +476,25 @@ def label_from_record(record: dict) -> GroundTruthLabel:
     )
 
 
-def write_trace(path: Union[str, Path], samples: Iterable[SensorSample]) -> None:
-    atomic_write(path, "".join(sample_to_json(s) + "\n" for s in samples))
+_KIND_JSON = tuple(json.dumps(k.value) for k in KINDS)
+
+
+def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSample]]) -> None:
+    """One JSON line per row, encoded from the columns: floats as
+    ``float.__repr__`` writes them (so an integral value reads ``5.0``) and
+    names as ``json.dumps`` does, the bytes ``json.dumps`` gives for the
+    record with ``separators=(",", ":")``."""
+    trace = as_trace(samples)
+    names = [json.dumps(n) for n in trace.names] + ["null"]  # obs -1 is null
+    values = list(map(repr, trace.value.tolist()))
+    mag_rows = np.flatnonzero(trace.kind == _MAG)
+    for i, (x, y, z) in zip(mag_rows.tolist(), trace.mag[mag_rows].tolist()):
+        values[i] = f"[{x!r},{y!r},{z!r}]"
+    columns = (trace.t.tolist(), trace.kind.tolist(), values, trace.src.tolist(), trace.obs.tolist())
+    atomic_write(path, "".join(
+        f'{{"t":{t!r},"kind":{_KIND_JSON[k]},"value":{v},"src":{names[s]},"obs":{names[o]}}}\n'
+        for t, k, v, s, o in zip(*columns)
+    ))
 
 
 # Two records on one line of a trace file.
@@ -465,7 +505,8 @@ _FIELDS = itemgetter("t", "kind", "value", "src")
 def _decode_trace(data: bytes) -> Optional[Trace]:
     """The trace in ``data``, decoded with one ``json.loads`` over all its
     lines joined into one array, or None if any line is not exactly one
-    record ``sample_from_record`` and ``SensorSample`` accept as they stand.
+    record whose fields have the types ``SensorSample`` takes as they stand.
+    The values are left to ``Trace.check``.
 
     Joining can only hide a bad line by moving a record boundary: a record
     split over two lines then decodes as one, so the count falls short
@@ -494,36 +535,25 @@ def _decode_trace(data: bytes) -> Optional[Trace]:
         and set(map(type, chain.from_iterable(vectors))) <= _NUMBERS
         and set(map(type, src)) == {str}
         and set(map(type, obs)) <= {str, type(None)}
-        and "" not in src
-        and "" not in obs
     ):
         return None
     try:
-        trace = Trace._build(t, kinds, scalars, vectors, src, obs)
+        return Trace._build(t, kinds, scalars, vectors, src, obs)
     except OverflowError:
         return None
-    kind, value = trace.kind, trace.value
-    rss = (kind == KIND_CODES[SensorKind.BLE_RSS]) | (kind == KIND_CODES[SensorKind.WIFI_RSS])
-    baro = kind == KIND_CODES[SensorKind.BAROMETER]
-    ok = (
-        np.all(trace.t >= 0.0)
-        and np.isfinite(trace.t).all()
-        and np.isfinite(value[kind != _MAG]).all()
-        and np.isfinite(trace.mag[kind == _MAG]).all()
-        and np.all((value[rss] >= -120.0) & (value[rss] <= 0.0))
-        and np.all((value[baro] >= 300.0) & (value[baro] <= 1100.0))
-        and not np.any(trace.src == trace.obs)
-    )
-    return trace if ok else None
 
 
 def read_trace(path: Union[str, Path]) -> Trace:
     """The samples of one trace file as a ``Trace``.
 
     A file that the one-pass decoder does not take as it stands is read
-    line by line instead, so a bad line fails with ``path:line``.
+    line by line instead; either way a bad line fails with ``path:line``.
     """
     trace = _decode_trace(Path(path).read_bytes())
     if trace is None:
-        trace = Trace.from_samples(read_jsonl(path, sample_from_record))
+        return Trace.from_samples(read_jsonl(path, sample_from_record))
+    bad = trace.check()
+    if bad is not None:  # one record per line, so row i is line i + 1
+        row, reason = bad
+        raise SenseTraceError(f"{path}:{row + 1}: ValueError: {reason}")
     return trace

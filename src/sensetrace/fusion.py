@@ -59,8 +59,10 @@ class FusionConfig:
             raise ValueError("appearance_quorum must lie in (0, 1]")
         if self.wifi_scan_cap < 1:
             raise ValueError("wifi_scan_cap must be >= 1")
-        if self.ble_scan_period <= 0 or self.window_length <= 0:
-            raise ValueError("periods must be positive")
+        for name in ("ble_scan_period", "window_length"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not (self.sound_exponent > 0 and math.isfinite(self.sound_exponent)):
             raise ValueError(f"sound_exponent must be > 0, got {self.sound_exponent}")
 

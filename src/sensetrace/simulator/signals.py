@@ -1,4 +1,4 @@
-"""Per-sample sensor models.
+"""Sensor signal models.
 
 Radio observations follow the shared path-loss forward model minus wall and
 floor losses plus kind-specific Gaussian noise; an observation below the
@@ -6,6 +6,12 @@ detection floor is absent, which makes the detection rate decline with
 distance. Sound follows the same form against the chirp's reference
 amplitude but is hard-cut beyond its maximum range or across two or more
 floors, and masked whenever the receiver's ambient noise drowns it.
+
+Each model is split into a deterministic level (``rss_level``,
+``sound_level``, ``barometer_level``) and the rule that turns a noisy level
+into a reading (``rss_reading``, ``sound_heard``, ``magnetometer_reading``).
+The ``simulate_*`` functions draw one reading with them; the simulator
+applies them to all of an instance's readings at once.
 """
 
 from __future__ import annotations
@@ -52,12 +58,106 @@ class PropagationNoise:
             raise ValueError("sound range must be positive")
 
 
+# A magnetometer direction draw shorter than this is drawn again.
+MIN_DIRECTION_NORM = 1e-12
+
+
 def _require_placed(testbed: Testbed, *placements: DevicePlacement) -> None:
     for p in placements:
         try:
             testbed.check_placement(p)
         except ScenarioError as exc:
             raise ScenarioError(f"device {p.device_id} is not validly placed: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class Link:
+    """The fixed geometry of the path from a transmitter to a receiver."""
+
+    distance: float  # straight-line metres, at least MIN_DISTANCE_M
+    wall_loss_db: float  # of the walls crossed going from tx to rx
+    floors_apart: int
+
+
+def link(tx: DevicePlacement, rx: DevicePlacement, testbed: Testbed) -> Link:
+    """The geometry from ``tx`` to ``rx``, both checked to be placed.
+
+    The direction matters: a path through a wall endpoint may cross the
+    wall one way and not the other (see ``testbed._segments_intersect``).
+    """
+    _require_placed(testbed, tx, rx)
+    return Link(
+        max(testbed.true_distance(tx, rx), MIN_DISTANCE_M),
+        sum(w.loss_db for w in testbed.walls_crossed(tx, rx)),
+        abs(tx.floor - rx.floor),
+    )
+
+
+def rss_sigma(kind: SensorKind, noise: PropagationNoise) -> float:
+    if kind is SensorKind.BLE_RSS:
+        return noise.ble_hop_sigma_db
+    if kind is SensorKind.WIFI_RSS:
+        return noise.wifi_sigma_db
+    raise ValueError(f"simulate_rss handles BLE/WiFi, not {kind}")
+
+
+def rss_level(
+    path: Link,
+    kind: SensorKind,
+    noise: PropagationNoise,
+    params: PathLossParams,
+    tx_offset_db: float = 0.0,
+    path_bias_db: float = 0.0,
+) -> float:
+    """Received power before scan noise: path loss, then walls, then (BLE
+    only) the floor slabs."""
+    rss = rss_from_distance(path.distance, params) + tx_offset_db + path_bias_db
+    rss -= path.wall_loss_db
+    if kind is SensorKind.BLE_RSS:
+        rss -= noise.floor_loss_ble_db * path.floors_apart
+    return rss
+
+
+def rss_reading(rss, noise: PropagationNoise):
+    """(seen, reading) of a noisy level, a float or an array: missed below
+    the detection floor, saturating at 0 dBm."""
+    return np.logical_not(rss < noise.detection_floor_dbm), np.where(0.0 < rss, 0.0, rss)
+
+
+def sound_gated(path: Link, noise: PropagationNoise) -> bool:
+    """True when no chirp crosses the path: too many floors or too far."""
+    return path.floors_apart > noise.sound_max_floors or path.distance > noise.sound_max_range_m
+
+
+def sound_level(path: Link, chirp: ChirpSpec, exponent: float, tx_level_db: float = 0.0) -> float:
+    """Arriving chirp level before noise."""
+    received = chirp.amplitude + tx_level_db - 10.0 * exponent * math.log10(path.distance)
+    received -= path.wall_loss_db
+    return received
+
+
+def sound_heard(received, ambient_db):
+    """Whether a chirp (a float or an array) is heard: unless the receiver's
+    ambient noise drowns it."""
+    return np.logical_not(ambient_db >= received)
+
+
+def barometer_level(device: DevicePlacement, testbed: Testbed) -> float:
+    """Air pressure at the device before sensor noise."""
+    pm = testbed.pressure
+    value = pm.base_hpa - device.floor * pm.floor_gap_hpa
+    if testbed.environment_at(device.x, device.y) != INDOOR:
+        value += pm.outdoor_offset_hpa
+    if device.posture is ProximityState.NEAR:
+        value += pm.pocket_bias_hpa
+    return value
+
+
+def magnetometer_reading(magnitude, direction: np.ndarray, norm) -> np.ndarray:
+    """``direction`` (3 components in the last axis) scaled to ``magnitude``,
+    floored at 0.1 uT; ``norm`` is the length of ``direction``."""
+    magnitude = np.where(0.1 > magnitude, 0.1, magnitude)
+    return direction * np.expand_dims(magnitude / norm, -1)
 
 
 def simulate_rss(
@@ -76,24 +176,11 @@ def simulate_rss(
     ``tx_offset_db`` models the transmitter's calibration error and
     ``path_bias_db`` the persistent multipath gain of this static pair.
     """
-    if kind not in (SensorKind.BLE_RSS, SensorKind.WIFI_RSS):
-        raise ValueError(f"simulate_rss handles BLE/WiFi, not {kind}")
-    _require_placed(testbed, tx, rx)
-
-    d = max(testbed.true_distance(tx, rx), MIN_DISTANCE_M)
-    rss = rss_from_distance(d, params) + tx_offset_db + path_bias_db
-    rss -= sum(w.loss_db for w in testbed.walls_crossed(tx, rx))
-    floors_apart = abs(tx.floor - rx.floor)
-    if kind is SensorKind.BLE_RSS:
-        rss -= noise.floor_loss_ble_db * floors_apart
-        sigma = noise.ble_hop_sigma_db
-    else:
-        sigma = noise.wifi_sigma_db
+    sigma = rss_sigma(kind, noise)
+    rss = rss_level(link(tx, rx, testbed), kind, noise, params, tx_offset_db, path_bias_db)
     rss += rng.normal(0.0, sigma) if sigma > 0 else 0.0
-
-    if rss < noise.detection_floor_dbm:
-        return None
-    return min(rss, 0.0)
+    seen, reading = rss_reading(rss, noise)
+    return float(reading) if seen else None
 
 
 def simulate_sound(
@@ -111,23 +198,13 @@ def simulate_sound(
     Hard absent beyond the maximum range or across two or more floors; also
     absent whenever the receiver's ambient noise exceeds the arriving level.
     """
-    _require_placed(testbed, tx, rx)
-    floors_apart = abs(tx.floor - rx.floor)
-    if floors_apart > noise.sound_max_floors:
+    path = link(tx, rx, testbed)
+    if sound_gated(path, noise):
         return None
-    d = max(testbed.true_distance(tx, rx), MIN_DISTANCE_M)
-    if d > noise.sound_max_range_m:
-        return None
-
-    received = chirp.amplitude + tx_level_db - 10.0 * exponent * math.log10(d)
-    received -= sum(w.loss_db for w in testbed.walls_crossed(tx, rx))
+    received = sound_level(path, chirp, exponent, tx_level_db)
     if noise.sound_sigma_db > 0:
         received += rng.normal(0.0, noise.sound_sigma_db)
-
-    ambient = testbed.ambient_noise_at(rx.x, rx.y)
-    if ambient >= received:
-        return None
-    return received
+    return received if sound_heard(received, testbed.ambient_noise_at(rx.x, rx.y)) else None
 
 
 def simulate_barometer(
@@ -138,14 +215,9 @@ def simulate_barometer(
     """Air pressure at the device: base minus the per-floor gap, plus the
     outdoor offset, a pocket bias when stowed, and sensor noise."""
     _require_placed(testbed, device)
-    pm = testbed.pressure
-    value = pm.base_hpa - device.floor * pm.floor_gap_hpa
-    if testbed.environment_at(device.x, device.y) != INDOOR:
-        value += pm.outdoor_offset_hpa
-    if device.posture is ProximityState.NEAR:
-        value += pm.pocket_bias_hpa
-    if pm.sigma_hpa > 0:
-        value += rng.normal(0.0, pm.sigma_hpa)
+    value = barometer_level(device, testbed)
+    if testbed.pressure.sigma_hpa > 0:
+        value += rng.normal(0.0, testbed.pressure.sigma_hpa)
     return value
 
 
@@ -160,12 +232,11 @@ def simulate_magnetometer(
     mean = testbed.magnetic_mean_at(device.x, device.y, device.floor)
     sigma = testbed.magnetic.sensor_sigma_ut
     mag = mean + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
-    mag = max(mag, 0.1)
 
     direction = rng.normal(size=3)
     norm = float(np.linalg.norm(direction))
-    while norm < 1e-12:
+    while norm < MIN_DIRECTION_NORM:
         direction = rng.normal(size=3)
         norm = float(np.linalg.norm(direction))
-    v = direction * (mag / norm)
+    v = magnetometer_reading(mag, direction, norm)
     return (float(v[0]), float(v[1]), float(v[2]))

@@ -1,12 +1,29 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the library's own algorithms: the DTW oracle
-enumerates every monotone warping path instead of filling a DP matrix.
+enumerates every monotone warping path instead of filling a DP matrix, and
+the trace oracle simulates one sample at a time with the scalar signal
+models instead of one instance at a time in columns.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+import numpy as np
+
+from sensetrace.core import CONTACT_DISTANCE_M, GroundTruthLabel, ProximityState, SensorKind, SensorSample
+from sensetrace.errors import ScenarioError
+from sensetrace.simulator import (
+    INDOOR,
+    Scenario,
+    place_instances,
+    simulate_barometer,
+    simulate_magnetometer,
+    simulate_rss,
+    simulate_sound,
+)
 
 
 def brute_force_dtw(a: Sequence[float], b: Sequence[float]) -> float:
@@ -37,3 +54,124 @@ def brute_force_dtw(a: Sequence[float], b: Sequence[float]) -> float:
     walk(0, 0, 0.0, 0)
     cost, length = best
     return cost / length
+
+
+def _slot_times(length: float, period: float) -> list[float]:
+    n = int(math.floor((length - 1e-9) / period)) + 1
+    return [k * period for k in range(n)]
+
+
+def sequential_traces(scenario: Scenario) -> tuple[dict[str, list[SensorSample]], list[GroundTruthLabel]]:
+    """Per-device traces and labels, one sample and one draw at a time.
+
+    Every sample is built as a ``SensorSample`` in the order the draws are
+    made, so the first one that breaks the sample contract raises, naming
+    its instance; each device's samples are then sorted by (time, kind,
+    observed device).
+    """
+    rng = np.random.default_rng(scenario.seed)
+    tb = scenario.testbed
+    cfg = scenario.fusion
+    noise = scenario.noise
+    length = cfg.window_length
+
+    instances = place_instances(scenario, rng)
+    traces: dict[str, list[SensorSample]] = {}
+    labels: list[GroundTruthLabel] = []
+
+    ble_slots = _slot_times(length, cfg.ble_scan_period)
+    wifi_slots = _slot_times(length, cfg.wifi_scan_period)
+    sound_slots = _slot_times(length, scenario.sound_period)
+    env_slots = _slot_times(length, scenario.env_period)
+
+    for inst in instances:
+        try:
+            a, b = inst.a, inst.b
+            tx_offset = {
+                a.device_id: float(rng.normal(0.0, noise.tx_power_sigma_db)) if noise.tx_power_sigma_db > 0 else 0.0,
+                b.device_id: float(rng.normal(0.0, noise.tx_power_sigma_db)) if noise.tx_power_sigma_db > 0 else 0.0,
+            }
+            snd_offset = {
+                a.device_id: float(rng.normal(0.0, noise.sound_level_sigma_db)) if noise.sound_level_sigma_db > 0 else 0.0,
+                b.device_id: float(rng.normal(0.0, noise.sound_level_sigma_db)) if noise.sound_level_sigma_db > 0 else 0.0,
+            }
+            # Reciprocal multipath gain of this static pair, one draw per band.
+            mp_sigma = (
+                noise.multipath_sigma_indoor_db
+                if inst.environment == INDOOR
+                else noise.multipath_sigma_outdoor_db
+            )
+            path_bias = {
+                SensorKind.BLE_RSS: float(rng.normal(0.0, mp_sigma)) if mp_sigma > 0 else 0.0,
+                SensorKind.WIFI_RSS: float(rng.normal(0.0, mp_sigma)) if mp_sigma > 0 else 0.0,
+            }
+            samples: dict[str, list[SensorSample]] = {a.device_id: [], b.device_id: []}
+
+            for kind, slots in ((SensorKind.BLE_RSS, ble_slots), (SensorKind.WIFI_RSS, wifi_slots)):
+                for t in slots:
+                    for rx, tx in ((a, b), (b, a)):
+                        rss = simulate_rss(
+                            tx, rx, kind, tb, noise, cfg.radio_params, rng,
+                            tx_offset_db=tx_offset[tx.device_id],
+                            path_bias_db=path_bias[kind],
+                        )
+                        if rss is not None:
+                            samples[rx.device_id].append(
+                                SensorSample(t, kind, rss, src=rx.device_id, obs=tx.device_id)
+                            )
+
+            for t in sound_slots:
+                for rx, tx in ((a, b), (b, a)):
+                    ambient = tb.ambient_noise_at(rx.x, rx.y)
+                    if noise.ambient_sigma_db > 0:
+                        ambient += float(rng.normal(0.0, noise.ambient_sigma_db))
+                    samples[rx.device_id].append(
+                        SensorSample(t, SensorKind.AMBIENT_NOISE, ambient, src=rx.device_id)
+                    )
+                    heard = simulate_sound(
+                        tx, rx, cfg.chirp, tb, noise, rng,
+                        exponent=cfg.sound_exponent,
+                        tx_level_db=snd_offset[tx.device_id],
+                    )
+                    if heard is not None:
+                        samples[rx.device_id].append(
+                            SensorSample(t, SensorKind.SOUND_AMPLITUDE, heard, src=rx.device_id, obs=tx.device_id)
+                        )
+
+            for t in env_slots:
+                for dev in (a, b):
+                    samples[dev.device_id].append(
+                        SensorSample(t, SensorKind.BAROMETER, simulate_barometer(dev, tb, rng), src=dev.device_id)
+                    )
+                    samples[dev.device_id].append(
+                        SensorSample(
+                            t, SensorKind.MAGNETOMETER, simulate_magnetometer(dev, tb, rng), src=dev.device_id
+                        )
+                    )
+                    samples[dev.device_id].append(
+                        SensorSample(
+                            t,
+                            SensorKind.PROXIMITY,
+                            1.0 if dev.posture is ProximityState.NEAR else 0.0,
+                            src=dev.device_id,
+                        )
+                    )
+
+            for dev_id, recs in samples.items():
+                recs.sort(key=lambda s: (s.timestamp, s.kind.value, s.obs or ""))
+                traces[dev_id] = recs
+
+            d = tb.true_distance(a, b)
+            labels.append(
+                GroundTruthLabel(
+                    pair=inst.pair,
+                    start=0.0,
+                    end=length,
+                    true_distance=d,
+                    is_contact=d <= CONTACT_DISTANCE_M,
+                )
+            )
+        except ValueError as exc:
+            raise ScenarioError(f"instance {inst.index} {inst.pair}: {exc}") from exc
+
+    return traces, labels

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -34,6 +35,23 @@ def small_config(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def set_key(section, key, value):
+    return lambda raw: raw.setdefault(section, {}).update({key: value})
+
+
+# A non-finite period, each named by its field.
+BAD_PERIODS = [
+    pytest.param(set_key(section, key, value), f"{field} must be finite and > 0", id=f"{key}_{value}")
+    for section, key, field in (
+        ("window", "length_s", "window_length"),
+        ("fusion", "ble_scan_period_s", "ble_scan_period"),
+        ("cadence", "sound_period_s", "sound_period"),
+        ("cadence", "env_period_s", "env_period"),
+    )
+    for value in (math.nan, math.inf)
+]
 
 
 class TestGenerate:
@@ -84,11 +102,13 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "edit, named",
         [
-            (lambda raw: raw["noise"].update(ble_hop_sigma=0.0), "unknown key noise.ble_hop_sigma "),
+            pytest.param(set_key("noise", "ble_hop_sigma", 0.0), "unknown key noise.ble_hop_sigma ", id="unknown_key"),
             # Every barometer sample then breaks the sample contract.
-            (lambda raw: raw["testbed"]["pressure"].update(base_hpa=2000.0), "instance 0 "),
+            pytest.param(
+                lambda raw: raw["testbed"]["pressure"].update(base_hpa=2000.0), "instance 0 ", id="sample_contract"
+            ),
+            *BAD_PERIODS,
         ],
-        ids=["unknown_key", "sample_contract"],
     )
     def test_bad_scenario_is_one_json_line(self, small_config, tmp_path, capsys, edit, named):
         raw = yaml.safe_load(small_config.read_text())
@@ -196,18 +216,31 @@ class TestDetectChecksConfig:
         assert run(["detect", "--data", out, "--config", seedless, "--tier", "FULL"]) == 0
 
 
+def count_sensor_samples(monkeypatch) -> list:
+    """The arguments of every ``SensorSample`` built from now on."""
+    built = []
+    init = SensorSample.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SensorSample, "__init__", counting_init)
+    return built
+
+
 class TestNoSampleObjects:
+    def test_generate_builds_no_sensor_sample(self, small_config, tmp_path, monkeypatch):
+        built = count_sensor_samples(monkeypatch)
+        assert run(["generate", "--config", small_config, "--out", tmp_path / "run"]) == 0
+        assert built == []
+        # The count sees the samples that iterating a trace builds.
+        assert len(list(read_trace(next((tmp_path / "run" / "traces").glob("*.jsonl"))))) == len(built) > 0
+
     def test_detect_and_report_build_no_sensor_sample(self, small_config, tmp_path, monkeypatch):
         out = tmp_path / "run"
         assert run(["generate", "--config", small_config, "--out", out]) == 0
-        built = []
-        init = SensorSample.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(SensorSample, "__init__", counting_init)
+        built = count_sensor_samples(monkeypatch)
         for tier in ("APPEARANCE_ONLY", "FULL"):
             assert run(["detect", "--data", out, "--config", small_config, "--tier", tier]) == 0
         assert run(["report", "--data", out, "--decisions", "decisions_full.jsonl"]) == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from sensetrace.core import label_to_json, sample_to_json
+from sensetrace.core import label_to_json
 from sensetrace.errors import ScenarioError
 from sensetrace.simulator import generate_traces, scenario_from_dict, standard_scenario
 
@@ -41,8 +41,7 @@ def integer_spellings(value):
 
 def serialized(scenario):
     data = generate_traces(scenario)
-    traces = {dev: [sample_to_json(s) for s in samples] for dev, samples in data.traces.items()}
-    return traces, [label_to_json(lb) for lb in data.labels]
+    return data.traces, [label_to_json(lb) for lb in data.labels]
 
 
 def cases(table):

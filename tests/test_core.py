@@ -19,7 +19,6 @@ from sensetrace.core import (
     read_jsonl,
     read_trace,
     sample_from_record,
-    sample_to_json,
     write_trace,
 )
 from sensetrace.envmatch import magnitude
@@ -293,12 +292,67 @@ class TestReadTrace:
         with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:{bad_line}: "):
             read_trace(path)
 
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejection_message_is_the_line_readers(self, tmp_path, name):
+        # Value rules fail in Trace.check, the others in the line reader.
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(dumps(r) + "\n" for r in [*GOOD_RECORDS[:2], REJECTED[name]]))
+        with pytest.raises(SenseTraceError) as line_reader:
+            read_jsonl(path, sample_from_record)
+        with pytest.raises(SenseTraceError) as columns:
+            read_trace(path)
+        assert str(columns.value) == str(line_reader.value)
+
     def test_blank_lines_and_missing_final_newline(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("\n" + dumps(GOOD_RECORDS[0]) + "\n\n  \n" + dumps(GOOD_RECORDS[1]))
         assert list(read_trace(path)) == [sample_from_record(r) for r in GOOD_RECORDS[:2]]
         path.write_text("")
         assert len(read_trace(path)) == 0
+
+
+def json_lines(samples):
+    """Trace file text as ``json.dumps`` writes each sample's record."""
+    return "".join(
+        json.dumps(
+            {
+                "t": s.timestamp,
+                "kind": s.kind.value,
+                "value": list(s.value) if isinstance(s.value, tuple) else s.value,
+                "src": s.src,
+                "obs": s.obs,
+            },
+            separators=(",", ":"),
+        )
+        + "\n"
+        for s in samples
+    )
+
+
+class TestWriteTrace:
+    def test_standard_traces_encode_as_json_dumps(self, standard_data, tmp_path):
+        for device, trace in standard_data.traces.items():
+            path = tmp_path / f"{device}.jsonl"
+            write_trace(path, trace)
+            assert path.read_text(encoding="utf-8") == json_lines(trace)
+
+    def test_edge_floats_and_escaped_names(self, tmp_path):
+        samples = [
+            SensorSample(5e-324, SensorKind.AMBIENT_NOISE, 1e16, src='a"b'),
+            SensorSample(1e-7, SensorKind.BLE_RSS, -0.0, src='a"b', obs="é"),
+            SensorSample(1e16, SensorKind.MAGNETOMETER, (5e-324, -0.0, 1e-7), src="é"),
+            SensorSample(0.1 + 0.2, SensorKind.SOUND_AMPLITUDE, -1e-300, src="é", obs='a"b'),
+        ]
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, Trace.from_samples(samples))
+        assert path.read_bytes() == json_lines(samples).encode("utf-8")
+        assert list(read_trace(path)) == samples
+        assert math.copysign(1.0, read_trace(path)[1].value) == -1.0
+
+    def test_integral_values_are_written_as_floats(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [SensorSample(2, SensorKind.PROXIMITY, 1, src="a")])
+        assert path.read_text() == '{"t":2.0,"kind":"PROXIMITY","value":1.0,"src":"a","obs":null}\n'
 
 
 class TestTraceIO:
@@ -327,9 +381,10 @@ class TestTraceIO:
         write_trace(again, back)
         assert path.read_bytes() == again.read_bytes()
 
-    def test_json_fields(self):
-        line = sample_to_json(ble(1.5, "a", "b", rss=-59.5))
-        record = json.loads(line)
+    def test_json_fields(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [ble(1.5, "a", "b", rss=-59.5)])
+        record = json.loads(path.read_text())
         assert set(record) == {"t", "kind", "value", "src", "obs"}
         assert record["obs"] == "b"
         assert sample_from_record(record) == ble(1.5, "a", "b", rss=-59.5)

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sensetrace.core import ProximityState, SensorKind
+from sensetrace.core import ProximityState, SensorKind, Trace, write_trace
 from sensetrace.envmatch import magnitude
 from sensetrace.errors import ScenarioError
 from sensetrace.ranging import ChirpSpec, PathLossParams, distance_from_rss, rss_from_distance
 from sensetrace.simulator import (
+    BucketSpec,
     DevicePlacement,
     PressureModel,
     PropagationNoise,
@@ -20,6 +23,9 @@ from sensetrace.simulator import (
     simulate_sound,
     standard_scenario,
 )
+from sensetrace.simulator import signals
+
+from .oracles import sequential_traces
 
 RADIO = PathLossParams()
 
@@ -386,3 +392,128 @@ class TestPropagationNoiseInvariants:
             PropagationNoise(ble_hop_sigma_db=1.0, wifi_sigma_db=2.0)
         with pytest.raises(ValueError):
             PropagationNoise(wifi_sigma_db=0.1, sound_sigma_db=0.2)
+
+
+def small_standard(seed=3, **noise):
+    """The standard testbed with 24 instances, cross-floor ones included,
+    and ``noise`` fields replaced."""
+    sc = standard_scenario(seed=seed)
+    buckets = (
+        BucketSpec(0.0, 1.0, indoor=3, outdoor=2),
+        BucketSpec(1.0, 3.0, indoor=4, outdoor=3),
+        BucketSpec(3.0, 30.0, indoor=8, outdoor=4, cross_floor_fraction=0.5),
+    )
+    return dataclasses.replace(sc, buckets=buckets, noise=dataclasses.replace(sc.noise, **noise))
+
+
+def zero_sigma(field):
+    """``small_standard`` with one sigma at zero; BLE >= WiFi >= sound must
+    hold, so zeroing a radio sigma zeroes the smaller ones too."""
+    if field == "sigma_hpa":
+        sc = small_standard()
+        return dataclasses.replace(sc, testbed=dataclasses.replace(
+            sc.testbed, pressure=dataclasses.replace(sc.testbed.pressure, sigma_hpa=0.0)))
+    if field == "sensor_sigma_ut":
+        sc = small_standard()
+        return dataclasses.replace(sc, testbed=dataclasses.replace(
+            sc.testbed, magnetic=dataclasses.replace(sc.testbed.magnetic, sensor_sigma_ut=0.0)))
+    chain = ("ble_hop_sigma_db", "wifi_sigma_db", "sound_sigma_db")
+    zeroed = chain[chain.index(field):] if field in chain else (field,)
+    return small_standard(**{name: 0.0 for name in zeroed})
+
+
+SIGMAS = (
+    "ble_hop_sigma_db", "wifi_sigma_db", "sound_sigma_db", "tx_power_sigma_db", "sound_level_sigma_db",
+    "ambient_sigma_db", "multipath_sigma_indoor_db", "multipath_sigma_outdoor_db", "sigma_hpa", "sensor_sigma_ut",
+)
+
+
+def assert_matches_sequential(scenario, tmp_path):
+    """``generate_traces`` gives the oracle's labels, and traces equal as
+    columns and as encoded bytes."""
+    want, labels = sequential_traces(scenario)
+    data = generate_traces(scenario)
+    assert data.labels == labels
+    assert list(data.traces) == list(want)
+    for device, samples in want.items():
+        assert data.traces[device] == Trace.from_samples(samples)
+        write_trace(tmp_path / "got.jsonl", data.traces[device])
+        write_trace(tmp_path / "want.jsonl", samples)
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    return data
+
+
+class TestGeneratorMatchesSequentialOracle:
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_standard(self, seed, tmp_path):
+        data = assert_matches_sequential(standard_scenario(seed=seed), tmp_path)
+        assert len(data.labels) == 240
+
+    def test_zero_noise(self, tmp_path):
+        assert_matches_sequential(dataclasses.replace(small_standard(), noise=ZERO_NOISE), tmp_path)
+
+    @pytest.mark.parametrize("field", SIGMAS)
+    def test_one_sigma_zero(self, field, tmp_path):
+        assert_matches_sequential(zero_sigma(field), tmp_path)
+
+    def test_tower_with_sound_floor_and_range_gates(self, tmp_path):
+        tb = tower(ambient=0.1)
+        placements = (
+            (DevicePlacement("t0a", 5.0, 5.0, floor=0), DevicePlacement("t0b", 5.0, 5.0, floor=1)),
+            (DevicePlacement("t1a", 5.0, 5.0, floor=2), DevicePlacement("t1b", 6.0, 5.0, floor=0)),
+            (DevicePlacement("t2a", 1.0, 1.0, floor=3), DevicePlacement("t2b", 9.0, 9.0, floor=3)),
+            (
+                DevicePlacement("t3a", 2.0, 2.0, floor=5, posture=ProximityState.NEAR),
+                DevicePlacement("t3b", 2.5, 2.0, floor=5),
+            ),
+            (DevicePlacement("t4a", 1.0, 9.0, floor=7), DevicePlacement("t4b", 4.0, 9.0, floor=6)),
+        )
+        noise = PropagationNoise(sound_max_range_m=5.0)
+        sc = Scenario(testbed=tb, noise=noise, explicit_instances=placements, seed=11)
+        data = assert_matches_sequential(sc, tmp_path)
+        heard = {dev for dev, trace in data.traces.items() if len(trace.rows(SensorKind.SOUND_AMPLITUDE))}
+        # Gated: two floors apart (t1) and 11.3 m > 5 m apart (t2).
+        assert not heard & {"t1a", "t1b", "t2a", "t2b"}
+        assert heard & {"t0a", "t0b"} and heard & {"t3a", "t3b"}
+
+    def test_path_through_a_wall_endpoint(self, tmp_path):
+        tb = Testbed(
+            regions=(Region("office", "indoor", 0.0, 20.0, 0.0, 20.0, 10.0),),
+            walls=(Wall(5.0, 5.0, 5.0, 10.0, loss_db=15.0),),
+        )
+        a, b = DevicePlacement("wa", 0.0, 0.0), DevicePlacement("wb", 10.0, 10.0)
+        # The endpoint (5, 5) lies on the path: it crosses the wall one way only.
+        assert len(tb.walls_crossed(a, b)) != len(tb.walls_crossed(b, a))
+        sc = Scenario(testbed=tb, noise=ZERO_NOISE, explicit_instances=((a, b),), seed=2)
+        data = assert_matches_sequential(sc, tmp_path)
+        first_ble = [trace[int(trace.rows(SensorKind.BLE_RSS)[0])].value for trace in data.traces.values()]
+        assert first_ble[0] != first_ble[1]
+
+    def test_detection_floor_below_the_rss_range_raises_alike(self):
+        sc = dataclasses.replace(standard_scenario(seed=42), noise=PropagationNoise(detection_floor_dbm=-200.0))
+        with pytest.raises(ScenarioError) as want:
+            sequential_traces(sc)
+        with pytest.raises(ScenarioError) as got:
+            generate_traces(sc)
+        assert "RSS must lie in [-120, 0] dBm" in str(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_first_bad_sample_in_draw_order_raises(self):
+        # 13 floors apart every BLE reading is below -120 dBm, and every
+        # barometer reading is above 1100 hPa; the BLE scans are drawn first.
+        tb = dataclasses.replace(tower(), pressure=PressureModel(base_hpa=2000.0))
+        placements = ((DevicePlacement("fa", 5.0, 5.0, floor=0), DevicePlacement("fb", 5.0, 5.0, floor=13)),)
+        sc = Scenario(testbed=tb, noise=ZERO_NOISE, explicit_instances=placements, seed=4)
+        with pytest.raises(ScenarioError) as want:
+            sequential_traces(sc)
+        with pytest.raises(ScenarioError) as got:
+            generate_traces(sc)
+        assert str(want.value).startswith("instance 0 ('fa', 'fb'): RSS must lie in [-120, 0] dBm")
+        assert str(got.value) == str(want.value)
+
+    def test_forced_magnetometer_retry(self, tmp_path, monkeypatch):
+        # About a fifth of the direction draws are shorter than 1.
+        monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", 1.0)
+        data = assert_matches_sequential(small_standard(), tmp_path)
+        monkeypatch.undo()
+        assert generate_traces(small_standard()).traces != data.traces
