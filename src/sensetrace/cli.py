@@ -5,8 +5,10 @@
     sensetrace evaluate --data runs/demo --decisions decisions_full.jsonl
     sensetrace report   --data runs/demo --decisions decisions_full.jsonl
 
-``generate`` writes per-device JSONL traces, the ground truth and the
-instance list; ``detect`` replays the fusion pipeline over the traces;
+``generate`` writes per-device JSONL traces, the ground truth, the
+instance list and ``trace_columns.npy``, the traces' decoded columns keyed
+by each file's SHA-256 (a cache: ``detect`` and ``report`` decode any file
+it does not match); ``detect`` replays the fusion pipeline over the traces;
 ``evaluate`` emits the confusion counts and accuracy; ``report`` emits
 plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
 Output files are written atomically and embed the seed and a config digest.
@@ -24,13 +26,17 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import (
+    TRACE_CACHE,
     atomic_write,
+    cached_trace,
     canonical_pair,
     label_from_record,
     label_to_json,
     read_jsonl,
     read_trace,
+    read_trace_cache,
     write_trace,
+    write_trace_cache,
 )
 from .errors import SenseTraceError
 from .evaluation import (
@@ -41,6 +47,7 @@ from .evaluation import (
     detect_instances,
     magnetic_separation_report,
     magnitude_sequences,
+    matched,
     tier_gates,
 )
 from .fusion import decision_from_record, decision_to_json
@@ -85,9 +92,13 @@ def _read_meta(data_dir: Path) -> dict:
 
 
 def _load_traces(data_dir: Path) -> dict:
+    """Every trace file of the run, taken from the column cache when the
+    file's SHA-256 is the one the cache holds, else decoded."""
+    cache = read_trace_cache(data_dir / TRACE_CACHE)
     traces = {}
     for path in sorted((data_dir / "traces").glob("*.jsonl")):
-        traces[path.stem] = read_trace(path)
+        trace = cached_trace(cache, path)
+        traces[path.stem] = read_trace(path) if trace is None else trace
     if not traces:
         raise SenseTraceError(f"no trace files under {data_dir / 'traces'}")
     return traces
@@ -108,8 +119,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     data = generate_traces(scenario)
     out = Path(args.out)
 
-    for device, samples in sorted(data.traces.items()):
-        write_trace(out / "traces" / f"{device}.jsonl", samples)
+    files = []
+    for device, trace in sorted(data.traces.items()):
+        name = f"{device}.jsonl"
+        files.append((name, write_trace(out / "traces" / name, trace), trace))
+    write_trace_cache(out / TRACE_CACHE, files)
     atomic_write(out / "truth.jsonl", "".join(label_to_json(lb) + "\n" for lb in data.labels))
     atomic_write(
         out / "instances.jsonl",
@@ -189,11 +203,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"config_sha256={meta.get('config_sha256', 'unknown')}",
     ]
 
-    by_key = {(lb.pair, lb.start, lb.end): lb for lb in truth}
     estimated, actual = [], []
-    for rec in records:
-        label = by_key.get(rec.key)
-        if label is not None and rec.decision.mean_distance is not None:
+    for rec, label in matched(records, truth):
+        if rec.decision.mean_distance is not None:
             estimated.append(rec.decision.mean_distance)
             actual.append(label.true_distance)
     if estimated:

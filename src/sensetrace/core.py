@@ -6,13 +6,17 @@ bit-exactly through the default JSON float formatting. A columnar
 ``Trace`` carries the samples from the simulator to the file
 (``write_trace``) and from the file to the window (``read_trace``);
 ``Trace.check`` applies the sample contract to its columns, and
-``SensorSample`` is its row type. Every file the
-package writes goes through ``atomic_write`` and every other JSON-lines
-file it reads through ``read_jsonl``.
+``SensorSample`` is its row type. ``write_trace_cache`` keeps a run's
+decoded columns, keyed by each trace file's SHA-256, so that
+``read_trace_cache`` can stand in for decoding an unchanged file. Every
+file the package writes goes through ``atomic_write`` and every other
+JSON-lines file it reads through ``read_jsonl``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import os
@@ -407,15 +411,20 @@ def make_window(
 # --- record files ------------------------------------------------------------
 
 
-def atomic_write(path: Union[str, Path], text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same
-    directory, so readers see either the old file or the whole new one."""
+def atomic_write(path: Union[str, Path], data: Union[str, bytes, Iterable[bytes]]) -> None:
+    """Write ``data`` (text as UTF-8, bytes, or chunks of bytes written as
+    they come) to ``path`` through a temporary file in the same directory,
+    so readers see either the old file or the whole new one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    chunks = [data] if isinstance(data, bytes) else data
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -479,11 +488,11 @@ def label_from_record(record: dict) -> GroundTruthLabel:
 _KIND_JSON = tuple(json.dumps(k.value) for k in KINDS)
 
 
-def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSample]]) -> None:
+def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSample]]) -> str:
     """One JSON line per row, encoded from the columns: floats as
     ``float.__repr__`` writes them (so an integral value reads ``5.0``) and
     names as ``json.dumps`` does, the bytes ``json.dumps`` gives for the
-    record with ``separators=(",", ":")``."""
+    record with ``separators=(",", ":")``. Returns the SHA-256 of the file."""
     trace = as_trace(samples)
     names = [json.dumps(n) for n in trace.names] + ["null"]  # obs -1 is null
     values = list(map(repr, trace.value.tolist()))
@@ -491,10 +500,12 @@ def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSam
     for i, (x, y, z) in zip(mag_rows.tolist(), trace.mag[mag_rows].tolist()):
         values[i] = f"[{x!r},{y!r},{z!r}]"
     columns = (trace.t.tolist(), trace.kind.tolist(), values, trace.src.tolist(), trace.obs.tolist())
-    atomic_write(path, "".join(
+    data = "".join(
         f'{{"t":{t!r},"kind":{_KIND_JSON[k]},"value":{v},"src":{names[s]},"obs":{names[o]}}}\n'
         for t, k, v, s, o in zip(*columns)
-    ))
+    ).encode("utf-8")
+    atomic_write(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # Two records on one line of a trace file.
@@ -556,4 +567,120 @@ def read_trace(path: Union[str, Path]) -> Trace:
     if bad is not None:  # one record per line, so row i is line i + 1
         row, reason = bad
         raise SenseTraceError(f"{path}:{row + 1}: ValueError: {reason}")
+    return trace
+
+
+# --- column cache --------------------------------------------------------------
+
+# The file, beside a run's ``traces/``, that holds the decoded columns of its
+# trace files.
+TRACE_CACHE = "trace_columns.npy"
+TRACE_CACHE_FORMAT = {"format": "sensetrace trace columns", "version": 1}
+# Each stored column: its ``Trace`` attribute, its dtype and the shape of a row.
+_CACHE_COLUMNS = (
+    ("t", "<f8", ()), ("kind", "|i1", ()), ("value", "<f8", ()),
+    ("mag", "<f8", (3,)), ("src", "<i4", ()), ("obs", "<i4", ()),
+)
+
+
+def _npy_header(dtype: str, shape: tuple[int, ...]) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": dtype, "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
+def write_trace_cache(path: Union[str, Path], files: Sequence[tuple[str, str, Trace]]) -> None:
+    """Write the column cache of ``files``, each a trace file's name, the
+    SHA-256 of its bytes and its ``Trace``.
+
+    The cache is a run of ``.npy`` arrays: a UTF-8 JSON header as uint8
+    (``TRACE_CACHE_FORMAT`` plus ``files``, one ``[name, sha256, rows,
+    names]`` per file), then one array per column holding the rows of every
+    file in order. Each column is streamed a trace at a time, and no array
+    has a timestamp, so equal traces give equal bytes.
+    """
+    header = json.dumps(
+        {**TRACE_CACHE_FORMAT, "files": [(name, digest, len(trace), trace.names) for name, digest, trace in files]},
+        separators=(",", ":"),
+    ).encode("utf-8")
+    rows = sum(len(trace) for _, _, trace in files)
+
+    def chunks() -> Iterator[bytes]:
+        yield _npy_header("|u1", (len(header),)) + header
+        for column, dtype, shape in _CACHE_COLUMNS:
+            yield _npy_header(dtype, (rows, *shape))
+            for _, _, trace in files:
+                yield getattr(trace, column).astype(dtype, copy=False).tobytes()
+
+    atomic_write(path, chunks())
+
+
+def _read_rows(fh, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """The next ``shape`` array of ``dtype`` in ``fh``, as an array that owns
+    its data (an array that lent its buffer to ``readinto`` keeps about 60
+    bytes more for as long as it lives)."""
+    size = dtype.itemsize * math.prod(shape)
+    data = fh.read(size)
+    if len(data) != size:
+        raise EOFError("column cache ends early")
+    return np.frombuffer(data, dtype).reshape(shape).copy()
+
+
+def _intact(trace: Trace) -> bool:
+    """Whether ``trace``'s names are sorted device names, each code names a
+    kind or device, and every row keeps the sample contract."""
+    n = len(trace.names)
+    return (
+        all(isinstance(name, str) and name for name in trace.names)
+        and list(trace.names) == sorted(set(trace.names))
+        and bool(((trace.kind >= 0) & (trace.kind < len(KINDS))).all())
+        and bool(((trace.src >= 0) & (trace.src < n) & (trace.obs >= -1) & (trace.obs < n)).all())
+        and trace.check() is None
+    )
+
+
+def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
+    """The traces in the column cache at ``path``, as file name -> (SHA-256
+    of the file they were decoded from, ``Trace``).
+
+    An absent, unreadable or truncated cache, another format version or a
+    column of another dtype or length gives ``{}``; a trace that is not
+    ``_intact`` is left out. Either way the caller decodes those files.
+    Nothing is loaded with pickle. Each trace's columns are read into
+    arrays of their own, as decoding allocates them: whole-run columns
+    would be fresh allocations on top of the memory the decoder reuses.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(np.lib.format.read_array(fh, allow_pickle=False).tobytes())
+            if not (isinstance(header, dict) and all(header.get(k) == v for k, v in TRACE_CACHE_FORMAT.items())):
+                return {}
+            files = [(name, digest, n, tuple(names)) for name, digest, n, names in header["files"]]
+            if not all(isinstance(name, str) and type(n) is int and n >= 0 for name, _, n, _ in files):
+                return {}
+            rows = sum(n for _, _, n, _ in files)
+            columns = []
+            for _, descr, shape in _CACHE_COLUMNS:
+                dtype = np.dtype(descr)
+                np.lib.format.read_magic(fh)
+                if np.lib.format.read_array_header_1_0(fh) != ((rows, *shape), False, dtype):
+                    return {}
+                columns.append([_read_rows(fh, dtype, (n, *shape)) for _, _, n, _ in files])
+    except (OSError, EOFError, ValueError, KeyError, TypeError):
+        return {}
+    traces = {
+        name: (digest, Trace(*trace_columns, names=names))
+        for (name, digest, _, names), *trace_columns in zip(files, *columns)
+    }
+    return {name: entry for name, entry in traces.items() if _intact(entry[1])}
+
+
+def cached_trace(cache: dict[str, tuple[str, Trace]], path: Union[str, Path]) -> Optional[Trace]:
+    """The trace ``cache`` (``read_trace_cache``'s result) holds for the
+    file at ``path``, if the file's SHA-256 is the one it was cached under;
+    else None, and the file must be decoded."""
+    path = Path(path)
+    digest, trace = cache.get(path.name, (None, None))
+    if digest is None or digest != hashlib.sha256(path.read_bytes()).hexdigest():
+        return None
     return trace

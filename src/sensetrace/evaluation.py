@@ -73,26 +73,35 @@ def _unique(what: str, items: Iterable[tuple]) -> dict:
     return out
 
 
-def confusion(
+def matched(
     decisions: Iterable[DecisionRecord],
     truth: Iterable[GroundTruthLabel],
-) -> ConfusionCounts:
-    """Standard 2x2 tally of decision.contact against label.is_contact.
+) -> list[tuple[DecisionRecord, GroundTruthLabel]]:
+    """Each decision with the label of its (pair, window), in decision order.
 
     Both inputs must be keyed by exactly the same (pair, window) set, each
     key once.
     """
-    decided = _unique("decision", ((rec.key, rec.decision.contact) for rec in decisions))
-    labelled = _unique("truth", (((lb.pair, lb.start, lb.end), lb.is_contact) for lb in truth))
+    decided = _unique("decision", ((rec.key, rec) for rec in decisions))
+    labelled = _unique("truth", (((lb.pair, lb.start, lb.end), lb) for lb in truth))
     if set(decided) != set(labelled):
         missing = set(labelled) - set(decided)
         extra = set(decided) - set(labelled)
         raise EvaluationError(
             f"decision/truth key mismatch: {len(missing)} missing, {len(extra)} extra"
         )
+    return [(rec, labelled[key]) for key, rec in decided.items()]
+
+
+def confusion(
+    decisions: Iterable[DecisionRecord],
+    truth: Iterable[GroundTruthLabel],
+) -> ConfusionCounts:
+    """Standard 2x2 tally of decision.contact against label.is_contact, over
+    the ``matched`` decisions and labels."""
     tp = fp = tn = fn = 0
-    for key, got in decided.items():
-        want = labelled[key]
+    for rec, label in matched(decisions, truth):
+        got, want = rec.decision.contact, label.is_contact
         if got and want:
             tp += 1
         elif got and not want:

@@ -17,7 +17,7 @@ applies them to all of an instance's readings at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from ..core import ProximityState, SensorKind
 from ..errors import ScenarioError
 from ..ranging import MIN_DISTANCE_M, ChirpSpec, PathLossParams, rss_from_distance
-from .testbed import INDOOR, DevicePlacement, Testbed
+from .testbed import INDOOR, DevicePlacement, Testbed, require_sigmas
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,11 @@ class PropagationNoise:
     multipath_sigma_outdoor_db: float = 1.5
 
     def __post_init__(self) -> None:
+        require_sigmas(self, *(f.name for f in fields(self) if "sigma" in f.name))
         if not self.ble_hop_sigma_db >= self.wifi_sigma_db >= self.sound_sigma_db >= 0:
             raise ValueError("noise sigmas must satisfy BLE >= WiFi >= sound >= 0")
-        if self.sound_max_range_m <= 0:
-            raise ValueError("sound range must be positive")
+        if not (self.sound_max_range_m > 0 and math.isfinite(self.sound_max_range_m)):
+            raise ScenarioError(f"sound_max_range_m must be finite and > 0, got {self.sound_max_range_m}")
 
 
 # A magnetometer direction draw shorter than this is drawn again.

@@ -24,6 +24,15 @@ INDOOR = "indoor"
 OUTDOOR = "outdoor"
 
 
+def require_sigmas(model: object, *names: str) -> None:
+    """Raise ScenarioError naming the first of ``model``'s fields ``names``
+    that is not a finite standard deviation (>= 0)."""
+    for name in names:
+        value = getattr(model, name)
+        if not (value >= 0 and math.isfinite(value)):
+            raise ScenarioError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Wall:
     """Interior wall segment on one floor; crossing it costs loss_db."""
@@ -70,6 +79,9 @@ class PressureModel:
     outdoor_offset_hpa: float = 0.19
     pocket_bias_hpa: float = 0.03
 
+    def __post_init__(self) -> None:
+        require_sigmas(self, "sigma_hpa")
+
 
 @dataclass(frozen=True)
 class Hotspot:
@@ -96,6 +108,9 @@ class MagneticFieldModel:
     outdoor_anomaly_ut: float = 8.5
     outdoor_max_ut: float = 67.0
     hotspots: tuple[Hotspot, ...] = ()
+
+    def __post_init__(self) -> None:
+        require_sigmas(self, "sensor_sigma_ut")
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from sensetrace import cli
 from sensetrace.cli import main
-from sensetrace.core import SensorSample, read_trace
+from sensetrace.core import TRACE_CACHE, SensorSample, read_trace
 from sensetrace.simulator import config_hash, load_scenario, standard_scenario
 
 STANDARD = Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
@@ -51,6 +52,21 @@ BAD_PERIODS = [
         ("cadence", "env_period_s", "env_period"),
     )
     for value in (math.nan, math.inf)
+]
+# A noise parameter that would silently mean no noise, or no sound range gate.
+BAD_NOISE = [
+    pytest.param(set_key("noise", "tx_power_sigma_db", -3.0), "tx_power_sigma_db must be finite and >= 0",
+                 id="tx_power_sigma_negative"),
+    pytest.param(set_key("noise", "ambient_sigma_db", math.nan), "ambient_sigma_db must be finite and >= 0",
+                 id="ambient_sigma_nan"),
+    pytest.param(set_key("noise", "multipath_sigma_indoor_db", -9.0),
+                 "multipath_sigma_indoor_db must be finite and >= 0", id="multipath_sigma_negative"),
+    pytest.param(lambda raw: raw["testbed"].setdefault("pressure", {}).update(sigma_hpa=-1.0),
+                 "sigma_hpa must be finite and >= 0", id="pressure_sigma_negative"),
+    pytest.param(lambda raw: raw["testbed"].setdefault("magnetic", {}).update(sensor_sigma_ut=-1.0),
+                 "sensor_sigma_ut must be finite and >= 0", id="magnetic_sigma_negative"),
+    pytest.param(set_key("noise", "sound_max_range_m", math.nan), "sound_max_range_m must be finite and > 0",
+                 id="sound_range_nan"),
 ]
 
 
@@ -108,6 +124,7 @@ class TestGenerate:
                 lambda raw: raw["testbed"]["pressure"].update(base_hpa=2000.0), "instance 0 ", id="sample_contract"
             ),
             *BAD_PERIODS,
+            *BAD_NOISE,
         ],
     )
     def test_bad_scenario_is_one_json_line(self, small_config, tmp_path, capsys, edit, named):
@@ -249,6 +266,92 @@ class TestNoSampleObjects:
         assert len(list(read_trace(next((out / "traces").glob("*.jsonl"))))) == len(built) > 0
 
 
+def count_decodes(monkeypatch) -> list:
+    """The path of every trace file the CLI decodes from now on."""
+    decoded = []
+
+    def counting_read_trace(path):
+        decoded.append(path)
+        return read_trace(path)
+
+    monkeypatch.setattr(cli, "read_trace", counting_read_trace)
+    return decoded
+
+
+class TestTraceCache:
+    @pytest.fixture()
+    def generated(self, small_config, tmp_path):
+        out = tmp_path / "run"
+        assert run(["generate", "--config", small_config, "--out", out]) == 0
+        return out
+
+    def detect(self, data, config, out="decisions_full.jsonl"):
+        assert run(["detect", "--data", data, "--config", config, "--tier", "FULL", "--out", out]) == 0
+        return (data / out).read_bytes()
+
+    def test_generate_writes_the_cache_beside_the_traces(self, generated):
+        assert (generated / TRACE_CACHE).is_file()
+        assert all(p.suffix == ".jsonl" for p in (generated / "traces").iterdir())
+
+    def test_fresh_run_decodes_no_trace_file(self, generated, small_config, monkeypatch):
+        decoded = count_decodes(monkeypatch)
+        for tier in ("APPEARANCE_ONLY", "APPEARANCE_DISTANCE", "FULL"):
+            assert run(["detect", "--data", generated, "--config", small_config, "--tier", tier]) == 0
+        assert run(["report", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0
+        assert decoded == []
+        reports = [(generated / name).read_bytes() for name in ("cdf.csv", "magnetic_buckets.csv")]
+        (generated / TRACE_CACHE).unlink()
+        assert run(["report", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0
+        assert [(generated / name).read_bytes() for name in ("cdf.csv", "magnetic_buckets.csv")] == reports
+        assert len(decoded) == 16
+
+    def test_two_generates_write_identical_caches(self, generated, small_config, tmp_path):
+        again = tmp_path / "again"
+        assert run(["generate", "--config", small_config, "--out", again]) == 0
+        assert (generated / TRACE_CACHE).read_bytes() == (again / TRACE_CACHE).read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda path: path.unlink(), id="deleted"),
+            pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-100]), id="truncated"),
+            pytest.param(lambda path: path.write_bytes(b"\x93NUMPY garbage" * 100), id="garbage"),
+            pytest.param(
+                lambda path: path.write_bytes(path.read_bytes().replace(b'"version":1', b'"version":2')),
+                id="other_version",
+            ),
+        ],
+    )
+    def test_damaged_cache_gives_identical_decisions(self, generated, small_config, monkeypatch, damage):
+        want = self.detect(generated, small_config)
+        damage(generated / TRACE_CACHE)
+        decoded = count_decodes(monkeypatch)
+        assert self.detect(generated, small_config, "again.jsonl") == want
+        assert sorted(decoded) == sorted((generated / "traces").glob("*.jsonl"))
+
+    def test_file_the_cache_does_not_list_is_decoded(self, generated, small_config, monkeypatch):
+        want = self.detect(generated, small_config)
+        extra = generated / "traces" / "zz-extra.jsonl"
+        shutil.copyfile(_first_trace(generated), extra)
+        decoded = count_decodes(monkeypatch)
+        assert self.detect(generated, small_config, "again.jsonl") == want
+        assert decoded == [extra]
+
+    def test_edited_trace_fails_as_without_the_cache(self, generated, small_config, capsys):
+        path = _first_trace(generated)
+        _rewrite_line(path, 2, _with(kind="BLE_RSS", value=5.0, obs="zz"))
+        errors = []
+        for _ in range(2):  # with the cache, then without it
+            capsys.readouterr()
+            assert run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"]) == 1
+            errors.append(capsys.readouterr().err)
+            (generated / TRACE_CACHE).unlink(missing_ok=True)
+        assert errors[0] == errors[1]
+        payload = json.loads(errors[0])
+        assert payload["message"].startswith(f"{path}:2: ValueError: RSS must lie in [-120, 0] dBm")
+        assert not (generated / "decisions_full.jsonl").exists()
+
+
 class TestShippedConfig:
     def test_standard_yaml_is_standard_scenario(self):
         assert load_scenario(STANDARD)[0] == standard_scenario(seed=42)
@@ -342,3 +445,32 @@ class TestMalformedInput:
         assert f"{path}:{len(lines) + 1}:" in payload["message"]
         assert "duplicate" in payload["message"]
         assert not (data / "dup.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda lines: lines + [lines[0]], "duplicate decision key ", id="repeated_line"),
+            pytest.param(
+                lambda lines: [json.dumps({**json.loads(lines[0]), "pair": ["x", "y"]})] + lines[1:],
+                "decision/truth key mismatch: 1 missing, 1 extra",
+                id="foreign_pair",
+            ),
+        ],
+    )
+    def test_report_rejects_decisions_as_evaluate_does(self, detected_run, tmp_path, capsys, edit, message):
+        _, original = detected_run
+        data = tmp_path / "run"
+        shutil.copytree(original, data)
+        path = data / "decisions_full.jsonl"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        errors = []
+        for command in ("evaluate", "report"):
+            capsys.readouterr()
+            assert run([command, "--data", data, "--decisions", path.name]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert len(errors[1].strip().splitlines()) == 1
+        payload = json.loads(errors[1])
+        assert payload["error"] == "EvaluationError"
+        assert payload["message"].startswith(message)
+        assert not (data / "cdf.csv").exists()

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import math
+import pickle
 import random
 import re
+import zipfile
 
+import numpy as np
 import pytest
 
 from sensetrace.core import (
+    TRACE_CACHE_FORMAT,
     ContactWindow,
     DeviceId,
     GroundTruthLabel,
@@ -18,8 +23,10 @@ from sensetrace.core import (
     make_window,
     read_jsonl,
     read_trace,
+    read_trace_cache,
     sample_from_record,
     write_trace,
+    write_trace_cache,
 )
 from sensetrace.envmatch import magnitude
 from sensetrace.errors import EmptyWindow, SenseTraceError
@@ -415,6 +422,136 @@ class TestRecordFiles:
         atomic_write(path, "new\n")
         assert path.read_text() == "new\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+    def test_atomic_write_takes_bytes_and_chunks(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write(path, b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+        atomic_write(path, (bytes([i]) * 3 for i in range(3)))
+        assert path.read_bytes() == b"\x00\x00\x00\x01\x01\x01\x02\x02\x02"
+        assert [p.name for p in path.parent.iterdir()] == ["out.bin"]
+
+    def test_atomic_write_failing_chunks_keep_the_old_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write(path, "old")
+
+        def chunks():
+            yield b"new"
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            atomic_write(path, chunks())
+        assert path.read_text() == "old"
+        assert [p.name for p in path.parent.iterdir()] == ["out.bin"]
+
+
+def cached_run(directory, traces):
+    """Write ``traces`` (device -> Trace) as trace files plus their column
+    cache; returns the cache's path and the trace files' paths."""
+    files, paths = [], []
+    for device, trace in sorted(traces.items()):
+        path = directory / f"{device}.jsonl"
+        files.append((path.name, write_trace(path, trace), trace))
+        paths.append(path)
+    cache = directory / "cache.npy"
+    write_trace_cache(cache, files)
+    return cache, paths
+
+
+def small_traces():
+    return {
+        "a": Trace.from_samples([ble(1.0, "a", "b"), baro(2.0, "a"), ble(3.0, "a", "b", rss=-70.0)]),
+        "b": Trace.from_samples([SensorSample(0.5, SensorKind.MAGNETOMETER, (1.0, 2.0, 3.0), src="b")]),
+        "c": Trace.from_samples([]),
+    }
+
+
+class TestTraceCache:
+    def test_standard_traces_load_as_decoded(self, standard_data, tmp_path):
+        cache, paths = cached_run(tmp_path, standard_data.traces)
+        cached = read_trace_cache(cache)
+        assert sorted(cached) == [p.name for p in paths] and len(paths) == 480
+        for path in paths:
+            digest, trace = cached[path.name]
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+            decoded = read_trace(path)
+            assert trace == decoded
+            assert trace.names == decoded.names
+            for column in ("t", "kind", "value", "mag", "src", "obs"):
+                assert getattr(trace, column).dtype == getattr(decoded, column).dtype
+
+    def test_plain_numpy_reads_the_columns_without_pickle(self, tmp_path):
+        traces = small_traces()
+        cache, _ = cached_run(tmp_path, traces)
+        with open(cache, "rb") as fh:
+            header = json.loads(np.load(fh, allow_pickle=False).tobytes())
+            columns = [np.load(fh, allow_pickle=False) for _ in range(6)]
+            assert fh.read() == b""
+        assert {k: header[k] for k in TRACE_CACHE_FORMAT} == TRACE_CACHE_FORMAT
+        assert [(name, n, names) for name, _, n, names in header["files"]] == [
+            ("a.jsonl", 3, ["a", "b"]), ("b.jsonl", 1, ["b"]), ("c.jsonl", 0, []),
+        ]
+        assert columns[0].tolist() == [1.0, 2.0, 3.0, 0.5]
+        assert columns[3].shape == (4, 3)
+
+    def test_equal_traces_give_equal_bytes(self, tmp_path):
+        (tmp_path / "1").mkdir()
+        (tmp_path / "2").mkdir()
+        first, _ = cached_run(tmp_path / "1", small_traces())
+        second, _ = cached_run(tmp_path / "2", small_traces())
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda data: None, id="absent"),
+            pytest.param(lambda data: b"", id="empty"),
+            pytest.param(lambda data: data[:40], id="truncated_header"),
+            pytest.param(lambda data: data[: len(data) // 2], id="truncated_columns"),
+            pytest.param(lambda data: data[:-1], id="last_byte_missing"),
+            pytest.param(lambda data: bytes(random.Random(1).randrange(256) for _ in data), id="garbage"),
+            pytest.param(lambda data: pickle.dumps({"a.jsonl": "x"}), id="pickle"),
+            pytest.param(lambda data: data.replace(b'"version":1', b'"version":0'), id="old_version"),
+            pytest.param(lambda data: data.replace(b'"sensetrace trace', b'"elsewhere trace'), id="foreign_format"),
+            pytest.param(lambda data: data.replace(b"'<f8'", b"'<f4'", 1), id="column_dtype"),
+        ],
+    )
+    def test_damaged_cache_is_a_miss(self, tmp_path, damage):
+        cache, _ = cached_run(tmp_path, small_traces())
+        data = damage(cache.read_bytes())
+        if data is None:
+            cache.unlink()
+        else:
+            cache.write_bytes(data)
+        assert read_trace_cache(cache) == {}
+
+    def test_zip_and_object_arrays_are_a_miss(self, tmp_path):
+        path = tmp_path / "cache.npy"
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("x.npy", b"")
+        assert read_trace_cache(path) == {}
+        with open(path, "wb") as fh:
+            np.save(fh, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+        assert read_trace_cache(path) == {}
+
+    @pytest.mark.parametrize(
+        "column, row, value",
+        [
+            pytest.param("value", 0, 5.0, id="rss_above_zero"),
+            pytest.param("t", 1, math.nan, id="nan_time"),
+            pytest.param("kind", 0, 99, id="no_such_kind"),
+            pytest.param("src", 2, 7, id="no_such_device"),
+            pytest.param("obs", 0, 0, id="observes_itself"),
+        ],
+    )
+    def test_trace_breaking_the_contract_is_left_out(self, tmp_path, column, row, value):
+        traces = small_traces()
+        getattr(traces["a"], column)[row] = value
+        cache = tmp_path / "cache.npy"
+        write_trace_cache(cache, [(f"{device}.jsonl", "0" * 64, trace) for device, trace in sorted(traces.items())])
+        cached = read_trace_cache(cache)
+        assert sorted(cached) == ["b.jsonl", "c.jsonl"]
+        assert cached["b.jsonl"][1] == traces["b"]
 
 
 class TestContactWindowInvariants:
