@@ -31,9 +31,11 @@ from .errors import (
 )
 from .evaluation import ConfusionCounts, TierSpec, accuracy, confusion, run_tier
 from .fusion import (
+    Assessment,
     FusionConfig,
     StageEvidence,
     StageGates,
+    assess,
     build_evidence,
     decide,
     noise_gate,

@@ -5,10 +5,14 @@
     sensetrace evaluate --data runs/demo --decisions decisions_full.jsonl
     sensetrace report   --data runs/demo --decisions decisions_full.jsonl
 
-``generate`` writes per-device JSONL traces, the ground truth, the
-instance list and ``trace_columns.npy``, the traces' decoded columns keyed
-by each file's SHA-256 (a cache: ``detect`` and ``report`` decode any file
-it does not match); ``detect`` replays the fusion pipeline over the traces;
+``generate`` writes per-device JSONL traces (deleting any other trace file
+an earlier run left in ``traces/``), the ground truth, the instance list and
+``trace_columns.npy``, the traces' decoded columns keyed by each file's
+SHA-256 (a cache: ``detect`` and ``report`` decode any file it does not
+match); ``detect`` replays the fusion pipeline over the traces and keeps
+each window's assessment in ``assessments.json``, keyed by the config, the
+detector's source and every file it read, so that a later ``detect`` of
+the run, for any tier, only fuses them;
 ``evaluate`` emits the confusion counts and accuracy; ``report`` emits
 plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
 Output files are written atomically and embed the seed and a config digest.
@@ -19,16 +23,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import sys
+from itertools import tee
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import (
     TRACE_CACHE,
     atomic_write,
-    cached_trace,
     canonical_pair,
     label_from_record,
     label_to_json,
@@ -40,21 +45,24 @@ from .core import (
 )
 from .errors import SenseTraceError
 from .evaluation import (
+    ASSESSMENT_CACHE,
+    Instance,
     TierSpec,
     accuracy,
+    assess_instances,
     confusion,
+    detector_digest,
     distance_error_cdf,
-    detect_instances,
+    fuse_instances,
     magnetic_separation_report,
     magnitude_sequences,
     matched,
+    read_assessment_cache,
     tier_gates,
+    write_assessment_cache,
 )
 from .fusion import decision_from_record, decision_to_json
 from .simulator import config_hash, generate_traces, load_scenario
-
-
-Instance = tuple[tuple[str, str], float, float]
 
 
 def _instance_to_json(pair: tuple[str, str], window: tuple[float, float]) -> str:
@@ -91,17 +99,48 @@ def _read_meta(data_dir: Path) -> dict:
     return meta
 
 
-def _load_traces(data_dir: Path) -> dict:
-    """Every trace file of the run, taken from the column cache when the
-    file's SHA-256 is the one the cache holds, else decoded."""
+def _sha256(path: Path) -> str:
+    """The SHA-256 of the file at ``path``, read a chunk at a time so that a
+    large file is never held whole."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _trace_digests(data_dir: Path) -> dict[str, str]:
+    """The name of every trace file of the run, in order, with its SHA-256."""
+    paths = sorted((data_dir / "traces").glob("*.jsonl"))
+    if not paths:
+        raise SenseTraceError(f"no trace files under {data_dir / 'traces'}")
+    return {path.name: _sha256(path) for path in paths}
+
+
+def _load_traces(data_dir: Path, digests: dict[str, str]) -> dict:
+    """The trace files of ``digests`` (``_trace_digests``), each taken from
+    the column cache when its SHA-256 is the one the cache holds, else
+    decoded."""
     cache = read_trace_cache(data_dir / TRACE_CACHE)
     traces = {}
-    for path in sorted((data_dir / "traces").glob("*.jsonl")):
-        trace = cached_trace(cache, path)
-        traces[path.stem] = read_trace(path) if trace is None else trace
-    if not traces:
-        raise SenseTraceError(f"no trace files under {data_dir / 'traces'}")
+    for name, digest in digests.items():
+        cached_digest, trace = cache.get(name, (None, None))
+        path = data_dir / "traces" / name
+        traces[path.stem] = trace if cached_digest == digest else read_trace(path)
     return traces
+
+
+def _assessment_key(data_dir: Path, config_sha256: str, digests: dict[str, str]) -> dict:
+    """What the run's assessments are made from: the config, the detector's
+    source and the bytes of every file ``detect`` reads to assess them."""
+    columns = data_dir / TRACE_CACHE
+    return {
+        "config_sha256": config_sha256,
+        "detector_sha256": detector_digest(),
+        "instances_sha256": _sha256(data_dir / "instances.jsonl"),
+        "trace_columns_sha256": _sha256(columns) if columns.is_file() else None,
+        "traces": [[name, digest] for name, digest in digests.items()],
+    }
 
 
 def _csv_text(header_comments: Sequence[str], columns: Sequence[str], rows) -> str:
@@ -123,6 +162,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     for device, trace in sorted(data.traces.items()):
         name = f"{device}.jsonl"
         files.append((name, write_trace(out / "traces" / name, trace), trace))
+    written = {name for name, _, _ in files}
+    for path in (out / "traces").glob("*.jsonl"):  # left by an earlier run into ``out``
+        if path.name not in written:
+            path.unlink()
     write_trace_cache(out / TRACE_CACHE, files)
     atomic_write(out / "truth.jsonl", "".join(label_to_json(lb) + "\n" for lb in data.labels))
     atomic_write(
@@ -152,10 +195,17 @@ def cmd_detect(args: argparse.Namespace) -> int:
             f"was generated with config_sha256 {meta['config_sha256']}"
         )
     tier = TierSpec(args.tier)
-    traces = _load_traces(data_dir)
-
+    cfg = scenario.fusion
+    digests = _trace_digests(data_dir)
+    key = _assessment_key(data_dir, config_hash(raw), digests)
     instances = _read_instances(data_dir / "instances.jsonl")
-    records = detect_instances(traces, instances, scenario.fusion, tier_gates(tier))
+    assessments = read_assessment_cache(data_dir / ASSESSMENT_CACHE, key, len(instances))
+    fresh = assessments is None
+    if fresh:  # fused while they are made; ``kept`` holds them for the cache
+        assessments, kept = tee(assess_instances(_load_traces(data_dir, digests), instances, cfg))
+    records = fuse_instances(instances, assessments, cfg, tier_gates(tier))
+    if fresh:
+        write_assessment_cache(data_dir / ASSESSMENT_CACHE, key, list(kept))
     name = args.out or f"decisions_{tier.value.lower()}.jsonl"
     atomic_write(data_dir / name, "".join(decision_to_json(r) + "\n" for r in records))
     contacts = sum(1 for r in records if r.decision.contact)
@@ -196,7 +246,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
     records = read_jsonl(data_dir / args.decisions, decision_from_record)
-    traces = _load_traces(data_dir)
+    traces = _load_traces(data_dir, _trace_digests(data_dir))
     meta = _read_meta(data_dir)
     comments = [
         f"seed={meta.get('seed', 'unknown')}",

@@ -626,17 +626,26 @@ def _read_rows(fh, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(data, dtype).reshape(shape).copy()
 
 
-def _intact(trace: Trace) -> bool:
-    """Whether ``trace``'s names are sorted device names, each code names a
-    kind or device, and every row keeps the sample contract."""
-    n = len(trace.names)
+def _intact(traces: Sequence[Trace]) -> bool:
+    """Whether each trace's names are sorted device names, each of its codes
+    names a kind or one of its devices, and every row keeps the sample
+    contract. The rows of all ``traces`` are checked at once."""
+    for names in (trace.names for trace in traces):
+        if not (all(isinstance(name, str) and name for name in names) and list(names) == sorted(set(names))):
+            return False
+    rows = Trace(*(np.concatenate([getattr(trace, c) for trace in traces]) for c, _, _ in _CACHE_COLUMNS), names=())
+    n = np.repeat([len(trace.names) for trace in traces], [len(trace) for trace in traces])
     return (
-        all(isinstance(name, str) and name for name in trace.names)
-        and list(trace.names) == sorted(set(trace.names))
-        and bool(((trace.kind >= 0) & (trace.kind < len(KINDS))).all())
-        and bool(((trace.src >= 0) & (trace.src < n) & (trace.obs >= -1) & (trace.obs < n)).all())
-        and trace.check() is None
+        bool(((rows.kind >= 0) & (rows.kind < len(KINDS))).all())
+        and bool(((rows.src >= 0) & (rows.src < n) & (rows.obs >= -1) & (rows.obs < n)).all())
+        and rows.check() is None  # no name rule applies: ``rows`` has no names
     )
+
+
+# Traces checked at once when a cache is read: enough rows for a column-wide
+# check to cost little per trace, few enough that the joined columns stay
+# small beside the traces themselves.
+_CHECK_BATCH = 16
 
 
 def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
@@ -649,6 +658,8 @@ def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
     Nothing is loaded with pickle. Each trace's columns are read into
     arrays of their own, as decoding allocates them: whole-run columns
     would be fresh allocations on top of the memory the decoder reuses.
+    The traces are checked ``_CHECK_BATCH`` at a time, and one at a time
+    only in a batch that holds a bad row.
     """
     try:
         with open(path, "rb") as fh:
@@ -668,19 +679,14 @@ def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
                 columns.append([_read_rows(fh, dtype, (n, *shape)) for _, _, n, _ in files])
     except (OSError, EOFError, ValueError, KeyError, TypeError):
         return {}
-    traces = {
-        name: (digest, Trace(*trace_columns, names=names))
+    entries = [
+        (name, (digest, Trace(*trace_columns, names=names)))
         for (name, digest, _, names), *trace_columns in zip(files, *columns)
-    }
-    return {name: entry for name, entry in traces.items() if _intact(entry[1])}
-
-
-def cached_trace(cache: dict[str, tuple[str, Trace]], path: Union[str, Path]) -> Optional[Trace]:
-    """The trace ``cache`` (``read_trace_cache``'s result) holds for the
-    file at ``path``, if the file's SHA-256 is the one it was cached under;
-    else None, and the file must be decoded."""
-    path = Path(path)
-    digest, trace = cache.get(path.name, (None, None))
-    if digest is None or digest != hashlib.sha256(path.read_bytes()).hexdigest():
-        return None
-    return trace
+    ]
+    intact = {}
+    for i in range(0, len(entries), _CHECK_BATCH):
+        batch = entries[i : i + _CHECK_BATCH]
+        if not _intact([trace for _, (_, trace) in batch]):
+            batch = [(name, entry) for name, entry in batch if _intact([entry[1]])]
+        intact.update(batch)
+    return intact

@@ -1,5 +1,11 @@
-"""Evaluation: confusion tallies, the accuracy metric, staged-system tiers,
-distance-error CDFs and the magnetic separation report.
+"""Evaluation: detection over a run's instances, confusion tallies, the
+accuracy metric, staged-system tiers, distance-error CDFs and the magnetic
+separation report.
+
+Detection assesses each instance's window once (``assess_instances``) and
+fuses each tier's decisions from the assessments (``fuse_instances``);
+``write_assessment_cache`` keeps a run's assessments so that
+``read_assessment_cache`` can stand in for assessing its windows again.
 
 A false positive here means the system registered a contact although the
 phones were more than 1 metre apart; accuracy is (TP+TN)/(TP+TN+FP+FN).
@@ -7,19 +13,34 @@ phones were more than 1 metre apart; accuracy is (TP+TN)/(TP+TN+FP+FN).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GroundTruthLabel, SensorKind, SensorSample, Trace, as_trace, make_window
+from . import core, envmatch, fusion, ranging
+from .core import (
+    GroundTruthLabel,
+    SensorKind,
+    SensorSample,
+    Trace,
+    as_trace,
+    atomic_write,
+    canonical_pair,
+    make_window,
+)
 from .errors import EvaluationError
 from .fusion import (
+    Assessment,
     DecisionRecord,
     FusionConfig,
     StageGates,
+    assess,
     build_evidence,
     decide,
 )
@@ -123,21 +144,116 @@ def accuracy(c: ConfusionCounts) -> float:
 Traces = Mapping[str, Union[Trace, Sequence[SensorSample]]]
 
 
-def detect_instances(
-    traces: Traces,
-    instances: Iterable[tuple[tuple[str, str], float, float]],
-    cfg: FusionConfig,
-    gates: StageGates = StageGates(),
-) -> list[DecisionRecord]:
-    """Run the pipeline for each (pair, window start, window end) instance."""
-    records = []
+Instance = tuple[tuple[str, str], float, float]
+
+
+def assess_instances(traces: Traces, instances: Iterable[Instance], cfg: FusionConfig) -> Iterator[Assessment]:
+    """The assessment of each (pair, window start, window end) instance, in
+    order, each made from its window's evidence when it is asked for."""
     for pair, start, end in instances:
         a, b = pair
         pool = as_trace(traces.get(a, ())) + as_trace(traces.get(b, ()))
         window = make_window(pool, pair, start, end - start)
-        decision = decide(build_evidence(window, cfg), cfg, gates)
-        records.append(DecisionRecord(pair=window.pair, start=start, end=end, decision=decision))
-    return records
+        yield assess(build_evidence(window, cfg), cfg)
+
+
+def fuse_instances(
+    instances: Iterable[Instance],
+    assessments: Iterable[Assessment],
+    cfg: FusionConfig,
+    gates: StageGates = StageGates(),
+) -> list[DecisionRecord]:
+    """Each instance's decision under ``gates``, fused from its assessment.
+
+    ``assessments`` holds one assessment per instance, in order, and is read
+    in step with ``instances``, so a lazy one assesses each window just
+    before its decision.
+    """
+    return [
+        DecisionRecord(pair=canonical_pair(pair), start=start, end=end, decision=decide(assessment, cfg, gates))
+        for (pair, start, end), assessment in zip(instances, assessments, strict=True)
+    ]
+
+
+def detect_instances(
+    traces: Traces,
+    instances: Iterable[Instance],
+    cfg: FusionConfig,
+    gates: StageGates = StageGates(),
+) -> list[DecisionRecord]:
+    """Run the pipeline for each (pair, window start, window end) instance."""
+    instances = list(instances)
+    return fuse_instances(instances, assess_instances(traces, instances, cfg), cfg, gates)
+
+
+# --- assessment cache ----------------------------------------------------------
+
+# The file, beside a run's ``traces/``, that holds the assessment of each of
+# its instances.
+ASSESSMENT_CACHE = "assessments.json"
+ASSESSMENT_CACHE_FORMAT = {"format": "sensetrace assessments", "version": 1}
+_OPTIONAL_STR, _OPTIONAL_FLOAT = (str, type(None)), (float, type(None))
+# The type of each field of a stored record, in ``Assessment`` field order;
+# ``env_sensor`` is stored as its ``SensorKind`` value.
+_RECORD_TYPES = (
+    (bool,), (bool,), _OPTIONAL_STR, _OPTIONAL_FLOAT, _OPTIONAL_STR,
+    _OPTIONAL_FLOAT, _OPTIONAL_STR, (bool,), _OPTIONAL_STR,
+)
+
+
+def detector_digest() -> str:
+    """SHA-256 over the source of every module an assessment depends on, so
+    that an edited detector never takes another's stored assessments."""
+    h = hashlib.sha256()
+    for source in (core.__file__, ranging.__file__, envmatch.__file__, fusion.__file__, __file__):
+        h.update(Path(source).read_bytes())
+    return h.hexdigest()
+
+
+def _record(a: Assessment) -> list:
+    values = [getattr(a, f.name) for f in fields(Assessment)]
+    return [v.value if isinstance(v, SensorKind) else v for v in values]
+
+
+def _assessment(record: list) -> Assessment:
+    if not (type(record) is list and len(record) == len(_RECORD_TYPES)):
+        raise ValueError("not an assessment record")
+    if not all(type(v) in types for v, types in zip(record, _RECORD_TYPES)):
+        raise ValueError("assessment field of the wrong type")
+    values = dict(zip((f.name for f in fields(Assessment)), record))
+    sensor = values["env_sensor"]
+    return Assessment(**{**values, "env_sensor": None if sensor is None else SensorKind(sensor)})
+
+
+def write_assessment_cache(path: Union[str, Path], key: dict, assessments: Sequence[Assessment]) -> None:
+    """Write ``assessments``, one per instance in order, under ``key`` (a
+    JSON object naming everything they were made from) as one JSON object.
+    Floats are written as ``float.__repr__`` gives them, so they read back
+    bit-exactly, and nothing in the file varies between equal runs."""
+    payload = {**ASSESSMENT_CACHE_FORMAT, "key": key, "records": [_record(a) for a in assessments]}
+    atomic_write(path, json.dumps(payload, separators=(",", ":")))
+
+
+def read_assessment_cache(path: Union[str, Path], key: dict, count: int) -> Optional[list[Assessment]]:
+    """The ``count`` assessments stored at ``path`` under exactly ``key``.
+
+    An absent, unreadable, truncated or garbage file, another format
+    version, another key, or records of another count, shape or type give
+    None: the caller assesses the windows again.
+    """
+    try:
+        payload = json.loads(Path(path).read_bytes())
+        if not (
+            isinstance(payload, dict)
+            and all(payload.get(k) == v for k, v in ASSESSMENT_CACHE_FORMAT.items())
+            and payload.get("key") == key
+            and type(payload.get("records")) is list
+            and len(payload["records"]) == count
+        ):
+            return None
+        return [_assessment(record) for record in payload["records"]]
+    except (OSError, ValueError, RecursionError):
+        return None
 
 
 def run_tier(

@@ -5,6 +5,10 @@ ambient noise and listens for chirps, stage 3 averages WiFi and sound
 distances, stage 4 compares the shared environment. All three output metrics
 are always computed and reported; a stage without evidence degrades its
 metric to unknown and forces a negative verdict.
+
+``assess`` runs every stage once per window, for every gate setting at
+once; ``decide`` fuses an ``Assessment`` into the verdict of one
+``StageGates``, so the tiers of one window share a single assessment.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -204,53 +208,90 @@ def stage_environment(
     return score, sensor, similar
 
 
-def decide(
-    evidence: StageEvidence,
-    cfg: FusionConfig,
-    gates: StageGates = FULL_GATES,
-) -> ContactDecision:
-    """Run all three stages (no short-circuiting) and fuse the verdict.
+@dataclass(frozen=True)
+class Assessment:
+    """Every stage's outcome for one window, before any gate: all that
+    ``decide`` needs to fuse the verdict under any ``StageGates``.
 
-    contact = appearance AND distance <= radius AND environment similar,
-    with disabled gates counting as passed. A stage left unknown by missing
-    evidence forces contact=False when its gate is active.
+    ``appearance_ble`` is the appearance vote over BLE scans alone and
+    ``appearance_chirps`` the vote with chirp attempts added;
+    ``env_similar`` is the environment stage's verdict. A stage without
+    evidence leaves its metric None (its vote False) and records why in its
+    ``*_reason``.
     """
-    reasons = []
 
+    appearance_ble: bool
+    appearance_chirps: bool
+    appearance_reason: Optional[str]
+    mean_distance: Optional[float]
+    distance_reason: Optional[str]
+    env_score: Optional[float]
+    env_sensor: Optional[SensorKind]
+    env_similar: bool
+    env_reason: Optional[str]
+
+
+def assess(evidence: StageEvidence, cfg: FusionConfig) -> Assessment:
+    """Run every stage once over ``evidence`` (appearance both with and
+    without chirp votes), with no short-circuiting and no gate."""
+    appearance_reason = distance_reason = env_reason = None
     try:
-        appearance = stage_appearance(evidence, cfg, gates.use_chirp_votes)
+        appearance = (stage_appearance(evidence, cfg, False), stage_appearance(evidence, cfg, True))
     except InsufficientEvidence as exc:
-        appearance = False
-        reasons.append(f"appearance: {exc}")
+        appearance, appearance_reason = (False, False), str(exc)
 
     mean_distance: Optional[float]
     try:
         mean_distance = stage_distance(evidence, cfg)
     except InsufficientEvidence as exc:
-        mean_distance = None
-        if gates.gate_distance:
-            reasons.append(f"distance: {exc}")
+        mean_distance, distance_reason = None, str(exc)
 
     env_score: Optional[float]
     env_sensor: Optional[SensorKind]
     try:
         env_score, env_sensor, env_ok = stage_environment(evidence, cfg)
     except InsufficientEvidence as exc:
-        env_score, env_sensor, env_ok = None, None, False
-        if gates.gate_environment:
-            reasons.append(f"environment: {exc}")
+        env_score, env_sensor, env_ok, env_reason = None, None, False, str(exc)
 
-    distance_pass = mean_distance is not None and mean_distance <= cfg.contact_radius
+    return Assessment(
+        *appearance, appearance_reason, mean_distance, distance_reason, env_score, env_sensor, env_ok, env_reason
+    )
+
+
+def decide(
+    evidence: Union[StageEvidence, Assessment],
+    cfg: FusionConfig,
+    gates: StageGates = FULL_GATES,
+) -> ContactDecision:
+    """Fuse the verdict from the window's ``Assessment``, made here first
+    when ``evidence`` is the window's ``StageEvidence``.
+
+    contact = appearance AND distance <= radius AND environment similar,
+    with disabled gates counting as passed. A stage left unknown by missing
+    evidence forces contact=False when its gate is active.
+    """
+    a = evidence if isinstance(evidence, Assessment) else assess(evidence, cfg)
+    reasons = [
+        f"{stage}: {reason}"
+        for stage, reason, gated in (
+            ("appearance", a.appearance_reason, True),
+            ("distance", a.distance_reason, gates.gate_distance),
+            ("environment", a.env_reason, gates.gate_environment),
+        )
+        if gated and reason is not None
+    ]
+    appearance = a.appearance_chirps if gates.use_chirp_votes else a.appearance_ble
+    distance_pass = a.mean_distance is not None and a.mean_distance <= cfg.contact_radius
     contact = (
         appearance
         and (distance_pass if gates.gate_distance else True)
-        and (env_ok if gates.gate_environment else True)
+        and (a.env_similar if gates.gate_environment else True)
     )
     return ContactDecision(
         appearance=appearance,
-        mean_distance=mean_distance,
-        env_score=env_score,
-        env_sensor_used=env_sensor,
+        mean_distance=a.mean_distance,
+        env_score=a.env_score,
+        env_sensor_used=a.env_sensor,
         contact=contact,
         degraded_reason="; ".join(reasons) if reasons else None,
     )

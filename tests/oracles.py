@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the library's own algorithms: the DTW oracle
-enumerates every monotone warping path instead of filling a DP matrix, and
-the trace oracle simulates one sample at a time with the scalar signal
-models instead of one instance at a time in columns.
+enumerates every monotone warping path instead of filling a DP matrix, the
+trace oracle simulates one sample at a time with the scalar signal models
+instead of one instance at a time in columns, and the decision oracle runs
+the stages the gates need for one tier instead of fusing one assessment
+made for every tier.
 """
 
 from __future__ import annotations
@@ -13,8 +15,23 @@ from typing import Sequence
 
 import numpy as np
 
-from sensetrace.core import CONTACT_DISTANCE_M, GroundTruthLabel, ProximityState, SensorKind, SensorSample
-from sensetrace.errors import ScenarioError
+from sensetrace.core import (
+    CONTACT_DISTANCE_M,
+    ContactDecision,
+    GroundTruthLabel,
+    ProximityState,
+    SensorKind,
+    SensorSample,
+)
+from sensetrace.errors import InsufficientEvidence, ScenarioError
+from sensetrace.fusion import (
+    FusionConfig,
+    StageEvidence,
+    StageGates,
+    stage_appearance,
+    stage_distance,
+    stage_environment,
+)
 from sensetrace.simulator import (
     INDOOR,
     Scenario,
@@ -175,3 +192,40 @@ def sequential_traces(scenario: Scenario) -> tuple[dict[str, list[SensorSample]]
             raise ScenarioError(f"instance {inst.index} {inst.pair}: {exc}") from exc
 
     return traces, labels
+
+
+def gated_decide(evidence: StageEvidence, cfg: FusionConfig, gates: StageGates) -> ContactDecision:
+    """The decision for one ``StageGates``, from the stages run for that
+    gate setting alone: appearance with chirp votes only when the gates use
+    them, and each reason kept only when its gate is active."""
+    reasons = []
+    try:
+        appearance = stage_appearance(evidence, cfg, gates.use_chirp_votes)
+    except InsufficientEvidence as exc:
+        appearance = False
+        reasons.append(f"appearance: {exc}")
+    try:
+        mean_distance = stage_distance(evidence, cfg)
+    except InsufficientEvidence as exc:
+        mean_distance = None
+        if gates.gate_distance:
+            reasons.append(f"distance: {exc}")
+    try:
+        env_score, env_sensor, env_ok = stage_environment(evidence, cfg)
+    except InsufficientEvidence as exc:
+        env_score, env_sensor, env_ok = None, None, False
+        if gates.gate_environment:
+            reasons.append(f"environment: {exc}")
+    contact = appearance
+    if gates.gate_distance:
+        contact = contact and mean_distance is not None and mean_distance <= cfg.contact_radius
+    if gates.gate_environment:
+        contact = contact and env_ok
+    return ContactDecision(
+        appearance=appearance,
+        mean_distance=mean_distance,
+        env_score=env_score,
+        env_sensor_used=env_sensor,
+        contact=contact,
+        degraded_reason="; ".join(reasons) if reasons else None,
+    )

@@ -9,6 +9,7 @@ import yaml
 from sensetrace import cli
 from sensetrace.cli import main
 from sensetrace.core import TRACE_CACHE, SensorSample, read_trace
+from sensetrace.evaluation import ASSESSMENT_CACHE
 from sensetrace.simulator import config_hash, load_scenario, standard_scenario
 
 STANDARD = Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
@@ -100,6 +101,20 @@ class TestGenerate:
         meta2 = json.loads((out2 / "meta.json").read_text())
         assert meta2["seed"] == 99
         assert (out1 / "truth.jsonl").read_bytes() != (out2 / "truth.jsonl").read_bytes()
+
+    def test_generate_into_an_earlier_run_leaves_only_its_own_traces(self, small_config, tmp_path):
+        raw = yaml.safe_load(small_config.read_text())
+        out = tmp_path / "run"
+        for n in (3, 1):
+            raw["instances"]["buckets"] = [{"range_m": [0.0, 1.0], "indoor": n, "outdoor": 0}]
+            small_config.write_text(yaml.safe_dump(raw, sort_keys=False))
+            assert run(["generate", "--config", small_config, "--out", out]) == 0
+        fresh = tmp_path / "fresh"
+        assert run(["generate", "--config", small_config, "--out", fresh]) == 0
+        names = sorted(p.name for p in (out / "traces").iterdir())
+        assert names == sorted(p.name for p in (fresh / "traces").iterdir())
+        assert len(names) == json.loads((out / "meta.json").read_text())["devices"] == 2
+        assert (out / TRACE_CACHE).read_bytes() == (fresh / TRACE_CACHE).read_bytes()
 
     def test_missing_config_errors_with_json(self, tmp_path, capsys):
         rc = run(["generate", "--config", tmp_path / "nope.yaml", "--out", tmp_path / "x"])
@@ -338,18 +353,131 @@ class TestTraceCache:
         assert decoded == [extra]
 
     def test_edited_trace_fails_as_without_the_cache(self, generated, small_config, capsys):
+        self.detect(generated, small_config, "before.jsonl")  # stores the run's assessments
         path = _first_trace(generated)
         _rewrite_line(path, 2, _with(kind="BLE_RSS", value=5.0, obs="zz"))
         errors = []
-        for _ in range(2):  # with the cache, then without it
+        for _ in range(2):  # with both caches, then without either
             capsys.readouterr()
             assert run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"]) == 1
             errors.append(capsys.readouterr().err)
             (generated / TRACE_CACHE).unlink(missing_ok=True)
+            (generated / ASSESSMENT_CACHE).unlink(missing_ok=True)
         assert errors[0] == errors[1]
         payload = json.loads(errors[0])
         assert payload["message"].startswith(f"{path}:2: ValueError: RSS must lie in [-120, 0] dBm")
         assert not (generated / "decisions_full.jsonl").exists()
+
+
+TIERS = ("APPEARANCE_ONLY", "APPEARANCE_DISTANCE", "FULL")
+
+
+def count_trace_loads(monkeypatch) -> list:
+    """One entry for every time ``detect`` or ``report`` loads the run's traces."""
+    loads = []
+    load = cli._load_traces
+
+    def counting_load(*args):
+        loads.append(args[0])
+        return load(*args)
+
+    monkeypatch.setattr(cli, "_load_traces", counting_load)
+    return loads
+
+
+def _drop_ble(path):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\n" for line in lines if '"BLE_RSS"' not in line))
+
+
+def _drop_last_instance(data):
+    lines = (data / "instances.jsonl").read_text().splitlines()
+    (data / "instances.jsonl").write_text("".join(line + "\n" for line in lines[:-1]))
+
+
+def _edit_cache(edit):
+    def damage(data):
+        path = data / ASSESSMENT_CACHE
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return damage
+
+
+# What changes between the run that stored the assessments and the next
+# detect: each makes the stored assessments unusable.
+MISSES = {
+    "edited_trace": lambda data: _drop_ble(_first_trace(data)),
+    "edited_instances": _drop_last_instance,
+    "deleted_cache": lambda data: (data / ASSESSMENT_CACHE).unlink(),
+    "truncated_cache": lambda data: (data / ASSESSMENT_CACHE).write_bytes((data / ASSESSMENT_CACHE).read_bytes()[:-40]),
+    "garbage_cache": lambda data: (data / ASSESSMENT_CACHE).write_bytes(b"\x00garbage{[" * 50),
+    "other_version_cache": lambda data: (data / ASSESSMENT_CACHE).write_bytes(
+        (data / ASSESSMENT_CACHE).read_bytes().replace(b'"version":1', b'"version":2')
+    ),
+    "record_of_wrong_type": _edit_cache(lambda payload: payload["records"][0].__setitem__(0, "yes")),
+}
+
+
+class TestAssessmentCache:
+    @pytest.fixture()
+    def generated(self, small_config, tmp_path):
+        out = tmp_path / "run"
+        assert run(["generate", "--config", small_config, "--out", out]) == 0
+        return out
+
+    def detect(self, data, config, tier="FULL"):
+        assert run(["detect", "--data", data, "--config", config, "--tier", tier]) == 0
+        return (data / f"decisions_{tier.lower()}.jsonl").read_bytes()
+
+    def uncached(self, data, config, tmp_path, tier="FULL"):
+        """The decisions of a copy of ``data`` without stored assessments."""
+        copy = tmp_path / "uncached"
+        shutil.rmtree(copy, ignore_errors=True)
+        shutil.copytree(data, copy)
+        (copy / ASSESSMENT_CACHE).unlink(missing_ok=True)
+        return self.detect(copy, config, tier)
+
+    def test_later_tiers_fuse_without_loading_a_trace(self, generated, small_config, tmp_path, monkeypatch):
+        want = {tier: self.uncached(generated, small_config, tmp_path, tier) for tier in TIERS}
+        loads = count_trace_loads(monkeypatch)
+        decoded = count_decodes(monkeypatch)
+        for tier in TIERS:
+            assert self.detect(generated, small_config, tier) == want[tier]
+        assert loads == [generated] and decoded == []
+
+    @pytest.mark.parametrize("change", sorted(MISSES))
+    def test_a_changed_input_or_cache_is_a_miss(self, generated, small_config, tmp_path, monkeypatch, change):
+        self.detect(generated, small_config)
+        MISSES[change](generated)
+        want = self.uncached(generated, small_config, tmp_path)
+        loads = count_trace_loads(monkeypatch)
+        assert self.detect(generated, small_config) == want
+        assert self.detect(generated, small_config) == want  # the miss stored them again
+        assert loads == [generated]
+
+    def test_another_config_is_a_miss(self, generated, small_config, tmp_path, monkeypatch):
+        self.detect(generated, small_config)
+        # A run whose meta.json names no config digest takes any config.
+        meta = json.loads((generated / "meta.json").read_text())
+        del meta["config_sha256"]
+        (generated / "meta.json").write_text(json.dumps(meta))
+        raw = yaml.safe_load(small_config.read_text())
+        raw["fusion"]["contact_radius_m"] = 2.5
+        other = tmp_path / "other.yaml"
+        other.write_text(yaml.safe_dump(raw, sort_keys=False))
+        want = self.uncached(generated, other, tmp_path)
+        loads = count_trace_loads(monkeypatch)
+        assert self.detect(generated, other) == want
+        assert len(loads) == 1
+
+    def test_another_detector_is_a_miss(self, generated, small_config, tmp_path, monkeypatch):
+        self.detect(generated, small_config)
+        monkeypatch.setattr(cli, "detector_digest", lambda: "0" * 64)
+        want = self.uncached(generated, small_config, tmp_path)
+        loads = count_trace_loads(monkeypatch)
+        assert self.detect(generated, small_config) == want
+        assert len(loads) == 1
 
 
 class TestShippedConfig:

@@ -9,6 +9,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from sensetrace import core
 from sensetrace.core import (
     TRACE_CACHE_FORMAT,
     ContactWindow,
@@ -552,6 +553,20 @@ class TestTraceCache:
         cached = read_trace_cache(cache)
         assert sorted(cached) == ["b.jsonl", "c.jsonl"]
         assert cached["b.jsonl"][1] == traces["b"]
+
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_traces_are_checked_together_then_alone_where_one_is_bad(self, tmp_path, monkeypatch, bad):
+        traces = small_traces()
+        if bad:
+            traces["a"].t[1] = math.nan
+        cache = tmp_path / "cache.npy"
+        write_trace_cache(cache, [(f"{device}.jsonl", "0" * 64, trace) for device, trace in sorted(traces.items())])
+        checked = []
+        intact = core._intact
+        monkeypatch.setattr(core, "_intact", lambda batch: checked.append([len(t) for t in batch]) or intact(batch))
+        assert sorted(read_trace_cache(cache)) == (["b.jsonl", "c.jsonl"] if bad else ["a.jsonl", "b.jsonl", "c.jsonl"])
+        assert checked == ([[3, 1, 0], [3], [1], [0]] if bad else [[3, 1, 0]])
 
 
 class TestContactWindowInvariants:

@@ -1,23 +1,31 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from sensetrace.core import ContactDecision, GroundTruthLabel, SensorKind
+from sensetrace.core import ContactDecision, GroundTruthLabel, SensorKind, make_window
 from sensetrace.errors import EvaluationError
 from sensetrace.evaluation import (
     ConfusionCounts,
     TierSpec,
     accuracy,
+    assess_instances,
     confusion,
+    detect_instances,
     distance_error_cdf,
+    fuse_instances,
     magnetic_separation_report,
     magnitude_sequences,
+    read_assessment_cache,
     run_tier,
     tier_gates,
+    write_assessment_cache,
 )
-from sensetrace.fusion import DecisionRecord
+from sensetrace.fusion import Assessment, DecisionRecord, assess, build_evidence, decide
+
+from .oracles import gated_decide
 
 
 def record(pair, start, contact):
@@ -166,6 +174,107 @@ class TestRunTier:
             <= counts[TierSpec.APPEARANCE_DISTANCE].fn
             <= counts[TierSpec.FULL].fn
         )
+
+
+@pytest.fixture(scope="module")
+def standard_evidence(standard_data, standard_scenario_obj):
+    """The evidence of every labelled window of the standard scenario."""
+    cfg = standard_scenario_obj.fusion
+    out = []
+    for lb in standard_data.labels:
+        a, b = lb.pair
+        window = make_window(standard_data.traces[a] + standard_data.traces[b], lb.pair, lb.start, lb.end - lb.start)
+        out.append(build_evidence(window, cfg))
+    return out
+
+
+class TestAssessThenFuse:
+    def test_every_standard_window_and_tier(self, standard_evidence, standard_scenario_obj):
+        cfg = standard_scenario_obj.fusion
+        contacts = dict.fromkeys(TierSpec, 0)
+        for ev in standard_evidence:
+            assessment = assess(ev, cfg)
+            for tier in TierSpec:
+                gates = tier_gates(tier)
+                want = gated_decide(ev, cfg, gates)
+                assert decide(ev, cfg, gates) == want
+                assert decide(assessment, cfg, gates) == want
+                contacts[tier] += want.contact
+        assert contacts == {TierSpec.APPEARANCE_ONLY: 235, TierSpec.APPEARANCE_DISTANCE: 56, TierSpec.FULL: 50}
+
+    def test_stored_assessments_fuse_as_fresh_ones(self, standard_data, standard_scenario_obj, tmp_path):
+        cfg = standard_scenario_obj.fusion
+        instances = [(lb.pair, lb.start, lb.end) for lb in standard_data.labels]
+        assessments = list(assess_instances(standard_data.traces, instances, cfg))
+        key = {"run": "standard", "files": [["a.jsonl", "0" * 64]]}
+        path = tmp_path / "assessments.json"
+        write_assessment_cache(path, key, assessments)
+        stored = read_assessment_cache(path, key, len(instances))
+        assert stored == assessments
+        for tier in TierSpec:
+            gates = tier_gates(tier)
+            assert fuse_instances(instances, stored, cfg, gates) == detect_instances(
+                standard_data.traces, instances, cfg, gates
+            )
+
+
+SMALL_ASSESSMENTS = [
+    Assessment(True, True, None, 0.8, None, 0.0, SensorKind.BAROMETER, True, None),
+    Assessment(False, False, "no BLE scan attempts in window", None, "no WiFi distance estimates in window",
+               None, None, False, "proximity state missing for one or both devices"),
+]
+KEY = {"config_sha256": "c" * 16, "traces": [["a.jsonl", "0" * 64]]}
+
+
+def _edit_payload(edit):
+    def damage(data):
+        payload = json.loads(data)
+        edit(payload)
+        return json.dumps(payload).encode()
+    return damage
+
+
+class TestAssessmentCache:
+    def cache(self, tmp_path):
+        path = tmp_path / "assessments.json"
+        write_assessment_cache(path, KEY, SMALL_ASSESSMENTS)
+        return path
+
+    def test_roundtrip(self, tmp_path):
+        assert read_assessment_cache(self.cache(tmp_path), KEY, 2) == SMALL_ASSESSMENTS
+
+    def test_equal_assessments_give_equal_bytes(self, tmp_path):
+        (tmp_path / "1").mkdir()
+        (tmp_path / "2").mkdir()
+        assert self.cache(tmp_path / "1").read_bytes() == self.cache(tmp_path / "2").read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda data: None, id="absent"),
+            pytest.param(lambda data: b"", id="empty"),
+            pytest.param(lambda data: data[:-30], id="truncated"),
+            pytest.param(lambda data: bytes(random.Random(1).randrange(256) for _ in data), id="garbage"),
+            pytest.param(lambda data: b"[" * 100_000, id="deep_nesting"),
+            pytest.param(lambda data: data.replace(b'"version":1', b'"version":2'), id="other_version"),
+            pytest.param(_edit_payload(lambda p: p["key"].update(config_sha256="d" * 16)), id="other_key"),
+            pytest.param(_edit_payload(lambda p: p["records"].pop()), id="one_record_short"),
+            pytest.param(_edit_payload(lambda p: p["records"][0].pop()), id="record_short"),
+            pytest.param(_edit_payload(lambda p: p["records"].__setitem__(0, {})), id="record_not_a_list"),
+            pytest.param(_edit_payload(lambda p: p["records"][0].__setitem__(0, 1)), id="int_for_bool"),
+            pytest.param(_edit_payload(lambda p: p["records"][0].__setitem__(3, 1)), id="int_for_float"),
+            pytest.param(_edit_payload(lambda p: p["records"][0].__setitem__(6, "SONAR")), id="unknown_sensor"),
+            pytest.param(_edit_payload(lambda p: p.__setitem__("records", None)), id="no_records"),
+        ],
+    )
+    def test_damaged_cache_is_a_miss(self, tmp_path, damage):
+        path = self.cache(tmp_path)
+        data = damage(path.read_bytes())
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
+        assert read_assessment_cache(path, KEY, 2) is None
 
 
 class TestDistanceErrorCdf:

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensetrace.core import (
     ContactDecision,
@@ -14,13 +16,16 @@ from sensetrace.core import (
     make_window,
 )
 from sensetrace.errors import InsufficientEvidence, NoContact
+from sensetrace.evaluation import TierSpec, tier_gates
 from sensetrace.fusion import (
     PAIR_TOLERANCE_S,
+    Assessment,
     ContactLogEntry,
     DecisionRecord,
     FusionConfig,
     StageEvidence,
     StageGates,
+    assess,
     build_evidence,
     decide,
     decision_from_record,
@@ -32,6 +37,8 @@ from sensetrace.fusion import (
     stage_environment,
 )
 from sensetrace.ranging import sound_distance
+
+from .oracles import gated_decide
 
 CFG = FusionConfig()
 
@@ -389,6 +396,65 @@ class TestDecide:
         )
         assert full.contact is False
         assert appearance_only.contact is True
+
+
+# Times on a 5 s grid, so that chirps, sound and WiFi estimates often share
+# an instant or fall within PAIR_TOLERANCE_S of each other.
+grid_times = st.integers(min_value=0, max_value=60).map(lambda k: k * 5.0)
+metres = st.floats(min_value=0.05, max_value=3.0)
+# Readings a few tenths apart, either side of the 0.15 hPa and 20 uT thresholds.
+env_values = st.lists(st.sampled_from([1012.4, 1012.45, 1012.6, 1013.0, 1040.0]), max_size=5).map(tuple)
+
+
+@st.composite
+def any_evidence(draw):
+    """Stage evidence with any stage possibly missing: no BLE scan, no WiFi
+    estimate, no proximity state or no environment sequence."""
+    # Both devices in most draws, so that every stage often has evidence.
+    some_devices = st.sampled_from(("ab", "ab", "ab", "a", "b", ""))
+    devices = draw(some_devices)
+    return StageEvidence(
+        ble_seen=tuple(draw(st.lists(st.booleans(), max_size=12))),
+        chirps=tuple(draw(st.lists(st.tuples(grid_times, st.floats(0.0, 40.0), st.booleans()), max_size=8))),
+        wifi_distances=tuple(sorted(draw(st.lists(st.tuples(grid_times, metres), max_size=6)))),
+        sound_distances=tuple(sorted(draw(st.lists(st.tuples(grid_times, metres), max_size=6)))),
+        env_sequences={
+            dev: {SensorKind.BAROMETER: draw(env_values), SensorKind.MAGNETOMETER: draw(env_values)}
+            for dev in devices
+        },
+        prox_states={dev: draw(st.sampled_from(ProximityState)) for dev in draw(some_devices)},
+    )
+
+
+class TestAssess:
+    @settings(max_examples=300, deadline=None)
+    @given(any_evidence())
+    def test_fusing_the_assessment_is_deciding_the_tier(self, ev):
+        assessment = assess(ev, CFG)
+        for tier in TierSpec:
+            gates = tier_gates(tier)
+            want = gated_decide(ev, CFG, gates)
+            assert decide(ev, CFG, gates) == want
+            assert decide(assessment, CFG, gates) == want
+
+    def test_every_stage_is_assessed_once_for_every_gate(self):
+        ev = evidence(
+            ble_seen=(True,) * 5 + (False,) * 5,
+            chirps=[(0.0, 10.0, True), (30.0, 10.0, True)],
+            wifi=timed([0.8, 0.8]),
+            prox={"a": ProximityState.FAR},
+        )
+        assert assess(ev, CFG) == Assessment(
+            appearance_ble=False,
+            appearance_chirps=True,
+            appearance_reason=None,
+            mean_distance=0.8,
+            distance_reason=None,
+            env_score=None,
+            env_sensor=None,
+            env_similar=False,
+            env_reason="proximity state missing for one or both devices",
+        )
 
 
 class TestRegisterContact:
