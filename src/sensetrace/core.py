@@ -4,10 +4,10 @@ Trace files are JSON-lines, one sample per line, with fields
 ``t``, ``kind``, ``value``, ``src``, ``obs`` (nullable); floats round-trip
 bit-exactly through the default JSON float formatting. A columnar
 ``Trace`` carries the samples from the simulator to the file
-(``write_trace``) and from the file to the window (``read_trace``);
-``Trace.check`` applies the sample contract to its columns, and
-``SensorSample`` is its row type. ``write_trace_cache`` keeps a run's
-decoded columns, keyed by each trace file's SHA-256, so that
+(``write_trace``) and from the file to the window (``read_trace``); its
+column builder holds the sample contract's type rules and ``Trace.check``
+its value rules. ``SensorSample`` is a bare row type. ``write_trace_cache``
+keeps a run's decoded columns, keyed by each trace file's SHA-256, so that
 ``read_trace_cache`` can stand in for decoding an unchanged file. Every
 file the package writes goes through ``atomic_write`` and every other
 JSON-lines file it reads through ``read_jsonl``.
@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -60,46 +60,18 @@ class ProximityState(Enum):
         return cls.NEAR if value >= 0.5 else cls.FAR
 
 
-Vector3 = tuple[float, float, float]
-SampleValue = Union[float, Vector3]
-
-
 @dataclass(frozen=True)
 class SensorSample:
-    """One timestamped reading from one sensor kind on one device.
-
-    ``src`` is the recording device; ``obs`` is set only for peer-directed
-    readings (BLE/WiFi RSS, heard chirps) and names the observed device.
-    """
+    """One timestamped reading from one sensor kind on one device, as a
+    bare row: ``Trace`` checks rows. ``src`` is the recording device;
+    ``obs`` names the observed device on exactly the peer-directed readings
+    (BLE/WiFi RSS, heard chirps)."""
 
     timestamp: float
     kind: SensorKind
-    value: SampleValue
+    value: Union[float, tuple[float, float, float]]
     src: str
     obs: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not (self.timestamp >= 0.0 and math.isfinite(self.timestamp)):
-            raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp}")
-        if self.kind is SensorKind.MAGNETOMETER:
-            if not (isinstance(self.value, tuple) and len(self.value) == 3):
-                raise ValueError("magnetometer samples carry exactly 3 components")
-            if not all(math.isfinite(c) for c in self.value):
-                raise ValueError("magnetometer components must be finite")
-        else:
-            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)) or not math.isfinite(self.value):
-                raise ValueError(f"{self.kind.name} value must be a finite number, got {self.value!r}")
-            if self.kind in (SensorKind.BLE_RSS, SensorKind.WIFI_RSS) and not -120.0 <= self.value <= 0.0:
-                raise ValueError(f"RSS must lie in [-120, 0] dBm, got {self.value}")
-            if self.kind is SensorKind.BAROMETER and not 300.0 <= self.value <= 1100.0:
-                raise ValueError(f"barometer must lie in [300, 1100] hPa, got {self.value}")
-        if not (isinstance(self.src, str) and self.src):
-            raise ValueError(f"src must name a device, got {self.src!r}")
-        if self.obs is not None:
-            if not (isinstance(self.obs, str) and self.obs):
-                raise ValueError(f"obs must name a device or be null, got {self.obs!r}")
-            if self.obs == self.src:
-                raise ValueError("a device cannot observe itself")
 
 
 # Kinds in order of their names: a kind code sorts as ``kind.value`` does.
@@ -107,7 +79,38 @@ KINDS = tuple(sorted(SensorKind, key=lambda k: k.value))
 KIND_CODES = {k: i for i, k in enumerate(KINDS)}
 _CODE_OF_NAME = {k.value: i for i, k in enumerate(KINDS)}
 _MAG = KIND_CODES[SensorKind.MAGNETOMETER]
+# Whether each kind code is a peer-directed reading, one that names ``obs``.
+_PEER = np.array([k in (SensorKind.BLE_RSS, SensorKind.WIFI_RSS, SensorKind.SOUND_AMPLITUDE) for k in KINDS])
 _NUMBERS = {int, float}
+
+
+# The messages of the rules that a type (``_type_fault``) and a value
+# (``Trace.check``) can both break.
+_TIME_FAULT = "timestamp must be finite and >= 0, got {!r}".format
+_VALUE_FAULT = "{} value must be a finite number, got {!r}".format
+_MAG_FAULT = "magnetometer components must be finite"
+
+
+def _number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _type_fault(t: Any, kind: int, value: Any, src: Any, obs: Any) -> Optional[str]:
+    """Why one row breaks a type rule of the sample contract, or None."""
+    if not _number(t):
+        return _TIME_FAULT(t)
+    if kind == _MAG:
+        if not (isinstance(value, (list, tuple)) and len(value) == 3):
+            return "magnetometer samples carry exactly 3 components"
+        if not all(map(_number, value)):
+            return _MAG_FAULT
+    elif not _number(value):
+        return _VALUE_FAULT(KINDS[kind].name, value)
+    if not (isinstance(src, str) and src):
+        return f"src must name a device, got {src!r}"
+    if not (obs is None or isinstance(obs, str) and obs):
+        return f"obs must name a device or be null, got {obs!r}"
+    return None
 
 
 class Trace:
@@ -116,8 +119,9 @@ class Trace:
     ``t``, ``value`` (NaN on magnetometer rows) and ``mag`` (n x 3, NaN on
     the other rows) are float64; ``kind`` is an index into ``KINDS``;
     ``src`` and ``obs`` index the sorted ``names`` (``obs`` -1 for none), so
-    every code sorts as the string it stands for. Rows hold only what
-    ``SensorSample`` accepts; iterating yields them as ``SensorSample``.
+    every code sorts as the string it stands for. Iterating yields the rows
+    as ``SensorSample``. Rows come through ``_build``, or from arrays
+    (simulator, column cache) that pass ``check``.
     """
 
     __slots__ = ("t", "kind", "value", "mag", "src", "obs", "names", "_by_time")
@@ -128,39 +132,53 @@ class Trace:
         self._by_time: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
-    def _build(cls, t, kinds, scalars, vectors, src, obs) -> "Trace":
-        """Columns from per-row lists, except that ``vectors`` holds the
-        values of the magnetometer rows and ``scalars`` those of the others."""
+    def _build(cls, t, kinds, values, src, obs) -> Union["Trace", tuple[int, str]]:
+        """The one column builder: the rows given field by field (``kinds``
+        as codes), or the first row that breaks the sample contract and why:
+        a type rule (``_type_fault``), or a value rule (``check``) on a row
+        before the first that breaks a type rule."""
+        vectors = list(compress(values, map(_MAG.__eq__, kinds)))
+        scalars = list(compress(values, map(_MAG.__ne__, kinds)))
+        if not (
+            set(map(type, vectors)) <= {list, tuple}
+            and set(map(len, vectors)) <= {3}
+            and set(map(type, chain(t, scalars, chain.from_iterable(vectors)))) <= _NUMBERS
+            and set(map(type, src)) <= {str}
+            and set(map(type, obs)) <= {str, type(None)}
+            and "" not in src
+            and "" not in obs
+        ):  # row by row, where a subclass such as numpy's float64 passes
+            faults = map(_type_fault, t, kinds, values, src, obs)
+            fault = next(((row, reason) for row, reason in enumerate(faults) if reason), None)
+            if fault is not None:
+                row = fault[0]
+                before = cls._build(t[:row], kinds[:row], values[:row], src[:row], obs[:row])
+                return before if isinstance(before, tuple) else fault
         n = len(kinds)
         kind = np.array(kinds, dtype=np.int8)
-        is_mag = kind == _MAG
-        value = np.full(n, math.nan)
-        value[~is_mag] = scalars
         mag = np.full((n, 3), math.nan)
-        mag[is_mag] = np.array(vectors, dtype=float).reshape(-1, 3)
+        if vectors:
+            is_mag = kind == _MAG
+            mag[is_mag] = vectors
+            value = np.full(n, math.nan)
+            value[~is_mag] = scalars
+        else:
+            value = np.array(scalars, dtype=float)
         names = sorted(set(src).union(obs).difference([None]))
         index = {None: -1, **{name: i for i, name in enumerate(names)}}
-        return cls(
-            np.array(t, dtype=float),
-            kind,
-            value,
-            mag,
-            np.fromiter(map(index.__getitem__, src), dtype=np.int32, count=n),
-            np.fromiter(map(index.__getitem__, obs), dtype=np.int32, count=n),
-            tuple(names),
-        )
+        src, obs = (np.fromiter(map(index.__getitem__, c), dtype=np.int32, count=n) for c in (src, obs))
+        trace = cls(np.array(t, dtype=float), kind, value, mag, src, obs, tuple(names))
+        bad = trace.check()
+        return trace if bad is None else bad
 
     @classmethod
     def from_samples(cls, samples: Iterable[SensorSample]) -> "Trace":
-        samples = list(samples)
-        return cls._build(
-            [s.timestamp for s in samples],
-            [KIND_CODES[s.kind] for s in samples],
-            [s.value for s in samples if s.kind is not SensorKind.MAGNETOMETER],
-            [s.value for s in samples if s.kind is SensorKind.MAGNETOMETER],
-            [s.src for s in samples],
-            [s.obs for s in samples],
-        )
+        """``samples`` as a trace; a row that breaks the sample contract raises ValueError."""
+        rows = [(s.timestamp, KIND_CODES[s.kind], s.value, s.src, s.obs) for s in samples]
+        trace = cls._build(*(list(zip(*rows)) or [()] * 5))
+        if isinstance(trace, tuple):
+            raise ValueError(trace[1])
+        return trace
 
     def __len__(self) -> int:
         return len(self.t)
@@ -254,31 +272,26 @@ class Trace:
         return np.sort(order[lo:hi])
 
     def check(self) -> Optional[tuple[int, str]]:
-        """The first row that breaks the sample contract and why, or None.
-
-        The rules and their messages are those of ``SensorSample``, taken in
-        its order, so a row reports the rule ``SensorSample`` would raise.
-        """
+        """The first row that breaks a value rule of the sample contract and
+        why, or None; a row that breaks several reports the first listed."""
+        if not len(self):
+            return None
         t, kind, value = self.t, self.kind, self.value
         is_mag = kind == _MAG
         rss = (kind == KIND_CODES[SensorKind.BLE_RSS]) | (kind == KIND_CODES[SensorKind.WIFI_RSS])
         baro = kind == KIND_CODES[SensorKind.BAROMETER]
+        peer = _PEER[kind]
         rules = [  # NaN fails every comparison, so only the finiteness rules see it
-            (~((t >= 0.0) & (t < math.inf)), lambda i: f"timestamp must be finite and >= 0, got {t[i]}"),
-            (is_mag & ~np.isfinite(self.mag).all(axis=1), lambda i: "magnetometer components must be finite"),
-            (~(is_mag | np.isfinite(value)),
-             lambda i: f"{KINDS[kind[i]].name} value must be a finite number, got {value[i]!r}"),
+            (~((t >= 0.0) & (t < math.inf)), lambda i: _TIME_FAULT(t[i])),
+            (is_mag & ~np.isfinite(self.mag).all(axis=1), lambda i: _MAG_FAULT),
+            (~(is_mag | np.isfinite(value)), lambda i: _VALUE_FAULT(KINDS[kind[i]].name, value[i])),
             (rss & ((value < -120.0) | (value > 0.0)), lambda i: f"RSS must lie in [-120, 0] dBm, got {value[i]}"),
             (baro & ((value < 300.0) | (value > 1100.0)),
              lambda i: f"barometer must lie in [300, 1100] hPa, got {value[i]}"),
+            (self.obs == self.src, lambda i: "a device cannot observe itself"),
+            (peer != (self.obs >= 0),
+             lambda i: f"{KINDS[kind[i]].name} samples {'must' if peer[i] else 'cannot'} name an observed device"),
         ]
-        if not all(isinstance(n, str) and n for n in self.names):  # else no row breaks a name rule
-            unnamed = np.array([not (isinstance(n, str) and n) for n in self.names] + [False])
-            rules += [
-                (unnamed[self.src], lambda i: f"src must name a device, got {self.names[self.src[i]]!r}"),
-                (unnamed[self.obs], lambda i: f"obs must name a device or be null, got {self.names[self.obs[i]]!r}"),
-            ]
-        rules.append((self.obs == self.src, lambda i: "a device cannot observe itself"))
         firsts = [int(np.argmax(bad)) if bad.any() else len(self) for bad, _ in rules]
         row = min(firsts)
         if row == len(self):
@@ -451,19 +464,6 @@ def read_jsonl(path: Union[str, Path], parse: Callable[[Any], T]) -> list[T]:
     return out
 
 
-def sample_from_record(record: dict) -> SensorSample:
-    value = record["value"]
-    if isinstance(value, list):
-        value = tuple(float(c) for c in value)
-    return SensorSample(
-        timestamp=record["t"],
-        kind=SensorKind(record["kind"]),
-        value=value,
-        src=record["src"],
-        obs=record.get("obs"),
-    )
-
-
 def label_to_json(label: GroundTruthLabel) -> str:
     record = {
         "pair": list(label.pair),
@@ -511,62 +511,56 @@ def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSam
 # Two records on one line of a trace file.
 _MERGED_RECORDS = re.compile(rb"\}\s*,\s*\{")
 _FIELDS = itemgetter("t", "kind", "value", "src")
+_OBS = methodcaller("get", "obs")
 
 
-def _decode_trace(data: bytes) -> Optional[Trace]:
-    """The trace in ``data``, decoded with one ``json.loads`` over all its
-    lines joined into one array, or None if any line is not exactly one
-    record whose fields have the types ``SensorSample`` takes as they stand.
-    The values are left to ``Trace.check``.
+def _from_records(records: list) -> Union[Trace, tuple[int, str]]:
+    """``Trace._build`` of decoded trace-file records; one that is not an
+    object with ``t``, ``kind`` (a ``SensorKind``), ``value`` and ``src`` raises."""
+    t, kinds, values, src = zip(*map(_FIELDS, records)) if records else ((),) * 4
+    codes = list(map(_CODE_OF_NAME.get, kinds))
+    if None in codes:
+        SensorKind(kinds[codes.index(None)])  # raises, naming the kind
+    return Trace._build(t, codes, values, src, list(map(_OBS, records)))
 
-    Joining can only hide a bad line by moving a record boundary: a record
-    split over two lines then decodes as one, so the count falls short
-    unless another line holds two records, which ``_MERGED_RECORDS`` finds.
-    Blank lines and values needing a cast are left to the per-line reader.
-    """
-    body = data[:-1] if data.endswith(b"\n") else data
-    if _MERGED_RECORDS.search(body):
-        return None
-    try:
-        records = json.loads("[" + body.replace(b"\n", b",").decode("utf-8") + "]")
-        if len(records) != body.count(b"\n") + 1:
-            return None
-        t, kinds, values, src = zip(*map(_FIELDS, records))
-        obs = [r.get("obs") for r in records]
-        kinds = list(map(_CODE_OF_NAME.__getitem__, kinds))
-    except (ValueError, KeyError, TypeError):
-        return None
-    vectors = list(compress(values, map(_MAG.__eq__, kinds)))
-    scalars = list(compress(values, map(_MAG.__ne__, kinds)))
-    if not (
-        set(map(type, t)) <= _NUMBERS
-        and set(map(type, scalars)) <= _NUMBERS
-        and set(map(type, vectors)) <= {list}
-        and set(map(len, vectors)) <= {3}
-        and set(map(type, chain.from_iterable(vectors))) <= _NUMBERS
-        and set(map(type, src)) == {str}
-        and set(map(type, obs)) <= {str, type(None)}
-    ):
-        return None
-    try:
-        return Trace._build(t, kinds, scalars, vectors, src, obs)
-    except OverflowError:
-        return None
+
+def _from_lines(path: Union[str, Path], lines: list[bytes]) -> Union[Trace, tuple[int, str]]:
+    """``_from_records`` of the non-blank ``lines``, each decoded alone first
+    so that the first bad one raises SenseTraceError naming ``path:line``."""
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line.decode("utf-8")))
+            bad = _from_records(records[-1:])
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise SenseTraceError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+        if isinstance(bad, tuple):
+            raise SenseTraceError(f"{path}:{lineno}: ValueError: {bad[1]}")
+    return _from_records(records)
 
 
 def read_trace(path: Union[str, Path]) -> Trace:
-    """The samples of one trace file as a ``Trace``.
-
-    A file that the one-pass decoder does not take as it stands is read
-    line by line instead; either way a bad line fails with ``path:line``.
-    """
-    trace = _decode_trace(Path(path).read_bytes())
-    if trace is None:
-        return Trace.from_samples(read_jsonl(path, sample_from_record))
-    bad = trace.check()
-    if bad is not None:  # one record per line, so row i is line i + 1
-        row, reason = bad
-        raise SenseTraceError(f"{path}:{row + 1}: ValueError: {reason}")
+    """The samples of one trace file, one record per non-blank line, decoded
+    with one ``json.loads`` over the lines joined into one array; a bad row
+    fails naming ``path:line``. Joining can only hide a bad line by moving a
+    record boundary: a record split over two lines decodes as one, so the
+    count falls short unless another line holds two records, which
+    ``_MERGED_RECORDS`` finds. Then ``_from_lines`` names the bad line."""
+    data = Path(path).read_bytes()
+    lines = data.split(b"\n")
+    body = list(compress(lines, map(bytes.strip, lines)))  # the non-blank lines
+    try:
+        records = json.loads("[" + b",".join(body).decode("utf-8") + "]")
+        if len(records) != len(body) or _MERGED_RECORDS.search(data):
+            raise ValueError("not one record per line")
+        trace = _from_records(records)
+    except (ValueError, KeyError, TypeError, OverflowError):
+        trace = _from_lines(path, lines)
+    if isinstance(trace, tuple):  # row i is the i-th non-blank line
+        lineno = [n for n, line in enumerate(lines, 1) if line.strip()][trace[0]]
+        raise SenseTraceError(f"{path}:{lineno}: ValueError: {trace[1]}")
     return trace
 
 
@@ -638,7 +632,7 @@ def _intact(traces: Sequence[Trace]) -> bool:
     return (
         bool(((rows.kind >= 0) & (rows.kind < len(KINDS))).all())
         and bool(((rows.src >= 0) & (rows.src < n) & (rows.obs >= -1) & (rows.obs < n)).all())
-        and rows.check() is None  # no name rule applies: ``rows`` has no names
+        and rows.check() is None  # ``rows`` has no names: ``check`` reads only codes
     )
 
 

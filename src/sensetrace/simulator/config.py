@@ -192,7 +192,8 @@ def load_scenario(path: Union[str, Path], seed: Optional[int] = None) -> tuple[S
     hashing."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            # libyaml's safe loader where PyYAML has it: the dict of ``yaml.safe_load``, faster.
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ScenarioError(f"unparseable scenario file {path}: {exc}") from exc
     if not isinstance(raw, dict):

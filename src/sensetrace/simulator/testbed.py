@@ -123,6 +123,10 @@ class DevicePlacement:
     floor: int = 0
     posture: ProximityState = ProximityState.FAR  # NEAR = pocketed
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.device_id, str) and self.device_id):
+            raise ScenarioError(f"device_id must name a device, got {self.device_id!r}")
+
 
 def _segments_intersect(p1, p2, q1, q2) -> bool:
     """Proper segment intersection via orientation tests."""

@@ -2,16 +2,17 @@
 
 These deliberately avoid the library's own algorithms: the DTW oracle
 enumerates every monotone warping path instead of filling a DP matrix, the
-trace oracle simulates one sample at a time with the scalar signal models
-instead of one instance at a time in columns, and the decision oracle runs
-the stages the gates need for one tier instead of fusing one assessment
-made for every tier.
+sample oracle checks one sample at a time with scalar rules instead of
+whole columns, the trace oracle simulates one sample at a time with the
+scalar signal models instead of one instance at a time in columns, and the
+decision oracle runs the stages the gates need for one tier instead of
+fusing one assessment made for every tier.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +74,77 @@ def brute_force_dtw(a: Sequence[float], b: Sequence[float]) -> float:
     return cost / length
 
 
+PEER_KINDS = (SensorKind.BLE_RSS, SensorKind.WIFI_RSS, SensorKind.SOUND_AMPLITUDE)
+
+
+def _number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def sample_fault(s: SensorSample) -> Optional[str]:
+    """Why one sample breaks the sample contract, or None.
+
+    The rules on each field's type come first, then those on its value;
+    a sample that breaks several reports the first.
+    """
+    if not _number(s.timestamp):
+        return f"timestamp must be finite and >= 0, got {s.timestamp!r}"
+    if s.kind is SensorKind.MAGNETOMETER:
+        if not (isinstance(s.value, (list, tuple)) and len(s.value) == 3):
+            return "magnetometer samples carry exactly 3 components"
+        if not all(_number(c) for c in s.value):
+            return "magnetometer components must be finite"
+    elif not _number(s.value):
+        return f"{s.kind.name} value must be a finite number, got {s.value!r}"
+    if not (isinstance(s.src, str) and s.src):
+        return f"src must name a device, got {s.src!r}"
+    if not (s.obs is None or isinstance(s.obs, str) and s.obs):
+        return f"obs must name a device or be null, got {s.obs!r}"
+    t = float(s.timestamp)
+    if not (math.isfinite(t) and t >= 0.0):
+        return f"timestamp must be finite and >= 0, got {t!r}"
+    if s.kind is SensorKind.MAGNETOMETER:
+        if not all(math.isfinite(c) for c in s.value):
+            return "magnetometer components must be finite"
+    else:
+        value = float(s.value)
+        if not math.isfinite(value):
+            return f"{s.kind.name} value must be a finite number, got {value!r}"
+        if s.kind in (SensorKind.BLE_RSS, SensorKind.WIFI_RSS) and not -120.0 <= value <= 0.0:
+            return f"RSS must lie in [-120, 0] dBm, got {value}"
+        if s.kind is SensorKind.BAROMETER and not 300.0 <= value <= 1100.0:
+            return f"barometer must lie in [300, 1100] hPa, got {value}"
+    if s.obs == s.src:
+        return "a device cannot observe itself"
+    peer = s.kind in PEER_KINDS
+    if peer != (s.obs is not None):
+        return f"{s.kind.name} samples {'must' if peer else 'cannot'} name an observed device"
+    return None
+
+
+def checked(sample: SensorSample) -> SensorSample:
+    """``sample``, or ValueError with the reason it breaks the sample contract."""
+    fault = sample_fault(sample)
+    if fault is not None:
+        raise ValueError(fault)
+    return sample
+
+
+def sample_from_record(record: dict) -> SensorSample:
+    """One trace-file record as a checked sample: the per-line reference
+    for ``read_trace``."""
+    value = record["value"]
+    return checked(
+        SensorSample(
+            record["t"],
+            SensorKind(record["kind"]),
+            tuple(value) if isinstance(value, list) else value,
+            record["src"],
+            record.get("obs"),
+        )
+    )
+
+
 def _slot_times(length: float, period: float) -> list[float]:
     n = int(math.floor((length - 1e-9) / period)) + 1
     return [k * period for k in range(n)]
@@ -81,10 +153,9 @@ def _slot_times(length: float, period: float) -> list[float]:
 def sequential_traces(scenario: Scenario) -> tuple[dict[str, list[SensorSample]], list[GroundTruthLabel]]:
     """Per-device traces and labels, one sample and one draw at a time.
 
-    Every sample is built as a ``SensorSample`` in the order the draws are
-    made, so the first one that breaks the sample contract raises, naming
-    its instance; each device's samples are then sorted by (time, kind,
-    observed device).
+    Every sample is checked as it is drawn, so the first one that breaks
+    the sample contract raises, naming its instance; each device's samples
+    are then sorted by (time, kind, observed device).
     """
     rng = np.random.default_rng(scenario.seed)
     tb = scenario.testbed
@@ -134,7 +205,7 @@ def sequential_traces(scenario: Scenario) -> tuple[dict[str, list[SensorSample]]
                         )
                         if rss is not None:
                             samples[rx.device_id].append(
-                                SensorSample(t, kind, rss, src=rx.device_id, obs=tx.device_id)
+                                checked(SensorSample(t, kind, rss, src=rx.device_id, obs=tx.device_id))
                             )
 
             for t in sound_slots:
@@ -143,7 +214,7 @@ def sequential_traces(scenario: Scenario) -> tuple[dict[str, list[SensorSample]]
                     if noise.ambient_sigma_db > 0:
                         ambient += float(rng.normal(0.0, noise.ambient_sigma_db))
                     samples[rx.device_id].append(
-                        SensorSample(t, SensorKind.AMBIENT_NOISE, ambient, src=rx.device_id)
+                        checked(SensorSample(t, SensorKind.AMBIENT_NOISE, ambient, src=rx.device_id))
                     )
                     heard = simulate_sound(
                         tx, rx, cfg.chirp, tb, noise, rng,
@@ -152,26 +223,26 @@ def sequential_traces(scenario: Scenario) -> tuple[dict[str, list[SensorSample]]
                     )
                     if heard is not None:
                         samples[rx.device_id].append(
-                            SensorSample(t, SensorKind.SOUND_AMPLITUDE, heard, src=rx.device_id, obs=tx.device_id)
+                            checked(SensorSample(t, SensorKind.SOUND_AMPLITUDE, heard, src=rx.device_id, obs=tx.device_id))
                         )
 
             for t in env_slots:
                 for dev in (a, b):
                     samples[dev.device_id].append(
-                        SensorSample(t, SensorKind.BAROMETER, simulate_barometer(dev, tb, rng), src=dev.device_id)
+                        checked(SensorSample(t, SensorKind.BAROMETER, simulate_barometer(dev, tb, rng), src=dev.device_id))
                     )
                     samples[dev.device_id].append(
-                        SensorSample(
+                        checked(SensorSample(
                             t, SensorKind.MAGNETOMETER, simulate_magnetometer(dev, tb, rng), src=dev.device_id
-                        )
+                        ))
                     )
                     samples[dev.device_id].append(
-                        SensorSample(
+                        checked(SensorSample(
                             t,
                             SensorKind.PROXIMITY,
                             1.0 if dev.posture is ProximityState.NEAR else 0.0,
                             src=dev.device_id,
-                        )
+                        ))
                     )
 
             for dev_id, recs in samples.items():

@@ -484,6 +484,23 @@ class TestShippedConfig:
     def test_standard_yaml_is_standard_scenario(self):
         assert load_scenario(STANDARD)[0] == standard_scenario(seed=42)
 
+    def test_raw_dict_is_the_safe_loaders(self):
+        # The config digests hash this dict, whichever YAML loader made it.
+        raw = load_scenario(STANDARD)[1]
+        assert raw == standard_raw()
+        assert config_hash(raw) == config_hash(standard_raw())
+
+    def test_unparseable_file_is_one_json_line(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("seed: 42\ntestbed: [unclosed\n")
+        capsys.readouterr()
+        assert run(["generate", "--config", path, "--out", tmp_path / "x"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ScenarioError"
+        assert payload["message"].startswith(f"unparseable scenario file {path}")
+
 
 def _rewrite_line(path, lineno, edit):
     """Replace line ``lineno`` (1-based) of a JSONL file by ``edit(record)``."""

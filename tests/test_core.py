@@ -25,12 +25,14 @@ from sensetrace.core import (
     read_jsonl,
     read_trace,
     read_trace_cache,
-    sample_from_record,
     write_trace,
     write_trace_cache,
 )
 from sensetrace.envmatch import magnitude
 from sensetrace.errors import EmptyWindow, SenseTraceError
+from sensetrace.fusion import FusionConfig, build_evidence
+
+from .oracles import sample_from_record
 
 
 def ble(t, src, obs, rss=-60.0):
@@ -42,38 +44,39 @@ def baro(t, src, hpa=1012.4):
 
 
 class TestSensorSample:
+    # A bare row: the sample contract holds once rows become a Trace.
     def test_magnetometer_needs_three_components(self):
-        SensorSample(0.0, SensorKind.MAGNETOMETER, (1.0, 2.0, 3.0), src="a")
+        Trace.from_samples([SensorSample(0.0, SensorKind.MAGNETOMETER, (1.0, 2.0, 3.0), src="a")])
         with pytest.raises(ValueError):
-            SensorSample(0.0, SensorKind.MAGNETOMETER, 5.0, src="a")
+            Trace.from_samples([SensorSample(0.0, SensorKind.MAGNETOMETER, 5.0, src="a")])
         with pytest.raises(ValueError):
-            SensorSample(0.0, SensorKind.MAGNETOMETER, (1.0, 2.0), src="a")
+            Trace.from_samples([SensorSample(0.0, SensorKind.MAGNETOMETER, (1.0, 2.0), src="a")])
 
     def test_rss_range(self):
-        ble(0.0, "a", "b", rss=-120.0)
-        ble(0.0, "a", "b", rss=0.0)
+        Trace.from_samples([ble(0.0, "a", "b", rss=-120.0)])
+        Trace.from_samples([ble(0.0, "a", "b", rss=0.0)])
         with pytest.raises(ValueError):
-            ble(0.0, "a", "b", rss=-121.0)
+            Trace.from_samples([ble(0.0, "a", "b", rss=-121.0)])
         with pytest.raises(ValueError):
-            ble(0.0, "a", "b", rss=1.0)
+            Trace.from_samples([ble(0.0, "a", "b", rss=1.0)])
 
     def test_barometer_range(self):
         with pytest.raises(ValueError):
-            baro(0.0, "a", hpa=200.0)
+            Trace.from_samples([baro(0.0, "a", hpa=200.0)])
         with pytest.raises(ValueError):
-            baro(0.0, "a", hpa=1200.0)
+            Trace.from_samples([baro(0.0, "a", hpa=1200.0)])
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
-            baro(-1.0, "a")
+            Trace.from_samples([baro(-1.0, "a")])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            SensorSample(0.0, SensorKind.AMBIENT_NOISE, math.nan, src="a")
+            Trace.from_samples([SensorSample(0.0, SensorKind.AMBIENT_NOISE, math.nan, src="a")])
 
     def test_self_observation_rejected(self):
         with pytest.raises(ValueError):
-            ble(0.0, "a", "a")
+            Trace.from_samples([ble(0.0, "a", "a")])
 
 
 class TestDeviceId:
@@ -235,6 +238,42 @@ REJECTED = {
     "missing_src": {"t": 1.0, "kind": "BAROMETER", "value": 1012.0, "obs": None},
     "empty_src": {"t": 1.0, "kind": "BAROMETER", "value": 1012.0, "src": "", "obs": None},
     "not_a_record": [1.0, "BAROMETER", 1012.0, "a", None],
+    "boolean_time": {"t": True, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None},
+    "string_time": {"t": "1.0", "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None},
+    "boolean_magnetometer": {"t": 1.0, "kind": "MAGNETOMETER", "value": [True, False, True], "src": "a", "obs": None},
+    "string_magnetometer": {"t": 1.0, "kind": "MAGNETOMETER", "value": ["1.5", "2", "3e1"], "src": "a", "obs": None},
+    "unobserved_wifi": {"t": 1.0, "kind": "WIFI_RSS", "value": -60.0, "src": "a", "obs": None},
+    "observed_barometer": {"t": 1.0, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": "b"},
+    "overflowing_time": {"t": 10**400, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None},
+}
+
+# The message each REJECTED record fails with on line 3 of a trace file.
+# Those of the cases up to not_a_record are pinned as the former per-line
+# reader gave them.
+MESSAGES = {
+    "nan_time": "ValueError: timestamp must be finite and >= 0, got nan",
+    "negative_time": "ValueError: timestamp must be finite and >= 0, got -1.0",
+    "rss_above_0": "ValueError: RSS must lie in [-120, 0] dBm, got 5.0",
+    "rss_below_-120": "ValueError: RSS must lie in [-120, 0] dBm, got -121.0",
+    "barometer_below_300": "ValueError: barometer must lie in [300, 1100] hPa, got 200.0",
+    "barometer_above_1100": "ValueError: barometer must lie in [300, 1100] hPa, got 1200.0",
+    "boolean_value": "ValueError: AMBIENT_NOISE value must be a finite number, got True",
+    "string_value": "ValueError: AMBIENT_NOISE value must be a finite number, got '12.0'",
+    "infinite_value": "ValueError: AMBIENT_NOISE value must be a finite number, got inf",
+    "two_component_magnetometer": "ValueError: magnetometer samples carry exactly 3 components",
+    "scalar_magnetometer": "ValueError: magnetometer samples carry exactly 3 components",
+    "unknown_kind": "ValueError: 'SONAR' is not a valid SensorKind",
+    "self_observation": "ValueError: a device cannot observe itself",
+    "missing_src": "KeyError: 'src'",
+    "empty_src": "ValueError: src must name a device, got ''",
+    "not_a_record": "TypeError: list indices must be integers or slices, not str",
+    "boolean_time": "ValueError: timestamp must be finite and >= 0, got True",
+    "string_time": "ValueError: timestamp must be finite and >= 0, got '1.0'",
+    "boolean_magnetometer": "ValueError: magnetometer components must be finite",
+    "string_magnetometer": "ValueError: magnetometer components must be finite",
+    "unobserved_wifi": "ValueError: WIFI_RSS samples must name an observed device",
+    "observed_barometer": "ValueError: BAROMETER samples cannot name an observed device",
+    "overflowing_time": "OverflowError: int too large to convert to float",
 }
 
 
@@ -302,14 +341,55 @@ class TestReadTrace:
 
     @pytest.mark.parametrize("name", sorted(REJECTED))
     def test_rejection_message_is_the_line_readers(self, tmp_path, name):
-        # Value rules fail in Trace.check, the others in the line reader.
         path = tmp_path / "trace.jsonl"
         path.write_text("".join(dumps(r) + "\n" for r in [*GOOD_RECORDS[:2], REJECTED[name]]))
-        with pytest.raises(SenseTraceError) as line_reader:
-            read_jsonl(path, sample_from_record)
         with pytest.raises(SenseTraceError) as columns:
             read_trace(path)
-        assert str(columns.value) == str(line_reader.value)
+        assert str(columns.value) == f"{path}:3: {MESSAGES[name]}"
+
+    def test_unobserved_peer_readings_never_reach_the_evidence(self, tmp_path):
+        # Such rows would pass the pair filter as ambient ones and be
+        # turned into distance estimates between the pair.
+        rows = [
+            {"t": 0.0, "kind": "AMBIENT_NOISE", "value": 11.0, "src": "a", "obs": None},
+            {"t": 0.0, "kind": "WIFI_RSS", "value": -40.0, "src": "a", "obs": None},
+            {"t": 0.0, "kind": "SOUND_AMPLITUDE", "value": 30.0, "src": "a", "obs": None},
+        ]
+        path = tmp_path / "a.jsonl"
+        path.write_text("".join(dumps(r) + "\n" for r in rows))
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:2: ValueError: WIFI_RSS samples must"):
+            build_evidence(make_window(read_trace(path), ("a", "b"), 0.0, 900.0), FusionConfig())
+        path.write_text("".join(dumps(r) + "\n" for r in rows[::2]))
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:2: ValueError: SOUND_AMPLITUDE samples must"):
+            build_evidence(make_window(read_trace(path), ("a", "b"), 0.0, 900.0), FusionConfig())
+        with pytest.raises(ValueError, match="SOUND_AMPLITUDE samples must name an observed device"):
+            make_window([sample_from_record(rows[0]), SensorSample(0.0, SensorKind.SOUND_AMPLITUDE, 30.0, "a")],
+                        ("a", "b"), 0.0, 900.0)
+
+    def test_first_bad_line_is_named_whatever_it_breaks(self, tmp_path):
+        # Line 2 breaks a value rule, line 4 is not JSON: the joined decode
+        # fails on line 4, and decoding each line alone finds line 2 first.
+        path = tmp_path / "trace.jsonl"
+        lines = [dumps(GOOD_RECORDS[0]), dumps(REJECTED["rss_above_0"]), "", "{not json", dumps(GOOD_RECORDS[1])]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:2: ValueError: RSS must lie"):
+            read_trace(path)
+        lines[1] = dumps(GOOD_RECORDS[3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:4: JSONDecodeError"):
+            read_trace(path)
+
+    def test_rows_map_back_to_their_lines_across_blank_ones(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join([dumps(GOOD_RECORDS[0]), "", "  ", dumps(REJECTED["string_time"])]) + "\n")
+        with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:4: ValueError: timestamp"):
+            read_trace(path)
+
+    def test_names_holding_a_record_boundary_still_decode(self, tmp_path):
+        record = {"t": 1.0, "kind": "BLE_RSS", "value": -60.0, "src": "a},{b", "obs": "c"}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(dumps(record) + "\n" + dumps(GOOD_RECORDS[1]) + "\n")
+        assert list(read_trace(path)) == [sample_from_record(record), sample_from_record(GOOD_RECORDS[1])]
 
     def test_blank_lines_and_missing_final_newline(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -67,6 +67,14 @@ def tower(floors=14, ambient=10.0, sigma=None):
     )
 
 
+class TestDevicePlacement:
+    @pytest.mark.parametrize("device_id", ["", None, 7])
+    def test_a_device_needs_a_name(self, device_id):
+        # Its name is the src of every sample it records.
+        with pytest.raises(ScenarioError, match="device_id must name a device"):
+            DevicePlacement(device_id, 1.0, 1.0)
+
+
 class TestSimulateRss:
     def test_same_position_zero_noise(self):
         rng = np.random.default_rng(0)
