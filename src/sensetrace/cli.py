@@ -26,6 +26,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from itertools import tee
 from pathlib import Path
@@ -75,6 +76,10 @@ def _read_instances(path: Path) -> list[Instance]:
 
     def parse(record: dict) -> Instance:
         start, end = record["window"]
+        for bound in (start, end):
+            # math.isfinite raises OverflowError on an int beyond any float.
+            if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not math.isfinite(bound):
+                raise ValueError(f"window bounds must be finite numbers, got {bound!r}")
         if not end > start:
             raise ValueError("window end must exceed start")
         instance = (canonical_pair(record["pair"]), start, end)

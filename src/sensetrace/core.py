@@ -449,8 +449,8 @@ def read_jsonl(path: Union[str, Path], parse: Callable[[Any], T]) -> list[T]:
     """``parse`` applied to every non-blank line's JSON value, in file order.
 
     A line that is not UTF-8 JSON, or that ``parse`` rejects with a
-    ValueError, KeyError, TypeError or IndexError, raises SenseTraceError
-    whose message starts with ``path:line``.
+    ValueError, KeyError, TypeError, IndexError or OverflowError, raises
+    SenseTraceError whose message starts with ``path:line``.
     """
     out = []
     with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 names its line
@@ -459,7 +459,7 @@ def read_jsonl(path: Union[str, Path], parse: Callable[[Any], T]) -> list[T]:
                 continue
             try:
                 out.append(parse(json.loads(line.decode("utf-8"))))
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
+            except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
                 raise SenseTraceError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
     return out
 

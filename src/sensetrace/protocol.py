@@ -46,7 +46,7 @@ def derive_temp_id(permanent_id: str, epoch: int) -> str:
     return f"t{digest}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublishedId:
     temp_id: str
     epoch: int
@@ -74,18 +74,27 @@ class DeviceState:
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
     last_rotation: float = 0.0
-    epoch_times: dict[int, float] = field(default_factory=dict)
+    # Start time of each epoch from the device's first to its current one.
+    epoch_starts: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.epoch_times.setdefault(self.identity.epoch, self.last_rotation)
+        if not self.epoch_starts:
+            self.epoch_starts.append(self.last_rotation)
 
     @property
     def permanent_id(self) -> str:
         return self.identity.permanent_id
 
+    @property
+    def first_epoch(self) -> int:
+        return self.identity.epoch - len(self.epoch_starts) + 1
+
     def temp_id_history(self) -> dict[int, str]:
         """All temp ids this device has used, resolvable only by itself."""
-        return {e: derive_temp_id(self.permanent_id, e) for e in self.epoch_times}
+        return {
+            e: derive_temp_id(self.permanent_id, e)
+            for e in range(self.first_epoch, self.identity.epoch + 1)
+        }
 
 
 @dataclass
@@ -139,7 +148,7 @@ def rotate_id(device: DeviceState, now: float, events: Optional[EventLog] = None
         device.permanent_id, derive_temp_id(device.permanent_id, new_epoch), new_epoch
     )
     device.last_rotation = now
-    device.epoch_times[new_epoch] = now
+    device.epoch_starts.append(now)
     if events:
         events.record("rotate", device=device.permanent_id, epoch=new_epoch, t=now)
     return device
@@ -167,14 +176,27 @@ def exchange_ids(
     return a, b
 
 
-def _resolve_temp_id(server: ServerState, temp_id: str, max_epoch: int = 256) -> Optional[str]:
-    """Server-side epoch registry: map a temporary id back to its device.
-    Possible because registration reveals permanent ids to the server."""
+def _resolve_temp_ids(server: ServerState, wanted: Iterable[str], max_epoch: int = 256) -> dict[str, str]:
+    """Server-side epoch registry: map each wanted temporary id back to its
+    device. Possible because registration reveals permanent ids to the server.
+
+    One pass over the sorted registered devices x epochs 0..max_epoch-1,
+    stopping once every wanted id is found; each id maps to its first match
+    in that order. Ids with no match are absent from the result.
+    """
+    missing = set(wanted)
+    found: dict[str, str] = {}
+    if not missing:
+        return found
     for permanent in sorted(server.registered):
         for epoch in range(max_epoch):
-            if derive_temp_id(permanent, epoch) == temp_id:
-                return permanent
-    return None
+            temp_id = derive_temp_id(permanent, epoch)
+            if temp_id in missing:
+                found[temp_id] = permanent
+                missing.remove(temp_id)
+                if not missing:
+                    return found
+    return found
 
 
 def report_positive_centralized(
@@ -192,8 +214,9 @@ def report_positive_centralized(
         events.record("report_centralized", device=device.permanent_id, entries=len(device.contact_log))
 
     notified: set[str] = set()
+    resolved = _resolve_temp_ids(server, (entry.peer_temp_id for entry in device.contact_log))
     for entry in device.contact_log:
-        peer = _resolve_temp_id(server, entry.peer_temp_id)
+        peer = resolved.get(entry.peer_temp_id)
         if peer is None:
             continue
         notified.add(peer)
@@ -216,12 +239,12 @@ def report_positive_decentralized(
     if server.mode is not ReportMode.DECENTRALIZED:
         raise ModeError("decentralized report sent to a non-decentralized server")
     delta: list[PublishedId] = []
-    for epoch in sorted(device.epoch_times):
-        if now is not None:
-            # An epoch matters if it was still active inside the lookback.
-            active_until = device.epoch_times.get(epoch + 1, now)
-            if active_until < now - server.lookback_s:
-                continue
+    # Each epoch is active until the next one starts; the current one until now.
+    active_until = device.epoch_starts[1:] + [now]
+    for epoch, until in enumerate(active_until, device.first_epoch):
+        # An epoch matters if it was still active inside the lookback.
+        if now is not None and until < now - server.lookback_s:
+            continue
         delta.append(PublishedId(derive_temp_id(device.permanent_id, epoch), epoch))
     server.published_positive_ids.extend(delta)
     if events:

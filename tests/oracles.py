@@ -6,7 +6,9 @@ sample oracle checks one sample at a time with scalar rules instead of
 whole columns, the trace oracle simulates one sample at a time with the
 scalar signal models instead of one instance at a time in columns, and the
 decision oracle runs the stages the gates need for one tier instead of
-fusing one assessment made for every tier.
+fusing one assessment made for every tier, and the centralized-report
+oracle resolves each logged temporary id by its own search of the registry
+instead of one pass for the whole log.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from sensetrace.core import (
     SensorSample,
 )
 from sensetrace.errors import InsufficientEvidence, ScenarioError
+from sensetrace.protocol import DeviceState, EventLog, ServerState, derive_temp_id
 from sensetrace.fusion import (
     FusionConfig,
     StageEvidence,
@@ -300,3 +303,33 @@ def gated_decide(evidence: StageEvidence, cfg: FusionConfig, gates: StageGates) 
         contact=contact,
         degraded_reason="; ".join(reasons) if reasons else None,
     )
+
+
+def resolve_temp_id(server: ServerState, temp_id: str, max_epoch: int = 256) -> Optional[str]:
+    """The first registered device (in sorted order) whose id at some epoch
+    below ``max_epoch`` is ``temp_id``, searched afresh for this one id."""
+    for permanent in sorted(server.registered):
+        for epoch in range(max_epoch):
+            if derive_temp_id(permanent, epoch) == temp_id:
+                return permanent
+    return None
+
+
+def report_centralized_per_entry(
+    device: DeviceState, server: ServerState, events: Optional[EventLog] = None
+) -> set[str]:
+    """``report_positive_centralized`` with every log entry resolved on its
+    own by ``resolve_temp_id``: the same upload, notifications and events."""
+    server.uploaded_contact_lists[device.permanent_id] = list(device.contact_log)
+    if events:
+        events.record("report_centralized", device=device.permanent_id, entries=len(device.contact_log))
+    notified: set[str] = set()
+    for entry in device.contact_log:
+        peer = resolve_temp_id(server, entry.peer_temp_id)
+        if peer is None:
+            continue
+        notified.add(peer)
+        server.notifications_sent.setdefault(peer, []).append((entry.window_start, entry.window_end))
+        if events:
+            events.record("notify", device=peer, window=[entry.window_start, entry.window_end])
+    return notified

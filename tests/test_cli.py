@@ -591,6 +591,23 @@ class TestMalformedInput:
         assert "duplicate" in payload["message"]
         assert not (data / "dup.jsonl").exists()
 
+    @pytest.mark.parametrize("end", [10**400, True, float("inf")], ids=["huge_int", "bool", "infinity"])
+    def test_window_end_must_be_a_finite_number(self, detected_run, tmp_path, capsys, end):
+        config, original = detected_run
+        data = tmp_path / "run"
+        shutil.copytree(original, data)
+        path = data / "instances.jsonl"
+        _rewrite_line(path, 1, lambda record: {**record, "window": [record["window"][0], end]})
+        capsys.readouterr()
+
+        assert run(["detect", "--data", data, "--config", config, "--tier", "FULL", "--out", "bad.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SenseTraceError"
+        assert payload["message"].startswith(f"{path}:1:")
+        assert not (data / "bad.jsonl").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [

@@ -1,9 +1,11 @@
+import copy
 import json
 import random
 
 import pytest
 
-from sensetrace.core import ContactDecision, ContactWindow, SensorKind, SensorSample
+from sensetrace import protocol
+from sensetrace.core import ContactDecision, ContactWindow, DeviceId, SensorKind, SensorSample
 from sensetrace.errors import ModeError, NoContact, NotDue
 from sensetrace.protocol import (
     DeviceState,
@@ -20,6 +22,8 @@ from sensetrace.protocol import (
     report_positive_decentralized,
     rotate_id,
 )
+
+from .oracles import report_centralized_per_entry
 
 
 def positive_decision():
@@ -101,6 +105,25 @@ class TestRotateId:
         assert set(history) == {0, 1}
         assert history[0] == derive_temp_id(d.permanent_id, 0)
 
+    def test_device_first_seen_at_a_later_epoch(self):
+        # The history and the published epochs match those of an
+        # {epoch: start time} table kept beside the device.
+        server = ServerState(ReportMode.DECENTRALIZED, lookback_s=2000.0)
+        d = register_device(server, DeviceState(DeviceId("p5", derive_temp_id("p5", 5), epoch=5)))
+        starts = {5: 0.0}
+        for k in range(1, 6):
+            rotate_id(d, k * 900.0)
+            starts[5 + k] = k * 900.0
+        history = d.temp_id_history()
+        assert list(history) == list(starts)
+        assert all(history[e] == derive_temp_id("p5", e) for e in starts)
+
+        now = 6000.0
+        expected = [e for e in sorted(starts) if starts.get(e + 1, now) >= now - server.lookback_s]
+        published = report_positive_decentralized(d, server, now=now)
+        assert [p.epoch for p in published] == expected == [9, 10]
+        assert [p.temp_id for p in published] == [history[e] for e in expected]
+
 
 class TestExchangeIds:
     def test_valid_contact_grows_both_logs(self):
@@ -180,6 +203,59 @@ class TestCentralizedReport:
         a = register_device(server)
         with pytest.raises(ModeError):
             report_positive_centralized(a, server)
+
+    @staticmethod
+    def random_session(seed):
+        """A few registered devices and one never registered, rotating at
+        random (past epoch 256 in most sessions); the first device logs
+        contacts with the others, some repeatedly."""
+        rng = random.Random(seed)
+        server = ServerState(ReportMode.CENTRALIZED)
+        devices = [register_device(server) for _ in range(rng.randint(2, 4))]
+        stranger = DeviceState(DeviceId("stranger", derive_temp_id("stranger", 0)))
+        reporter, peers = devices[0], devices[1:] + [stranger]
+        for step in range(rng.randint(4, 12)):
+            for d in devices + [stranger]:
+                for _ in range(rng.choice((0, 1, 40, 90))):
+                    rotate_id(d, d.last_rotation + 900.0)
+            for _ in range(rng.randint(0, 3)):
+                contact(reporter, rng.choice(peers), start=step * 900.0)
+        return server, reporter
+
+    def test_matches_per_entry_resolution(self):
+        unresolved = set()
+        for seed in range(30):
+            server, reporter = self.random_session(seed)
+            expected_server = copy.deepcopy(server)
+            events, expected_events = EventLog(), EventLog()
+            notified = report_positive_centralized(reporter, server, events)
+            expected = report_centralized_per_entry(reporter, expected_server, expected_events)
+            assert notified == expected
+            assert server.notifications_sent == expected_server.notifications_sent
+            assert server.uploaded_contact_lists == expected_server.uploaded_contact_lists
+            assert events.events == expected_events.events
+            notified_windows = sum(len(v) for v in server.notifications_sent.values())
+            if notified_windows < len(reporter.contact_log):
+                unresolved.add(seed)
+        # Unresolvable ids (a stranger's, or from epoch 256 on) did occur.
+        assert len(unresolved) >= 10
+
+    def test_one_registry_pass_per_report(self, monkeypatch):
+        server = ServerState(ReportMode.CENTRALIZED)
+        reporter, peer = register_device(server), register_device(server)
+        strangers = [DeviceState(DeviceId(f"s{k}", derive_temp_id(f"s{k}", 0))) for k in range(3)]
+        for k, stranger in enumerate(strangers):
+            contact(reporter, stranger, start=k * 900.0)
+        contact(reporter, peer, start=2700.0)
+        derived = []
+
+        def counting(permanent, epoch):
+            derived.append((permanent, epoch))
+            return derive_temp_id(permanent, epoch)
+
+        monkeypatch.setattr(protocol, "derive_temp_id", counting)
+        assert report_positive_centralized(reporter, server) == {peer.permanent_id}
+        assert len(derived) <= len(server.registered) * 256
 
     def test_notify_devices_flips_status(self):
         server = ServerState(ReportMode.CENTRALIZED)
