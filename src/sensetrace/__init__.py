@@ -15,7 +15,7 @@ from .core import (
     read_trace,
     write_trace,
 )
-from .envmatch import EnvThresholds, dtw_score, env_similar, magnitude, select_env_sensor
+from .envmatch import EnvThresholds, dtw_score, env_similar, select_env_sensor
 from .errors import (
     EmptySequence,
     EmptyWindow,

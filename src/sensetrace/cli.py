@@ -5,8 +5,9 @@
     sensetrace evaluate --data runs/demo --decisions decisions_full.jsonl
     sensetrace report   --data runs/demo --decisions decisions_full.jsonl
 
-``generate`` writes per-device JSONL traces (deleting any other trace file
-an earlier run left in ``traces/``), the ground truth, the instance list and
+``generate`` writes per-device JSONL traces into a fresh hidden directory
+that it swaps in for ``traces/`` whole (``_swap_in_traces``, so no file an
+earlier run left there survives), the ground truth, the instance list and
 ``trace_columns.npy``, the traces' decoded columns keyed by each file's
 SHA-256 (a cache: ``detect`` and ``report`` decode any file it does not
 match); ``detect`` replays the fusion pipeline over the traces and keeps
@@ -15,7 +16,8 @@ detector's source and every file it read, so that a later ``detect`` of
 the run, for any tier, only fuses them;
 ``evaluate`` emits the confusion counts and accuracy; ``report`` emits
 plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
-Output files are written atomically and embed the seed and a config digest.
+Every other output file is written atomically, and the metrics and report
+CSVs embed the seed and a config digest.
 Errors print machine-readable JSON on stderr and exit non-zero.
 """
 
@@ -27,6 +29,8 @@ import hashlib
 import io
 import json
 import math
+import secrets
+import shutil
 import sys
 from itertools import tee
 from pathlib import Path
@@ -34,6 +38,7 @@ from typing import Optional, Sequence
 
 from .core import (
     TRACE_CACHE,
+    Trace,
     atomic_write,
     canonical_pair,
     label_from_record,
@@ -158,19 +163,45 @@ def _csv_text(header_comments: Sequence[str], columns: Sequence[str], rows) -> s
     return buf.getvalue()
 
 
+def _swap_in_traces(out: Path, traces: dict[str, Trace]) -> list[tuple[str, str, Trace]]:
+    """Write one trace file per device into a fresh hidden directory beside
+    ``out/traces`` and swap it in for ``traces/``, whole; returns each file's
+    name, SHA-256 and ``Trace``, in name order.
+
+    ``traces/`` so holds the complete old set or the complete new set, never
+    a mix, and never a file an earlier run left. The swap is two renames:
+    between them there is no ``traces/``, and a ``detect`` or ``report``
+    that lists it then fails with "no trace files". A failure before the
+    swap removes the new directory and leaves ``traces/`` as it was.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    staging = out / f".traces-{secrets.token_hex(8)}"
+    staging.mkdir()
+    target, old = out / "traces", out / f"{staging.name}-old"
+    try:
+        files = []
+        for device, trace in sorted(traces.items()):
+            name = f"{device}.jsonl"
+            files.append((name, write_trace(staging / name, trace), trace))
+        if target.exists():
+            target.rename(old)
+        staging.rename(target)
+    except BaseException:
+        if old.exists() and not target.exists():
+            old.rename(target)
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if old.exists():
+        shutil.rmtree(old)
+    return files
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     scenario, raw = load_scenario(args.config, seed=args.seed)
     data = generate_traces(scenario)
     out = Path(args.out)
 
-    files = []
-    for device, trace in sorted(data.traces.items()):
-        name = f"{device}.jsonl"
-        files.append((name, write_trace(out / "traces" / name, trace), trace))
-    written = {name for name, _, _ in files}
-    for path in (out / "traces").glob("*.jsonl"):  # left by an earlier run into ``out``
-        if path.name not in written:
-            path.unlink()
+    files = _swap_in_traces(out, data.traces)
     write_trace_cache(out / TRACE_CACHE, files)
     atomic_write(out / "truth.jsonl", "".join(label_to_json(lb) + "\n" for lb in data.labels))
     atomic_write(

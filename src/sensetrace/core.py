@@ -9,8 +9,10 @@ column builder holds the sample contract's type rules and ``Trace.check``
 its value rules. ``SensorSample`` is a bare row type. ``write_trace_cache``
 keeps a run's decoded columns, keyed by each trace file's SHA-256, so that
 ``read_trace_cache`` can stand in for decoding an unchanged file. Every
-file the package writes goes through ``atomic_write`` and every other
-JSON-lines file it reads through ``read_jsonl``.
+file the package writes goes through ``atomic_write``, except the trace
+files: ``write_trace`` writes them in place, into the fresh directory that
+``generate`` swaps in for ``traces/`` whole. Every JSON-lines file other
+than a trace is read through ``read_jsonl``.
 """
 
 from __future__ import annotations
@@ -51,13 +53,10 @@ class SensorKind(Enum):
 
 
 class ProximityState(Enum):
+    """A phone's posture, stored as a proximity sample: 1.0 near (stowed), 0.0 far."""
+
     NEAR = "NEAR"
     FAR = "FAR"
-
-    @classmethod
-    def from_value(cls, value: float) -> "ProximityState":
-        """Binary near/far from the stored proximity sample (1.0 = near)."""
-        return cls.NEAR if value >= 0.5 else cls.FAR
 
 
 @dataclass(frozen=True)
@@ -300,8 +299,8 @@ class Trace:
         return row, rules[firsts.index(row)][1](row)
 
     def magnitudes(self, rows: np.ndarray) -> list[float]:
-        """Magnetic magnitude of each of ``rows``, computed as
-        ``envmatch.magnitude`` does."""
+        """Magnetic magnitude of each of ``rows``: the square root of the
+        sum of the squared components, independent of the phone's orientation."""
         x, y, z = self.mag[rows].T
         return np.sqrt(x * x + y * y + z * z).tolist()
 
@@ -486,25 +485,39 @@ def label_from_record(record: dict) -> GroundTruthLabel:
 
 
 _KIND_JSON = tuple(json.dumps(k.value) for k in KINDS)
+# A record's text from the end of its time to the start of its value, by kind code.
+_KIND_PIECE = tuple(f',"kind":{kind},"value":' for kind in _KIND_JSON)
+_NEXT_RECORD = '{"t":'
 
 
 def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSample]]) -> str:
     """One JSON line per row, encoded from the columns: floats as
     ``float.__repr__`` writes them (so an integral value reads ``5.0``) and
     names as ``json.dumps`` does, the bytes ``json.dumps`` gives for the
-    record with ``separators=(",", ":")``. Returns the SHA-256 of the file."""
+    record with ``separators=(",", ":")``. Returns the SHA-256 of the file.
+
+    A line is four pieces: the time, the kind's piece (``_KIND_PIECE``),
+    the value and the (src, obs) piece that ends the record and opens the
+    next. Only the times and values are formatted row by row, and a
+    magnetometer row formats its three components and no scalar value.
+    The file is written in place, not through ``atomic_write``: ``generate``
+    writes a run's trace files into a fresh directory that it swaps in whole.
+    """
     trace = as_trace(samples)
     names = [json.dumps(n) for n in trace.names] + ["null"]  # obs -1 is null
-    values = list(map(repr, trace.value.tolist()))
-    mag_rows = np.flatnonzero(trace.kind == _MAG)
-    for i, (x, y, z) in zip(mag_rows.tolist(), trace.mag[mag_rows].tolist()):
-        values[i] = f"[{x!r},{y!r},{z!r}]"
-    columns = (trace.t.tolist(), trace.kind.tolist(), values, trace.src.tolist(), trace.obs.tolist())
-    data = "".join(
-        f'{{"t":{t!r},"kind":{_KIND_JSON[k]},"value":{v},"src":{names[s]},"obs":{names[o]}}}\n'
-        for t, k, v, s, o in zip(*columns)
-    ).encode("utf-8")
-    atomic_write(path, data)
+    ends = [f',"src":{src},"obs":{obs}}}\n{_NEXT_RECORD}' for src in names for obs in names]
+    is_mag = trace.kind == _MAG
+    values = np.empty(len(trace), dtype=object)
+    values[~is_mag] = np.array(list(map(repr, trace.value[~is_mag].tolist())), dtype=object)
+    values[is_mag] = np.array([f"[{x!r},{y!r},{z!r}]" for x, y, z in trace.mag[is_mag].tolist()], dtype=object)
+    pieces = [""] * (4 * len(trace))
+    pieces[0::4] = map(repr, trace.t.tolist())
+    pieces[1::4] = map(_KIND_PIECE.__getitem__, trace.kind.tolist())
+    pieces[2::4] = values.tolist()
+    pieces[3::4] = map(ends.__getitem__, (trace.src * len(names) + trace.obs % len(names)).tolist())
+    data = (_NEXT_RECORD + "".join(pieces))[: -len(_NEXT_RECORD)].encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
     return hashlib.sha256(data).hexdigest()
 
 

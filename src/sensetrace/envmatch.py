@@ -39,21 +39,6 @@ class EnvThresholds:
         raise ValueError(f"no environment threshold for {sensor}")
 
 
-def magnitude(mx: float, my: float, mz: float) -> float:
-    """Total scalar magnitude of a 3-axis magnetic reading; independent of
-    the phone's orientation."""
-    for c in (mx, my, mz):
-        if not math.isfinite(c):
-            raise ValueError(f"magnetometer component must be finite, got {c}")
-    return math.sqrt(mx * mx + my * my + mz * mz)
-
-
-def local_cost(a: float, b: float) -> float:
-    """Squared difference between two scalar measures."""
-    d = a - b
-    return d * d
-
-
 def _validate(seq: ScalarSequence, name: str) -> None:
     if len(seq) == 0:
         raise EmptySequence(f"{name} sequence is empty")
@@ -92,7 +77,7 @@ def dtw_score(a: ScalarSequence, b: ScalarSequence) -> float:
                 n = prev_cells[j - 1]
             if left == best and cells[j - 1] < n:
                 n = cells[j - 1]
-            d = ai - bj  # local_cost, inlined
+            d = ai - bj  # the cell's cost is the squared difference
             cost.append(d * d + best)
             cells.append(n + 1)
         prev_cost, prev_cells = cost, cells

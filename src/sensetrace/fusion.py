@@ -387,7 +387,7 @@ def build_evidence(window: ContactWindow, cfg: FusionConfig) -> StageEvidence:
             SensorKind.MAGNETOMETER: tuple(w.magnitudes(w.rows(SensorKind.MAGNETOMETER, dev))),
         }
         states = value[w.rows(SensorKind.PROXIMITY, dev)]
-        near = int(np.count_nonzero(states >= 0.5))  # as ProximityState.from_value
+        near = int(np.count_nonzero(states >= 0.5))  # a sample of 1.0 is near, 0.0 far
         prox[dev] = ProximityState.NEAR if near > states.size / 2 else ProximityState.FAR
 
     return StageEvidence(

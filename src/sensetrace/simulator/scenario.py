@@ -7,11 +7,13 @@ window starting at t=0, and static placements; the seed fully determines
 placements, postures, per-device calibration offsets and sample noise, so
 identical seeds yield bit-identical traces.
 
-The simulator writes columns. Each instance's geometry is fixed, so it is
-computed once per direction of the pair and alone decides how many normals
-the instance draws; they are drawn with one call, in the order a
-sample-by-sample generator would draw them, and turned into both devices'
-traces as ``Trace`` columns by the signal models of ``signals``.
+The simulator writes columns, a batch of instances at a time. Each
+instance's geometry is fixed, so it is computed once per direction of the
+pair and alone decides how many normals the instance draws; a batch draws
+all of its instances' normals with one call, in the order a
+sample-by-sample generator would draw them, turns them into rows with the
+signal models of ``signals``, checks the rows at once and splits them into
+each device's ``Trace`` with one sort.
 """
 
 from __future__ import annotations
@@ -207,110 +209,116 @@ def _slot_times(length: float, period: float) -> np.ndarray:
     return np.arange(n) * period
 
 
-def _noise(sigma: float, z: np.ndarray):
+def _noise(sigma, z: np.ndarray):
     """``z`` standard normals as ``rng.normal(0.0, sigma)`` draws: the same
     float operations, so the same values."""
     return 0.0 + sigma * z
 
 
-def _instance_trace(
-    inst: PlacedInstance, scenario: Scenario, slots: dict[SensorKind, np.ndarray], rng: np.random.Generator
-) -> Trace:
-    """The samples of both devices of one instance, as columns in the order
-    a per-sample generator visits them: BLE then WiFi scans, each slot in
-    both directions; per sound slot and direction the receiver's ambient
-    level and the chirp, if heard; per environment slot and device the
-    barometer, magnetometer and proximity readings.
+_RADIO = (SensorKind.BLE_RSS, SensorKind.WIFI_RSS)
+_ENV = (SensorKind.BAROMETER, SensorKind.MAGNETOMETER, SensorKind.PROXIMITY)
+# Template rows per batch: enough instances for whole-batch numpy calls to
+# cost little per instance, few enough that a batch's temporary columns fit
+# the memory a process's earlier work freed (at 1 << 13, a second run of the
+# standard scenario in one process peaked 0.3 MB higher).
+_BATCH_ROWS = 1 << 12
 
-    The geometry is fixed for the instance, so it alone decides how many
-    normals the instance draws, and they are drawn at once in that order.
-    A magnetometer direction shorter than ``MIN_DIRECTION_NORM`` takes the
-    next three normals instead, moving every later draw along by three.
+
+def _row_template(slots: dict[SensorKind, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The rows one instance may record, in the order a per-sample
+    generator visits them: BLE then WiFi scans, each slot in both
+    directions; per sound slot and direction the receiver's ambient level
+    and the chirp; per environment slot and device the barometer,
+    magnetometer and proximity readings. Returns the columns ``t``,
+    ``kind``, ``rec`` (the recording device: 0 for a, 1 for b) and ``seen``
+    (the observed device, -1 for none). Direction 0 is a receiving from b."""
+    code = KIND_CODES
+    blocks = [(slots[kind], [code[kind]] * 2, [0, 1], [1, 0]) for kind in _RADIO]
+    amb, snd = code[SensorKind.AMBIENT_NOISE], code[SensorKind.SOUND_AMPLITUDE]
+    blocks.append((slots[SensorKind.SOUND_AMPLITUDE], [amb, snd, amb, snd], [0, 0, 1, 1], [-1, 1, -1, 0]))
+    blocks.append((slots[SensorKind.BAROMETER], [code[k] for k in _ENV] * 2, [0, 0, 0, 1, 1, 1], [-1] * 6))
+    columns = [[] for _ in range(4)]
+    for t, *per_slot in blocks:
+        columns[0].append(np.repeat(t, len(per_slot[0])))
+        for column, values in zip(columns[1:], per_slot):
+            column.append(np.tile(values, len(t)))
+    return tuple(map(np.concatenate, columns))
+
+
+def _batch_traces(
+    batch: Sequence[PlacedInstance],
+    scenario: Scenario,
+    slots: dict[SensorKind, np.ndarray],
+    template: tuple[np.ndarray, ...],
+    rng: np.random.Generator,
+    traces: dict[str, Trace],
+) -> None:
+    """Simulate the instances of ``batch`` into ``traces``, one ``Trace`` per
+    device holding its rows by (time, kind, observed device), none first.
+
+    Each instance's geometry is fixed, so it alone decides how many normals
+    the instance draws; the batch draws them with one call, in the order a
+    per-sample generator would, and turns them into rows laid out by
+    ``template``. A magnetometer direction shorter than
+    ``MIN_DIRECTION_NORM`` takes the next three normals instead, moving
+    every later draw of the run along by three. The first row, in draw
+    order, that breaks the sample contract raises ScenarioError naming its
+    instance.
     """
     tb, cfg, noise = scenario.testbed, scenario.fusion, scenario.noise
-    a, b = inst.a, inst.b
-    ids = (a.device_id, b.device_id)
-    names = tuple(sorted(set(ids)))
-    code = [names.index(i) for i in ids]
-    # Direction i: device i (a, then b) receives from the other one.
-    src = np.array(code)
-    obs = src[::-1]
-    paths = (link(b, a, tb), link(a, b, tb))
-    ambient = np.array([tb.ambient_noise_at(d.x, d.y) for d in (a, b)])
-
     sigma_tx, sigma_level = noise.tx_power_sigma_db, noise.sound_level_sigma_db
-    sigma_mp = noise.multipath_sigma_indoor_db if inst.environment == INDOOR else noise.multipath_sigma_outdoor_db
     sigma_amb, sigma_snd = noise.ambient_sigma_db, noise.sound_sigma_db
     sigma_hpa, sigma_ut = tb.pressure.sigma_hpa, tb.magnetic.sensor_sigma_ut
-    radio = (SensorKind.BLE_RSS, SensorKind.WIFI_RSS)
-    sigma_rss = [rss_sigma(kind, noise) for kind in radio]
-    chirp_draws = [int(not sound_gated(p, noise) and sigma_snd > 0) for p in paths]
-    per_sound_slot = 2 * (sigma_amb > 0) + sum(chirp_draws)
-    per_reading = (sigma_hpa > 0) + (sigma_ut > 0) + 3
+    sigma_rss = [rss_sigma(kind, noise) for kind in _RADIO]
+
+    # The fixed geometry of each instance: direction i (a, then b) is device
+    # i receiving from the other one; device codes index the pair's sorted
+    # names. Per device: ambient noise, pressure, magnetic mean, proximity.
+    names, codes, paths, levels, sigma_mp = [], [], [], [], []
+    for inst in batch:
+        try:
+            ids = (inst.a.device_id, inst.b.device_id)
+            names.append(tuple(sorted(set(ids))))
+            codes.append([names[-1].index(i) for i in ids])
+            paths.append((link(inst.b, inst.a, tb), link(inst.a, inst.b, tb)))
+            levels.append([
+                (
+                    tb.ambient_noise_at(d.x, d.y),
+                    barometer_level(d, tb),
+                    tb.magnetic_mean_at(d.x, d.y, d.floor),
+                    1.0 if d.posture is ProximityState.NEAR else 0.0,
+                )
+                for d in (inst.a, inst.b)
+            ])
+            indoor = inst.environment == INDOOR
+            sigma_mp.append(noise.multipath_sigma_indoor_db if indoor else noise.multipath_sigma_outdoor_db)
+        except ValueError as exc:
+            raise ScenarioError(f"instance {inst.index} {inst.pair}: {exc}") from exc
+    n = len(batch)
+    codes, sigma_mp = np.array(codes), np.array(sigma_mp)
+    ambient, baro, mag_mean, prox = np.moveaxis(np.array(levels), 2, 0)  # each instance x device
+    gated = np.array([[sound_gated(p, noise) for p in pair] for pair in paths]).reshape(n, 2)
+    chirp = ~gated & (sigma_snd > 0)  # directions that draw chirp noise
+
+    # Normals per instance, nominally (with no magnetometer retry): the
+    # pair's calibration and multipath draws, the scans, the sound slots,
+    # then the environment readings.
+    n_sound = len(slots[SensorKind.SOUND_AMPLITUDE])
     n_env = 2 * len(slots[SensorKind.BAROMETER])
-    z = rng.standard_normal(
-        2 * ((sigma_tx > 0) + (sigma_level > 0) + (sigma_mp > 0))
-        + sum(2 * len(slots[kind]) * (sigma > 0) for kind, sigma in zip(radio, sigma_rss))
-        + len(slots[SensorKind.SOUND_AMPLITUDE]) * per_sound_slot
-        + n_env * per_reading
-    )
-    used = 0
+    per_sound_slot = 2 * (sigma_amb > 0) + chirp.sum(axis=1)
+    per_reading = (sigma_hpa > 0) + (sigma_ut > 0) + 3
+    head = 2 * (sigma_tx > 0) + 2 * (sigma_level > 0) + 2 * (sigma_mp > 0)
+    scans = sum(2 * len(slots[kind]) * (sigma > 0) for kind, sigma in zip(_RADIO, sigma_rss))
+    before_env = head + scans + n_sound * per_sound_slot
+    count = before_env + n_env * per_reading
+    start = np.cumsum(count) - count
+    z = rng.standard_normal(int(count.sum()))
 
-    def draws(k: int) -> np.ndarray:
-        nonlocal used
-        used += k
-        return z[used - k:used]
-
-    def pair_noise(sigma: float) -> list[float]:
-        return _noise(sigma, draws(2)).tolist() if sigma > 0 else [0.0, 0.0]
-
-    # Keyed by device id, so two devices of one id share the later draw.
-    tx_offset = dict(zip(ids, pair_noise(sigma_tx)))
-    tx_level = dict(zip(ids, pair_noise(sigma_level)))
-    path_bias = pair_noise(sigma_mp)
-
-    blocks = []  # (t, kind, value, mag, src, obs, keep) per block, slots first
-
-    for kind, sigma, bias in zip(radio, sigma_rss, path_bias):
-        t = slots[kind]
-        level = np.array([
-            rss_level(p, kind, noise, cfg.radio_params, tx_offset[ids[1 - i]], bias) for i, p in enumerate(paths)
-        ])
-        rss = level + (_noise(sigma, draws(2 * len(t)).reshape(-1, 2)) if sigma > 0 else 0.0)
-        seen, value = rss_reading(np.broadcast_to(rss, (len(t), 2)), noise)
-        blocks.append((t[:, None], KIND_CODES[kind], value, math.nan, src, obs, seen))
-
-    # Per sound slot and direction: the ambient level, then the chirp.
-    t = slots[SensorKind.SOUND_AMPLITUDE]
-    z_sound = draws(len(t) * per_sound_slot).reshape(len(t), per_sound_slot)
-    col = 0
-    values, heard = np.empty((len(t), 2, 2)), np.ones((len(t), 2, 2), dtype=bool)
-    for i, p in enumerate(paths):
-        values[:, i, 0] = ambient[i]
-        if sigma_amb > 0:
-            values[:, i, 0] += _noise(sigma_amb, z_sound[:, col])
-            col += 1
-        if sound_gated(p, noise):
-            heard[:, i, 1] = False
-            continue
-        received = np.full(len(t), sound_level(p, cfg.chirp, cfg.sound_exponent, tx_level[ids[1 - i]]))
-        if chirp_draws[i]:
-            received += _noise(sigma_snd, z_sound[:, col])
-            col += 1
-        values[:, i, 1] = received
-        heard[:, i, 1] = sound_heard(received, ambient[i])
-    sound_codes = [KIND_CODES[SensorKind.AMBIENT_NOISE], KIND_CODES[SensorKind.SOUND_AMPLITUDE]]
-    blocks.append((
-        t[:, None, None], np.array(sound_codes), values, math.nan,
-        src[:, None], np.stack([np.full(2, -1), obs], axis=1), heard,
-    ))
-
-    # Per environment slot and device: barometer, magnetometer, proximity.
-    t = slots[SensorKind.BAROMETER]
-    device = np.arange(n_env) % 2
-    retries = np.zeros(n_env, dtype=int)
+    # Retries, reading by reading in draw order, until no direction is short.
+    nominal = ((start + before_env)[:, None] + per_reading * np.arange(n_env)).ravel()
+    retries = np.zeros(n * n_env, dtype=int)
     while True:
-        first = used + per_reading * np.arange(n_env) + 3 * (np.cumsum(retries) - retries)
+        first = nominal + 3 * (np.cumsum(retries) - retries)
         direction_at = first + per_reading - 3 + 3 * retries
         shortfall = int(direction_at[-1]) + 3 - len(z)
         if shortfall > 0:
@@ -322,81 +330,134 @@ def _instance_trace(
         if not short.size:
             break
         retries[short[0]] += 1
-    baro = np.array([barometer_level(d, tb) for d in (a, b)])[device]
-    if sigma_hpa > 0:
-        baro = baro + _noise(sigma_hpa, z[first])
-    mean = np.array([tb.magnetic_mean_at(d.x, d.y, d.floor) for d in (a, b)])[device]
-    mag = mean + (_noise(sigma_ut, z[first + (sigma_hpa > 0)]) if sigma_ut > 0 else 0.0)
-    prox = np.array([1.0 if d.posture is ProximityState.NEAR else 0.0 for d in (a, b)])[device]
-    env_codes = [KIND_CODES[k] for k in (SensorKind.BAROMETER, SensorKind.MAGNETOMETER, SensorKind.PROXIMITY)]
-    values = np.stack([baro, np.full(n_env, math.nan), prox], axis=1)
-    vectors = np.full((n_env, 3, 3), math.nan)
-    vectors[:, 1] = magnetometer_reading(mag, direction, norm)
-    blocks.append((
-        t[:, None, None], np.array(env_codes), values.reshape(-1, 2, 3), vectors.reshape(-1, 2, 3, 3),
-        src[:, None], -1, True,
-    ))
+    at = start + (first[::n_env] - nominal[::n_env])  # each instance's first normal, after retries
 
-    # Each block's columns broadcast to the shape of its values; the kept
-    # rows, flattened in C order, are the rows in the order they were drawn.
-    parts = [[] for _ in range(6)]
-    for block in blocks:
-        shape = np.shape(block[2])
-        keep = np.broadcast_to(block[6], shape)
-        for part, column, dims in zip(parts, block, (shape, shape, shape, (*shape, 3), shape, shape)):
-            part.append(np.broadcast_to(column, dims)[keep])
-    t, kind, value, vectors, src, obs = map(np.concatenate, parts)
-    return Trace(t, kind.astype(np.int8), value, vectors, src.astype(np.int32), obs.astype(np.int32), names)
+    def pair_noise(sigma, at: np.ndarray) -> tuple[list, np.ndarray]:
+        """Two draws per instance whose ``sigma`` is > 0, else zeros; and
+        where each instance's next draw is."""
+        drawn = np.broadcast_to(sigma > 0, (n,))
+        out = np.zeros((n, 2))
+        out[drawn] = _noise(np.broadcast_to(sigma, (n,))[drawn, None], z[at[drawn, None] + np.arange(2)])
+        return out.tolist(), at + 2 * drawn
+
+    tx_offset, at = pair_noise(sigma_tx, at)
+    tx_level, at = pair_noise(sigma_level, at)
+    path_bias, at = pair_noise(sigma_mp, at)
+    # The levels before scan and chirp noise, instance by instance.
+    rss_levels = np.empty((n, 2, 2))  # instance, direction, kind
+    chirp_levels = np.full((n, 2), math.nan)
+    for j, inst in enumerate(batch):
+        ids = (inst.a.device_id, inst.b.device_id)
+        # Keyed by device id, so two devices of one id share the later draw.
+        tx, lvl = dict(zip(ids, tx_offset[j])), dict(zip(ids, tx_level[j]))
+        for i, p in enumerate(paths[j]):
+            rss_levels[j, i] = [
+                rss_level(p, kind, noise, cfg.radio_params, tx[ids[1 - i]], bias)
+                for kind, bias in zip(_RADIO, path_bias[j])
+            ]
+            if not gated[j, i]:
+                chirp_levels[j, i] = sound_level(p, cfg.chirp, cfg.sound_exponent, lvl[ids[1 - i]])
+
+    values, keep = [], []
+    for k, (kind, sigma) in enumerate(zip(_RADIO, sigma_rss)):
+        draws = 2 * len(slots[kind]) * (sigma > 0)
+        noisy = _noise(sigma, z[at[:, None] + np.arange(draws)]).reshape(n, -1, 2) if sigma > 0 else 0.0
+        at = at + draws
+        seen, value = rss_reading(rss_levels[:, None, :, k] + noisy, noise)
+        shape = (n, len(slots[kind]), 2)
+        values.append(np.broadcast_to(value, shape))
+        keep.append(np.broadcast_to(seen, shape))
+
+    # Per sound slot and direction: the ambient level, then the chirp.
+    slot_at = at[:, None] + per_sound_slot[:, None] * np.arange(n_sound)
+    sound, heard = np.empty((n, n_sound, 2, 2)), np.ones((n, n_sound, 2, 2), dtype=bool)
+    col = np.zeros(n, dtype=int)
+    for i in (0, 1):
+        sound[:, :, i, 0] = ambient[:, i, None]
+        if sigma_amb > 0:
+            sound[:, :, i, 0] += _noise(sigma_amb, z[slot_at + col[:, None]])
+            col = col + 1
+        received = np.repeat(chirp_levels[:, i, None], n_sound, axis=1)
+        drawn = chirp[:, i]
+        received[drawn] += _noise(sigma_snd, z[slot_at[drawn] + col[drawn, None]])
+        col = col + drawn
+        sound[:, :, i, 1] = received
+        heard[:, :, i, 1] = ~gated[:, i, None] & sound_heard(received, ambient[:, i, None])
+    values.append(sound)
+    keep.append(heard)
+
+    # Per environment slot and device: barometer, magnetometer, proximity.
+    reading = np.arange(n * n_env)
+    owner = (np.repeat(np.arange(n), n_env), reading % 2)  # (instance, device) of each reading
+    pressure = baro[owner]
+    if sigma_hpa > 0:
+        pressure = pressure + _noise(sigma_hpa, z[first])
+    strength = mag_mean[owner] + (_noise(sigma_ut, z[first + (sigma_hpa > 0)]) if sigma_ut > 0 else 0.0)
+    values.append(np.stack([pressure, np.full(len(reading), math.nan), prox[owner]], axis=1))
+    keep.append(np.ones((n, 3 * n_env), dtype=bool))
+
+    # The batch's kept rows, instance by instance in draw order.
+    t, kind, rec, seen = template
+    keep = np.concatenate([k.reshape(n, -1) for k in keep], axis=1)
+    instance = np.broadcast_to(np.arange(n)[:, None], keep.shape)[keep]
+    value = np.concatenate([v.reshape(n, -1) for v in values], axis=1)[keep]
+    kind = np.broadcast_to(kind, keep.shape)[keep].astype(np.int8)
+    src = codes[:, rec][keep].astype(np.int32)
+    obs = np.where(seen >= 0, codes[:, np.maximum(seen, 0)], -1)[keep].astype(np.int32)
+    mag = np.full((len(value), 3), math.nan)
+    mag[kind == KIND_CODES[SensorKind.MAGNETOMETER]] = magnetometer_reading(strength, direction, norm)
+    rows = Trace(np.broadcast_to(t, keep.shape)[keep], kind, value, mag, src, obs, names=())
+    bad = rows.check()
+    if bad is not None:
+        inst = batch[instance[bad[0]]]
+        raise ScenarioError(f"instance {inst.index} {inst.pair}: {bad[1]}")
+
+    # One sort groups the rows by instance and device, each group by (time,
+    # kind, observed device); ties keep draw order. Each trace gets columns of
+    # its own, as decoding gives them, not views that would keep the batch alive.
+    group = 2 * instance + src
+    order = np.lexsort((obs, kind, rows.t, group))
+    bounds = np.searchsorted(group[order], np.arange(2 * n + 1)).tolist()
+    columns = (rows.t, rows.kind, rows.value, rows.mag, rows.src, rows.obs)
+    for j, inst in enumerate(batch):
+        for device in dict.fromkeys((inst.a.device_id, inst.b.device_id)):
+            g = 2 * j + names[j].index(device)
+            own = order[bounds[g] : bounds[g + 1]]
+            traces[device] = Trace(*(column[own] for column in columns), names[j])
 
 
 def generate_traces(scenario: Scenario) -> GeneratedData:
     """Produce per-device sample traces plus ground truth for every instance.
 
     All randomness flows from one seeded generator in a fixed order, so a
-    given (scenario, seed) is bit-reproducible. A sample that breaks the
-    sample contract (``Trace.check``) raises ScenarioError naming its
-    instance.
+    given (scenario, seed) is bit-reproducible. Instances are simulated in
+    batches of about ``_BATCH_ROWS`` rows (``_batch_traces``). A sample that
+    breaks the sample contract (``Trace.check``) raises ScenarioError naming
+    its instance.
     """
     rng = np.random.default_rng(scenario.seed)
     tb = scenario.testbed
-    cfg = scenario.fusion
-    length = cfg.window_length
+    length = scenario.fusion.window_length
 
     instances = place_instances(scenario, rng)
     traces: dict[str, Trace] = {}
-    labels: list[GroundTruthLabel] = []
     slots = {  # sound slots also time the ambient level, barometer slots every environment sensor
-        SensorKind.BLE_RSS: _slot_times(length, cfg.ble_scan_period),
-        SensorKind.WIFI_RSS: _slot_times(length, cfg.wifi_scan_period),
+        SensorKind.BLE_RSS: _slot_times(length, scenario.fusion.ble_scan_period),
+        SensorKind.WIFI_RSS: _slot_times(length, scenario.fusion.wifi_scan_period),
         SensorKind.SOUND_AMPLITUDE: _slot_times(length, scenario.sound_period),
         SensorKind.BAROMETER: _slot_times(length, scenario.env_period),
     }
+    template = _row_template(slots)
+    size = max(1, _BATCH_ROWS // len(template[0]))
+    for i in range(0, len(instances), size):
+        _batch_traces(instances[i : i + size], scenario, slots, template, rng, traces)
 
+    labels = []
     for inst in instances:
-        try:
-            trace = _instance_trace(inst, scenario, slots, rng)
-            bad = trace.check()
-            if bad is not None:
-                raise ValueError(bad[1])
-            # Each device's rows by (time, kind, observed device), none first.
-            for device in dict.fromkeys((inst.a.device_id, inst.b.device_id)):
-                rows = np.flatnonzero(trace.src == trace.code(device))
-                rows = rows[np.lexsort((trace.obs[rows], trace.kind[rows], trace.t[rows]))]
-                traces[device] = trace.take(rows)
-
-            d = tb.true_distance(inst.a, inst.b)
-            labels.append(
-                GroundTruthLabel(
-                    pair=inst.pair,
-                    start=0.0,
-                    end=length,
-                    true_distance=d,
-                    is_contact=d <= CONTACT_DISTANCE_M,
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"instance {inst.index} {inst.pair}: {exc}") from exc
-
+        d = tb.true_distance(inst.a, inst.b)
+        labels.append(
+            GroundTruthLabel(pair=inst.pair, start=0.0, end=length, true_distance=d, is_contact=d <= CONTACT_DISTANCE_M)
+        )
     return GeneratedData(
         traces=traces,
         labels=labels,

@@ -11,7 +11,7 @@ Each model is split into a deterministic level (``rss_level``,
 ``sound_level``, ``barometer_level``) and the rule that turns a noisy level
 into a reading (``rss_reading``, ``sound_heard``, ``magnetometer_reading``).
 The ``simulate_*`` functions draw one reading with them; the simulator
-applies them to all of an instance's readings at once.
+applies them to all the readings of a batch of instances at once.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
-These deliberately avoid the library's own algorithms: the DTW oracle
+These deliberately avoid the library's own algorithms, and hold the scalar
+rules the library applies to whole columns (``magnitude``, ``local_cost``,
+``proximity_state``): the DTW oracle
 enumerates every monotone warping path instead of filling a DP matrix, the
 sample oracle checks one sample at a time with scalar rules instead of
 whole columns, the trace oracle simulates one sample at a time with the
@@ -45,6 +47,28 @@ from sensetrace.simulator import (
     simulate_rss,
     simulate_sound,
 )
+
+
+def magnitude(mx: float, my: float, mz: float) -> float:
+    """Total scalar magnitude of a 3-axis magnetic reading, one reading at a
+    time: the reference for ``Trace.magnitudes``."""
+    for c in (mx, my, mz):
+        if not math.isfinite(c):
+            raise ValueError(f"magnetometer component must be finite, got {c}")
+    return math.sqrt(mx * mx + my * my + mz * mz)
+
+
+def local_cost(a: float, b: float) -> float:
+    """Squared difference between two scalar measures: the cell cost
+    ``dtw_score`` inlines."""
+    d = a - b
+    return d * d
+
+
+def proximity_state(value: float) -> ProximityState:
+    """Binary near/far from one stored proximity sample (1.0 = near): the
+    rule ``build_evidence`` applies to a device's proximity column."""
+    return ProximityState.NEAR if value >= 0.5 else ProximityState.FAR
 
 
 def brute_force_dtw(a: Sequence[float], b: Sequence[float]) -> float:

@@ -8,7 +8,7 @@ import yaml
 
 from sensetrace import cli
 from sensetrace.cli import main
-from sensetrace.core import TRACE_CACHE, SensorSample, read_trace
+from sensetrace.core import TRACE_CACHE, SensorSample, read_trace, write_trace
 from sensetrace.evaluation import ASSESSMENT_CACHE
 from sensetrace.simulator import config_hash, load_scenario, standard_scenario
 
@@ -37,6 +37,11 @@ def small_config(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def files_of(directory):
+    """Every file in ``directory`` by name, with its bytes."""
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
 
 
 def set_key(section, key, value):
@@ -108,13 +113,61 @@ class TestGenerate:
         for n in (3, 1):
             raw["instances"]["buckets"] = [{"range_m": [0.0, 1.0], "indoor": n, "outdoor": 0}]
             small_config.write_text(yaml.safe_dump(raw, sort_keys=False))
+            if n == 1:  # and a trace file no run wrote
+                (out / "traces" / "zz.jsonl").write_bytes((out / "traces" / "i000a.jsonl").read_bytes())
             assert run(["generate", "--config", small_config, "--out", out]) == 0
         fresh = tmp_path / "fresh"
         assert run(["generate", "--config", small_config, "--out", fresh]) == 0
-        names = sorted(p.name for p in (out / "traces").iterdir())
-        assert names == sorted(p.name for p in (fresh / "traces").iterdir())
-        assert len(names) == json.loads((out / "meta.json").read_text())["devices"] == 2
+        assert files_of(out / "traces") == files_of(fresh / "traces")
+        assert len(files_of(out / "traces")) == json.loads((out / "meta.json").read_text())["devices"] == 2
         assert (out / TRACE_CACHE).read_bytes() == (fresh / TRACE_CACHE).read_bytes()
+        assert not list(out.glob(".traces*"))
+
+    def test_failed_write_keeps_the_earlier_traces(self, tmp_path, monkeypatch, capsys):
+        raw = standard_raw()
+        raw["window"] = {"length_s": 120.0}
+        raw["instances"]["buckets"] = [{"range_m": [0.0, 3.0], "indoor": 30, "outdoor": 30}]
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(raw, sort_keys=False))
+        out = tmp_path / "run"
+        assert run(["generate", "--config", config, "--out", out]) == 0
+        before = files_of(out / "traces")
+        assert len(before) == 120
+        written = []
+
+        def full_disk_at_the_100th(path, trace):
+            written.append(path)
+            if len(written) == 100:
+                raise OSError(28, "No space left on device")
+            return write_trace(path, trace)
+
+        monkeypatch.setattr(cli, "write_trace", full_disk_at_the_100th)
+        capsys.readouterr()
+        assert run(["generate", "--config", config, "--out", out, "--seed", 12]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "OSError"
+        assert files_of(out / "traces") == before
+        assert not list(out.glob(".traces*"))
+
+    def test_detect_between_the_two_renames_fails_cleanly(self, small_config, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert run(["generate", "--config", small_config, "--out", out]) == 0
+        rename, detected = Path.rename, []
+
+        def rename_then_detect(path, target):
+            moved = rename(path, target)
+            if path.name == "traces":  # the earlier set is out, the new one not yet in
+                detected.append(run(["detect", "--data", out, "--config", small_config]))
+            return moved
+
+        monkeypatch.setattr(Path, "rename", rename_then_detect)
+        capsys.readouterr()
+        assert run(["generate", "--config", small_config, "--out", out]) == 0
+        assert detected == [1]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["message"].startswith("no trace files under")
+        monkeypatch.undo()
+        assert run(["detect", "--data", out, "--config", small_config]) == 0
 
     def test_missing_config_errors_with_json(self, tmp_path, capsys):
         rc = run(["generate", "--config", tmp_path / "nope.yaml", "--out", tmp_path / "x"])

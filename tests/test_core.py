@@ -8,6 +8,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sensetrace import core
 from sensetrace.core import (
@@ -28,11 +30,10 @@ from sensetrace.core import (
     write_trace,
     write_trace_cache,
 )
-from sensetrace.envmatch import magnitude
 from sensetrace.errors import EmptyWindow, SenseTraceError
 from sensetrace.fusion import FusionConfig, build_evidence
 
-from .oracles import sample_from_record
+from .oracles import magnitude, proximity_state, sample_from_record
 
 
 def ble(t, src, obs, rss=-60.0):
@@ -443,6 +444,55 @@ class TestWriteTrace:
         assert path.read_text() == '{"t":2.0,"kind":"PROXIMITY","value":1.0,"src":"a","obs":null}\n'
 
 
+# Finite floats, the edge cases and integral values always among them.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 0.1 + 0.2, 2.0, -3.0])
+FINITE = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**17, 10**17).map(float))
+TIMES = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 2.0]), st.floats(min_value=0.0, allow_infinity=False))
+# The values each kind's sample contract allows.
+VALUES = {
+    SensorKind.BLE_RSS: st.one_of(st.sampled_from([-0.0, -120.0, -59.0]), st.floats(-120.0, 0.0)),
+    SensorKind.BAROMETER: st.one_of(st.sampled_from([300.0, 1100.0, 1012.0]), st.floats(300.0, 1100.0)),
+    SensorKind.MAGNETOMETER: st.tuples(FINITE, FINITE, FINITE),
+}
+VALUES[SensorKind.WIFI_RSS] = VALUES[SensorKind.BLE_RSS]
+# Names with quotes, backslashes, non-ASCII and control characters, and the
+# encoder's own piece boundaries.
+NAMES = st.text(
+    st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "€", "\u2028", "𝄞", "%", "{", "}", ","]), st.characters()),
+    min_size=1,
+    max_size=6,
+)
+PEER_KINDS = (SensorKind.BLE_RSS, SensorKind.WIFI_RSS, SensorKind.SOUND_AMPLITUDE)
+
+
+@st.composite
+def sample_lists(draw):
+    """Rows of every kind that keep the sample contract, over two to four devices."""
+    devices = draw(st.lists(NAMES, min_size=2, max_size=4, unique=True))
+    samples = []
+    for kind in draw(st.lists(st.sampled_from(list(SensorKind)), max_size=14)):
+        src = draw(st.sampled_from(devices))
+        obs = draw(st.sampled_from([d for d in devices if d != src])) if kind in PEER_KINDS else None
+        samples.append(SensorSample(draw(TIMES), kind, draw(VALUES.get(kind, FINITE)), src, obs))
+    return samples
+
+
+class TestWriteTraceProperty:
+    @given(samples=sample_lists())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_are_json_dumps_per_record_and_read_back(self, samples, tmp_path):
+        path, again = tmp_path / "trace.jsonl", tmp_path / "again.jsonl"
+        trace = Trace.from_samples(samples)
+        digest = write_trace(path, trace)
+        data = path.read_bytes()
+        assert data == json_lines(samples).encode("utf-8")
+        assert digest == hashlib.sha256(data).hexdigest()
+        back = read_trace(path)
+        assert back == trace and list(back) == samples
+        write_trace(again, back)  # -0.0 keeps its sign both ways
+        assert again.read_bytes() == data
+
+
 class TestTraceIO:
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = random.Random(3)
@@ -478,8 +528,8 @@ class TestTraceIO:
         assert sample_from_record(record) == ble(1.5, "a", "b", rss=-59.5)
 
     def test_proximity_state_from_value(self):
-        assert ProximityState.from_value(1.0) is ProximityState.NEAR
-        assert ProximityState.from_value(0.0) is ProximityState.FAR
+        assert proximity_state(1.0) is ProximityState.NEAR
+        assert proximity_state(0.0) is ProximityState.FAR
 
 
 class TestRecordFiles:

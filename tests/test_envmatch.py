@@ -6,17 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensetrace.core import ProximityState, SensorKind
-from sensetrace.envmatch import (
-    EnvThresholds,
-    dtw_score,
-    env_similar,
-    local_cost,
-    magnitude,
-    select_env_sensor,
-)
+from sensetrace.envmatch import EnvThresholds, dtw_score, env_similar, select_env_sensor
 from sensetrace.errors import EmptySequence
 
-from .oracles import brute_force_dtw
+from .oracles import brute_force_dtw, local_cost, magnitude
 
 # Dyadic values make every squared cost and sum exact in binary floating
 # point, so oracle and implementation agree bit-for-bit even on tie-breaks.

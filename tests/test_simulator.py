@@ -1,10 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from sensetrace.core import ProximityState, SensorKind, Trace, write_trace
-from sensetrace.envmatch import magnitude
 from sensetrace.errors import ScenarioError
 from sensetrace.ranging import ChirpSpec, PathLossParams, distance_from_rss, rss_from_distance
 from sensetrace.simulator import (
@@ -23,9 +23,10 @@ from sensetrace.simulator import (
     simulate_sound,
     standard_scenario,
 )
+from sensetrace.simulator import scenario as scenario_module
 from sensetrace.simulator import signals
 
-from .oracles import sequential_traces
+from .oracles import magnitude, sequential_traces
 
 RADIO = PathLossParams()
 
@@ -525,3 +526,85 @@ class TestGeneratorMatchesSequentialOracle:
         data = assert_matches_sequential(small_standard(), tmp_path)
         monkeypatch.undo()
         assert generate_traces(small_standard()).traces != data.traces
+
+
+# Rows an instance may record at the default 900 s window and 30 s periods:
+# 2 BLE, 2 WiFi, 4 sound and 6 environment rows per slot.
+INSTANCE_ROWS = 14 * 30
+
+
+class NormThreshold(float):
+    """A ``MIN_DIRECTION_NORM`` that records every direction norm the
+    per-sample oracle compares with it (``norm < threshold`` asks it first)."""
+
+    def __new__(cls, value):
+        threshold = super().__new__(cls, value)
+        threshold.norms = []
+        return threshold
+
+    def __gt__(self, norm):
+        self.norms.append(norm)
+        return float(self) > norm
+
+
+def six_instances(seed):
+    sc = standard_scenario(seed=seed)
+    return dataclasses.replace(sc, buckets=(BucketSpec(0.0, 3.0, indoor=3, outdoor=3),))
+
+
+def retry_only_in(instance, monkeypatch):
+    """A six-instance scenario and a ``MIN_DIRECTION_NORM`` under which the
+    oracle draws exactly one magnetometer direction again, in ``instance``."""
+    readings = 2 * 30  # per instance: two devices, 30 environment slots
+    for seed in range(200):
+        sc = six_instances(seed)
+        monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", NormThreshold(0.0))
+        sequential_traces(sc)
+        norms = signals.MIN_DIRECTION_NORM.norms
+        own = min(norms[instance * readings : (instance + 1) * readings])
+        if instance and own >= min(norms[: instance * readings]):
+            continue
+        threshold = NormThreshold(math.nextafter(own, math.inf))
+        monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", threshold)
+        sequential_traces(sc)
+        short = [i for i, norm in enumerate(threshold.norms) if norm < float(threshold)]
+        if len(short) == 1 and short[0] // readings == instance:
+            monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", float(threshold))
+            return sc
+    raise AssertionError(f"no seed below 200 retries only in instance {instance}")
+
+
+class TestBatchEdges:
+    """Batches of three instances: a retry moves every later draw of the
+    run, and the first bad row names its instance, whatever the batch."""
+
+    @pytest.fixture(autouse=True)
+    def batches_of_three(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_BATCH_ROWS", 3 * INSTANCE_ROWS)
+
+    @pytest.mark.parametrize("instance", [3, 2], ids=["first_of_a_batch", "last_of_a_batch"])
+    def test_one_magnetometer_retry(self, instance, tmp_path, monkeypatch):
+        sc = retry_only_in(instance, monkeypatch)
+        data = assert_matches_sequential(sc, tmp_path)
+        monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", 1e-12)
+        unretried = generate_traces(sc).traces
+        moved = [device for device in data.traces if data.traces[device] != unretried[device]]
+        # The retried instance and every later one draw other normals.
+        assert moved[0] in {f"i{instance:03d}a", f"i{instance:03d}b"}
+        assert moved[-1] == "i005b"
+
+    def test_first_bad_sample_of_a_later_instance(self):
+        # Floor 13 reads 1099.4 hPa; instance 4's b, on floor 11, reads
+        # above 1100 at its first environment slot, after its scans.
+        tb = dataclasses.replace(tower(), pressure=PressureModel(base_hpa=1105.0))
+        placements = tuple(
+            (DevicePlacement(f"b{i}a", 2.0, 1.0 + i, floor=13), DevicePlacement(f"b{i}b", 3.0, 1.0 + i, floor=11 if i == 4 else 13))
+            for i in range(6)
+        )
+        sc = Scenario(testbed=tb, explicit_instances=placements, seed=6)
+        with pytest.raises(ScenarioError) as want:
+            sequential_traces(sc)
+        with pytest.raises(ScenarioError) as got:
+            generate_traces(sc)
+        assert str(want.value).startswith("instance 4 ('b4a', 'b4b'): barometer must lie in [300, 1100] hPa, got 1100.")
+        assert str(got.value) == str(want.value)
