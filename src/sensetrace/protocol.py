@@ -67,10 +67,12 @@ class EventLog:
 
 @dataclass
 class DeviceState:
-    """One participating phone: its rotating identity, its local contact log
-    and whether it has been told of an exposure."""
+    """One participating phone: its permanent id and current epoch (``identity``
+    derives the temporary id from both on each read; none is stored), its
+    local contact log and whether it has been told of an exposure."""
 
-    identity: DeviceId
+    permanent_id: str
+    epoch: int = 0
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
     last_rotation: float = 0.0
@@ -78,23 +80,18 @@ class DeviceState:
     epoch_starts: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if self.epoch < 0:
+            raise ValueError("epoch must be >= 0")
         if not self.epoch_starts:
             self.epoch_starts.append(self.last_rotation)
 
     @property
-    def permanent_id(self) -> str:
-        return self.identity.permanent_id
+    def identity(self) -> DeviceId:
+        return DeviceId(self.permanent_id, derive_temp_id(self.permanent_id, self.epoch), self.epoch)
 
     @property
     def first_epoch(self) -> int:
-        return self.identity.epoch - len(self.epoch_starts) + 1
-
-    def temp_id_history(self) -> dict[int, str]:
-        """All temp ids this device has used, resolvable only by itself."""
-        return {
-            e: derive_temp_id(self.permanent_id, e)
-            for e in range(self.first_epoch, self.identity.epoch + 1)
-        }
+        return self.epoch - len(self.epoch_starts) + 1
 
 
 @dataclass
@@ -124,9 +121,7 @@ def register_device(
     if device is None:
         permanent = f"dev{server._counter:05d}"
         server._counter += 1
-        device = DeviceState(
-            identity=DeviceId(permanent, derive_temp_id(permanent, 0), epoch=0)
-        )
+        device = DeviceState(permanent)
     already = device.permanent_id in server.registered
     server.registered.add(device.permanent_id)
     if events and not already:
@@ -135,22 +130,18 @@ def register_device(
 
 
 def rotate_id(device: DeviceState, now: float, events: Optional[EventLog] = None) -> DeviceState:
-    """Advance to a fresh temporary id once the rotation period has elapsed.
-
-    The device keeps its own past ids resolvable for exposure matching.
-    """
+    """Advance to the next epoch once the rotation period has elapsed: O(1)
+    bookkeeping, as ``identity`` derives the new temporary id when read.
+    The device keeps its own past ids resolvable for exposure matching."""
     if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
         raise NotDue(
             f"rotation at t={now} before {device.last_rotation + DEFAULT_ROTATION_PERIOD_S}"
         )
-    new_epoch = device.identity.epoch + 1
-    device.identity = DeviceId(
-        device.permanent_id, derive_temp_id(device.permanent_id, new_epoch), new_epoch
-    )
+    device.epoch += 1
     device.last_rotation = now
     device.epoch_starts.append(now)
     if events:
-        events.record("rotate", device=device.permanent_id, epoch=new_epoch, t=now)
+        events.record("rotate", device=device.permanent_id, epoch=device.epoch, t=now)
     return device
 
 

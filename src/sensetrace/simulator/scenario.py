@@ -122,32 +122,34 @@ class GeneratedData:
     seed: int
 
 
-def _pick_region(regions: Sequence[Region], rng: np.random.Generator) -> Region:
+def _weighted_regions(tb: Testbed, environment: str) -> tuple[list[Region], np.ndarray]:
+    """The regions of ``environment``, each with its share of their area."""
+    regions = tb.regions_named(environment)
+    if not regions:
+        raise ScenarioError(f"testbed has no {environment} region")
     areas = np.array([(r.x_max - r.x_min) * (r.y_max - r.y_min) for r in regions])
-    idx = int(rng.choice(len(regions), p=areas / areas.sum()))
-    return regions[idx]
+    return regions, areas / areas.sum()
 
 
 def _place_pair(
     scenario: Scenario,
     bucket: BucketSpec,
     environment: str,
+    weighted: tuple[list[Region], np.ndarray],
     index: int,
     rng: np.random.Generator,
 ) -> PlacedInstance:
     """Draw one instance: a true distance inside the bucket and a feasible
     geometry for it. Retries until both endpoints land in a region."""
     tb = scenario.testbed
-    regions = tb.regions_named(environment)
-    if not regions:
-        raise ScenarioError(f"testbed has no {environment} region")
+    regions, p = weighted
     # Two phones cannot physically overlap; keep a small minimum separation.
     d_lo = max(bucket.d_lo, 0.25)
     ceiling = tb.ceiling_height_m
 
     for _ in range(500):
         d = float(rng.uniform(d_lo, bucket.d_hi))
-        region = _pick_region(regions, rng)
+        region = regions[int(rng.choice(len(regions), p=p))]
         ax = float(rng.uniform(region.x_min, region.x_max))
         ay = float(rng.uniform(region.y_min, region.y_max))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -196,10 +198,13 @@ def place_instances(scenario: Scenario, rng: np.random.Generator) -> list[Placed
         return out
     placed = []
     index = 0
+    weighted = {}
     for bucket in scenario.buckets:
         for environment, count in ((INDOOR, bucket.indoor), (OUTDOOR, bucket.outdoor)):
+            if count and environment not in weighted:
+                weighted[environment] = _weighted_regions(scenario.testbed, environment)
             for _ in range(count):
-                placed.append(_place_pair(scenario, bucket, environment, index, rng))
+                placed.append(_place_pair(scenario, bucket, environment, weighted[environment], index, rng))
                 index += 1
     return placed
 

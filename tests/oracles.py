@@ -8,14 +8,17 @@ sample oracle checks one sample at a time with scalar rules instead of
 whole columns, the trace oracle simulates one sample at a time with the
 scalar signal models instead of one instance at a time in columns, and the
 decision oracle runs the stages the gates need for one tier instead of
-fusing one assessment made for every tier, and the centralized-report
+fusing one assessment made for every tier, the centralized-report
 oracle resolves each logged temporary id by its own search of the registry
-instead of one pass for the whole log.
+instead of one pass for the whole log, and the eager device derives its
+temporary id at every rotation and keeps every id it used, instead of
+deriving the current id when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -23,14 +26,24 @@ import numpy as np
 from sensetrace.core import (
     CONTACT_DISTANCE_M,
     ContactDecision,
+    DeviceId,
     GroundTruthLabel,
     ProximityState,
     SensorKind,
     SensorSample,
 )
-from sensetrace.errors import InsufficientEvidence, ScenarioError
-from sensetrace.protocol import DeviceState, EventLog, ServerState, derive_temp_id
+from sensetrace.errors import InsufficientEvidence, NotDue, ScenarioError
+from sensetrace.protocol import (
+    DEFAULT_ROTATION_PERIOD_S,
+    DeviceState,
+    EventLog,
+    ExposureStatus,
+    PublishedId,
+    ServerState,
+    derive_temp_id,
+)
 from sensetrace.fusion import (
+    ContactLogEntry,
     FusionConfig,
     StageEvidence,
     StageGates,
@@ -357,3 +370,66 @@ def report_centralized_per_entry(
         if events:
             events.record("notify", device=peer, window=[entry.window_start, entry.window_end])
     return notified
+
+
+def temp_id_history(device: DeviceState) -> dict[int, str]:
+    """Every temporary id ``device`` has used, by epoch: what only the
+    device itself can resolve."""
+    return {
+        e: derive_temp_id(device.permanent_id, e)
+        for e in range(device.first_epoch, device.epoch + 1)
+    }
+
+
+@dataclass
+class EagerDevice:
+    """A device that derives its temporary id at every rotation and stores
+    it, with each epoch's id and start time: the reference for
+    ``DeviceState``, which derives the current id when it is read. It has
+    every attribute ``register_device``, ``exchange_ids``, ``check_exposure``
+    and ``notify_devices`` read, so those run on it unchanged."""
+
+    identity: DeviceId
+    contact_log: list[ContactLogEntry] = field(default_factory=list)
+    exposure_status: ExposureStatus = ExposureStatus.NONE
+    last_rotation: float = 0.0
+    # epoch -> (temporary id, start time), from the first epoch on.
+    used: dict[int, tuple[str, float]] = field(default_factory=dict)
+
+    @classmethod
+    def fresh(cls, permanent_id: str, epoch: int = 0) -> "EagerDevice":
+        identity = DeviceId(permanent_id, derive_temp_id(permanent_id, epoch), epoch)
+        return cls(identity, used={epoch: (identity.temp_id, 0.0)})
+
+    @property
+    def permanent_id(self) -> str:
+        return self.identity.permanent_id
+
+
+def eager_rotate(device: EagerDevice, now: float, events: Optional[EventLog] = None) -> None:
+    """``rotate_id`` for an ``EagerDevice``: derive and store the next id."""
+    if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
+        raise NotDue(f"rotation at t={now} too early")
+    epoch = device.identity.epoch + 1
+    device.identity = DeviceId(device.permanent_id, derive_temp_id(device.permanent_id, epoch), epoch)
+    device.used[epoch] = (device.identity.temp_id, now)
+    device.last_rotation = now
+    if events:
+        events.record("rotate", device=device.permanent_id, epoch=epoch, t=now)
+
+
+def eager_report_decentralized(
+    device: EagerDevice, server: ServerState, now: float, events: Optional[EventLog] = None
+) -> list[PublishedId]:
+    """``report_positive_decentralized`` from the stored ids: every epoch
+    whose successor started inside the lookback, and the current one."""
+    epochs = sorted(device.used)
+    delta = [
+        PublishedId(device.used[e][0], e)
+        for e in epochs
+        if e == epochs[-1] or device.used[e + 1][1] >= now - server.lookback_s
+    ]
+    server.published_positive_ids.extend(delta)
+    if events:
+        events.record("report_decentralized", device=device.permanent_id, published=len(delta))
+    return delta

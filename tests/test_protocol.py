@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sensetrace import protocol
-from sensetrace.core import ContactDecision, ContactWindow, DeviceId, SensorKind, SensorSample
+from sensetrace.core import ContactDecision, ContactWindow, SensorKind, SensorSample
 from sensetrace.errors import ModeError, NoContact, NotDue
 from sensetrace.protocol import (
     DeviceState,
@@ -23,7 +23,13 @@ from sensetrace.protocol import (
     rotate_id,
 )
 
-from .oracles import report_centralized_per_entry
+from .oracles import (
+    EagerDevice,
+    eager_report_decentralized,
+    eager_rotate,
+    report_centralized_per_entry,
+    temp_id_history,
+)
 
 
 def positive_decision():
@@ -101,7 +107,7 @@ class TestRotateId:
         server = ServerState(ReportMode.CENTRALIZED)
         d = register_device(server)
         rotate_id(d, 900.0)
-        history = d.temp_id_history()
+        history = temp_id_history(d)
         assert set(history) == {0, 1}
         assert history[0] == derive_temp_id(d.permanent_id, 0)
 
@@ -109,12 +115,12 @@ class TestRotateId:
         # The history and the published epochs match those of an
         # {epoch: start time} table kept beside the device.
         server = ServerState(ReportMode.DECENTRALIZED, lookback_s=2000.0)
-        d = register_device(server, DeviceState(DeviceId("p5", derive_temp_id("p5", 5), epoch=5)))
+        d = register_device(server, DeviceState("p5", epoch=5))
         starts = {5: 0.0}
         for k in range(1, 6):
             rotate_id(d, k * 900.0)
             starts[5 + k] = k * 900.0
-        history = d.temp_id_history()
+        history = temp_id_history(d)
         assert list(history) == list(starts)
         assert all(history[e] == derive_temp_id("p5", e) for e in starts)
 
@@ -123,6 +129,98 @@ class TestRotateId:
         published = report_positive_decentralized(d, server, now=now)
         assert [p.epoch for p in published] == expected == [9, 10]
         assert [p.temp_id for p in published] == [history[e] for e in expected]
+
+
+class TestIdDerivedOnRead:
+    def test_rotation_derives_no_id_and_a_read_derives_one(self, monkeypatch):
+        d = register_device(ServerState(ReportMode.CENTRALIZED))
+        derived = []
+
+        def counting(permanent, epoch):
+            derived.append((permanent, epoch))
+            return derive_temp_id(permanent, epoch)
+
+        monkeypatch.setattr(protocol, "derive_temp_id", counting)
+        for k in range(1, 1001):
+            rotate_id(d, k * 900.0)
+        assert derived == []
+        assert d.identity.temp_id == derive_temp_id(d.permanent_id, 1000)
+        assert derived == [(d.permanent_id, 1000)]
+
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(ValueError):
+            DeviceState("p", epoch=-1)
+
+    @staticmethod
+    def twin_session(seed, mode):
+        """One random session played on ``DeviceState``s with the library and
+        on ``EagerDevice``s with the reference, checking every identity read
+        on the way. Time jumps by up to 300 epochs; each device catches up on
+        its rotations or not, some start past epoch 0 and the last is never
+        registered. Reports go to the ``mode`` server."""
+        rng = random.Random(seed)
+        lookback = rng.choice((2000.0, 40 * 900.0, protocol.DEFAULT_LOOKBACK_S))
+        server, ref_server = ServerState(mode, lookback_s=lookback), ServerState(mode, lookback_s=lookback)
+        events, ref_events = EventLog(), EventLog()
+        firsts = [rng.choice((0, 0, 5, 300)) for _ in range(rng.randint(3, 6))]
+        devices = [DeviceState(f"p{k}", epoch=e) for k, e in enumerate(firsts)]
+        refs = [EagerDevice.fresh(f"p{k}", e) for k, e in enumerate(firsts)]
+        for d, r in zip(devices[:-1], refs[:-1]):
+            register_device(server, d, events)
+            register_device(ref_server, r, ref_events)
+        now = 0.0
+        for _ in range(rng.randint(5, 15)):
+            now += rng.choice((0.0, 900.0, 900.0, 40 * 900.0, 300 * 900.0))
+            for d, r in zip(devices, refs):
+                if rng.random() < 0.8:
+                    while d.last_rotation + 900.0 <= now:
+                        rotate_id(d, now, events)
+                        eager_rotate(r, now, ref_events)
+            k = rng.randrange(len(devices))
+            due = devices[k].last_rotation + 900.0 <= now
+            if due:
+                rotate_id(devices[k], now, events)
+                eager_rotate(refs[k], now, ref_events)
+            else:
+                with pytest.raises(NotDue):
+                    rotate_id(devices[k], now, events)
+                with pytest.raises(NotDue):
+                    eager_rotate(refs[k], now, ref_events)
+            for _ in range(rng.randint(0, 3)):
+                i, j = rng.sample(range(len(devices)), 2)
+                exchange_ids(devices[i], devices[j], positive_decision(), window(now), events)
+                exchange_ids(refs[i], refs[j], positive_decision(), window(now), ref_events)
+            if rng.random() < 0.4:
+                k = rng.randrange(len(devices) - 1)
+                if mode is ReportMode.CENTRALIZED:
+                    notified = report_positive_centralized(devices[k], server, events)
+                    assert notified == report_centralized_per_entry(refs[k], ref_server, ref_events)
+                    notify_devices(notified, {d.permanent_id: d for d in devices})
+                    notify_devices(notified, {r.permanent_id: r for r in refs})
+                else:
+                    delta = report_positive_decentralized(devices[k], server, now, events)
+                    ref_delta = eager_report_decentralized(refs[k], ref_server, now, ref_events)
+                    assert delta == ref_delta
+                    for d, r in zip(devices, refs):
+                        assert check_exposure(d, delta, events) == check_exposure(r, ref_delta, ref_events)
+            assert [d.identity for d in devices] == [r.identity for r in refs]
+        return (server, events, devices), (ref_server, ref_events, refs)
+
+    def test_matches_eager_reference(self):
+        published = notified = 0
+        for seed in range(30):
+            for mode in ReportMode:
+                (server, events, devices), (ref_server, ref_events, refs) = self.twin_session(seed, mode)
+                assert [d.contact_log for d in devices] == [r.contact_log for r in refs]
+                assert [d.exposure_status for d in devices] == [r.exposure_status for r in refs]
+                assert events.events == ref_events.events
+                assert server.notifications_sent == ref_server.notifications_sent
+                assert server.uploaded_contact_lists == ref_server.uploaded_contact_lists
+                assert server.published_positive_ids == ref_server.published_positive_ids
+                published += len(server.published_positive_ids)
+                notified += len(server.notifications_sent)
+        # The sessions did publish ids and deliver notifications.
+        assert published > 0 and notified > 0
 
 
 class TestExchangeIds:
@@ -184,7 +282,7 @@ class TestCentralizedReport:
         notified = report_positive_centralized(a, server)
         naive = set()
         for entry in a.contact_log:
-            naive.add(b.permanent_id if entry.peer_temp_id in b.temp_id_history().values() else None)
+            naive.add(b.permanent_id if entry.peer_temp_id in temp_id_history(b).values() else None)
         naive.discard(None)
         assert notified == naive == {b.permanent_id}
         # All three windows still land in the notification record.
@@ -212,7 +310,7 @@ class TestCentralizedReport:
         rng = random.Random(seed)
         server = ServerState(ReportMode.CENTRALIZED)
         devices = [register_device(server) for _ in range(rng.randint(2, 4))]
-        stranger = DeviceState(DeviceId("stranger", derive_temp_id("stranger", 0)))
+        stranger = DeviceState("stranger")
         reporter, peers = devices[0], devices[1:] + [stranger]
         for step in range(rng.randint(4, 12)):
             for d in devices + [stranger]:
@@ -243,7 +341,7 @@ class TestCentralizedReport:
     def test_one_registry_pass_per_report(self, monkeypatch):
         server = ServerState(ReportMode.CENTRALIZED)
         reporter, peer = register_device(server), register_device(server)
-        strangers = [DeviceState(DeviceId(f"s{k}", derive_temp_id(f"s{k}", 0))) for k in range(3)]
+        strangers = [DeviceState(f"s{k}") for k in range(3)]
         for k, stranger in enumerate(strangers):
             contact(reporter, stranger, start=k * 900.0)
         contact(reporter, peer, start=2700.0)
