@@ -32,7 +32,6 @@ import math
 import secrets
 import shutil
 import sys
-from itertools import tee
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -236,12 +235,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     key = _assessment_key(data_dir, config_hash(raw), digests)
     instances = _read_instances(data_dir / "instances.jsonl")
     assessments = read_assessment_cache(data_dir / ASSESSMENT_CACHE, key, len(instances))
-    fresh = assessments is None
-    if fresh:  # fused while they are made; ``kept`` holds them for the cache
-        assessments, kept = tee(assess_instances(_load_traces(data_dir, digests), instances, cfg))
+    if assessments is None:
+        assessments = assess_instances(_load_traces(data_dir, digests), instances, cfg)
+        write_assessment_cache(data_dir / ASSESSMENT_CACHE, key, assessments)
     records = fuse_instances(instances, assessments, cfg, tier_gates(tier))
-    if fresh:
-        write_assessment_cache(data_dir / ASSESSMENT_CACHE, key, list(kept))
     name = args.out or f"decisions_{tier.value.lower()}.jsonl"
     atomic_write(data_dir / name, "".join(decision_to_json(r) + "\n" for r in records))
     contacts = sum(1 for r in records if r.decision.contact)

@@ -622,37 +622,35 @@ def write_trace_cache(path: Union[str, Path], files: Sequence[tuple[str, str, Tr
     atomic_write(path, chunks())
 
 
-def _read_rows(fh, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
-    """The next ``shape`` array of ``dtype`` in ``fh``, as an array that owns
-    its data (an array that lent its buffer to ``readinto`` keeps about 60
-    bytes more for as long as it lives)."""
-    size = dtype.itemsize * math.prod(shape)
-    data = fh.read(size)
-    if len(data) != size:
-        raise EOFError("column cache ends early")
-    return np.frombuffer(data, dtype).reshape(shape).copy()
+# Rows checked together when a cache is read: enough for a column-wide
+# check to cost little per row, few enough that the joined columns and the
+# check's masks stay small beside the traces themselves.
+_CHECK_ROWS = 1 << 12
 
 
 def _intact(traces: Sequence[Trace]) -> bool:
     """Whether each trace's names are sorted device names, each of its codes
     names a kind or one of its devices, and every row keeps the sample
-    contract. The rows of all ``traces`` are checked at once."""
+    contract. The rows are checked in one pass, the columns of up to
+    ``_CHECK_ROWS`` rows of consecutive traces at a time."""
     for names in (trace.names for trace in traces):
         if not (all(isinstance(name, str) and name for name in names) and list(names) == sorted(set(names))):
             return False
-    rows = Trace(*(np.concatenate([getattr(trace, c) for trace in traces]) for c, _, _ in _CACHE_COLUMNS), names=())
-    n = np.repeat([len(trace.names) for trace in traces], [len(trace) for trace in traces])
-    return (
-        bool(((rows.kind >= 0) & (rows.kind < len(KINDS))).all())
-        and bool(((rows.src >= 0) & (rows.src < n) & (rows.obs >= -1) & (rows.obs < n)).all())
-        and rows.check() is None  # ``rows`` has no names: ``check`` reads only codes
-    )
-
-
-# Traces checked at once when a cache is read: enough rows for a column-wide
-# check to cost little per trace, few enough that the joined columns stay
-# small beside the traces themselves.
-_CHECK_BATCH = 16
+    ends = np.cumsum([len(trace) for trace in traces]).tolist()
+    lo = 0
+    while lo < len(traces):
+        hi = max(lo + 1, bisect_left(ends, (ends[lo - 1] if lo else 0) + _CHECK_ROWS + 1))
+        group = traces[lo:hi]
+        rows = Trace(*(np.concatenate([getattr(trace, c) for trace in group]) for c, _, _ in _CACHE_COLUMNS), names=())
+        n = np.repeat(np.array([len(trace.names) for trace in group], dtype=np.int32), [len(trace) for trace in group])
+        if not (
+            bool(((rows.kind >= 0) & (rows.kind < len(KINDS))).all())
+            and bool(((rows.src >= 0) & (rows.src < n) & (rows.obs >= -1) & (rows.obs < n)).all())
+            and rows.check() is None  # ``rows`` has no names: ``check`` reads only codes
+        ):
+            return False
+        lo = hi
+    return True
 
 
 def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
@@ -662,11 +660,11 @@ def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
     An absent, unreadable or truncated cache, another format version or a
     column of another dtype or length gives ``{}``; a trace that is not
     ``_intact`` is left out. Either way the caller decodes those files.
-    Nothing is loaded with pickle. Each trace's columns are read into
-    arrays of their own, as decoding allocates them: whole-run columns
-    would be fresh allocations on top of the memory the decoder reuses.
-    The traces are checked ``_CHECK_BATCH`` at a time, and one at a time
-    only in a batch that holds a bad row.
+    Nothing is loaded with pickle. Each trace's columns are read straight
+    into arrays of their own (``readinto``), as decoding allocates them:
+    whole-run columns would be fresh allocations on top of the memory that
+    earlier work freed. All rows are checked in one pass, and the traces one
+    at a time only when that pass fails.
     """
     try:
         with open(path, "rb") as fh:
@@ -683,17 +681,17 @@ def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
                 np.lib.format.read_magic(fh)
                 if np.lib.format.read_array_header_1_0(fh) != ((rows, *shape), False, dtype):
                     return {}
-                columns.append([_read_rows(fh, dtype, (n, *shape)) for _, _, n, _ in files])
+                arrays = [np.empty((n, *shape), dtype) for _, _, n, _ in files]
+                for array in arrays:
+                    if array.nbytes and fh.readinto(array.view(np.uint8)) != array.nbytes:
+                        raise EOFError("column cache ends early")
+                columns.append(arrays)
     except (OSError, EOFError, ValueError, KeyError, TypeError):
         return {}
     entries = [
         (name, (digest, Trace(*trace_columns, names=names)))
         for (name, digest, _, names), *trace_columns in zip(files, *columns)
     ]
-    intact = {}
-    for i in range(0, len(entries), _CHECK_BATCH):
-        batch = entries[i : i + _CHECK_BATCH]
-        if not _intact([trace for _, (_, trace) in batch]):
-            batch = [(name, entry) for name, entry in batch if _intact([entry[1]])]
-        intact.update(batch)
-    return intact
+    if not _intact([trace for _, (_, trace) in entries]):
+        entries = [(name, entry) for name, entry in entries if _intact([entry[1]])]
+    return dict(entries)

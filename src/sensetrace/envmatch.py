@@ -6,6 +6,10 @@ DTW aligns them with squared local cost in one forward pass over two rows,
 the accumulated cost is normalized by the cell count of the shortest optimal
 warping path, and the square root of that score is compared against a
 threshold in the sensor's natural unit (hPa or uT).
+
+``dtw_score`` scores one pair of sequences and is the reference;
+``dtw_scores``, which detection uses, runs the same recurrence for a batch
+of equal-shape pairs at once and gives the same bits.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import ProximityState, SensorKind
 from .errors import EmptySequence
@@ -82,6 +88,56 @@ def dtw_score(a: ScalarSequence, b: ScalarSequence) -> float:
             cells.append(n + 1)
         prev_cost, prev_cells = cost, cells
     return prev_cost[-1] / prev_cells[-1]
+
+
+# Diagonal places (pairs x (m + 1)) scored together: enough for each array
+# operation to cost little per pair, few enough that the diagonals stay
+# small beside the sequences.
+_DTW_PLACES = 1 << 12
+
+
+def dtw_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``dtw_score`` of each row of ``a`` (k x m) with the same row of ``b``
+    (k x n), bit for bit, for all k pairs at once, one anti-diagonal at a
+    time: the same float operations and the same fewest-cells tie rule. A
+    non-finite value raises ``dtw_score``'s error. Pairs are scored
+    ``_DTW_PLACES`` diagonal places at a time.
+
+    Cell (i, j) lies on diagonal i + j, at place i + 1 of the diagonal's
+    (m + 1) x k arrays of costs and cell counts; place 0 is row -1. The
+    cells above and to the left lie on the diagonal before, the cell
+    up-left two before, each as a slice. The three diagonals in use take
+    turns in one array. Places off the matrix hold cost inf and count 0, as
+    ``dtw_score``'s row -1 and column -1 do.
+    """
+    k, m = a.shape
+    n = b.shape[1]
+    pairs = max(1, _DTW_PLACES // (m + 1))
+    if k > pairs:
+        return np.concatenate([dtw_scores(a[i : i + pairs], b[i : i + pairs]) for i in range(0, k, pairs)])
+    bad = np.flatnonzero(~(np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)))
+    if bad.size:
+        dtw_score(a[bad[0]].tolist(), b[bad[0]].tolist())
+    a, b_back = np.ascontiguousarray(a.T), np.ascontiguousarray(b[:, ::-1].T)  # b_back[n - 1 - j] is b[j]
+    no_path = m + n
+    costs = np.full((3, m + 1, k), math.inf)
+    counts = np.zeros((3, m + 1, k), dtype=np.int64)
+    costs[0, 0] = 0.0  # diagonal -2 holds the virtual origin before (0, 0)
+    for d in range(m + n - 1):
+        lo, hi = max(0, d - n + 1), min(m, d + 1)  # the rows i of diagonal d
+        back1, back2, now = (d + 1) % 3, d % 3, (d + 2) % 3
+        up, diag, left = costs[back1, lo:hi], costs[back2, lo:hi], costs[back1, lo + 1 : hi + 1]
+        best = np.minimum(np.minimum(up, diag), left)
+        count = np.where(up == best, counts[back1, lo:hi], no_path)
+        np.minimum(count, np.where(diag == best, counts[back2, lo:hi], no_path), out=count)
+        np.minimum(count, np.where(left == best, counts[back1, lo + 1 : hi + 1], no_path), out=count)
+        step = a[lo:hi] - b_back[n - 1 - d + lo : n - 1 - d + hi]
+        with np.errstate(over="ignore"):  # a cost may reach inf, as it may in dtw_score
+            np.add(step * step, best, out=costs[now, lo + 1 : hi + 1])
+        np.add(count, 1, out=counts[now, lo + 1 : hi + 1])
+        costs[now, 0] = math.inf  # row -1, where diagonal -2's origin was
+    last = (m + n) % 3
+    return costs[last, m] / counts[last, m]
 
 
 def env_similar(

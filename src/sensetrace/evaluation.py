@@ -6,6 +6,9 @@ Detection assesses each instance's window once (``assess_instances``) and
 fuses each tier's decisions from the assessments (``fuse_instances``);
 ``write_assessment_cache`` keeps a run's assessments so that
 ``read_assessment_cache`` can stand in for assessing its windows again.
+``assess_instances`` assesses every window of a run as one batch
+(``fusion.assess_windows``), a bounded number of rows at a time; the
+per-window path, ``assess_window``, is the reference it equals.
 
 A false positive here means the system registered a contact although the
 phones were more than 1 metre apart; accuracy is (TP+TN)/(TP+TN+FP+FN).
@@ -19,12 +22,13 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import core, envmatch, fusion, ranging
 from .core import (
+    KIND_CODES,
     GroundTruthLabel,
     SensorKind,
     SensorSample,
@@ -34,13 +38,15 @@ from .core import (
     canonical_pair,
     make_window,
 )
-from .errors import EvaluationError
+from .errors import EmptyWindow, EvaluationError
 from .fusion import (
     Assessment,
     DecisionRecord,
     FusionConfig,
     StageGates,
+    WindowRows,
     assess,
+    assess_windows,
     build_evidence,
     decide,
 )
@@ -147,14 +153,117 @@ Traces = Mapping[str, Union[Trace, Sequence[SensorSample]]]
 Instance = tuple[tuple[str, str], float, float]
 
 
-def assess_instances(traces: Traces, instances: Iterable[Instance], cfg: FusionConfig) -> Iterator[Assessment]:
+# Rows and BLE slots taken into one batch of windows: enough for each array
+# operation to cost little per window, few enough that a batch's arrays
+# stay small beside the traces.
+_BATCH_ROWS = 1 << 12
+_MAG = KIND_CODES[SensorKind.MAGNETOMETER]
+
+
+class _Window(NamedTuple):
+    pair: tuple[str, str]  # as given: pair[0]'s rows come first in make_window's pool
+    key: tuple[str, str]  # canonical
+    start: float
+    end: float  # start + (end - start), as make_window computes it
+    slots: int  # BLE scans per device, as build_evidence counts them
+
+
+def assess_window(traces: Traces, pair: tuple[str, str], start: float, end: float, cfg: FusionConfig) -> Assessment:
+    """One instance's assessment from its own window of the traces of its
+    pair: the per-window reference that ``assess_instances`` equals."""
+    a, b = pair
+    pool = as_trace(traces.get(a, ())) + as_trace(traces.get(b, ()))
+    return assess(build_evidence(make_window(pool, pair, start, end - start), cfg), cfg)
+
+
+def assess_instances(traces: Traces, instances: Iterable[Instance], cfg: FusionConfig) -> list[Assessment]:
     """The assessment of each (pair, window start, window end) instance, in
-    order, each made from its window's evidence when it is asked for."""
+    order, equal field for field to its ``assess_window``, made for every
+    window at once (``fusion.assess_windows``). The first window that the
+    reference rejects raises its error, the first empty one
+    ``EmptyWindow``."""
+    windows, fault = [], None
     for pair, start, end in instances:
-        a, b = pair
-        pool = as_trace(traces.get(a, ())) + as_trace(traces.get(b, ()))
-        window = make_window(pool, pair, start, end - start)
-        yield assess(build_evidence(window, cfg), cfg)
+        try:  # make_window's checks, raised after the windows before
+            key = canonical_pair(pair)
+            if end - start <= 0:
+                raise ValueError("window length must be positive")
+        except ValueError as exc:
+            fault = exc
+            break
+        end = start + (end - start)
+        windows.append(_Window(tuple(pair), key, start, end, max(1, int(round((end - start) / cfg.ble_scan_period)))))
+    assessments = assess_windows(_window_batches(traces, windows), cfg)
+    if fault is not None:
+        raise fault
+    return assessments
+
+
+def _window_batches(traces: Traces, windows: list[_Window]) -> Iterator[WindowRows]:
+    """The rows of each of ``windows``, as ``make_window`` cuts them from
+    the traces of its pair, a batch of about ``_BATCH_ROWS`` rows and BLE
+    slots at a time.
+
+    A window's rows in one trace are found with one ``searchsorted`` on the
+    trace's times; they are a slice of its columns when the trace is in
+    time order. ``_gather`` joins a batch's slices."""
+    ordered: dict[str, tuple[Trace, Optional[np.ndarray], np.ndarray]] = {}
+    pieces, batch, size = [], [], 0
+    for number, window in enumerate(windows):
+        for device in window.pair:
+            if device not in ordered:
+                trace = as_trace(traces.get(device, ()))
+                t = trace.t
+                order = None if not (t[1:] < t[:-1]).any() else np.argsort(t, kind="stable")  # as Trace.between
+                ordered[device] = (trace, order, t if order is None else t[order])
+            trace, order, times = ordered[device]
+            first, stop = times.searchsorted((window.start, window.end)).tolist()
+            rows = slice(first, stop) if order is None else order[first:stop]
+            pieces.append((trace, rows, stop - first, trace.code(window.key[0]), trace.code(window.key[1])))
+            size += stop - first
+        batch.append(window)
+        size += 2 * window.slots
+        if size >= _BATCH_ROWS or number == len(windows) - 1:
+            yield _gather(batch, pieces)
+            pieces, batch, size = [], [], 0
+
+
+def _gather(windows: list[_Window], pieces: list) -> WindowRows:
+    """The ``WindowRows`` of ``windows`` from their pieces, two per window
+    (pair[0]'s first): a trace, the window's rows in it in time order and
+    their count, and the codes of the canonical pair in the trace's names.
+
+    The rows are kept when they belong to the pair and put in
+    ``make_window``'s order, (time, kind, src, obs) with ties in input
+    order, by one ``lexsort``."""
+    t, kind, value, mag, src, obs = (
+        np.concatenate([getattr(piece[0], c)[piece[1]] for piece in pieces])
+        for c in ("t", "kind", "value", "mag", "src", "obs")
+    )
+    counts = [piece[2] for piece in pieces]
+    a, b = (np.repeat([piece[i] for piece in pieces], counts) for i in (3, 4))
+    src_b, obs_b, no_obs = src == b, obs == b, obs == -1
+    keep = np.flatnonzero((src_b | (src == a)) & (obs_b | (obs == a) | no_obs))
+    # int16 suits lexsort's radix sort; a batch holds at most _BATCH_ROWS / 2
+    # windows, since each adds two BLE slots or more.
+    window = np.repeat(np.arange(len(windows), dtype=np.int16), np.add.reduceat(counts, range(0, len(counts), 2)))
+    window = window[keep]
+    empty = np.flatnonzero(np.bincount(window, minlength=len(windows)) == 0)
+    if empty.size:
+        first = windows[empty[0]]
+        raise EmptyWindow(f"no samples for pair {first.key} in [{first.start}, {first.end})")
+    t, kind = t[keep], kind[keep]
+    src, obs = src_b[keep].astype(np.int8), obs_b[keep].astype(np.int8) - no_obs[keep]
+    by = np.lexsort((kind * 6 + src * 3 + obs + 1, t, window))  # (kind, src, obs) as one small key
+    rows, kind = keep[by], kind[by]
+    value = value[rows]
+    is_mag = np.flatnonzero(kind == _MAG)
+    x, y, z = mag[rows[is_mag]].T
+    value[is_mag] = np.sqrt(x * x + y * y + z * z)
+    return WindowRows(
+        window[by], t[by], kind, value, src[by], obs[by],
+        np.array([w.start for w in windows], dtype=float), np.array([w.slots for w in windows], dtype=np.int64),
+    )
 
 
 def fuse_instances(

@@ -9,6 +9,11 @@ metric to unknown and forces a negative verdict.
 ``assess`` runs every stage once per window, for every gate setting at
 once; ``decide`` fuses an ``Assessment`` into the verdict of one
 ``StageGates``, so the tiers of one window share a single assessment.
+
+``build_evidence`` and the ``stage_*`` functions take one window; they are
+the reference. ``assess_windows``, which detection uses, assesses a whole
+run's windows with array operations and gives equal assessments, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -16,13 +21,15 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (
+    KIND_CODES,
     ContactDecision,
     ContactWindow,
     DeviceId,
@@ -30,9 +37,16 @@ from .core import (
     SensorKind,
     canonical_pair,
 )
-from .envmatch import EnvThresholds, env_similar, select_env_sensor
+from .envmatch import EnvThresholds, dtw_scores, env_similar, select_env_sensor
 from .errors import InsufficientEvidence, NoContact
-from .ranging import ChirpSpec, PathLossParams, distance_from_rss, sound_distance
+from .ranging import (
+    ChirpSpec,
+    PathLossParams,
+    distance_from_rss,
+    distances_from_rss,
+    sound_distance,
+    sound_distances,
+)
 
 # A WiFi estimate is averaged only with a sound estimate closer in time than this.
 PAIR_TOLERANCE_S = 15.0
@@ -398,6 +412,186 @@ def build_evidence(window: ContactWindow, cfg: FusionConfig) -> StageEvidence:
         env_sequences=env,
         prox_states=prox,
     )
+
+
+# --- every window of a run at once ------------------------------------------
+
+_BLE, _WIFI, _SOUND, _NOISE, _BARO, _MAG, _PROX = (
+    KIND_CODES[kind]
+    for kind in (
+        SensorKind.BLE_RSS, SensorKind.WIFI_RSS, SensorKind.SOUND_AMPLITUDE, SensorKind.AMBIENT_NOISE,
+        SensorKind.BAROMETER, SensorKind.MAGNETOMETER, SensorKind.PROXIMITY,
+    )
+)
+
+
+class WindowRows(NamedTuple):
+    """The rows of a batch of windows: each window's rows in ``make_window``
+    order, the windows in turn. ``window`` numbers each row's window from 0;
+    ``value`` holds the magnitude on magnetometer rows; ``src`` and ``obs``
+    give a device's place in the window's canonical pair (``obs`` -1 for
+    none). ``start`` and ``slots`` hold each window's start and its number
+    of BLE scans per device."""
+
+    window: np.ndarray
+    t: np.ndarray
+    kind: np.ndarray
+    value: np.ndarray
+    src: np.ndarray
+    obs: np.ndarray
+    start: np.ndarray
+    slots: np.ndarray
+
+
+def _keys(group: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each (group, time) as a complex number: numpy sorts and searches
+    complex numbers by real part, then imaginary part."""
+    keys = np.empty(t.size, dtype=complex)
+    keys.real, keys.imag = group, t
+    return keys
+
+
+def _near_keys(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For each of the keys ``x``, whether one of the sorted ``keys`` has
+    its group and a time within SAME_INSTANT_S of its time: ``_near_any``
+    within each group."""
+    near = np.zeros(x.shape, dtype=bool)
+    if keys.size:
+        i = np.searchsorted(keys, x)
+        for side in (keys[np.maximum(i - 1, 0)], keys[np.minimum(i, keys.size - 1)]):
+            near |= (side.real == x.real) & (np.abs(side.imag - x.imag) <= SAME_INSTANT_S)
+    return near
+
+
+def _appearance(rows: WindowRows, noise: np.ndarray, gated: np.ndarray, heard: np.ndarray, cfg: FusionConfig):
+    """``stage_appearance`` of each window, without and with chirp votes.
+
+    Slot k of a window's device is [start + k * period, that + period), as
+    ``build_evidence`` computes it; a sighting is tried in the slot its
+    time falls in and in both neighbours, since float rounding can move it
+    by one."""
+    n, period = rows.start.size, cfg.ble_scan_period
+    first = np.zeros(n + 1, dtype=np.int64)  # window w's slots: first[w]..first[w + 1], device a's first
+    np.cumsum(2 * rows.slots, out=first[1:])
+    ble = np.flatnonzero((rows.kind == _BLE) & (rows.obs == 1 - rows.src))
+    w, t = rows.window[ble], rows.t[ble]
+    start, slots = rows.start[w], rows.slots[w]
+    base = first[w] + rows.src[ble] * slots
+    seen = np.zeros(first[-1], dtype=bool)
+    nearest = np.floor((t - start) / period)
+    for k in (nearest - 1.0, nearest, nearest + 1.0):
+        k = np.clip(k, 0, slots - 1)
+        lo = start + k * period
+        seen[(base + k.astype(np.int64))[(lo <= t) & (t < lo + period)]] = True
+    cumulative = np.concatenate(([0], np.cumsum(seen)))
+    positives = cumulative[first[1:]] - cumulative[first[:-1]]
+    votes = 2 * rows.slots
+    chirp_votes = np.bincount(rows.window[noise[gated]], minlength=n)
+    chirp_positives = np.bincount(rows.window[noise[gated & heard]], minlength=n)
+    q = cfg.appearance_quorum
+    return (
+        (positives > 0) & (positives > q * votes),
+        (positives > 0) & (positives + chirp_positives > q * (votes + chirp_votes)),
+    )
+
+
+def _mean_distances(
+    rows: WindowRows, noise: np.ndarray, gated: np.ndarray, heard: np.ndarray, cfg: FusionConfig
+) -> list[Optional[float]]:
+    """``stage_distance`` of each window, None where it has no WiFi
+    estimate: the same pairing (``_nearest``'s tie rule) and the same float
+    operations, each mean a left-to-right ``sum``."""
+    n, w, t = rows.start.size, rows.window, rows.t
+    wifi = np.flatnonzero(rows.kind == _WIFI)
+    ww, wt = w[wifi], t[wifi]
+    metres = distances_from_rss(rows.value[wifi], cfg.radio_params)
+    sound = np.flatnonzero(rows.kind == _SOUND)
+    ok = noise[gated & heard]  # in window order, so their keys are sorted
+    usable = sound[_near_keys(_keys(w[ok], t[ok]), _keys(w[sound], t[sound]))]
+    if usable.size:
+        last = usable.size - 1
+        times = t[usable]
+        sound_m = sound_distances(np.minimum(rows.value[usable], cfg.chirp.amplitude), cfg.chirp, cfg.sound_exponent)
+        i = np.searchsorted(_keys(w[usable], times), _keys(ww, wt))  # bisect_left within each window
+        bounds = np.searchsorted(w[usable], np.arange(n + 1))
+        lo, hi = bounds[ww], bounds[ww + 1]
+        gap = np.where(i < hi, times[np.minimum(i, last)] - wt, math.inf)
+        before = np.maximum(i - 1, 0)
+        left_gap = np.abs(times[before] - wt)
+        walk = (i > lo) & (left_gap <= gap)
+        best, gap = np.where(walk, before, i), np.where(walk, left_gap, gap)
+        while walk.any():  # back to the first usable sound at an equal gap
+            before = np.maximum(best - 1, 0)
+            walk &= (best > lo) & (np.abs(times[before] - wt) == gap)
+            best = np.where(walk, before, best)
+        paired = gap < PAIR_TOLERANCE_S
+        metres = np.where(paired, (metres + sound_m[np.minimum(best, last)]) / 2.0, metres)
+    edges = np.searchsorted(ww, np.arange(n + 1)).tolist()
+    values = metres.tolist()
+    return [sum(values[a:b]) / (b - a) if b > a else None for a, b in zip(edges, edges[1:])]
+
+
+def _environment(rows: WindowRows) -> tuple[np.ndarray, dict[tuple[int, int], tuple[np.ndarray, ...]]]:
+    """Whether each window matches on the barometer (else the
+    magnetometer), and the windows that have both sequences grouped by
+    shape: (len a, len b) -> (window numbers, a sequences, b sequences)."""
+    n, w, kind, src = rows.start.size, rows.window, rows.kind, rows.src
+    prox = kind == _PROX
+    pair_place = 2 * w + src
+    states = np.bincount(pair_place[prox], minlength=2 * n)
+    near = np.bincount(pair_place[prox & (rows.value >= 0.5)], minlength=2 * n) > states / 2
+    barometer = ~(near[0::2] | near[1::2])
+    chosen = kind == np.where(barometer, _BARO, _MAG)[w]
+    sequences = []
+    for place in (0, 1):
+        at = np.flatnonzero(chosen & (src == place))
+        values = rows.value[at]
+        lengths = np.bincount(w[at], minlength=n)
+        sequences.append((values, lengths, np.concatenate(([0], np.cumsum(lengths)[:-1]))))
+    (va, la, fa), (vb, lb, fb) = sequences
+    both = np.flatnonzero((la > 0) & (lb > 0))
+    groups = {}
+    for m, k in set(zip(la[both].tolist(), lb[both].tolist())):
+        ids = both[(la[both] == m) & (lb[both] == k)]
+        groups[m, k] = (ids, va[fa[ids][:, None] + np.arange(m)], vb[fb[ids][:, None] + np.arange(k)])
+    return barometer, groups
+
+
+def assess_windows(batches: Iterable[WindowRows], cfg: FusionConfig) -> list[Assessment]:
+    """``assess(build_evidence(window, cfg), cfg)`` of each window of
+    ``batches``, in order, equal field for field: every stage runs as array
+    operations over a batch's rows, and the environment stage scores every
+    window of the run with one ``dtw_scores`` per sequence shape."""
+    appearance, means, barometer, shapes = [], [], [], defaultdict(list)
+    count = 0
+    for rows in batches:
+        noise = np.flatnonzero(rows.kind == _NOISE)
+        sound = np.flatnonzero(rows.kind == _SOUND)
+        place = 2 * rows.window + rows.src
+        heard = _near_keys(np.sort(_keys(place[sound], rows.t[sound])), _keys(place[noise], rows.t[noise]))
+        gated = rows.value[noise] <= cfg.noise_gate_db
+        appearance += zip(*(votes.tolist() for votes in _appearance(rows, noise, gated, heard, cfg)))
+        means += _mean_distances(rows, noise, gated, heard, cfg)
+        chosen, groups = _environment(rows)
+        barometer += chosen.tolist()
+        for shape, (ids, a, b) in groups.items():
+            shapes[shape].append((ids + count, a, b))
+        count += rows.start.size
+    scores: list[Optional[float]] = [None] * count
+    for parts in shapes.values():
+        ids, a, b = (np.concatenate(column) for column in zip(*parts))
+        for i, score in zip(ids.tolist(), np.sqrt(dtw_scores(a, b)).tolist()):
+            scores[i] = score
+    out = []
+    for (ble, chirps), mean, baro, score in zip(appearance, means, barometer, scores):
+        sensor = SensorKind.BAROMETER if baro else SensorKind.MAGNETOMETER
+        distance_reason = None if mean is not None else "no WiFi distance estimates in window"
+        if score is None:
+            env = (None, None, False, f"missing {sensor.value} sequence for pair")
+        else:
+            env = (score, sensor, score <= cfg.env_thresholds.for_sensor(sensor), None)
+        out.append(Assessment(ble, chirps, None, mean, distance_reason, *env))
+    return out
 
 
 @dataclass(frozen=True)

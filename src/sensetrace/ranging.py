@@ -3,13 +3,18 @@
 Radio ranging uses the free-space path-loss form
 ``d = 10^((power_at_1m - rss) / (10 * n))`` and its algebraic inverse.
 Sound ranging applies the same form with the chirp's emission amplitude as
-the 1-metre reference and a medium-specific exponent.
+the 1-metre reference and a medium-specific exponent. ``distance_from_rss``
+and ``sound_distance`` convert one reading; ``distances_from_rss`` and
+``sound_distances``, which detection uses, convert arrays of them to the
+same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidDistance, InvalidMeasure
 
@@ -83,3 +88,20 @@ def sound_distance(received_amp: float, chirp: ChirpSpec, exponent: float) -> fl
             f"received {received_amp} dB exceeds emitted {chirp.amplitude} dB beyond tolerance"
         )
     return _clamp(10.0 ** ((chirp.amplitude - received_amp) / (10.0 * exponent)))
+
+
+def _distances(exponents: np.ndarray) -> np.ndarray:
+    """``_clamp(10.0 ** x)`` of each exponent. The power is Python's float
+    pow: ``np.power`` differs from it in the last bit on some exponents."""
+    return np.clip(np.array([10.0 ** x for x in exponents.tolist()], dtype=float), MIN_DISTANCE_M, MAX_DISTANCE_M)
+
+
+def distances_from_rss(rss: np.ndarray, params: PathLossParams) -> np.ndarray:
+    """``distance_from_rss`` of each of the finite ``rss``, bit for bit."""
+    return _distances((params.power_at_1m - rss) / (10.0 * params.exponent))
+
+
+def sound_distances(received_amp: np.ndarray, chirp: ChirpSpec, exponent: float) -> np.ndarray:
+    """``sound_distance`` of each of the finite ``received_amp``, none of
+    them above the chirp's amplitude, bit for bit."""
+    return _distances((chirp.amplitude - received_amp) / (10.0 * exponent))

@@ -698,6 +698,26 @@ class TestTraceCache:
         assert sorted(read_trace_cache(cache)) == (["b.jsonl", "c.jsonl"] if bad else ["a.jsonl", "b.jsonl", "c.jsonl"])
         assert checked == ([[3, 1, 0], [3], [1], [0]] if bad else [[3, 1, 0]])
 
+    @pytest.mark.parametrize("limit, groups", [(1, [3, 1]), (3, [3, 1]), (4, [4]), (8192, [4])])
+    def test_one_pass_joins_consecutive_traces_up_to_a_row_limit(self, tmp_path, monkeypatch, limit, groups):
+        cache = tmp_path / "cache.npy"
+        write_trace_cache(cache, [(f"{d}.jsonl", "0" * 64, trace) for d, trace in sorted(small_traces().items())])
+        checked = []
+        check = Trace.check
+        monkeypatch.setattr(core, "_CHECK_ROWS", limit)
+        monkeypatch.setattr(Trace, "check", lambda self: checked.append(len(self)) or check(self))
+        assert sorted(read_trace_cache(cache)) == ["a.jsonl", "b.jsonl", "c.jsonl"]
+        assert checked == groups
+
+    @pytest.mark.parametrize("limit", [1, 2, 4])
+    def test_bad_row_in_a_later_group_is_found(self, tmp_path, monkeypatch, limit):
+        traces = small_traces()
+        traces["b"].t[0] = math.nan
+        cache = tmp_path / "cache.npy"
+        write_trace_cache(cache, [(f"{d}.jsonl", "0" * 64, trace) for d, trace in sorted(traces.items())])
+        monkeypatch.setattr(core, "_CHECK_ROWS", limit)
+        assert sorted(read_trace_cache(cache)) == ["a.jsonl", "c.jsonl"]
+
 
 class TestContactWindowInvariants:
     def test_sample_outside_interval_rejected(self):
