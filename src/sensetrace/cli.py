@@ -18,7 +18,8 @@ the run, for any tier, only fuses them;
 plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
 Every other output file is written atomically, and the metrics and report
 CSVs embed the seed and a config digest.
-Errors print machine-readable JSON on stderr and exit non-zero.
+Errors print one machine-readable JSON object on stderr and exit non-zero;
+a usage error, such as an unknown ``--tier``, exits 2.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import secrets
 import shutil
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .core import (
     TRACE_CACHE,
@@ -320,8 +321,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints one JSON object on stderr, as every other error
+    does, and exits 2; its subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        print(json.dumps({"error": "ArgumentError", "message": message}), file=sys.stderr)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sensetrace",
         description="Multi-sensor contact tracing: simulate, detect, evaluate.",
     )

@@ -112,6 +112,16 @@ def _type_fault(t: Any, kind: int, value: Any, src: Any, obs: Any) -> Optional[s
     return None
 
 
+# The columns (``t``, ``kind``, ``value``, ``mag``, ``src``, ``obs``) of a
+# trace with no rows, shared by every such trace; read-only, so that no
+# trace can write into another's.
+_NO_ROWS = (
+    np.empty(0), np.empty(0, np.int8), np.empty(0), np.empty((0, 3)), np.empty(0, np.int32), np.empty(0, np.int32),
+)
+for _column in _NO_ROWS:
+    _column.setflags(write=False)
+
+
 class Trace:
     """Samples as columns, one row per sample, in input order.
 
@@ -135,7 +145,10 @@ class Trace:
         """The one column builder: the rows given field by field (``kinds``
         as codes), or the first row that breaks the sample contract and why:
         a type rule (``_type_fault``), or a value rule (``check``) on a row
-        before the first that breaks a type rule."""
+        before the first that breaks a type rule. No rows cost a constant:
+        the columns are the shared, read-only ``_NO_ROWS``."""
+        if not len(kinds):
+            return cls(*_NO_ROWS, names=())
         vectors = list(compress(values, map(_MAG.__eq__, kinds)))
         scalars = list(compress(values, map(_MAG.__ne__, kinds)))
         if not (
@@ -344,6 +357,8 @@ class ContactWindow:
             raise ValueError("window end must exceed start")
         object.__setattr__(self, "samples", as_trace(self.samples))
         t = self.samples.t
+        if not t.size:
+            return
         outside = np.flatnonzero((t < self.start) | (t >= self.end))
         if outside.size:
             raise ValueError(f"sample at t={float(t[outside[0]])} outside [{self.start}, {self.end})")

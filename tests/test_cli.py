@@ -256,6 +256,34 @@ class TestDetectEvaluateReport:
             run(["detect", "--data", generated, "--config", small_config, "--tier", "BOGUS"])
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["detect", "--data", "run", "--config", "c.yaml", "--tier", "BOGUS"], "BOGUS"),
+            (["generate", "--config", "c.yaml", "--out", "run", "--seed", "abc"], "abc"),
+            ([], "command"),
+        ],
+        ids=["unknown_tier", "non_integer_seed", "no_subcommand"],
+    )
+    def test_one_json_line_and_status_2(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        payload = json.loads(err)
+        assert payload["error"] == "ArgumentError"
+        assert named in payload["message"]
+
+    def test_help_is_usage_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["detect", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: sensetrace detect") and err == ""
+
+
 class TestDetectChecksConfig:
     @pytest.fixture()
     def generated(self, small_config, tmp_path):

@@ -9,7 +9,7 @@ import yaml
 
 from sensetrace.core import label_to_json
 from sensetrace.errors import ScenarioError
-from sensetrace.simulator import generate_traces, scenario_from_dict, standard_scenario
+from sensetrace.simulator import generate_traces, scenario_from_dict, standard_scenario, write_config
 
 STANDARD = Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
 
@@ -213,3 +213,27 @@ class TestValues:
         before = copy.deepcopy(raw)
         scenario_from_dict(raw)
         assert raw == before
+
+
+class TestWriteConfig:
+    @staticmethod
+    def scaled(factor):
+        raw = standard_raw()
+        for bucket in raw["instances"]["buckets"]:
+            bucket["indoor"] *= factor
+            bucket["outdoor"] *= factor
+        return raw
+
+    @pytest.mark.parametrize("factor", [1, 10])
+    def test_bytes_of_safe_dump(self, tmp_path, factor):
+        raw = self.scaled(factor)
+        write_config(tmp_path / "config.yaml", raw)
+        assert (tmp_path / "config.yaml").read_bytes() == yaml.safe_dump(raw, sort_keys=False).encode("utf-8")
+
+    def test_strings_that_read_as_other_types_round_trip(self, tmp_path):
+        raw = {
+            **standard_raw(),
+            "notes": {"yes": "yes", "null": "null", "float": "1.0", "empty": "", "list": ["no", "~", "0x1f"]},
+        }
+        write_config(tmp_path / "config.yaml", raw)
+        assert yaml.safe_load((tmp_path / "config.yaml").read_text(encoding="utf-8")) == raw

@@ -719,6 +719,46 @@ class TestTraceCache:
         assert sorted(read_trace_cache(cache)) == ["a.jsonl", "c.jsonl"]
 
 
+class TestEmptyTrace:
+    COLUMNS = ("t", "kind", "value", "mag", "src", "obs")
+
+    @pytest.fixture(
+        params=["from_samples", b"", b"\n  \n", "window"], ids=["from_samples", "empty_file", "blank_file", "window"]
+    )
+    def empty(self, request, tmp_path):
+        if request.param == "from_samples":
+            return Trace.from_samples(())
+        if request.param == "window":
+            return ContactWindow(("a", "b"), 0.0, 900.0, ()).samples
+        (tmp_path / "empty.jsonl").write_bytes(request.param)
+        return read_trace(tmp_path / "empty.jsonl")
+
+    def test_equals_the_allocated_columns(self, empty):
+        # The columns the row-by-row builder allocates for no rows.
+        allocated = Trace(
+            np.array([], dtype=float), np.array([], dtype=np.int8), np.array([], dtype=float),
+            np.full((0, 3), math.nan), np.array([], dtype=np.int32), np.array([], dtype=np.int32), names=(),
+        )
+        assert empty == allocated and len(empty) == 0 and empty.names == ()
+        for column in self.COLUMNS:
+            got, want = getattr(empty, column), getattr(allocated, column)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), column
+
+    def test_columns_reject_writes(self, empty):
+        for column in self.COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(empty, column)[...] = 0
+
+    def test_works_as_any_trace(self, empty):
+        trace = Trace.from_samples([ble(5.0, "b", "a"), baro(1.0, "a")])
+        assert empty + trace == trace and trace + empty == trace
+        assert (empty + trace).t.flags.writeable
+        assert empty.between(0.0, 10.0).size == 0 and empty.rows(SensorKind.BLE_RSS).size == 0
+        assert empty.take(np.array([], dtype=np.intp)) == empty
+        with pytest.raises(EmptyWindow):
+            make_window(empty, ("a", "b"), 0.0, 10.0)
+
+
 class TestContactWindowInvariants:
     def test_sample_outside_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -727,3 +767,12 @@ class TestContactWindowInvariants:
     def test_end_after_start(self):
         with pytest.raises(ValueError):
             ContactWindow(("a", "b"), 10.0, 10.0, ())
+
+    def test_checks_hold_with_and_without_rows(self):
+        for samples in ((), Trace.from_samples(()), (ble(1.0, "a", "b"),)):
+            with pytest.raises(ValueError, match="two distinct devices"):
+                ContactWindow(("a", "a"), 0.0, 900.0, samples)
+            with pytest.raises(ValueError, match="window end must exceed start"):
+                ContactWindow(("a", "b"), 10.0, 10.0, samples)
+        with pytest.raises(ValueError, match=r"outside \[0.0, 900.0\)"):
+            ContactWindow(("a", "b"), 0.0, 900.0, (ble(1.0, "a", "b"), ble(900.0, "a", "b")))

@@ -479,6 +479,41 @@ class TestPrivacyInvariants:
                             assert check_exposure(d, server.published_positive_ids)
 
 
+class TestModesAgree:
+    @staticmethod
+    def history(seed):
+        """Registered devices that rotate at random and log contacts through
+        ``exchange_ids`` with sample-free windows, as the phones do, over at
+        most 40 steps: below epoch 256 and well inside the lookback."""
+        rng = random.Random(seed)
+        central, decentral = ServerState(ReportMode.CENTRALIZED), ServerState(ReportMode.DECENTRALIZED)
+        devices = [register_device(decentral, register_device(central)) for _ in range(rng.randint(3, 8))]
+        now = 0.0
+        for _ in range(rng.randint(1, 40)):
+            now += 900.0 * rng.choice((1, 1, 2, 5))
+            for d in devices:
+                if rng.random() < 0.5:
+                    rotate_id(d, now)
+            for _ in range(rng.randint(0, 3)):
+                a, b = rng.sample(devices, 2)
+                pair = (a.permanent_id, b.permanent_id)
+                exchange_ids(a, b, positive_decision(), ContactWindow(pair, now, now + 900.0, ()))
+        return central, decentral, devices, now
+
+    def test_centralized_notifies_whom_decentralized_exposes(self):
+        told = 0
+        for seed in range(40):
+            central, decentral, devices, now = self.history(seed)
+            assert max(d.epoch for d in devices) < 256
+            reporter = random.Random(seed).choice(devices)
+            notified = report_positive_centralized(reporter, central)
+            published = report_positive_decentralized(reporter, decentral, now=now)
+            exposed = {d.permanent_id for d in devices if check_exposure(d, published)}
+            assert notified == exposed, seed
+            told += bool(notified)
+        assert told >= 20  # most reporters had contacts to tell
+
+
 class TestEventLog:
     def test_events_recorded_and_serializable(self, tmp_path):
         events = EventLog()
