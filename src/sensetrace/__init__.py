@@ -5,7 +5,6 @@ from .core import (
     CONTACT_DISTANCE_M,
     ContactDecision,
     ContactWindow,
-    DeviceId,
     GroundTruthLabel,
     ProximityState,
     SensorKind,
@@ -39,7 +38,6 @@ from .fusion import (
     build_evidence,
     decide,
     noise_gate,
-    register_contact,
     stage_appearance,
     stage_distance,
     stage_environment,

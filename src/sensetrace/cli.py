@@ -29,7 +29,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import secrets
 import shutil
 import sys
@@ -46,6 +45,7 @@ from .core import (
     read_jsonl,
     read_trace,
     read_trace_cache,
+    window_bounds,
     write_trace,
     write_trace_cache,
 )
@@ -80,13 +80,7 @@ def _read_instances(path: Path) -> list[Instance]:
     seen: set[Instance] = set()
 
     def parse(record: dict) -> Instance:
-        start, end = record["window"]
-        for bound in (start, end):
-            # math.isfinite raises OverflowError on an int beyond any float.
-            if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not math.isfinite(bound):
-                raise ValueError(f"window bounds must be finite numbers, got {bound!r}")
-        if not end > start:
-            raise ValueError("window end must exceed start")
+        start, end = window_bounds(record["window"])
         instance = (canonical_pair(record["pair"]), start, end)
         if instance in seen:
             raise ValueError(f"duplicate instance {instance}")

@@ -1,4 +1,4 @@
-"""Shared domain vocabulary: samples, traces, device identity, windows, decisions.
+"""Shared domain vocabulary: samples, traces, windows, decisions.
 
 Trace files are JSON-lines, one sample per line, with fields
 ``t``, ``kind``, ``value``, ``src``, ``obs`` (nullable); floats round-trip
@@ -323,22 +323,6 @@ def as_trace(samples: Union[Trace, Iterable[SensorSample]]) -> Trace:
 
 
 @dataclass(frozen=True)
-class DeviceId:
-    """Device identity: a permanent id (simulator-internal) plus the current
-    rotating temporary id and its epoch counter."""
-
-    permanent_id: str
-    temp_id: str
-    epoch: int = 0
-
-    def __post_init__(self) -> None:
-        if self.temp_id == self.permanent_id:
-            raise ValueError("temp_id must never equal permanent_id")
-        if self.epoch < 0:
-            raise ValueError("epoch must be >= 0")
-
-
-@dataclass(frozen=True)
 class ContactWindow:
     """Pair-relevant samples for one device pair over [start, end).
 
@@ -405,6 +389,18 @@ def canonical_pair(pair: Sequence[str]) -> tuple[str, str]:
     if a == b:
         raise ValueError("pair must name two distinct devices")
     return (a, b) if a < b else (b, a)
+
+
+def window_bounds(window: Sequence[Any]) -> tuple[float, float]:
+    """A record's ``window``: two finite numbers, the end after the start."""
+    start, end = window
+    for bound in (start, end):
+        # math.isfinite raises OverflowError on an int beyond any float.
+        if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not math.isfinite(bound):
+            raise ValueError(f"window bounds must be finite numbers, got {bound!r}")
+    if not end > start:
+        raise ValueError("window end must exceed start")
+    return start, end
 
 
 def make_window(
@@ -489,7 +485,7 @@ def label_to_json(label: GroundTruthLabel) -> str:
 
 
 def label_from_record(record: dict) -> GroundTruthLabel:
-    start, end = record["window"]
+    start, end = window_bounds(record["window"])
     return GroundTruthLabel(
         pair=canonical_pair(record["pair"]),
         start=start,

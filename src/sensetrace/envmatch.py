@@ -99,8 +99,9 @@ _DTW_PLACES = 1 << 12
 def dtw_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``dtw_score`` of each row of ``a`` (k x m) with the same row of ``b``
     (k x n), bit for bit, for all k pairs at once, one anti-diagonal at a
-    time: the same float operations and the same fewest-cells tie rule. A
-    non-finite value raises ``dtw_score``'s error. Pairs are scored
+    time: the same float operations and the same fewest-cells tie rule. The
+    first pair with a non-finite value raises the ValueError ``dtw_score``
+    would. Pairs are scored
     ``_DTW_PLACES`` diagonal places at a time.
 
     Cell (i, j) lies on diagonal i + j, at place i + 1 of the diagonal's
@@ -117,7 +118,10 @@ def dtw_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([dtw_scores(a[i : i + pairs], b[i : i + pairs]) for i in range(0, k, pairs)])
     bad = np.flatnonzero(~(np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)))
     if bad.size:
-        dtw_score(a[bad[0]].tolist(), b[bad[0]].tolist())
+        for name, seq in (("first", a[bad[0]]), ("second", b[bad[0]])):
+            for v in seq.tolist():
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} sequence contains non-finite value {v}")
     a, b_back = np.ascontiguousarray(a.T), np.ascontiguousarray(b[:, ::-1].T)  # b_back[n - 1 - j] is b[j]
     no_path = m + n
     costs = np.full((3, m + 1, k), math.inf)

@@ -274,9 +274,8 @@ def fuse_instances(
 ) -> list[DecisionRecord]:
     """Each instance's decision under ``gates``, fused from its assessment.
 
-    ``assessments`` holds one assessment per instance, in order, and is read
-    in step with ``instances``, so a lazy one assesses each window just
-    before its decision.
+    ``assessments`` holds one assessment per instance, in order; a count
+    that differs raises ValueError.
     """
     return [
         DecisionRecord(pair=canonical_pair(pair), start=start, end=end, decision=decide(assessment, cfg, gates))

@@ -13,7 +13,9 @@ once; ``decide`` fuses an ``Assessment`` into the verdict of one
 ``build_evidence`` and the ``stage_*`` functions take one window; they are
 the reference. ``assess_windows``, which detection uses, assesses a whole
 run's windows with array operations and gives equal assessments, bit for
-bit.
+bit. ``decision_to_json`` and ``decision_from_record`` write and read a
+decision record; what a positive decision leads to, the id exchange and its
+contact log, belongs to ``protocol``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .core import (
     KIND_CODES,
     ContactDecision,
     ContactWindow,
-    DeviceId,
     ProximityState,
     SensorKind,
     canonical_pair,
+    window_bounds,
 )
 from .envmatch import EnvThresholds, dtw_scores, env_similar, select_env_sensor
-from .errors import InsufficientEvidence, NoContact
+from .errors import InsufficientEvidence
 from .ranging import (
     ChirpSpec,
     PathLossParams,
@@ -309,39 +311,6 @@ def decide(
         contact=contact,
         degraded_reason="; ".join(reasons) if reasons else None,
     )
-
-
-# --- contact log ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContactLogEntry:
-    """What a device persists about a registered contact: the peer's current
-    temporary id and the window metadata. No raw sensor data, no permanent id."""
-
-    peer_temp_id: str
-    window_start: float
-    window_end: float
-    mean_distance: Optional[float]
-
-
-def register_contact(
-    decision: ContactDecision,
-    peer: DeviceId,
-    window: ContactWindow,
-    log: list[ContactLogEntry],
-) -> ContactLogEntry:
-    """Append one log entry for a positive decision; rejects negatives."""
-    if not decision.contact:
-        raise NoContact("cannot register a non-contact decision")
-    entry = ContactLogEntry(
-        peer_temp_id=peer.temp_id,
-        window_start=window.start,
-        window_end=window.end,
-        mean_distance=decision.mean_distance,
-    )
-    log.append(entry)
-    return entry
 
 
 # --- evidence extraction and decision records -------------------------------
@@ -633,5 +602,5 @@ def decision_from_record(p: dict) -> DecisionRecord:
         contact=p["contact"],
         degraded_reason=p.get("degraded_reason"),
     )
-    start, end = p["window"]
+    start, end = window_bounds(p["window"])
     return DecisionRecord(pair=canonical_pair(p["pair"]), start=start, end=end, decision=decision)

@@ -22,9 +22,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .core import ContactDecision, ContactWindow, DeviceId, atomic_write
+from .core import ContactDecision, ContactWindow, atomic_write
 from .errors import ModeError, NoContact, NotDue
-from .fusion import ContactLogEntry, register_contact
 
 DEFAULT_ROTATION_PERIOD_S = 900.0
 DEFAULT_LOOKBACK_S = 14 * 86400.0
@@ -44,6 +43,17 @@ def derive_temp_id(permanent_id: str, epoch: int) -> str:
     """Deterministic per-epoch pseudonym, never equal to the permanent id."""
     digest = hashlib.sha256(f"{permanent_id}|{epoch}".encode("utf-8")).hexdigest()[:16]
     return f"t{digest}"
+
+
+@dataclass(frozen=True)
+class ContactLogEntry:
+    """What a device persists about a registered contact: the peer's current
+    temporary id and the window metadata. No raw sensor data, no permanent id."""
+
+    peer_temp_id: str
+    window_start: float
+    window_end: float
+    mean_distance: Optional[float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +77,7 @@ class EventLog:
 
 @dataclass
 class DeviceState:
-    """One participating phone: its permanent id and current epoch (``identity``
+    """One participating phone: its permanent id and current epoch (``temp_id``
     derives the temporary id from both on each read; none is stored), its
     local contact log and whether it has been told of an exposure."""
 
@@ -86,8 +96,8 @@ class DeviceState:
             self.epoch_starts.append(self.last_rotation)
 
     @property
-    def identity(self) -> DeviceId:
-        return DeviceId(self.permanent_id, derive_temp_id(self.permanent_id, self.epoch), self.epoch)
+    def temp_id(self) -> str:
+        return derive_temp_id(self.permanent_id, self.epoch)
 
     @property
     def first_epoch(self) -> int:
@@ -131,7 +141,7 @@ def register_device(
 
 def rotate_id(device: DeviceState, now: float, events: Optional[EventLog] = None) -> DeviceState:
     """Advance to the next epoch once the rotation period has elapsed: O(1)
-    bookkeeping, as ``identity`` derives the new temporary id when read.
+    bookkeeping, as ``temp_id`` derives the new temporary id when read.
     The device keeps its own past ids resolvable for exposure matching."""
     if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
         raise NotDue(
@@ -156,8 +166,8 @@ def exchange_ids(
     temporary id with the window metadata."""
     if not decision.contact:
         raise NoContact("id exchange requires a positive contact decision")
-    register_contact(decision, b.identity, window, a.contact_log)
-    register_contact(decision, a.identity, window, b.contact_log)
+    a.contact_log.append(ContactLogEntry(b.temp_id, window.start, window.end, decision.mean_distance))
+    b.contact_log.append(ContactLogEntry(a.temp_id, window.start, window.end, decision.mean_distance))
     if events:
         events.record(
             "exchange",

@@ -42,22 +42,16 @@ class PathLossParams:
 
 @dataclass(frozen=True)
 class ChirpSpec:
-    """Audible chirp used for peer sensing: 2-6 kHz, ~20 dB, short duration.
+    """Audible chirp used for peer sensing, emitted at ~20 dB.
 
     The amplitude doubles as the 1-metre reference level for sound ranging.
     """
 
-    frequency: float = 4000.0
     amplitude: float = 20.0
-    duration_ms: float = 50.0
 
     def __post_init__(self) -> None:
-        if not 2000.0 <= self.frequency <= 6000.0:
-            raise ValueError(f"chirp frequency must lie in [2000, 6000] Hz, got {self.frequency}")
         if not 15.0 <= self.amplitude <= 25.0:
             raise ValueError(f"chirp amplitude must lie within 20 +/- 5 dB, got {self.amplitude}")
-        if not self.duration_ms > 0:
-            raise ValueError("chirp duration must be positive")
 
 
 def _clamp(metres: float) -> float:

@@ -36,7 +36,6 @@ KEYS = {
     "wifi_scan_cap": "wifi_scan_cap_per_120s",
     "window_length": "length_s",
     "power_at_1m": "power_at_1m_dbm",
-    "frequency": "frequency_hz",
     "amplitude": "amplitude_db",
     "sound_period": "sound_period_s",
     "env_period": "env_period_s",

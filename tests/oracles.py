@@ -26,7 +26,6 @@ import numpy as np
 from sensetrace.core import (
     CONTACT_DISTANCE_M,
     ContactDecision,
-    DeviceId,
     GroundTruthLabel,
     ProximityState,
     SensorKind,
@@ -35,6 +34,7 @@ from sensetrace.core import (
 from sensetrace.errors import InsufficientEvidence, NotDue, ScenarioError
 from sensetrace.protocol import (
     DEFAULT_ROTATION_PERIOD_S,
+    ContactLogEntry,
     DeviceState,
     EventLog,
     ExposureStatus,
@@ -43,7 +43,6 @@ from sensetrace.protocol import (
     derive_temp_id,
 )
 from sensetrace.fusion import (
-    ContactLogEntry,
     FusionConfig,
     StageEvidence,
     StageGates,
@@ -389,7 +388,9 @@ class EagerDevice:
     every attribute ``register_device``, ``exchange_ids``, ``check_exposure``
     and ``notify_devices`` read, so those run on it unchanged."""
 
-    identity: DeviceId
+    permanent_id: str
+    epoch: int
+    temp_id: str
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
     last_rotation: float = 0.0
@@ -398,24 +399,20 @@ class EagerDevice:
 
     @classmethod
     def fresh(cls, permanent_id: str, epoch: int = 0) -> "EagerDevice":
-        identity = DeviceId(permanent_id, derive_temp_id(permanent_id, epoch), epoch)
-        return cls(identity, used={epoch: (identity.temp_id, 0.0)})
-
-    @property
-    def permanent_id(self) -> str:
-        return self.identity.permanent_id
+        temp_id = derive_temp_id(permanent_id, epoch)
+        return cls(permanent_id, epoch, temp_id, used={epoch: (temp_id, 0.0)})
 
 
 def eager_rotate(device: EagerDevice, now: float, events: Optional[EventLog] = None) -> None:
     """``rotate_id`` for an ``EagerDevice``: derive and store the next id."""
     if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
         raise NotDue(f"rotation at t={now} too early")
-    epoch = device.identity.epoch + 1
-    device.identity = DeviceId(device.permanent_id, derive_temp_id(device.permanent_id, epoch), epoch)
-    device.used[epoch] = (device.identity.temp_id, now)
+    device.epoch += 1
+    device.temp_id = derive_temp_id(device.permanent_id, device.epoch)
+    device.used[device.epoch] = (device.temp_id, now)
     device.last_rotation = now
     if events:
-        events.record("rotate", device=device.permanent_id, epoch=epoch, t=now)
+        events.record("rotate", device=device.permanent_id, epoch=device.epoch, t=now)
 
 
 def eager_report_decentralized(

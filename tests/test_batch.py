@@ -303,6 +303,18 @@ class TestDtwScores:
         with pytest.raises(ValueError, match="first sequence contains non-finite value nan"):
             dtw_scores(a, b)
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_non_finite_error_needs_no_reference(self, monkeypatch, side):
+        # The batch words dtw_score's error itself, without calling it.
+        a, b = np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([[1.0], [2.0]])
+        (a if side == "first" else b)[1, -1] = math.nan
+        with pytest.raises(ValueError) as want:
+            dtw_score(a[1].tolist(), b[1].tolist())
+        monkeypatch.setattr(envmatch, "dtw_score", None)
+        with pytest.raises(ValueError) as got:
+            dtw_scores(a, b)
+        assert str(got.value) == str(want.value) == f"{side} sequence contains non-finite value nan"
+
 
 def package_files(fn):
     """The source files of the package whose functions ``fn`` can reach by

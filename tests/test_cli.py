@@ -690,6 +690,32 @@ class TestMalformedInput:
         assert not (data / "bad.jsonl").exists()
 
     @pytest.mark.parametrize(
+        "window, message",
+        [
+            pytest.param(lambda s, e: [e, s], "window end must exceed start", id="inverted"),
+            pytest.param(lambda s, e: [s, math.nan], "window bounds must be finite numbers, got nan", id="nan"),
+            pytest.param(lambda s, e: [s, True], "window bounds must be finite numbers, got True", id="true"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["truth.jsonl", "decisions_full.jsonl"])
+    def test_evaluate_checks_window_bounds(self, detected_run, tmp_path, capsys, name, window, message):
+        # Truth and decisions read the (pair, window) key as instances do,
+        # so a bad window fails even when both files carry the same one.
+        _, original = detected_run
+        data = tmp_path / "run"
+        shutil.copytree(original, data)
+        path = data / name
+        _rewrite_line(path, 2, lambda record: {**record, "window": window(*record["window"])})
+        capsys.readouterr()
+
+        assert run(["evaluate", "--data", data, "--decisions", "decisions_full.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SenseTraceError"
+        assert payload["message"] == f"{path}:2: ValueError: {message}"
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             pytest.param(lambda lines: lines + [lines[0]], "duplicate decision key ", id="repeated_line"),

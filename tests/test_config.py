@@ -66,6 +66,9 @@ class TestUnknownKeys:
             ("testbed.magnetic.indoor.max", lambda raw: raw["testbed"]["magnetic"]["indoor"].update(max=90.0)),
             ("testbed.regions[1].ambient_db", lambda raw: raw["testbed"]["regions"][1].update(ambient_db=5.0)),
             ("instances.buckets[2].indoors", lambda raw: raw["instances"]["buckets"][2].update(indoors=3)),
+            # Chirp keys that older configs set, with their old values: nothing read them.
+            ("sound.chirp.frequency_hz", lambda raw: raw["sound"]["chirp"].update(frequency_hz=4000.0)),
+            ("sound.chirp.duration_ms", lambda raw: raw["sound"]["chirp"].update(duration_ms=50.0)),
         ]
     )
     def test_rejected_naming_path(self, path, edit):

@@ -15,7 +15,6 @@ from sensetrace import core
 from sensetrace.core import (
     TRACE_CACHE_FORMAT,
     ContactWindow,
-    DeviceId,
     GroundTruthLabel,
     ProximityState,
     SensorKind,
@@ -78,17 +77,6 @@ class TestSensorSample:
     def test_self_observation_rejected(self):
         with pytest.raises(ValueError):
             Trace.from_samples([ble(0.0, "a", "a")])
-
-
-class TestDeviceId:
-    def test_temp_id_never_equals_permanent(self):
-        DeviceId("dev1", "tmp1", 0)
-        with pytest.raises(ValueError):
-            DeviceId("dev1", "dev1", 0)
-
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            DeviceId("dev1", "tmp1", -1)
 
 
 class TestGroundTruthLabel:

@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 
 from sensetrace.core import (
     ContactDecision,
-    ContactWindow,
-    DeviceId,
     ProximityState,
     SensorKind,
     SensorSample,
     make_window,
 )
-from sensetrace.errors import InsufficientEvidence, NoContact
+from sensetrace.errors import InsufficientEvidence
 from sensetrace.evaluation import TierSpec, tier_gates
 from sensetrace.fusion import (
     PAIR_TOLERANCE_S,
     Assessment,
-    ContactLogEntry,
     DecisionRecord,
     FusionConfig,
     StageEvidence,
@@ -31,7 +28,6 @@ from sensetrace.fusion import (
     decision_from_record,
     decision_to_json,
     noise_gate,
-    register_contact,
     stage_appearance,
     stage_distance,
     stage_environment,
@@ -455,45 +451,6 @@ class TestAssess:
             env_similar=False,
             env_reason="proximity state missing for one or both devices",
         )
-
-
-class TestRegisterContact:
-    def window(self):
-        s = SensorSample(0.0, SensorKind.BLE_RSS, -60.0, src="a", obs="b")
-        return ContactWindow(("a", "b"), 0.0, 900.0, (s,))
-
-    def positive(self):
-        return ContactDecision(True, 0.8, 0.02, SensorKind.BAROMETER, True)
-
-    def negative(self):
-        return ContactDecision(True, 2.4, 0.02, SensorKind.BAROMETER, False)
-
-    def test_positive_decision_appends_one_entry(self):
-        log = []
-        peer = DeviceId("devB", "tmpB9", 9)
-        entry = register_contact(self.positive(), peer, self.window(), log)
-        assert log == [entry]
-        assert entry.peer_temp_id == "tmpB9"
-        assert entry.mean_distance == 0.8
-
-    def test_negative_decision_rejected_log_unchanged(self):
-        log = []
-        with pytest.raises(NoContact):
-            register_contact(self.negative(), DeviceId("devB", "t0"), self.window(), log)
-        assert log == []
-
-    def test_two_windows_two_entries(self):
-        # Replay two positive windows of the same pair: per-window entries.
-        log = []
-        peer = DeviceId("devB", "tmpB0", 0)
-        s1 = SensorSample(10.0, SensorKind.BLE_RSS, -60.0, src="a", obs="b")
-        s2 = SensorSample(910.0, SensorKind.BLE_RSS, -60.0, src="a", obs="b")
-        w1 = make_window([s1, s2], ("a", "b"), 0.0, 900.0)
-        w2 = make_window([s1, s2], ("a", "b"), 900.0, 900.0)
-        register_contact(self.positive(), peer, w1, log)
-        register_contact(self.positive(), peer, w2, log)
-        assert len(log) == 2
-        assert {(e.window_start, e.window_end) for e in log} == {(0.0, 900.0), (900.0, 1800.0)}
 
 
 class TestBuildEvidence:

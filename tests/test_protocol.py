@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 
@@ -8,6 +9,7 @@ from sensetrace import protocol
 from sensetrace.core import ContactDecision, ContactWindow, SensorKind, SensorSample
 from sensetrace.errors import ModeError, NoContact, NotDue
 from sensetrace.protocol import (
+    ContactLogEntry,
     DeviceState,
     EventLog,
     ExposureStatus,
@@ -49,10 +51,10 @@ class TestRegisterDevice:
     def test_fresh_device_epoch_zero_empty_log(self):
         server = ServerState(ReportMode.CENTRALIZED)
         d = register_device(server)
-        assert d.identity.epoch == 0
+        assert d.epoch == 0
         assert d.contact_log == []
         assert d.permanent_id in server.registered
-        assert d.identity.temp_id != d.permanent_id
+        assert d.temp_id != d.permanent_id
 
     def test_reregistration_idempotent(self):
         server = ServerState(ReportMode.CENTRALIZED)
@@ -74,16 +76,16 @@ class TestRotateId:
         server = ServerState(ReportMode.CENTRALIZED)
         d = register_device(server)
         rotate_id(d, 900.0)
-        assert d.identity.epoch == 1
+        assert d.epoch == 1
 
     def test_temp_ids_pairwise_distinct(self):
         server = ServerState(ReportMode.CENTRALIZED)
         d = register_device(server)
-        ids = {d.identity.temp_id}
+        ids = {d.temp_id}
         rotate_id(d, 900.0)
-        ids.add(d.identity.temp_id)
+        ids.add(d.temp_id)
         rotate_id(d, 1800.0)
-        ids.add(d.identity.temp_id)
+        ids.add(d.temp_id)
         assert len(ids) == 3
 
     def test_early_rotation_rejected(self):
@@ -97,10 +99,10 @@ class TestRotateId:
         server = ServerState(ReportMode.CENTRALIZED)
         a = register_device(server)
         b = register_device(server)
-        old = b.identity.temp_id
+        old = b.temp_id
         rotate_id(b, 900.0)
         contact(a, b, start=900.0)
-        assert a.contact_log[0].peer_temp_id == b.identity.temp_id
+        assert a.contact_log[0].peer_temp_id == b.temp_id
         assert a.contact_log[0].peer_temp_id != old
 
     def test_old_ids_resolvable_by_owner(self):
@@ -144,7 +146,7 @@ class TestIdDerivedOnRead:
         for k in range(1, 1001):
             rotate_id(d, k * 900.0)
         assert derived == []
-        assert d.identity.temp_id == derive_temp_id(d.permanent_id, 1000)
+        assert d.temp_id == derive_temp_id(d.permanent_id, 1000)
         assert derived == [(d.permanent_id, 1000)]
 
     def test_negative_epoch_rejected(self):
@@ -203,7 +205,7 @@ class TestIdDerivedOnRead:
                     assert delta == ref_delta
                     for d, r in zip(devices, refs):
                         assert check_exposure(d, delta, events) == check_exposure(r, ref_delta, ref_events)
-            assert [d.identity for d in devices] == [r.identity for r in refs]
+            assert [(d.epoch, d.temp_id) for d in devices] == [(r.epoch, r.temp_id) for r in refs]
         return (server, events, devices), (ref_server, ref_events, refs)
 
     def test_matches_eager_reference(self):
@@ -230,8 +232,39 @@ class TestExchangeIds:
         contact(a, b)
         assert len(a.contact_log) == 1
         assert len(b.contact_log) == 1
-        assert a.contact_log[0].peer_temp_id == b.identity.temp_id
-        assert b.contact_log[0].peer_temp_id == a.identity.temp_id
+        assert a.contact_log[0].peer_temp_id == b.temp_id
+        assert b.contact_log[0].peer_temp_id == a.temp_id
+
+    def test_positive_decision_gives_each_device_one_entry(self):
+        # Each side logs the peer's current temporary id, the window bounds
+        # and the decision's mean distance: no permanent id, no samples.
+        a, b = DeviceState("pa", epoch=3), DeviceState("pb", epoch=9)
+        exchange_ids(a, b, positive_decision(), window(1800.0))
+        assert a.contact_log == [ContactLogEntry(derive_temp_id("pb", 9), 1800.0, 2700.0, 0.7)]
+        assert b.contact_log == [ContactLogEntry(derive_temp_id("pa", 3), 1800.0, 2700.0, 0.7)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.contact_log[0].peer_temp_id = "pb"
+
+    def test_entry_after_the_peer_rotated(self):
+        server = ServerState(ReportMode.CENTRALIZED)
+        a, b = register_device(server), register_device(server)
+        contact(a, b)
+        rotate_id(b, 900.0)
+        contact(a, b, start=900.0)
+        assert a.contact_log == [
+            ContactLogEntry(derive_temp_id(b.permanent_id, 0), 0.0, 900.0, 0.7),
+            ContactLogEntry(derive_temp_id(b.permanent_id, 1), 900.0, 1800.0, 0.7),
+        ]
+        # a did not rotate: b logged a's epoch-0 id both times.
+        assert [e.peer_temp_id for e in b.contact_log] == [derive_temp_id(a.permanent_id, 0)] * 2
+
+    def test_two_windows_two_entries(self):
+        server = ServerState(ReportMode.CENTRALIZED)
+        a, b = register_device(server), register_device(server)
+        contact(a, b)
+        contact(a, b, start=900.0)
+        for log in (a.contact_log, b.contact_log):
+            assert [(e.window_start, e.window_end) for e in log] == [(0.0, 900.0), (900.0, 1800.0)]
 
     def test_rejected_contact_changes_nothing(self):
         server = ServerState(ReportMode.CENTRALIZED)

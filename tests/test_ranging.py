@@ -32,14 +32,6 @@ class TestPathLossParams:
 
 
 class TestChirpSpec:
-    def test_frequency_band(self):
-        ChirpSpec(frequency=2000.0)
-        ChirpSpec(frequency=6000.0)
-        with pytest.raises(ValueError):
-            ChirpSpec(frequency=1999.0)
-        with pytest.raises(ValueError):
-            ChirpSpec(frequency=8000.0)
-
     def test_amplitude_window(self):
         ChirpSpec(amplitude=15.0)
         ChirpSpec(amplitude=25.0)
