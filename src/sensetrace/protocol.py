@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -45,7 +46,7 @@ def derive_temp_id(permanent_id: str, epoch: int) -> str:
     return f"t{digest}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContactLogEntry:
     """What a device persists about a registered contact: the peer's current
     temporary id and the window metadata. No raw sensor data, no permanent id."""
@@ -75,25 +76,31 @@ class EventLog:
         atomic_write(path, "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in self.events))
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceState:
     """One participating phone: its permanent id and current epoch (``temp_id``
     derives the temporary id from both on each read; none is stored), its
-    local contact log and whether it has been told of an exposure."""
+    local contact log and whether it has been told of an exposure.
+
+    ``last_rotation`` is the current epoch's start time. The rotation history
+    is kept as runs: (first epoch, start time) of each run of on-time
+    rotations, an epoch inside a run starting exactly one rotation period
+    after its predecessor. It costs one entry at construction and one per
+    late rotation, none per on-time one."""
 
     permanent_id: str
     epoch: int = 0
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
     last_rotation: float = 0.0
-    # Start time of each epoch from the device's first to its current one.
-    epoch_starts: list[float] = field(default_factory=list)
+    runs: list[tuple[int, float]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.epoch < 0:
             raise ValueError("epoch must be >= 0")
-        if not self.epoch_starts:
-            self.epoch_starts.append(self.last_rotation)
+        if not math.isfinite(self.last_rotation):
+            raise ValueError(f"last_rotation must be finite, got {self.last_rotation}")
+        self.runs = [(self.epoch, self.last_rotation)]
 
     @property
     def temp_id(self) -> str:
@@ -101,7 +108,7 @@ class DeviceState:
 
     @property
     def first_epoch(self) -> int:
-        return self.epoch - len(self.epoch_starts) + 1
+        return self.runs[0][0]
 
 
 @dataclass
@@ -142,14 +149,20 @@ def register_device(
 def rotate_id(device: DeviceState, now: float, events: Optional[EventLog] = None) -> DeviceState:
     """Advance to the next epoch once the rotation period has elapsed: O(1)
     bookkeeping, as ``temp_id`` derives the new temporary id when read.
-    The device keeps its own past ids resolvable for exposure matching."""
-    if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
-        raise NotDue(
-            f"rotation at t={now} before {device.last_rotation + DEFAULT_ROTATION_PERIOD_S}"
-        )
+    An on-time rotation (exactly one period after the last) allocates
+    nothing; a late one opens a new run in ``device.runs``, so the device
+    keeps its own past ids resolvable for exposure matching. A non-finite
+    ``now`` raises ``ValueError`` and an early one ``NotDue``; either leaves
+    the device unchanged."""
+    due = device.last_rotation + DEFAULT_ROTATION_PERIOD_S
+    if now != due:
+        if not math.isfinite(now):
+            raise ValueError(f"rotation time must be finite, got {now}")
+        if now < due:
+            raise NotDue(f"rotation at t={now} before {due}")
+        device.runs.append((device.epoch + 1, now))
     device.epoch += 1
     device.last_rotation = now
-    device.epoch_starts.append(now)
     if events:
         events.record("rotate", device=device.permanent_id, epoch=device.epoch, t=now)
     return device
@@ -236,17 +249,30 @@ def report_positive_decentralized(
     events: Optional[EventLog] = None,
 ) -> list[PublishedId]:
     """Publish the reporter's own temporary ids (all epochs within the
-    infectious lookback) to the anonymous public list; returns the delta."""
+    infectious lookback) to the anonymous public list; returns the delta.
+
+    ``now=None`` publishes every epoch; a non-finite ``now`` raises
+    ``ValueError``. Each epoch's end is rebuilt from ``device.runs`` with the
+    float addition ``rotate_id`` compared against, so it equals the ``now``
+    that started the next epoch bit for bit."""
     if server.mode is not ReportMode.DECENTRALIZED:
         raise ModeError("decentralized report sent to a non-decentralized server")
+    if now is not None and not math.isfinite(now):
+        raise ValueError(f"report time must be finite, got {now}")
     delta: list[PublishedId] = []
-    # Each epoch is active until the next one starts; the current one until now.
-    active_until = device.epoch_starts[1:] + [now]
-    for epoch, until in enumerate(active_until, device.first_epoch):
-        # An epoch matters if it was still active inside the lookback.
-        if now is not None and until < now - server.lookback_s:
-            continue
-        delta.append(PublishedId(derive_temp_id(device.permanent_id, epoch), epoch))
+    runs = device.runs
+    for k, (first, start) in enumerate(runs):
+        # Inside a run each epoch is active until the next one starts, one
+        # period later; the run's last epoch until the next run starts, and
+        # the current epoch until now.
+        stop, run_end = runs[k + 1] if k + 1 < len(runs) else (device.epoch + 1, now)
+        for epoch in range(first, stop):
+            until = start + DEFAULT_ROTATION_PERIOD_S if epoch + 1 < stop else run_end
+            start = until
+            # An epoch matters if it was still active inside the lookback.
+            if now is not None and until < now - server.lookback_s:
+                continue
+            delta.append(PublishedId(derive_temp_id(device.permanent_id, epoch), epoch))
     server.published_positive_ids.extend(delta)
     if events:
         events.record("report_decentralized", device=device.permanent_id, published=len(delta))

@@ -398,13 +398,15 @@ class EagerDevice:
     used: dict[int, tuple[str, float]] = field(default_factory=dict)
 
     @classmethod
-    def fresh(cls, permanent_id: str, epoch: int = 0) -> "EagerDevice":
+    def fresh(cls, permanent_id: str, epoch: int = 0, start: float = 0.0) -> "EagerDevice":
         temp_id = derive_temp_id(permanent_id, epoch)
-        return cls(permanent_id, epoch, temp_id, used={epoch: (temp_id, 0.0)})
+        return cls(permanent_id, epoch, temp_id, last_rotation=start, used={epoch: (temp_id, start)})
 
 
 def eager_rotate(device: EagerDevice, now: float, events: Optional[EventLog] = None) -> None:
     """``rotate_id`` for an ``EagerDevice``: derive and store the next id."""
+    if not math.isfinite(now):
+        raise ValueError(f"rotation time must be finite, got {now}")
     if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
         raise NotDue(f"rotation at t={now} too early")
     device.epoch += 1

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -223,6 +224,170 @@ class TestIdDerivedOnRead:
                 notified += len(server.notifications_sent)
         # The sessions did publish ids and deliver notifications.
         assert published > 0 and notified > 0
+
+    @staticmethod
+    def lookback_to(now, t):
+        """A lookback whose cutoff ``now - lookback`` is exactly ``t``, or
+        None when no float near ``now - t`` gives it."""
+        lookback = now - t
+        for _ in range(8):
+            if now - lookback == t:
+                return lookback
+            lookback = math.nextafter(lookback, math.inf if now - lookback > t else -math.inf)
+        return None
+
+    def test_off_grid_times_match_eager_reference(self):
+        # Start times off the 900 s grid, on-time rotations whose starts
+        # accumulate rounding (from 1/3 and pi, repeated addition of 900.0
+        # drifts from start + k * 900.0 within a few epochs), late jumps,
+        # catch-up at each due time and repeated rotation at one time. Every
+        # report delta equals the eager reference's, for lookbacks that cut
+        # exactly at epoch ends (inside a run and at a run boundary) and
+        # just beside them.
+        exact_cuts = cut_sizes = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            first, start = rng.choice((0, 7)), rng.choice((0.1, 1e9 + 0.3, 1 / 3, math.pi))
+            d = DeviceState("p", epoch=first, last_rotation=start)
+            r = EagerDevice.fresh("p", first, start)
+            now = start
+            for _ in range(rng.randint(10, 25)):
+                step = rng.choice(("on_time", "on_time", "jump", "catch_up", "repeat"))
+                if step == "on_time":
+                    for _ in range(rng.randint(1, 40)):
+                        now = d.last_rotation + 900.0
+                        rotate_id(d, now)
+                        eager_rotate(r, now)
+                elif step == "jump":
+                    now += rng.choice((900.1, 3 * 900.0 + 0.7, 40 * 900.0 + 0.25))
+                    rotate_id(d, now)
+                    eager_rotate(r, now)
+                elif step == "catch_up":
+                    now += rng.choice((2.5, 10.0, 40.0)) * 900.0
+                    while d.last_rotation + 900.0 <= now:
+                        rotate_id(d, d.last_rotation + 900.0)
+                        eager_rotate(r, r.last_rotation + 900.0)
+                else:
+                    now = d.last_rotation + 900.0 + rng.choice((0.0, 0.3))
+                    for _ in range(3):
+                        if d.last_rotation + 900.0 <= now:
+                            rotate_id(d, now)
+                            eager_rotate(r, now)
+                        else:
+                            with pytest.raises(NotDue):
+                                rotate_id(d, now)
+                            with pytest.raises(NotDue):
+                                eager_rotate(r, now)
+                assert (d.epoch, d.last_rotation, d.temp_id) == (r.epoch, r.last_rotation, r.temp_id)
+            # Report some time after the last rotation.
+            now = d.last_rotation + rng.choice((0.0, 450.5))
+            # Cut at every run's start and at a sample of other epochs' ends.
+            epochs = sorted(r.used)
+            run_starts = [e for e in epochs[1:] if r.used[e][1] != r.used[e - 1][1] + 900.0]
+            sizes = set()
+            for e in set(run_starts + rng.sample(epochs, min(25, len(epochs)))):
+                t = r.used[e][1]
+                for cut in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf), t + 0.05):
+                    lookback = self.lookback_to(now, cut)
+                    if lookback is None or lookback < 0:
+                        continue
+                    exact_cuts += 1
+                    server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
+                    ref_server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
+                    delta = report_positive_decentralized(d, server, now)
+                    assert delta == eager_report_decentralized(r, ref_server, now)
+                    sizes.add(len(delta))
+            cut_sizes += len(sizes)
+            assert report_positive_decentralized(d, ServerState(ReportMode.DECENTRALIZED), None) == [
+                protocol.PublishedId(r.used[e][0], e) for e in sorted(r.used)
+            ]
+        # The lookbacks did cut exactly at epoch ends, and at many places.
+        assert exact_cuts > 1000 and cut_sizes > 200
+
+
+class TestRotationRuns:
+    def test_on_time_rotations_leave_one_run(self):
+        d = DeviceState("p")
+        for k in range(1, 1345):
+            rotate_id(d, k * 900.0)
+        assert d.epoch == 1344
+        assert d.runs == [(0, 0.0)]
+
+    def test_late_rotation_adds_one_run(self):
+        d = DeviceState("p", last_rotation=0.5)
+        rotate_id(d, 900.5)
+        rotate_id(d, 2000.0)
+        assert d.runs == [(0, 0.5), (2, 2000.0)]
+        rotate_id(d, 2900.0)
+        assert d.runs == [(0, 0.5), (2, 2000.0)]
+        rotate_id(d, 3800.25)
+        assert d.runs == [(0, 0.5), (2, 2000.0), (4, 3800.25)]
+
+    def test_first_epoch_of_a_later_device(self):
+        d = DeviceState("p", epoch=5)
+        assert d.first_epoch == 5
+        assert d.runs == [(5, 0.0)]
+        rotate_id(d, 900.0)
+        rotate_id(d, 5000.0)
+        assert d.first_epoch == 5
+
+    def test_runs_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            DeviceState("p", runs=[(0, 0.0)])
+
+    def test_records_are_slotted(self):
+        d = DeviceState("p")
+        exchange_ids(d, DeviceState("q"), positive_decision(), window())
+        for record in (d, d.contact_log[0]):
+            assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            d.note = "ad hoc"
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rotation_rejected_and_device_unchanged(self, bad):
+        d = DeviceState("p")
+        rotate_id(d, 900.0)
+        rotate_id(d, 2000.0)
+        before = (d.epoch, d.last_rotation, list(d.runs))
+        with pytest.raises(ValueError):
+            rotate_id(d, bad)
+        assert (d.epoch, d.last_rotation, d.runs) == before
+        # The rejected time left the schedule as it was.
+        with pytest.raises(NotDue):
+            rotate_id(d, 2001.0)
+        rotate_id(d, 2900.0)
+        assert (d.epoch, d.runs) == (3, [(0, 0.0), (2, 2000.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_eager_reference_rejects_alike(self, bad):
+        r = EagerDevice.fresh("p")
+        with pytest.raises(ValueError):
+            eager_rotate(r, bad)
+        assert (r.epoch, r.last_rotation, list(r.used)) == (0, 0.0, [0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_construction_rejected(self, bad):
+        with pytest.raises(ValueError):
+            DeviceState("p", last_rotation=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_decentralized_report_rejected(self, bad):
+        server = ServerState(ReportMode.DECENTRALIZED)
+        d = register_device(server)
+        rotate_id(d, 900.0)
+        with pytest.raises(ValueError):
+            report_positive_decentralized(d, server, now=bad)
+        assert server.published_positive_ids == []
+        assert (d.epoch, d.last_rotation, d.runs) == (1, 900.0, [(0, 0.0)])
+
+    def test_no_time_publishes_every_epoch(self):
+        server = ServerState(ReportMode.DECENTRALIZED, lookback_s=1.0)
+        d = register_device(server)
+        rotate_id(d, 900.0)
+        rotate_id(d, 5000.0)
+        assert [p.epoch for p in report_positive_decentralized(d, server, now=None)] == [0, 1, 2]
 
 
 class TestExchangeIds:
