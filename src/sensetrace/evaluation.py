@@ -283,17 +283,6 @@ def fuse_instances(
     ]
 
 
-def detect_instances(
-    traces: Traces,
-    instances: Iterable[Instance],
-    cfg: FusionConfig,
-    gates: StageGates = StageGates(),
-) -> list[DecisionRecord]:
-    """Run the pipeline for each (pair, window start, window end) instance."""
-    instances = list(instances)
-    return fuse_instances(instances, assess_instances(traces, instances, cfg), cfg, gates)
-
-
 # --- assessment cache ----------------------------------------------------------
 
 # The file, beside a run's ``traces/``, that holds the assessment of each of
@@ -372,7 +361,7 @@ def run_tier(
 ) -> tuple[list[DecisionRecord], ConfusionCounts]:
     """Evaluate one system tier over every labelled instance."""
     instances = [(label.pair, label.start, label.end) for label in truth]
-    records = detect_instances(traces, instances, cfg, tier_gates(tier))
+    records = fuse_instances(instances, assess_instances(traces, instances, cfg), cfg, tier_gates(tier))
     return records, confusion(records, truth)
 
 

@@ -34,7 +34,6 @@ from ..core import (
 )
 from ..errors import ScenarioError
 from ..fusion import FusionConfig
-from . import signals  # MIN_DIRECTION_NORM is read at call time
 from .signals import (
     PropagationNoise,
     barometer_level,
@@ -190,10 +189,18 @@ def _place_pair(
 
 def place_instances(scenario: Scenario, rng: np.random.Generator) -> list[PlacedInstance]:
     if scenario.explicit_instances is not None:
-        out = []
+        out, placed_in = [], {}
         for i, (a, b) in enumerate(scenario.explicit_instances):
             scenario.testbed.check_placement(a)
             scenario.testbed.check_placement(b)
+            # A device records one trace, so it can take part in one instance only.
+            for d in (a, b):
+                if d.device_id in placed_in:
+                    raise ScenarioError(
+                        f"instance {i} {(a.device_id, b.device_id)}: device {d.device_id!r} "
+                        f"is already placed in instance {placed_in[d.device_id]}"
+                    )
+                placed_in[d.device_id] = i
             out.append(PlacedInstance(i, a, b, scenario.testbed.environment_at(a.x, a.y)))
         return out
     placed = []
@@ -264,11 +271,8 @@ def _batch_traces(
     Each instance's geometry is fixed, so it alone decides how many normals
     the instance draws; the batch draws them with one call, in the order a
     per-sample generator would, and turns them into rows laid out by
-    ``template``. A magnetometer direction shorter than
-    ``MIN_DIRECTION_NORM`` takes the next three normals instead, moving
-    every later draw of the run along by three. The first row, in draw
-    order, that breaks the sample contract raises ScenarioError naming its
-    instance.
+    ``template``. The first row, in draw order, that breaks the sample
+    contract raises ScenarioError naming its instance.
     """
     tb, cfg, noise = scenario.testbed, scenario.fusion, scenario.noise
     sigma_tx, sigma_level = noise.tx_power_sigma_db, noise.sound_level_sigma_db
@@ -283,7 +287,7 @@ def _batch_traces(
     for inst in batch:
         try:
             ids = (inst.a.device_id, inst.b.device_id)
-            names.append(tuple(sorted(set(ids))))
+            names.append(tuple(sorted(ids)))
             codes.append([names[-1].index(i) for i in ids])
             paths.append((link(inst.b, inst.a, tb), link(inst.a, inst.b, tb)))
             levels.append([
@@ -305,9 +309,8 @@ def _batch_traces(
     gated = np.array([[sound_gated(p, noise) for p in pair] for pair in paths]).reshape(n, 2)
     chirp = ~gated & (sigma_snd > 0)  # directions that draw chirp noise
 
-    # Normals per instance, nominally (with no magnetometer retry): the
-    # pair's calibration and multipath draws, the scans, the sound slots,
-    # then the environment readings.
+    # Normals per instance: the pair's calibration and multipath draws, the
+    # scans, the sound slots, then the environment readings.
     n_sound = len(slots[SensorKind.SOUND_AMPLITUDE])
     n_env = 2 * len(slots[SensorKind.BAROMETER])
     per_sound_slot = 2 * (sigma_amb > 0) + chirp.sum(axis=1)
@@ -319,23 +322,11 @@ def _batch_traces(
     start = np.cumsum(count) - count
     z = rng.standard_normal(int(count.sum()))
 
-    # Retries, reading by reading in draw order, until no direction is short.
-    nominal = ((start + before_env)[:, None] + per_reading * np.arange(n_env)).ravel()
-    retries = np.zeros(n * n_env, dtype=int)
-    while True:
-        first = nominal + 3 * (np.cumsum(retries) - retries)
-        direction_at = first + per_reading - 3 + 3 * retries
-        shortfall = int(direction_at[-1]) + 3 - len(z)
-        if shortfall > 0:
-            z = np.concatenate([z, rng.standard_normal(shortfall)])
-        direction = z[direction_at[:, None] + np.arange(3)]
-        # matmul's 1x3 @ 3x1 product is the dot product np.linalg.norm takes.
-        norm = np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
-        short = np.flatnonzero(norm < signals.MIN_DIRECTION_NORM)
-        if not short.size:
-            break
-        retries[short[0]] += 1
-    at = start + (first[::n_env] - nominal[::n_env])  # each instance's first normal, after retries
+    # Each environment reading's first normal; its direction is its last three.
+    first = ((start + before_env)[:, None] + per_reading * np.arange(n_env)).ravel()
+    direction = z[(first + per_reading - 3)[:, None] + np.arange(3)]
+    # matmul's 1x3 @ 3x1 product is the dot product np.linalg.norm takes.
+    norm = np.sqrt(np.matmul(direction[:, None, :], direction[:, :, None])[:, 0, 0])
 
     def pair_noise(sigma, at: np.ndarray) -> tuple[list, np.ndarray]:
         """Two draws per instance whose ``sigma`` is > 0, else zeros; and
@@ -345,23 +336,20 @@ def _batch_traces(
         out[drawn] = _noise(np.broadcast_to(sigma, (n,))[drawn, None], z[at[drawn, None] + np.arange(2)])
         return out.tolist(), at + 2 * drawn
 
-    tx_offset, at = pair_noise(sigma_tx, at)
+    tx_offset, at = pair_noise(sigma_tx, start)
     tx_level, at = pair_noise(sigma_level, at)
     path_bias, at = pair_noise(sigma_mp, at)
     # The levels before scan and chirp noise, instance by instance.
     rss_levels = np.empty((n, 2, 2))  # instance, direction, kind
     chirp_levels = np.full((n, 2), math.nan)
-    for j, inst in enumerate(batch):
-        ids = (inst.a.device_id, inst.b.device_id)
-        # Keyed by device id, so two devices of one id share the later draw.
-        tx, lvl = dict(zip(ids, tx_offset[j])), dict(zip(ids, tx_level[j]))
+    for j in range(n):
         for i, p in enumerate(paths[j]):
             rss_levels[j, i] = [
-                rss_level(p, kind, noise, cfg.radio_params, tx[ids[1 - i]], bias)
+                rss_level(p, kind, noise, cfg.radio_params, tx_offset[j][1 - i], bias)
                 for kind, bias in zip(_RADIO, path_bias[j])
             ]
             if not gated[j, i]:
-                chirp_levels[j, i] = sound_level(p, cfg.chirp, cfg.sound_exponent, lvl[ids[1 - i]])
+                chirp_levels[j, i] = sound_level(p, cfg.chirp, cfg.sound_exponent, tx_level[j][1 - i])
 
     values, keep = [], []
     for k, (kind, sigma) in enumerate(zip(_RADIO, sigma_rss)):
@@ -424,9 +412,9 @@ def _batch_traces(
     order = np.lexsort((obs, kind, rows.t, group))
     bounds = np.searchsorted(group[order], np.arange(2 * n + 1)).tolist()
     columns = (rows.t, rows.kind, rows.value, rows.mag, rows.src, rows.obs)
-    for j, inst in enumerate(batch):
-        for device in dict.fromkeys((inst.a.device_id, inst.b.device_id)):
-            g = 2 * j + names[j].index(device)
+    for j in range(n):
+        for code, device in enumerate(names[j]):
+            g = 2 * j + code
             own = order[bounds[g] : bounds[g + 1]]
             traces[device] = Trace(*(column[own] for column in columns), names[j])
 

@@ -59,10 +59,6 @@ class PropagationNoise:
             raise ScenarioError(f"sound_max_range_m must be finite and > 0, got {self.sound_max_range_m}")
 
 
-# A magnetometer direction draw shorter than this is drawn again.
-MIN_DIRECTION_NORM = 1e-12
-
-
 def _require_placed(testbed: Testbed, *placements: DevicePlacement) -> None:
     for p in placements:
         try:
@@ -228,16 +224,14 @@ def simulate_magnetometer(
     rng: np.random.Generator,
 ) -> tuple[float, float, float]:
     """A 3-axis magnetic reading whose magnitude tracks the local field mean;
-    the direction is uniform (the phone's orientation is arbitrary)."""
+    the direction is uniform (the phone's orientation is arbitrary), drawn
+    once as three normals. An all-zero draw gives NaN components, which the
+    sample contract rejects."""
     _require_placed(testbed, device)
     mean = testbed.magnetic_mean_at(device.x, device.y, device.floor)
     sigma = testbed.magnetic.sensor_sigma_ut
     mag = mean + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
 
     direction = rng.normal(size=3)
-    norm = float(np.linalg.norm(direction))
-    while norm < MIN_DIRECTION_NORM:
-        direction = rng.normal(size=3)
-        norm = float(np.linalg.norm(direction))
-    v = magnetometer_reading(mag, direction, norm)
+    v = magnetometer_reading(mag, direction, float(np.linalg.norm(direction)))
     return (float(v[0]), float(v[1]), float(v[2]))

@@ -13,7 +13,6 @@ from sensetrace.evaluation import (
     accuracy,
     assess_instances,
     confusion,
-    detect_instances,
     distance_error_cdf,
     fuse_instances,
     magnetic_separation_report,
@@ -212,10 +211,8 @@ class TestAssessThenFuse:
         stored = read_assessment_cache(path, key, len(instances))
         assert stored == assessments
         for tier in TierSpec:
-            gates = tier_gates(tier)
-            assert fuse_instances(instances, stored, cfg, gates) == detect_instances(
-                standard_data.traces, instances, cfg, gates
-            )
+            records = run_tier(standard_data.traces, standard_data.labels, tier, cfg)[0]
+            assert fuse_instances(instances, stored, cfg, tier_gates(tier)) == records
 
 
 SMALL_ASSESSMENTS = [

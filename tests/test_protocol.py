@@ -159,8 +159,8 @@ class TestIdDerivedOnRead:
         """One random session played on ``DeviceState``s with the library and
         on ``EagerDevice``s with the reference, checking every identity read
         on the way. Time jumps by up to 300 epochs; each device catches up on
-        its rotations or not, some start past epoch 0 and the last is never
-        registered. Reports go to the ``mode`` server."""
+        its rotations, each at its due time, or not; some start past epoch 0
+        and the last is never registered. Reports go to the ``mode`` server."""
         rng = random.Random(seed)
         lookback = rng.choice((2000.0, 40 * 900.0, protocol.DEFAULT_LOOKBACK_S))
         server, ref_server = ServerState(mode, lookback_s=lookback), ServerState(mode, lookback_s=lookback)
@@ -176,9 +176,9 @@ class TestIdDerivedOnRead:
             now += rng.choice((0.0, 900.0, 900.0, 40 * 900.0, 300 * 900.0))
             for d, r in zip(devices, refs):
                 if rng.random() < 0.8:
-                    while d.last_rotation + 900.0 <= now:
-                        rotate_id(d, now, events)
-                        eager_rotate(r, now, ref_events)
+                    while (due_at := d.last_rotation + 900.0) <= now:
+                        rotate_id(d, due_at, events)
+                        eager_rotate(r, due_at, ref_events)
             k = rng.randrange(len(devices))
             due = devices[k].last_rotation + 900.0 <= now
             if due:

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from sensetrace.simulator import (
     standard_scenario,
 )
 from sensetrace.simulator import scenario as scenario_module
-from sensetrace.simulator import signals
 
 from .oracles import magnitude, sequential_traces
 
@@ -520,12 +518,55 @@ class TestGeneratorMatchesSequentialOracle:
         assert str(want.value).startswith("instance 0 ('fa', 'fb'): RSS must lie in [-120, 0] dBm")
         assert str(got.value) == str(want.value)
 
-    def test_forced_magnetometer_retry(self, tmp_path, monkeypatch):
-        # About a fifth of the direction draws are shorter than 1.
-        monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", 1.0)
-        data = assert_matches_sequential(small_standard(), tmp_path)
-        monkeypatch.undo()
-        assert generate_traces(small_standard()).traces != data.traces
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (
+                ((("a", 1.0, 1.0), ("b", 1.5, 1.0)), (("a", 1.0, 1.0), ("c", 15.0, 15.0))),
+                "instance 1 ('a', 'c'): device 'a' is already placed in instance 0",
+            ),
+            (
+                ((("a", 1.0, 1.0), ("a", 1.5, 1.0)),),
+                "instance 0 ('a', 'a'): device 'a' is already placed in instance 0",
+            ),
+        ],
+        ids=["across_instances", "inside_a_pair"],
+    )
+    def test_a_reused_device_id_raises_alike(self, pairs, message):
+        # A device records one trace: a second instance would overwrite it.
+        placements = tuple(tuple(DevicePlacement(*p) for p in pair) for pair in pairs)
+        sc = Scenario(testbed=open_field(), explicit_instances=placements)
+        for simulate in (sequential_traces, generate_traces):
+            with pytest.raises(ScenarioError) as err:
+                simulate(sc)
+            assert str(err.value) == message
+
+    def test_a_zero_direction_fails_alike(self, monkeypatch):
+        # Without noise the directions are the only normals drawn; an
+        # all-zero one has no length, so its components are 0/0 = NaN.
+        tb = tower(sigma=0.0)
+        tb = dataclasses.replace(tb, magnetic=dataclasses.replace(tb.magnetic, sensor_sigma_ut=0.0))
+        placements = ((DevicePlacement("a", 2.0, 2.0), DevicePlacement("b", 3.0, 2.0)),)
+        sc = Scenario(testbed=tb, noise=ZERO_NOISE, explicit_instances=placements, seed=5)
+        default_rng = np.random.default_rng
+
+        class ZeroNormals:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+            def normal(self, size):
+                return np.zeros(size)
+
+        # Only the scenario's generator; the magnetic field's lattice noise
+        # keeps its own, keyed by tuples.
+        monkeypatch.setattr(np.random, "default_rng", lambda key: ZeroNormals() if key == sc.seed else default_rng(key))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ScenarioError) as want:
+                sequential_traces(sc)
+            with pytest.raises(ScenarioError) as got:
+                generate_traces(sc)
+        assert str(want.value) == "instance 0 ('a', 'b'): magnetometer components must be finite"
+        assert str(got.value) == str(want.value)
 
 
 # Rows an instance may record at the default 900 s window and 30 s periods:
@@ -533,65 +574,13 @@ class TestGeneratorMatchesSequentialOracle:
 INSTANCE_ROWS = 14 * 30
 
 
-class NormThreshold(float):
-    """A ``MIN_DIRECTION_NORM`` that records every direction norm the
-    per-sample oracle compares with it (``norm < threshold`` asks it first)."""
-
-    def __new__(cls, value):
-        threshold = super().__new__(cls, value)
-        threshold.norms = []
-        return threshold
-
-    def __gt__(self, norm):
-        self.norms.append(norm)
-        return float(self) > norm
-
-
-def six_instances(seed):
-    sc = standard_scenario(seed=seed)
-    return dataclasses.replace(sc, buckets=(BucketSpec(0.0, 3.0, indoor=3, outdoor=3),))
-
-
-def retry_only_in(instance, monkeypatch):
-    """A six-instance scenario and a ``MIN_DIRECTION_NORM`` under which the
-    oracle draws exactly one magnetometer direction again, in ``instance``."""
-    readings = 2 * 30  # per instance: two devices, 30 environment slots
-    for seed in range(200):
-        sc = six_instances(seed)
-        monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", NormThreshold(0.0))
-        sequential_traces(sc)
-        norms = signals.MIN_DIRECTION_NORM.norms
-        own = min(norms[instance * readings : (instance + 1) * readings])
-        if instance and own >= min(norms[: instance * readings]):
-            continue
-        threshold = NormThreshold(math.nextafter(own, math.inf))
-        monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", threshold)
-        sequential_traces(sc)
-        short = [i for i, norm in enumerate(threshold.norms) if norm < float(threshold)]
-        if len(short) == 1 and short[0] // readings == instance:
-            monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", float(threshold))
-            return sc
-    raise AssertionError(f"no seed below 200 retries only in instance {instance}")
-
-
 class TestBatchEdges:
-    """Batches of three instances: a retry moves every later draw of the
-    run, and the first bad row names its instance, whatever the batch."""
+    """Batches of three instances: the first bad row names its instance,
+    whatever the batch."""
 
     @pytest.fixture(autouse=True)
     def batches_of_three(self, monkeypatch):
         monkeypatch.setattr(scenario_module, "_BATCH_ROWS", 3 * INSTANCE_ROWS)
-
-    @pytest.mark.parametrize("instance", [3, 2], ids=["first_of_a_batch", "last_of_a_batch"])
-    def test_one_magnetometer_retry(self, instance, tmp_path, monkeypatch):
-        sc = retry_only_in(instance, monkeypatch)
-        data = assert_matches_sequential(sc, tmp_path)
-        monkeypatch.setattr(signals, "MIN_DIRECTION_NORM", 1e-12)
-        unretried = generate_traces(sc).traces
-        moved = [device for device in data.traces if data.traces[device] != unretried[device]]
-        # The retried instance and every later one draw other normals.
-        assert moved[0] in {f"i{instance:03d}a", f"i{instance:03d}b"}
-        assert moved[-1] == "i005b"
 
     def test_first_bad_sample_of_a_later_instance(self):
         # Floor 13 reads 1099.4 hPa; instance 4's b, on floor 11, reads
