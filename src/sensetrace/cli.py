@@ -261,7 +261,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ["accuracy", f"{acc:.6f}"],
     ]
     atomic_write(data_dir / "metrics.csv", _csv_text(comments, ["metric", "value"], rows))
-    payload = {**counts.as_dict(), "accuracy": acc, **meta}
+    computed = {**counts.as_dict(), "accuracy": acc}
+    # The computed keys come first and keep their values; meta adds the rest.
+    payload = {**computed, **meta, **computed}
     atomic_write(data_dir / "confusion.json", json.dumps(payload, indent=2) + "\n")
     print(
         f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn} "
@@ -286,12 +288,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         if rec.decision.mean_distance is not None:
             estimated.append(rec.decision.mean_distance)
             actual.append(label.true_distance)
-    if estimated:
-        cdf = distance_error_cdf(estimated, actual)
-        atomic_write(
-            data_dir / "cdf.csv",
-            _csv_text(comments, ["abs_error_m", "cumulative_fraction"], cdf),
-        )
+    # With no estimates the CDF is written with no rows, not left stale.
+    cdf = distance_error_cdf(estimated, actual) if estimated else []
+    atomic_write(
+        data_dir / "cdf.csv",
+        _csv_text(comments, ["abs_error_m", "cumulative_fraction"], cdf),
+    )
 
     items = []
     for label in truth:

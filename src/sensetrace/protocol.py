@@ -16,14 +16,12 @@ which are out of scope here.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from .core import ContactDecision, ContactWindow, atomic_write
+from .core import ContactDecision, ContactWindow
 from .errors import ModeError, NoContact, NotDue
 
 DEFAULT_ROTATION_PERIOD_S = 900.0
@@ -61,19 +59,6 @@ class ContactLogEntry:
 class PublishedId:
     temp_id: str
     epoch: int
-
-
-class EventLog:
-    """Append-only protocol event record for audit replay."""
-
-    def __init__(self) -> None:
-        self.events: list[dict] = []
-
-    def record(self, event: str, **fields) -> None:
-        self.events.append({"event": event, **fields})
-
-    def write_jsonl(self, path: Union[str, Path]) -> None:
-        atomic_write(path, "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in self.events))
 
 
 @dataclass(slots=True)
@@ -128,25 +113,20 @@ class ServerState:
         return sum(len(v) for v in self.uploaded_contact_lists.values())
 
 
-def register_device(
-    server: ServerState,
-    device: Optional[DeviceState] = None,
-    events: Optional[EventLog] = None,
-) -> DeviceState:
-    """Register a device (minting one when none is given). Re-registration
-    is idempotent and returns the same state."""
+def register_device(server: ServerState, device: Optional[DeviceState] = None) -> DeviceState:
+    """Register a device (minting one when none is given, under the next
+    ``devNNNNN`` id not already registered). Re-registration is idempotent
+    and returns the same state."""
     if device is None:
-        permanent = f"dev{server._counter:05d}"
+        while (permanent := f"dev{server._counter:05d}") in server.registered:
+            server._counter += 1
         server._counter += 1
         device = DeviceState(permanent)
-    already = device.permanent_id in server.registered
     server.registered.add(device.permanent_id)
-    if events and not already:
-        events.record("register", device=device.permanent_id)
     return device
 
 
-def rotate_id(device: DeviceState, now: float, events: Optional[EventLog] = None) -> DeviceState:
+def rotate_id(device: DeviceState, now: float) -> DeviceState:
     """Advance to the next epoch once the rotation period has elapsed: O(1)
     bookkeeping, as ``temp_id`` derives the new temporary id when read.
     An on-time rotation (exactly one period after the last) allocates
@@ -163,8 +143,6 @@ def rotate_id(device: DeviceState, now: float, events: Optional[EventLog] = None
         device.runs.append((device.epoch + 1, now))
     device.epoch += 1
     device.last_rotation = now
-    if events:
-        events.record("rotate", device=device.permanent_id, epoch=device.epoch, t=now)
     return device
 
 
@@ -173,7 +151,6 @@ def exchange_ids(
     b: DeviceState,
     decision: ContactDecision,
     window: ContactWindow,
-    events: Optional[EventLog] = None,
 ) -> tuple[DeviceState, DeviceState]:
     """After a positive decision, both phones log each other's current
     temporary id with the window metadata."""
@@ -181,12 +158,6 @@ def exchange_ids(
         raise NoContact("id exchange requires a positive contact decision")
     a.contact_log.append(ContactLogEntry(b.temp_id, window.start, window.end, decision.mean_distance))
     b.contact_log.append(ContactLogEntry(a.temp_id, window.start, window.end, decision.mean_distance))
-    if events:
-        events.record(
-            "exchange",
-            devices=[a.permanent_id, b.permanent_id],
-            window=[window.start, window.end],
-        )
     return a, b
 
 
@@ -213,19 +184,13 @@ def _resolve_temp_ids(server: ServerState, wanted: Iterable[str], max_epoch: int
     return found
 
 
-def report_positive_centralized(
-    device: DeviceState,
-    server: ServerState,
-    events: Optional[EventLog] = None,
-) -> set[str]:
+def report_positive_centralized(device: DeviceState, server: ServerState) -> set[str]:
     """Upload the reporter's contact list; the server notifies each logged
     peer once. The reporter's identity is revealed to the server only, and
     notifications carry no reporter identity."""
     if server.mode is not ReportMode.CENTRALIZED:
         raise ModeError("centralized report sent to a non-centralized server")
     server.uploaded_contact_lists[device.permanent_id] = list(device.contact_log)
-    if events:
-        events.record("report_centralized", device=device.permanent_id, entries=len(device.contact_log))
 
     notified: set[str] = set()
     resolved = _resolve_temp_ids(server, (entry.peer_temp_id for entry in device.contact_log))
@@ -237,8 +202,6 @@ def report_positive_centralized(
         server.notifications_sent.setdefault(peer, []).append(
             (entry.window_start, entry.window_end)
         )
-        if events:
-            events.record("notify", device=peer, window=[entry.window_start, entry.window_end])
     return notified
 
 
@@ -246,7 +209,6 @@ def report_positive_decentralized(
     device: DeviceState,
     server: ServerState,
     now: Optional[float] = None,
-    events: Optional[EventLog] = None,
 ) -> list[PublishedId]:
     """Publish the reporter's own temporary ids (all epochs within the
     infectious lookback) to the anonymous public list; returns the delta.
@@ -274,23 +236,15 @@ def report_positive_decentralized(
                 continue
             delta.append(PublishedId(derive_temp_id(device.permanent_id, epoch), epoch))
     server.published_positive_ids.extend(delta)
-    if events:
-        events.record("report_decentralized", device=device.permanent_id, published=len(delta))
     return delta
 
 
-def check_exposure(
-    device: DeviceState,
-    published: Iterable[PublishedId],
-    events: Optional[EventLog] = None,
-) -> bool:
+def check_exposure(device: DeviceState, published: Iterable[PublishedId]) -> bool:
     """True when any published positive id appears in this device's log."""
     logged = {entry.peer_temp_id for entry in device.contact_log}
     exposed = any(p.temp_id in logged for p in published)
     if exposed:
         device.exposure_status = ExposureStatus.NOTIFIED
-    if events:
-        events.record("check", device=device.permanent_id, exposed=exposed)
     return exposed
 
 

@@ -63,7 +63,7 @@ class BucketSpec:
         if not 0 <= self.d_lo < self.d_hi:
             raise ScenarioError(f"bad distance band [{self.d_lo}, {self.d_hi}]")
         if self.indoor < 0 or self.outdoor < 0:
-            raise ScenarioError("bucket counts must be >= 0")
+            raise ScenarioError(f"bucket counts must be >= 0, got indoor={self.indoor}, outdoor={self.outdoor}")
 
 
 # Table-style default: 60 within 1 m, 60 in 1-2 m, 40 in 2-3 m, 80 in 3-30 m.

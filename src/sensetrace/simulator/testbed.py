@@ -163,9 +163,9 @@ class Testbed:
         if not self.regions:
             raise ScenarioError("testbed needs at least one region")
         if self.floors < 1:
-            raise ScenarioError("testbed needs at least one floor")
-        if self.ceiling_height_m <= 0:
-            raise ScenarioError("ceiling height must be positive")
+            raise ScenarioError(f"floors must be >= 1, got {self.floors}")
+        if not (self.ceiling_height_m > 0 and math.isfinite(self.ceiling_height_m)):
+            raise ScenarioError(f"ceiling_height_m must be finite and > 0, got {self.ceiling_height_m}")
 
     def region_at(self, x: float, y: float) -> Region:
         for r in self.regions:

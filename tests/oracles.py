@@ -36,7 +36,6 @@ from sensetrace.protocol import (
     DEFAULT_ROTATION_PERIOD_S,
     ContactLogEntry,
     DeviceState,
-    EventLog,
     ExposureStatus,
     PublishedId,
     ServerState,
@@ -351,14 +350,10 @@ def resolve_temp_id(server: ServerState, temp_id: str, max_epoch: int = 256) -> 
     return None
 
 
-def report_centralized_per_entry(
-    device: DeviceState, server: ServerState, events: Optional[EventLog] = None
-) -> set[str]:
+def report_centralized_per_entry(device: DeviceState, server: ServerState) -> set[str]:
     """``report_positive_centralized`` with every log entry resolved on its
-    own by ``resolve_temp_id``: the same upload, notifications and events."""
+    own by ``resolve_temp_id``: the same upload and notifications."""
     server.uploaded_contact_lists[device.permanent_id] = list(device.contact_log)
-    if events:
-        events.record("report_centralized", device=device.permanent_id, entries=len(device.contact_log))
     notified: set[str] = set()
     for entry in device.contact_log:
         peer = resolve_temp_id(server, entry.peer_temp_id)
@@ -366,8 +361,6 @@ def report_centralized_per_entry(
             continue
         notified.add(peer)
         server.notifications_sent.setdefault(peer, []).append((entry.window_start, entry.window_end))
-        if events:
-            events.record("notify", device=peer, window=[entry.window_start, entry.window_end])
     return notified
 
 
@@ -403,7 +396,7 @@ class EagerDevice:
         return cls(permanent_id, epoch, temp_id, last_rotation=start, used={epoch: (temp_id, start)})
 
 
-def eager_rotate(device: EagerDevice, now: float, events: Optional[EventLog] = None) -> None:
+def eager_rotate(device: EagerDevice, now: float) -> None:
     """``rotate_id`` for an ``EagerDevice``: derive and store the next id."""
     if not math.isfinite(now):
         raise ValueError(f"rotation time must be finite, got {now}")
@@ -413,13 +406,9 @@ def eager_rotate(device: EagerDevice, now: float, events: Optional[EventLog] = N
     device.temp_id = derive_temp_id(device.permanent_id, device.epoch)
     device.used[device.epoch] = (device.temp_id, now)
     device.last_rotation = now
-    if events:
-        events.record("rotate", device=device.permanent_id, epoch=device.epoch, t=now)
 
 
-def eager_report_decentralized(
-    device: EagerDevice, server: ServerState, now: float, events: Optional[EventLog] = None
-) -> list[PublishedId]:
+def eager_report_decentralized(device: EagerDevice, server: ServerState, now: float) -> list[PublishedId]:
     """``report_positive_decentralized`` from the stored ids: every epoch
     whose successor started inside the lookback, and the current one."""
     epochs = sorted(device.used)
@@ -429,6 +418,4 @@ def eager_report_decentralized(
         if e == epochs[-1] or device.used[e + 1][1] >= now - server.lookback_s
     ]
     server.published_positive_ids.extend(delta)
-    if events:
-        events.record("report_decentralized", device=device.permanent_id, published=len(delta))
     return delta

@@ -76,6 +76,39 @@ BAD_NOISE = [
 ]
 
 
+def set_bucket(**fields):
+    return lambda raw: raw["instances"]["buckets"][0].update(fields)
+
+
+def set_region(**fields):
+    return lambda raw: raw["testbed"]["regions"][0].update(fields)
+
+
+def indoor_regions_only(raw):
+    raw["testbed"]["regions"] = [r for r in raw["testbed"]["regions"] if r["environment"] == "indoor"]
+
+
+# A value outside its range, in the scenario, a bucket or the testbed.
+BAD_VALUES = [
+    pytest.param(lambda raw: raw.update(seed=-1), "seed must be a non-negative integer", id="seed_negative"),
+    pytest.param(set_key("instances", "pocket_probability", 1.5), "pocket_probability must lie in [0, 1]",
+                 id="pocket_probability_above_1"),
+    pytest.param(set_bucket(indoor=-1), "bucket counts must be >= 0, got indoor=-1, outdoor=1",
+                 id="bucket_count_negative"),
+    pytest.param(set_bucket(range_m=[3, 1]), "bad distance band [3.0, 1.0]", id="bucket_band_inverted"),
+    pytest.param(set_key("testbed", "floors", 0), "floors must be >= 1, got 0", id="floors_0"),
+    pytest.param(set_key("testbed", "ceiling_height_m", 0), "ceiling_height_m must be finite and > 0, got 0.0",
+                 id="ceiling_height_0"),
+    pytest.param(set_key("testbed", "ceiling_height_m", math.nan), "ceiling_height_m must be finite and > 0, got nan",
+                 id="ceiling_height_nan"),
+    pytest.param(set_region(environment="underwater"), "unknown environment class 'underwater'",
+                 id="region_environment_unknown"),
+    pytest.param(set_region(x=[5, 5]), "region office_west has empty extent", id="region_extent_empty"),
+    pytest.param(set_key("testbed", "regions", []), "testbed needs at least one region", id="no_regions"),
+    pytest.param(indoor_regions_only, "testbed has no outdoor region", id="no_outdoor_region"),
+]
+
+
 class TestGenerate:
     def test_outputs_and_metadata(self, small_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -193,6 +226,7 @@ class TestGenerate:
             ),
             *BAD_PERIODS,
             *BAD_NOISE,
+            *BAD_VALUES,
         ],
     )
     def test_bad_scenario_is_one_json_line(self, small_config, tmp_path, capsys, edit, named):
@@ -250,6 +284,62 @@ class TestDetectEvaluateReport:
         buckets = (generated / "magnetic_buckets.csv").read_text().splitlines()
         header = buckets[2].split(",")
         assert header == ["d_lo_m", "d_hi_m", "count", "mean_euclid_ut", "std_euclid_ut"]
+
+    def test_report_without_estimates_writes_a_header_only_cdf(self, generated, small_config):
+        run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"])
+        assert run(["report", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0
+        assert len((generated / "cdf.csv").read_text().splitlines()) > 3
+        path = generated / "decisions_full.jsonl"
+        for lineno in range(1, len(path.read_text().splitlines()) + 1):
+            _rewrite_line(path, lineno, _with(mean_distance_m=None))
+        assert run(["report", "--data", generated, "--decisions", path.name]) == 0
+        lines = (generated / "cdf.csv").read_text().splitlines()
+        assert lines[0] == "# seed=11"
+        assert lines[1].startswith("# config_sha256=")
+        assert lines[2:] == ["abs_error_m,cumulative_fraction"]
+
+    def test_computed_counts_win_over_meta(self, generated, small_config):
+        run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"])
+        assert run(["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0
+        written = (generated / "confusion.json").read_text()
+        meta = json.loads((generated / "meta.json").read_text())
+        computed = {k: v for k, v in json.loads(written).items() if k not in meta}
+        assert list(computed) == ["tp", "fp", "tn", "fn", "accuracy"]
+        assert written == json.dumps({**computed, **meta}, indent=2) + "\n"
+
+        (generated / "meta.json").write_text(json.dumps({**meta, "tp": 999, "accuracy": 1.0}))
+        assert run(["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0
+        assert (generated / "confusion.json").read_text() == written
+        metrics = dict(line.split(",") for line in (generated / "metrics.csv").read_text().splitlines()[3:])
+        assert metrics["tp"] == str(computed["tp"])
+        assert metrics["accuracy"] == f"{computed['accuracy']:.6f}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param('{"seed": 11,\n "config_sha256": }', ":2: JSONDecodeError: ", id="not_json"),
+            pytest.param("[11]", ":1: expected a JSON object", id="list"),
+        ],
+    )
+    def test_bad_meta_is_one_json_line(self, generated, small_config, capsys, text, message):
+        run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"])
+        (generated / "meta.json").write_text(text)
+        capsys.readouterr()
+        assert run(["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SenseTraceError"
+        assert payload["message"].startswith(f"{generated / 'meta.json'}{message}")
+
+    def test_evaluate_without_meta_writes_unknown_seed(self, generated, small_config):
+        run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"])
+        (generated / "meta.json").unlink()
+        assert run(["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0
+        lines = (generated / "metrics.csv").read_text().splitlines()
+        assert lines[:2] == ["# seed=unknown", "# config_sha256=unknown"]
+        confusion = json.loads((generated / "confusion.json").read_text())
+        assert list(confusion) == ["tp", "fp", "tn", "fn", "accuracy"]
 
     def test_unknown_tier_rejected_by_parser(self, generated, small_config):
         with pytest.raises(SystemExit):

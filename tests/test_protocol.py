@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import json
 import math
 import random
 
@@ -12,7 +11,6 @@ from sensetrace.errors import ModeError, NoContact, NotDue
 from sensetrace.protocol import (
     ContactLogEntry,
     DeviceState,
-    EventLog,
     ExposureStatus,
     ReportMode,
     ServerState,
@@ -70,6 +68,14 @@ class TestRegisterDevice:
         devices = [register_device(server) for _ in range(7)]
         assert len(server.registered) == 7
         assert len({d.permanent_id for d in devices}) == 7
+
+    def test_minting_skips_registered_ids(self):
+        server = ServerState(ReportMode.CENTRALIZED)
+        for given in ("dev00000", "dev00002"):
+            register_device(server, DeviceState(given))
+        minted = [register_device(server).permanent_id for _ in range(3)]
+        assert minted == ["dev00001", "dev00003", "dev00004"]
+        assert len(server.registered) == 5
 
 
 class TestRotateId:
@@ -164,59 +170,60 @@ class TestIdDerivedOnRead:
         rng = random.Random(seed)
         lookback = rng.choice((2000.0, 40 * 900.0, protocol.DEFAULT_LOOKBACK_S))
         server, ref_server = ServerState(mode, lookback_s=lookback), ServerState(mode, lookback_s=lookback)
-        events, ref_events = EventLog(), EventLog()
         firsts = [rng.choice((0, 0, 5, 300)) for _ in range(rng.randint(3, 6))]
         devices = [DeviceState(f"p{k}", epoch=e) for k, e in enumerate(firsts)]
         refs = [EagerDevice.fresh(f"p{k}", e) for k, e in enumerate(firsts)]
         for d, r in zip(devices[:-1], refs[:-1]):
-            register_device(server, d, events)
-            register_device(ref_server, r, ref_events)
+            register_device(server, d)
+            register_device(ref_server, r)
         now = 0.0
         for _ in range(rng.randint(5, 15)):
             now += rng.choice((0.0, 900.0, 900.0, 40 * 900.0, 300 * 900.0))
             for d, r in zip(devices, refs):
                 if rng.random() < 0.8:
                     while (due_at := d.last_rotation + 900.0) <= now:
-                        rotate_id(d, due_at, events)
-                        eager_rotate(r, due_at, ref_events)
+                        rotate_id(d, due_at)
+                        eager_rotate(r, due_at)
             k = rng.randrange(len(devices))
             due = devices[k].last_rotation + 900.0 <= now
             if due:
-                rotate_id(devices[k], now, events)
-                eager_rotate(refs[k], now, ref_events)
+                rotate_id(devices[k], now)
+                eager_rotate(refs[k], now)
             else:
                 with pytest.raises(NotDue):
-                    rotate_id(devices[k], now, events)
+                    rotate_id(devices[k], now)
                 with pytest.raises(NotDue):
-                    eager_rotate(refs[k], now, ref_events)
+                    eager_rotate(refs[k], now)
             for _ in range(rng.randint(0, 3)):
                 i, j = rng.sample(range(len(devices)), 2)
-                exchange_ids(devices[i], devices[j], positive_decision(), window(now), events)
-                exchange_ids(refs[i], refs[j], positive_decision(), window(now), ref_events)
+                exchange_ids(devices[i], devices[j], positive_decision(), window(now))
+                exchange_ids(refs[i], refs[j], positive_decision(), window(now))
             if rng.random() < 0.4:
                 k = rng.randrange(len(devices) - 1)
                 if mode is ReportMode.CENTRALIZED:
-                    notified = report_positive_centralized(devices[k], server, events)
-                    assert notified == report_centralized_per_entry(refs[k], ref_server, ref_events)
+                    notified = report_positive_centralized(devices[k], server)
+                    assert notified == report_centralized_per_entry(refs[k], ref_server)
                     notify_devices(notified, {d.permanent_id: d for d in devices})
                     notify_devices(notified, {r.permanent_id: r for r in refs})
                 else:
-                    delta = report_positive_decentralized(devices[k], server, now, events)
-                    ref_delta = eager_report_decentralized(refs[k], ref_server, now, ref_events)
+                    delta = report_positive_decentralized(devices[k], server, now)
+                    ref_delta = eager_report_decentralized(refs[k], ref_server, now)
                     assert delta == ref_delta
                     for d, r in zip(devices, refs):
-                        assert check_exposure(d, delta, events) == check_exposure(r, ref_delta, ref_events)
-            assert [(d.epoch, d.temp_id) for d in devices] == [(r.epoch, r.temp_id) for r in refs]
-        return (server, events, devices), (ref_server, ref_events, refs)
+                        assert check_exposure(d, delta) == check_exposure(r, ref_delta)
+            assert [(d.epoch, d.last_rotation, d.temp_id) for d in devices] == [
+                (r.epoch, r.last_rotation, r.temp_id) for r in refs
+            ]
+        return (server, devices), (ref_server, refs)
 
     def test_matches_eager_reference(self):
         published = notified = 0
         for seed in range(30):
             for mode in ReportMode:
-                (server, events, devices), (ref_server, ref_events, refs) = self.twin_session(seed, mode)
+                (server, devices), (ref_server, refs) = self.twin_session(seed, mode)
                 assert [d.contact_log for d in devices] == [r.contact_log for r in refs]
                 assert [d.exposure_status for d in devices] == [r.exposure_status for r in refs]
-                assert events.events == ref_events.events
+                assert server.registered == ref_server.registered
                 assert server.notifications_sent == ref_server.notifications_sent
                 assert server.uploaded_contact_lists == ref_server.uploaded_contact_lists
                 assert server.published_positive_ids == ref_server.published_positive_ids
@@ -523,13 +530,11 @@ class TestCentralizedReport:
         for seed in range(30):
             server, reporter = self.random_session(seed)
             expected_server = copy.deepcopy(server)
-            events, expected_events = EventLog(), EventLog()
-            notified = report_positive_centralized(reporter, server, events)
-            expected = report_centralized_per_entry(reporter, expected_server, expected_events)
+            notified = report_positive_centralized(reporter, server)
+            expected = report_centralized_per_entry(reporter, expected_server)
             assert notified == expected
             assert server.notifications_sent == expected_server.notifications_sent
             assert server.uploaded_contact_lists == expected_server.uploaded_contact_lists
-            assert events.events == expected_events.events
             notified_windows = sum(len(v) for v in server.notifications_sent.values())
             if notified_windows < len(reporter.contact_log):
                 unresolved.add(seed)
@@ -710,30 +715,3 @@ class TestModesAgree:
             assert notified == exposed, seed
             told += bool(notified)
         assert told >= 20  # most reporters had contacts to tell
-
-
-class TestEventLog:
-    def test_events_recorded_and_serializable(self, tmp_path):
-        events = EventLog()
-        server = ServerState(ReportMode.DECENTRALIZED)
-        a = register_device(server, events=events)
-        b = register_device(server, events=events)
-        exchange_ids(a, b, positive_decision(), window(), events=events)
-        rotate_id(b, 900.0, events=events)
-        report_positive_decentralized(b, server, events=events)
-        check_exposure(a, server.published_positive_ids, events=events)
-
-        kinds = [e["event"] for e in events.events]
-        assert kinds == [
-            "register",
-            "register",
-            "exchange",
-            "rotate",
-            "report_decentralized",
-            "check",
-        ]
-        path = tmp_path / "events.jsonl"
-        events.write_jsonl(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 6
-        assert all(json.loads(line)["event"] for line in lines)
