@@ -200,11 +200,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     atomic_write(out / "truth.jsonl", "".join(label_to_json(lb) + "\n" for lb in data.labels))
     atomic_write(
         out / "instances.jsonl",
-        "".join(_instance_to_json(inst.pair, data.window) + "\n" for inst in data.instances),
+        "".join(_instance_to_json(lb.pair, (lb.start, lb.end)) + "\n" for lb in data.labels),
     )
 
     meta = {
-        "seed": data.seed,
+        "seed": scenario.seed,
         "config_sha256": config_hash(raw),
         "instances": len(data.instances),
         "devices": len(data.traces),

@@ -24,6 +24,7 @@ import math
 import os
 import re
 import tempfile
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -593,7 +594,7 @@ def read_trace(path: Union[str, Path]) -> Trace:
 # The file, beside a run's ``traces/``, that holds the decoded columns of its
 # trace files.
 TRACE_CACHE = "trace_columns.npy"
-TRACE_CACHE_FORMAT = {"format": "sensetrace trace columns", "version": 1}
+TRACE_CACHE_FORMAT = {"format": "sensetrace trace columns", "version": 2}
 # Each stored column: its ``Trace`` attribute, its dtype and the shape of a row.
 _CACHE_COLUMNS = (
     ("t", "<f8", ()), ("kind", "|i1", ()), ("value", "<f8", ()),
@@ -607,18 +608,31 @@ def _npy_header(dtype: str, shape: tuple[int, ...]) -> bytes:
     return buf.getvalue()
 
 
+def _checksum(trace: Trace) -> int:
+    """The CRC-32 of ``trace``'s device names and of its columns' bytes as
+    the cache stores them, in ``_CACHE_COLUMNS`` order."""
+    crc = zlib.crc32(repr(tuple(trace.names)).encode("utf-8"))
+    for column, dtype, _ in _CACHE_COLUMNS:
+        crc = zlib.crc32(np.ascontiguousarray(getattr(trace, column), dtype), crc)
+    return crc
+
+
 def write_trace_cache(path: Union[str, Path], files: Sequence[tuple[str, str, Trace]]) -> None:
     """Write the column cache of ``files``, each a trace file's name, the
     SHA-256 of its bytes and its ``Trace``.
 
     The cache is a run of ``.npy`` arrays: a UTF-8 JSON header as uint8
     (``TRACE_CACHE_FORMAT`` plus ``files``, one ``[name, sha256, rows,
-    names]`` per file), then one array per column holding the rows of every
-    file in order. Each column is streamed a trace at a time, and no array
-    has a timestamp, so equal traces give equal bytes.
+    names, crc32]`` per file, the last its ``_checksum``), then one array
+    per column holding the rows of every file in order. Each column is
+    streamed a trace at a time, and no array has a timestamp, so equal
+    traces give equal bytes.
     """
     header = json.dumps(
-        {**TRACE_CACHE_FORMAT, "files": [(name, digest, len(trace), trace.names) for name, digest, trace in files]},
+        {
+            **TRACE_CACHE_FORMAT,
+            "files": [(name, digest, len(trace), trace.names, _checksum(trace)) for name, digest, trace in files],
+        },
         separators=(",", ":"),
     ).encode("utf-8")
     rows = sum(len(trace) for _, _, trace in files)
@@ -669,8 +683,9 @@ def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
     of the file they were decoded from, ``Trace``).
 
     An absent, unreadable or truncated cache, another format version or a
-    column of another dtype or length gives ``{}``; a trace that is not
-    ``_intact`` is left out. Either way the caller decodes those files.
+    column of another dtype or length gives ``{}``; a trace whose names and
+    columns do not match their stored checksum, or that is not ``_intact``,
+    is left out. Either way the caller decodes those files.
     Nothing is loaded with pickle. Each trace's columns are read straight
     into arrays of their own (``readinto``), as decoding allocates them:
     whole-run columns would be fresh allocations on top of the memory that
@@ -682,17 +697,17 @@ def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
             header = json.loads(np.lib.format.read_array(fh, allow_pickle=False).tobytes())
             if not (isinstance(header, dict) and all(header.get(k) == v for k, v in TRACE_CACHE_FORMAT.items())):
                 return {}
-            files = [(name, digest, n, tuple(names)) for name, digest, n, names in header["files"]]
-            if not all(isinstance(name, str) and type(n) is int and n >= 0 for name, _, n, _ in files):
+            files = [(name, digest, n, tuple(names), crc) for name, digest, n, names, crc in header["files"]]
+            if not all(isinstance(name, str) and type(n) is int and n >= 0 for name, _, n, _, _ in files):
                 return {}
-            rows = sum(n for _, _, n, _ in files)
+            rows = sum(n for _, _, n, _, _ in files)
             columns = []
             for _, descr, shape in _CACHE_COLUMNS:
                 dtype = np.dtype(descr)
                 np.lib.format.read_magic(fh)
                 if np.lib.format.read_array_header_1_0(fh) != ((rows, *shape), False, dtype):
                     return {}
-                arrays = [np.empty((n, *shape), dtype) for _, _, n, _ in files]
+                arrays = [np.empty((n, *shape), dtype) for _, _, n, _, _ in files]
                 for array in arrays:
                     if array.nbytes and fh.readinto(array.view(np.uint8)) != array.nbytes:
                         raise EOFError("column cache ends early")
@@ -700,8 +715,9 @@ def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
     except (OSError, EOFError, ValueError, KeyError, TypeError):
         return {}
     entries = [
-        (name, (digest, Trace(*trace_columns, names=names)))
-        for (name, digest, _, names), *trace_columns in zip(files, *columns)
+        (name, (digest, trace))
+        for (name, digest, _, names, crc), *trace_columns in zip(files, *columns)
+        if _checksum(trace := Trace(*trace_columns, names=names)) == crc
     ]
     if not _intact([trace for _, (_, trace) in entries]):
         entries = [(name, entry) for name, entry in entries if _intact([entry[1]])]

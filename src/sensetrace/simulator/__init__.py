@@ -5,11 +5,9 @@ from .config import (
     config_hash,
     load_scenario,
     scenario_from_dict,
-    standard_scenario,
     write_config,
 )
 from .scenario import (
-    DEFAULT_BUCKETS,
     BucketSpec,
     GeneratedData,
     PlacedInstance,
@@ -38,7 +36,6 @@ from .testbed import (
 
 __all__ = [
     "BucketSpec",
-    "DEFAULT_BUCKETS",
     "DevicePlacement",
     "GeneratedData",
     "Hotspot",
@@ -61,6 +58,5 @@ __all__ = [
     "simulate_magnetometer",
     "simulate_rss",
     "simulate_sound",
-    "standard_scenario",
     "write_config",
 ]

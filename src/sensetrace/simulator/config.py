@@ -5,7 +5,6 @@ The full schema is documented in the project README. Each section sets the
 fields of one dataclass: a key names its field (or is the field's spelling
 in ``KEYS``) and is cast to the field's type, an absent key keeps the field
 default, and an unknown key is an error naming its dotted path.
-`standard_scenario` is the scenario that ``configs/standard.yaml`` spells out.
 """
 
 from __future__ import annotations
@@ -201,44 +200,6 @@ def load_scenario(path: Union[str, Path], seed: Optional[int] = None) -> tuple[S
         raw = {**raw, "seed": seed}
     scenario = scenario_from_dict(raw)
     return scenario, {**raw, "seed": scenario.seed}
-
-
-def standard_scenario(seed: int = 42) -> Scenario:
-    """The scenario of ``configs/standard.yaml``: a two-floor, five-room
-    office plus an open-air parking garage, sampled per the standard
-    distance buckets. Everything not spelled out here is a field default."""
-    return Scenario(
-        testbed=Testbed(
-            regions=(
-                Region("office_west", INDOOR, 0.0, 11.0, 0.0, 15.0, ambient_noise_db=10.0),
-                # The appliance-heavy rooms: too loud for 20 dB chirps.
-                Region("office_east", INDOOR, 11.0, 20.0, 0.0, 15.0, ambient_noise_db=30.0),
-                Region("garage", OUTDOOR, 30.0, 70.0, 0.0, 30.0, ambient_noise_db=8.0),
-            ),
-            walls=(
-                Wall(7.0, 0.0, 7.0, 6.0),
-                Wall(7.0, 8.0, 7.0, 15.0),
-                Wall(13.0, 0.0, 13.0, 7.0),
-                Wall(13.0, 9.0, 13.0, 15.0),
-                Wall(0.0, 8.0, 5.0, 8.0),
-                Wall(15.0, 7.0, 20.0, 7.0),
-            ),
-            floors=2,
-            magnetic=MagneticFieldModel(
-                hotspots=(
-                    Hotspot(3.0, 12.0, peak_ut=30.0, radius_m=2.5),
-                    Hotspot(17.0, 3.0, peak_ut=35.0, radius_m=2.5),
-                    Hotspot(10.0, 4.0, peak_ut=30.0, radius_m=2.5),
-                    Hotspot(7.5, 11.0, peak_ut=28.0, radius_m=2.0),
-                    Hotspot(5.0, 5.0, peak_ut=32.0, radius_m=2.5, floor=1),
-                    Hotspot(16.0, 11.0, peak_ut=35.0, radius_m=2.5, floor=1),
-                    Hotspot(45.0, 15.0, peak_ut=10.0, radius_m=3.0),
-                ),
-            ),
-            field_seed=7,
-        ),
-        seed=seed,
-    )
 
 
 def config_hash(raw: dict) -> str:

@@ -66,15 +66,6 @@ class BucketSpec:
             raise ScenarioError(f"bucket counts must be >= 0, got indoor={self.indoor}, outdoor={self.outdoor}")
 
 
-# Table-style default: 60 within 1 m, 60 in 1-2 m, 40 in 2-3 m, 80 in 3-30 m.
-DEFAULT_BUCKETS = (
-    BucketSpec(0.0, 1.0, indoor=40, outdoor=20),
-    BucketSpec(1.0, 2.0, indoor=40, outdoor=20),
-    BucketSpec(2.0, 3.0, indoor=20, outdoor=20),
-    BucketSpec(3.0, 30.0, indoor=20, outdoor=60, cross_floor_fraction=0.4),
-)
-
-
 @dataclass(frozen=True)
 class PlacedInstance:
     index: int
@@ -92,7 +83,7 @@ class Scenario:
     testbed: Testbed
     fusion: FusionConfig = field(default_factory=FusionConfig)
     noise: PropagationNoise = field(default_factory=PropagationNoise)
-    buckets: tuple[BucketSpec, ...] = DEFAULT_BUCKETS
+    buckets: tuple[BucketSpec, ...] = ()
     pocket_probability: float = 0.5
     sound_period: float = 30.0
     env_period: float = 30.0
@@ -108,6 +99,12 @@ class Scenario:
                 raise ScenarioError(f"{name} must be finite and > 0, got {value}")
         if self.seed < 0:
             raise ScenarioError("seed must be a non-negative integer")
+        if self.explicit_instances is None:
+            planned = sum(bucket.indoor + bucket.outdoor for bucket in self.buckets)
+        else:
+            planned = len(self.explicit_instances)
+        if not planned:
+            raise ScenarioError("the scenario plans no instances: instances.buckets needs a count > 0")
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,6 @@ class GeneratedData:
     traces: dict[str, Trace]
     labels: list[GroundTruthLabel]
     instances: list[PlacedInstance]
-    window: tuple[float, float]
-    seed: int
 
 
 def _weighted_regions(tb: Testbed, environment: str) -> tuple[list[Region], np.ndarray]:
@@ -451,10 +446,4 @@ def generate_traces(scenario: Scenario) -> GeneratedData:
         labels.append(
             GroundTruthLabel(pair=inst.pair, start=0.0, end=length, true_distance=d, is_contact=d <= CONTACT_DISTANCE_M)
         )
-    return GeneratedData(
-        traces=traces,
-        labels=labels,
-        instances=instances,
-        window=(0.0, length),
-        seed=scenario.seed,
-    )
+    return GeneratedData(traces=traces, labels=labels, instances=instances)

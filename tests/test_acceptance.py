@@ -37,11 +37,12 @@ from sensetrace.simulator import (
     Region,
     Testbed,
     generate_traces,
+    load_scenario,
     simulate_barometer,
     simulate_sound,
-    standard_scenario,
 )
 
+from .conftest import STANDARD
 from .oracles import brute_force_dtw
 
 
@@ -115,7 +116,7 @@ def test_criterion_4_tier_ordering_scaled():
     """FP strictly drops and accuracy strictly rises across the three tiers
     on the standard seeded scenario; FP(FULL) <= 0.15 * FP(APPEARANCE)."""
     with Timer() as t:
-        scenario = standard_scenario(seed=42)
+        scenario = load_scenario(STANDARD, seed=42)[0]
         data = generate_traces(scenario)
         counts = {}
         for tier in TierSpec:

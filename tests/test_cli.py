@@ -1,8 +1,10 @@
 import json
 import math
+import random
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -10,13 +12,9 @@ from sensetrace import cli
 from sensetrace.cli import main
 from sensetrace.core import TRACE_CACHE, SensorSample, read_trace, write_trace
 from sensetrace.evaluation import ASSESSMENT_CACHE
-from sensetrace.simulator import config_hash, load_scenario, standard_scenario
+from sensetrace.simulator import config_hash, load_scenario
 
-STANDARD = Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
-
-
-def standard_raw():
-    return yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+from .conftest import STANDARD, standard_raw
 
 
 @pytest.fixture()
@@ -96,6 +94,9 @@ BAD_VALUES = [
     pytest.param(set_bucket(indoor=-1), "bucket counts must be >= 0, got indoor=-1, outdoor=1",
                  id="bucket_count_negative"),
     pytest.param(set_bucket(range_m=[3, 1]), "bad distance band [3.0, 1.0]", id="bucket_band_inverted"),
+    pytest.param(set_key("instances", "buckets", []), "instances.buckets needs a count > 0", id="no_buckets"),
+    pytest.param(set_key("instances", "buckets", [{"range_m": [0, 1]}]), "instances.buckets needs a count > 0",
+                 id="bucket_counts_0"),
     pytest.param(set_key("testbed", "floors", 0), "floors must be >= 1, got 0", id="floors_0"),
     pytest.param(set_key("testbed", "ceiling_height_m", 0), "ceiling_height_m must be finite and > 0, got 0.0",
                  id="ceiling_height_0"),
@@ -452,6 +453,20 @@ class TestNoSampleObjects:
         assert len(list(read_trace(next((out / "traces").glob("*.jsonl"))))) == len(built) > 0
 
 
+def cache_spans(path) -> dict[str, tuple[int, int]]:
+    """The byte range of the JSON header and of each column in the column
+    cache at ``path``, by name."""
+    spans = {}
+    with open(path, "rb") as fh:
+        for name in ("header", "t", "kind", "value", "mag", "src", "obs"):
+            np.lib.format.read_magic(fh)
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            start = fh.tell()
+            spans[name] = (start, start + math.prod(shape) * dtype.itemsize)
+            fh.seek(spans[name][1])
+    return spans
+
+
 def count_decodes(monkeypatch) -> list:
     """The path of every trace file the CLI decodes from now on."""
     decoded = []
@@ -503,7 +518,7 @@ class TestTraceCache:
             pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-100]), id="truncated"),
             pytest.param(lambda path: path.write_bytes(b"\x93NUMPY garbage" * 100), id="garbage"),
             pytest.param(
-                lambda path: path.write_bytes(path.read_bytes().replace(b'"version":1', b'"version":2')),
+                lambda path: path.write_bytes(path.read_bytes().replace(b'"version":2', b'"version":3')),
                 id="other_version",
             ),
         ],
@@ -514,6 +529,31 @@ class TestTraceCache:
         decoded = count_decodes(monkeypatch)
         assert self.detect(generated, small_config, "again.jsonl") == want
         assert sorted(decoded) == sorted((generated / "traces").glob("*.jsonl"))
+
+    def test_flipped_bits_never_give_a_wrong_decision(self, generated, small_config, capsys):
+        """Seeded bit flips in the header and in each column of the cache,
+        with no stored assessments: detect decides as pinned, or fails with
+        one JSON line on stderr."""
+        want = self.detect(generated, small_config)
+        cache, again = generated / TRACE_CACHE, generated / "again.jsonl"
+        pristine = cache.read_bytes()
+        rng = random.Random(6)
+        for where, (lo, hi) in cache_spans(cache).items():
+            for flips in (1, 4, 20):
+                damaged = bytearray(pristine)
+                for _ in range(flips):
+                    damaged[rng.randrange(lo, hi)] ^= 1 << rng.randrange(8)
+                cache.write_bytes(damaged)
+                (generated / ASSESSMENT_CACHE).unlink(missing_ok=True)
+                again.unlink(missing_ok=True)
+                capsys.readouterr()
+                status = run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL",
+                              "--out", again.name])
+                if status == 0:
+                    assert again.read_bytes() == want, (where, flips)
+                else:
+                    err = capsys.readouterr().err.strip().splitlines()
+                    assert len(err) == 1 and "error" in json.loads(err[0]), (where, flips, err)
 
     def test_file_the_cache_does_not_list_is_decoded(self, generated, small_config, monkeypatch):
         want = self.detect(generated, small_config)
@@ -652,9 +692,6 @@ class TestAssessmentCache:
 
 
 class TestShippedConfig:
-    def test_standard_yaml_is_standard_scenario(self):
-        assert load_scenario(STANDARD)[0] == standard_scenario(seed=42)
-
     def test_raw_dict_is_the_safe_loaders(self):
         # The config digests hash this dict, whichever YAML loader made it.
         raw = load_scenario(STANDARD)[1]

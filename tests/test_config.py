@@ -2,20 +2,15 @@
 and wrong types are errors naming their dotted path."""
 
 import copy
-from pathlib import Path
 
 import pytest
 import yaml
 
 from sensetrace.core import label_to_json
 from sensetrace.errors import ScenarioError
-from sensetrace.simulator import generate_traces, scenario_from_dict, standard_scenario, write_config
+from sensetrace.simulator import generate_traces, scenario_from_dict, write_config
 
-STANDARD = Path(__file__).resolve().parent.parent / "configs" / "standard.yaml"
-
-
-def standard_raw():
-    return yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+from .conftest import standard_raw
 
 
 def small_raw():
@@ -114,7 +109,7 @@ class TestValues:
         for key in ("cell_size_m", "lattice_spacing_m", "sensor_sigma_ut", "indoor", "outdoor"):
             del raw["testbed"]["magnetic"][key]
         del raw["instances"]["pocket_probability"]
-        assert scenario_from_dict(raw) == standard_scenario(42)
+        assert scenario_from_dict(raw) == scenario_from_dict(standard_raw())
 
     def test_wall_loss_default_applies_to_walls_without_loss(self):
         raw = standard_raw()

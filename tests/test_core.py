@@ -607,7 +607,7 @@ class TestTraceCache:
             columns = [np.load(fh, allow_pickle=False) for _ in range(6)]
             assert fh.read() == b""
         assert {k: header[k] for k in TRACE_CACHE_FORMAT} == TRACE_CACHE_FORMAT
-        assert [(name, n, names) for name, _, n, names in header["files"]] == [
+        assert [(name, n, names) for name, _, n, names, _ in header["files"]] == [
             ("a.jsonl", 3, ["a", "b"]), ("b.jsonl", 1, ["b"]), ("c.jsonl", 0, []),
         ]
         assert columns[0].tolist() == [1.0, 2.0, 3.0, 0.5]
@@ -630,7 +630,7 @@ class TestTraceCache:
             pytest.param(lambda data: data[:-1], id="last_byte_missing"),
             pytest.param(lambda data: bytes(random.Random(1).randrange(256) for _ in data), id="garbage"),
             pytest.param(lambda data: pickle.dumps({"a.jsonl": "x"}), id="pickle"),
-            pytest.param(lambda data: data.replace(b'"version":1', b'"version":0'), id="old_version"),
+            pytest.param(lambda data: data.replace(b'"version":2', b'"version":1'), id="old_version"),
             pytest.param(lambda data: data.replace(b'"sensetrace trace', b'"elsewhere trace'), id="foreign_format"),
             pytest.param(lambda data: data.replace(b"'<f8'", b"'<f4'", 1), id="column_dtype"),
         ],
@@ -671,6 +671,20 @@ class TestTraceCache:
         cached = read_trace_cache(cache)
         assert sorted(cached) == ["b.jsonl", "c.jsonl"]
         assert cached["b.jsonl"][1] == traces["b"]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            pytest.param(np.float64(-70.0).tobytes(), np.float64(-69.0).tobytes(), id="rss_in_range"),
+            pytest.param(b'["a","b"]', b'["a","c"]', id="device_name"),
+        ],
+    )
+    def test_trace_failing_its_checksum_is_left_out(self, tmp_path, old, new):
+        cache, _ = cached_run(tmp_path, small_traces())
+        data = cache.read_bytes()
+        assert data.count(old) == 1
+        cache.write_bytes(data.replace(old, new))
+        assert sorted(read_trace_cache(cache)) == ["b.jsonl", "c.jsonl"]
 
 
     @pytest.mark.parametrize("bad", [False, True])

@@ -16,14 +16,15 @@ from sensetrace.simulator import (
     Testbed,
     Wall,
     generate_traces,
+    load_scenario,
     simulate_barometer,
     simulate_magnetometer,
     simulate_rss,
     simulate_sound,
-    standard_scenario,
 )
 from sensetrace.simulator import scenario as scenario_module
 
+from .conftest import STANDARD
 from .oracles import magnitude, sequential_traces
 
 RADIO = PathLossParams()
@@ -298,7 +299,7 @@ class TestGenerateTraces:
         assert counts == [60, 60, 40, 80]
 
     def test_seeded_runs_identical(self):
-        sc = standard_scenario(seed=1234)
+        sc = load_scenario(STANDARD, seed=1234)[0]
         d1 = generate_traces(sc)
         d2 = generate_traces(sc)
         assert d1.labels == d2.labels
@@ -388,6 +389,10 @@ class TestGenerateTraces:
         with pytest.raises(ScenarioError):
             generate_traces(sc)
 
+    def test_no_explicit_instances_raises(self):
+        with pytest.raises(ScenarioError, match="plans no instances"):
+            Scenario(testbed=open_field(), explicit_instances=())
+
 
 class TestPropagationNoiseInvariants:
     def test_default_sigma_ordering_is_strict(self):
@@ -404,7 +409,7 @@ class TestPropagationNoiseInvariants:
 def small_standard(seed=3, **noise):
     """The standard testbed with 24 instances, cross-floor ones included,
     and ``noise`` fields replaced."""
-    sc = standard_scenario(seed=seed)
+    sc = load_scenario(STANDARD, seed=seed)[0]
     buckets = (
         BucketSpec(0.0, 1.0, indoor=3, outdoor=2),
         BucketSpec(1.0, 3.0, indoor=4, outdoor=3),
@@ -453,7 +458,7 @@ def assert_matches_sequential(scenario, tmp_path):
 class TestGeneratorMatchesSequentialOracle:
     @pytest.mark.parametrize("seed", [42, 7])
     def test_standard(self, seed, tmp_path):
-        data = assert_matches_sequential(standard_scenario(seed=seed), tmp_path)
+        data = assert_matches_sequential(load_scenario(STANDARD, seed=seed)[0], tmp_path)
         assert len(data.labels) == 240
 
     def test_zero_noise(self, tmp_path):
@@ -497,7 +502,7 @@ class TestGeneratorMatchesSequentialOracle:
         assert first_ble[0] != first_ble[1]
 
     def test_detection_floor_below_the_rss_range_raises_alike(self):
-        sc = dataclasses.replace(standard_scenario(seed=42), noise=PropagationNoise(detection_floor_dbm=-200.0))
+        sc = dataclasses.replace(load_scenario(STANDARD, seed=42)[0], noise=PropagationNoise(detection_floor_dbm=-200.0))
         with pytest.raises(ScenarioError) as want:
             sequential_traces(sc)
         with pytest.raises(ScenarioError) as got:
