@@ -10,10 +10,13 @@ that it swaps in for ``traces/`` whole (``_swap_in_traces``, so no file an
 earlier run left there survives), the ground truth, the instance list and
 ``trace_columns.npy``, the traces' decoded columns keyed by each file's
 SHA-256 (a cache: ``detect`` and ``report`` decode any file it does not
-match); ``detect`` replays the fusion pipeline over the traces and keeps
-each window's assessment in ``assessments.json``, keyed by the config, the
-detector's source and every file it read, so that a later ``detect`` of
-the run, for any tier, only fuses them;
+match), each simulator batch's traces and cache records as soon as the
+batch is done; ``detect`` replays the fusion pipeline over the traces and
+keeps each window's assessment in ``assessments.json``, keyed by the
+config, the detector's source and every file it read, so that a later
+``detect`` of the run, for any tier, only fuses them. ``detect`` and
+``report`` load each trace when its first window or label comes and let it
+go after its last (``_RunTraces``), so no command holds the whole run;
 ``evaluate`` emits the confusion counts and accuracy; ``report`` emits
 plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
 Every other output file is written atomically, and the metrics and report
@@ -29,20 +32,25 @@ import csv
 import hashlib
 import io
 import json
+import os
 import secrets
 import shutil
 import sys
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
-from typing import NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .core import (
     TRACE_CACHE,
+    CachedTrace,
     Trace,
     atomic_write,
     canonical_pair,
     label_from_record,
     label_to_json,
     read_jsonl,
+    read_cached_traces,
     read_trace,
     read_trace_cache,
     window_bounds,
@@ -115,35 +123,75 @@ def _sha256(path: Path) -> str:
 
 def _trace_digests(data_dir: Path) -> dict[str, str]:
     """The name of every trace file of the run, in order, with its SHA-256."""
-    paths = sorted((data_dir / "traces").glob("*.jsonl"))
-    if not paths:
-        raise SenseTraceError(f"no trace files under {data_dir / 'traces'}")
-    return {path.name: _sha256(path) for path in paths}
+    directory = data_dir / "traces"
+    try:
+        with os.scandir(directory) as entries:
+            names = sorted(entry.name for entry in entries if entry.name.endswith(".jsonl"))
+    except FileNotFoundError:
+        names = []
+    if not names:
+        raise SenseTraceError(f"no trace files under {directory}")
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
 
 
-def _load_traces(data_dir: Path, digests: dict[str, str]) -> dict:
-    """The trace files of ``digests`` (``_trace_digests``), each taken from
-    the column cache when its SHA-256 is the one the cache holds, else
-    decoded."""
-    cache = read_trace_cache(data_dir / TRACE_CACHE)
-    traces = {}
-    for name, digest in digests.items():
-        cached_digest, trace = cache.get(name, (None, None))
-        path = data_dir / "traces" / name
-        traces[path.stem] = trace if cached_digest == digest else read_trace(path)
-    return traces
+# Traces loaded together: enough for one ``_intact`` check to cost little
+# per trace, few enough that the traces waiting to be asked for stay small.
+_LOAD_AHEAD = 32
+
+
+class _RunTraces:
+    """The run's trace files (``_trace_digests``) by device, each loaded
+    when ``get`` asks for it: from the column cache when the file's SHA-256
+    is the one the cache holds, else decoded.
+
+    ``devices`` is the order in which they will be asked for. A load takes
+    the next ``_LOAD_AHEAD`` of them, and ``get`` hands a trace over without
+    keeping it, so that at most those wait in memory; a device asked for
+    again is loaded again.
+    """
+
+    def __init__(self, data_dir: Path, digests: dict[str, str], devices: Iterable[str]) -> None:
+        self.data_dir, self.digests = data_dir, digests
+        self.index = read_trace_cache(data_dir / TRACE_CACHE)
+        self.upcoming = iter(dict.fromkeys(devices))
+        self.ready: dict[str, Trace] = {}
+
+    def get(self, device: str, default=None):
+        if device not in self.ready:
+            chunk = list(islice(self.upcoming, _LOAD_AHEAD))
+            self._load(chunk if device in chunk else [*chunk, device])
+        return self.ready.pop(device, default)
+
+    def _load(self, devices: list[str]) -> None:
+        names = [name for name in (f"{device}.jsonl" for device in devices) if name in self.digests]
+        # An entry is used once: a device asked for again is decoded.
+        entries = [self.index.pop(name, None) for name in names]
+        hits = [entry for entry in entries if entry is not None and entry.sha256 == self.digests[entry.name]]
+        cached = dict(zip((entry.name for entry in hits), read_cached_traces(self.data_dir / TRACE_CACHE, hits)))
+        for name in names:
+            trace = cached.get(name)
+            self.ready[name[: -len(".jsonl")]] = read_trace(self.data_dir / "traces" / name) if trace is None else trace
+
+
+def _load_traces(data_dir: Path, digests: dict[str, str], devices: Iterable[str]) -> _RunTraces:
+    """The trace files of ``digests``, loaded as ``devices`` asks for them."""
+    return _RunTraces(data_dir, digests, devices)
 
 
 def _assessment_key(data_dir: Path, config_sha256: str, digests: dict[str, str]) -> dict:
     """What the run's assessments are made from: the config, the detector's
-    source and the bytes of every file ``detect`` reads to assess them."""
-    columns = data_dir / TRACE_CACHE
+    source and the bytes of every file ``detect`` reads to assess them, the
+    trace files as one SHA-256 over their names and digests, so that the
+    key's size does not grow with the run."""
+    columns, traces = data_dir / TRACE_CACHE, hashlib.sha256()
+    for name, digest in digests.items():
+        traces.update(f"{name}\0{digest}\n".encode("utf-8"))
     return {
         "config_sha256": config_sha256,
         "detector_sha256": detector_digest(),
         "instances_sha256": _sha256(data_dir / "instances.jsonl"),
         "trace_columns_sha256": _sha256(columns) if columns.is_file() else None,
-        "traces": [[name, digest] for name, digest in digests.items()],
+        "traces_sha256": traces.hexdigest(),
     }
 
 
@@ -157,10 +205,11 @@ def _csv_text(header_comments: Sequence[str], columns: Sequence[str], rows) -> s
     return buf.getvalue()
 
 
-def _swap_in_traces(out: Path, traces: dict[str, Trace]) -> list[tuple[str, str, Trace]]:
-    """Write one trace file per device into a fresh hidden directory beside
-    ``out/traces`` and swap it in for ``traces/``, whole; returns each file's
-    name, SHA-256 and ``Trace``, in name order.
+@contextmanager
+def _swap_in_traces(out: Path) -> Iterator[Path]:
+    """A fresh hidden directory beside ``out/traces`` for the block to write
+    one trace file per device into; when the block ends, it is swapped in
+    for ``traces/``, whole.
 
     ``traces/`` so holds the complete old set or the complete new set, never
     a mix, and never a file an earlier run left. The swap is two renames:
@@ -173,10 +222,7 @@ def _swap_in_traces(out: Path, traces: dict[str, Trace]) -> list[tuple[str, str,
     staging.mkdir()
     target, old = out / "traces", out / f"{staging.name}-old"
     try:
-        files = []
-        for device, trace in sorted(traces.items()):
-            name = f"{device}.jsonl"
-            files.append((name, write_trace(staging / name, trace), trace))
+        yield staging
         if target.exists():
             target.rename(old)
         staging.rename(target)
@@ -187,16 +233,21 @@ def _swap_in_traces(out: Path, traces: dict[str, Trace]) -> list[tuple[str, str,
         raise
     if old.exists():
         shutil.rmtree(old)
-    return files
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     scenario, raw = load_scenario(args.config, seed=args.seed)
-    data = generate_traces(scenario)
     out = Path(args.out)
 
-    files = _swap_in_traces(out, data.traces)
-    write_trace_cache(out / TRACE_CACHE, files)
+    # Each batch's trace files and cache records are written as the
+    # simulator finishes the batch, so no more than a batch is held.
+    with _swap_in_traces(out) as staging, write_trace_cache(out / TRACE_CACHE) as cache:
+
+        def write(device: str, trace: Trace) -> CachedTrace:
+            name = f"{device}.jsonl"
+            return cache(name, write_trace(staging / name, trace), trace)
+
+        data = generate_traces(scenario, write=write)
     atomic_write(out / "truth.jsonl", "".join(label_to_json(lb) + "\n" for lb in data.labels))
     atomic_write(
         out / "instances.jsonl",
@@ -231,7 +282,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     instances = _read_instances(data_dir / "instances.jsonl")
     assessments = read_assessment_cache(data_dir / ASSESSMENT_CACHE, key, len(instances))
     if assessments is None:
-        assessments = assess_instances(_load_traces(data_dir, digests), instances, cfg)
+        devices = (device for pair, _, _ in instances for device in pair)
+        assessments = assess_instances(_load_traces(data_dir, digests, devices), instances, cfg)
         write_assessment_cache(data_dir / ASSESSMENT_CACHE, key, assessments)
     records = fuse_instances(instances, assessments, cfg, tier_gates(tier))
     name = args.out or f"decisions_{tier.value.lower()}.jsonl"
@@ -276,7 +328,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
     records = read_jsonl(data_dir / args.decisions, decision_from_record)
-    traces = _load_traces(data_dir, _trace_digests(data_dir))
+    digests = _trace_digests(data_dir)
     meta = _read_meta(data_dir)
     comments = [
         f"seed={meta.get('seed', 'unknown')}",
@@ -290,19 +342,22 @@ def cmd_report(args: argparse.Namespace) -> int:
             actual.append(label.true_distance)
     # With no estimates the CDF is written with no rows, not left stale.
     cdf = distance_error_cdf(estimated, actual) if estimated else []
+
+    traces = _load_traces(data_dir, digests, (device for label in truth for device in label.pair))
+
+    def items():
+        for label in truth:
+            a, b = label.pair
+            seq_a = magnitude_sequences(traces, a)
+            seq_b = magnitude_sequences(traces, b)
+            if seq_a and seq_b:
+                yield label.true_distance, seq_a, seq_b
+
+    stats = magnetic_separation_report(items())
     atomic_write(
         data_dir / "cdf.csv",
         _csv_text(comments, ["abs_error_m", "cumulative_fraction"], cdf),
     )
-
-    items = []
-    for label in truth:
-        a, b = label.pair
-        seq_a = magnitude_sequences(traces, a)
-        seq_b = magnitude_sequences(traces, b)
-        if seq_a and seq_b:
-            items.append((label.true_distance, seq_a, seq_b))
-    stats = magnetic_separation_report(items)
     rows = [
         [s.d_lo, s.d_hi, s.count,
          "" if s.mean is None else f"{s.mean:.6f}",

@@ -7,9 +7,10 @@ bit-exactly through the default JSON float formatting. A columnar
 (``write_trace``) and from the file to the window (``read_trace``); its
 column builder holds the sample contract's type rules and ``Trace.check``
 its value rules. ``SensorSample`` is a bare row type. ``write_trace_cache``
-keeps a run's decoded columns, keyed by each trace file's SHA-256, so that
-``read_trace_cache`` can stand in for decoding an unchanged file. Every
-file the package writes goes through ``atomic_write``, except the trace
+keeps a run's decoded columns, a trace at a time and keyed by each trace
+file's SHA-256, so that ``read_cached_traces`` can stand in for decoding an
+unchanged file, loading only the traces asked for. Every file the package
+writes goes through ``atomic_write`` (or ``_atomic_file``), except the trace
 files: ``write_trace`` writes them in place, into the fresh directory that
 ``generate`` swaps in for ``traces/`` whole. Every JSON-lines file other
 than a trace is read through ``read_jsonl``.
@@ -26,12 +27,13 @@ import re
 import tempfile
 import zlib
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
 from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -435,25 +437,32 @@ def make_window(
 # --- record files ------------------------------------------------------------
 
 
-def atomic_write(path: Union[str, Path], data: Union[str, bytes, Iterable[bytes]]) -> None:
-    """Write ``data`` (text as UTF-8, bytes, or chunks of bytes written as
-    they come) to ``path`` through a temporary file in the same directory,
-    so readers see either the old file or the whole new one."""
+@contextmanager
+def _atomic_file(path: Union[str, Path]) -> Iterator[BinaryIO]:
+    """A binary file open for writing at a temporary path in ``path``'s
+    directory, moved to ``path`` when the block ends and removed if it
+    raises, so readers see either the old file or the whole new one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    chunks = [data] if isinstance(data, bytes) else data
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: Union[str, Path], data: Union[str, bytes, Iterable[bytes]]) -> None:
+    """Write ``data`` (text as UTF-8, bytes, or chunks of bytes written as
+    they come) to ``path`` through ``_atomic_file``."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    with _atomic_file(path) as fh:
+        for chunk in [data] if isinstance(data, bytes) else data:
+            fh.write(chunk)
 
 
 def read_jsonl(path: Union[str, Path], parse: Callable[[Any], T]) -> list[T]:
@@ -594,18 +603,42 @@ def read_trace(path: Union[str, Path]) -> Trace:
 # The file, beside a run's ``traces/``, that holds the decoded columns of its
 # trace files.
 TRACE_CACHE = "trace_columns.npy"
-TRACE_CACHE_FORMAT = {"format": "sensetrace trace columns", "version": 2}
+TRACE_CACHE_FORMAT = {"format": "sensetrace trace columns", "version": 3}
 # Each stored column: its ``Trace`` attribute, its dtype and the shape of a row.
 _CACHE_COLUMNS = (
     ("t", "<f8", ()), ("kind", "|i1", ()), ("value", "<f8", ()),
     ("mag", "<f8", (3,)), ("src", "<i4", ()), ("obs", "<i4", ()),
 )
+_ROW_BYTES = sum(np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in _CACHE_COLUMNS)
 
 
 def _npy_header(dtype: str, shape: tuple[int, ...]) -> bytes:
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(buf, {"descr": dtype, "fortran_order": False, "shape": shape})
     return buf.getvalue()
+
+
+# A cache ends with a ``.npy`` array of one little-endian uint64, the offset
+# of its index: these bytes, then that number.
+_TRAILER = _npy_header("<u8", (1,))
+
+
+@dataclass(frozen=True, slots=True)
+class CachedTrace:
+    """One trace file's entry in the column cache: the file's name and the
+    SHA-256 of its bytes, the trace's row count, device names and
+    ``_checksum``, and the offset of its record in the cache. Its ``len``
+    is its row count."""
+
+    name: str
+    sha256: str
+    rows: int
+    names: tuple[str, ...]
+    crc32: int
+    offset: int
+
+    def __len__(self) -> int:
+        return self.rows
 
 
 def _checksum(trace: Trace) -> int:
@@ -617,34 +650,69 @@ def _checksum(trace: Trace) -> int:
     return crc
 
 
-def write_trace_cache(path: Union[str, Path], files: Sequence[tuple[str, str, Trace]]) -> None:
-    """Write the column cache of ``files``, each a trace file's name, the
-    SHA-256 of its bytes and its ``Trace``.
+@contextmanager
+def write_trace_cache(path: Union[str, Path]) -> Iterator[Callable[[str, str, Trace], CachedTrace]]:
+    """The column cache at ``path``, written through ``_atomic_file`` a trace
+    at a time: the block is given a function that takes a trace file's
+    name, the SHA-256 of its bytes and its ``Trace``, appends the trace's
+    record and returns its ``CachedTrace``.
 
-    The cache is a run of ``.npy`` arrays: a UTF-8 JSON header as uint8
-    (``TRACE_CACHE_FORMAT`` plus ``files``, one ``[name, sha256, rows,
-    names, crc32]`` per file, the last its ``_checksum``), then one array
-    per column holding the rows of every file in order. Each column is
-    streamed a trace at a time, and no array has a timestamp, so equal
-    traces give equal bytes.
+    A record is the trace's columns, one after another in ``_CACHE_COLUMNS``
+    order. After the last record come the index, UTF-8 JSON lines
+    (``TRACE_CACHE_FORMAT``, then one ``[name, sha256, rows, names, crc32,
+    offset]`` per record, in record order), and the trailer that gives the
+    index's offset. Nothing in the file has a timestamp, so equal traces
+    added in equal order give equal bytes.
     """
-    header = json.dumps(
-        {
-            **TRACE_CACHE_FORMAT,
-            "files": [(name, digest, len(trace), trace.names, _checksum(trace)) for name, digest, trace in files],
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    rows = sum(len(trace) for _, _, trace in files)
+    entries: list[CachedTrace] = []
+    with _atomic_file(path) as fh:
 
-    def chunks() -> Iterator[bytes]:
-        yield _npy_header("|u1", (len(header),)) + header
-        for column, dtype, shape in _CACHE_COLUMNS:
-            yield _npy_header(dtype, (rows, *shape))
-            for _, _, trace in files:
-                yield getattr(trace, column).astype(dtype, copy=False).tobytes()
+        def add(name: str, sha256: str, trace: Trace) -> CachedTrace:
+            entries.append(CachedTrace(name, sha256, len(trace), trace.names, _checksum(trace), fh.tell()))
+            for column, dtype, _ in _CACHE_COLUMNS:
+                fh.write(np.ascontiguousarray(getattr(trace, column), dtype))
+            return entries[-1]
 
-    atomic_write(path, chunks())
+        yield add
+        at = fh.tell()
+        fh.write(json.dumps(TRACE_CACHE_FORMAT, separators=(",", ":")).encode("utf-8") + b"\n")
+        for e in entries:  # a line at a time, so that no whole-index text is made
+            line = json.dumps([e.name, e.sha256, e.rows, e.names, e.crc32, e.offset], separators=(",", ":"))
+            fh.write(line.encode("utf-8") + b"\n")
+        fh.write(_TRAILER + at.to_bytes(8, "little"))
+
+
+def read_trace_cache(path: Union[str, Path]) -> dict[str, CachedTrace]:
+    """The index of the column cache at ``path``: each trace file's name ->
+    its ``CachedTrace``. ``read_cached_traces`` loads the traces.
+
+    An absent, unreadable, truncated or garbage cache, another format
+    version, or an entry whose record does not lie before the index gives
+    ``{}``: the caller decodes every file. Only the index is read.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-len(_TRAILER) - 8, os.SEEK_END)
+            end = fh.tell()
+            trailer = fh.read()
+            at = int.from_bytes(trailer[len(_TRAILER) :], "little")
+            if trailer[: len(_TRAILER)] != _TRAILER or at > end:
+                return {}
+            fh.seek(at)
+            lines = fh.read(end - at).split(b"\n")
+        if lines.pop() != b"" or json.loads(lines[0]) != TRACE_CACHE_FORMAT:
+            return {}
+        entries = [CachedTrace(name, digest, n, tuple(names), crc, offset)
+                   for name, digest, n, names, crc, offset in map(json.loads, lines[1:])]
+    except (OSError, ValueError, TypeError, IndexError, RecursionError):
+        return {}
+    if not all(
+        isinstance(e.name, str) and type(e.rows) is type(e.offset) is int
+        and e.rows >= 0 and 0 <= e.offset <= at - e.rows * _ROW_BYTES
+        for e in entries
+    ):
+        return {}
+    return {e.name: e for e in entries}
 
 
 # Rows checked together when a cache is read: enough for a column-wide
@@ -678,47 +746,29 @@ def _intact(traces: Sequence[Trace]) -> bool:
     return True
 
 
-def read_trace_cache(path: Union[str, Path]) -> dict[str, tuple[str, Trace]]:
-    """The traces in the column cache at ``path``, as file name -> (SHA-256
-    of the file they were decoded from, ``Trace``).
+def read_cached_traces(path: Union[str, Path], entries: Sequence[CachedTrace]) -> list[Optional[Trace]]:
+    """The ``Trace`` of each of ``entries`` (``read_trace_cache``'s index of
+    the cache at ``path``), in order; None for one whose record cannot be
+    read, does not match its stored checksum or is not ``_intact``: the
+    caller decodes that file.
 
-    An absent, unreadable or truncated cache, another format version or a
-    column of another dtype or length gives ``{}``; a trace whose names and
-    columns do not match their stored checksum, or that is not ``_intact``,
-    is left out. Either way the caller decodes those files.
-    Nothing is loaded with pickle. Each trace's columns are read straight
-    into arrays of their own (``readinto``), as decoding allocates them:
-    whole-run columns would be fresh allocations on top of the memory that
-    earlier work freed. All rows are checked in one pass, and the traces one
-    at a time only when that pass fails.
+    Each trace's columns are read straight into arrays of its own
+    (``readinto``), as decoding allocates them: one buffer for many traces
+    would be fresh memory on top of what earlier work freed. The traces are
+    checked together, and one at a time only when that fails.
     """
+    traces: list[Optional[Trace]] = []
     try:
         with open(path, "rb") as fh:
-            header = json.loads(np.lib.format.read_array(fh, allow_pickle=False).tobytes())
-            if not (isinstance(header, dict) and all(header.get(k) == v for k, v in TRACE_CACHE_FORMAT.items())):
-                return {}
-            files = [(name, digest, n, tuple(names), crc) for name, digest, n, names, crc in header["files"]]
-            if not all(isinstance(name, str) and type(n) is int and n >= 0 for name, _, n, _, _ in files):
-                return {}
-            rows = sum(n for _, _, n, _, _ in files)
-            columns = []
-            for _, descr, shape in _CACHE_COLUMNS:
-                dtype = np.dtype(descr)
-                np.lib.format.read_magic(fh)
-                if np.lib.format.read_array_header_1_0(fh) != ((rows, *shape), False, dtype):
-                    return {}
-                arrays = [np.empty((n, *shape), dtype) for _, _, n, _, _ in files]
-                for array in arrays:
-                    if array.nbytes and fh.readinto(array.view(np.uint8)) != array.nbytes:
-                        raise EOFError("column cache ends early")
-                columns.append(arrays)
-    except (OSError, EOFError, ValueError, KeyError, TypeError):
-        return {}
-    entries = [
-        (name, (digest, trace))
-        for (name, digest, _, names, crc), *trace_columns in zip(files, *columns)
-        if _checksum(trace := Trace(*trace_columns, names=names)) == crc
-    ]
-    if not _intact([trace for _, (_, trace) in entries]):
-        entries = [(name, entry) for name, entry in entries if _intact([entry[1]])]
-    return dict(entries)
+            for entry in entries:
+                fh.seek(entry.offset)
+                columns = [np.empty((entry.rows, *shape), dtype) for _, dtype, shape in _CACHE_COLUMNS]
+                read = sum(fh.readinto(column.view(np.uint8)) for column in columns)
+                trace = Trace(*columns, names=entry.names)
+                traces.append(trace if read == entry.rows * _ROW_BYTES and _checksum(trace) == entry.crc32 else None)
+    except OSError:
+        pass
+    traces += [None] * (len(entries) - len(traces))
+    if not _intact([trace for trace in traces if trace is not None]):
+        traces = [trace if trace is not None and _intact([trace]) else None for trace in traces]
+    return traces

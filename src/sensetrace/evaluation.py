@@ -206,7 +206,10 @@ def _window_batches(traces: Traces, windows: list[_Window]) -> Iterator[WindowRo
 
     A window's rows in one trace are found with one ``searchsorted`` on the
     trace's times; they are a slice of its columns when the trace is in
-    time order. ``_gather`` joins a batch's slices."""
+    time order. ``_gather`` joins a batch's slices. Each device's trace is
+    taken from ``traces`` once, at its first window, and let go after its
+    last, so that a lazy ``traces`` need hold none longer."""
+    last = {device: number for number, window in enumerate(windows) for device in window.pair}
     ordered: dict[str, tuple[Trace, Optional[np.ndarray], np.ndarray]] = {}
     pieces, batch, size = [], [], 0
     for number, window in enumerate(windows):
@@ -221,6 +224,8 @@ def _window_batches(traces: Traces, windows: list[_Window]) -> Iterator[WindowRo
             rows = slice(first, stop) if order is None else order[first:stop]
             pieces.append((trace, rows, stop - first, trace.code(window.key[0]), trace.code(window.key[1])))
             size += stop - first
+            if last[device] == number:
+                del ordered[device]
         batch.append(window)
         size += 2 * window.slots
         if size >= _BATCH_ROWS or number == len(windows) - 1:
@@ -322,12 +327,20 @@ def _assessment(record: list) -> Assessment:
     return Assessment(**{**values, "env_sensor": None if sensor is None else SensorKind(sensor)})
 
 
+def _records_sha256(records: list) -> str:
+    """The SHA-256 of ``records`` as compact JSON: the same for records
+    that read back equal, whatever spacing their file has."""
+    return hashlib.sha256(json.dumps(records, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
 def write_assessment_cache(path: Union[str, Path], key: dict, assessments: Sequence[Assessment]) -> None:
     """Write ``assessments``, one per instance in order, under ``key`` (a
-    JSON object naming everything they were made from) as one JSON object.
-    Floats are written as ``float.__repr__`` gives them, so they read back
-    bit-exactly, and nothing in the file varies between equal runs."""
-    payload = {**ASSESSMENT_CACHE_FORMAT, "key": key, "records": [_record(a) for a in assessments]}
+    JSON object naming everything they were made from) as one JSON object,
+    with the ``_records_sha256`` of the records. Floats are written as
+    ``float.__repr__`` gives them, so they read back bit-exactly, and
+    nothing in the file varies between equal runs."""
+    records = [_record(a) for a in assessments]
+    payload = {**ASSESSMENT_CACHE_FORMAT, "key": key, "records_sha256": _records_sha256(records), "records": records}
     atomic_write(path, json.dumps(payload, separators=(",", ":")))
 
 
@@ -335,8 +348,9 @@ def read_assessment_cache(path: Union[str, Path], key: dict, count: int) -> Opti
     """The ``count`` assessments stored at ``path`` under exactly ``key``.
 
     An absent, unreadable, truncated or garbage file, another format
-    version, another key, or records of another count, shape or type give
-    None: the caller assesses the windows again.
+    version, another key, records that do not match their stored SHA-256,
+    or records of another count, shape or type give None: the caller
+    assesses the windows again.
     """
     try:
         payload = json.loads(Path(path).read_bytes())
@@ -346,6 +360,7 @@ def read_assessment_cache(path: Union[str, Path], key: dict, count: int) -> Opti
             and payload.get("key") == key
             and type(payload.get("records")) is list
             and len(payload["records"]) == count
+            and payload.get("records_sha256") == _records_sha256(payload["records"])
         ):
             return None
         return [_assessment(record) for record in payload["records"]]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -109,9 +109,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class GeneratedData:
-    """Everything one generation run produces."""
+    """Everything one generation run produces: each device's trace, or what
+    ``generate_traces``' ``write`` returned for it, by device, in the order
+    they were simulated; the labels and the placed instances."""
 
-    traces: dict[str, Trace]
+    traces: dict[str, Any]
     labels: list[GroundTruthLabel]
     instances: list[PlacedInstance]
 
@@ -258,10 +260,9 @@ def _batch_traces(
     slots: dict[SensorKind, np.ndarray],
     template: tuple[np.ndarray, ...],
     rng: np.random.Generator,
-    traces: dict[str, Trace],
-) -> None:
-    """Simulate the instances of ``batch`` into ``traces``, one ``Trace`` per
-    device holding its rows by (time, kind, observed device), none first.
+) -> dict[str, Trace]:
+    """Simulate the instances of ``batch``: one ``Trace`` per device, by
+    name, holding its rows by (time, kind, observed device), none first.
 
     Each instance's geometry is fixed, so it alone decides how many normals
     the instance draws; the batch draws them with one call, in the order a
@@ -407,28 +408,37 @@ def _batch_traces(
     order = np.lexsort((obs, kind, rows.t, group))
     bounds = np.searchsorted(group[order], np.arange(2 * n + 1)).tolist()
     columns = (rows.t, rows.kind, rows.value, rows.mag, rows.src, rows.obs)
+    traces = {}
     for j in range(n):
         for code, device in enumerate(names[j]):
             g = 2 * j + code
             own = order[bounds[g] : bounds[g + 1]]
             traces[device] = Trace(*(column[own] for column in columns), names[j])
+    return traces
 
 
-def generate_traces(scenario: Scenario) -> GeneratedData:
+def _keep(device: str, trace: Trace) -> Trace:
+    return trace
+
+
+def generate_traces(scenario: Scenario, write: Callable[[str, Trace], Any] = _keep) -> GeneratedData:
     """Produce per-device sample traces plus ground truth for every instance.
 
     All randomness flows from one seeded generator in a fixed order, so a
     given (scenario, seed) is bit-reproducible. Instances are simulated in
-    batches of about ``_BATCH_ROWS`` rows (``_batch_traces``). A sample that
-    breaks the sample contract (``Trace.check``) raises ScenarioError naming
-    its instance.
+    batches of about ``_BATCH_ROWS`` rows (``_batch_traces``). Each batch's
+    traces go to ``write(device, trace)`` as soon as the batch is done, and
+    ``GeneratedData.traces`` keeps what it returns: the trace itself by
+    default, so a caller that writes each trace out holds one batch at a
+    time. A sample that breaks the sample contract (``Trace.check``) raises
+    ScenarioError naming its instance.
     """
     rng = np.random.default_rng(scenario.seed)
     tb = scenario.testbed
     length = scenario.fusion.window_length
 
     instances = place_instances(scenario, rng)
-    traces: dict[str, Trace] = {}
+    traces = {}
     slots = {  # sound slots also time the ambient level, barometer slots every environment sensor
         SensorKind.BLE_RSS: _slot_times(length, scenario.fusion.ble_scan_period),
         SensorKind.WIFI_RSS: _slot_times(length, scenario.fusion.wifi_scan_period),
@@ -438,7 +448,8 @@ def generate_traces(scenario: Scenario) -> GeneratedData:
     template = _row_template(slots)
     size = max(1, _BATCH_ROWS // len(template[0]))
     for i in range(0, len(instances), size):
-        _batch_traces(instances[i : i + size], scenario, slots, template, rng, traces)
+        for device, trace in _batch_traces(instances[i : i + size], scenario, slots, template, rng).items():
+            traces[device] = write(device, trace)
 
     labels = []
     for inst in instances:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import random
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,20 @@ import yaml
 
 from sensetrace import cli
 from sensetrace.cli import main
-from sensetrace.core import TRACE_CACHE, SensorSample, read_trace, write_trace
-from sensetrace.evaluation import ASSESSMENT_CACHE
+from sensetrace.core import (
+    TRACE_CACHE,
+    GroundTruthLabel,
+    SensorSample,
+    canonical_pair,
+    label_from_record,
+    label_to_json,
+    read_jsonl,
+    read_trace,
+    write_trace,
+    write_trace_cache,
+)
+from sensetrace.evaluation import ASSESSMENT_CACHE, TierSpec, run_tier
+from sensetrace.fusion import decision_to_json
 from sensetrace.simulator import config_hash, load_scenario
 
 from .conftest import STANDARD, standard_raw
@@ -454,16 +468,17 @@ class TestNoSampleObjects:
 
 
 def cache_spans(path) -> dict[str, tuple[int, int]]:
-    """The byte range of the JSON header and of each column in the column
-    cache at ``path``, by name."""
-    spans = {}
-    with open(path, "rb") as fh:
-        for name in ("header", "t", "kind", "value", "mag", "src", "obs"):
-            np.lib.format.read_magic(fh)
-            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-            start = fh.tell()
-            spans[name] = (start, start + math.prod(shape) * dtype.itemsize)
-            fh.seek(spans[name][1])
+    """The byte range of every trace record, of the JSON-lines index and of
+    the trailer in the column cache at ``path``, and of each column of its
+    first record, by name."""
+    data = Path(path).read_bytes()
+    at = int(np.frombuffer(data[-8:], "<u8")[0])  # the trailer gives the index's offset
+    end = data.rindex(b"\x93NUMPY")  # where the trailer starts
+    spans = {"records": (0, at), "index": (at, end), "trailer": (end, len(data))}
+    _, _, rows, _, _, start = json.loads(data[at:end].split(b"\n")[1])
+    for name, width in (("t", 8), ("kind", 1), ("value", 8), ("mag", 24), ("src", 4), ("obs", 4)):
+        spans[name] = (start, start + rows * width)
+        start += rows * width
     return spans
 
 
@@ -518,7 +533,7 @@ class TestTraceCache:
             pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-100]), id="truncated"),
             pytest.param(lambda path: path.write_bytes(b"\x93NUMPY garbage" * 100), id="garbage"),
             pytest.param(
-                lambda path: path.write_bytes(path.read_bytes().replace(b'"version":2', b'"version":3')),
+                lambda path: path.write_bytes(path.read_bytes().replace(b'"version":3', b'"version":4')),
                 id="other_version",
             ),
         ],
@@ -557,11 +572,31 @@ class TestTraceCache:
 
     def test_file_the_cache_does_not_list_is_decoded(self, generated, small_config, monkeypatch):
         want = self.detect(generated, small_config)
-        extra = generated / "traces" / "zz-extra.jsonl"
-        shutil.copyfile(_first_trace(generated), extra)
+        first = _first_trace(generated)
+        with write_trace_cache(generated / TRACE_CACHE) as add:  # a cache of every other file
+            for path in sorted((generated / "traces").glob("*.jsonl"))[1:]:
+                add(path.name, hashlib.sha256(path.read_bytes()).hexdigest(), read_trace(path))
+        # A file that no instance names is never loaded at all.
+        shutil.copyfile(first, generated / "traces" / "zz-extra.jsonl")
         decoded = count_decodes(monkeypatch)
         assert self.detect(generated, small_config, "again.jsonl") == want
-        assert decoded == [extra]
+        assert decoded == [first]
+
+    def test_failed_generate_leaves_no_temporary_cache(self, generated, small_config, monkeypatch):
+        names = sorted(p.name for p in generated.iterdir())
+        cache = (generated / TRACE_CACHE).read_bytes()
+        written = []
+
+        def full_disk_at_the_5th(path, trace):
+            written.append(path)
+            if len(written) == 5:  # after the cache holds four records
+                raise OSError(28, "No space left on device")
+            return write_trace(path, trace)
+
+        monkeypatch.setattr(cli, "write_trace", full_disk_at_the_5th)
+        assert run(["generate", "--config", small_config, "--out", generated, "--seed", 12]) == 2
+        assert sorted(p.name for p in generated.iterdir()) == names
+        assert (generated / TRACE_CACHE).read_bytes() == cache
 
     def test_edited_trace_fails_as_without_the_cache(self, generated, small_config, capsys):
         self.detect(generated, small_config, "before.jsonl")  # stores the run's assessments
@@ -627,6 +662,11 @@ MISSES = {
         (data / ASSESSMENT_CACHE).read_bytes().replace(b'"version":1', b'"version":2')
     ),
     "record_of_wrong_type": _edit_cache(lambda payload: payload["records"][0].__setitem__(0, "yes")),
+    # A changed digit of a stored distance: still a float, so only the
+    # records' stored SHA-256 tells.
+    "damaged_record": _edit_cache(
+        lambda payload: next(r for r in payload["records"] if r[3] is not None).__setitem__(3, 2.125)
+    ),
 }
 
 
@@ -689,6 +729,108 @@ class TestAssessmentCache:
         loads = count_trace_loads(monkeypatch)
         assert self.detect(generated, small_config) == want
         assert len(loads) == 1
+
+
+def count_cache_loads(monkeypatch) -> list:
+    """The file name of every trace the CLI loads from the column cache."""
+    loaded = []
+    load = cli.read_cached_traces
+
+    def counting_load(path, entries):
+        loaded.extend(entry.name for entry in entries)
+        return load(path, entries)
+
+    monkeypatch.setattr(cli, "read_cached_traces", counting_load)
+    return loaded
+
+
+class TestTracesLiveUntilTheirLastUse:
+    """detect and report load each trace when it is first needed and let it
+    go after its last use; their outputs equal those made from every trace
+    of the run held at once."""
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["in_order", "permuted"])
+    def test_outputs_equal_a_whole_run(self, small_config, tmp_path, monkeypatch, permuted):
+        out = tmp_path / "run"
+        assert run(["generate", "--config", small_config, "--out", out]) == 0
+        whole = {path.stem: read_trace(path) for path in sorted((out / "traces").glob("*.jsonl"))}
+        labels = read_jsonl(out / "truth.jsonl", label_from_record)
+        first, last = labels[0], labels[-1]
+        device = first.pair[0]
+        labels += [  # the first window's device again, at another time and last with another device
+            GroundTruthLabel(first.pair, first.start, first.end / 2, first.true_distance, first.is_contact),
+            GroundTruthLabel(canonical_pair((device, last.pair[1])), 0.0, first.end, 5.0, False),
+        ]
+        if permuted:
+            random.Random(3).shuffle(labels)
+        (out / "truth.jsonl").write_text("".join(label_to_json(lb) + "\n" for lb in labels))
+        (out / "instances.jsonl").write_text(
+            "".join(cli._instance_to_json(lb.pair, (lb.start, lb.end)) + "\n" for lb in labels)
+        )
+        monkeypatch.setattr(cli, "_LOAD_AHEAD", 3)  # several loads, even for this small run
+        loaded, decoded = count_cache_loads(monkeypatch), count_decodes(monkeypatch)
+        cfg = load_scenario(small_config)[0].fusion
+        for tier in TIERS:
+            assert run(["detect", "--data", out, "--config", small_config, "--tier", tier]) == 0
+            want = [decision_to_json(r) + "\n" for r in run_tier(whole, labels, TierSpec(tier), cfg)[0]]
+            assert (out / f"decisions_{tier.lower()}.jsonl").read_text().splitlines(keepends=True) == want
+        # One assessment pass (the later tiers only fuse), and each trace
+        # loaded once in it: one asked for again would be decoded.
+        assert sorted(loaded) == sorted(f"{d}.jsonl" for d in whole) and decoded == []
+
+        reports = ("cdf.csv", "magnetic_buckets.csv")
+        assert run(["report", "--data", out, "--decisions", "decisions_full.jsonl"]) == 0
+        got = [(out / name).read_bytes() for name in reports]
+        monkeypatch.setattr(cli, "_load_traces", lambda data_dir, digests, devices: whole)
+        assert run(["report", "--data", out, "--decisions", "decisions_full.jsonl"]) == 0
+        assert got == [(out / name).read_bytes() for name in reports]
+
+
+def scaled_config(directory, instances: int):
+    """``configs/standard.yaml`` with its bucket counts scaled to
+    ``instances`` (a multiple of 24, as the buckets are) instances."""
+    raw = standard_raw()
+    for bucket in raw["instances"]["buckets"]:
+        for where in ("indoor", "outdoor"):
+            bucket[where] = bucket[where] * instances // 240
+    path = directory / f"scenario{instances}.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    return path
+
+
+def traced_peaks(config, out, commands=("generate", "detect", "report")) -> dict[str, int]:
+    """The peak of memory allocated by each of ``commands`` (generate, then
+    detect and report) of ``config`` into ``out``, each traced
+    (``tracemalloc``) on its own."""
+    peaks = {}
+    for command, argv in (
+        ("generate", ["generate", "--config", config, "--out", out]),
+        ("detect", ["detect", "--data", out, "--config", config, "--tier", "FULL"]),
+        ("report", ["report", "--data", out, "--decisions", "decisions_full.jsonl"]),
+    )[: len(commands)]:
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_memory_stays_bounded_as_the_run_grows(tmp_path, capsys):
+    """Each command's allocation peak at a larger run stays under twice its
+    peak at 24 instances: it holds a bounded number of traces, not the run.
+    Holding every trace gives 2.6x for detect and 2.7x for report at 96
+    instances, and 6.8x for generate at 240; bounded, 1.2x to 1.4x."""
+    small = scaled_config(tmp_path, 24)
+    traced_peaks(small, tmp_path / "warm")  # first-use allocations, such as compiled patterns
+    base = traced_peaks(small, tmp_path / "small")
+    grown = {
+        **traced_peaks(scaled_config(tmp_path, 96), tmp_path / "96"),
+        **traced_peaks(scaled_config(tmp_path, 240), tmp_path / "240", ["generate"]),
+    }
+    ratios = {command: round(grown[command] / base[command], 2) for command in base}
+    assert all(ratio < 2.0 for ratio in ratios.values()), ratios
 
 
 class TestShippedConfig:

@@ -24,6 +24,7 @@ from sensetrace.core import (
     canonical_pair,
     make_window,
     read_jsonl,
+    read_cached_traces,
     read_trace,
     read_trace_cache,
     write_trace,
@@ -567,14 +568,28 @@ class TestRecordFiles:
 def cached_run(directory, traces):
     """Write ``traces`` (device -> Trace) as trace files plus their column
     cache; returns the cache's path and the trace files' paths."""
-    files, paths = [], []
-    for device, trace in sorted(traces.items()):
-        path = directory / f"{device}.jsonl"
-        files.append((path.name, write_trace(path, trace), trace))
-        paths.append(path)
-    cache = directory / "cache.npy"
-    write_trace_cache(cache, files)
+    cache, paths = directory / "cache.npy", []
+    with write_trace_cache(cache) as add:
+        for device, trace in sorted(traces.items()):
+            paths.append(directory / f"{device}.jsonl")
+            add(paths[-1].name, write_trace(paths[-1], trace), trace)
     return cache, paths
+
+
+def cache_only(cache, traces):
+    """Write the column cache of ``traces`` (device -> Trace) alone, each
+    trace under a made-up SHA-256."""
+    with write_trace_cache(cache) as add:
+        for device, trace in sorted(traces.items()):
+            add(f"{device}.jsonl", "0" * 64, trace)
+
+
+def loaded(cache):
+    """Every trace the column cache at ``cache`` gives, by file name, with
+    the SHA-256 it stores: the index, then its traces loaded at once."""
+    index = read_trace_cache(cache)
+    traces = read_cached_traces(cache, list(index.values()))
+    return {entry.name: (entry.sha256, trace) for entry, trace in zip(index.values(), traces) if trace is not None}
 
 
 def small_traces():
@@ -588,7 +603,7 @@ def small_traces():
 class TestTraceCache:
     def test_standard_traces_load_as_decoded(self, standard_data, tmp_path):
         cache, paths = cached_run(tmp_path, standard_data.traces)
-        cached = read_trace_cache(cache)
+        cached = loaded(cache)
         assert sorted(cached) == [p.name for p in paths] and len(paths) == 480
         for path in paths:
             digest, trace = cached[path.name]
@@ -600,18 +615,50 @@ class TestTraceCache:
                 assert getattr(trace, column).dtype == getattr(decoded, column).dtype
 
     def test_plain_numpy_reads_the_columns_without_pickle(self, tmp_path):
-        traces = small_traces()
-        cache, _ = cached_run(tmp_path, traces)
+        cache, _ = cached_run(tmp_path, small_traces())
+        data = cache.read_bytes()
+        at = int(np.frombuffer(data[-8:], "<u8")[0])  # the trailer's one number
+        header, *files, trailer = data[at:].split(b"\n", len(small_traces()) + 1)
+        assert json.loads(header) == TRACE_CACHE_FORMAT
+        files = [json.loads(line) for line in files]
         with open(cache, "rb") as fh:
-            header = json.loads(np.load(fh, allow_pickle=False).tobytes())
-            columns = [np.load(fh, allow_pickle=False) for _ in range(6)]
-            assert fh.read() == b""
-        assert {k: header[k] for k in TRACE_CACHE_FORMAT} == TRACE_CACHE_FORMAT
-        assert [(name, n, names) for name, _, n, names, _ in header["files"]] == [
+            fh.seek(len(data) - len(trailer))
+            assert np.load(fh, allow_pickle=False).tolist() == [at]
+        assert [(name, n, names) for name, _, n, names, _, _ in files] == [
             ("a.jsonl", 3, ["a", "b"]), ("b.jsonl", 1, ["b"]), ("c.jsonl", 0, []),
         ]
-        assert columns[0].tolist() == [1.0, 2.0, 3.0, 0.5]
-        assert columns[3].shape == (4, 3)
+        columns, end = {}, 0
+        for _, _, n, _, _, offset in files:
+            assert offset == end  # one record after another
+            for name, dtype, shape in (
+                ("t", "<f8", ()), ("kind", "|i1", ()), ("value", "<f8", ()),
+                ("mag", "<f8", (3,)), ("src", "<i4", ()), ("obs", "<i4", ()),
+            ):
+                count = n * math.prod(shape)
+                columns.setdefault(name, []).append(np.frombuffer(data, dtype, count, offset).reshape(n, *shape))
+                offset += count * np.dtype(dtype).itemsize
+            end = offset
+        assert end == at
+        assert np.concatenate(columns["t"]).tolist() == [1.0, 2.0, 3.0, 0.5]
+        assert np.concatenate(columns["mag"]).shape == (4, 3)
+        assert np.concatenate(columns["obs"]).tolist() == [1, -1, 1, -1]
+
+    def test_traces_load_as_asked_for(self, tmp_path):
+        traces = small_traces()
+        cache, _ = cached_run(tmp_path, traces)
+        index = read_trace_cache(cache)
+        assert [len(index[name]) for name in ("a.jsonl", "b.jsonl", "c.jsonl")] == [3, 1, 0]
+        assert read_cached_traces(cache, [index["c.jsonl"], index["a.jsonl"], index["c.jsonl"]]) == [
+            traces["c"], traces["a"], traces["c"],
+        ]
+        assert read_cached_traces(cache, []) == []
+
+    def test_block_that_raises_leaves_no_cache(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with write_trace_cache(tmp_path / "cache.npy") as add:
+                add("a.jsonl", "0" * 64, small_traces()["a"])
+                raise RuntimeError("generation failed")
+        assert list(tmp_path.iterdir()) == []
 
     def test_equal_traces_give_equal_bytes(self, tmp_path):
         (tmp_path / "1").mkdir()
@@ -630,9 +677,12 @@ class TestTraceCache:
             pytest.param(lambda data: data[:-1], id="last_byte_missing"),
             pytest.param(lambda data: bytes(random.Random(1).randrange(256) for _ in data), id="garbage"),
             pytest.param(lambda data: pickle.dumps({"a.jsonl": "x"}), id="pickle"),
-            pytest.param(lambda data: data.replace(b'"version":2', b'"version":1'), id="old_version"),
+            pytest.param(lambda data: data.replace(b'"version":3', b'"version":2'), id="old_version"),
             pytest.param(lambda data: data.replace(b'"sensetrace trace', b'"elsewhere trace'), id="foreign_format"),
-            pytest.param(lambda data: data.replace(b"'<f8'", b"'<f4'", 1), id="column_dtype"),
+            pytest.param(lambda data: data.replace(b"'<u8'", b"'<i8'"), id="trailer_dtype"),
+            pytest.param(lambda data: data.replace(b'"version":3}\n', b'"version":3}\n\n'), id="blank_index_line"),
+            pytest.param(lambda data: data[:-8] + (len(data) + 1).to_bytes(8, "little"), id="index_past_the_end"),
+            pytest.param(lambda data: data.replace(b'["a.jsonl"', b'[["a.jsonl"]'), id="name_not_a_string"),
         ],
     )
     def test_damaged_cache_is_a_miss(self, tmp_path, damage):
@@ -667,8 +717,8 @@ class TestTraceCache:
         traces = small_traces()
         getattr(traces["a"], column)[row] = value
         cache = tmp_path / "cache.npy"
-        write_trace_cache(cache, [(f"{device}.jsonl", "0" * 64, trace) for device, trace in sorted(traces.items())])
-        cached = read_trace_cache(cache)
+        cache_only(cache, traces)
+        cached = loaded(cache)
         assert sorted(cached) == ["b.jsonl", "c.jsonl"]
         assert cached["b.jsonl"][1] == traces["b"]
 
@@ -684,7 +734,7 @@ class TestTraceCache:
         data = cache.read_bytes()
         assert data.count(old) == 1
         cache.write_bytes(data.replace(old, new))
-        assert sorted(read_trace_cache(cache)) == ["b.jsonl", "c.jsonl"]
+        assert sorted(loaded(cache)) == ["b.jsonl", "c.jsonl"]
 
 
     @pytest.mark.parametrize("bad", [False, True])
@@ -693,22 +743,22 @@ class TestTraceCache:
         if bad:
             traces["a"].t[1] = math.nan
         cache = tmp_path / "cache.npy"
-        write_trace_cache(cache, [(f"{device}.jsonl", "0" * 64, trace) for device, trace in sorted(traces.items())])
+        cache_only(cache, traces)
         checked = []
         intact = core._intact
         monkeypatch.setattr(core, "_intact", lambda batch: checked.append([len(t) for t in batch]) or intact(batch))
-        assert sorted(read_trace_cache(cache)) == (["b.jsonl", "c.jsonl"] if bad else ["a.jsonl", "b.jsonl", "c.jsonl"])
+        assert sorted(loaded(cache)) == (["b.jsonl", "c.jsonl"] if bad else ["a.jsonl", "b.jsonl", "c.jsonl"])
         assert checked == ([[3, 1, 0], [3], [1], [0]] if bad else [[3, 1, 0]])
 
     @pytest.mark.parametrize("limit, groups", [(1, [3, 1]), (3, [3, 1]), (4, [4]), (8192, [4])])
     def test_one_pass_joins_consecutive_traces_up_to_a_row_limit(self, tmp_path, monkeypatch, limit, groups):
         cache = tmp_path / "cache.npy"
-        write_trace_cache(cache, [(f"{d}.jsonl", "0" * 64, trace) for d, trace in sorted(small_traces().items())])
+        cache_only(cache, small_traces())
         checked = []
         check = Trace.check
         monkeypatch.setattr(core, "_CHECK_ROWS", limit)
         monkeypatch.setattr(Trace, "check", lambda self: checked.append(len(self)) or check(self))
-        assert sorted(read_trace_cache(cache)) == ["a.jsonl", "b.jsonl", "c.jsonl"]
+        assert sorted(loaded(cache)) == ["a.jsonl", "b.jsonl", "c.jsonl"]
         assert checked == groups
 
     @pytest.mark.parametrize("limit", [1, 2, 4])
@@ -716,9 +766,9 @@ class TestTraceCache:
         traces = small_traces()
         traces["b"].t[0] = math.nan
         cache = tmp_path / "cache.npy"
-        write_trace_cache(cache, [(f"{d}.jsonl", "0" * 64, trace) for d, trace in sorted(traces.items())])
+        cache_only(cache, traces)
         monkeypatch.setattr(core, "_CHECK_ROWS", limit)
-        assert sorted(read_trace_cache(cache)) == ["a.jsonl", "c.jsonl"]
+        assert sorted(loaded(cache)) == ["a.jsonl", "c.jsonl"]
 
 
 class TestEmptyTrace:
