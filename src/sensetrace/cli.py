@@ -11,12 +11,16 @@ earlier run left there survives), the ground truth, the instance list and
 ``trace_columns.npy``, the traces' decoded columns keyed by each file's
 SHA-256 (a cache: ``detect`` and ``report`` decode any file it does not
 match), each simulator batch's traces and cache records as soon as the
-batch is done; ``detect`` replays the fusion pipeline over the traces and
-keeps each window's assessment in ``assessments.json``, keyed by the
-config, the detector's source and every file it read, so that a later
-``detect`` of the run, for any tier, only fuses them. ``detect`` and
-``report`` load each trace when its first window or label comes and let it
-go after its last (``_RunTraces``), so no command holds the whole run;
+batch is done. The main thread simulates, encodes and hashes each trace and
+appends its cache record; one writer thread creates and writes the trace
+files, at most ``_WRITES_IN_FLIGHT`` behind, and is joined before
+``traces/`` is swapped in or the new directory removed. ``detect`` replays
+the fusion pipeline over the traces and keeps each window's assessment in
+``assessments.json``, keyed by the config, the detector's source and every
+file it read, so that a later ``detect`` of the run, for any tier, only
+fuses them. ``detect`` and ``report`` load each trace when its first window
+or label comes and let it go after its last (``_RunTraces``), so no command
+holds the whole run;
 ``evaluate`` emits the confusion counts and accuracy; ``report`` emits
 plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
 Every other output file is written atomically, and the metrics and report
@@ -33,13 +37,15 @@ import hashlib
 import io
 import json
 import os
+import queue
 import secrets
 import shutil
 import sys
+import threading
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .core import (
     TRACE_CACHE,
@@ -47,6 +53,7 @@ from .core import (
     Trace,
     atomic_write,
     canonical_pair,
+    encode_trace,
     label_from_record,
     label_to_json,
     read_jsonl,
@@ -54,7 +61,7 @@ from .core import (
     read_trace,
     read_trace_cache,
     window_bounds,
-    write_trace,
+    write_trace,  # not called here, but perfbench/pipeline.py wraps cli.write_trace
     write_trace_cache,
 )
 from .errors import SenseTraceError
@@ -205,11 +212,33 @@ def _csv_text(header_comments: Sequence[str], columns: Sequence[str], rows) -> s
     return buf.getvalue()
 
 
+# Trace files handed to the writer thread and not yet known to be written:
+# few enough that a failed write surfaces within that many files and that
+# the encoded bytes waiting for the disk stay small.
+_WRITES_IN_FLIGHT = 4
+
+
+def _write_file(path: Path, data: bytes) -> None:
+    """Create ``path`` and write ``data`` to it: all the writer thread does."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 @contextmanager
-def _swap_in_traces(out: Path) -> Iterator[Path]:
-    """A fresh hidden directory beside ``out/traces`` for the block to write
-    one trace file per device into; when the block ends, it is swapped in
-    for ``traces/``, whole.
+def _swap_in_traces(out: Path) -> Iterator[Callable[[str, bytes], None]]:
+    """A fresh hidden directory beside ``out/traces`` that the block fills
+    through ``put(name, data)``, one trace file per device; when the block
+    ends, it is swapped in for ``traces/``, whole.
+
+    ``put`` hands the file to one writer thread and returns; with
+    ``_WRITES_IN_FLIGHT`` files pending (one being written, the rest
+    queued) it first waits for the writer to take the oldest queued one.
+    Once a write fails, the writer skips the files after it and the next
+    ``put`` raises the failure. However the block ends, the writer is
+    stopped and joined before the directory is swapped in or removed: on
+    success once every file is written (a failed write then raises), on an
+    exception once it has skipped the files still queued. So no write lands
+    after ``generate`` and no thread outlives it.
 
     ``traces/`` so holds the complete old set or the complete new set, never
     a mix, and never a file an earlier run left. The swap is two renames:
@@ -221,8 +250,41 @@ def _swap_in_traces(out: Path) -> Iterator[Path]:
     staging = out / f".traces-{secrets.token_hex(8)}"
     staging.mkdir()
     target, old = out / "traces", out / f"{staging.name}-old"
+    # A thread and a queue, not a one-thread ``ThreadPoolExecutor``: importing
+    # ``concurrent.futures`` alone adds about 0.4 MB to a run's peak RSS.
+    files: queue.Queue = queue.Queue(_WRITES_IN_FLIGHT - 1)  # and one being written
+    skip, failed = threading.Event(), []
+
+    def drain() -> None:
+        # Every file is taken, also those skipped after a failure, so that
+        # ``put`` never waits on a writer that has stopped writing; the
+        # failure is kept for the main thread to raise.
+        for path, data in iter(files.get, None):
+            if not skip.is_set():
+                try:
+                    _write_file(path, data)
+                except BaseException as exc:
+                    failed.append(exc)
+                    skip.set()
+
+    def put(name: str, data: bytes) -> None:
+        if failed:
+            raise failed[0]
+        files.put((staging / name, data))
+
+    writer = threading.Thread(target=drain, name="sensetrace-writer")
     try:
-        yield staging
+        writer.start()
+        try:
+            yield put
+        except BaseException:
+            skip.set()
+            raise
+        finally:
+            files.put(None)
+            writer.join()
+        if failed:
+            raise failed[0]
         if target.exists():
             target.rename(old)
         staging.rename(target)
@@ -240,12 +302,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
 
     # Each batch's trace files and cache records are written as the
-    # simulator finishes the batch, so no more than a batch is held.
-    with _swap_in_traces(out) as staging, write_trace_cache(out / TRACE_CACHE) as cache:
+    # simulator finishes the batch, so no more than a batch is held. The
+    # writer is finished before the cache is moved into place, so a failed
+    # write leaves the earlier cache too.
+    with write_trace_cache(out / TRACE_CACHE) as cache, _swap_in_traces(out) as put:
 
         def write(device: str, trace: Trace) -> CachedTrace:
-            name = f"{device}.jsonl"
-            return cache(name, write_trace(staging / name, trace), trace)
+            name, data = f"{device}.jsonl", encode_trace(trace)
+            put(name, data)
+            return cache(name, hashlib.sha256(data).hexdigest(), trace)
 
         data = generate_traces(scenario, write=write)
     atomic_write(out / "truth.jsonl", "".join(label_to_json(lb) + "\n" for lb in data.labels))

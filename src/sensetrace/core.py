@@ -4,16 +4,18 @@ Trace files are JSON-lines, one sample per line, with fields
 ``t``, ``kind``, ``value``, ``src``, ``obs`` (nullable); floats round-trip
 bit-exactly through the default JSON float formatting. A columnar
 ``Trace`` carries the samples from the simulator to the file
-(``write_trace``) and from the file to the window (``read_trace``); its
-column builder holds the sample contract's type rules and ``Trace.check``
-its value rules. ``SensorSample`` is a bare row type. ``write_trace_cache``
-keeps a run's decoded columns, a trace at a time and keyed by each trace
-file's SHA-256, so that ``read_cached_traces`` can stand in for decoding an
-unchanged file, loading only the traces asked for. Every file the package
-writes goes through ``atomic_write`` (or ``_atomic_file``), except the trace
-files: ``write_trace`` writes them in place, into the fresh directory that
-``generate`` swaps in for ``traces/`` whole. Every JSON-lines file other
-than a trace is read through ``read_jsonl``.
+(``encode_trace`` gives its bytes, ``write_trace`` writes them) and from
+the file to the window (``read_trace``); its column builder holds the
+sample contract's type rules and ``Trace.check`` its value rules.
+``SensorSample`` is a bare row type. ``write_trace_cache`` keeps a run's
+decoded columns, a trace at a time and keyed by each trace file's SHA-256,
+so that ``read_cached_traces`` can stand in for decoding an unchanged file,
+loading only the traces asked for. Every file the package writes goes
+through ``atomic_write`` (or ``_atomic_file``), except the trace files:
+``generate`` hands each one's ``encode_trace`` bytes to a writer thread
+that puts them in a fresh directory, which it swaps in for ``traces/``
+whole. Every JSON-lines file other than a trace is read through
+``read_jsonl``.
 """
 
 from __future__ import annotations
@@ -511,18 +513,16 @@ _KIND_PIECE = tuple(f',"kind":{kind},"value":' for kind in _KIND_JSON)
 _NEXT_RECORD = '{"t":'
 
 
-def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSample]]) -> str:
-    """One JSON line per row, encoded from the columns: floats as
-    ``float.__repr__`` writes them (so an integral value reads ``5.0``) and
-    names as ``json.dumps`` does, the bytes ``json.dumps`` gives for the
-    record with ``separators=(",", ":")``. Returns the SHA-256 of the file.
+def encode_trace(samples: Union[Trace, Iterable[SensorSample]]) -> bytes:
+    """The trace file's bytes: one JSON line per row, encoded from the
+    columns, floats as ``float.__repr__`` writes them (so an integral value
+    reads ``5.0``) and names as ``json.dumps`` does, the bytes ``json.dumps``
+    gives for the record with ``separators=(",", ":")``.
 
     A line is four pieces: the time, the kind's piece (``_KIND_PIECE``),
     the value and the (src, obs) piece that ends the record and opens the
     next. Only the times and values are formatted row by row, and a
     magnetometer row formats its three components and no scalar value.
-    The file is written in place, not through ``atomic_write``: ``generate``
-    writes a run's trace files into a fresh directory that it swaps in whole.
     """
     trace = as_trace(samples)
     names = [json.dumps(n) for n in trace.names] + ["null"]  # obs -1 is null
@@ -536,7 +536,13 @@ def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSam
     pieces[1::4] = map(_KIND_PIECE.__getitem__, trace.kind.tolist())
     pieces[2::4] = values.tolist()
     pieces[3::4] = map(ends.__getitem__, (trace.src * len(names) + trace.obs % len(names)).tolist())
-    data = (_NEXT_RECORD + "".join(pieces))[: -len(_NEXT_RECORD)].encode("utf-8")
+    return (_NEXT_RECORD + "".join(pieces))[: -len(_NEXT_RECORD)].encode("utf-8")
+
+
+def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSample]]) -> str:
+    """Write ``encode_trace(samples)`` to ``path`` and return its SHA-256.
+    The file is written in place, not through ``atomic_write``."""
+    data = encode_trace(samples)
     with open(path, "wb") as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest()

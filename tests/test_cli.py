@@ -1,9 +1,14 @@
+import faulthandler
 import hashlib
 import json
 import math
 import random
 import shutil
+import sys
+import threading
+import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +26,9 @@ from sensetrace.core import (
     label_to_json,
     read_jsonl,
     read_trace,
-    write_trace,
     write_trace_cache,
 )
+from sensetrace.errors import SenseTraceError
 from sensetrace.evaluation import ASSESSMENT_CACHE, TierSpec, run_tier
 from sensetrace.fusion import decision_to_json
 from sensetrace.simulator import config_hash, load_scenario
@@ -54,6 +59,34 @@ def run(argv):
 def files_of(directory):
     """Every file in ``directory`` by name, with its bytes."""
     return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@contextmanager
+def no_deadlock(seconds=60):
+    """Ends the test process with every thread's traceback if the block
+    has not finished within ``seconds``, so a deadlock fails instead of
+    hanging the suite."""
+    faulthandler.dump_traceback_later(seconds, exit=True, file=sys.__stderr__)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def writes_failing_at(monkeypatch, number):
+    """Makes the trace file write numbered ``number`` raise a full-disk
+    OSError; returns the threads that ran each write, in order."""
+    threads = []
+    write = cli._write_file
+
+    def full_disk(path, data):
+        threads.append(threading.current_thread())
+        if len(threads) == number:
+            raise OSError(28, "No space left on device")
+        write(path, data)
+
+    monkeypatch.setattr(cli, "_write_file", full_disk)
+    return threads
 
 
 def set_key(section, key, value):
@@ -171,31 +204,121 @@ class TestGenerate:
         assert (out / TRACE_CACHE).read_bytes() == (fresh / TRACE_CACHE).read_bytes()
         assert not list(out.glob(".traces*"))
 
-    def test_failed_write_keeps_the_earlier_traces(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture()
+    def earlier_run(self, tmp_path):
+        """A run of 120 trace files, more than ``_WRITES_IN_FLIGHT``, its
+        config and its ``traces/`` and ``trace_columns.npy`` bytes."""
         raw = standard_raw()
         raw["window"] = {"length_s": 120.0}
         raw["instances"]["buckets"] = [{"range_m": [0.0, 3.0], "indoor": 30, "outdoor": 30}]
         config = tmp_path / "scenario.yaml"
         config.write_text(yaml.safe_dump(raw, sort_keys=False))
         out = tmp_path / "run"
+        threads = threading.enumerate()
         assert run(["generate", "--config", config, "--out", out]) == 0
+        assert threading.enumerate() == threads
         before = files_of(out / "traces")
-        assert len(before) == 120
-        written = []
+        assert len(before) == 120 > cli._WRITES_IN_FLIGHT
+        return config, out, before, (out / TRACE_CACHE).read_bytes()
 
-        def full_disk_at_the_100th(path, trace):
-            written.append(path)
-            if len(written) == 100:
-                raise OSError(28, "No space left on device")
-            return write_trace(path, trace)
-
-        monkeypatch.setattr(cli, "write_trace", full_disk_at_the_100th)
+    def assert_failed_and_kept(self, capsys, argv, status, error, earlier_run):
+        _, out, before, cache = earlier_run
+        threads = threading.enumerate()
         capsys.readouterr()
-        assert run(["generate", "--config", config, "--out", out, "--seed", 12]) == 2
+        with no_deadlock():
+            assert run(argv) == status
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and json.loads(err[0])["error"] == "OSError"
+        assert len(err) == 1 and json.loads(err[0])["error"] == error
         assert files_of(out / "traces") == before
+        assert (out / TRACE_CACHE).read_bytes() == cache
         assert not list(out.glob(".traces*"))
+        assert threading.enumerate() == threads
+
+    def test_failed_write_keeps_the_earlier_traces(self, earlier_run, monkeypatch, capsys):
+        config, out, _, _ = earlier_run
+        threads = writes_failing_at(monkeypatch, 100)
+        encoded, encode = [], cli.encode_trace
+        monkeypatch.setattr(cli, "encode_trace", lambda trace: encoded.append(trace) or encode(trace))
+        argv = ["generate", "--config", config, "--out", out, "--seed", 12]
+        self.assert_failed_and_kept(capsys, argv, 2, "OSError", earlier_run)
+        assert len(threads) >= 100 and threading.main_thread() not in threads
+        # At most _WRITES_IN_FLIGHT files are handed over after the failed
+        # one; the put of the next encoded trace raises.
+        assert len(encoded) <= 100 + cli._WRITES_IN_FLIGHT + 1
+
+    def test_failed_last_write_keeps_the_earlier_cache(self, earlier_run, monkeypatch, capsys):
+        config, out, _, _ = earlier_run
+        writes_failing_at(monkeypatch, 120)  # after the simulator is done
+        argv = ["generate", "--config", config, "--out", out, "--seed", 12]
+        self.assert_failed_and_kept(capsys, argv, 2, "OSError", earlier_run)
+
+    def test_main_thread_error_while_writes_are_in_flight(self, earlier_run, monkeypatch, capsys):
+        config, out, _, _ = earlier_run
+        writing, release = threading.Event(), threading.Event()
+        started, finished, encoded = [], [], []
+        write, encode = cli._write_file, cli.encode_trace
+
+        def slow_97th(path, data):
+            started.append(path)
+            if len(started) == 97:
+                writing.set()
+                release.wait(30)
+                time.sleep(0.5)  # still writing after the error, unless joined
+            write(path, data)
+            finished.append(path)
+
+        def encode_failing_at_the_100th(trace):
+            if len(encoded) == 99:
+                assert writing.wait(30)
+                encoded.append((len(started), len(finished)))
+                release.set()
+                raise SenseTraceError("encoder failed")
+            encoded.append(None)
+            return encode(trace)
+
+        monkeypatch.setattr(cli, "_write_file", slow_97th)
+        monkeypatch.setattr(cli, "encode_trace", encode_failing_at_the_100th)
+        argv = ["generate", "--config", config, "--out", out, "--seed", 12]
+        self.assert_failed_and_kept(capsys, argv, 1, "SenseTraceError", earlier_run)
+        # When it raised, the 97th file was being written and two more were
+        # queued; those two were skipped, not written.
+        assert encoded[-1] == (97, 96)
+        assert len(started) == 97
+
+    def test_put_waits_once_the_bound_is_in_flight(self, tmp_path, monkeypatch):
+        release, returned = threading.Event(), []
+        monkeypatch.setattr(cli, "_write_file", lambda path, data: release.wait(30))
+
+        def fill():
+            with cli._swap_in_traces(tmp_path) as put:
+                for i in range(cli._WRITES_IN_FLIGHT + 1):
+                    put(f"d{i}.jsonl", b"")
+                    returned.append(i)
+
+        filler = threading.Thread(target=fill)
+        with no_deadlock():
+            filler.start()
+            deadline = time.monotonic() + 30
+            while len(returned) < cli._WRITES_IN_FLIGHT and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)  # time for a put past the bound to return, were it not held
+            held = list(returned)
+            release.set()
+            filler.join(30)
+        assert not filler.is_alive()
+        # The first write was held, so the put past the bound waited for it.
+        assert held == list(range(cli._WRITES_IN_FLIGHT))
+        assert returned == list(range(cli._WRITES_IN_FLIGHT + 1))
+
+    def test_interrupted_block_joins_the_writer_and_removes_its_directory(self, tmp_path):
+        threads = threading.enumerate()
+        with no_deadlock(), pytest.raises(KeyboardInterrupt):
+            with cli._swap_in_traces(tmp_path) as put:
+                for i in range(3 * cli._WRITES_IN_FLIGHT):
+                    put(f"d{i}.jsonl", b"{}\n")
+                raise KeyboardInterrupt
+        assert threading.enumerate() == threads
+        assert list(tmp_path.iterdir()) == []
 
     def test_detect_between_the_two_renames_fails_cleanly(self, small_config, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
@@ -585,15 +708,7 @@ class TestTraceCache:
     def test_failed_generate_leaves_no_temporary_cache(self, generated, small_config, monkeypatch):
         names = sorted(p.name for p in generated.iterdir())
         cache = (generated / TRACE_CACHE).read_bytes()
-        written = []
-
-        def full_disk_at_the_5th(path, trace):
-            written.append(path)
-            if len(written) == 5:  # after the cache holds four records
-                raise OSError(28, "No space left on device")
-            return write_trace(path, trace)
-
-        monkeypatch.setattr(cli, "write_trace", full_disk_at_the_5th)
+        writes_failing_at(monkeypatch, 5)  # after the cache holds four records or more
         assert run(["generate", "--config", small_config, "--out", generated, "--seed", 12]) == 2
         assert sorted(p.name for p in generated.iterdir()) == names
         assert (generated / TRACE_CACHE).read_bytes() == cache

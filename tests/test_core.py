@@ -22,6 +22,7 @@ from sensetrace.core import (
     Trace,
     atomic_write,
     canonical_pair,
+    encode_trace,
     make_window,
     read_jsonl,
     read_cached_traces,
@@ -407,11 +408,19 @@ def json_lines(samples):
     )
 
 
+def assert_written_as_encoded(path, samples):
+    """``write_trace`` puts ``encode_trace``'s bytes on disk and returns their SHA-256."""
+    digest = write_trace(path, samples)
+    data = path.read_bytes()
+    assert encode_trace(samples) == data
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
 class TestWriteTrace:
     def test_standard_traces_encode_as_json_dumps(self, standard_data, tmp_path):
         for device, trace in standard_data.traces.items():
             path = tmp_path / f"{device}.jsonl"
-            write_trace(path, trace)
+            assert_written_as_encoded(path, trace)
             assert path.read_text(encoding="utf-8") == json_lines(trace)
 
     def test_edge_floats_and_escaped_names(self, tmp_path):
@@ -422,7 +431,7 @@ class TestWriteTrace:
             SensorSample(0.1 + 0.2, SensorKind.SOUND_AMPLITUDE, -1e-300, src="é", obs='a"b'),
         ]
         path = tmp_path / "trace.jsonl"
-        write_trace(path, Trace.from_samples(samples))
+        assert_written_as_encoded(path, Trace.from_samples(samples))
         assert path.read_bytes() == json_lines(samples).encode("utf-8")
         assert list(read_trace(path)) == samples
         assert math.copysign(1.0, read_trace(path)[1].value) == -1.0
@@ -472,13 +481,12 @@ class TestWriteTraceProperty:
     def test_bytes_are_json_dumps_per_record_and_read_back(self, samples, tmp_path):
         path, again = tmp_path / "trace.jsonl", tmp_path / "again.jsonl"
         trace = Trace.from_samples(samples)
-        digest = write_trace(path, trace)
+        assert_written_as_encoded(path, trace)
         data = path.read_bytes()
         assert data == json_lines(samples).encode("utf-8")
-        assert digest == hashlib.sha256(data).hexdigest()
         back = read_trace(path)
         assert back == trace and list(back) == samples
-        write_trace(again, back)  # -0.0 keeps its sign both ways
+        assert_written_as_encoded(again, back)  # -0.0 keeps its sign both ways
         assert again.read_bytes() == data
 
 
@@ -500,12 +508,12 @@ class TestTraceIO:
             samples.append(SensorSample(t, kind, value, src="a", obs="b" if kind in (SensorKind.BLE_RSS, SensorKind.WIFI_RSS, SensorKind.SOUND_AMPLITUDE) else None))
 
         path = tmp_path / "trace.jsonl"
-        write_trace(path, samples)
+        assert_written_as_encoded(path, samples)
         back = read_trace(path)
         assert list(back) == samples
         # Re-serializing must produce identical bytes.
         again = tmp_path / "again.jsonl"
-        write_trace(again, back)
+        assert_written_as_encoded(again, back)
         assert path.read_bytes() == again.read_bytes()
 
     def test_json_fields(self, tmp_path):
