@@ -12,9 +12,13 @@ earlier run left there survives), the ground truth, the instance list and
 SHA-256 (a cache: ``detect`` and ``report`` decode any file it does not
 match), each simulator batch's traces and cache records as soon as the
 batch is done. The main thread simulates, encodes and hashes each trace and
-appends its cache record; one writer thread creates and writes the trace
-files, at most ``_WRITES_IN_FLIGHT`` behind, and is joined before
-``traces/`` is swapped in or the new directory removed. ``detect`` replays
+appends its cache record; one writer process (``sys.executable``, which
+must be a Python interpreter) creates the trace files from a pipe, so that
+file creation runs beside that work. The pipe's capacity bounds how far the
+writer lags: beyond it, the main thread waits. The writer ignores SIGINT:
+on success ``generate`` waits for it, and raises if it failed, before
+``traces/`` is swapped in; on any error or interrupt it kills and reaps it
+before the new directory is removed. ``detect`` replays
 the fusion pipeline over the traces and keeps each window's assessment in
 ``assessments.json``, keyed by the config, the detector's source and every
 file it read, so that a later ``detect`` of the run, for any tier, only
@@ -37,11 +41,10 @@ import hashlib
 import io
 import json
 import os
-import queue
 import secrets
 import shutil
+import subprocess
 import sys
-import threading
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
@@ -118,27 +121,44 @@ def _read_meta(data_dir: Path) -> dict:
     return meta
 
 
-def _sha256(path: Path) -> str:
-    """The SHA-256 of the file at ``path``, read a chunk at a time so that a
-    large file is never held whole."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
+def _sha256(path: str | Path, dir_fd: Optional[int] = None) -> str:
+    """The SHA-256 of the file at ``path`` (relative to the directory open
+    as ``dir_fd``, if given), read 64 KiB at a time so that a large file is
+    never held whole. Chunks of 1 MiB hashed the trace files as fast, but
+    the column cache, which fills whole chunks, then raised the ``standard``
+    benchmark's peak RSS by about 1.7 MB."""
+    h, fd = hashlib.sha256(), os.open(path, os.O_RDONLY, dir_fd=dir_fd)
+    try:
+        while chunk := os.read(fd, 1 << 16):
             h.update(chunk)
+    finally:
+        os.close(fd)
     return h.hexdigest()
 
 
 def _trace_digests(data_dir: Path) -> dict[str, str]:
-    """The name of every trace file of the run, in order, with its SHA-256."""
+    """The name of every trace file of the run, in order, with its SHA-256.
+    ``detect`` and ``report`` hash every one, so the directory is opened
+    once and each file is opened through it."""
     directory = data_dir / "traces"
     try:
-        with os.scandir(directory) as entries:
-            names = sorted(entry.name for entry in entries if entry.name.endswith(".jsonl"))
+        dir_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     except FileNotFoundError:
-        names = []
-    if not names:
-        raise SenseTraceError(f"no trace files under {directory}")
-    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+        raise SenseTraceError(f"no trace files under {directory}") from None
+    try:
+        names = sorted(name for name in os.listdir(dir_fd) if name.endswith(".jsonl"))
+        if not names:
+            raise SenseTraceError(f"no trace files under {directory}")
+        digests = {}
+        for name in names:
+            try:
+                digests[name] = _sha256(name, dir_fd)
+            except OSError as exc:
+                exc.filename = str(directory / name)  # its path, not its name in the directory
+                raise
+        return digests
+    finally:
+        os.close(dir_fd)
 
 
 # Traces loaded together: enough for one ``_intact`` check to cost little
@@ -212,16 +232,44 @@ def _csv_text(header_comments: Sequence[str], columns: Sequence[str], rows) -> s
     return buf.getvalue()
 
 
-# Trace files handed to the writer thread and not yet known to be written:
-# few enough that a failed write surfaces within that many files and that
-# the encoded bytes waiting for the disk stay small.
-_WRITES_IN_FLIGHT = 4
+# The writer process's program. It reads frames from its stdin, each the
+# name's and the data's byte lengths (8 bytes each, little-endian), the name
+# and the data, and creates each file in its working directory. A frame cut
+# short means the parent is gone: it writes no more. A failed file creation
+# or write prints [errno, strerror, name] as one JSON line on stderr and
+# exits 1. Interruption is the parent's to handle, so it ignores SIGINT.
+_WRITER = """\
+import signal, sys
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+read = sys.stdin.buffer.read
+while len(head := read(16)) == 16:
+    name_size, size = int.from_bytes(head[:8], "little"), int.from_bytes(head[8:], "little")
+    frame = read(name_size + size)
+    if len(frame) < name_size + size:
+        break
+    name = frame[:name_size].decode()
+    try:
+        with open(name, "xb") as fh:
+            fh.write(memoryview(frame)[name_size:])
+    except OSError as exc:
+        import json
+        print(json.dumps([exc.errno, exc.strerror, name]), file=sys.stderr)
+        sys.exit(1)
+"""
 
 
-def _write_file(path: Path, data: bytes) -> None:
-    """Create ``path`` and write ``data`` to it: all the writer thread does."""
-    with open(path, "wb") as fh:
-        fh.write(data)
+def _wait_for_writer(writer: subprocess.Popen, staging: Path) -> None:
+    """Waits for the writer process to exit. If it failed, raises the write
+    error it reported, rebuilt, or else how it ended."""
+    report = writer.communicate()[1]
+    if writer.returncode == 0:
+        return
+    try:
+        number, strerror, name = json.loads(report)
+    except (ValueError, TypeError):
+        text = report.decode("utf-8", "replace").strip()
+        raise OSError(f"the trace writer exited with status {writer.returncode}: {text}") from None
+    raise OSError(number, strerror, str(staging / name)) from None
 
 
 @contextmanager
@@ -230,15 +278,18 @@ def _swap_in_traces(out: Path) -> Iterator[Callable[[str, bytes], None]]:
     through ``put(name, data)``, one trace file per device; when the block
     ends, it is swapped in for ``traces/``, whole.
 
-    ``put`` hands the file to one writer thread and returns; with
-    ``_WRITES_IN_FLIGHT`` files pending (one being written, the rest
-    queued) it first waits for the writer to take the oldest queued one.
-    Once a write fails, the writer skips the files after it and the next
-    ``put`` raises the failure. However the block ends, the writer is
-    stopped and joined before the directory is swapped in or removed: on
-    success once every file is written (a failed write then raises), on an
-    exception once it has skipped the files still queued. So no write lands
-    after ``generate`` and no thread outlives it.
+    One writer process (``_WRITER``, run by ``sys.executable``, which must
+    be a Python interpreter) creates the files, so that the kernel's file
+    creation runs beside the main thread's work: it has an interpreter lock
+    of its own. ``put`` writes the file to the writer's stdin and returns;
+    the pipe's capacity is the bound, so ``put`` blocks while the writer
+    lags a pipe's worth behind. Once a write fails the writer exits, and the
+    next ``put`` raises the error it reported, as an ``OSError``. The
+    writer ignores SIGINT. On success the block closes the writer's stdin,
+    waits for it and raises if it failed, before the directory is swapped
+    in; on any exception, ``KeyboardInterrupt`` included, the writer is
+    killed and reaped before the directory is removed. So no write lands
+    after ``generate`` and no process outlives it.
 
     ``traces/`` so holds the complete old set or the complete new set, never
     a mix, and never a file an earlier run left. The swap is two renames:
@@ -250,45 +301,34 @@ def _swap_in_traces(out: Path) -> Iterator[Callable[[str, bytes], None]]:
     staging = out / f".traces-{secrets.token_hex(8)}"
     staging.mkdir()
     target, old = out / "traces", out / f"{staging.name}-old"
-    # A thread and a queue, not a one-thread ``ThreadPoolExecutor``: importing
-    # ``concurrent.futures`` alone adds about 0.4 MB to a run's peak RSS.
-    files: queue.Queue = queue.Queue(_WRITES_IN_FLIGHT - 1)  # and one being written
-    skip, failed = threading.Event(), []
-
-    def drain() -> None:
-        # Every file is taken, also those skipped after a failure, so that
-        # ``put`` never waits on a writer that has stopped writing; the
-        # failure is kept for the main thread to raise.
-        for path, data in iter(files.get, None):
-            if not skip.is_set():
-                try:
-                    _write_file(path, data)
-                except BaseException as exc:
-                    failed.append(exc)
-                    skip.set()
+    writer = None
 
     def put(name: str, data: bytes) -> None:
-        if failed:
-            raise failed[0]
-        files.put((staging / name, data))
-
-    writer = threading.Thread(target=drain, name="sensetrace-writer")
-    try:
-        writer.start()
+        encoded = name.encode("utf-8")
+        head = len(encoded).to_bytes(8, "little") + len(data).to_bytes(8, "little")
         try:
-            yield put
-        except BaseException:
-            skip.set()
+            writer.stdin.write(head + encoded + data)
+            writer.stdin.flush()
+        except BrokenPipeError:  # the writer has exited: raise the error it reported
+            _wait_for_writer(writer, staging)
             raise
-        finally:
-            files.put(None)
-            writer.join()
-        if failed:
-            raise failed[0]
+
+    try:
+        # Isolated and without ``site``, the writer starts in about 15 ms,
+        # while the simulator works on its first batch.
+        writer = subprocess.Popen(
+            [sys.executable, "-I", "-S", "-c", _WRITER],
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE, cwd=staging,
+        )
+        yield put
+        _wait_for_writer(writer, staging)
         if target.exists():
             target.rename(old)
         staging.rename(target)
     except BaseException:
+        if writer is not None:
+            writer.kill()
+            writer.communicate()
         if old.exists() and not target.exists():
             old.rename(target)
         shutil.rmtree(staging, ignore_errors=True)

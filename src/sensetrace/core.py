@@ -12,7 +12,7 @@ decoded columns, a trace at a time and keyed by each trace file's SHA-256,
 so that ``read_cached_traces`` can stand in for decoding an unchanged file,
 loading only the traces asked for. Every file the package writes goes
 through ``atomic_write`` (or ``_atomic_file``), except the trace files:
-``generate`` hands each one's ``encode_trace`` bytes to a writer thread
+``generate`` hands each one's ``encode_trace`` bytes to a writer process
 that puts them in a fresh directory, which it swaps in for ``traces/``
 whole. Every JSON-lines file other than a trace is read through
 ``read_jsonl``.

@@ -1,9 +1,13 @@
 import faulthandler
+import fcntl
 import hashlib
 import json
 import math
+import os
 import random
 import shutil
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -73,20 +77,84 @@ def no_deadlock(seconds=60):
         faulthandler.cancel_dump_traceback_later()
 
 
-def writes_failing_at(monkeypatch, number):
-    """Makes the trace file write numbered ``number`` raise a full-disk
-    OSError; returns the threads that ran each write, in order."""
-    threads = []
-    write = cli._write_file
+@pytest.fixture()
+def writers(monkeypatch):
+    """Every writer process started during the test, as it is started."""
+    started, popen = [], subprocess.Popen
 
-    def full_disk(path, data):
-        threads.append(threading.current_thread())
-        if len(threads) == number:
-            raise OSError(28, "No space left on device")
-        write(path, data)
+    def recording(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
 
-    monkeypatch.setattr(cli, "_write_file", full_disk)
-    return threads
+    monkeypatch.setattr(cli.subprocess, "Popen", recording)
+    return started
+
+
+def writer_with(monkeypatch, prelude, **constants):
+    """Makes the writer process run ``prelude``, with ``constants`` set,
+    before its own program; a function ``open`` that the prelude defines
+    is the one the writer creates each file with."""
+    defined = "".join(f"{name} = {value!r}\n" for name, value in constants.items())
+    monkeypatch.setattr(cli, "_WRITER", defined + prelude + cli._WRITER)
+
+
+def until(ready, seconds=30):
+    """Whether ``ready()`` came true within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return ready()
+
+
+# Logs the process id for each file the writer creates, and makes the
+# creation numbered FAIL_AT raise a full-disk OSError.
+FAILING_CREATE = """\
+import os
+_open, _created = open, []
+_log = _open(LOG, "a", buffering=1)
+def open(name, mode):
+    _created.append(name)
+    _log.write(f"{os.getpid()}\\n")
+    if len(_created) == FAIL_AT:
+        raise OSError(28, "No space left on device")
+    return _open(name, mode)
+"""
+
+
+# Logs each file the writer starts to create; at the one numbered SLOW_AT,
+# marks WRITING and waits for RELEASE, then half a second more.
+SLOW_CREATE = """\
+import os, time
+_open, _created = open, []
+_log = _open(LOG, "a", buffering=1)
+def open(name, mode):
+    _created.append(name)
+    _log.write(name + "\\n")
+    if len(_created) == SLOW_AT:
+        _open(WRITING, "x").close()
+        _deadline = time.monotonic() + 30
+        while not os.path.exists(RELEASE) and time.monotonic() < _deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)  # still writing after the error, unless killed
+    return _open(name, mode)
+"""
+
+# Reads nothing until RELEASE exists.
+WAIT_FOR_RELEASE = """\
+import os, time
+_deadline = time.monotonic() + 30
+while not os.path.exists(RELEASE) and time.monotonic() < _deadline:
+    time.sleep(0.01)
+"""
+
+
+def writes_failing_at(monkeypatch, tmp_path, number):
+    """Makes the trace file creation numbered ``number`` raise a full-disk
+    OSError in the writer process; returns the file that gets the process
+    id of each creation, in order."""
+    log = tmp_path / "writes.log"
+    writer_with(monkeypatch, FAILING_CREATE, LOG=str(log), FAIL_AT=number)
+    return log
 
 
 def set_key(section, key, value):
@@ -206,10 +274,11 @@ class TestGenerate:
 
     @pytest.fixture()
     def earlier_run(self, tmp_path):
-        """A run of 120 trace files, more than ``_WRITES_IN_FLIGHT``, its
-        config and its ``traces/`` and ``trace_columns.npy`` bytes."""
+        """A run of 120 trace files of about 9.5 KB, so that the last 20
+        are more than the writer's pipe holds, its config and its
+        ``traces/`` and ``trace_columns.npy`` bytes."""
         raw = standard_raw()
-        raw["window"] = {"length_s": 120.0}
+        raw["window"] = {"length_s": 480.0}
         raw["instances"]["buckets"] = [{"range_m": [0.0, 3.0], "indoor": 30, "outdoor": 30}]
         config = tmp_path / "scenario.yaml"
         config.write_text(yaml.safe_dump(raw, sort_keys=False))
@@ -218,10 +287,10 @@ class TestGenerate:
         assert run(["generate", "--config", config, "--out", out]) == 0
         assert threading.enumerate() == threads
         before = files_of(out / "traces")
-        assert len(before) == 120 > cli._WRITES_IN_FLIGHT
+        assert len(before) == 120
         return config, out, before, (out / TRACE_CACHE).read_bytes()
 
-    def assert_failed_and_kept(self, capsys, argv, status, error, earlier_run):
+    def assert_failed_and_kept(self, capsys, argv, status, error, earlier_run, writers):
         _, out, before, cache = earlier_run
         threads = threading.enumerate()
         capsys.readouterr()
@@ -233,92 +302,152 @@ class TestGenerate:
         assert (out / TRACE_CACHE).read_bytes() == cache
         assert not list(out.glob(".traces*"))
         assert threading.enumerate() == threads
+        assert len(writers) == 1 and writers[0].returncode is not None  # reaped
+        return json.loads(err[0])["message"]
 
-    def test_failed_write_keeps_the_earlier_traces(self, earlier_run, monkeypatch, capsys):
+    def test_failed_write_keeps_the_earlier_traces(self, earlier_run, monkeypatch, capsys, writers, tmp_path):
         config, out, _, _ = earlier_run
-        threads = writes_failing_at(monkeypatch, 100)
+        log = writes_failing_at(monkeypatch, tmp_path, 100)
         encoded, encode = [], cli.encode_trace
-        monkeypatch.setattr(cli, "encode_trace", lambda trace: encoded.append(trace) or encode(trace))
+
+        def encode_counting_bytes(trace):
+            data = encode(trace)
+            encoded.append(len(data))
+            return data
+
+        monkeypatch.setattr(cli, "encode_trace", encode_counting_bytes)
         argv = ["generate", "--config", config, "--out", out, "--seed", 12]
-        self.assert_failed_and_kept(capsys, argv, 2, "OSError", earlier_run)
-        assert len(threads) >= 100 and threading.main_thread() not in threads
-        # At most _WRITES_IN_FLIGHT files are handed over after the failed
-        # one; the put of the next encoded trace raises.
-        assert len(encoded) <= 100 + cli._WRITES_IN_FLIGHT + 1
+        message = self.assert_failed_and_kept(capsys, argv, 2, "OSError", earlier_run, writers)
+        assert message.startswith("[Errno 28] No space left on device: ") and message.endswith(".jsonl'")
+        creators = log.read_text().split()
+        assert len(creators) == 100 and str(os.getpid()) not in creators
+        # The files handed over after the failed one fit in the writer's
+        # pipe (at most 64 KiB on Linux) and its 8 KiB read buffer; the put
+        # of the next encoded trace raises, long before the last.
+        assert sum(encoded[100:-1]) <= (1 << 16) + (1 << 13) and len(encoded) < 120
+        assert writers[0].returncode == 1
 
-    def test_failed_last_write_keeps_the_earlier_cache(self, earlier_run, monkeypatch, capsys):
+    def test_failed_last_write_keeps_the_earlier_cache(self, earlier_run, monkeypatch, capsys, writers, tmp_path):
         config, out, _, _ = earlier_run
-        writes_failing_at(monkeypatch, 120)  # after the simulator is done
+        writes_failing_at(monkeypatch, tmp_path, 120)  # after the simulator is done
         argv = ["generate", "--config", config, "--out", out, "--seed", 12]
-        self.assert_failed_and_kept(capsys, argv, 2, "OSError", earlier_run)
+        message = self.assert_failed_and_kept(capsys, argv, 2, "OSError", earlier_run, writers)
+        assert message.startswith("[Errno 28] No space left on device: ")
 
-    def test_main_thread_error_while_writes_are_in_flight(self, earlier_run, monkeypatch, capsys):
+    def test_main_thread_error_while_writes_are_in_flight(self, earlier_run, monkeypatch, capsys, writers, tmp_path):
         config, out, _, _ = earlier_run
-        writing, release = threading.Event(), threading.Event()
-        started, finished, encoded = [], [], []
-        write, encode = cli._write_file, cli.encode_trace
-
-        def slow_97th(path, data):
-            started.append(path)
-            if len(started) == 97:
-                writing.set()
-                release.wait(30)
-                time.sleep(0.5)  # still writing after the error, unless joined
-            write(path, data)
-            finished.append(path)
+        log, writing, release = tmp_path / "writes.log", tmp_path / "writing", tmp_path / "release"
+        writer_with(monkeypatch, SLOW_CREATE, LOG=str(log), SLOW_AT=97, WRITING=str(writing), RELEASE=str(release))
+        encoded, encode = [], cli.encode_trace
 
         def encode_failing_at_the_100th(trace):
             if len(encoded) == 99:
-                assert writing.wait(30)
-                encoded.append((len(started), len(finished)))
-                release.set()
+                assert until(writing.exists)
+                encoded.append(len(log.read_text().split()))
+                release.touch()
                 raise SenseTraceError("encoder failed")
             encoded.append(None)
             return encode(trace)
 
-        monkeypatch.setattr(cli, "_write_file", slow_97th)
         monkeypatch.setattr(cli, "encode_trace", encode_failing_at_the_100th)
         argv = ["generate", "--config", config, "--out", out, "--seed", 12]
-        self.assert_failed_and_kept(capsys, argv, 1, "SenseTraceError", earlier_run)
-        # When it raised, the 97th file was being written and two more were
-        # queued; those two were skipped, not written.
-        assert encoded[-1] == (97, 96)
-        assert len(started) == 97
+        self.assert_failed_and_kept(capsys, argv, 1, "SenseTraceError", earlier_run, writers)
+        # When it raised, the 97th file was being created (so the 96 before
+        # it were written) and two more were in the pipe. The writer was
+        # killed there: it created no other file.
+        assert encoded[-1] == 97
+        assert len(log.read_text().split()) == 97
+        assert writers[0].returncode == -signal.SIGKILL
 
-    def test_put_waits_once_the_bound_is_in_flight(self, tmp_path, monkeypatch):
-        release, returned = threading.Event(), []
-        monkeypatch.setattr(cli, "_write_file", lambda path, data: release.wait(30))
+    def test_put_waits_once_the_pipe_is_full(self, tmp_path, monkeypatch, writers):
+        release, returned, threads = tmp_path / "release", [], threading.enumerate()
+        writer_with(monkeypatch, WAIT_FOR_RELEASE, RELEASE=str(release))
 
         def fill():
-            with cli._swap_in_traces(tmp_path) as put:
-                for i in range(cli._WRITES_IN_FLIGHT + 1):
-                    put(f"d{i}.jsonl", b"")
+            with cli._swap_in_traces(tmp_path / "run") as put:
+                capacity = fcntl.fcntl(writers[0].stdin, fcntl.F_GETPIPE_SZ)
+                for i in range(5):
+                    name = f"d{i}.jsonl"
+                    # Four such frames (a 16-byte header, the name and the
+                    # data) fill the pipe.
+                    put(name, b"x" * (capacity // 4 - 16 - len(name)))
                     returned.append(i)
 
         filler = threading.Thread(target=fill)
         with no_deadlock():
             filler.start()
-            deadline = time.monotonic() + 30
-            while len(returned) < cli._WRITES_IN_FLIGHT and time.monotonic() < deadline:
-                time.sleep(0.01)
-            time.sleep(0.3)  # time for a put past the bound to return, were it not held
+            assert until(lambda: len(returned) == 4)
+            time.sleep(0.3)  # time for a put past the pipe's capacity to return, were it not held
             held = list(returned)
-            release.set()
+            release.touch()
             filler.join(30)
-        assert not filler.is_alive()
-        # The first write was held, so the put past the bound waited for it.
-        assert held == list(range(cli._WRITES_IN_FLIGHT))
-        assert returned == list(range(cli._WRITES_IN_FLIGHT + 1))
+        assert not filler.is_alive() and threading.enumerate() == threads
+        # The writer read nothing until released, so the fifth put waited.
+        assert held == list(range(4))
+        assert returned == list(range(5))
+        assert writers[0].returncode == 0
+        assert sorted(files_of(tmp_path / "run" / "traces")) == [f"d{i}.jsonl" for i in range(5)]
 
-    def test_interrupted_block_joins_the_writer_and_removes_its_directory(self, tmp_path):
+    def test_interrupted_block_reaps_the_writer_and_removes_its_directory(self, tmp_path, writers):
         threads = threading.enumerate()
         with no_deadlock(), pytest.raises(KeyboardInterrupt):
             with cli._swap_in_traces(tmp_path) as put:
-                for i in range(3 * cli._WRITES_IN_FLIGHT):
+                for i in range(12):
                     put(f"d{i}.jsonl", b"{}\n")
                 raise KeyboardInterrupt
         assert threading.enumerate() == threads
         assert list(tmp_path.iterdir()) == []
+        assert len(writers) == 1 and writers[0].returncode is not None
+
+    def test_writer_ending_without_a_report_is_one_json_line(self, small_config, tmp_path, monkeypatch, capsys, writers):
+        monkeypatch.setattr(cli, "_WRITER", "import sys; sys.exit('no interpreter here')")
+        capsys.readouterr()
+        assert run(["generate", "--config", small_config, "--out", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0]) == {
+            "error": "OSError", "message": "the trace writer exited with status 1: no interpreter here"
+        }
+        assert list((tmp_path / "run").iterdir()) == []
+        assert len(writers) == 1 and writers[0].returncode == 1
+
+    @staticmethod
+    def start_writer(directory):
+        return subprocess.Popen(
+            [sys.executable, "-I", "-S", "-c", cli._WRITER],
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE, cwd=directory,
+        )
+
+    @staticmethod
+    def frame(name, data):
+        name = name.encode()
+        return len(name).to_bytes(8, "little") + len(data).to_bytes(8, "little") + name + data
+
+    @pytest.mark.parametrize("cut", [3, 16 + 2, 16 + 7 + 100], ids=["header", "name", "data"])
+    def test_writer_creates_no_file_of_a_truncated_frame(self, tmp_path, cut):
+        writer = self.start_writer(tmp_path)
+        try:
+            writer.stdin.write(self.frame("a.jsonl", b"{}\n"))
+            writer.stdin.flush()
+            assert until((tmp_path / "a.jsonl").exists)
+            writer.send_signal(signal.SIGINT)  # ignored: interruption is the parent's
+            _, err = writer.communicate(self.frame("b.jsonl", b"x" * 1000)[:cut], timeout=30)
+        finally:
+            writer.kill()
+            writer.wait()
+        assert writer.returncode == 0 and err == b""
+        assert files_of(tmp_path) == {"a.jsonl": b"{}\n"}
+
+    def test_writer_never_replaces_a_file_and_stops_at_a_failure(self, tmp_path):
+        (tmp_path / "a.jsonl").write_bytes(b"earlier")
+        writer = self.start_writer(tmp_path)
+        try:
+            _, err = writer.communicate(self.frame("a.jsonl", b"{}\n") + self.frame("b.jsonl", b"{}\n"), timeout=30)
+        finally:
+            writer.kill()
+            writer.wait()
+        assert writer.returncode == 1
+        assert json.loads(err) == [17, "File exists", "a.jsonl"]
+        assert files_of(tmp_path) == {"a.jsonl": b"earlier"}
 
     def test_detect_between_the_two_renames_fails_cleanly(self, small_config, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
@@ -478,6 +607,41 @@ class TestDetectEvaluateReport:
         assert lines[:2] == ["# seed=unknown", "# config_sha256=unknown"]
         confusion = json.loads((generated / "confusion.json").read_text())
         assert list(confusion) == ["tp", "fp", "tn", "fn", "accuracy"]
+
+    def test_trace_digests_hash_every_trace_file_in_order(self, generated):
+        traces = generated / "traces"
+        (traces / "notes.txt").write_text("not a trace file")
+        digests = cli._trace_digests(generated)
+        want = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in traces.glob("*.jsonl")}
+        assert digests == want and list(digests) == sorted(want)
+
+    @pytest.mark.parametrize("damage", ["missing", "empty", "directory_named_jsonl"])
+    def test_unreadable_traces_are_one_json_line(self, generated, small_config, capsys, damage):
+        assert run(["detect", "--data", generated, "--config", small_config]) == 0
+        traces = generated / "traces"
+        shutil.rmtree(traces)
+        if damage != "missing":
+            traces.mkdir()
+        if damage == "directory_named_jsonl":
+            (traces / "x.jsonl").mkdir()
+        fds = len(os.listdir("/proc/self/fd"))
+        for argv in (
+            ["detect", "--data", generated, "--config", small_config],
+            ["report", "--data", generated, "--decisions", "decisions_full.jsonl"],
+        ):
+            capsys.readouterr()
+            status = run(argv)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            if damage == "directory_named_jsonl":
+                assert status == 2 and json.loads(err[0]) == {
+                    "error": "OSError", "message": f"[Errno 21] Is a directory: '{traces / 'x.jsonl'}'"
+                }
+            else:
+                assert status == 1 and json.loads(err[0]) == {
+                    "error": "SenseTraceError", "message": f"no trace files under {traces}"
+                }
+        assert len(os.listdir("/proc/self/fd")) == fds  # the directory and file were closed
 
     def test_unknown_tier_rejected_by_parser(self, generated, small_config):
         with pytest.raises(SystemExit):
@@ -705,13 +869,14 @@ class TestTraceCache:
         assert self.detect(generated, small_config, "again.jsonl") == want
         assert decoded == [first]
 
-    def test_failed_generate_leaves_no_temporary_cache(self, generated, small_config, monkeypatch):
+    def test_failed_generate_leaves_no_temporary_cache(self, generated, small_config, monkeypatch, tmp_path, writers):
         names = sorted(p.name for p in generated.iterdir())
         cache = (generated / TRACE_CACHE).read_bytes()
-        writes_failing_at(monkeypatch, 5)  # after the cache holds four records or more
+        writes_failing_at(monkeypatch, tmp_path, 5)  # after the cache holds four records or more
         assert run(["generate", "--config", small_config, "--out", generated, "--seed", 12]) == 2
         assert sorted(p.name for p in generated.iterdir()) == names
         assert (generated / TRACE_CACHE).read_bytes() == cache
+        assert len(writers) == 1 and writers[0].returncode == 1
 
     def test_edited_trace_fails_as_without_the_cache(self, generated, small_config, capsys):
         self.detect(generated, small_config, "before.jsonl")  # stores the run's assessments
