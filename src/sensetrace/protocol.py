@@ -6,7 +6,13 @@ contact list and the server notifies every logged peer. Decentralized: the
 reporter publishes only their own temporary ids and everyone checks the
 public list against their local log. The decentralized server never holds a
 contact list, and the centralized one holds lists only from positive
-reporters; both properties are assertable on ServerState.
+reporters; both properties are assertable on ServerState. Given a report
+time, either mode leaves out what ended before the lookback.
+
+The public list (``PublishedIds``) holds each id as its 8 raw bytes and
+its epoch as an 8-byte unsigned int, about 16 bytes an id in all, and
+accepts only ids of the form ``derive_temp_id`` writes: ``t`` and 16
+lowercase hex digits.
 
 Temporary ids are derived by a keyless hash of (permanent id, epoch). That
 is a simulation stand-in: real deployments use cryptographic schedules,
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -61,6 +69,88 @@ class PublishedId:
     epoch: int
 
 
+def _pack(items: list[PublishedId]) -> Optional[tuple[bytes, list[int]]]:
+    """The raw id bytes and the epochs of ``items``, or None unless every id
+    is ``t`` and 16 lowercase hex digits and every epoch an int (not a bool)
+    in [0, 2**64). Checked over the whole batch: one ``bytes.fromhex`` over
+    the joined digits, which must give them back unchanged."""
+    ids = [p.temp_id for p in items]
+    epochs = [p.epoch for p in items]
+    if not (set(map(type, ids)) <= {str} and set(map(len, ids)) <= {17}):
+        return None
+    if not set(map(type, epochs)) <= {int}:
+        return None
+    if epochs and not (0 <= min(epochs) and max(epochs) < 2**64):
+        return None
+    joined = "".join(ids)
+    digits = joined.replace("t", "")
+    # A "t" opens every id and appears nowhere else.
+    if joined[::17] != "t" * len(ids) or len(digits) != 16 * len(ids):
+        return None
+    try:
+        raw = bytes.fromhex(digits)
+    except ValueError:
+        return None
+    return (raw, epochs) if raw.hex() == digits else None
+
+
+class PublishedIds(Sequence):
+    """The public list of positive ids, compact: each id's 8 raw bytes (the
+    16 hex digits after its ``t``) in one ``bytearray`` and each epoch in one
+    ``array('Q')``, about 16 bytes an id against about 150 for a list of
+    ``PublishedId``s. Reads rebuild ``PublishedId``s; a slice is a list of
+    them. It equals any sequence of the same ``PublishedId``s in order, as
+    a list does, and is unhashable."""
+
+    __slots__ = ("_raw", "_epochs")
+
+    def __init__(self, items: Iterable[PublishedId] = ()) -> None:
+        self._raw = bytearray()
+        self._epochs = array("Q")
+        self.extend(items)
+
+    def extend(self, items: Iterable[PublishedId]) -> None:
+        """Append ``items`` in one step. Each id must be ``t`` and 16
+        lowercase hex digits and each epoch an int (not a bool) in
+        [0, 2**64); otherwise ``ValueError`` names the first bad item and
+        nothing is appended."""
+        items = list(items)
+        packed = _pack(items)
+        if packed is None:
+            bad = next(p for p in items if _pack([p]) is None)
+            raise ValueError(
+                f"not a publishable id: {bad!r} (want 't' and 16 lowercase hex digits, epoch in [0, 2**64))"
+            )
+        raw, epochs = packed
+        self._raw += raw
+        self._epochs.extend(epochs)
+
+    def _item(self, i: int) -> PublishedId:
+        return PublishedId("t" + self._raw[8 * i : 8 * i + 8].hex(), self._epochs[i])
+
+    def __len__(self) -> int:
+        return len(self._epochs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._item(i) for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # IndexError and TypeError as a list gives
+        return self._item(i)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PublishedIds):
+            return self._raw == other._raw and self._epochs == other._epochs
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"PublishedIds({list(self)!r})"
+
+
 @dataclass(slots=True)
 class DeviceState:
     """One participating phone: its permanent id and current epoch (``temp_id``
@@ -98,15 +188,23 @@ class DeviceState:
 
 @dataclass
 class ServerState:
-    """The coordination server. What it may store depends on its mode."""
+    """The coordination server. What it may store depends on its mode.
+
+    ``published_positive_ids`` is the decentralized public list, a
+    ``PublishedIds`` (about 16 bytes an id); a list of ``PublishedId``s
+    passed in is converted, and a malformed id in it raises ``ValueError``."""
 
     mode: ReportMode
     registered: set[str] = field(default_factory=set)
     notifications_sent: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    published_positive_ids: list[PublishedId] = field(default_factory=list)
+    published_positive_ids: PublishedIds = field(default_factory=PublishedIds)
     uploaded_contact_lists: dict[str, list[ContactLogEntry]] = field(default_factory=dict)
     lookback_s: float = DEFAULT_LOOKBACK_S
     _counter: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.published_positive_ids, PublishedIds):
+            self.published_positive_ids = PublishedIds(self.published_positive_ids)
 
     def contact_entries_held(self) -> int:
         """Privacy probe: how many contact-log entries the server stores."""
@@ -184,17 +282,31 @@ def _resolve_temp_ids(server: ServerState, wanted: Iterable[str], max_epoch: int
     return found
 
 
-def report_positive_centralized(device: DeviceState, server: ServerState) -> set[str]:
+def report_positive_centralized(
+    device: DeviceState,
+    server: ServerState,
+    now: Optional[float] = None,
+) -> set[str]:
     """Upload the reporter's contact list; the server notifies each logged
     peer once. The reporter's identity is revealed to the server only, and
-    notifications carry no reporter identity."""
+    notifications carry no reporter identity.
+
+    ``now=None`` uploads every entry. Otherwise an entry whose window ended
+    before ``now - server.lookback_s`` is neither uploaded nor notified, and
+    a non-finite ``now`` raises ``ValueError``."""
     if server.mode is not ReportMode.CENTRALIZED:
         raise ModeError("centralized report sent to a non-centralized server")
-    server.uploaded_contact_lists[device.permanent_id] = list(device.contact_log)
+    if now is not None and not math.isfinite(now):
+        raise ValueError(f"report time must be finite, got {now}")
+    if now is None:
+        entries = list(device.contact_log)
+    else:
+        entries = [e for e in device.contact_log if e.window_end >= now - server.lookback_s]
+    server.uploaded_contact_lists[device.permanent_id] = entries
 
     notified: set[str] = set()
-    resolved = _resolve_temp_ids(server, (entry.peer_temp_id for entry in device.contact_log))
-    for entry in device.contact_log:
+    resolved = _resolve_temp_ids(server, (entry.peer_temp_id for entry in entries))
+    for entry in entries:
         peer = resolved.get(entry.peer_temp_id)
         if peer is None:
             continue
@@ -211,7 +323,8 @@ def report_positive_decentralized(
     now: Optional[float] = None,
 ) -> list[PublishedId]:
     """Publish the reporter's own temporary ids (all epochs within the
-    infectious lookback) to the anonymous public list; returns the delta.
+    infectious lookback) to the anonymous public list; returns the delta as
+    a list of ``PublishedId``s, which the server's list takes in one step.
 
     ``now=None`` publishes every epoch; a non-finite ``now`` raises
     ``ValueError``. Each epoch's end is rebuilt from ``device.runs`` with the

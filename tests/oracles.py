@@ -350,12 +350,17 @@ def resolve_temp_id(server: ServerState, temp_id: str, max_epoch: int = 256) -> 
     return None
 
 
-def report_centralized_per_entry(device: DeviceState, server: ServerState) -> set[str]:
+def report_centralized_per_entry(device: DeviceState, server: ServerState, now: Optional[float] = None) -> set[str]:
     """``report_positive_centralized`` with every log entry resolved on its
-    own by ``resolve_temp_id``: the same upload and notifications."""
-    server.uploaded_contact_lists[device.permanent_id] = list(device.contact_log)
-    notified: set[str] = set()
+    own by ``resolve_temp_id``: the same upload and notifications. Given
+    ``now``, an entry whose window ended before the lookback is skipped."""
+    kept = []
     for entry in device.contact_log:
+        if now is None or not entry.window_end < now - server.lookback_s:
+            kept.append(entry)
+    server.uploaded_contact_lists[device.permanent_id] = kept
+    notified: set[str] = set()
+    for entry in kept:
         peer = resolve_temp_id(server, entry.peer_temp_id)
         if peer is None:
             continue

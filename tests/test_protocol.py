@@ -1,9 +1,13 @@
 import copy
 import dataclasses
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensetrace import protocol
 from sensetrace.core import ContactDecision, ContactWindow, SensorKind, SensorSample
@@ -12,6 +16,8 @@ from sensetrace.protocol import (
     ContactLogEntry,
     DeviceState,
     ExposureStatus,
+    PublishedId,
+    PublishedIds,
     ReportMode,
     ServerState,
     check_exposure,
@@ -558,6 +564,70 @@ class TestCentralizedReport:
         assert report_positive_centralized(reporter, server) == {peer.permanent_id}
         assert len(derived) <= len(server.registered) * 256
 
+    @staticmethod
+    def two_contacts(lookback_s):
+        """``a`` met ``b`` in [0, 900] and ``c`` in [1800, 2700]."""
+        server = ServerState(ReportMode.CENTRALIZED, lookback_s=lookback_s)
+        a, b, c = (register_device(server) for _ in range(3))
+        contact(a, b)
+        contact(a, c, start=1800.0)
+        return server, a, b, c
+
+    def test_entry_ending_exactly_at_the_cutoff_is_reported(self):
+        server, a, b, c = self.two_contacts(1000.0)
+        expected_server = copy.deepcopy(server)
+        now = 1900.0
+        assert now - server.lookback_s == a.contact_log[0].window_end
+        assert report_positive_centralized(a, server, now=now) == {b.permanent_id, c.permanent_id}
+        assert report_centralized_per_entry(a, expected_server, now=now) == {b.permanent_id, c.permanent_id}
+        assert server.uploaded_contact_lists == {a.permanent_id: a.contact_log}
+        assert expected_server.uploaded_contact_lists == server.uploaded_contact_lists
+        assert server.notifications_sent == expected_server.notifications_sent
+
+    def test_entry_ending_just_before_the_cutoff_is_left_out(self):
+        server, a, b, c = self.two_contacts(1000.0)
+        expected_server = copy.deepcopy(server)
+        now = math.nextafter(1900.0, math.inf)
+        assert now - server.lookback_s > a.contact_log[0].window_end
+        assert report_positive_centralized(a, server, now=now) == {c.permanent_id}
+        assert report_centralized_per_entry(a, expected_server, now=now) == {c.permanent_id}
+        # Neither uploaded nor notified.
+        assert server.uploaded_contact_lists == expected_server.uploaded_contact_lists == {
+            a.permanent_id: a.contact_log[1:]
+        }
+        assert server.notifications_sent == expected_server.notifications_sent == {
+            c.permanent_id: [(1800.0, 2700.0)]
+        }
+
+    def test_no_report_time_reports_every_entry(self):
+        server, a, b, c = self.two_contacts(1.0)
+        assert report_positive_centralized(a, server) == {b.permanent_id, c.permanent_id}
+        assert server.uploaded_contact_lists == {a.permanent_id: a.contact_log}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_report_time_rejected(self, bad):
+        server, a, b, c = self.two_contacts(1000.0)
+        with pytest.raises(ValueError):
+            report_positive_centralized(a, server, now=bad)
+        assert server.uploaded_contact_lists == {} and server.notifications_sent == {}
+
+    def test_report_time_matches_per_entry_resolution(self):
+        cut = 0
+        for seed in range(30):
+            server, reporter = self.random_session(seed)
+            rng = random.Random(seed)
+            server.lookback_s = rng.choice((900.0, 2000.0, 4500.0))
+            now = rng.choice((2700.0, 5400.0, 8100.0, 10800.0))
+            expected_server = copy.deepcopy(server)
+            notified = report_positive_centralized(reporter, server, now=now)
+            assert notified == report_centralized_per_entry(reporter, expected_server, now=now)
+            assert server.notifications_sent == expected_server.notifications_sent
+            assert server.uploaded_contact_lists == expected_server.uploaded_contact_lists
+            kept = len(server.uploaded_contact_lists[reporter.permanent_id])
+            cut += 0 < kept < len(reporter.contact_log)
+        # The lookback did cut logs, keeping some entries and leaving out others.
+        assert cut >= 10
+
     def test_notify_devices_flips_status(self):
         server = ServerState(ReportMode.CENTRALIZED)
         a, b = register_device(server), register_device(server)
@@ -715,3 +785,128 @@ class TestModesAgree:
             assert notified == exposed, seed
             told += bool(notified)
         assert told >= 20  # most reporters had contacts to tell
+
+
+def published(permanent="p", epochs=range(3)):
+    return [PublishedId(derive_temp_id(permanent, e), e) for e in epochs]
+
+
+class TestPublishedIds:
+    def test_equals_the_list_of_the_same_ids(self):
+        server = ServerState(ReportMode.DECENTRALIZED)
+        devices = [register_device(server) for _ in range(3)]
+        rotate_id(devices[1], 900.0)
+        expected = []
+        for d in devices:
+            expected += report_positive_decentralized(d, server, now=900.0)
+        ids = server.published_positive_ids
+        assert isinstance(ids, PublishedIds)
+        assert ids == expected and expected == ids and not ids != expected
+        assert ids == tuple(expected)
+        assert ids != expected[:-1] and ids != expected[::-1]
+        assert ids != expected[:-1] + [PublishedId(expected[-1].temp_id, expected[-1].epoch + 1)]
+        assert ids != "not a list of ids"
+        # Two servers with the same reports are equal, and differ once one
+        # server publishes more.
+        other = ServerState(ReportMode.DECENTRALIZED, registered=set(server.registered), _counter=server._counter)
+        for d in devices:
+            report_positive_decentralized(d, other, now=900.0)
+        assert other == server
+        report_positive_decentralized(devices[0], other, now=900.0)
+        assert other != server
+        with pytest.raises(TypeError):
+            hash(ids)
+
+    def test_reads_as_a_list_does(self):
+        items = published(epochs=range(5, 10))
+        ids = PublishedIds(items)
+        assert len(ids) == 5 and len(PublishedIds()) == 0 and not PublishedIds()
+        assert [ids[k] for k in range(-5, 5)] == [items[k] for k in range(-5, 5)]
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                ids[k]
+        for sl in (slice(None), slice(1, 3), slice(None, None, -2), slice(-2, None), slice(7, 9)):
+            assert ids[sl] == items[sl]
+        assert list(ids) == items and list(reversed(ids)) == items[::-1]
+        assert items[3] in ids and published("q", [7])[0] not in ids
+        assert ids.index(items[3]) == 3 and ids.count(items[3]) == 1
+        with pytest.raises(ValueError):
+            ids.index(published("q", [7])[0])
+        assert copy.deepcopy(ids) == ids
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.text(max_size=6), st.integers(0, 2**63))), st.integers(0, 10))
+    def test_round_trip(self, draws, split):
+        items = [PublishedId(derive_temp_id(permanent, e), e) for permanent, e in draws]
+        ids = PublishedIds(items[:split])
+        ids.extend(items[split:])
+        assert len(ids) == len(items)
+        assert list(ids) == items and ids == items
+        assert [ids[k] for k in range(len(items))] == items
+
+    GOOD = derive_temp_id("p", 0)
+    BAD = {
+        "wrong prefix": PublishedId("u" + GOOD[1:], 0),
+        "short": PublishedId(GOOD[:-1], 0),
+        "long": PublishedId(GOOD + "0", 0),
+        "no prefix": PublishedId(GOOD[1:] + "0", 0),
+        "t moved": PublishedId(GOOD[1] + "t" + GOOD[2:], 0),
+        "uppercase hex": PublishedId("tA" + GOOD[2:], 0),
+        "embedded space": PublishedId(GOOD[:8] + " " + GOOD[9:], 0),
+        "non-hex digit": PublishedId(GOOD[:8] + "g" + GOOD[9:], 0),
+        "second t": PublishedId(GOOD[:8] + "t" + GOOD[9:], 0),
+        "negative epoch": PublishedId(GOOD, -1),
+        "epoch 2**64": PublishedId(GOOD, 2**64),
+        "bool epoch": PublishedId(GOOD, True),
+        "float epoch": PublishedId(GOOD, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_bad_item_rejected_and_nothing_appended(self, case):
+        bad = self.BAD[case]
+        ids = PublishedIds(published())
+        before = list(ids)
+        with pytest.raises(ValueError, match="not a publishable id") as err:
+            ids.extend(published("q") + [bad, bad] + published("r"))
+        assert repr(bad) in str(err.value)
+        assert ids == before and len(ids) == 3
+        with pytest.raises(ValueError):
+            ServerState(ReportMode.DECENTRALIZED, published_positive_ids=[bad])
+
+    def test_widest_epochs_accepted(self):
+        items = [PublishedId(self.GOOD, 0), PublishedId(self.GOOD, 2**64 - 1)]
+        assert PublishedIds(items) == items
+
+    def test_server_converts_a_list(self):
+        items = published(epochs=[0, 4])
+        server = ServerState(ReportMode.DECENTRALIZED, published_positive_ids=items)
+        assert isinstance(server.published_positive_ids, PublishedIds)
+        assert server.published_positive_ids == items
+        d = register_device(server)
+        delta = report_positive_decentralized(d, server)
+        assert isinstance(delta, list)
+        assert server.published_positive_ids == items + delta
+        # The list passed in is left as it was.
+        assert len(items) == 2
+
+    def test_retains_at_most_24_bytes_per_published_id(self):
+        # Ten devices with a 14-day history (1,344 rotations each) report
+        # decentrally. A list of PublishedId objects retains about 149 bytes
+        # per id; the packed list about 16.
+        server = ServerState(ReportMode.DECENTRALIZED)
+        devices = [register_device(server) for _ in range(10)]
+        for k in range(1, 1345):
+            for d in devices:
+                rotate_id(d, k * 900.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for d in devices:
+                report_positive_decentralized(d, server, now=1344 * 900.0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(server.published_positive_ids) == 10 * 1345
+        assert retained <= 24 * len(server.published_positive_ids), retained / len(server.published_positive_ids)
