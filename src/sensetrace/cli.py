@@ -20,11 +20,11 @@ on success ``generate`` waits for it, and raises if it failed, before
 ``traces/`` is swapped in; on any error or interrupt it kills and reaps it
 before the new directory is removed. ``detect`` replays
 the fusion pipeline over the traces and keeps each window's assessment in
-``assessments.json``, keyed by the config, the detector's source and every
-file it read, so that a later ``detect`` of the run, for any tier, only
-fuses them. ``detect`` and ``report`` load each trace when its first window
-or label comes and let it go after its last (``_RunTraces``), so no command
-holds the whole run;
+``assessments.json``, keyed by the config, the detector's source, the
+instances and the traces, so that a later ``detect`` of the run, for any
+tier, only fuses them. ``detect`` and ``report`` load each trace when its
+first window or label comes and let it go after its last (``_RunTraces``),
+so no command holds the whole run, and refuse another device's rows;
 ``evaluate`` emits the confusion counts and accuracy; ``report`` emits
 plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
 Every other output file is written atomically, and the metrics and report
@@ -124,9 +124,7 @@ def _read_meta(data_dir: Path) -> dict:
 def _sha256(path: str | Path, dir_fd: Optional[int] = None) -> str:
     """The SHA-256 of the file at ``path`` (relative to the directory open
     as ``dir_fd``, if given), read 64 KiB at a time so that a large file is
-    never held whole. Chunks of 1 MiB hashed the trace files as fast, but
-    the column cache, which fills whole chunks, then raised the ``standard``
-    benchmark's peak RSS by about 1.7 MB."""
+    never held whole."""
     h, fd = hashlib.sha256(), os.open(path, os.O_RDONLY, dir_fd=dir_fd)
     try:
         while chunk := os.read(fd, 1 << 16):
@@ -195,9 +193,23 @@ class _RunTraces:
         entries = [self.index.pop(name, None) for name in names]
         hits = [entry for entry in entries if entry is not None and entry.sha256 == self.digests[entry.name]]
         cached = dict(zip((entry.name for entry in hits), read_cached_traces(self.data_dir / TRACE_CACHE, hits)))
+        traces = self.data_dir / "traces"
         for name in names:
-            trace = cached.get(name)
-            self.ready[name[: -len(".jsonl")]] = read_trace(self.data_dir / "traces" / name) if trace is None else trace
+            device, trace = name[: -len(".jsonl")], cached.get(name)
+            self.ready[device] = _own_rows(traces, device, read_trace(traces / name) if trace is None else trace)
+
+
+def _own_rows(traces: Path, device: str, trace: Trace) -> Trace:
+    """``trace``, loaded from ``traces/<device>.jsonl``, if every row's
+    ``src`` is ``device``; else SenseTraceError naming the first other row."""
+    wrong = trace.src != (trace.names.index(device) if device in trace.names else -1)
+    if wrong.any():
+        path = traces / f"{device}.jsonl"
+        row, lines = int(wrong.argmax()), path.read_bytes().split(b"\n")
+        lineno = [n for n, line in enumerate(lines, 1) if line.strip()][row]  # row i is the i-th non-blank line
+        other = trace.names[trace.src[row]]
+        raise SenseTraceError(f"{path}:{lineno}: ValueError: a row of {other!r} in {device}'s trace")
+    return trace
 
 
 def _load_traces(data_dir: Path, digests: dict[str, str], devices: Iterable[str]) -> _RunTraces:
@@ -207,17 +219,16 @@ def _load_traces(data_dir: Path, digests: dict[str, str], devices: Iterable[str]
 
 def _assessment_key(data_dir: Path, config_sha256: str, digests: dict[str, str]) -> dict:
     """What the run's assessments are made from: the config, the detector's
-    source and the bytes of every file ``detect`` reads to assess them, the
-    trace files as one SHA-256 over their names and digests, so that the
-    key's size does not grow with the run."""
-    columns, traces = data_dir / TRACE_CACHE, hashlib.sha256()
+    source, ``instances.jsonl`` and the trace files, these as one SHA-256
+    over their names and digests, so that the key's size does not grow with
+    the run. A column-cache record is used only when it matches its file."""
+    traces = hashlib.sha256()
     for name, digest in digests.items():
         traces.update(f"{name}\0{digest}\n".encode("utf-8"))
     return {
         "config_sha256": config_sha256,
         "detector_sha256": detector_digest(),
         "instances_sha256": _sha256(data_dir / "instances.jsonl"),
-        "trace_columns_sha256": _sha256(columns) if columns.is_file() else None,
         "traces_sha256": traces.hexdigest(),
     }
 

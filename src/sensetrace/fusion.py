@@ -593,14 +593,28 @@ def decision_to_json(record: DecisionRecord) -> str:
 
 
 def decision_from_record(p: dict) -> DecisionRecord:
-    sensor = p.get("env_sensor")
+    """The decision of a JSON object whose ``appearance`` and ``contact`` are
+    bools, ``mean_distance_m`` and ``env_score`` null or finite non-bool
+    numbers, ``env_sensor`` null or a ``SensorKind`` value and
+    ``degraded_reason`` null or a string; else ValueError or TypeError."""
+    if not isinstance(p, dict):
+        raise TypeError(f"a decision must be a JSON object, got {type(p).__name__}")
+    for key in ("appearance", "contact"):
+        if not isinstance(p[key], bool):
+            raise TypeError(f"{key} must be true or false, got {p[key]!r}")
+    for key in ("mean_distance_m", "env_score"):  # math.isfinite raises OverflowError on a huge int
+        if p[key] is not None and (type(p[key]) not in (int, float) or not math.isfinite(p[key])):
+            raise ValueError(f"{key} must be null or a finite number, got {p[key]!r}")
+    sensor, reason = p.get("env_sensor"), p.get("degraded_reason")
+    if not (reason is None or isinstance(reason, str)):
+        raise TypeError(f"degraded_reason must be null or a string, got {reason!r}")
     decision = ContactDecision(
         appearance=p["appearance"],
         mean_distance=p["mean_distance_m"],
         env_score=p["env_score"],
-        env_sensor_used=SensorKind(sensor) if sensor else None,
+        env_sensor_used=None if sensor is None else SensorKind(sensor),
         contact=p["contact"],
-        degraded_reason=p.get("degraded_reason"),
+        degraded_reason=reason,
     )
     start, end = window_bounds(p["window"])
     return DecisionRecord(pair=canonical_pair(p["pair"]), start=start, end=end, decision=decision)

@@ -10,9 +10,9 @@ reporters; both properties are assertable on ServerState. Given a report
 time, either mode leaves out what ended before the lookback.
 
 The public list (``PublishedIds``) holds each id as its 8 raw bytes and
-its epoch as an 8-byte unsigned int, about 16 bytes an id in all, and
-accepts only ids of the form ``derive_temp_id`` writes: ``t`` and 16
-lowercase hex digits.
+its epoch as an 8-byte unsigned int, about 16 bytes an id in all. It takes
+ids through ``extend``, only of the form ``derive_temp_id`` writes (``t``
+and 16 lowercase hex digits), and is read by iteration and ``len``.
 
 Temporary ids are derived by a keyless hash of (permanent id, epoch). That
 is a simulation stand-in: real deployments use cryptographic schedules,
@@ -24,10 +24,9 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import ContactDecision, ContactWindow
 from .errors import ModeError, NoContact, NotDue
@@ -94,20 +93,17 @@ def _pack(items: list[PublishedId]) -> Optional[tuple[bytes, list[int]]]:
     return (raw, epochs) if raw.hex() == digits else None
 
 
-class PublishedIds(Sequence):
+@dataclass(slots=True, repr=False)
+class PublishedIds:
     """The public list of positive ids, compact: each id's 8 raw bytes (the
     16 hex digits after its ``t``) in one ``bytearray`` and each epoch in one
     ``array('Q')``, about 16 bytes an id against about 150 for a list of
-    ``PublishedId``s. Reads rebuild ``PublishedId``s; a slice is a list of
-    them. It equals any sequence of the same ``PublishedId``s in order, as
-    a list does, and is unhashable."""
+    ``PublishedId``s. Ids go in through ``extend`` and come out by iteration,
+    which rebuilds ``PublishedId``s. Two ``PublishedIds`` are equal when they
+    hold the same ids and epochs in order; the class is unhashable."""
 
-    __slots__ = ("_raw", "_epochs")
-
-    def __init__(self, items: Iterable[PublishedId] = ()) -> None:
-        self._raw = bytearray()
-        self._epochs = array("Q")
-        self.extend(items)
+    _raw: bytearray = field(default_factory=bytearray, init=False)
+    _epochs: array = field(default_factory=lambda: array("Q"), init=False)
 
     def extend(self, items: Iterable[PublishedId]) -> None:
         """Append ``items`` in one step. Each id must be ``t`` and 16
@@ -125,30 +121,11 @@ class PublishedIds(Sequence):
         self._raw += raw
         self._epochs.extend(epochs)
 
-    def _item(self, i: int) -> PublishedId:
-        return PublishedId("t" + self._raw[8 * i : 8 * i + 8].hex(), self._epochs[i])
-
     def __len__(self) -> int:
         return len(self._epochs)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._item(i) for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]  # IndexError and TypeError as a list gives
-        return self._item(i)
-
-    def __iter__(self):
-        return map(self._item, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PublishedIds):
-            return self._raw == other._raw and self._epochs == other._epochs
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"PublishedIds({list(self)!r})"
+    def __iter__(self) -> Iterator[PublishedId]:
+        return (PublishedId("t" + self._raw[8 * i : 8 * i + 8].hex(), e) for i, e in enumerate(self._epochs))
 
 
 @dataclass(slots=True)
@@ -181,30 +158,21 @@ class DeviceState:
     def temp_id(self) -> str:
         return derive_temp_id(self.permanent_id, self.epoch)
 
-    @property
-    def first_epoch(self) -> int:
-        return self.runs[0][0]
-
 
 @dataclass
 class ServerState:
     """The coordination server. What it may store depends on its mode.
 
-    ``published_positive_ids`` is the decentralized public list, a
-    ``PublishedIds`` (about 16 bytes an id); a list of ``PublishedId``s
-    passed in is converted, and a malformed id in it raises ``ValueError``."""
+    ``published_positive_ids``, the decentralized public list, is a
+    ``PublishedIds`` that starts empty; it is not a constructor argument."""
 
     mode: ReportMode
     registered: set[str] = field(default_factory=set)
     notifications_sent: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    published_positive_ids: PublishedIds = field(default_factory=PublishedIds)
+    published_positive_ids: PublishedIds = field(default_factory=PublishedIds, init=False)
     uploaded_contact_lists: dict[str, list[ContactLogEntry]] = field(default_factory=dict)
     lookback_s: float = DEFAULT_LOOKBACK_S
     _counter: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.published_positive_ids, PublishedIds):
-            self.published_positive_ids = PublishedIds(self.published_positive_ids)
 
     def contact_entries_held(self) -> int:
         """Privacy probe: how many contact-log entries the server stores."""

@@ -374,7 +374,7 @@ def temp_id_history(device: DeviceState) -> dict[int, str]:
     device itself can resolve."""
     return {
         e: derive_temp_id(device.permanent_id, e)
-        for e in range(device.first_epoch, device.epoch + 1)
+        for e in range(device.runs[0][0], device.epoch + 1)
     }
 
 

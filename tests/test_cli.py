@@ -828,6 +828,9 @@ class TestTraceCache:
     def test_damaged_cache_gives_identical_decisions(self, generated, small_config, monkeypatch, damage):
         want = self.detect(generated, small_config)
         damage(generated / TRACE_CACHE)
+        # The column cache is not in the assessments' key: without this,
+        # the stored assessments would be used and no trace loaded.
+        (generated / ASSESSMENT_CACHE).unlink()
         decoded = count_decodes(monkeypatch)
         assert self.detect(generated, small_config, "again.jsonl") == want
         assert sorted(decoded) == sorted((generated / "traces").glob("*.jsonl"))
@@ -893,6 +896,37 @@ class TestTraceCache:
         payload = json.loads(errors[0])
         assert payload["message"].startswith(f"{path}:2: ValueError: RSS must lie in [-120, 0] dBm")
         assert not (generated / "decisions_full.jsonl").exists()
+
+    def assert_foreign_rows_fail(self, data, config, capsys, path):
+        for argv in (["detect", "--data", data, "--config", config, "--tier", "FULL", "--out", "bad.jsonl"],
+                     ["report", "--data", data, "--decisions", "decisions_full.jsonl"]):
+            capsys.readouterr()
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            payload = json.loads(err)
+            assert payload["error"] == "SenseTraceError"
+            assert payload["message"].startswith(f"{path}:1: ValueError: a row of ")
+        assert not (data / "bad.jsonl").exists()
+
+    def test_copied_trace_file_fails(self, generated, small_config, capsys, monkeypatch):
+        self.detect(generated, small_config)
+        first, second = sorted((generated / "traces").glob("*.jsonl"))[:2]
+        shutil.copyfile(second, first)
+        decoded = count_decodes(monkeypatch)
+        self.assert_foreign_rows_fail(generated, small_config, capsys, first)
+        assert first in decoded
+
+    def test_cache_record_under_another_name_fails(self, generated, small_config, capsys, monkeypatch):
+        self.detect(generated, small_config)
+        (generated / ASSESSMENT_CACHE).unlink()
+        paths = sorted((generated / "traces").glob("*.jsonl"))
+        with write_trace_cache(generated / TRACE_CACHE) as add:  # the second file's rows under the first's name
+            for path, rows in zip(paths, [paths[1], *paths[1:]]):
+                add(path.name, hashlib.sha256(path.read_bytes()).hexdigest(), read_trace(rows))
+        decoded = count_decodes(monkeypatch)
+        self.assert_foreign_rows_fail(generated, small_config, capsys, paths[0])
+        assert decoded == []
 
 
 TIERS = ("APPEARANCE_ONLY", "APPEARANCE_DISTANCE", "FULL")
@@ -986,6 +1020,14 @@ class TestAssessmentCache:
         assert self.detect(generated, small_config) == want
         assert self.detect(generated, small_config) == want  # the miss stored them again
         assert loads == [generated]
+
+    def test_deleted_column_cache_is_a_hit(self, generated, small_config, tmp_path, monkeypatch):
+        self.detect(generated, small_config)
+        (generated / TRACE_CACHE).unlink()
+        want = self.uncached(generated, small_config, tmp_path, "APPEARANCE_ONLY")
+        loads = count_trace_loads(monkeypatch)
+        assert self.detect(generated, small_config, "APPEARANCE_ONLY") == want
+        assert loads == []
 
     def test_another_config_is_a_miss(self, generated, small_config, tmp_path, monkeypatch):
         self.detect(generated, small_config)
@@ -1263,6 +1305,40 @@ class TestMalformedInput:
         payload = json.loads(err)
         assert payload["error"] == "SenseTraceError"
         assert payload["message"] == f"{path}:2: ValueError: {message}"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda record: [1, 2], "TypeError: a decision must be a JSON object", id="not_an_object"),
+            pytest.param(_with(contact="false"), "TypeError: contact must be true or false", id="string_contact"),
+            pytest.param(_with(contact=1), "TypeError: contact must be true or false", id="int_contact"),
+            pytest.param(_with(appearance=None), "TypeError: appearance must be true or false", id="null_appearance"),
+            pytest.param(_with(mean_distance_m="0.5"), "ValueError: mean_distance_m must be null or a finite number",
+                         id="string_distance"),
+            pytest.param(_with(mean_distance_m=True), "ValueError: mean_distance_m must be null or a finite number",
+                         id="bool_distance"),
+            pytest.param(_with(env_score=math.inf), "ValueError: env_score must be null or a finite number",
+                         id="infinite_score"),
+            pytest.param(_with(env_sensor=""), "ValueError: '' is not a valid SensorKind", id="empty_sensor"),
+            pytest.param(_with(degraded_reason=5), "TypeError: degraded_reason must be null or a string",
+                         id="int_reason"),
+        ],
+    )
+    def test_decision_fields_are_type_checked(self, detected_run, tmp_path, capsys, edit, message):
+        _, original = detected_run
+        data = tmp_path / "run"
+        shutil.copytree(original, data)
+        path = data / "decisions_full.jsonl"
+        _rewrite_line(path, 2, edit)
+        for command in ("evaluate", "report"):
+            capsys.readouterr()
+            assert run([command, "--data", data, "--decisions", path.name]) == 1
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            payload = json.loads(err)
+            assert payload["error"] == "SenseTraceError"
+            assert payload["message"].startswith(f"{path}:2: {message}")
+        assert not (data / "cdf.csv").exists() and not (data / "confusion.json").exists()
 
     @pytest.mark.parametrize(
         "edit, message",
