@@ -3,8 +3,9 @@ reporting over an in-process, ordered, loss-free message exchange.
 
 Two reporting modes exist. Centralized: a positive reporter uploads their
 contact list and the server notifies every logged peer. Decentralized: the
-reporter publishes only their own temporary ids and everyone checks the
-public list against their local log. The decentralized server never holds a
+reporter publishes only their own temporary ids, and each phone looks the
+ids of its local log up in the set of ids a report published (one
+membership test per logged id). The decentralized server never holds a
 contact list, and the centralized one holds lists only from positive
 reporters; both properties are assertable on ServerState. Given a report
 time, either mode leaves out what ended before the lookback.
@@ -16,7 +17,9 @@ and 16 lowercase hex digits), and is read by iteration and ``len``.
 
 Temporary ids are derived by a keyless hash of (permanent id, epoch). That
 is a simulation stand-in: real deployments use cryptographic schedules,
-which are out of scope here.
+which are out of scope here. The centralized server resolves a report's
+ids by comparing raw 8-byte keys, hashing each registered permanent id
+once for all the epochs it tries.
 """
 
 from __future__ import annotations
@@ -45,10 +48,44 @@ class ExposureStatus(Enum):
     NOTIFIED = "NOTIFIED"
 
 
+# A temporary id is the first 8 bytes of the SHA-256 of
+# "<permanent id>|<epoch digits>", written as "t" and 16 lowercase hex
+# digits. The three helpers below split that hash so that a server trying
+# many epochs of one device hashes the "<permanent id>|" prefix once and
+# copies the state for each epoch.
+def _id_prefix(permanent_id: str):
+    return hashlib.sha256(f"{permanent_id}|".encode("utf-8"))
+
+
+def _epoch_digits(epoch: int) -> bytes:
+    return f"{epoch}".encode("utf-8")
+
+
+def _id_key(prefix, epoch_digits: bytes) -> bytes:
+    """The 8 raw bytes of the id; ``prefix`` (an ``_id_prefix`` state, or
+    a copy of one) is consumed."""
+    prefix.update(epoch_digits)
+    return prefix.digest()[:8]
+
+
 def derive_temp_id(permanent_id: str, epoch: int) -> str:
     """Deterministic per-epoch pseudonym, never equal to the permanent id."""
-    digest = hashlib.sha256(f"{permanent_id}|{epoch}".encode("utf-8")).hexdigest()[:16]
-    return f"t{digest}"
+    return "t" + _id_key(_id_prefix(permanent_id), _epoch_digits(epoch)).hex()
+
+
+def _parse_temp_id(temp_id: object) -> Optional[bytes]:
+    """The 8 raw bytes of a temporary id of the form ``derive_temp_id``
+    writes (``t`` and 16 lowercase hex digits), or None for anything else,
+    which no derived id equals."""
+    if not (isinstance(temp_id, str) and len(temp_id) == 17 and temp_id[0] == "t"):
+        return None
+    digits = temp_id[1:]
+    try:
+        raw = bytes.fromhex(digits)
+    except ValueError:
+        return None
+    # fromhex also takes uppercase digits and skips whitespace.
+    return raw if raw.hex() == digits else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +185,8 @@ class DeviceState:
     runs: list[tuple[int, float]] = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.epoch, int) or isinstance(self.epoch, bool):
+            raise TypeError(f"epoch must be an int, got {self.epoch!r}")
         if self.epoch < 0:
             raise ValueError("epoch must be >= 0")
         if not math.isfinite(self.last_rotation):
@@ -164,7 +203,9 @@ class ServerState:
     """The coordination server. What it may store depends on its mode.
 
     ``published_positive_ids``, the decentralized public list, is a
-    ``PublishedIds`` that starts empty; it is not a constructor argument."""
+    ``PublishedIds`` that starts empty; it is not a constructor argument.
+    ``lookback_s`` must be >= 0 (``inf`` looks back forever); NaN or a
+    negative lookback raises ``ValueError``."""
 
     mode: ReportMode
     registered: set[str] = field(default_factory=set)
@@ -173,6 +214,10 @@ class ServerState:
     uploaded_contact_lists: dict[str, list[ContactLogEntry]] = field(default_factory=dict)
     lookback_s: float = DEFAULT_LOOKBACK_S
     _counter: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.lookback_s >= 0:
+            raise ValueError(f"lookback_s must be >= 0, got {self.lookback_s}")
 
     def contact_entries_held(self) -> int:
         """Privacy probe: how many contact-log entries the server stores."""
@@ -233,18 +278,21 @@ def _resolve_temp_ids(server: ServerState, wanted: Iterable[str], max_epoch: int
 
     One pass over the sorted registered devices x epochs 0..max_epoch-1,
     stopping once every wanted id is found; each id maps to its first match
-    in that order. Ids with no match are absent from the result.
+    in that order. Ids with no match are absent from the result. The wanted
+    ids are compared as their 8 raw bytes, and each device's permanent id
+    is hashed once, its state copied for each epoch.
     """
-    missing = set(wanted)
+    missing = {key: temp_id for temp_id in set(wanted) if (key := _parse_temp_id(temp_id)) is not None}
     found: dict[str, str] = {}
     if not missing:
         return found
+    epochs = [_epoch_digits(epoch) for epoch in range(max_epoch)]
     for permanent in sorted(server.registered):
-        for epoch in range(max_epoch):
-            temp_id = derive_temp_id(permanent, epoch)
-            if temp_id in missing:
+        prefix = _id_prefix(permanent)
+        for digits in epochs:
+            temp_id = missing.pop(_id_key(prefix.copy(), digits), None)
+            if temp_id is not None:
                 found[temp_id] = permanent
-                missing.remove(temp_id)
                 if not missing:
                     return found
     return found
@@ -289,10 +337,11 @@ def report_positive_decentralized(
     device: DeviceState,
     server: ServerState,
     now: Optional[float] = None,
-) -> list[PublishedId]:
+) -> frozenset[str]:
     """Publish the reporter's own temporary ids (all epochs within the
-    infectious lookback) to the anonymous public list; returns the delta as
-    a list of ``PublishedId``s, which the server's list takes in one step.
+    infectious lookback) to the anonymous public list, which takes them
+    with their epochs in one step; returns the published ids as a
+    ``frozenset``, the argument ``check_exposure`` takes.
 
     ``now=None`` publishes every epoch; a non-finite ``now`` raises
     ``ValueError``. Each epoch's end is rebuilt from ``device.runs`` with the
@@ -317,13 +366,17 @@ def report_positive_decentralized(
                 continue
             delta.append(PublishedId(derive_temp_id(device.permanent_id, epoch), epoch))
     server.published_positive_ids.extend(delta)
-    return delta
+    return frozenset(p.temp_id for p in delta)
 
 
-def check_exposure(device: DeviceState, published: Iterable[PublishedId]) -> bool:
-    """True when any published positive id appears in this device's log."""
-    logged = {entry.peer_temp_id for entry in device.contact_log}
-    exposed = any(p.temp_id in logged for p in published)
+def check_exposure(device: DeviceState, published: frozenset[str]) -> bool:
+    """True when any id of ``published`` (a set of temporary ids, as
+    ``report_positive_decentralized`` returns) appears in this device's log:
+    one membership test per logged id. Anything but a ``set`` or
+    ``frozenset`` raises ``TypeError``."""
+    if not isinstance(published, (set, frozenset)):
+        raise TypeError(f"published ids must be a set of temporary ids, got {type(published).__name__}")
+    exposed = any(entry.peer_temp_id in published for entry in device.contact_log)
     if exposed:
         device.exposure_status = ExposureStatus.NOTIFIED
     return exposed

@@ -10,13 +10,17 @@ scalar signal models instead of one instance at a time in columns, and the
 decision oracle runs the stages the gates need for one tier instead of
 fusing one assessment made for every tier, the centralized-report
 oracle resolves each logged temporary id by its own search of the registry
-instead of one pass for the whole log, and the eager device derives its
-temporary id at every rotation and keeps every id it used, instead of
-deriving the current id when it is read.
+instead of one pass for the whole log, with each id derived whole from
+its hex digest (``hexdigest_temp_id``) instead of from raw bytes and a
+hash state shared across epochs, the exposure oracle scans every published
+id instead of looking the device's log up in a set, and the eager device
+derives its temporary id at every rotation and keeps every id it used,
+instead of deriving the current id when it is read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
@@ -39,7 +43,6 @@ from sensetrace.protocol import (
     ExposureStatus,
     PublishedId,
     ServerState,
-    derive_temp_id,
 )
 from sensetrace.fusion import (
     FusionConfig,
@@ -340,12 +343,18 @@ def gated_decide(evidence: StageEvidence, cfg: FusionConfig, gates: StageGates) 
     )
 
 
+def hexdigest_temp_id(permanent_id: str, epoch: int) -> str:
+    """A device's temporary id at ``epoch``, written out: ``t`` and the
+    first 16 hex digits of the SHA-256 of ``"<permanent_id>|<epoch>"``."""
+    return "t" + hashlib.sha256(f"{permanent_id}|{epoch}".encode("utf-8")).hexdigest()[:16]
+
+
 def resolve_temp_id(server: ServerState, temp_id: str, max_epoch: int = 256) -> Optional[str]:
     """The first registered device (in sorted order) whose id at some epoch
     below ``max_epoch`` is ``temp_id``, searched afresh for this one id."""
     for permanent in sorted(server.registered):
         for epoch in range(max_epoch):
-            if derive_temp_id(permanent, epoch) == temp_id:
+            if hexdigest_temp_id(permanent, epoch) == temp_id:
                 return permanent
     return None
 
@@ -373,7 +382,7 @@ def temp_id_history(device: DeviceState) -> dict[int, str]:
     """Every temporary id ``device`` has used, by epoch: what only the
     device itself can resolve."""
     return {
-        e: derive_temp_id(device.permanent_id, e)
+        e: hexdigest_temp_id(device.permanent_id, e)
         for e in range(device.runs[0][0], device.epoch + 1)
     }
 
@@ -397,8 +406,8 @@ class EagerDevice:
 
     @classmethod
     def fresh(cls, permanent_id: str, epoch: int = 0, start: float = 0.0) -> "EagerDevice":
-        temp_id = derive_temp_id(permanent_id, epoch)
-        return cls(permanent_id, epoch, temp_id, last_rotation=start, used={epoch: (temp_id, start)})
+        first = hexdigest_temp_id(permanent_id, epoch)
+        return cls(permanent_id, epoch, first, last_rotation=start, used={epoch: (first, start)})
 
 
 def eager_rotate(device: EagerDevice, now: float) -> None:
@@ -408,12 +417,12 @@ def eager_rotate(device: EagerDevice, now: float) -> None:
     if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
         raise NotDue(f"rotation at t={now} too early")
     device.epoch += 1
-    device.temp_id = derive_temp_id(device.permanent_id, device.epoch)
+    device.temp_id = hexdigest_temp_id(device.permanent_id, device.epoch)
     device.used[device.epoch] = (device.temp_id, now)
     device.last_rotation = now
 
 
-def eager_report_decentralized(device: EagerDevice, server: ServerState, now: float) -> list[PublishedId]:
+def eager_report_decentralized(device: EagerDevice, server: ServerState, now: float) -> frozenset[str]:
     """``report_positive_decentralized`` from the stored ids: every epoch
     whose successor started inside the lookback, and the current one."""
     epochs = sorted(device.used)
@@ -423,4 +432,11 @@ def eager_report_decentralized(device: EagerDevice, server: ServerState, now: fl
         if e == epochs[-1] or device.used[e + 1][1] >= now - server.lookback_s
     ]
     server.published_positive_ids.extend(delta)
-    return delta
+    return frozenset(p.temp_id for p in delta)
+
+
+def exposed_by_scan(device: DeviceState, published: Sequence[PublishedId]) -> bool:
+    """``check_exposure`` without setting the status: whether any published
+    id, scanned one by one, appears in the device's log."""
+    logged = {entry.peer_temp_id for entry in device.contact_log}
+    return any(p.temp_id in logged for p in published)

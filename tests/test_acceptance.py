@@ -228,7 +228,7 @@ def test_criterion_7_protocol_privacy_invariants():
             server, devices, exchanges, now = _random_protocol_run(seed, ReportMode.DECENTRALIZED)
             if exchanges:
                 reporter = exchanges[-1][0]
-                report_positive_decentralized(reporter, server, now=now)
+                published = report_positive_decentralized(reporter, server, now=now)
                 partners = {
                     (b if a is reporter else a).permanent_id
                     for a, b in exchanges
@@ -236,7 +236,7 @@ def test_criterion_7_protocol_privacy_invariants():
                 }
                 for d in devices:
                     if d.permanent_id in partners:
-                        assert check_exposure(d, server.published_positive_ids)
+                        assert check_exposure(d, published)
             assert server.contact_entries_held() == 0
             assert server.uploaded_contact_lists == {}
 

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import math
 import random
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,10 @@ from .oracles import (
     EagerDevice,
     eager_report_decentralized,
     eager_rotate,
+    exposed_by_scan,
+    hexdigest_temp_id,
     report_centralized_per_entry,
+    resolve_temp_id,
     temp_id_history,
 )
 
@@ -141,7 +146,8 @@ class TestRotateId:
 
         now = 6000.0
         expected = [e for e in sorted(starts) if starts.get(e + 1, now) >= now - server.lookback_s]
-        published = report_positive_decentralized(d, server, now=now)
+        report_positive_decentralized(d, server, now=now)
+        published = list(server.published_positive_ids)
         assert [p.epoch for p in published] == expected == [9, 10]
         assert [p.temp_id for p in published] == [history[e] for e in expected]
 
@@ -165,6 +171,18 @@ class TestIdDerivedOnRead:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             DeviceState("p", epoch=-1)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
+    def test_epoch_that_is_not_an_int_rejected(self, bad):
+        # A bool would derive its id from "p|True" but publish epoch 1's id;
+        # a float would fail only at report time.
+        with pytest.raises(TypeError, match="epoch must be an int"):
+            DeviceState("p", epoch=bad)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.text(max_size=8), st.integers(0, 2**70))
+    def test_derivation_matches_hexdigest_reference(self, permanent, epoch):
+        assert derive_temp_id(permanent, epoch) == hexdigest_temp_id(permanent, epoch)
 
     @staticmethod
     def twin_session(seed, mode):
@@ -215,6 +233,7 @@ class TestIdDerivedOnRead:
                     delta = report_positive_decentralized(devices[k], server, now)
                     ref_delta = eager_report_decentralized(refs[k], ref_server, now)
                     assert delta == ref_delta
+                    assert server.published_positive_ids == ref_server.published_positive_ids
                     for d, r in zip(devices, refs):
                         assert check_exposure(d, delta) == check_exposure(r, ref_delta)
             assert [(d.epoch, d.last_rotation, d.temp_id) for d in devices] == [
@@ -309,9 +328,12 @@ class TestIdDerivedOnRead:
                     ref_server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
                     delta = report_positive_decentralized(d, server, now)
                     assert delta == eager_report_decentralized(r, ref_server, now)
-                    sizes.add(len(delta))
+                    assert server.published_positive_ids == ref_server.published_positive_ids
+                    sizes.add(len(server.published_positive_ids))
             cut_sizes += len(sizes)
-            assert report_positive_decentralized(d, ServerState(ReportMode.DECENTRALIZED), None) == [
+            server = ServerState(ReportMode.DECENTRALIZED)
+            report_positive_decentralized(d, server, None)
+            assert list(server.published_positive_ids) == [
                 protocol.PublishedId(r.used[e][0], e) for e in sorted(r.used)
             ]
         # The lookbacks did cut exactly at epoch ends, and at many places.
@@ -400,7 +422,8 @@ class TestNonFiniteTimes:
         d = register_device(server)
         rotate_id(d, 900.0)
         rotate_id(d, 5000.0)
-        assert [p.epoch for p in report_positive_decentralized(d, server, now=None)] == [0, 1, 2]
+        report_positive_decentralized(d, server, now=None)
+        assert [p.epoch for p in server.published_positive_ids] == [0, 1, 2]
 
 
 class TestExchangeIds:
@@ -548,21 +571,75 @@ class TestCentralizedReport:
         assert len(unresolved) >= 10
 
     def test_one_registry_pass_per_report(self, monkeypatch):
+        # The strangers' ids never resolve, so the pass covers the whole
+        # registry: each registered device's prefix is hashed once, and each
+        # of its 256 epochs copies that state once.
         server = ServerState(ReportMode.CENTRALIZED)
         reporter, peer = register_device(server), register_device(server)
         strangers = [DeviceState(f"s{k}") for k in range(3)]
         for k, stranger in enumerate(strangers):
             contact(reporter, stranger, start=k * 900.0)
         contact(reporter, peer, start=2700.0)
-        derived = []
+        prefixes, copies = [], []
 
-        def counting(permanent, epoch):
-            derived.append((permanent, epoch))
-            return derive_temp_id(permanent, epoch)
+        class Counting:
+            def __init__(self, h):
+                self.h = h
 
-        monkeypatch.setattr(protocol, "derive_temp_id", counting)
+            def copy(self):
+                copies.append(1)
+                return Counting(self.h.copy())
+
+            def update(self, data):
+                self.h.update(data)
+
+            def digest(self):
+                return self.h.digest()
+
+        def sha256(data):
+            prefixes.append(data)
+            return Counting(hashlib.sha256(data))
+
+        monkeypatch.setattr(protocol, "hashlib", types.SimpleNamespace(sha256=sha256))
         assert report_positive_centralized(reporter, server) == {peer.permanent_id}
-        assert len(derived) <= len(server.registered) * 256
+        assert sorted(prefixes) == [f"{p}|".encode() for p in sorted(server.registered)]
+        assert len(copies) == len(server.registered) * 256
+
+    MALFORMED = {
+        "as derived": lambda t: t,
+        "uppercase hex": lambda t: "t" + t[1:].upper(),
+        "uppercase t": lambda t: "T" + t[1:],
+        "no t": lambda t: t[1:],
+        "no t, 17 characters": lambda t: t[1:] + "0",
+        "16 characters": lambda t: t[:16],
+        "18 characters": lambda t: t + "0",
+        "non-hex digit": lambda t: t[:9] + "g" + t[10:],
+        "spaces between bytes": lambda t: t[:3] + " " + t[3:9] + " " + t[9:15],
+    }
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.one_of(st.integers(0, 3), st.integers(250, 300)),
+                st.sampled_from(sorted(MALFORMED)),
+            ),
+            max_size=8,
+        ),
+        st.integers(0, 3),
+    )
+    def test_batch_resolution_matches_per_id_resolution(self, registry, draws, repeats):
+        # Ids of registered devices and of a stranger, from epochs below and
+        # above the 256-epoch bound, some malformed and some repeated: each
+        # maps to the device the per-id search finds, or is absent.
+        server = ServerState(ReportMode.CENTRALIZED, registered=set(registry))
+        owners = registry + ["stranger"]
+        wanted = [self.MALFORMED[kind](hexdigest_temp_id(owners[k % len(owners)], e)) for k, e, kind in draws]
+        wanted += wanted[:repeats]
+        expected = {w: peer for w in wanted if (peer := resolve_temp_id(server, w)) is not None}
+        assert protocol._resolve_temp_ids(server, wanted) == expected
 
     @staticmethod
     def two_contacts(lookback_s):
@@ -644,16 +721,16 @@ class TestDecentralizedReport:
         server = ServerState(ReportMode.DECENTRALIZED)
         a, b = register_device(server), register_device(server)
         contact(a, b)
-        report_positive_decentralized(b, server)
-        assert check_exposure(a, server.published_positive_ids) is True
+        published = report_positive_decentralized(b, server)
+        assert published == {b.temp_id}
+        assert check_exposure(a, published) is True
         assert a.exposure_status is ExposureStatus.NOTIFIED
 
     def test_no_overlap_not_exposed(self):
         server = ServerState(ReportMode.DECENTRALIZED)
         a, b, c = (register_device(server) for _ in range(3))
         contact(a, b)
-        report_positive_decentralized(c, server)
-        assert check_exposure(a, server.published_positive_ids) is False
+        assert check_exposure(a, report_positive_decentralized(c, server)) is False
 
     def test_rotated_out_epoch_still_matches_within_lookback(self):
         # Scripted multi-epoch replay: the contact used b's epoch-0 id, b
@@ -665,7 +742,7 @@ class TestDecentralizedReport:
         rotate_id(b, 900.0)
         rotate_id(b, 1800.0)
         published = report_positive_decentralized(b, server, now=2700.0)
-        assert {p.epoch for p in published} == {0, 1, 2}
+        assert {p.epoch for p in server.published_positive_ids} == {0, 1, 2}
         assert check_exposure(a, published) is True
 
     def test_lookback_excludes_ancient_epochs(self):
@@ -676,7 +753,7 @@ class TestDecentralizedReport:
         rotate_id(b, 1800.0)
         # Lookback window is [4000, 5000]: epochs 0 and 1 ended before it.
         published = report_positive_decentralized(b, server, now=5000.0)
-        assert {p.epoch for p in published} == {2}
+        assert {p.epoch for p in server.published_positive_ids} == {2}
         assert check_exposure(a, published) is False
 
     def test_wrong_mode_rejected(self):
@@ -684,6 +761,63 @@ class TestDecentralizedReport:
         a = register_device(server)
         with pytest.raises(ModeError):
             report_positive_decentralized(a, server)
+
+    @pytest.mark.parametrize("shape", ["list of ids", "list of PublishedIds", "public list", "tuple", "dict"])
+    def test_published_ids_must_be_a_set(self, shape):
+        # Any of these would once have matched nothing, silently.
+        server = ServerState(ReportMode.DECENTRALIZED)
+        a, b = register_device(server), register_device(server)
+        contact(a, b)
+        published = report_positive_decentralized(b, server)
+        given_as = {
+            "list of ids": list(published),
+            "list of PublishedIds": list(server.published_positive_ids),
+            "public list": server.published_positive_ids,
+            "tuple": tuple(published),
+            "dict": dict.fromkeys(published),
+        }[shape]
+        with pytest.raises(TypeError, match="must be a set"):
+            check_exposure(a, given_as)
+        assert a.exposure_status is ExposureStatus.NONE
+
+    POOL = [hexdigest_temp_id("p", k) for k in range(12)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.one_of(st.sampled_from(POOL), st.text(max_size=3)), max_size=10),
+        st.lists(st.sampled_from(POOL), max_size=10),
+    )
+    def test_matches_scan_of_every_published_id(self, logged, ids):
+        device = DeviceState("d")
+        device.contact_log.extend(ContactLogEntry(peer, 0.0, 900.0, 0.5) for peer in logged)
+        published = [PublishedId(i, k) for k, i in enumerate(ids)]
+        exposed = exposed_by_scan(device, published)
+        assert check_exposure(device, frozenset(ids)) is exposed
+        assert (device.exposure_status is ExposureStatus.NOTIFIED) is exposed
+
+
+class TestLookback:
+    @pytest.mark.parametrize("mode", list(ReportMode))
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf, -5e-324])
+    def test_nan_or_negative_lookback_rejected(self, mode, bad):
+        # A NaN lookback once made a centralized report notify nobody while
+        # the decentralized report of the same contact exposed the peer.
+        with pytest.raises(ValueError, match="lookback_s"):
+            ServerState(mode, lookback_s=bad)
+
+    @pytest.mark.parametrize("mode", list(ReportMode))
+    def test_infinite_lookback_reports_everything(self, mode):
+        server = ServerState(mode, lookback_s=math.inf)
+        a, b = register_device(server), register_device(server)
+        contact(a, b)
+        for k in range(1, 4):
+            rotate_id(b, k * 900.0)
+        now = 1e9
+        if mode is ReportMode.CENTRALIZED:
+            assert report_positive_centralized(a, server, now=now) == {b.permanent_id}
+        else:
+            assert check_exposure(a, report_positive_decentralized(b, server, now=now))
+            assert [p.epoch for p in server.published_positive_ids] == [0, 1, 2, 3]
 
 
 class TestPrivacyInvariants:
@@ -746,10 +880,10 @@ class TestPrivacyInvariants:
                     notified = report_positive_centralized(reporter, server)
                     assert partners <= notified
                 else:
-                    report_positive_decentralized(reporter, server, now=now)
+                    published = report_positive_decentralized(reporter, server, now=now)
                     for d in devices:
                         if d.permanent_id in partners:
-                            assert check_exposure(d, server.published_positive_ids)
+                            assert check_exposure(d, published)
 
 
 class TestModesAgree:
@@ -797,8 +931,11 @@ class TestPublishedIds:
         devices = [register_device(server) for _ in range(3)]
         rotate_id(devices[1], 900.0)
         deltas = [report_positive_decentralized(d, server, now=900.0) for d in devices]
-        expected = [p for delta in deltas for p in delta]
-        assert all(isinstance(delta, list) for delta in deltas)
+        expected = [PublishedId(derive_temp_id(d.permanent_id, e), e) for d in devices for e in range(d.epoch + 1)]
+        assert all(isinstance(delta, frozenset) for delta in deltas)
+        assert [set(delta) for delta in deltas] == [
+            {derive_temp_id(d.permanent_id, e) for e in range(d.epoch + 1)} for d in devices
+        ]
         ids = server.published_positive_ids
         assert isinstance(ids, PublishedIds)
         assert list(ids) == expected and len(ids) == len(expected)
