@@ -28,7 +28,7 @@ from .errors import (
     ScenarioError,
     SenseTraceError,
 )
-from .evaluation import ConfusionCounts, TierSpec, accuracy, confusion, run_tier
+from .evaluation import ConfusionCounts, TierSpec, accuracy, confusion
 from .fusion import (
     Assessment,
     FusionConfig,

@@ -22,9 +22,11 @@ before the new directory is removed. ``detect`` replays
 the fusion pipeline over the traces and keeps each window's assessment in
 ``assessments.json``, keyed by the config, the detector's source, the
 instances and the traces, so that a later ``detect`` of the run, for any
-tier, only fuses them. ``detect`` and ``report`` load each trace when its
-first window or label comes and let it go after its last (``_RunTraces``),
-so no command holds the whole run, and refuse another device's rows;
+tier, only fuses them. ``detect`` and ``report`` refuse a run that lacks
+the trace file of a device an instance names (``_require_traces``), load
+each trace when its first window or label comes and let it go after its
+last (``_RunTraces``), so no command holds the whole run, and refuse
+another device's rows and a repeated row;
 ``evaluate`` emits the confusion counts and accuracy; ``report`` emits
 plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
 Every other output file is written atomically, and the metrics and report
@@ -188,7 +190,7 @@ class _RunTraces:
         return self.ready.pop(device, default)
 
     def _load(self, devices: list[str]) -> None:
-        names = [name for name in (f"{device}.jsonl" for device in devices) if name in self.digests]
+        names = [f"{device}.jsonl" for device in devices]  # each has a file: the command ran ``_require_traces``
         # An entry is used once: a device asked for again is decoded.
         entries = [self.index.pop(name, None) for name in names]
         hits = [entry for entry in entries if entry is not None and entry.sha256 == self.digests[entry.name]]
@@ -210,6 +212,19 @@ def _own_rows(traces: Path, device: str, trace: Trace) -> Trace:
         other = trace.names[trace.src[row]]
         raise SenseTraceError(f"{path}:{lineno}: ValueError: a row of {other!r} in {device}'s trace")
     return trace
+
+
+def _require_traces(data_dir: Path, digests: dict[str, str], source: str, instances: Iterable[Instance]) -> None:
+    """SenseTraceError naming the first device of ``instances`` (read from
+    ``source``) whose trace file is not among ``digests``: a run that lacks
+    one is not decided or reported on. Files that no instance names are
+    allowed."""
+    for pair, start, end in instances:
+        for device in pair:
+            if f"{device}.jsonl" not in digests:
+                path = data_dir / "traces" / f"{device}.jsonl"
+                instance = f"{source} instance {list(pair)} [{start}, {end})"
+                raise SenseTraceError(f"{path}: no such trace file, for {instance}")
 
 
 def _load_traces(data_dir: Path, digests: dict[str, str], devices: Iterable[str]) -> _RunTraces:
@@ -394,8 +409,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     tier = TierSpec(args.tier)
     cfg = scenario.fusion
     digests = _trace_digests(data_dir)
-    key = _assessment_key(data_dir, config_hash(raw), digests)
     instances = _read_instances(data_dir / "instances.jsonl")
+    _require_traces(data_dir, digests, "instances.jsonl", instances)
+    key = _assessment_key(data_dir, config_hash(raw), digests)
     assessments = read_assessment_cache(data_dir / ASSESSMENT_CACHE, key, len(instances))
     if assessments is None:
         devices = (device for pair, _, _ in instances for device in pair)
@@ -445,6 +461,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
     records = read_jsonl(data_dir / args.decisions, decision_from_record)
     digests = _trace_digests(data_dir)
+    _require_traces(data_dir, digests, "truth.jsonl", ((label.pair, label.start, label.end) for label in truth))
     meta = _read_meta(data_dir)
     comments = [
         f"seed={meta.get('seed', 'unknown')}",

@@ -138,12 +138,11 @@ class Trace:
     (simulator, column cache) that pass ``check``.
     """
 
-    __slots__ = ("t", "kind", "value", "mag", "src", "obs", "names", "_by_time")
+    __slots__ = ("t", "kind", "value", "mag", "src", "obs", "names")
 
     def __init__(self, t, kind, value, mag, src, obs, names: tuple[str, ...]) -> None:
         self.t, self.kind, self.value, self.mag = t, kind, value, mag
         self.src, self.obs, self.names = src, obs, names
-        self._by_time: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def _build(cls, t, kinds, values, src, obs) -> Union["Trace", tuple[int, str]]:
@@ -281,11 +280,8 @@ class Trace:
 
     def between(self, start: float, end: float) -> np.ndarray:
         """Indices, in row order, of the rows with ``start <= t < end``."""
-        if self._by_time is None:
-            order = np.argsort(self.t, kind="stable")
-            self._by_time = order, self.t[order]
-        order, times = self._by_time
-        lo, hi = np.searchsorted(times, (start, end))
+        order = np.argsort(self.t, kind="stable")
+        lo, hi = np.searchsorted(self.t[order], (start, end))
         return np.sort(order[lo:hi])
 
     def check(self) -> Optional[tuple[int, str]]:
@@ -581,13 +577,47 @@ def _from_lines(path: Union[str, Path], lines: list[bytes]) -> Union[Trace, tupl
     return _from_records(records)
 
 
+def _first_repeat(keys: Sequence[np.ndarray]) -> Optional[tuple[int, int]]:
+    """The first row, in row order, whose ``keys`` (columns, the most
+    significant last, as ``np.lexsort`` takes them) equal an earlier row's,
+    and that earlier row; or None.
+
+    Rows already in key order, as generated traces are, are compared with
+    their neighbours; others are sorted first."""
+
+    def steps(order: Optional[np.ndarray]) -> np.ndarray:
+        # Per pair of neighbours: the sign of the most significant key that
+        # differs (keys come least significant first; each overrides where it differs).
+        sign = np.zeros(max(len(keys[0]) - 1, 0), dtype=np.int8)
+        for key in keys:
+            key = key if order is None else key[order]
+            step = (key[1:] > key[:-1]).view(np.int8) - (key[1:] < key[:-1]).view(np.int8)
+            np.copyto(sign, step, where=step != 0)
+        return sign
+
+    order, sign = None, steps(None)
+    if (sign < 0).any():
+        order = np.lexsort(keys)  # stable: equal rows keep their row order
+        sign = steps(order)
+    same = np.flatnonzero(sign == 0)
+    if not same.size:
+        return None
+    if order is None:
+        return int(same[0]) + 1, int(same[0])
+    # The first repeat has one earlier equal row: its neighbour in the order.
+    first = int(order[same + 1].argmin())
+    return int(order[same[first] + 1]), int(order[same[first]])
+
+
 def read_trace(path: Union[str, Path]) -> Trace:
     """The samples of one trace file, one record per non-blank line, decoded
     with one ``json.loads`` over the lines joined into one array; a bad row
-    fails naming ``path:line``. Joining can only hide a bad line by moving a
-    record boundary: a record split over two lines decodes as one, so the
-    count falls short unless another line holds two records, which
-    ``_MERGED_RECORDS`` finds. Then ``_from_lines`` names the bad line."""
+    fails naming ``path:line``, and so does a row that repeats an earlier
+    one's time, kind, ``src`` and ``obs``. Joining can only hide a bad line
+    by moving a record boundary: a record split over two lines decodes as
+    one, so the count falls short unless another line holds two records,
+    which ``_MERGED_RECORDS`` finds. Then ``_from_lines`` names the bad
+    line."""
     data = Path(path).read_bytes()
     lines = data.split(b"\n")
     body = list(compress(lines, map(bytes.strip, lines)))  # the non-blank lines
@@ -598,9 +628,11 @@ def read_trace(path: Union[str, Path]) -> Trace:
         trace = _from_records(records)
     except (ValueError, KeyError, TypeError, OverflowError):
         trace = _from_lines(path, lines)
-    if isinstance(trace, tuple):  # row i is the i-th non-blank line
-        lineno = [n for n, line in enumerate(lines, 1) if line.strip()][trace[0]]
-        raise SenseTraceError(f"{path}:{lineno}: ValueError: {trace[1]}")
+    repeat = None if isinstance(trace, tuple) else _first_repeat((trace.obs, trace.src, trace.kind, trace.t))
+    if isinstance(trace, tuple) or repeat is not None:
+        lineno = [n for n, line in enumerate(lines, 1) if line.strip()]  # row i is the i-th non-blank line
+        row, reason = trace if repeat is None else (repeat[0], f"repeats line {lineno[repeat[1]]}")
+        raise SenseTraceError(f"{path}:{lineno[row]}: ValueError: {reason}")
     return trace
 
 
@@ -729,9 +761,10 @@ _CHECK_ROWS = 1 << 12
 
 def _intact(traces: Sequence[Trace]) -> bool:
     """Whether each trace's names are sorted device names, each of its codes
-    names a kind or one of its devices, and every row keeps the sample
-    contract. The rows are checked in one pass, the columns of up to
-    ``_CHECK_ROWS`` rows of consecutive traces at a time."""
+    names a kind or one of its devices, every row keeps the sample contract
+    and none repeats another row of its trace (``read_trace``'s rules). The
+    rows are checked in one pass, the columns of up to ``_CHECK_ROWS`` rows
+    of consecutive traces at a time."""
     for names in (trace.names for trace in traces):
         if not (all(isinstance(name, str) and name for name in names) and list(names) == sorted(set(names))):
             return False
@@ -741,11 +774,14 @@ def _intact(traces: Sequence[Trace]) -> bool:
         hi = max(lo + 1, bisect_left(ends, (ends[lo - 1] if lo else 0) + _CHECK_ROWS + 1))
         group = traces[lo:hi]
         rows = Trace(*(np.concatenate([getattr(trace, c) for trace in group]) for c, _, _ in _CACHE_COLUMNS), names=())
-        n = np.repeat(np.array([len(trace.names) for trace in group], dtype=np.int32), [len(trace) for trace in group])
+        sizes = [len(trace) for trace in group]
+        n = np.repeat(np.array([len(trace.names) for trace in group], dtype=np.int32), sizes)
+        part = np.repeat(np.arange(len(group), dtype=np.int32), sizes)
         if not (
             bool(((rows.kind >= 0) & (rows.kind < len(KINDS))).all())
             and bool(((rows.src >= 0) & (rows.src < n) & (rows.obs >= -1) & (rows.obs < n)).all())
             and rows.check() is None  # ``rows`` has no names: ``check`` reads only codes
+            and _first_repeat((rows.obs, rows.src, rows.kind, rows.t, part)) is None
         ):
             return False
         lo = hi

@@ -7,8 +7,9 @@ fuses each tier's decisions from the assessments (``fuse_instances``);
 ``write_assessment_cache`` keeps a run's assessments so that
 ``read_assessment_cache`` can stand in for assessing its windows again.
 ``assess_instances`` assesses every window of a run as one batch
-(``fusion.assess_windows``), a bounded number of rows at a time; the
-per-window path, ``assess_window``, is the reference it equals.
+(``fusion.assess_windows``), a bounded number of rows at a time, equal to
+cutting each window with ``make_window`` and assessing it with
+``fusion.assess(build_evidence(...))``: the tests' per-window reference.
 
 A false positive here means the system registered a contact although the
 phones were more than 1 metre apart; accuracy is (TP+TN)/(TP+TN+FP+FN).
@@ -28,15 +29,14 @@ import numpy as np
 
 from . import core, envmatch, fusion, ranging
 from .core import (
+    _NO_ROWS,
     KIND_CODES,
     GroundTruthLabel,
     SensorKind,
-    SensorSample,
     Trace,
-    as_trace,
     atomic_write,
     canonical_pair,
-    make_window,
+    make_window,  # not called here, but perfbench/pipeline.py wraps evaluation.make_window
 )
 from .errors import EmptyWindow, EvaluationError
 from .fusion import (
@@ -45,9 +45,8 @@ from .fusion import (
     FusionConfig,
     StageGates,
     WindowRows,
-    assess,
     assess_windows,
-    build_evidence,
+    build_evidence,  # not called here, but perfbench/pipeline.py wraps evaluation.build_evidence
     decide,
 )
 
@@ -147,7 +146,7 @@ def accuracy(c: ConfusionCounts) -> float:
     return (c.tp + c.tn) / c.total
 
 
-Traces = Mapping[str, Union[Trace, Sequence[SensorSample]]]
+Traces = Mapping[str, Trace]
 
 
 Instance = tuple[tuple[str, str], float, float]
@@ -158,6 +157,8 @@ Instance = tuple[tuple[str, str], float, float]
 # stay small beside the traces.
 _BATCH_ROWS = 1 << 12
 _MAG = KIND_CODES[SensorKind.MAGNETOMETER]
+# The trace of a device that ``traces`` lacks: no rows.
+_NO_TRACE = Trace(*_NO_ROWS, names=())
 
 
 class _Window(NamedTuple):
@@ -168,19 +169,12 @@ class _Window(NamedTuple):
     slots: int  # BLE scans per device, as build_evidence counts them
 
 
-def assess_window(traces: Traces, pair: tuple[str, str], start: float, end: float, cfg: FusionConfig) -> Assessment:
-    """One instance's assessment from its own window of the traces of its
-    pair: the per-window reference that ``assess_instances`` equals."""
-    a, b = pair
-    pool = as_trace(traces.get(a, ())) + as_trace(traces.get(b, ()))
-    return assess(build_evidence(make_window(pool, pair, start, end - start), cfg), cfg)
-
-
 def assess_instances(traces: Traces, instances: Iterable[Instance], cfg: FusionConfig) -> list[Assessment]:
     """The assessment of each (pair, window start, window end) instance, in
-    order, equal field for field to its ``assess_window``, made for every
-    window at once (``fusion.assess_windows``). The first window that the
-    reference rejects raises its error, the first empty one
+    order, equal field for field to ``assess(build_evidence(make_window(...)))``
+    of its window, made for every window at once (``fusion.assess_windows``).
+    A device that ``traces`` lacks has no rows. The first window that
+    ``make_window`` rejects raises its error, the first empty one
     ``EmptyWindow``."""
     windows, fault = [], None
     for pair, start, end in instances:
@@ -215,7 +209,7 @@ def _window_batches(traces: Traces, windows: list[_Window]) -> Iterator[WindowRo
     for number, window in enumerate(windows):
         for device in window.pair:
             if device not in ordered:
-                trace = as_trace(traces.get(device, ()))
+                trace = traces.get(device, _NO_TRACE)
                 t = trace.t
                 order = None if not (t[1:] < t[:-1]).any() else np.argsort(t, kind="stable")  # as Trace.between
                 ordered[device] = (trace, order, t if order is None else t[order])
@@ -368,18 +362,6 @@ def read_assessment_cache(path: Union[str, Path], key: dict, count: int) -> Opti
         return None
 
 
-def run_tier(
-    traces: Traces,
-    truth: Sequence[GroundTruthLabel],
-    tier: TierSpec,
-    cfg: FusionConfig,
-) -> tuple[list[DecisionRecord], ConfusionCounts]:
-    """Evaluate one system tier over every labelled instance."""
-    instances = [(label.pair, label.start, label.end) for label in truth]
-    records = fuse_instances(instances, assess_instances(traces, instances, cfg), cfg, tier_gates(tier))
-    return records, confusion(records, truth)
-
-
 def distance_error_cdf(
     estimated: Sequence[float],
     true: Sequence[float],
@@ -449,6 +431,6 @@ def magnetic_separation_report(
 
 def magnitude_sequences(traces: Traces, device: str) -> list[float]:
     """Time-ordered magnetic magnitudes recorded by one device."""
-    trace = as_trace(traces.get(device, ()))
+    trace = traces.get(device, _NO_TRACE)
     rows = trace.rows(SensorKind.MAGNETOMETER)
     return trace.magnitudes(rows[np.argsort(trace.t[rows], kind="stable")])

@@ -15,13 +15,7 @@ from .scenario import (
     generate_traces,
     place_instances,
 )
-from .signals import (
-    PropagationNoise,
-    simulate_barometer,
-    simulate_magnetometer,
-    simulate_rss,
-    simulate_sound,
-)
+from .signals import PropagationNoise
 from .testbed import (
     INDOOR,
     OUTDOOR,
@@ -54,9 +48,5 @@ __all__ = [
     "load_scenario",
     "place_instances",
     "scenario_from_dict",
-    "simulate_barometer",
-    "simulate_magnetometer",
-    "simulate_rss",
-    "simulate_sound",
     "write_config",
 ]

@@ -10,15 +10,15 @@ floors, and masked whenever the receiver's ambient noise drowns it.
 Each model is split into a deterministic level (``rss_level``,
 ``sound_level``, ``barometer_level``) and the rule that turns a noisy level
 into a reading (``rss_reading``, ``sound_heard``, ``magnetometer_reading``).
-The ``simulate_*`` functions draw one reading with them; the simulator
-applies them to all the readings of a batch of instances at once.
+The simulator applies them to all the readings of a batch of instances at
+once; the tests' one-reading-at-a-time reference (``tests/oracles.py``)
+composes the same models.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def rss_sigma(kind: SensorKind, noise: PropagationNoise) -> float:
         return noise.ble_hop_sigma_db
     if kind is SensorKind.WIFI_RSS:
         return noise.wifi_sigma_db
-    raise ValueError(f"simulate_rss handles BLE/WiFi, not {kind}")
+    raise ValueError(f"RSS noise is defined for BLE/WiFi, not {kind}")
 
 
 def rss_level(
@@ -155,83 +155,3 @@ def magnetometer_reading(magnitude, direction: np.ndarray, norm) -> np.ndarray:
     floored at 0.1 uT; ``norm`` is the length of ``direction``."""
     magnitude = np.where(0.1 > magnitude, 0.1, magnitude)
     return direction * np.expand_dims(magnitude / norm, -1)
-
-
-def simulate_rss(
-    tx: DevicePlacement,
-    rx: DevicePlacement,
-    kind: SensorKind,
-    testbed: Testbed,
-    noise: PropagationNoise,
-    params: PathLossParams,
-    rng: np.random.Generator,
-    tx_offset_db: float = 0.0,
-    path_bias_db: float = 0.0,
-) -> Optional[float]:
-    """One BLE or WiFi scan observation of ``tx`` by ``rx``; None if missed.
-
-    ``tx_offset_db`` models the transmitter's calibration error and
-    ``path_bias_db`` the persistent multipath gain of this static pair.
-    """
-    sigma = rss_sigma(kind, noise)
-    rss = rss_level(link(tx, rx, testbed), kind, noise, params, tx_offset_db, path_bias_db)
-    rss += rng.normal(0.0, sigma) if sigma > 0 else 0.0
-    seen, reading = rss_reading(rss, noise)
-    return float(reading) if seen else None
-
-
-def simulate_sound(
-    tx: DevicePlacement,
-    rx: DevicePlacement,
-    chirp: ChirpSpec,
-    testbed: Testbed,
-    noise: PropagationNoise,
-    rng: np.random.Generator,
-    exponent: float = 2.0,
-    tx_level_db: float = 0.0,
-) -> Optional[float]:
-    """Received amplitude of a chirp from ``tx`` at ``rx``; None when unheard.
-
-    Hard absent beyond the maximum range or across two or more floors; also
-    absent whenever the receiver's ambient noise exceeds the arriving level.
-    """
-    path = link(tx, rx, testbed)
-    if sound_gated(path, noise):
-        return None
-    received = sound_level(path, chirp, exponent, tx_level_db)
-    if noise.sound_sigma_db > 0:
-        received += rng.normal(0.0, noise.sound_sigma_db)
-    return received if sound_heard(received, testbed.ambient_noise_at(rx.x, rx.y)) else None
-
-
-def simulate_barometer(
-    device: DevicePlacement,
-    testbed: Testbed,
-    rng: np.random.Generator,
-) -> float:
-    """Air pressure at the device: base minus the per-floor gap, plus the
-    outdoor offset, a pocket bias when stowed, and sensor noise."""
-    _require_placed(testbed, device)
-    value = barometer_level(device, testbed)
-    if testbed.pressure.sigma_hpa > 0:
-        value += rng.normal(0.0, testbed.pressure.sigma_hpa)
-    return value
-
-
-def simulate_magnetometer(
-    device: DevicePlacement,
-    testbed: Testbed,
-    rng: np.random.Generator,
-) -> tuple[float, float, float]:
-    """A 3-axis magnetic reading whose magnitude tracks the local field mean;
-    the direction is uniform (the phone's orientation is arbitrary), drawn
-    once as three normals. An all-zero draw gives NaN components, which the
-    sample contract rejects."""
-    _require_placed(testbed, device)
-    mean = testbed.magnetic_mean_at(device.x, device.y, device.floor)
-    sigma = testbed.magnetic.sensor_sigma_ut
-    mag = mean + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
-
-    direction = rng.normal(size=3)
-    v = magnetometer_reading(mag, direction, float(np.linalg.norm(direction)))
-    return (float(v[0]), float(v[1]), float(v[2]))

@@ -16,6 +16,12 @@ hash state shared across epochs, the exposure oracle scans every published
 id instead of looking the device's log up in a set, and the eager device
 derives its temporary id at every rotation and keeps every id it used,
 instead of deriving the current id when it is read.
+
+The per-reading signal models (``simulate_rss``, ``simulate_sound``,
+``simulate_barometer``, ``simulate_magnetometer``) compose the simulator's
+level and reading rules for one draw at a time, and ``assess_window`` and
+``run_tier`` drive the detector one instance at a time: no command runs
+them, so they live here, beside the trace oracle that calls them.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from sensetrace.core import (
     ProximityState,
     SensorKind,
     SensorSample,
+    as_trace,
+    make_window,
 )
 from sensetrace.errors import InsufficientEvidence, NotDue, ScenarioError
 from sensetrace.protocol import (
@@ -44,22 +52,39 @@ from sensetrace.protocol import (
     PublishedId,
     ServerState,
 )
+from sensetrace.evaluation import (
+    ConfusionCounts,
+    TierSpec,
+    assess_instances,
+    confusion,
+    fuse_instances,
+    tier_gates,
+)
 from sensetrace.fusion import (
+    Assessment,
+    DecisionRecord,
     FusionConfig,
     StageEvidence,
     StageGates,
+    assess,
+    build_evidence,
     stage_appearance,
     stage_distance,
     stage_environment,
 )
-from sensetrace.simulator import (
-    INDOOR,
-    Scenario,
-    place_instances,
-    simulate_barometer,
-    simulate_magnetometer,
-    simulate_rss,
-    simulate_sound,
+from sensetrace.ranging import ChirpSpec, PathLossParams
+from sensetrace.simulator import INDOOR, DevicePlacement, PropagationNoise, Scenario, Testbed, place_instances
+from sensetrace.simulator.signals import (
+    _require_placed,
+    barometer_level,
+    link,
+    magnetometer_reading,
+    rss_level,
+    rss_reading,
+    rss_sigma,
+    sound_gated,
+    sound_heard,
+    sound_level,
 )
 
 
@@ -186,6 +211,99 @@ def sample_from_record(record: dict) -> SensorSample:
     )
 
 
+def simulate_rss(
+    tx: DevicePlacement,
+    rx: DevicePlacement,
+    kind: SensorKind,
+    testbed: Testbed,
+    noise: PropagationNoise,
+    params: PathLossParams,
+    rng: np.random.Generator,
+    tx_offset_db: float = 0.0,
+    path_bias_db: float = 0.0,
+) -> Optional[float]:
+    """One BLE or WiFi scan observation of ``tx`` by ``rx``; None if missed.
+
+    ``tx_offset_db`` models the transmitter's calibration error and
+    ``path_bias_db`` the persistent multipath gain of this static pair.
+    """
+    sigma = rss_sigma(kind, noise)
+    rss = rss_level(link(tx, rx, testbed), kind, noise, params, tx_offset_db, path_bias_db)
+    rss += rng.normal(0.0, sigma) if sigma > 0 else 0.0
+    seen, reading = rss_reading(rss, noise)
+    return float(reading) if seen else None
+
+
+def simulate_sound(
+    tx: DevicePlacement,
+    rx: DevicePlacement,
+    chirp: ChirpSpec,
+    testbed: Testbed,
+    noise: PropagationNoise,
+    rng: np.random.Generator,
+    exponent: float = 2.0,
+    tx_level_db: float = 0.0,
+) -> Optional[float]:
+    """Received amplitude of a chirp from ``tx`` at ``rx``; None when unheard.
+
+    Hard absent beyond the maximum range or across two or more floors; also
+    absent whenever the receiver's ambient noise exceeds the arriving level.
+    """
+    path = link(tx, rx, testbed)
+    if sound_gated(path, noise):
+        return None
+    received = sound_level(path, chirp, exponent, tx_level_db)
+    if noise.sound_sigma_db > 0:
+        received += rng.normal(0.0, noise.sound_sigma_db)
+    return received if sound_heard(received, testbed.ambient_noise_at(rx.x, rx.y)) else None
+
+
+def simulate_barometer(
+    device: DevicePlacement,
+    testbed: Testbed,
+    rng: np.random.Generator,
+) -> float:
+    """Air pressure at the device: base minus the per-floor gap, plus the
+    outdoor offset, a pocket bias when stowed, and sensor noise."""
+    _require_placed(testbed, device)
+    value = barometer_level(device, testbed)
+    if testbed.pressure.sigma_hpa > 0:
+        value += rng.normal(0.0, testbed.pressure.sigma_hpa)
+    return value
+
+
+def simulate_magnetometer(
+    device: DevicePlacement,
+    testbed: Testbed,
+    rng: np.random.Generator,
+) -> tuple[float, float, float]:
+    """A 3-axis magnetic reading whose magnitude tracks the local field mean;
+    the direction is uniform (the phone's orientation is arbitrary), drawn
+    once as three normals. An all-zero draw gives NaN components, which the
+    sample contract rejects."""
+    _require_placed(testbed, device)
+    mean = testbed.magnetic_mean_at(device.x, device.y, device.floor)
+    sigma = testbed.magnetic.sensor_sigma_ut
+    mag = mean + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
+
+    direction = rng.normal(size=3)
+    v = magnetometer_reading(mag, direction, float(np.linalg.norm(direction)))
+    return (float(v[0]), float(v[1]), float(v[2]))
+
+
+def repeated_sample(samples: Sequence[SensorSample]) -> Optional[tuple[int, int]]:
+    """The first sample that repeats an earlier one's (time, kind, src,
+    obs), and that earlier one, by index; or None. The reference for the
+    rule ``read_trace`` holds a trace file to, one sample at a time."""
+    seen: dict[tuple, int] = {}
+    for i, s in enumerate(samples):
+        key = (float(s.timestamp), s.kind, s.src, s.obs)
+        if key in seen:
+            return i, seen[key]
+        seen[key] = i
+    return None
+
+
 def _slot_times(length: float, period: float) -> list[float]:
     n = int(math.floor((length - 1e-9) / period)) + 1
     return [k * period for k in range(n)]
@@ -304,6 +422,28 @@ def sequential_traces(scenario: Scenario) -> tuple[dict[str, list[SensorSample]]
             raise ScenarioError(f"instance {inst.index} {inst.pair}: {exc}") from exc
 
     return traces, labels
+
+
+def assess_window(traces, pair: tuple[str, str], start: float, end: float, cfg: FusionConfig) -> Assessment:
+    """One instance's assessment from its own window of the traces of its
+    pair (each a ``Trace`` or a list of samples; a device ``traces`` lacks
+    has none): the per-window reference that ``assess_instances`` equals."""
+    a, b = pair
+    pool = as_trace(traces.get(a, ())) + as_trace(traces.get(b, ()))
+    return assess(build_evidence(make_window(pool, pair, start, end - start), cfg), cfg)
+
+
+def run_tier(
+    traces,
+    truth: Sequence[GroundTruthLabel],
+    tier: TierSpec,
+    cfg: FusionConfig,
+) -> tuple[list[DecisionRecord], ConfusionCounts]:
+    """One system tier over every labelled instance, through the batch path
+    ``detect`` runs: the decisions and their confusion counts."""
+    instances = [(label.pair, label.start, label.end) for label in truth]
+    records = fuse_instances(instances, assess_instances(traces, instances, cfg), cfg, tier_gates(tier))
+    return records, confusion(records, truth)
 
 
 def gated_decide(evidence: StageEvidence, cfg: FusionConfig, gates: StageGates) -> ContactDecision:

@@ -16,7 +16,7 @@ import pytest
 
 from sensetrace.cli import main as cli_main
 from sensetrace.envmatch import dtw_score
-from sensetrace.evaluation import ConfusionCounts, TierSpec, accuracy, run_tier
+from sensetrace.evaluation import ConfusionCounts, TierSpec, accuracy
 from sensetrace.errors import NotDue
 from sensetrace.protocol import (
     ReportMode,
@@ -38,12 +38,10 @@ from sensetrace.simulator import (
     Testbed,
     generate_traces,
     load_scenario,
-    simulate_barometer,
-    simulate_sound,
 )
 
 from .conftest import STANDARD
-from .oracles import brute_force_dtw
+from .oracles import brute_force_dtw, run_tier, simulate_barometer, simulate_sound
 
 
 def report(number, text):

@@ -17,7 +17,7 @@ from sensetrace import envmatch, evaluation
 from sensetrace.core import SensorKind, SensorSample, Trace, as_trace, make_window
 from sensetrace.envmatch import dtw_score, dtw_scores
 from sensetrace.errors import EmptyWindow
-from sensetrace.evaluation import assess_instances, assess_window, detector_digest
+from sensetrace.evaluation import assess_instances, detector_digest
 from sensetrace.fusion import FusionConfig, build_evidence
 from sensetrace.ranging import (
     ChirpSpec,
@@ -27,6 +27,8 @@ from sensetrace.ranging import (
     sound_distance,
     sound_distances,
 )
+
+from .oracles import assess_window
 
 DEVICES = ("a", "b", "c", "d", "e")
 PEER_KINDS = (SensorKind.BLE_RSS, SensorKind.WIFI_RSS, SensorKind.SOUND_AMPLITUDE)

@@ -33,11 +33,12 @@ from sensetrace.core import (
     write_trace_cache,
 )
 from sensetrace.errors import SenseTraceError
-from sensetrace.evaluation import ASSESSMENT_CACHE, TierSpec, run_tier
+from sensetrace.evaluation import ASSESSMENT_CACHE, TierSpec
 from sensetrace.fusion import decision_to_json
 from sensetrace.simulator import config_hash, load_scenario
 
 from .conftest import STANDARD, standard_raw
+from .oracles import run_tier
 
 
 @pytest.fixture()
@@ -927,6 +928,70 @@ class TestTraceCache:
         decoded = count_decodes(monkeypatch)
         self.assert_foreign_rows_fail(generated, small_config, capsys, paths[0])
         assert decoded == []
+
+    def one_error(self, argv, capsys) -> str:
+        """The message of the one JSON line ``argv`` prints on stderr, with status 1."""
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SenseTraceError"
+        return payload["message"]
+
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    def test_missing_trace_file_fails_before_any_load(self, generated, small_config, capsys, monkeypatch, command):
+        self.detect(generated, small_config)  # stores the run's assessments
+        path = _first_trace(generated)
+        path.unlink()
+        loads = count_trace_loads(monkeypatch)
+        argv, source = {
+            "detect": (["detect", "--data", generated, "--config", small_config, "--tier", "FULL",
+                        "--out", "bad.jsonl"], "instances.jsonl"),
+            "report": (["report", "--data", generated, "--decisions", "decisions_full.jsonl"], "truth.jsonl"),
+        }[command]
+        message = self.one_error(argv, capsys)
+        assert message.startswith(f"{path}: no such trace file, for {source} instance [")
+        assert path.stem in message.split(" instance ", 1)[1]
+        assert loads == []
+        assert not (generated / "bad.jsonl").exists() and not (generated / "cdf.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    def test_repeated_row_fails_naming_its_line(self, generated, small_config, capsys, command):
+        self.detect(generated, small_config)
+        path = _first_trace(generated)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + lines[1:2] + lines[3:]))  # line 2 again, as line 4
+        argv = {
+            "detect": ["detect", "--data", generated, "--config", small_config, "--tier", "FULL", "--out", "bad.jsonl"],
+            "report": ["report", "--data", generated, "--decisions", "decisions_full.jsonl"],
+        }[command]
+        assert self.one_error(argv, capsys) == f"{path}:4: ValueError: repeats line 2"
+        assert not (generated / "bad.jsonl").exists()
+
+    def test_cached_trace_with_a_repeated_row_is_decoded(self, generated, small_config, monkeypatch):
+        want = self.detect(generated, small_config)
+        (generated / ASSESSMENT_CACHE).unlink()
+        first = _first_trace(generated)
+        with write_trace_cache(generated / TRACE_CACHE) as add:  # the first trace's cached rows repeat a row
+            for path in sorted((generated / "traces").glob("*.jsonl")):
+                trace = read_trace(path)
+                if path == first:
+                    trace = trace.take(np.r_[np.arange(len(trace)), 0])
+                add(path.name, hashlib.sha256(path.read_bytes()).hexdigest(), trace)
+        decoded = count_decodes(monkeypatch)
+        assert self.detect(generated, small_config, "again.jsonl") == want
+        assert decoded == [first]
+
+    def test_shuffled_rows_decide_alike(self, generated, small_config):
+        want = self.detect(generated, small_config)
+        rng = random.Random(8)
+        for path in (generated / "traces").glob("*.jsonl"):
+            lines = path.read_text().splitlines(keepends=True)
+            rng.shuffle(lines)
+            path.write_text("".join(lines))
+        (generated / ASSESSMENT_CACHE).unlink()
+        assert self.detect(generated, small_config, "again.jsonl") == want
 
 
 TIERS = ("APPEARANCE_ONLY", "APPEARANCE_DISTANCE", "FULL")

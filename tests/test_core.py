@@ -34,7 +34,7 @@ from sensetrace.core import (
 from sensetrace.errors import EmptyWindow, SenseTraceError
 from sensetrace.fusion import FusionConfig, build_evidence
 
-from .oracles import magnitude, proximity_state, sample_from_record
+from .oracles import magnitude, proximity_state, repeated_sample, sample_from_record
 
 
 def ble(t, src, obs, rss=-60.0):
@@ -330,6 +330,28 @@ class TestReadTrace:
         with pytest.raises(SenseTraceError, match=f"^{re.escape(str(path))}:{bad_line}: "):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "lines, line, earlier",
+        [
+            pytest.param([*GOOD_RECORDS, GOOD_RECORDS[1]], 5, 2, id="out_of_time_order"),
+            pytest.param([GOOD_RECORDS[0], "", GOOD_RECORDS[0], GOOD_RECORDS[1]], 3, 1, id="after_a_blank_line"),
+            pytest.param([GOOD_RECORDS[1], {**GOOD_RECORDS[1], "value": 1013.0}], 2, 1, id="with_another_value"),
+            pytest.param([GOOD_RECORDS[2], {**GOOD_RECORDS[2], "t": 2.0}, GOOD_RECORDS[2]], 2, 1, id="int_and_float_time"),
+        ],
+    )
+    def test_repeated_row_names_its_line_and_the_first(self, tmp_path, lines, line, earlier):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join((row if isinstance(row, str) else dumps(row)) + "\n" for row in lines))
+        with pytest.raises(SenseTraceError) as err:
+            read_trace(path)
+        assert str(err.value) == f"{path}:{line}: ValueError: repeats line {earlier}"
+
+    def test_rows_differing_only_in_src_or_obs_are_not_repeats(self, tmp_path):
+        rows = [ble(0.0, "a", "b"), ble(0.0, "a", "c"), ble(0.0, "c", "b"), baro(1.0, "a"), baro(1.0, "c")]
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, rows)
+        assert list(read_trace(path)) == rows
+
     @pytest.mark.parametrize("name", sorted(REJECTED))
     def test_rejection_message_is_the_line_readers(self, tmp_path, name):
         path = tmp_path / "trace.jsonl"
@@ -484,6 +506,13 @@ class TestWriteTraceProperty:
         assert_written_as_encoded(path, trace)
         data = path.read_bytes()
         assert data == json_lines(samples).encode("utf-8")
+        repeat = repeated_sample(samples)
+        if repeat is not None:  # one sample per line: row i is line i + 1
+            row, earlier = repeat
+            message = f"^{re.escape(str(path))}:{row + 1}: ValueError: repeats line {earlier + 1}$"
+            with pytest.raises(SenseTraceError, match=message):
+                read_trace(path)
+            return
         back = read_trace(path)
         assert back == trace and list(back) == samples
         assert_written_as_encoded(again, back)  # -0.0 keeps its sign both ways
@@ -768,6 +797,21 @@ class TestTraceCache:
         monkeypatch.setattr(Trace, "check", lambda self: checked.append(len(self)) or check(self))
         assert sorted(loaded(cache)) == ["a.jsonl", "b.jsonl", "c.jsonl"]
         assert checked == groups
+
+    @pytest.mark.parametrize("rows", [[0, 0, 1, 2], [2, 0, 1, 0]], ids=["in_order", "out_of_order"])
+    @pytest.mark.parametrize("limit", [1, 8192])
+    def test_trace_repeating_a_row_is_left_out(self, tmp_path, monkeypatch, limit, rows):
+        traces = small_traces()
+        traces["a"] = traces["a"].take(np.array(rows))
+        cache = tmp_path / "cache.npy"
+        cache_only(cache, traces)
+        monkeypatch.setattr(core, "_CHECK_ROWS", limit)
+        assert sorted(loaded(cache)) == ["b.jsonl", "c.jsonl"]
+
+    def test_equal_rows_of_two_traces_are_not_repeats(self, tmp_path):
+        cache = tmp_path / "cache.npy"
+        cache_only(cache, {"a": small_traces()["a"], "b": small_traces()["a"]})
+        assert sorted(loaded(cache)) == ["a.jsonl", "b.jsonl"]
 
     @pytest.mark.parametrize("limit", [1, 2, 4])
     def test_bad_row_in_a_later_group_is_found(self, tmp_path, monkeypatch, limit):

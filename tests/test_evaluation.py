@@ -18,13 +18,12 @@ from sensetrace.evaluation import (
     magnetic_separation_report,
     magnitude_sequences,
     read_assessment_cache,
-    run_tier,
     tier_gates,
     write_assessment_cache,
 )
 from sensetrace.fusion import Assessment, DecisionRecord, assess, build_evidence, decide
 
-from .oracles import gated_decide
+from .oracles import gated_decide, run_tier
 
 
 def record(pair, start, contact):

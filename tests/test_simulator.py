@@ -17,15 +17,18 @@ from sensetrace.simulator import (
     Wall,
     generate_traces,
     load_scenario,
+)
+from sensetrace.simulator import scenario as scenario_module
+
+from .conftest import STANDARD
+from .oracles import (
+    magnitude,
+    sequential_traces,
     simulate_barometer,
     simulate_magnetometer,
     simulate_rss,
     simulate_sound,
 )
-from sensetrace.simulator import scenario as scenario_module
-
-from .conftest import STANDARD
-from .oracles import magnitude, sequential_traces
 
 RADIO = PathLossParams()
 
