@@ -30,7 +30,7 @@ class NoContact(SenseTraceError):
 
 
 class NotDue(SenseTraceError):
-    """An ID rotation was requested before the rotation period elapsed."""
+    """An ID rotation was requested at a time not in a later clock epoch."""
 
 
 class ModeError(SenseTraceError):

@@ -10,6 +10,12 @@ contact list, and the centralized one holds lists only from positive
 reporters; both properties are assertable on ServerState. Given a report
 time, either mode leaves out what ended before the lookback.
 
+Epochs come from a shared clock, as in Exposure Notification and DP-3T:
+epoch ``e`` runs from ``e * period`` to ``(e + 1) * period``, the period
+being ``DEFAULT_ROTATION_PERIOD_S``. A device keeps only its current epoch,
+so a phone that rotates late skips the epochs it slept through; its report
+still publishes an id for each of them.
+
 The public list (``PublishedIds``) holds each id as its 8 raw bytes and
 its epoch as an 8-byte unsigned int, about 16 bytes an id in all. It takes
 ids through ``extend``, only of the form ``derive_temp_id`` writes (``t``
@@ -167,31 +173,21 @@ class PublishedIds:
 
 @dataclass(slots=True)
 class DeviceState:
-    """One participating phone: its permanent id and current epoch (``temp_id``
-    derives the temporary id from both on each read; none is stored), its
-    local contact log and whether it has been told of an exposure.
-
-    ``last_rotation`` is the current epoch's start time. The rotation history
-    is kept as runs: (first epoch, start time) of each run of on-time
-    rotations, an epoch inside a run starting exactly one rotation period
-    after its predecessor. It costs one entry at construction and one per
-    late rotation, none per on-time one."""
+    """One participating phone: its permanent id and current clock epoch
+    (``temp_id`` derives the temporary id from both on each read; none is
+    stored), its local contact log and whether it has been told of an
+    exposure. Its past epochs are the clock's; it keeps no history."""
 
     permanent_id: str
     epoch: int = 0
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
-    last_rotation: float = 0.0
-    runs: list[tuple[int, float]] = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.epoch, int) or isinstance(self.epoch, bool):
             raise TypeError(f"epoch must be an int, got {self.epoch!r}")
         if self.epoch < 0:
             raise ValueError("epoch must be >= 0")
-        if not math.isfinite(self.last_rotation):
-            raise ValueError(f"last_rotation must be finite, got {self.last_rotation}")
-        self.runs = [(self.epoch, self.last_rotation)]
 
     @property
     def temp_id(self) -> str:
@@ -202,10 +198,10 @@ class DeviceState:
 class ServerState:
     """The coordination server. What it may store depends on its mode.
 
-    ``published_positive_ids``, the decentralized public list, is a
-    ``PublishedIds`` that starts empty; it is not a constructor argument.
-    ``lookback_s`` must be >= 0 (``inf`` looks back forever); NaN or a
-    negative lookback raises ``ValueError``."""
+    Neither ``published_positive_ids`` (the decentralized public list, a
+    ``PublishedIds`` that starts empty) nor ``_counter`` is a constructor
+    argument. ``lookback_s`` must be >= 0 (``inf`` looks back forever); NaN
+    or a negative lookback raises ``ValueError``."""
 
     mode: ReportMode
     registered: set[str] = field(default_factory=set)
@@ -213,7 +209,7 @@ class ServerState:
     published_positive_ids: PublishedIds = field(default_factory=PublishedIds, init=False)
     uploaded_contact_lists: dict[str, list[ContactLogEntry]] = field(default_factory=dict)
     lookback_s: float = DEFAULT_LOOKBACK_S
-    _counter: int = 0
+    _counter: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not self.lookback_s >= 0:
@@ -238,22 +234,19 @@ def register_device(server: ServerState, device: Optional[DeviceState] = None) -
 
 
 def rotate_id(device: DeviceState, now: float) -> DeviceState:
-    """Advance to the next epoch once the rotation period has elapsed: O(1)
-    bookkeeping, as ``temp_id`` derives the new temporary id when read.
-    An on-time rotation (exactly one period after the last) allocates
-    nothing; a late one opens a new run in ``device.runs``, so the device
-    keeps its own past ids resolvable for exposure matching. A non-finite
-    ``now`` raises ``ValueError`` and an early one ``NotDue``; either leaves
-    the device unchanged."""
-    due = device.last_rotation + DEFAULT_ROTATION_PERIOD_S
-    if now != due:
-        if not math.isfinite(now):
-            raise ValueError(f"rotation time must be finite, got {now}")
-        if now < due:
-            raise NotDue(f"rotation at t={now} before {due}")
-        device.runs.append((device.epoch + 1, now))
-    device.epoch += 1
-    device.last_rotation = now
+    """Move the device to the clock epoch of ``now``, ``floor(now /
+    period)``; ``temp_id`` derives the new id when read. A non-finite
+    ``now`` raises ``ValueError``, and one whose epoch is not after the
+    device's ``NotDue``; either leaves the device unchanged. (The epoch
+    could be read off the clock at each exchange; this call stays because
+    perfbench's protocol workload rotates every device through it.)"""
+    try:
+        epoch = math.floor(now / DEFAULT_ROTATION_PERIOD_S)
+    except (ValueError, OverflowError):
+        raise ValueError(f"rotation time must be finite, got {now}") from None
+    if epoch <= device.epoch:
+        raise NotDue(f"rotation at t={now} is in epoch {epoch}, not after epoch {device.epoch}")
+    device.epoch = epoch
     return device
 
 
@@ -264,9 +257,14 @@ def exchange_ids(
     window: ContactWindow,
 ) -> tuple[DeviceState, DeviceState]:
     """After a positive decision, both phones log each other's current
-    temporary id with the window metadata."""
+    temporary id with the window metadata. The window must name ``a`` and
+    ``b``, two distinct devices; otherwise ``ValueError``, and neither log
+    changes."""
     if not decision.contact:
         raise NoContact("id exchange requires a positive contact decision")
+    # A window's pair names two distinct devices, so this also refuses a is b.
+    if {a.permanent_id, b.permanent_id} != set(window.pair):
+        raise ValueError(f"window of {window.pair} does not pair {a.permanent_id!r} with {b.permanent_id!r}")
     a.contact_log.append(ContactLogEntry(b.temp_id, window.start, window.end, decision.mean_distance))
     b.contact_log.append(ContactLogEntry(a.temp_id, window.start, window.end, decision.mean_distance))
     return a, b
@@ -338,33 +336,30 @@ def report_positive_decentralized(
     server: ServerState,
     now: Optional[float] = None,
 ) -> frozenset[str]:
-    """Publish the reporter's own temporary ids (all epochs within the
-    infectious lookback) to the anonymous public list, which takes them
-    with their epochs in one step; returns the published ids as a
-    ``frozenset``, the argument ``check_exposure`` takes.
+    """Publish the reporter's own temporary ids to the anonymous public
+    list, which takes them with their epochs in one step; returns the
+    published ids as a ``frozenset``, the argument ``check_exposure`` takes.
 
-    ``now=None`` publishes every epoch; a non-finite ``now`` raises
-    ``ValueError``. Each epoch's end is rebuilt from ``device.runs`` with the
-    float addition ``rotate_id`` compared against, so it equals the ``now``
-    that started the next epoch bit for bit."""
+    The ids are those of the epochs from the first that ends at or after
+    ``now - server.lookback_s`` (the current epoch ends at ``now``), never
+    below epoch 0, to the device's current epoch; ``now=None`` publishes
+    from epoch 0. A non-finite ``now``, or one whose clock epoch is before
+    the device's, raises ``ValueError`` and publishes nothing."""
     if server.mode is not ReportMode.DECENTRALIZED:
         raise ModeError("decentralized report sent to a non-decentralized server")
-    if now is not None and not math.isfinite(now):
-        raise ValueError(f"report time must be finite, got {now}")
-    delta: list[PublishedId] = []
-    runs = device.runs
-    for k, (first, start) in enumerate(runs):
-        # Inside a run each epoch is active until the next one starts, one
-        # period later; the run's last epoch until the next run starts, and
-        # the current epoch until now.
-        stop, run_end = runs[k + 1] if k + 1 < len(runs) else (device.epoch + 1, now)
-        for epoch in range(first, stop):
-            until = start + DEFAULT_ROTATION_PERIOD_S if epoch + 1 < stop else run_end
-            start = until
-            # An epoch matters if it was still active inside the lookback.
-            if now is not None and until < now - server.lookback_s:
-                continue
-            delta.append(PublishedId(derive_temp_id(device.permanent_id, epoch), epoch))
+    first = 0
+    if now is not None:
+        if not math.isfinite(now):
+            raise ValueError(f"report time must be finite, got {now}")
+        if math.floor(now / DEFAULT_ROTATION_PERIOD_S) < device.epoch:
+            raise ValueError(f"report time {now} is before the start of the device's epoch {device.epoch}")
+        # Epoch e ends at (e + 1) * period, so the first to end at or after
+        # the cut is ceil(cut / period) - 1. The quotient is rounded, but it
+        # rounds to an integer n only when cut == n * period exactly (below
+        # 2**53 / period epochs), so its ceiling is the exact one.
+        cut = now - server.lookback_s
+        first = min(math.ceil(cut / DEFAULT_ROTATION_PERIOD_S) - 1, device.epoch) if cut > 0 else 0
+    delta = [PublishedId(derive_temp_id(device.permanent_id, e), e) for e in range(first, device.epoch + 1)]
     server.published_positive_ids.extend(delta)
     return frozenset(p.temp_id for p in delta)
 

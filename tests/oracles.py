@@ -13,9 +13,10 @@ oracle resolves each logged temporary id by its own search of the registry
 instead of one pass for the whole log, with each id derived whole from
 its hex digest (``hexdigest_temp_id``) instead of from raw bytes and a
 hash state shared across epochs, the exposure oracle scans every published
-id instead of looking the device's log up in a set, and the eager device
-derives its temporary id at every rotation and keeps every id it used,
-instead of deriving the current id when it is read.
+id instead of looking the device's log up in a set, and the clock device
+reads its epoch off the clock in exact rational arithmetic and publishes by
+testing every epoch from 0 against the lookback, instead of dividing
+floats and computing the first epoch to publish.
 
 The per-reading signal models (``simulate_rss``, ``simulate_sound``,
 ``simulate_barometer``, ``simulate_magnetometer``) compose the simulator's
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -518,58 +520,61 @@ def report_centralized_per_entry(device: DeviceState, server: ServerState, now: 
     return notified
 
 
-def temp_id_history(device: DeviceState) -> dict[int, str]:
-    """Every temporary id ``device`` has used, by epoch: what only the
-    device itself can resolve."""
-    return {
-        e: hexdigest_temp_id(device.permanent_id, e)
-        for e in range(device.runs[0][0], device.epoch + 1)
-    }
+def clock_epoch(t: float) -> int:
+    """The clock epoch at time ``t``: the number of whole rotation periods
+    from time 0 to ``t``, in exact arithmetic. A non-finite ``t`` raises
+    ``ValueError``."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    return math.floor(Fraction(t) / Fraction(DEFAULT_ROTATION_PERIOD_S))
+
+
+def temp_id_history(device) -> dict[int, str]:
+    """Every temporary id ``device`` can have used, by epoch: one for each
+    clock epoch up to its current one, which only the device itself can
+    resolve."""
+    return {e: hexdigest_temp_id(device.permanent_id, e) for e in range(device.epoch + 1)}
 
 
 @dataclass
-class EagerDevice:
-    """A device that derives its temporary id at every rotation and stores
-    it, with each epoch's id and start time: the reference for
-    ``DeviceState``, which derives the current id when it is read. It has
-    every attribute ``register_device``, ``exchange_ids``, ``check_exposure``
-    and ``notify_devices`` read, so those run on it unchanged."""
+class ClockDevice:
+    """The reference for ``DeviceState``: its temporary id is written out
+    from its hex digest at each read. It has every attribute
+    ``register_device``, ``exchange_ids``, ``check_exposure`` and
+    ``notify_devices`` read, so those run on it unchanged."""
 
     permanent_id: str
-    epoch: int
-    temp_id: str
+    epoch: int = 0
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
-    last_rotation: float = 0.0
-    # epoch -> (temporary id, start time), from the first epoch on.
-    used: dict[int, tuple[str, float]] = field(default_factory=dict)
 
-    @classmethod
-    def fresh(cls, permanent_id: str, epoch: int = 0, start: float = 0.0) -> "EagerDevice":
-        first = hexdigest_temp_id(permanent_id, epoch)
-        return cls(permanent_id, epoch, first, last_rotation=start, used={epoch: (first, start)})
+    @property
+    def temp_id(self) -> str:
+        return hexdigest_temp_id(self.permanent_id, self.epoch)
 
 
-def eager_rotate(device: EagerDevice, now: float) -> None:
-    """``rotate_id`` for an ``EagerDevice``: derive and store the next id."""
-    if not math.isfinite(now):
-        raise ValueError(f"rotation time must be finite, got {now}")
-    if now < device.last_rotation + DEFAULT_ROTATION_PERIOD_S:
+def clock_rotate(device: ClockDevice, now: float) -> None:
+    """``rotate_id`` for a ``ClockDevice``: move to the clock epoch of
+    ``now`` if it is later than the device's, else ``NotDue``."""
+    epoch = clock_epoch(now)
+    if epoch <= device.epoch:
         raise NotDue(f"rotation at t={now} too early")
-    device.epoch += 1
-    device.temp_id = hexdigest_temp_id(device.permanent_id, device.epoch)
-    device.used[device.epoch] = (device.temp_id, now)
-    device.last_rotation = now
+    device.epoch = epoch
 
 
-def eager_report_decentralized(device: EagerDevice, server: ServerState, now: float) -> frozenset[str]:
-    """``report_positive_decentralized`` from the stored ids: every epoch
-    whose successor started inside the lookback, and the current one."""
-    epochs = sorted(device.used)
+def clock_report_decentralized(device, server: ServerState, now: Optional[float]) -> frozenset[str]:
+    """``report_positive_decentralized`` written out: every epoch from 0 to
+    the device's current one whose end, ``(e + 1) * period`` exactly or
+    ``now`` for the current epoch, is not before ``now - lookback``; every
+    epoch when ``now`` is None. A ``now`` in an epoch before the device's
+    raises ``ValueError``."""
+    if now is not None and clock_epoch(now) < device.epoch:
+        raise ValueError(f"report time {now} is before epoch {device.epoch}")
+    period = Fraction(DEFAULT_ROTATION_PERIOD_S)
     delta = [
-        PublishedId(device.used[e][0], e)
-        for e in epochs
-        if e == epochs[-1] or device.used[e + 1][1] >= now - server.lookback_s
+        PublishedId(hexdigest_temp_id(device.permanent_id, e), e)
+        for e in range(device.epoch + 1)
+        if now is None or e == device.epoch or (e + 1) * period >= now - server.lookback_s
     ]
     server.published_positive_ids.extend(delta)
     return frozenset(p.temp_id for p in delta)

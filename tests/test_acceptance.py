@@ -204,8 +204,8 @@ def _random_protocol_run(seed, mode):
         roll = rng.random()
         if roll < 0.55:
             a, b = rng.sample(devices, 2)
-            sample = SensorSample(now, SensorKind.BLE_RSS, -60.0, src="x", obs="y")
-            window = ContactWindow(("x", "y"), now, now + 900.0, (sample,))
+            sample = SensorSample(now, SensorKind.BLE_RSS, -60.0, src=a.permanent_id, obs=b.permanent_id)
+            window = ContactWindow((a.permanent_id, b.permanent_id), now, now + 900.0, (sample,))
             exchange_ids(a, b, decision, window)
             exchanges.append((a, b))
         elif roll < 0.85:

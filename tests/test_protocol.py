@@ -33,9 +33,10 @@ from sensetrace.protocol import (
 )
 
 from .oracles import (
-    EagerDevice,
-    eager_report_decentralized,
-    eager_rotate,
+    ClockDevice,
+    clock_epoch,
+    clock_report_decentralized,
+    clock_rotate,
     exposed_by_scan,
     hexdigest_temp_id,
     report_centralized_per_entry,
@@ -48,13 +49,14 @@ def positive_decision():
     return ContactDecision(True, 0.7, 0.02, SensorKind.BAROMETER, True)
 
 
-def window(start=0.0, pair=("x", "y")):
-    s = SensorSample(start, SensorKind.BLE_RSS, -60.0, src=pair[0], obs=pair[1])
-    return ContactWindow(tuple(sorted(pair)), start, start + 900.0, (s,))
+def window(a, b, start=0.0):
+    """A 900 s window of ``a`` and ``b`` from ``start``, with one BLE sample."""
+    s = SensorSample(start, SensorKind.BLE_RSS, -60.0, src=a.permanent_id, obs=b.permanent_id)
+    return ContactWindow(tuple(sorted((a.permanent_id, b.permanent_id))), start, start + 900.0, (s,))
 
 
 def contact(a, b, start=0.0):
-    exchange_ids(a, b, positive_decision(), window(start))
+    exchange_ids(a, b, positive_decision(), window(a, b, start))
 
 
 class TestRegisterDevice:
@@ -87,6 +89,12 @@ class TestRegisterDevice:
         minted = [register_device(server).permanent_id for _ in range(3)]
         assert minted == ["dev00001", "dev00003", "dev00004"]
         assert len(server.registered) == 5
+
+    def test_counter_is_not_a_constructor_argument(self):
+        # A counter set at construction once made the server mint dev-0005.
+        with pytest.raises(TypeError):
+            ServerState(ReportMode.CENTRALIZED, _counter=-5)
+        assert register_device(ServerState(ReportMode.CENTRALIZED)).permanent_id == "dev00000"
 
 
 class TestRotateId:
@@ -132,24 +140,35 @@ class TestRotateId:
         assert history[0] == derive_temp_id(d.permanent_id, 0)
 
     def test_device_first_seen_at_a_later_epoch(self):
-        # The history and the published epochs match those of an
-        # {epoch: start time} table kept beside the device.
+        # A device that starts at epoch 5 and rotates on the clock publishes
+        # the clock epochs inside the lookback; with no report time, every
+        # epoch from 0, before it existed too.
         server = ServerState(ReportMode.DECENTRALIZED, lookback_s=2000.0)
         d = register_device(server, DeviceState("p5", epoch=5))
-        starts = {5: 0.0}
-        for k in range(1, 6):
+        for k in range(6, 11):
             rotate_id(d, k * 900.0)
-            starts[5 + k] = k * 900.0
-        history = temp_id_history(d)
-        assert list(history) == list(starts)
-        assert all(history[e] == derive_temp_id("p5", e) for e in starts)
-
-        now = 6000.0
-        expected = [e for e in sorted(starts) if starts.get(e + 1, now) >= now - server.lookback_s]
-        report_positive_decentralized(d, server, now=now)
+        assert d.epoch == 10
+        # The cut is 7500 s: epoch 7 ended at 7200 s, epoch 8 at 8100 s.
+        delta = report_positive_decentralized(d, server, now=9500.0)
         published = list(server.published_positive_ids)
-        assert [p.epoch for p in published] == expected == [9, 10]
-        assert [p.temp_id for p in published] == [history[e] for e in expected]
+        assert [p.epoch for p in published] == [8, 9, 10]
+        assert delta == {derive_temp_id("p5", e) for e in (8, 9, 10)}
+        assert [p.temp_id for p in published] == [temp_id_history(d)[e] for e in (8, 9, 10)]
+        report_positive_decentralized(d, server)
+        assert [p.epoch for p in server.published_positive_ids][3:] == list(range(11))
+
+    def test_late_rotation_skips_epochs(self):
+        # A phone asleep from 900 s to 5000 s rotates once, into the clock's
+        # epoch 5; its report still publishes an id for epochs 2 to 4.
+        server = ServerState(ReportMode.DECENTRALIZED)
+        a, b = register_device(server), register_device(server)
+        rotate_id(b, 900.0)
+        contact(a, b, start=900.0)
+        rotate_id(b, 5000.0)
+        assert b.epoch == 5 and b.temp_id == derive_temp_id(b.permanent_id, 5)
+        published = report_positive_decentralized(b, server, now=5000.0)
+        assert [p.epoch for p in server.published_positive_ids] == [0, 1, 2, 3, 4, 5]
+        assert check_exposure(a, published)
 
 
 class TestIdDerivedOnRead:
@@ -187,41 +206,39 @@ class TestIdDerivedOnRead:
     @staticmethod
     def twin_session(seed, mode):
         """One random session played on ``DeviceState``s with the library and
-        on ``EagerDevice``s with the reference, checking every identity read
-        on the way. Time jumps by up to 300 epochs; each device catches up on
-        its rotations, each at its due time, or not; some start past epoch 0
-        and the last is never registered. Reports go to the ``mode`` server."""
+        on ``ClockDevice``s with the reference, checking every identity read
+        on the way. Time moves on by up to 300 epochs, on and off the 900 s
+        grid, or not at all; each device rotates to the clock's epoch, or
+        sleeps. Some start past epoch 0, ahead of the clock, and report only
+        once it has caught up; the last is never registered. Reports go to
+        the ``mode`` server."""
         rng = random.Random(seed)
         lookback = rng.choice((2000.0, 40 * 900.0, protocol.DEFAULT_LOOKBACK_S))
         server, ref_server = ServerState(mode, lookback_s=lookback), ServerState(mode, lookback_s=lookback)
         firsts = [rng.choice((0, 0, 5, 300)) for _ in range(rng.randint(3, 6))]
         devices = [DeviceState(f"p{k}", epoch=e) for k, e in enumerate(firsts)]
-        refs = [EagerDevice.fresh(f"p{k}", e) for k, e in enumerate(firsts)]
+        refs = [ClockDevice(f"p{k}", e) for k, e in enumerate(firsts)]
         for d, r in zip(devices[:-1], refs[:-1]):
             register_device(server, d)
             register_device(ref_server, r)
         now = 0.0
         for _ in range(rng.randint(5, 15)):
-            now += rng.choice((0.0, 900.0, 900.0, 40 * 900.0, 300 * 900.0))
+            now += rng.choice((0.0, 450.5, 900.0, 900.0, 40 * 900.0, 300 * 900.0))
             for d, r in zip(devices, refs):
-                if rng.random() < 0.8:
-                    while (due_at := d.last_rotation + 900.0) <= now:
-                        rotate_id(d, due_at)
-                        eager_rotate(r, due_at)
-            k = rng.randrange(len(devices))
-            due = devices[k].last_rotation + 900.0 <= now
-            if due:
-                rotate_id(devices[k], now)
-                eager_rotate(refs[k], now)
-            else:
-                with pytest.raises(NotDue):
-                    rotate_id(devices[k], now)
-                with pytest.raises(NotDue):
-                    eager_rotate(refs[k], now)
+                if rng.random() < 0.2:
+                    continue
+                if clock_epoch(now) > r.epoch:
+                    rotate_id(d, now)
+                    clock_rotate(r, now)
+                else:
+                    with pytest.raises(NotDue):
+                        rotate_id(d, now)
+                    with pytest.raises(NotDue):
+                        clock_rotate(r, now)
             for _ in range(rng.randint(0, 3)):
                 i, j = rng.sample(range(len(devices)), 2)
-                exchange_ids(devices[i], devices[j], positive_decision(), window(now))
-                exchange_ids(refs[i], refs[j], positive_decision(), window(now))
+                exchange_ids(devices[i], devices[j], positive_decision(), window(devices[i], devices[j], now))
+                exchange_ids(refs[i], refs[j], positive_decision(), window(refs[i], refs[j], now))
             if rng.random() < 0.4:
                 k = rng.randrange(len(devices) - 1)
                 if mode is ReportMode.CENTRALIZED:
@@ -229,19 +246,22 @@ class TestIdDerivedOnRead:
                     assert notified == report_centralized_per_entry(refs[k], ref_server)
                     notify_devices(notified, {d.permanent_id: d for d in devices})
                     notify_devices(notified, {r.permanent_id: r for r in refs})
+                elif clock_epoch(now) < refs[k].epoch:
+                    with pytest.raises(ValueError):
+                        report_positive_decentralized(devices[k], server, now)
+                    with pytest.raises(ValueError):
+                        clock_report_decentralized(refs[k], ref_server, now)
                 else:
                     delta = report_positive_decentralized(devices[k], server, now)
-                    ref_delta = eager_report_decentralized(refs[k], ref_server, now)
+                    ref_delta = clock_report_decentralized(refs[k], ref_server, now)
                     assert delta == ref_delta
                     assert server.published_positive_ids == ref_server.published_positive_ids
                     for d, r in zip(devices, refs):
                         assert check_exposure(d, delta) == check_exposure(r, ref_delta)
-            assert [(d.epoch, d.last_rotation, d.temp_id) for d in devices] == [
-                (r.epoch, r.last_rotation, r.temp_id) for r in refs
-            ]
+            assert [(d.epoch, d.temp_id) for d in devices] == [(r.epoch, r.temp_id) for r in refs]
         return (server, devices), (ref_server, refs)
 
-    def test_matches_eager_reference(self):
+    def test_matches_clock_reference(self):
         published = notified = 0
         for seed in range(30):
             for mode in ReportMode:
@@ -268,115 +288,51 @@ class TestIdDerivedOnRead:
             lookback = math.nextafter(lookback, math.inf if now - lookback > t else -math.inf)
         return None
 
-    def test_off_grid_times_match_eager_reference(self):
-        # Start times off the 900 s grid, on-time rotations whose starts
-        # accumulate rounding (from 1/3 and pi, repeated addition of 900.0
-        # drifts from start + k * 900.0 within a few epochs), late jumps,
-        # catch-up at each due time and repeated rotation at one time. Every
-        # report delta equals the eager reference's, for lookbacks that cut
-        # exactly at epoch ends (inside a run and at a run boundary) and
-        # just beside them.
-        exact_cuts = cut_sizes = 0
-        for seed in range(20):
-            rng = random.Random(seed)
-            first, start = rng.choice((0, 7)), rng.choice((0.1, 1e9 + 0.3, 1 / 3, math.pi))
-            d = DeviceState("p", epoch=first, last_rotation=start)
-            r = EagerDevice.fresh("p", first, start)
-            now = start
-            for _ in range(rng.randint(10, 25)):
-                step = rng.choice(("on_time", "on_time", "jump", "catch_up", "repeat"))
-                if step == "on_time":
-                    for _ in range(rng.randint(1, 40)):
-                        now = d.last_rotation + 900.0
-                        rotate_id(d, now)
-                        eager_rotate(r, now)
-                elif step == "jump":
-                    now += rng.choice((900.1, 3 * 900.0 + 0.7, 40 * 900.0 + 0.25))
-                    rotate_id(d, now)
-                    eager_rotate(r, now)
-                elif step == "catch_up":
-                    now += rng.choice((2.5, 10.0, 40.0)) * 900.0
-                    while d.last_rotation + 900.0 <= now:
-                        rotate_id(d, d.last_rotation + 900.0)
-                        eager_rotate(r, r.last_rotation + 900.0)
-                else:
-                    now = d.last_rotation + 900.0 + rng.choice((0.0, 0.3))
-                    for _ in range(3):
-                        if d.last_rotation + 900.0 <= now:
-                            rotate_id(d, now)
-                            eager_rotate(r, now)
-                        else:
-                            with pytest.raises(NotDue):
-                                rotate_id(d, now)
-                            with pytest.raises(NotDue):
-                                eager_rotate(r, now)
-                assert (d.epoch, d.last_rotation, d.temp_id) == (r.epoch, r.last_rotation, r.temp_id)
-            # Report some time after the last rotation.
-            now = d.last_rotation + rng.choice((0.0, 450.5))
-            # Cut at every run's start and at a sample of other epochs' ends.
-            epochs = sorted(r.used)
-            run_starts = [e for e in epochs[1:] if r.used[e][1] != r.used[e - 1][1] + 900.0]
-            sizes = set()
-            for e in set(run_starts + rng.sample(epochs, min(25, len(epochs)))):
-                t = r.used[e][1]
-                for cut in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf), t + 0.05):
-                    lookback = self.lookback_to(now, cut)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from((0.0, 1 / 3, math.pi)),
+        st.lists(
+            st.tuples(st.sampled_from((0, 1, 1, 2, 3, 40)), st.sampled_from((0.0, 0.0, 0.25, 450.5))),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_off_grid_times_match_clock_reference(self, offset, steps):
+        # Rotation times from an offset of 0, 1/3 or pi: on-time steps of one
+        # period, whose sum drifts from offset + k * 900.0 by rounding, late
+        # jumps of several, off-grid extras and repeated times (a step of 0).
+        # After each, the device is in the clock's epoch of that time, and
+        # every report agrees with the clock reference, for lookbacks that
+        # cut exactly at an epoch's end and one ulp to either side.
+        d = DeviceState("p")
+        t = offset
+        for periods, extra in steps:
+            t += periods * 900.0 + extra
+            if clock_epoch(t) > d.epoch:
+                rotate_id(d, t)
+            else:
+                with pytest.raises(NotDue):
+                    rotate_id(d, t)
+            assert d.epoch == math.floor(t / 900.0) == clock_epoch(t)
+            assert d.temp_id == hexdigest_temp_id("p", d.epoch)
+            cuts = 0
+            for e in {0, d.epoch // 2, d.epoch - 2, d.epoch - 1} - {-2, -1}:
+                end = (e + 1) * 900.0
+                for cut in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)):
+                    lookback = self.lookback_to(t, cut)
                     if lookback is None or lookback < 0:
                         continue
-                    exact_cuts += 1
+                    cuts += 1
                     server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
                     ref_server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
-                    delta = report_positive_decentralized(d, server, now)
-                    assert delta == eager_report_decentralized(r, ref_server, now)
+                    delta = report_positive_decentralized(d, server, t)
+                    assert delta == clock_report_decentralized(d, ref_server, t)
                     assert server.published_positive_ids == ref_server.published_positive_ids
-                    sizes.add(len(server.published_positive_ids))
-            cut_sizes += len(sizes)
-            server = ServerState(ReportMode.DECENTRALIZED)
-            report_positive_decentralized(d, server, None)
-            assert list(server.published_positive_ids) == [
-                protocol.PublishedId(r.used[e][0], e) for e in sorted(r.used)
-            ]
-        # The lookbacks did cut exactly at epoch ends, and at many places.
-        assert exact_cuts > 1000 and cut_sizes > 200
-
-
-class TestRotationRuns:
-    def test_on_time_rotations_leave_one_run(self):
-        d = DeviceState("p")
-        for k in range(1, 1345):
-            rotate_id(d, k * 900.0)
-        assert d.epoch == 1344
-        assert d.runs == [(0, 0.0)]
-
-    def test_late_rotation_adds_one_run(self):
-        d = DeviceState("p", last_rotation=0.5)
-        rotate_id(d, 900.5)
-        rotate_id(d, 2000.0)
-        assert d.runs == [(0, 0.5), (2, 2000.0)]
-        rotate_id(d, 2900.0)
-        assert d.runs == [(0, 0.5), (2, 2000.0)]
-        rotate_id(d, 3800.25)
-        assert d.runs == [(0, 0.5), (2, 2000.0), (4, 3800.25)]
-
-    def test_first_epoch_of_a_later_device(self):
-        d = DeviceState("p", epoch=5)
-        assert d.runs[0][0] == 5
-        assert d.runs == [(5, 0.0)]
-        rotate_id(d, 900.0)
-        rotate_id(d, 5000.0)
-        assert d.runs[0][0] == 5
-
-    def test_runs_is_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            DeviceState("p", runs=[(0, 0.0)])
-
-    def test_records_are_slotted(self):
-        d = DeviceState("p")
-        exchange_ids(d, DeviceState("q"), positive_decision(), window())
-        for record in (d, d.contact_log[0]):
-            assert not hasattr(record, "__dict__")
-        with pytest.raises(AttributeError):
-            d.note = "ad hoc"
+            # The lookbacks did cut at the end of the epoch before the current one.
+            assert cuts or d.epoch == 0
+        server, ref_server = ServerState(ReportMode.DECENTRALIZED), ServerState(ReportMode.DECENTRALIZED)
+        assert report_positive_decentralized(d, server) == clock_report_decentralized(d, ref_server, None)
+        assert server.published_positive_ids == ref_server.published_positive_ids
 
 
 class TestNonFiniteTimes:
@@ -385,27 +341,27 @@ class TestNonFiniteTimes:
         d = DeviceState("p")
         rotate_id(d, 900.0)
         rotate_id(d, 2000.0)
-        before = (d.epoch, d.last_rotation, list(d.runs))
         with pytest.raises(ValueError):
             rotate_id(d, bad)
-        assert (d.epoch, d.last_rotation, d.runs) == before
-        # The rejected time left the schedule as it was.
+        assert d.epoch == 2
+        # The rejected time left the device in its epoch.
         with pytest.raises(NotDue):
             rotate_id(d, 2001.0)
         rotate_id(d, 2900.0)
-        assert (d.epoch, d.runs) == (3, [(0, 0.0), (2, 2000.0)])
+        assert d.epoch == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_eager_reference_rejects_alike(self, bad):
-        r = EagerDevice.fresh("p")
+    def test_clock_reference_rejects_alike(self, bad):
+        r = ClockDevice("p")
         with pytest.raises(ValueError):
-            eager_rotate(r, bad)
-        assert (r.epoch, r.last_rotation, list(r.used)) == (0, 0.0, [0])
+            clock_rotate(r, bad)
+        assert r.epoch == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_construction_rejected(self, bad):
-        with pytest.raises(ValueError):
-            DeviceState("p", last_rotation=bad)
+        # A device holds no time, and its epoch must be an int.
+        with pytest.raises(TypeError, match="epoch must be an int"):
+            DeviceState("p", epoch=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_decentralized_report_rejected(self, bad):
@@ -415,7 +371,7 @@ class TestNonFiniteTimes:
         with pytest.raises(ValueError):
             report_positive_decentralized(d, server, now=bad)
         assert len(server.published_positive_ids) == 0
-        assert (d.epoch, d.last_rotation, d.runs) == (1, 900.0, [(0, 0.0)])
+        assert d.epoch == 1
 
     def test_no_time_publishes_every_epoch(self):
         server = ServerState(ReportMode.DECENTRALIZED, lookback_s=1.0)
@@ -423,7 +379,7 @@ class TestNonFiniteTimes:
         rotate_id(d, 900.0)
         rotate_id(d, 5000.0)
         report_positive_decentralized(d, server, now=None)
-        assert [p.epoch for p in server.published_positive_ids] == [0, 1, 2]
+        assert [p.epoch for p in server.published_positive_ids] == [0, 1, 2, 3, 4, 5]
 
 
 class TestExchangeIds:
@@ -440,7 +396,7 @@ class TestExchangeIds:
         # Each side logs the peer's current temporary id, the window bounds
         # and the decision's mean distance: no permanent id, no samples.
         a, b = DeviceState("pa", epoch=3), DeviceState("pb", epoch=9)
-        exchange_ids(a, b, positive_decision(), window(1800.0))
+        exchange_ids(a, b, positive_decision(), window(a, b, 1800.0))
         assert a.contact_log == [ContactLogEntry(derive_temp_id("pb", 9), 1800.0, 2700.0, 0.7)]
         assert b.contact_log == [ContactLogEntry(derive_temp_id("pa", 3), 1800.0, 2700.0, 0.7)]
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -472,8 +428,34 @@ class TestExchangeIds:
         a, b = register_device(server), register_device(server)
         negative = ContactDecision(True, 2.0, 0.02, SensorKind.BAROMETER, False)
         with pytest.raises(NoContact):
-            exchange_ids(a, b, negative, window())
+            exchange_ids(a, b, negative, window(a, b))
         assert a.contact_log == [] and b.contact_log == []
+
+    def test_window_of_other_devices_rejected(self):
+        # Such a window once put the third device's id into the first's log.
+        server = ServerState(ReportMode.CENTRALIZED)
+        a, b, c = (register_device(server) for _ in range(3))
+        for x, y, w in ((a, b, window(a, c)), (a, b, window(c, b)), (a, a, window(a, b)), (b, c, window(a, b))):
+            with pytest.raises(ValueError, match="does not pair"):
+                exchange_ids(x, y, positive_decision(), w)
+        assert a.contact_log == b.contact_log == c.contact_log == []
+
+    def test_device_paired_with_itself_rejected(self):
+        # Once logged its own id; two states of one permanent id alike. (A
+        # window cannot pair a device with itself.)
+        a, b = DeviceState("pa"), DeviceState("pb")
+        for other in (a, DeviceState("pa")):
+            with pytest.raises(ValueError, match="does not pair"):
+                exchange_ids(a, other, positive_decision(), window(a, b))
+        assert a.contact_log == []
+
+    def test_records_are_slotted(self):
+        d, q = DeviceState("p"), DeviceState("q")
+        exchange_ids(d, q, positive_decision(), window(d, q))
+        for record in (d, d.contact_log[0]):
+            assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            d.note = "ad hoc"
 
     def test_three_sequential_contacts_chronological(self):
         server = ServerState(ReportMode.CENTRALIZED)
@@ -549,7 +531,7 @@ class TestCentralizedReport:
         for step in range(rng.randint(4, 12)):
             for d in devices + [stranger]:
                 for _ in range(rng.choice((0, 1, 40, 90))):
-                    rotate_id(d, d.last_rotation + 900.0)
+                    rotate_id(d, (d.epoch + 1) * 900.0)
             for _ in range(rng.randint(0, 3)):
                 contact(reporter, rng.choice(peers), start=step * 900.0)
         return server, reporter
@@ -756,6 +738,19 @@ class TestDecentralizedReport:
         assert {p.epoch for p in server.published_positive_ids} == {2}
         assert check_exposure(a, published) is False
 
+    def test_report_before_the_device_epoch_rejected(self):
+        # Epoch 1 starts at 900 s, so a report at 0 s once published an id
+        # that had not yet been used; every later time is in or after it.
+        server = ServerState(ReportMode.DECENTRALIZED)
+        d = register_device(server)
+        rotate_id(d, 900.0)
+        for now in (0.0, 899.9, math.nextafter(900.0, 0.0), -1.0):
+            with pytest.raises(ValueError, match="before"):
+                report_positive_decentralized(d, server, now=now)
+        assert len(server.published_positive_ids) == 0
+        report_positive_decentralized(d, server, now=900.0)
+        assert [p.epoch for p in server.published_positive_ids] == [0, 1]
+
     def test_wrong_mode_rejected(self):
         server = ServerState(ReportMode.CENTRALIZED)
         a = register_device(server)
@@ -947,7 +942,8 @@ class TestPublishedIds:
         assert shifted != ids and ids != expected
         # Two servers with the same reports are equal, and differ once one
         # server publishes more.
-        other = ServerState(ReportMode.DECENTRALIZED, registered=set(server.registered), _counter=server._counter)
+        other = ServerState(ReportMode.DECENTRALIZED, registered=set(server.registered))
+        other._counter = server._counter
         for d in devices:
             report_positive_decentralized(d, other, now=900.0)
         assert other == server
