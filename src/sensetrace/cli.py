@@ -396,8 +396,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+# The run's own files, which detect --out must not overwrite.
+_RUN_FILES = ("instances.jsonl", "truth.jsonl", "meta.json", TRACE_CACHE, ASSESSMENT_CACHE)
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
+    tier = TierSpec(args.tier)
+    name = f"decisions_{tier.value.lower()}.jsonl" if args.out is None else args.out
+    if name in ("", ".", "..", *_RUN_FILES) or Path(name).name != name:
+        raise SenseTraceError(f"--out must be a file name with no directory part, not one of {_RUN_FILES}: {name!r}")
     meta = _read_meta(data_dir)
     # Hashed with the run's seed applied, as generate --seed hashes it.
     scenario, raw = load_scenario(args.config, seed=meta.get("seed"))
@@ -406,7 +414,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
             f"{args.config} has config_sha256 {config_hash(raw)} but the run in {data_dir} "
             f"was generated with config_sha256 {meta['config_sha256']}"
         )
-    tier = TierSpec(args.tier)
     cfg = scenario.fusion
     digests = _trace_digests(data_dir)
     instances = _read_instances(data_dir / "instances.jsonl")
@@ -418,7 +425,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         assessments = assess_instances(_load_traces(data_dir, digests, devices), instances, cfg)
         write_assessment_cache(data_dir / ASSESSMENT_CACHE, key, assessments)
     records = fuse_instances(instances, assessments, cfg, tier_gates(tier))
-    name = args.out or f"decisions_{tier.value.lower()}.jsonl"
     atomic_write(data_dir / name, "".join(decision_to_json(r) + "\n" for r in records))
     contacts = sum(1 for r in records if r.decision.contact)
     print(f"{tier.value}: {contacts}/{len(records)} contacts -> {data_dir / name}")
@@ -535,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=TierSpec.FULL.value,
         choices=[t.value for t in TierSpec],
     )
-    d.add_argument("--out", default=None, help="decisions filename (within --data)")
+    d.add_argument("--out", default=None, help="decisions file name, written in --data (no directory part)")
     d.set_defaults(func=cmd_detect)
 
     e = sub.add_parser("evaluate", help="decisions + truth -> metrics")

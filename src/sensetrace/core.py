@@ -453,14 +453,10 @@ def _atomic_file(path: Union[str, Path]) -> Iterator[BinaryIO]:
         raise
 
 
-def atomic_write(path: Union[str, Path], data: Union[str, bytes, Iterable[bytes]]) -> None:
-    """Write ``data`` (text as UTF-8, bytes, or chunks of bytes written as
-    they come) to ``path`` through ``_atomic_file``."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def atomic_write(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through ``_atomic_file``."""
     with _atomic_file(path) as fh:
-        for chunk in [data] if isinstance(data, bytes) else data:
-            fh.write(chunk)
+        fh.write(text.encode("utf-8"))
 
 
 def read_jsonl(path: Union[str, Path], parse: Callable[[Any], T]) -> list[T]:

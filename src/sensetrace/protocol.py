@@ -3,45 +3,44 @@ reporting over an in-process, ordered, loss-free message exchange.
 
 Two reporting modes exist. Centralized: a positive reporter uploads their
 contact list and the server notifies every logged peer. Decentralized: the
-reporter publishes only their own temporary ids, and each phone looks the
-ids of its local log up in the set of ids a report published (one
-membership test per logged id). The decentralized server never holds a
-contact list, and the centralized one holds lists only from positive
-reporters; both properties are assertable on ServerState. Given a report
+reporter publishes their day keys, and each phone looks the ids of its
+local log up in the set of ids those keys yield (one membership test per
+logged id). The decentralized server never holds a contact list or a
+device secret, and the centralized one holds lists only from positive
+reporters; these properties are assertable on ServerState. Given a report
 time, either mode leaves out what ended before the lookback.
 
 Epochs come from a shared clock, as in Exposure Notification and DP-3T:
 epoch ``e`` runs from ``e * period`` to ``(e + 1) * period``, the period
-being ``DEFAULT_ROTATION_PERIOD_S``. A device keeps only its current epoch,
-so a phone that rotates late skips the epochs it slept through; its report
-still publishes an id for each of them.
+being ``DEFAULT_ROTATION_PERIOD_S``, and day ``e // EPOCHS_PER_DAY`` holds
+it. A device keeps only its current epoch, so a phone that rotates late
+skips the epochs it slept through; its report still publishes them.
 
-The public list (``PublishedIds``) holds each id as its 8 raw bytes and
-its epoch as an 8-byte unsigned int, about 16 bytes an id in all. It takes
-ids through ``extend``, only of the form ``derive_temp_id`` writes (``t``
-and 16 lowercase hex digits), and is read by iteration and ``len``.
-
-Temporary ids are derived by a keyless hash of (permanent id, epoch). That
-is a simulation stand-in: real deployments use cryptographic schedules,
-which are out of scope here. The centralized server resolves a report's
-ids by comparing raw 8-byte keys, hashing each registered permanent id
-once for all the epochs it tries.
+Ids come from daily keys, as in Exposure Notification: a device's random
+secret gives one key a day (``day_key``) and each key that day's ids
+(``derive_temp_id``), so no id can be tied to its device without the
+secret or the key. The centralized server learns each secret at
+registration, to resolve a report's ids; the decentralized one never
+does. A key yields every id of its day, so publishing the current day's
+key also gives away the ids the reporter will use for the rest of it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from array import array
+import secrets
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import ContactDecision, ContactWindow
 from .errors import ModeError, NoContact, NotDue
 
 DEFAULT_ROTATION_PERIOD_S = 900.0
 DEFAULT_LOOKBACK_S = 14 * 86400.0
+EPOCHS_PER_DAY = 96
+SECRET_BYTES = 16
 
 
 class ReportMode(Enum):
@@ -54,17 +53,17 @@ class ExposureStatus(Enum):
     NOTIFIED = "NOTIFIED"
 
 
-# A temporary id is the first 8 bytes of the SHA-256 of
-# "<permanent id>|<epoch digits>", written as "t" and 16 lowercase hex
-# digits. The three helpers below split that hash so that a server trying
-# many epochs of one device hashes the "<permanent id>|" prefix once and
-# copies the state for each epoch.
-def _id_prefix(permanent_id: str):
-    return hashlib.sha256(f"{permanent_id}|".encode("utf-8"))
+def day_key(secret: bytes, day: int) -> bytes:
+    """The first 16 bytes of SHA-256 over ``secret``, ``|`` and the digits
+    of ``day``: what a report publishes in place of the day's ids."""
+    return hashlib.sha256(secret + f"|{day}".encode("utf-8")).digest()[:16]
 
 
-def _epoch_digits(epoch: int) -> bytes:
-    return f"{epoch}".encode("utf-8")
+# An id hashes its day key, "|" and its epoch's digits. The two helpers
+# below split that hash so that whoever derives many epochs of one day
+# hashes the "<key>|" prefix once and copies the state for each epoch.
+def _id_prefix(key: bytes):
+    return hashlib.sha256(key + b"|")
 
 
 def _id_key(prefix, epoch_digits: bytes) -> bytes:
@@ -74,9 +73,18 @@ def _id_key(prefix, epoch_digits: bytes) -> bytes:
     return prefix.digest()[:8]
 
 
-def derive_temp_id(permanent_id: str, epoch: int) -> str:
-    """Deterministic per-epoch pseudonym, never equal to the permanent id."""
-    return "t" + _id_key(_id_prefix(permanent_id), _epoch_digits(epoch)).hex()
+def derive_temp_id(secret: bytes, epoch: int) -> str:
+    """The temporary id at ``epoch`` of the device holding ``secret``: ``t``
+    and the first 8 bytes, in hex, of SHA-256 over the key of the epoch's
+    day, ``|`` and the digits of ``epoch``."""
+    return "t" + _id_key(_id_prefix(day_key(secret, epoch // EPOCHS_PER_DAY)), f"{epoch}".encode()).hex()
+
+
+def _day_ids(key: bytes, first: int, last: int) -> list[str]:
+    """The ids that the day key ``key`` yields for epochs ``first`` to
+    ``last``, as a phone expands a downloaded key."""
+    prefix = _id_prefix(key)
+    return ["t" + _id_key(prefix.copy(), f"{e}".encode()).hex() for e in range(first, last + 1)]
 
 
 def _parse_temp_id(temp_id: object) -> Optional[bytes]:
@@ -105,113 +113,61 @@ class ContactLogEntry:
     mean_distance: Optional[float]
 
 
-@dataclass(frozen=True, slots=True)
-class PublishedId:
-    temp_id: str
-    epoch: int
-
-
-def _pack(items: list[PublishedId]) -> Optional[tuple[bytes, list[int]]]:
-    """The raw id bytes and the epochs of ``items``, or None unless every id
-    is ``t`` and 16 lowercase hex digits and every epoch an int (not a bool)
-    in [0, 2**64). Checked over the whole batch: one ``bytes.fromhex`` over
-    the joined digits, which must give them back unchanged."""
-    ids = [p.temp_id for p in items]
-    epochs = [p.epoch for p in items]
-    if not (set(map(type, ids)) <= {str} and set(map(len, ids)) <= {17}):
-        return None
-    if not set(map(type, epochs)) <= {int}:
-        return None
-    if epochs and not (0 <= min(epochs) and max(epochs) < 2**64):
-        return None
-    joined = "".join(ids)
-    digits = joined.replace("t", "")
-    # A "t" opens every id and appears nowhere else.
-    if joined[::17] != "t" * len(ids) or len(digits) != 16 * len(ids):
-        return None
-    try:
-        raw = bytes.fromhex(digits)
-    except ValueError:
-        return None
-    return (raw, epochs) if raw.hex() == digits else None
-
-
-@dataclass(slots=True, repr=False)
-class PublishedIds:
-    """The public list of positive ids, compact: each id's 8 raw bytes (the
-    16 hex digits after its ``t``) in one ``bytearray`` and each epoch in one
-    ``array('Q')``, about 16 bytes an id against about 150 for a list of
-    ``PublishedId``s. Ids go in through ``extend`` and come out by iteration,
-    which rebuilds ``PublishedId``s. Two ``PublishedIds`` are equal when they
-    hold the same ids and epochs in order; the class is unhashable."""
-
-    _raw: bytearray = field(default_factory=bytearray, init=False)
-    _epochs: array = field(default_factory=lambda: array("Q"), init=False)
-
-    def extend(self, items: Iterable[PublishedId]) -> None:
-        """Append ``items`` in one step. Each id must be ``t`` and 16
-        lowercase hex digits and each epoch an int (not a bool) in
-        [0, 2**64); otherwise ``ValueError`` names the first bad item and
-        nothing is appended."""
-        items = list(items)
-        packed = _pack(items)
-        if packed is None:
-            bad = next(p for p in items if _pack([p]) is None)
-            raise ValueError(
-                f"not a publishable id: {bad!r} (want 't' and 16 lowercase hex digits, epoch in [0, 2**64))"
-            )
-        raw, epochs = packed
-        self._raw += raw
-        self._epochs.extend(epochs)
-
-    def __len__(self) -> int:
-        return len(self._epochs)
-
-    def __iter__(self) -> Iterator[PublishedId]:
-        return (PublishedId("t" + self._raw[8 * i : 8 * i + 8].hex(), e) for i, e in enumerate(self._epochs))
-
-
 @dataclass(slots=True)
 class DeviceState:
-    """One participating phone: its permanent id and current clock epoch
-    (``temp_id`` derives the temporary id from both on each read; none is
-    stored), its local contact log and whether it has been told of an
-    exposure. Its past epochs are the clock's; it keeps no history."""
+    """One participating phone: its permanent id (a non-empty ``str``), its
+    current clock epoch, its local contact log, whether it has been told of
+    an exposure, and its secret, ``SECRET_BYTES`` random bytes unless given.
+    ``temp_id`` derives the temporary id on each read; none is stored."""
 
     permanent_id: str
     epoch: int = 0
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
+    secret: bytes = field(default_factory=lambda: secrets.token_bytes(SECRET_BYTES), repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.permanent_id, str):
+            raise TypeError(f"permanent_id must be a str, got {self.permanent_id!r}")
+        if not self.permanent_id:
+            raise ValueError("permanent_id must not be empty")
         if not isinstance(self.epoch, int) or isinstance(self.epoch, bool):
             raise TypeError(f"epoch must be an int, got {self.epoch!r}")
         if self.epoch < 0:
             raise ValueError("epoch must be >= 0")
+        if type(self.secret) is not bytes:
+            raise TypeError(f"secret must be bytes, got {type(self.secret).__name__}")
+        if len(self.secret) != SECRET_BYTES:
+            raise ValueError(f"secret must be {SECRET_BYTES} bytes, got {len(self.secret)}")
 
     @property
     def temp_id(self) -> str:
-        return derive_temp_id(self.permanent_id, self.epoch)
+        return derive_temp_id(self.secret, self.epoch)
 
 
 @dataclass
 class ServerState:
-    """The coordination server. What it may store depends on its mode.
+    """The coordination server. What it may store depends on its mode:
+    only a centralized one fills ``device_secrets`` (permanent id ->
+    secret), and only a decentralized one ``published_positive_ids``, the
+    public list of ``(day key, first epoch, last epoch)`` records.
 
-    Neither ``published_positive_ids`` (the decentralized public list, a
-    ``PublishedIds`` that starts empty) nor ``_counter`` is a constructor
-    argument. ``lookback_s`` must be >= 0 (``inf`` looks back forever); NaN
-    or a negative lookback raises ``ValueError``."""
+    ``registered``, ``device_secrets``, the public list and ``_counter`` are
+    not constructor arguments. ``lookback_s`` must be >= 0 (``inf`` looks
+    back forever); NaN or a negative lookback raises ``ValueError``."""
 
     mode: ReportMode
-    registered: set[str] = field(default_factory=set)
+    registered: set[str] = field(default_factory=set, init=False)
+    device_secrets: dict[str, bytes] = field(default_factory=dict, init=False, repr=False)
     notifications_sent: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    published_positive_ids: PublishedIds = field(default_factory=PublishedIds, init=False)
+    published_positive_ids: list[tuple[bytes, int, int]] = field(default_factory=list, init=False)
     uploaded_contact_lists: dict[str, list[ContactLogEntry]] = field(default_factory=dict)
     lookback_s: float = DEFAULT_LOOKBACK_S
     _counter: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, ReportMode):
+            raise TypeError(f"mode must be a ReportMode, got {self.mode!r}")
         if not self.lookback_s >= 0:
             raise ValueError(f"lookback_s must be >= 0, got {self.lookback_s}")
 
@@ -222,13 +178,18 @@ class ServerState:
 
 def register_device(server: ServerState, device: Optional[DeviceState] = None) -> DeviceState:
     """Register a device (minting one when none is given, under the next
-    ``devNNNNN`` id not already registered). Re-registration is idempotent
-    and returns the same state."""
+    ``devNNNNN`` id not already registered). A centralized server keeps the
+    device's secret. Re-registration is idempotent and returns the same
+    state; re-registering an id under another secret with a centralized
+    server raises ``ValueError`` and changes nothing."""
     if device is None:
         while (permanent := f"dev{server._counter:05d}") in server.registered:
             server._counter += 1
         server._counter += 1
         device = DeviceState(permanent)
+    if server.mode is ReportMode.CENTRALIZED:
+        if server.device_secrets.setdefault(device.permanent_id, device.secret) != device.secret:
+            raise ValueError(f"{device.permanent_id!r} is registered under another secret")
     server.registered.add(device.permanent_id)
     return device
 
@@ -272,27 +233,28 @@ def exchange_ids(
 
 def _resolve_temp_ids(server: ServerState, wanted: Iterable[str], max_epoch: int = 256) -> dict[str, str]:
     """Server-side epoch registry: map each wanted temporary id back to its
-    device. Possible because registration reveals permanent ids to the server.
+    device. Possible because registration reveals secrets to the server.
 
     One pass over the sorted registered devices x epochs 0..max_epoch-1,
     stopping once every wanted id is found; each id maps to its first match
     in that order. Ids with no match are absent from the result. The wanted
-    ids are compared as their 8 raw bytes, and each device's permanent id
-    is hashed once, its state copied for each epoch.
+    ids are compared as their 8 raw bytes, and each day's id prefix is
+    hashed once, its state copied for each epoch.
     """
     missing = {key: temp_id for temp_id in set(wanted) if (key := _parse_temp_id(temp_id)) is not None}
     found: dict[str, str] = {}
     if not missing:
         return found
-    epochs = [_epoch_digits(epoch) for epoch in range(max_epoch)]
-    for permanent in sorted(server.registered):
-        prefix = _id_prefix(permanent)
-        for digits in epochs:
-            temp_id = missing.pop(_id_key(prefix.copy(), digits), None)
-            if temp_id is not None:
-                found[temp_id] = permanent
-                if not missing:
-                    return found
+    digits = [f"{epoch}".encode() for epoch in range(max_epoch)]
+    for permanent, secret in sorted(server.device_secrets.items()):
+        for start in range(0, max_epoch, EPOCHS_PER_DAY):
+            prefix = _id_prefix(day_key(secret, start // EPOCHS_PER_DAY))
+            for epoch_digits in digits[start : start + EPOCHS_PER_DAY]:
+                temp_id = missing.pop(_id_key(prefix.copy(), epoch_digits), None)
+                if temp_id is not None:
+                    found[temp_id] = permanent
+                    if not missing:
+                        return found
     return found
 
 
@@ -336,15 +298,16 @@ def report_positive_decentralized(
     server: ServerState,
     now: Optional[float] = None,
 ) -> frozenset[str]:
-    """Publish the reporter's own temporary ids to the anonymous public
-    list, which takes them with their epochs in one step; returns the
-    published ids as a ``frozenset``, the argument ``check_exposure`` takes.
+    """Publish the reporter's day keys to the anonymous public list, one
+    ``(day key, first epoch, last epoch)`` record a day; returns the ids
+    they yield, expanded as a phone would, as the ``frozenset`` that
+    ``check_exposure`` takes.
 
-    The ids are those of the epochs from the first that ends at or after
-    ``now - server.lookback_s`` (the current epoch ends at ``now``), never
-    below epoch 0, to the device's current epoch; ``now=None`` publishes
-    from epoch 0. A non-finite ``now``, or one whose clock epoch is before
-    the device's, raises ``ValueError`` and publishes nothing."""
+    The epochs run from the first that ends at or after ``now -
+    server.lookback_s`` (the current epoch ends at ``now``), never below
+    epoch 0, to the device's current epoch; ``now=None`` publishes from
+    epoch 0. A non-finite ``now``, or one whose clock epoch is before the
+    device's, raises ``ValueError`` and publishes nothing."""
     if server.mode is not ReportMode.DECENTRALIZED:
         raise ModeError("decentralized report sent to a non-decentralized server")
     first = 0
@@ -359,9 +322,16 @@ def report_positive_decentralized(
         # 2**53 / period epochs), so its ceiling is the exact one.
         cut = now - server.lookback_s
         first = min(math.ceil(cut / DEFAULT_ROTATION_PERIOD_S) - 1, device.epoch) if cut > 0 else 0
-    delta = [PublishedId(derive_temp_id(device.permanent_id, e), e) for e in range(first, device.epoch + 1)]
-    server.published_positive_ids.extend(delta)
-    return frozenset(p.temp_id for p in delta)
+    records = [
+        (
+            day_key(device.secret, day),
+            max(first, day * EPOCHS_PER_DAY),
+            min(device.epoch, (day + 1) * EPOCHS_PER_DAY - 1),
+        )
+        for day in range(first // EPOCHS_PER_DAY, device.epoch // EPOCHS_PER_DAY + 1)
+    ]
+    server.published_positive_ids.extend(records)
+    return frozenset(temp_id for record in records for temp_id in _day_ids(*record))
 
 
 def check_exposure(device: DeviceState, published: frozenset[str]) -> bool:

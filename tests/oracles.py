@@ -11,12 +11,14 @@ decision oracle runs the stages the gates need for one tier instead of
 fusing one assessment made for every tier, the centralized-report
 oracle resolves each logged temporary id by its own search of the registry
 instead of one pass for the whole log, with each id derived whole from
-its hex digest (``hexdigest_temp_id``) instead of from raw bytes and a
-hash state shared across epochs, the exposure oracle scans every published
-id instead of looking the device's log up in a set, and the clock device
+hex digests of its day key and itself (``hexdigest_temp_id``) instead of
+from raw bytes and a hash state shared across a day's epochs, the exposure
+oracle expands every published day key and scans its ids instead of
+looking the device's log up in a set, and the clock device
 reads its epoch off the clock in exact rational arithmetic and publishes by
-testing every epoch from 0 against the lookback, instead of dividing
-floats and computing the first epoch to publish.
+testing every epoch from 0 against the lookback and grouping the epochs
+kept by day, instead of dividing floats and computing the first epoch and
+each day's bounds.
 
 The per-reading signal models (``simulate_rss``, ``simulate_sound``,
 ``simulate_barometer``, ``simulate_magnetometer``) compose the simulator's
@@ -51,7 +53,6 @@ from sensetrace.protocol import (
     ContactLogEntry,
     DeviceState,
     ExposureStatus,
-    PublishedId,
     ServerState,
 )
 from sensetrace.evaluation import (
@@ -485,18 +486,27 @@ def gated_decide(evidence: StageEvidence, cfg: FusionConfig, gates: StageGates) 
     )
 
 
-def hexdigest_temp_id(permanent_id: str, epoch: int) -> str:
+def hexdigest_day_key(secret: bytes, day: int) -> bytes:
+    """A device's key for ``day``, written out: the first 32 hex digits of
+    the SHA-256 of the secret, ``|`` and the day's digits."""
+    return bytes.fromhex(hashlib.sha256(secret + b"|" + str(day).encode("ascii")).hexdigest()[:32])
+
+
+def hexdigest_temp_id(secret: bytes, epoch: int) -> str:
     """A device's temporary id at ``epoch``, written out: ``t`` and the
-    first 16 hex digits of the SHA-256 of ``"<permanent_id>|<epoch>"``."""
-    return "t" + hashlib.sha256(f"{permanent_id}|{epoch}".encode("utf-8")).hexdigest()[:16]
+    first 16 hex digits of the SHA-256 of the key of the epoch's day, ``|``
+    and the epoch's digits."""
+    key = hexdigest_day_key(secret, epoch // 96)
+    return "t" + hashlib.sha256(key + b"|" + str(epoch).encode("ascii")).hexdigest()[:16]
 
 
 def resolve_temp_id(server: ServerState, temp_id: str, max_epoch: int = 256) -> Optional[str]:
     """The first registered device (in sorted order) whose id at some epoch
-    below ``max_epoch`` is ``temp_id``, searched afresh for this one id."""
+    below ``max_epoch`` is ``temp_id``, searched afresh for this one id
+    from the secrets the server learnt at registration."""
     for permanent in sorted(server.registered):
         for epoch in range(max_epoch):
-            if hexdigest_temp_id(permanent, epoch) == temp_id:
+            if hexdigest_temp_id(server.device_secrets[permanent], epoch) == temp_id:
                 return permanent
     return None
 
@@ -531,15 +541,16 @@ def clock_epoch(t: float) -> int:
 
 def temp_id_history(device) -> dict[int, str]:
     """Every temporary id ``device`` can have used, by epoch: one for each
-    clock epoch up to its current one, which only the device itself can
-    resolve."""
-    return {e: hexdigest_temp_id(device.permanent_id, e) for e in range(device.epoch + 1)}
+    clock epoch up to its current one, which only the holder of its secret
+    can resolve."""
+    return {e: hexdigest_temp_id(device.secret, e) for e in range(device.epoch + 1)}
 
 
 @dataclass
 class ClockDevice:
     """The reference for ``DeviceState``: its temporary id is written out
-    from its hex digest at each read. It has every attribute
+    from hex digests at each read, and its secret is all zeros unless
+    given. It has every attribute
     ``register_device``, ``exchange_ids``, ``check_exposure`` and
     ``notify_devices`` read, so those run on it unchanged."""
 
@@ -547,10 +558,11 @@ class ClockDevice:
     epoch: int = 0
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
+    secret: bytes = bytes(16)
 
     @property
     def temp_id(self) -> str:
-        return hexdigest_temp_id(self.permanent_id, self.epoch)
+        return hexdigest_temp_id(self.secret, self.epoch)
 
 
 def clock_rotate(device: ClockDevice, now: float) -> None:
@@ -566,22 +578,35 @@ def clock_report_decentralized(device, server: ServerState, now: Optional[float]
     """``report_positive_decentralized`` written out: every epoch from 0 to
     the device's current one whose end, ``(e + 1) * period`` exactly or
     ``now`` for the current epoch, is not before ``now - lookback``; every
-    epoch when ``now`` is None. A ``now`` in an epoch before the device's
-    raises ``ValueError``."""
+    epoch when ``now`` is None. The epochs kept are grouped by day, and
+    each day's key is published with the first and last of them. A ``now``
+    in an epoch before the device's raises ``ValueError``."""
     if now is not None and clock_epoch(now) < device.epoch:
         raise ValueError(f"report time {now} is before epoch {device.epoch}")
     period = Fraction(DEFAULT_ROTATION_PERIOD_S)
-    delta = [
-        PublishedId(hexdigest_temp_id(device.permanent_id, e), e)
-        for e in range(device.epoch + 1)
-        if now is None or e == device.epoch or (e + 1) * period >= now - server.lookback_s
+    kept: dict[int, list[int]] = {}
+    for e in range(device.epoch + 1):
+        if now is None or e == device.epoch or (e + 1) * period >= now - server.lookback_s:
+            kept.setdefault(e // 96, []).append(e)
+    server.published_positive_ids.extend(
+        (hexdigest_day_key(device.secret, day), epochs[0], epochs[-1]) for day, epochs in sorted(kept.items())
+    )
+    return frozenset(hexdigest_temp_id(device.secret, e) for epochs in kept.values() for e in epochs)
+
+
+def expand_public_list(published: Sequence[tuple[bytes, int, int]]) -> list[str]:
+    """Every id that the ``(day key, first epoch, last epoch)`` records of a
+    public list yield, in order, each derived whole from its hex digest."""
+    return [
+        "t" + hashlib.sha256(key + b"|" + str(epoch).encode("ascii")).hexdigest()[:16]
+        for key, first, last in published
+        for epoch in range(first, last + 1)
     ]
-    server.published_positive_ids.extend(delta)
-    return frozenset(p.temp_id for p in delta)
 
 
-def exposed_by_scan(device: DeviceState, published: Sequence[PublishedId]) -> bool:
-    """``check_exposure`` without setting the status: whether any published
-    id, scanned one by one, appears in the device's log."""
+def exposed_by_scan(device: DeviceState, published: Sequence[tuple[bytes, int, int]]) -> bool:
+    """``check_exposure`` against a public list of day-key records, without
+    setting the status: whether any id the records yield, scanned one by
+    one, appears in the device's log."""
     logged = {entry.peer_temp_id for entry in device.contact_log}
-    return any(p.temp_id in logged for p in published)
+    return any(temp_id in logged for temp_id in expand_public_list(published))

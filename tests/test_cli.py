@@ -527,6 +527,26 @@ class TestDetectEvaluateReport:
             "env_score", "env_sensor", "contact", "degraded_reason",
         }
 
+    @pytest.mark.parametrize(
+        "out",
+        ["instances.jsonl", "truth.jsonl", "meta.json", "trace_columns.npy", "assessments.json",
+         "../outside.jsonl", "traces/decisions.jsonl", "ABSOLUTE", "", ".", ".."],
+    )
+    def test_detect_out_is_a_plain_name_of_no_run_file(self, generated, small_config, capsys, out):
+        # --out instances.jsonl once replaced the instance list with decision
+        # lines, and --out ../outside.jsonl wrote outside the run; both
+        # exited 0.
+        out = str(generated.parent / "absolute.jsonl") if out == "ABSOLUTE" else out
+        before = {p.name: p.read_bytes() for p in generated.iterdir() if p.is_file()}
+        capsys.readouterr()
+        assert run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SenseTraceError" and "--out must be a file name" in payload["message"]
+        assert {p.name: p.read_bytes() for p in generated.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in generated.parent.iterdir()) == ["run", "scenario.yaml"]
+
     def test_all_three_tiers(self, generated, small_config):
         for tier in ("APPEARANCE_ONLY", "APPEARANCE_DISTANCE", "FULL"):
             assert run(["detect", "--data", generated, "--config", small_config, "--tier", tier]) == 0

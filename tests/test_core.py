@@ -20,6 +20,7 @@ from sensetrace.core import (
     SensorKind,
     SensorSample,
     Trace,
+    _atomic_file,
     atomic_write,
     canonical_pair,
     encode_trace,
@@ -580,24 +581,15 @@ class TestRecordFiles:
         assert path.read_text() == "new\n"
         assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
 
-    def test_atomic_write_takes_bytes_and_chunks(self, tmp_path):
-        path = tmp_path / "out.bin"
-        atomic_write(path, b"\x00\xff")
-        assert path.read_bytes() == b"\x00\xff"
-        atomic_write(path, (bytes([i]) * 3 for i in range(3)))
-        assert path.read_bytes() == b"\x00\x00\x00\x01\x01\x01\x02\x02\x02"
-        assert [p.name for p in path.parent.iterdir()] == ["out.bin"]
-
     def test_atomic_write_failing_chunks_keep_the_old_file(self, tmp_path):
+        # A block that raises after writing part of the new file leaves the
+        # old one, and no temporary file.
         path = tmp_path / "out.bin"
         atomic_write(path, "old")
-
-        def chunks():
-            yield b"new"
-            raise RuntimeError("interrupted")
-
         with pytest.raises(RuntimeError):
-            atomic_write(path, chunks())
+            with _atomic_file(path) as fh:
+                fh.write(b"new")
+                raise RuntimeError("interrupted")
         assert path.read_text() == "old"
         assert [p.name for p in path.parent.iterdir()] == ["out.bin"]
 

@@ -18,11 +18,10 @@ from sensetrace.protocol import (
     ContactLogEntry,
     DeviceState,
     ExposureStatus,
-    PublishedId,
-    PublishedIds,
     ReportMode,
     ServerState,
     check_exposure,
+    day_key,
     derive_temp_id,
     exchange_ids,
     notify_devices,
@@ -37,7 +36,9 @@ from .oracles import (
     clock_epoch,
     clock_report_decentralized,
     clock_rotate,
+    expand_public_list,
     exposed_by_scan,
+    hexdigest_day_key,
     hexdigest_temp_id,
     report_centralized_per_entry,
     resolve_temp_id,
@@ -57,6 +58,11 @@ def window(a, b, start=0.0):
 
 def contact(a, b, start=0.0):
     exchange_ids(a, b, positive_decision(), window(a, b, start))
+
+
+def secret(k):
+    """A fixed 16-byte secret, so that a test's ids are fixed too."""
+    return hashlib.sha256(f"secret {k}".encode()).digest()[:16]
 
 
 class TestRegisterDevice:
@@ -95,6 +101,39 @@ class TestRegisterDevice:
         with pytest.raises(TypeError):
             ServerState(ReportMode.CENTRALIZED, _counter=-5)
         assert register_device(ServerState(ReportMode.CENTRALIZED)).permanent_id == "dev00000"
+
+    @pytest.mark.parametrize("field", ["registered", "device_secrets", "published_positive_ids"])
+    def test_registry_and_public_list_are_not_constructor_arguments(self, field):
+        # Ids registered at construction would have had no secret to resolve by.
+        with pytest.raises(TypeError):
+            ServerState(ReportMode.CENTRALIZED, **{field: {}})
+
+    def test_only_a_centralized_server_learns_secrets(self):
+        central, decentral = ServerState(ReportMode.CENTRALIZED), ServerState(ReportMode.DECENTRALIZED)
+        devices = [register_device(decentral, register_device(central)) for _ in range(3)]
+        assert central.device_secrets == {d.permanent_id: d.secret for d in devices}
+        assert decentral.device_secrets == {}
+        assert central.registered == decentral.registered == {d.permanent_id for d in devices}
+
+    def test_reregistration_under_another_secret_rejected(self):
+        central, decentral = ServerState(ReportMode.CENTRALIZED), ServerState(ReportMode.DECENTRALIZED)
+        first = DeviceState("p", secret=secret(1))
+        for server in (central, decentral):
+            register_device(server, first)
+            assert register_device(server, DeviceState("p", secret=secret(1))).secret == first.secret
+        with pytest.raises(ValueError, match="another secret"):
+            register_device(central, DeviceState("p", secret=secret(2)))
+        assert central.device_secrets == {"p": secret(1)}
+        # The decentralized server holds no secret to compare with.
+        register_device(decentral, DeviceState("p", secret=secret(2)))
+        assert decentral.registered == {"p"}
+
+    @pytest.mark.parametrize("mode", ["CENTRALIZED", None, 1])
+    def test_mode_that_is_not_a_report_mode_rejected(self, mode):
+        # ServerState("CENTRALIZED") was once accepted, and each report to it
+        # then failed with ModeError.
+        with pytest.raises(TypeError, match="mode must be a ReportMode"):
+            ServerState(mode)
 
 
 class TestRotateId:
@@ -137,25 +176,25 @@ class TestRotateId:
         rotate_id(d, 900.0)
         history = temp_id_history(d)
         assert set(history) == {0, 1}
-        assert history[0] == derive_temp_id(d.permanent_id, 0)
+        assert history[0] == derive_temp_id(d.secret, 0)
 
     def test_device_first_seen_at_a_later_epoch(self):
         # A device that starts at epoch 5 and rotates on the clock publishes
         # the clock epochs inside the lookback; with no report time, every
         # epoch from 0, before it existed too.
         server = ServerState(ReportMode.DECENTRALIZED, lookback_s=2000.0)
-        d = register_device(server, DeviceState("p5", epoch=5))
+        d = register_device(server, DeviceState("p5", epoch=5, secret=secret(5)))
         for k in range(6, 11):
             rotate_id(d, k * 900.0)
         assert d.epoch == 10
         # The cut is 7500 s: epoch 7 ended at 7200 s, epoch 8 at 8100 s.
         delta = report_positive_decentralized(d, server, now=9500.0)
-        published = list(server.published_positive_ids)
-        assert [p.epoch for p in published] == [8, 9, 10]
-        assert delta == {derive_temp_id("p5", e) for e in (8, 9, 10)}
-        assert [p.temp_id for p in published] == [temp_id_history(d)[e] for e in (8, 9, 10)]
+        key = hexdigest_day_key(secret(5), 0)
+        assert server.published_positive_ids == [(key, 8, 10)]
+        assert delta == {derive_temp_id(secret(5), e) for e in (8, 9, 10)}
+        assert expand_public_list(server.published_positive_ids) == [temp_id_history(d)[e] for e in (8, 9, 10)]
         report_positive_decentralized(d, server)
-        assert [p.epoch for p in server.published_positive_ids][3:] == list(range(11))
+        assert server.published_positive_ids[1:] == [(key, 0, 10)]
 
     def test_late_rotation_skips_epochs(self):
         # A phone asleep from 900 s to 5000 s rotates once, into the clock's
@@ -165,9 +204,9 @@ class TestRotateId:
         rotate_id(b, 900.0)
         contact(a, b, start=900.0)
         rotate_id(b, 5000.0)
-        assert b.epoch == 5 and b.temp_id == derive_temp_id(b.permanent_id, 5)
+        assert b.epoch == 5 and b.temp_id == derive_temp_id(b.secret, 5)
         published = report_positive_decentralized(b, server, now=5000.0)
-        assert [p.epoch for p in server.published_positive_ids] == [0, 1, 2, 3, 4, 5]
+        assert server.published_positive_ids == [(day_key(b.secret, 0), 0, 5)]
         assert check_exposure(a, published)
 
 
@@ -176,16 +215,16 @@ class TestIdDerivedOnRead:
         d = register_device(ServerState(ReportMode.CENTRALIZED))
         derived = []
 
-        def counting(permanent, epoch):
-            derived.append((permanent, epoch))
-            return derive_temp_id(permanent, epoch)
+        def counting(key, epoch):
+            derived.append((key, epoch))
+            return derive_temp_id(key, epoch)
 
         monkeypatch.setattr(protocol, "derive_temp_id", counting)
         for k in range(1, 1001):
             rotate_id(d, k * 900.0)
         assert derived == []
-        assert d.temp_id == derive_temp_id(d.permanent_id, 1000)
-        assert derived == [(d.permanent_id, 1000)]
+        assert d.temp_id == derive_temp_id(d.secret, 1000)
+        assert derived == [(d.secret, 1000)]
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
@@ -198,10 +237,37 @@ class TestIdDerivedOnRead:
         with pytest.raises(TypeError, match="epoch must be an int"):
             DeviceState("p", epoch=bad)
 
+    @pytest.mark.parametrize("bad", [5, None, b"p", ("p",)])
+    def test_permanent_id_that_is_not_a_str_rejected(self, bad):
+        # DeviceState(5) was once accepted, and a centralized report with it
+        # registered then failed sorting the registry of str and int ids.
+        with pytest.raises(TypeError, match="permanent_id must be a str"):
+            DeviceState(bad)
+
+    def test_empty_permanent_id_rejected(self):
+        with pytest.raises(ValueError, match="permanent_id must not be empty"):
+            DeviceState("")
+
+    @pytest.mark.parametrize("bad", [bytearray(16), "x" * 16, None, list(range(16))])
+    def test_secret_that_is_not_bytes_rejected(self, bad):
+        with pytest.raises(TypeError, match="secret must be bytes"):
+            DeviceState("p", secret=bad)
+
+    @pytest.mark.parametrize("size", [0, 15, 17, 32])
+    def test_secret_of_another_length_rejected(self, size):
+        with pytest.raises(ValueError, match="secret must be 16 bytes"):
+            DeviceState("p", secret=bytes(size))
+
+    def test_secret_is_random_and_out_of_the_repr(self):
+        a, b = DeviceState("p"), DeviceState("p")
+        assert len(a.secret) == 16 and a.secret != b.secret and a.temp_id != b.temp_id
+        assert a.secret.hex() not in repr(a) and "secret" not in repr(a)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.text(max_size=8), st.integers(0, 2**70))
-    def test_derivation_matches_hexdigest_reference(self, permanent, epoch):
-        assert derive_temp_id(permanent, epoch) == hexdigest_temp_id(permanent, epoch)
+    @given(st.binary(min_size=16, max_size=16), st.integers(0, 2**70))
+    def test_derivation_matches_hexdigest_reference(self, key, epoch):
+        assert day_key(key, epoch // 96) == hexdigest_day_key(key, epoch // 96)
+        assert derive_temp_id(key, epoch) == hexdigest_temp_id(key, epoch)
 
     @staticmethod
     def twin_session(seed, mode):
@@ -216,8 +282,8 @@ class TestIdDerivedOnRead:
         lookback = rng.choice((2000.0, 40 * 900.0, protocol.DEFAULT_LOOKBACK_S))
         server, ref_server = ServerState(mode, lookback_s=lookback), ServerState(mode, lookback_s=lookback)
         firsts = [rng.choice((0, 0, 5, 300)) for _ in range(rng.randint(3, 6))]
-        devices = [DeviceState(f"p{k}", epoch=e) for k, e in enumerate(firsts)]
-        refs = [ClockDevice(f"p{k}", e) for k, e in enumerate(firsts)]
+        devices = [DeviceState(f"p{k}", epoch=e, secret=secret(k)) for k, e in enumerate(firsts)]
+        refs = [ClockDevice(f"p{k}", e, secret=secret(k)) for k, e in enumerate(firsts)]
         for d, r in zip(devices[:-1], refs[:-1]):
             register_device(server, d)
             register_device(ref_server, r)
@@ -269,10 +335,11 @@ class TestIdDerivedOnRead:
                 assert [d.contact_log for d in devices] == [r.contact_log for r in refs]
                 assert [d.exposure_status for d in devices] == [r.exposure_status for r in refs]
                 assert server.registered == ref_server.registered
+                assert server.device_secrets == ref_server.device_secrets
                 assert server.notifications_sent == ref_server.notifications_sent
                 assert server.uploaded_contact_lists == ref_server.uploaded_contact_lists
                 assert server.published_positive_ids == ref_server.published_positive_ids
-                published += len(server.published_positive_ids)
+                published += len(expand_public_list(server.published_positive_ids))
                 notified += len(server.notifications_sent)
         # The sessions did publish ids and deliver notifications.
         assert published > 0 and notified > 0
@@ -304,7 +371,7 @@ class TestIdDerivedOnRead:
         # After each, the device is in the clock's epoch of that time, and
         # every report agrees with the clock reference, for lookbacks that
         # cut exactly at an epoch's end and one ulp to either side.
-        d = DeviceState("p")
+        d = DeviceState("p", secret=secret(0))
         t = offset
         for periods, extra in steps:
             t += periods * 900.0 + extra
@@ -314,7 +381,7 @@ class TestIdDerivedOnRead:
                 with pytest.raises(NotDue):
                     rotate_id(d, t)
             assert d.epoch == math.floor(t / 900.0) == clock_epoch(t)
-            assert d.temp_id == hexdigest_temp_id("p", d.epoch)
+            assert d.temp_id == hexdigest_temp_id(secret(0), d.epoch)
             cuts = 0
             for e in {0, d.epoch // 2, d.epoch - 2, d.epoch - 1} - {-2, -1}:
                 end = (e + 1) * 900.0
@@ -379,7 +446,7 @@ class TestNonFiniteTimes:
         rotate_id(d, 900.0)
         rotate_id(d, 5000.0)
         report_positive_decentralized(d, server, now=None)
-        assert [p.epoch for p in server.published_positive_ids] == [0, 1, 2, 3, 4, 5]
+        assert server.published_positive_ids == [(day_key(d.secret, 0), 0, 5)]
 
 
 class TestExchangeIds:
@@ -397,8 +464,8 @@ class TestExchangeIds:
         # and the decision's mean distance: no permanent id, no samples.
         a, b = DeviceState("pa", epoch=3), DeviceState("pb", epoch=9)
         exchange_ids(a, b, positive_decision(), window(a, b, 1800.0))
-        assert a.contact_log == [ContactLogEntry(derive_temp_id("pb", 9), 1800.0, 2700.0, 0.7)]
-        assert b.contact_log == [ContactLogEntry(derive_temp_id("pa", 3), 1800.0, 2700.0, 0.7)]
+        assert a.contact_log == [ContactLogEntry(derive_temp_id(b.secret, 9), 1800.0, 2700.0, 0.7)]
+        assert b.contact_log == [ContactLogEntry(derive_temp_id(a.secret, 3), 1800.0, 2700.0, 0.7)]
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.contact_log[0].peer_temp_id = "pb"
 
@@ -409,11 +476,11 @@ class TestExchangeIds:
         rotate_id(b, 900.0)
         contact(a, b, start=900.0)
         assert a.contact_log == [
-            ContactLogEntry(derive_temp_id(b.permanent_id, 0), 0.0, 900.0, 0.7),
-            ContactLogEntry(derive_temp_id(b.permanent_id, 1), 900.0, 1800.0, 0.7),
+            ContactLogEntry(derive_temp_id(b.secret, 0), 0.0, 900.0, 0.7),
+            ContactLogEntry(derive_temp_id(b.secret, 1), 900.0, 1800.0, 0.7),
         ]
         # a did not rotate: b logged a's epoch-0 id both times.
-        assert [e.peer_temp_id for e in b.contact_log] == [derive_temp_id(a.permanent_id, 0)] * 2
+        assert [e.peer_temp_id for e in b.contact_log] == [derive_temp_id(a.secret, 0)] * 2
 
     def test_two_windows_two_entries(self):
         server = ServerState(ReportMode.CENTRALIZED)
@@ -554,8 +621,9 @@ class TestCentralizedReport:
 
     def test_one_registry_pass_per_report(self, monkeypatch):
         # The strangers' ids never resolve, so the pass covers the whole
-        # registry: each registered device's prefix is hashed once, and each
-        # of its 256 epochs copies that state once.
+        # registry: for each registered device, each of days 0-2 (epochs
+        # 0-255) has its key and its id prefix hashed once, and each of the
+        # 256 epochs copies its day's prefix state once.
         server = ServerState(ReportMode.CENTRALIZED)
         reporter, peer = register_device(server), register_device(server)
         strangers = [DeviceState(f"s{k}") for k in range(3)]
@@ -582,9 +650,15 @@ class TestCentralizedReport:
             prefixes.append(data)
             return Counting(hashlib.sha256(data))
 
+        hashed = [
+            data
+            for s in server.device_secrets.values()
+            for day in range(3)
+            for data in (s + f"|{day}".encode(), day_key(s, day) + b"|")
+        ]
         monkeypatch.setattr(protocol, "hashlib", types.SimpleNamespace(sha256=sha256))
         assert report_positive_centralized(reporter, server) == {peer.permanent_id}
-        assert sorted(prefixes) == [f"{p}|".encode() for p in sorted(server.registered)]
+        assert sorted(prefixes) == sorted(hashed)
         assert len(copies) == len(server.registered) * 256
 
     MALFORMED = {
@@ -601,7 +675,7 @@ class TestCentralizedReport:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
-        st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True),
+        st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3, unique=True),
         st.lists(
             st.tuples(
                 st.integers(0, 3),
@@ -616,8 +690,10 @@ class TestCentralizedReport:
         # Ids of registered devices and of a stranger, from epochs below and
         # above the 256-epoch bound, some malformed and some repeated: each
         # maps to the device the per-id search finds, or is absent.
-        server = ServerState(ReportMode.CENTRALIZED, registered=set(registry))
-        owners = registry + ["stranger"]
+        server = ServerState(ReportMode.CENTRALIZED)
+        for k, permanent in enumerate(registry):
+            register_device(server, DeviceState(permanent, secret=secret(k)))
+        owners = [secret(k) for k in range(len(registry))] + [secret("stranger")]
         wanted = [self.MALFORMED[kind](hexdigest_temp_id(owners[k % len(owners)], e)) for k, e, kind in draws]
         wanted += wanted[:repeats]
         expected = {w: peer for w in wanted if (peer := resolve_temp_id(server, w)) is not None}
@@ -724,7 +800,7 @@ class TestDecentralizedReport:
         rotate_id(b, 900.0)
         rotate_id(b, 1800.0)
         published = report_positive_decentralized(b, server, now=2700.0)
-        assert {p.epoch for p in server.published_positive_ids} == {0, 1, 2}
+        assert server.published_positive_ids == [(day_key(b.secret, 0), 0, 2)]
         assert check_exposure(a, published) is True
 
     def test_lookback_excludes_ancient_epochs(self):
@@ -735,7 +811,7 @@ class TestDecentralizedReport:
         rotate_id(b, 1800.0)
         # Lookback window is [4000, 5000]: epochs 0 and 1 ended before it.
         published = report_positive_decentralized(b, server, now=5000.0)
-        assert {p.epoch for p in server.published_positive_ids} == {2}
+        assert server.published_positive_ids == [(day_key(b.secret, 0), 2, 2)]
         assert check_exposure(a, published) is False
 
     def test_report_before_the_device_epoch_rejected(self):
@@ -749,7 +825,7 @@ class TestDecentralizedReport:
                 report_positive_decentralized(d, server, now=now)
         assert len(server.published_positive_ids) == 0
         report_positive_decentralized(d, server, now=900.0)
-        assert [p.epoch for p in server.published_positive_ids] == [0, 1]
+        assert server.published_positive_ids == [(day_key(d.secret, 0), 0, 1)]
 
     def test_wrong_mode_rejected(self):
         server = ServerState(ReportMode.CENTRALIZED)
@@ -757,7 +833,7 @@ class TestDecentralizedReport:
         with pytest.raises(ModeError):
             report_positive_decentralized(a, server)
 
-    @pytest.mark.parametrize("shape", ["list of ids", "list of PublishedIds", "public list", "tuple", "dict"])
+    @pytest.mark.parametrize("shape", ["list of ids", "public list", "tuple", "dict"])
     def test_published_ids_must_be_a_set(self, shape):
         # Any of these would once have matched nothing, silently.
         server = ServerState(ReportMode.DECENTRALIZED)
@@ -766,7 +842,6 @@ class TestDecentralizedReport:
         published = report_positive_decentralized(b, server)
         given_as = {
             "list of ids": list(published),
-            "list of PublishedIds": list(server.published_positive_ids),
             "public list": server.published_positive_ids,
             "tuple": tuple(published),
             "dict": dict.fromkeys(published),
@@ -775,19 +850,27 @@ class TestDecentralizedReport:
             check_exposure(a, given_as)
         assert a.exposure_status is ExposureStatus.NONE
 
-    POOL = [hexdigest_temp_id("p", k) for k in range(12)]
+    POOL = [hexdigest_temp_id(secret(0), e) for e in (0, 5, 95, 96, 97, 200, 300)]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         st.lists(st.one_of(st.sampled_from(POOL), st.text(max_size=3)), max_size=10),
-        st.lists(st.sampled_from(POOL), max_size=10),
+        st.integers(0, 300),
+        st.integers(0, 320),
+        st.sampled_from((900.0, 50 * 900.0, 200 * 900.0)),
     )
-    def test_matches_scan_of_every_published_id(self, logged, ids):
+    def test_matches_scan_of_every_published_id(self, logged, epoch, later, lookback):
+        # A reporter with a fixed secret at ``epoch`` reports at the start
+        # of epoch ``epoch + later``: a device is exposed exactly when a scan
+        # of every id its day keys yield finds one of its logged ids.
+        reporter = DeviceState("r", epoch=epoch, secret=secret(0))
+        server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
+        published = report_positive_decentralized(reporter, server, now=(epoch + later) * 900.0)
+        assert set(expand_public_list(server.published_positive_ids)) == published
         device = DeviceState("d")
         device.contact_log.extend(ContactLogEntry(peer, 0.0, 900.0, 0.5) for peer in logged)
-        published = [PublishedId(i, k) for k, i in enumerate(ids)]
-        exposed = exposed_by_scan(device, published)
-        assert check_exposure(device, frozenset(ids)) is exposed
+        exposed = exposed_by_scan(device, server.published_positive_ids)
+        assert check_exposure(device, published) is exposed
         assert (device.exposure_status is ExposureStatus.NOTIFIED) is exposed
 
 
@@ -812,7 +895,7 @@ class TestLookback:
             assert report_positive_centralized(a, server, now=now) == {b.permanent_id}
         else:
             assert check_exposure(a, report_positive_decentralized(b, server, now=now))
-            assert [p.epoch for p in server.published_positive_ids] == [0, 1, 2, 3]
+            assert server.published_positive_ids == [(day_key(b.secret, 0), 0, 3)]
 
 
 class TestPrivacyInvariants:
@@ -916,99 +999,66 @@ class TestModesAgree:
         assert told >= 20  # most reporters had contacts to tell
 
 
-def published(permanent="p", epochs=range(3)):
-    return [PublishedId(derive_temp_id(permanent, e), e) for e in epochs]
-
-
-class TestPublishedIds:
-    def test_equals_the_list_of_the_same_ids(self):
+class TestPublicList:
+    def test_one_record_per_day(self):
+        # A reporter at epoch 1344 with the 14-day lookback publishes the
+        # keys of days 0 to 14, the last holding epoch 1344 only; a shorter
+        # lookback cuts the first day's record inside its day.
         server = ServerState(ReportMode.DECENTRALIZED)
-        devices = [register_device(server) for _ in range(3)]
-        rotate_id(devices[1], 900.0)
-        deltas = [report_positive_decentralized(d, server, now=900.0) for d in devices]
-        expected = [PublishedId(derive_temp_id(d.permanent_id, e), e) for d in devices for e in range(d.epoch + 1)]
-        assert all(isinstance(delta, frozenset) for delta in deltas)
-        assert [set(delta) for delta in deltas] == [
-            {derive_temp_id(d.permanent_id, e) for e in range(d.epoch + 1)} for d in devices
+        d = register_device(server, DeviceState("p", epoch=1344, secret=secret(0)))
+        delta = report_positive_decentralized(d, server, now=1344 * 900.0)
+        assert server.published_positive_ids == [
+            (day_key(d.secret, day), 96 * day, min(96 * day + 95, 1344)) for day in range(15)
         ]
-        ids = server.published_positive_ids
-        assert isinstance(ids, PublishedIds)
-        assert list(ids) == expected and len(ids) == len(expected)
-        assert len(PublishedIds()) == 0 and not PublishedIds()
-        assert copy.deepcopy(ids) == ids
-        # Equality compares ids and epochs with another public list only.
-        shifted = PublishedIds()
-        shifted.extend(expected[:-1] + [PublishedId(expected[-1].temp_id, expected[-1].epoch + 1)])
-        assert shifted != ids and ids != expected
-        # Two servers with the same reports are equal, and differ once one
-        # server publishes more.
-        other = ServerState(ReportMode.DECENTRALIZED, registered=set(server.registered))
-        other._counter = server._counter
-        for d in devices:
-            report_positive_decentralized(d, other, now=900.0)
-        assert other == server
-        report_positive_decentralized(devices[0], other, now=900.0)
-        assert other != server
-        with pytest.raises(TypeError):
-            hash(ids)
+        assert len(delta) == 1345 and delta == set(temp_id_history(d).values())
+        # Epoch 1243 ends at the cut, 1244 * 900 s, so it is published.
+        server.lookback_s = 100 * 900.0
+        report_positive_decentralized(d, server, now=1344 * 900.0)
+        assert server.published_positive_ids[15:] == [
+            (day_key(d.secret, 12), 1243, 1247),
+            (day_key(d.secret, 13), 1248, 1343),
+            (day_key(d.secret, 14), 1344, 1344),
+        ]
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.lists(st.tuples(st.text(max_size=6), st.integers(0, 2**63))), st.integers(0, 10))
-    def test_round_trip(self, draws, split):
-        items = [PublishedId(derive_temp_id(permanent, e), e) for permanent, e in draws]
-        ids = PublishedIds()
-        ids.extend(items[:split])
-        ids.extend(items[split:])
-        assert len(ids) == len(items)
-        assert list(ids) == items
+    def test_published_records_match_the_clock_reference(self):
+        # Reports at every epoch of days 0-2, with lookbacks that cut inside
+        # a day, at a day's end and not at all.
+        for epoch in range(0, 3 * 96, 7):
+            for lookback in (900.0, 95 * 900.0, 96 * 900.0, 130 * 900.0, math.inf):
+                for now in (epoch * 900.0, epoch * 900.0 + 450.0):
+                    d = DeviceState("p", epoch=epoch, secret=secret(epoch))
+                    server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
+                    ref_server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
+                    delta = report_positive_decentralized(d, server, now)
+                    assert delta == clock_report_decentralized(d, ref_server, now)
+                    assert server.published_positive_ids == ref_server.published_positive_ids
 
-    GOOD = derive_temp_id("p", 0)
-    BAD = {
-        "wrong prefix": PublishedId("u" + GOOD[1:], 0),
-        "short": PublishedId(GOOD[:-1], 0),
-        "long": PublishedId(GOOD + "0", 0),
-        "no prefix": PublishedId(GOOD[1:] + "0", 0),
-        "t moved": PublishedId(GOOD[1] + "t" + GOOD[2:], 0),
-        "uppercase hex": PublishedId("tA" + GOOD[2:], 0),
-        "embedded space": PublishedId(GOOD[:8] + " " + GOOD[9:], 0),
-        "non-hex digit": PublishedId(GOOD[:8] + "g" + GOOD[9:], 0),
-        "second t": PublishedId(GOOD[:8] + "t" + GOOD[9:], 0),
-        "negative epoch": PublishedId(GOOD, -1),
-        "epoch 2**64": PublishedId(GOOD, 2**64),
-        "bool epoch": PublishedId(GOOD, True),
-        "float epoch": PublishedId(GOOD, 1.0),
-    }
-
-    @pytest.mark.parametrize("case", BAD)
-    def test_bad_item_rejected_and_nothing_appended(self, case):
-        bad = self.BAD[case]
-        ids = PublishedIds()
-        ids.extend(published())
-        before = list(ids)
-        with pytest.raises(ValueError, match="not a publishable id") as err:
-            ids.extend(published("q") + [bad, bad] + published("r"))
-        assert repr(bad) in str(err.value)
-        assert list(ids) == before and len(ids) == 3
-
-    def test_public_list_is_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            ServerState(ReportMode.DECENTRALIZED, published_positive_ids=[])
-
-    def test_widest_epochs_accepted(self):
-        items = [PublishedId(self.GOOD, 0), PublishedId(self.GOOD, 2**64 - 1)]
-        ids = PublishedIds()
-        ids.extend(items)
-        assert list(ids) == items
-
-    def test_retains_at_most_24_bytes_per_published_id(self):
-        # Ten devices with a 14-day history (1,344 rotations each) report
-        # decentrally. A list of PublishedId objects retains about 149 bytes
-        # per id; the packed list about 16.
+    def test_decentralized_server_cannot_link_the_list(self):
+        # A keyless id, the hash of "<permanent id>|<epoch>", once let the
+        # decentralized server, which keeps the registered ids, map every
+        # published id back to its reporter. It holds no secret, and no
+        # published id is such a hash.
         server = ServerState(ReportMode.DECENTRALIZED)
-        devices = [register_device(server) for _ in range(10)]
-        for k in range(1, 1345):
+        devices = [register_device(server) for _ in range(20)]
+        for k in range(1, 301):
             for d in devices:
                 rotate_id(d, k * 900.0)
+        published = set()
+        for d in devices[::4]:
+            published |= report_positive_decentralized(d, server, now=300 * 900.0)
+        assert server.device_secrets == {}
+        assert set(expand_public_list(server.published_positive_ids)) == published and len(published) == 5 * 301
+        keyless = {
+            "t" + hashlib.sha256(f"{p}|{e}".encode()).hexdigest()[:16] for p in server.registered for e in range(301)
+        }
+        assert not published & keyless
+
+    def test_retains_one_small_record_per_day(self):
+        # Ten devices with a 14-day history report decentrally: 15 records
+        # each, where the 1,345 ids a report yields once took about 16 bytes
+        # each, packed.
+        server = ServerState(ReportMode.DECENTRALIZED)
+        devices = [register_device(server, DeviceState(f"p{k}", epoch=1344)) for k in range(10)]
         gc.collect()
         tracemalloc.start()
         try:
@@ -1019,5 +1069,5 @@ class TestPublishedIds:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(server.published_positive_ids) == 10 * 1345
-        assert retained <= 24 * len(server.published_positive_ids), retained / len(server.published_positive_ids)
+        assert len(server.published_positive_ids) == 10 * 15
+        assert retained <= 256 * len(server.published_positive_ids), retained / len(server.published_positive_ids)
