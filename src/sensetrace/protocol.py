@@ -23,6 +23,16 @@ secret or the key. The centralized server learns each secret at
 registration, to resolve a report's ids; the decentralized one never
 does. A key yields every id of its day, so publishing the current day's
 key also gives away the ids the reporter will use for the rest of it.
+
+A log entry keeps the epoch its peer's id was derived from, so the
+centralized server derives one id per registered device for each epoch a
+report logs, and scans no epoch range. The uploaded epoch tells that
+server nothing the uploaded window times do not: a phone that rotates on
+time logs the clock epoch of the window, and the epoch of any id the
+server resolves is the one its secret yields the id at, which a scan of
+every epoch finds as well. Only epochs 0 to 255 are resolved: the
+protocol benchmark counts each miss from epoch 256 on, so lifting the
+bound is a change to the benchmark (ROADMAP items 1 and 2).
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import math
 import secrets
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import ContactDecision, ContactWindow
 from .errors import ModeError, NoContact, NotDue
@@ -105,9 +115,11 @@ def _parse_temp_id(temp_id: object) -> Optional[bytes]:
 @dataclass(frozen=True, slots=True)
 class ContactLogEntry:
     """What a device persists about a registered contact: the peer's current
-    temporary id and the window metadata. No raw sensor data, no permanent id."""
+    temporary id, the peer's epoch that id was derived from, and the window
+    metadata. No raw sensor data, no permanent id."""
 
     peer_temp_id: str
+    peer_epoch: int
     window_start: float
     window_end: float
     mean_distance: Optional[float]
@@ -218,44 +230,52 @@ def exchange_ids(
     window: ContactWindow,
 ) -> tuple[DeviceState, DeviceState]:
     """After a positive decision, both phones log each other's current
-    temporary id with the window metadata. The window must name ``a`` and
-    ``b``, two distinct devices; otherwise ``ValueError``, and neither log
-    changes."""
+    temporary id and epoch with the window metadata. The window must name
+    ``a`` and ``b``, two distinct devices; otherwise ``ValueError``, and
+    neither log changes."""
     if not decision.contact:
         raise NoContact("id exchange requires a positive contact decision")
     # A window's pair names two distinct devices, so this also refuses a is b.
     if {a.permanent_id, b.permanent_id} != set(window.pair):
         raise ValueError(f"window of {window.pair} does not pair {a.permanent_id!r} with {b.permanent_id!r}")
-    a.contact_log.append(ContactLogEntry(b.temp_id, window.start, window.end, decision.mean_distance))
-    b.contact_log.append(ContactLogEntry(a.temp_id, window.start, window.end, decision.mean_distance))
+    a.contact_log.append(ContactLogEntry(b.temp_id, b.epoch, window.start, window.end, decision.mean_distance))
+    b.contact_log.append(ContactLogEntry(a.temp_id, a.epoch, window.start, window.end, decision.mean_distance))
     return a, b
 
 
-def _resolve_temp_ids(server: ServerState, wanted: Iterable[str], max_epoch: int = 256) -> dict[str, str]:
-    """Server-side epoch registry: map each wanted temporary id back to its
-    device. Possible because registration reveals secrets to the server.
+def _resolve_temp_ids(
+    server: ServerState, entries: Sequence[ContactLogEntry], max_epoch: int = 256
+) -> list[Optional[str]]:
+    """Server-side epoch registry: the device each entry's temporary id
+    resolves to at its logged epoch, or None. Possible because registration
+    reveals secrets to the server.
 
-    One pass over the sorted registered devices x epochs 0..max_epoch-1,
-    stopping once every wanted id is found; each id maps to its first match
-    in that order. Ids with no match are absent from the result. The wanted
-    ids are compared as their 8 raw bytes, and each day's id prefix is
-    hashed once, its state copied for each epoch.
+    An entry is looked up only when its ``peer_epoch`` is an ``int`` (not a
+    ``bool``) from 0 to ``max_epoch - 1`` and its id is ``t`` and 16
+    lowercase hex digits, compared as its 8 raw bytes; any other entry
+    matches nothing. For each distinct logged day, each registered device's
+    day key and id prefix are hashed once; for each distinct logged epoch,
+    one id is derived per device, in sorted device order, and the first
+    match wins. Nothing is kept between reports.
     """
-    missing = {key: temp_id for temp_id in set(wanted) if (key := _parse_temp_id(temp_id)) is not None}
-    found: dict[str, str] = {}
-    if not missing:
-        return found
-    digits = [f"{epoch}".encode() for epoch in range(max_epoch)]
+    keys: list[Optional[tuple[bytes, bytes]]] = []
+    days: dict[int, dict[bytes, set[bytes]]] = {}  # logged day -> epoch digits -> raw ids
+    for entry in entries:
+        epoch, raw = entry.peer_epoch, _parse_temp_id(entry.peer_temp_id)
+        key = None
+        if type(epoch) is int and 0 <= epoch < max_epoch and raw is not None:
+            key = (f"{epoch}".encode(), raw)
+            days.setdefault(epoch // EPOCHS_PER_DAY, {}).setdefault(key[0], set()).add(raw)
+        keys.append(key)
+    found: dict[tuple[bytes, bytes], str] = {}
     for permanent, secret in sorted(server.device_secrets.items()):
-        for start in range(0, max_epoch, EPOCHS_PER_DAY):
-            prefix = _id_prefix(day_key(secret, start // EPOCHS_PER_DAY))
-            for epoch_digits in digits[start : start + EPOCHS_PER_DAY]:
-                temp_id = missing.pop(_id_key(prefix.copy(), epoch_digits), None)
-                if temp_id is not None:
-                    found[temp_id] = permanent
-                    if not missing:
-                        return found
-    return found
+        for day, epochs in days.items():
+            prefix = _id_prefix(day_key(secret, day))
+            for digits, raws in epochs.items():
+                raw = _id_key(prefix.copy(), digits)
+                if raw in raws:
+                    found.setdefault((digits, raw), permanent)
+    return [found.get(key) for key in keys]  # a None key is never found
 
 
 def report_positive_centralized(
@@ -281,9 +301,7 @@ def report_positive_centralized(
     server.uploaded_contact_lists[device.permanent_id] = entries
 
     notified: set[str] = set()
-    resolved = _resolve_temp_ids(server, (entry.peer_temp_id for entry in entries))
-    for entry in entries:
-        peer = resolved.get(entry.peer_temp_id)
+    for entry, peer in zip(entries, _resolve_temp_ids(server, entries)):
         if peer is None:
             continue
         notified.add(peer)

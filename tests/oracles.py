@@ -10,7 +10,9 @@ scalar signal models instead of one instance at a time in columns, and the
 decision oracle runs the stages the gates need for one tier instead of
 fusing one assessment made for every tier, the centralized-report
 oracle resolves each logged temporary id by its own search of the registry
-instead of one pass for the whole log, with each id derived whole from
+over every epoch below the bound (or, in ``resolve_logged_id``, at its
+logged epoch) instead of one pass per logged epoch for the whole log, with
+each id derived whole from
 hex digests of its day key and itself (``hexdigest_temp_id``) instead of
 from raw bytes and a hash state shared across a day's epochs, the exposure
 oracle expands every published day key and scans its ids instead of
@@ -508,6 +510,19 @@ def resolve_temp_id(server: ServerState, temp_id: str, max_epoch: int = 256) -> 
         for epoch in range(max_epoch):
             if hexdigest_temp_id(server.device_secrets[permanent], epoch) == temp_id:
                 return permanent
+    return None
+
+
+def resolve_logged_id(server: ServerState, temp_id: str, epoch: object, max_epoch: int = 256) -> Optional[str]:
+    """The first registered device (in sorted order) whose id at the logged
+    ``epoch`` is ``temp_id``: ``resolve_temp_id`` limited to that one epoch.
+    An epoch that is not an ``int`` (a ``bool`` is not one here), or not
+    below ``max_epoch``, or negative, matches nothing."""
+    if type(epoch) is not int or not 0 <= epoch < max_epoch:
+        return None
+    for permanent in sorted(server.registered):
+        if hexdigest_temp_id(server.device_secrets[permanent], epoch) == temp_id:
+            return permanent
     return None
 
 

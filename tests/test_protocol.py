@@ -8,7 +8,7 @@ import tracemalloc
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensetrace import protocol
@@ -41,6 +41,7 @@ from .oracles import (
     hexdigest_day_key,
     hexdigest_temp_id,
     report_centralized_per_entry,
+    resolve_logged_id,
     resolve_temp_id,
     temp_id_history,
 )
@@ -460,12 +461,13 @@ class TestExchangeIds:
         assert b.contact_log[0].peer_temp_id == a.temp_id
 
     def test_positive_decision_gives_each_device_one_entry(self):
-        # Each side logs the peer's current temporary id, the window bounds
-        # and the decision's mean distance: no permanent id, no samples.
+        # Each side logs the peer's current temporary id and epoch, the
+        # window bounds and the decision's mean distance: no permanent id,
+        # no samples.
         a, b = DeviceState("pa", epoch=3), DeviceState("pb", epoch=9)
         exchange_ids(a, b, positive_decision(), window(a, b, 1800.0))
-        assert a.contact_log == [ContactLogEntry(derive_temp_id(b.secret, 9), 1800.0, 2700.0, 0.7)]
-        assert b.contact_log == [ContactLogEntry(derive_temp_id(a.secret, 3), 1800.0, 2700.0, 0.7)]
+        assert a.contact_log == [ContactLogEntry(derive_temp_id(b.secret, 9), 9, 1800.0, 2700.0, 0.7)]
+        assert b.contact_log == [ContactLogEntry(derive_temp_id(a.secret, 3), 3, 1800.0, 2700.0, 0.7)]
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.contact_log[0].peer_temp_id = "pb"
 
@@ -475,12 +477,17 @@ class TestExchangeIds:
         contact(a, b)
         rotate_id(b, 900.0)
         contact(a, b, start=900.0)
+        contact(a, b, start=1800.0)
+        # Each entry holds b's epoch at the exchange, from which its id was
+        # derived: epoch 1 in the window of clock epoch 2, as b did not
+        # rotate again.
         assert a.contact_log == [
-            ContactLogEntry(derive_temp_id(b.secret, 0), 0.0, 900.0, 0.7),
-            ContactLogEntry(derive_temp_id(b.secret, 1), 900.0, 1800.0, 0.7),
+            ContactLogEntry(derive_temp_id(b.secret, 0), 0, 0.0, 900.0, 0.7),
+            ContactLogEntry(derive_temp_id(b.secret, 1), 1, 900.0, 1800.0, 0.7),
+            ContactLogEntry(derive_temp_id(b.secret, 1), 1, 1800.0, 2700.0, 0.7),
         ]
-        # a did not rotate: b logged a's epoch-0 id both times.
-        assert [e.peer_temp_id for e in b.contact_log] == [derive_temp_id(a.secret, 0)] * 2
+        # a did not rotate: b logged a's epoch-0 id each time.
+        assert [(e.peer_temp_id, e.peer_epoch) for e in b.contact_log] == [(derive_temp_id(a.secret, 0), 0)] * 3
 
     def test_two_windows_two_entries(self):
         server = ServerState(ReportMode.CENTRALIZED)
@@ -619,17 +626,53 @@ class TestCentralizedReport:
         # Unresolvable ids (a stranger's, or from epoch 256 on) did occur.
         assert len(unresolved) >= 10
 
-    def test_one_registry_pass_per_report(self, monkeypatch):
-        # The strangers' ids never resolve, so the pass covers the whole
-        # registry: for each registered device, each of days 0-2 (epochs
-        # 0-255) has its key and its id prefix hashed once, and each of the
-        # 256 epochs copies its day's prefix state once.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(st.integers(0, 300), st.integers(0, 31), st.integers(0, 3), st.floats(0.0, 899.0)),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_same_notifications_as_the_full_scan(self, registered, meetings):
+        # Honest histories on the shared clock. At each meeting, in clock
+        # epoch 0 to 300, the devices whose bit is set in ``rotating``
+        # rotate to it and the others stay late, skipping epochs when the
+        # clock jumps; the reporter then meets a registered device or the
+        # stranger. Entries logged below epoch 256 resolve as a scan of
+        # every epoch resolves them, and those logged from 256 on as it
+        # does not.
+        server = ServerState(ReportMode.CENTRALIZED)
+        devices = [register_device(server, DeviceState(f"d{k}", secret=secret(k))) for k in range(registered)]
+        devices.append(DeviceState("stranger", secret=secret("stranger")))
+        reporter, peers = devices[0], devices[1:]
+        for epoch, rotating, peer, offset in sorted(meetings):
+            now = epoch * 900.0 + offset
+            for k, d in enumerate(devices):
+                if rotating >> k & 1 and d.epoch < epoch:
+                    rotate_id(d, now)
+            contact(reporter, peers[peer % len(peers)], start=now)
+        expected_server = copy.deepcopy(server)
+        assert report_positive_centralized(reporter, server) == report_centralized_per_entry(reporter, expected_server)
+        assert server.notifications_sent == expected_server.notifications_sent
+        assert server.uploaded_contact_lists == expected_server.uploaded_contact_lists
+
+    def test_one_day_key_per_logged_day_and_one_id_per_logged_epoch(self, monkeypatch):
+        # For each registered device, each distinct logged day below the
+        # 256-epoch bound has its key and its id prefix hashed once, and
+        # each distinct logged epoch below it copies its day's prefix state
+        # once. Entries from epoch 256 on hash nothing.
         server = ServerState(ReportMode.CENTRALIZED)
         reporter, peer = register_device(server), register_device(server)
-        strangers = [DeviceState(f"s{k}") for k in range(3)]
-        for k, stranger in enumerate(strangers):
-            contact(reporter, stranger, start=k * 900.0)
-        contact(reporter, peer, start=2700.0)
+        register_device(server)  # met by no one
+        strangers = [DeviceState(f"s{k}") for k in range(4)]
+        met = [(peer, 5), (strangers[0], 5), (strangers[1], 7), (strangers[2], 100), (peer, 300), (strangers[3], 1000)]
+        for device, epoch in met:
+            if device.epoch < epoch:
+                rotate_id(device, epoch * 900.0)
+            contact(reporter, device, start=epoch * 900.0)
+        beyond = DeviceState("beyond", contact_log=reporter.contact_log[4:])
         prefixes, copies = [], []
 
         class Counting:
@@ -653,13 +696,27 @@ class TestCentralizedReport:
         hashed = [
             data
             for s in server.device_secrets.values()
-            for day in range(3)
+            for day in (0, 1)
             for data in (s + f"|{day}".encode(), day_key(s, day) + b"|")
         ]
         monkeypatch.setattr(protocol, "hashlib", types.SimpleNamespace(sha256=sha256))
         assert report_positive_centralized(reporter, server) == {peer.permanent_id}
         assert sorted(prefixes) == sorted(hashed)
-        assert len(copies) == len(server.registered) * 256
+        assert len(copies) == len(server.registered) * 3  # epochs 5, 7 and 100
+        prefixes.clear()
+        copies.clear()
+        assert report_positive_centralized(beyond, server) == set()
+        assert prefixes == copies == []
+
+    def test_an_id_of_two_devices_resolves_to_the_first_in_sorted_order(self):
+        # Devices registered under one secret yield the same ids, which is
+        # the only way two devices share an id short of a hash collision.
+        server = ServerState(ReportMode.CENTRALIZED)
+        for permanent in ("b", "a", "c"):
+            register_device(server, DeviceState(permanent, secret=secret(0)))
+        temp_id = hexdigest_temp_id(secret(0), 7)
+        entries = [ContactLogEntry(temp_id, 7, 0.0, 900.0, 0.5)]
+        assert protocol._resolve_temp_ids(server, entries) == [resolve_logged_id(server, temp_id, 7)] == ["a"]
 
     MALFORMED = {
         "as derived": lambda t: t,
@@ -673,6 +730,13 @@ class TestCentralizedReport:
         "spaces between bytes": lambda t: t[:3] + " " + t[3:9] + " " + t[9:15],
     }
 
+    # Logged epochs that match nothing. Each entry logged under one holds the
+    # id of the epoch it would stand for if taken loosely: True and 1.0 for
+    # epoch 1, and the others for themselves. The explicit example logs the
+    # epoch-1 id under epoch 1 as well, where True == 1 could share its
+    # lookup.
+    BAD_EPOCHS = (True, 1.0, -1, 256, 10**6)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3, unique=True),
@@ -681,23 +745,37 @@ class TestCentralizedReport:
                 st.integers(0, 3),
                 st.one_of(st.integers(0, 3), st.integers(250, 300)),
                 st.sampled_from(sorted(MALFORMED)),
+                st.sampled_from((None,) + BAD_EPOCHS),
             ),
             max_size=8,
         ),
         st.integers(0, 3),
     )
+    @example(["a"], [(0, 1, "as derived", None)] + [(0, 1, "as derived", bad) for bad in BAD_EPOCHS], 0)
     def test_batch_resolution_matches_per_id_resolution(self, registry, draws, repeats):
         # Ids of registered devices and of a stranger, from epochs below and
-        # above the 256-epoch bound, some malformed and some repeated: each
-        # maps to the device the per-id search finds, or is absent.
+        # above the 256-epoch bound, some malformed, some logged under a bad
+        # epoch (None draws the id's own epoch) and some repeated: each maps
+        # to the device the per-id search at its logged epoch finds, or to
+        # None, and nothing raises.
         server = ServerState(ReportMode.CENTRALIZED)
         for k, permanent in enumerate(registry):
             register_device(server, DeviceState(permanent, secret=secret(k)))
         owners = [secret(k) for k in range(len(registry))] + [secret("stranger")]
-        wanted = [self.MALFORMED[kind](hexdigest_temp_id(owners[k % len(owners)], e)) for k, e, kind in draws]
-        wanted += wanted[:repeats]
-        expected = {w: peer for w in wanted if (peer := resolve_temp_id(server, w)) is not None}
-        assert protocol._resolve_temp_ids(server, wanted) == expected
+        entries, honest = [], []
+        for k, e, kind, bad in draws:
+            logged = e if bad is None else bad
+            temp_id = self.MALFORMED[kind](hexdigest_temp_id(owners[k % len(owners)], int(logged)))
+            entries.append(ContactLogEntry(temp_id, logged, 0.0, 900.0, 0.5))
+            honest.append(bad is None)
+        entries += entries[:repeats]
+        honest += honest[:repeats]
+        expected = [resolve_logged_id(server, e.peer_temp_id, e.peer_epoch) for e in entries]
+        assert protocol._resolve_temp_ids(server, entries) == expected
+        for entry, peer, is_honest in zip(entries, expected, honest):
+            # At its own epoch an id resolves as the scan of every epoch
+            # resolves it; under a bad epoch it resolves to nothing.
+            assert peer == (resolve_temp_id(server, entry.peer_temp_id) if is_honest else None)
 
     @staticmethod
     def two_contacts(lookback_s):
@@ -868,7 +946,7 @@ class TestDecentralizedReport:
         published = report_positive_decentralized(reporter, server, now=(epoch + later) * 900.0)
         assert set(expand_public_list(server.published_positive_ids)) == published
         device = DeviceState("d")
-        device.contact_log.extend(ContactLogEntry(peer, 0.0, 900.0, 0.5) for peer in logged)
+        device.contact_log.extend(ContactLogEntry(peer, 0, 0.0, 900.0, 0.5) for peer in logged)
         exposed = exposed_by_scan(device, server.published_positive_ids)
         assert check_exposure(device, published) is exposed
         assert (device.exposure_status is ExposureStatus.NOTIFIED) is exposed
