@@ -14,12 +14,11 @@ from .core import (
     read_trace,
     write_trace,
 )
-from .envmatch import EnvThresholds, dtw_score, env_similar, select_env_sensor
+from .envmatch import EnvThresholds, dtw_score, select_env_sensor
 from .errors import (
     EmptySequence,
     EmptyWindow,
     EvaluationError,
-    InsufficientEvidence,
     InvalidDistance,
     InvalidMeasure,
     ModeError,

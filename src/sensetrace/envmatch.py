@@ -4,8 +4,8 @@ pressure sequences.
 Sequences may have different lengths (sensor rates differ between phones);
 DTW aligns them with squared local cost in one forward pass over two rows,
 the accumulated cost is normalized by the cell count of the shortest optimal
-warping path, and the square root of that score is compared against a
-threshold in the sensor's natural unit (hPa or uT).
+warping path. The square root of that score is in the sensor's natural
+unit, where ``EnvThresholds`` holds each sensor's threshold (hPa or uT).
 
 ``dtw_score`` scores one pair of sequences and is the reference;
 ``dtw_scores``, which detection uses, runs the same recurrence for a batch
@@ -142,21 +142,6 @@ def dtw_scores(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         costs[now, 0] = math.inf  # row -1, where diagonal -2's origin was
     last = (m + n) % 3
     return costs[last, m] / counts[last, m]
-
-
-def env_similar(
-    a: ScalarSequence,
-    b: ScalarSequence,
-    sensor: SensorKind,
-    thresholds: EnvThresholds,
-) -> tuple[float, bool]:
-    """Compare two ambient sequences; returns (score, similar).
-
-    The score is the square root of the normalized DTW score, which puts it
-    back in the sensor's natural unit so the published thresholds apply.
-    """
-    score = math.sqrt(dtw_score(a, b))
-    return score, score <= thresholds.for_sensor(sensor)
 
 
 def select_env_sensor(prox_a: ProximityState, prox_b: ProximityState) -> SensorKind:

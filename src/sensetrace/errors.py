@@ -21,10 +21,6 @@ class EmptySequence(SenseTraceError):
     """A sequence comparison was attempted on an empty sequence."""
 
 
-class InsufficientEvidence(SenseTraceError):
-    """A fusion stage has no evidence to decide on."""
-
-
 class NoContact(SenseTraceError):
     """A contact-log operation was attempted for a negative decision."""
 

@@ -2,8 +2,10 @@
 accuracy metric, staged-system tiers, distance-error CDFs and the magnetic
 separation report.
 
-Detection assesses each instance's window once (``assess_instances``) and
-fuses each tier's decisions from the assessments (``fuse_instances``);
+Detection assesses each instance's window once (``assess_instances``), into
+the five stage measurements of a ``fusion.Assessment``, and fuses each
+tier's decisions from the assessments (``fuse_instances``), where
+``fusion.decide`` turns the measurements into the tier's verdicts;
 ``write_assessment_cache`` keeps a run's assessments so that
 ``read_assessment_cache`` can stand in for assessing its windows again.
 ``assess_instances`` assesses every window of a run as one batch
@@ -287,14 +289,11 @@ def fuse_instances(
 # The file, beside a run's ``traces/``, that holds the assessment of each of
 # its instances.
 ASSESSMENT_CACHE = "assessments.json"
-ASSESSMENT_CACHE_FORMAT = {"format": "sensetrace assessments", "version": 1}
-_OPTIONAL_STR, _OPTIONAL_FLOAT = (str, type(None)), (float, type(None))
+ASSESSMENT_CACHE_FORMAT = {"format": "sensetrace assessments", "version": 2}
+_OPTIONAL_BOOL, _OPTIONAL_FLOAT = (bool, type(None)), (float, type(None))
 # The type of each field of a stored record, in ``Assessment`` field order;
 # ``env_sensor`` is stored as its ``SensorKind`` value.
-_RECORD_TYPES = (
-    (bool,), (bool,), _OPTIONAL_STR, _OPTIONAL_FLOAT, _OPTIONAL_STR,
-    _OPTIONAL_FLOAT, _OPTIONAL_STR, (bool,), _OPTIONAL_STR,
-)
+_RECORD_TYPES = (_OPTIONAL_BOOL, _OPTIONAL_BOOL, _OPTIONAL_FLOAT, (str, type(None)), _OPTIONAL_FLOAT)
 
 
 def detector_digest() -> str:

@@ -2,13 +2,15 @@
 
 Stage 1 scans for the peer over BLE (majority vote), stage 2 gates sound by
 ambient noise and listens for chirps, stage 3 averages WiFi and sound
-distances, stage 4 compares the shared environment. All three output metrics
-are always computed and reported; a stage without evidence degrades its
-metric to unknown and forces a negative verdict.
+distances, stage 4 scores the shared environment. Each stage measures and
+nothing more; a stage without evidence leaves its measurement None.
 
 ``assess`` runs every stage once per window, for every gate setting at
-once; ``decide`` fuses an ``Assessment`` into the verdict of one
-``StageGates``, so the tiers of one window share a single assessment.
+once, into an ``Assessment`` of five measurements. ``decide`` alone judges
+them: it fuses an assessment into the verdict of one ``StageGates``, tests
+the environment score against its sensor's threshold and says why a gated
+stage had no evidence, so the tiers of one window share a single
+assessment.
 
 ``build_evidence`` and the ``stage_*`` functions take one window; they are
 the reference. ``assess_windows``, which detection uses, assesses a whole
@@ -39,8 +41,8 @@ from .core import (
     canonical_pair,
     window_bounds,
 )
-from .envmatch import EnvThresholds, dtw_scores, env_similar, select_env_sensor
-from .errors import InsufficientEvidence
+from . import envmatch  # dtw_score is looked up there, where perfbench wraps it
+from .envmatch import EnvThresholds, dtw_scores, select_env_sensor
 from .ranging import (
     ChirpSpec,
     PathLossParams,
@@ -135,8 +137,9 @@ def stage_appearance(
     evidence: StageEvidence,
     cfg: FusionConfig,
     use_chirp_votes: bool = True,
-) -> bool:
-    """Majority vote over appearance evidence.
+) -> Optional[bool]:
+    """Majority vote over appearance evidence; None without a BLE scan
+    attempt.
 
     Every BLE scan is a vote; chirp attempts vote too when the noise gate
     permitted them (an unheard chirp in a quiet environment argues against
@@ -144,7 +147,7 @@ def stage_appearance(
     BLE sighting is required: BLE is what kick-starts the rest.
     """
     if not evidence.ble_seen:
-        raise InsufficientEvidence("no BLE scan attempts in window")
+        return None
     votes = len(evidence.ble_seen)
     positives = sum(evidence.ble_seen)
     if use_chirp_votes:
@@ -181,8 +184,9 @@ def _nearest(times: Sequence[float], t: float) -> Optional[int]:
     return best if gap < PAIR_TOLERANCE_S else None
 
 
-def stage_distance(evidence: StageEvidence, cfg: FusionConfig) -> float:
-    """Mean pairwise-combined distance over the window.
+def stage_distance(evidence: StageEvidence, cfg: FusionConfig) -> Optional[float]:
+    """Mean pairwise-combined distance over the window; None without a
+    WiFi estimate.
 
     A sound estimate is usable when a heard chirp attempt that passed the
     noise gate shares its time. Each WiFi estimate is averaged with the
@@ -190,7 +194,7 @@ def stage_distance(evidence: StageEvidence, cfg: FusionConfig) -> float:
     one on an equal gap); where none exists the WiFi estimate stands alone.
     """
     if not evidence.wifi_distances:
-        raise InsufficientEvidence("no WiFi distance estimates in window")
+        return None
     ok_times = np.sort([t for t, noise, heard in evidence.chirps if heard and noise_gate(noise, cfg)])
     sound = sorted(evidence.sound_distances, key=itemgetter(0))
     usable = _near_any(ok_times, np.array([ts for ts, _ in sound], dtype=float))
@@ -205,72 +209,50 @@ def stage_distance(evidence: StageEvidence, cfg: FusionConfig) -> float:
     return sum(combined) / len(combined)
 
 
-def stage_environment(
-    evidence: StageEvidence,
-    cfg: FusionConfig,
-) -> tuple[float, SensorKind, bool]:
-    """Pick the environment sensor from the pair's proximity states and
-    compare the matching sequences; returns (score, sensor, similar)."""
+def stage_environment(evidence: StageEvidence) -> tuple[Optional[SensorKind], Optional[float]]:
+    """The environment sensor that the pair's proximity states pick, and
+    the square root of the DTW score of the matching sequences, which puts
+    it back in the sensor's unit (hPa or uT). The sensor is None when a
+    device has no proximity state; the score is None without both
+    sequences."""
     devices = sorted(evidence.prox_states)
     if len(devices) != 2:
-        raise InsufficientEvidence("proximity state missing for one or both devices")
+        return None, None
     a, b = devices
     sensor = select_env_sensor(evidence.prox_states[a], evidence.prox_states[b])
     seq_a = evidence.env_sequences.get(a, {}).get(sensor, ())
     seq_b = evidence.env_sequences.get(b, {}).get(sensor, ())
     if not seq_a or not seq_b:
-        raise InsufficientEvidence(f"missing {sensor.value} sequence for pair")
-    score, similar = env_similar(seq_a, seq_b, sensor, cfg.env_thresholds)
-    return score, sensor, similar
+        return sensor, None
+    return sensor, math.sqrt(envmatch.dtw_score(seq_a, seq_b))
 
 
 @dataclass(frozen=True)
 class Assessment:
-    """Every stage's outcome for one window, before any gate: all that
+    """Every stage's measurement for one window, before any gate: all that
     ``decide`` needs to fuse the verdict under any ``StageGates``.
 
     ``appearance_ble`` is the appearance vote over BLE scans alone and
-    ``appearance_chirps`` the vote with chirp attempts added;
-    ``env_similar`` is the environment stage's verdict. A stage without
-    evidence leaves its metric None (its vote False) and records why in its
-    ``*_reason``.
+    ``appearance_chirps`` the vote with chirp attempts added. A stage
+    without evidence leaves its measurement None, as its ``stage_*``
+    function returns it.
     """
 
-    appearance_ble: bool
-    appearance_chirps: bool
-    appearance_reason: Optional[str]
+    appearance_ble: Optional[bool]
+    appearance_chirps: Optional[bool]
     mean_distance: Optional[float]
-    distance_reason: Optional[str]
-    env_score: Optional[float]
     env_sensor: Optional[SensorKind]
-    env_similar: bool
-    env_reason: Optional[str]
+    env_score: Optional[float]
 
 
 def assess(evidence: StageEvidence, cfg: FusionConfig) -> Assessment:
     """Run every stage once over ``evidence`` (appearance both with and
     without chirp votes), with no short-circuiting and no gate."""
-    appearance_reason = distance_reason = env_reason = None
-    try:
-        appearance = (stage_appearance(evidence, cfg, False), stage_appearance(evidence, cfg, True))
-    except InsufficientEvidence as exc:
-        appearance, appearance_reason = (False, False), str(exc)
-
-    mean_distance: Optional[float]
-    try:
-        mean_distance = stage_distance(evidence, cfg)
-    except InsufficientEvidence as exc:
-        mean_distance, distance_reason = None, str(exc)
-
-    env_score: Optional[float]
-    env_sensor: Optional[SensorKind]
-    try:
-        env_score, env_sensor, env_ok = stage_environment(evidence, cfg)
-    except InsufficientEvidence as exc:
-        env_score, env_sensor, env_ok, env_reason = None, None, False, str(exc)
-
     return Assessment(
-        *appearance, appearance_reason, mean_distance, distance_reason, env_score, env_sensor, env_ok, env_reason
+        stage_appearance(evidence, cfg, False),
+        stage_appearance(evidence, cfg, True),
+        stage_distance(evidence, cfg),
+        *stage_environment(evidence),
     )
 
 
@@ -282,32 +264,38 @@ def decide(
     """Fuse the verdict from the window's ``Assessment``, made here first
     when ``evidence`` is the window's ``StageEvidence``.
 
-    contact = appearance AND distance <= radius AND environment similar,
-    with disabled gates counting as passed. A stage left unknown by missing
-    evidence forces contact=False when its gate is active.
+    contact = appearance AND distance <= radius AND environment score <=
+    the sensor's threshold, with disabled gates counting as passed. A stage
+    left unknown by missing evidence forces contact=False when its gate is
+    active, and the decision says why. The sensor is reported only with
+    its score.
     """
     a = evidence if isinstance(evidence, Assessment) else assess(evidence, cfg)
-    reasons = [
-        f"{stage}: {reason}"
-        for stage, reason, gated in (
-            ("appearance", a.appearance_reason, True),
-            ("distance", a.distance_reason, gates.gate_distance),
-            ("environment", a.env_reason, gates.gate_environment),
+    sensor, score = a.env_sensor, a.env_score
+    reasons = []
+    if a.appearance_ble is None:
+        reasons.append("appearance: no BLE scan attempts in window")
+    if gates.gate_distance and a.mean_distance is None:
+        reasons.append("distance: no WiFi distance estimates in window")
+    if gates.gate_environment and score is None:
+        reasons.append(
+            "environment: proximity state missing for one or both devices"
+            if sensor is None
+            else f"environment: missing {sensor.value} sequence for pair"
         )
-        if gated and reason is not None
-    ]
-    appearance = a.appearance_chirps if gates.use_chirp_votes else a.appearance_ble
+    appearance = bool(a.appearance_chirps if gates.use_chirp_votes else a.appearance_ble)  # None votes no
     distance_pass = a.mean_distance is not None and a.mean_distance <= cfg.contact_radius
+    env_pass = score is not None and score <= cfg.env_thresholds.for_sensor(sensor)
     contact = (
         appearance
         and (distance_pass if gates.gate_distance else True)
-        and (a.env_similar if gates.gate_environment else True)
+        and (env_pass if gates.gate_environment else True)
     )
     return ContactDecision(
         appearance=appearance,
         mean_distance=a.mean_distance,
-        env_score=a.env_score,
-        env_sensor_used=a.env_sensor,
+        env_score=score,
+        env_sensor_used=None if score is None else sensor,
         contact=contact,
         degraded_reason="; ".join(reasons) if reasons else None,
     )
@@ -551,16 +539,10 @@ def assess_windows(batches: Iterable[WindowRows], cfg: FusionConfig) -> list[Ass
         ids, a, b = (np.concatenate(column) for column in zip(*parts))
         for i, score in zip(ids.tolist(), np.sqrt(dtw_scores(a, b)).tolist()):
             scores[i] = score
-    out = []
-    for (ble, chirps), mean, baro, score in zip(appearance, means, barometer, scores):
-        sensor = SensorKind.BAROMETER if baro else SensorKind.MAGNETOMETER
-        distance_reason = None if mean is not None else "no WiFi distance estimates in window"
-        if score is None:
-            env = (None, None, False, f"missing {sensor.value} sequence for pair")
-        else:
-            env = (score, sensor, score <= cfg.env_thresholds.for_sensor(sensor), None)
-        out.append(Assessment(ble, chirps, None, mean, distance_reason, *env))
-    return out
+    return [
+        Assessment(ble, chirps, mean, SensorKind.BAROMETER if baro else SensorKind.MAGNETOMETER, score)
+        for (ble, chirps), mean, baro, score in zip(appearance, means, barometer, scores)
+    ]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from sensetrace.core import (
     as_trace,
     make_window,
 )
-from sensetrace.errors import InsufficientEvidence, NotDue, ScenarioError
+from sensetrace.errors import NotDue, ScenarioError
 from sensetrace.protocol import (
     DEFAULT_ROTATION_PERIOD_S,
     ContactLogEntry,
@@ -454,35 +454,33 @@ def run_tier(
 def gated_decide(evidence: StageEvidence, cfg: FusionConfig, gates: StageGates) -> ContactDecision:
     """The decision for one ``StageGates``, from the stages run for that
     gate setting alone: appearance with chirp votes only when the gates use
-    them, and each reason kept only when its gate is active."""
+    them, the environment threshold tested here, and the reason for each
+    stage without evidence, in words of its own, kept only when its gate is
+    active."""
     reasons = []
-    try:
-        appearance = stage_appearance(evidence, cfg, gates.use_chirp_votes)
-    except InsufficientEvidence as exc:
+    appearance = stage_appearance(evidence, cfg, gates.use_chirp_votes)
+    if appearance is None:
         appearance = False
-        reasons.append(f"appearance: {exc}")
-    try:
-        mean_distance = stage_distance(evidence, cfg)
-    except InsufficientEvidence as exc:
-        mean_distance = None
-        if gates.gate_distance:
-            reasons.append(f"distance: {exc}")
-    try:
-        env_score, env_sensor, env_ok = stage_environment(evidence, cfg)
-    except InsufficientEvidence as exc:
-        env_score, env_sensor, env_ok = None, None, False
-        if gates.gate_environment:
-            reasons.append(f"environment: {exc}")
+        reasons.append("appearance: no BLE scan attempts in window")
+    mean_distance = stage_distance(evidence, cfg)
+    if mean_distance is None and gates.gate_distance:
+        reasons.append("distance: no WiFi distance estimates in window")
+    env_sensor, env_score = stage_environment(evidence)
+    if env_score is None and gates.gate_environment:
+        if env_sensor is None:
+            reasons.append("environment: proximity state missing for one or both devices")
+        else:
+            reasons.append(f"environment: missing {env_sensor.value} sequence for pair")
     contact = appearance
     if gates.gate_distance:
         contact = contact and mean_distance is not None and mean_distance <= cfg.contact_radius
     if gates.gate_environment:
-        contact = contact and env_ok
+        contact = contact and env_score is not None and env_score <= cfg.env_thresholds.for_sensor(env_sensor)
     return ContactDecision(
         appearance=appearance,
         mean_distance=mean_distance,
         env_score=env_score,
-        env_sensor_used=env_sensor,
+        env_sensor_used=None if env_score is None else env_sensor,
         contact=contact,
         degraded_reason="; ".join(reasons) if reasons else None,
     )

@@ -185,8 +185,8 @@ class TestBatchEqualsReference:
             traces, instances = random_run(rng, cfg)
             for pair, start, end in nonempty(traces, instances):
                 a = assess_window(traces, pair, start, end, cfg)
-                seen.add(("distance", a.distance_reason is None))
-                seen.add(("environment", a.env_reason is None, a.env_sensor))
+                seen.add(("distance", a.mean_distance is not None))
+                seen.add(("environment", a.env_score is not None, a.env_sensor))
                 seen.add(("appearance", a.appearance_ble, a.appearance_chirps))
                 pool = as_trace(traces.get(pair[0], ())) + as_trace(traces.get(pair[1], ()))
                 window = make_window(pool, pair, start, end - start)
@@ -200,7 +200,7 @@ class TestBatchEqualsReference:
                 seen.add(("sequence of one", 1 in lengths))
                 seen.add(("unequal sequences", 0 < min(lengths) < max(lengths)))
         assert ("distance", False) in seen and ("distance", True) in seen
-        assert ("environment", False, None) in seen
+        assert {("environment", False, SensorKind.BAROMETER), ("environment", False, SensorKind.MAGNETOMETER)} <= seen
         assert {("environment", True, SensorKind.BAROMETER), ("environment", True, SensorKind.MAGNETOMETER)} <= seen
         # chirp votes turn a BLE majority around, and some windows see none
         assert {("appearance", True, False), ("appearance", True, True), ("appearance", False, False)} <= seen

@@ -33,7 +33,7 @@ from sensetrace.core import (
     write_trace_cache,
 )
 from sensetrace.errors import SenseTraceError
-from sensetrace.evaluation import ASSESSMENT_CACHE, TierSpec
+from sensetrace.evaluation import ASSESSMENT_CACHE, TierSpec, read_assessment_cache
 from sensetrace.fusion import decision_to_json
 from sensetrace.simulator import config_hash, load_scenario
 
@@ -1058,13 +1058,13 @@ MISSES = {
     "truncated_cache": lambda data: (data / ASSESSMENT_CACHE).write_bytes((data / ASSESSMENT_CACHE).read_bytes()[:-40]),
     "garbage_cache": lambda data: (data / ASSESSMENT_CACHE).write_bytes(b"\x00garbage{[" * 50),
     "other_version_cache": lambda data: (data / ASSESSMENT_CACHE).write_bytes(
-        (data / ASSESSMENT_CACHE).read_bytes().replace(b'"version":1', b'"version":2')
+        (data / ASSESSMENT_CACHE).read_bytes().replace(b'"version":2', b'"version":3')
     ),
     "record_of_wrong_type": _edit_cache(lambda payload: payload["records"][0].__setitem__(0, "yes")),
     # A changed digit of a stored distance: still a float, so only the
     # records' stored SHA-256 tells.
     "damaged_record": _edit_cache(
-        lambda payload: next(r for r in payload["records"] if r[3] is not None).__setitem__(3, 2.125)
+        lambda payload: next(r for r in payload["records"] if r[2] is not None).__setitem__(2, 2.125)
     ),
 }
 
@@ -1104,6 +1104,28 @@ class TestAssessmentCache:
         loads = count_trace_loads(monkeypatch)
         assert self.detect(generated, small_config) == want
         assert self.detect(generated, small_config) == want  # the miss stored them again
+        assert loads == [generated]
+
+    def test_a_version_1_file_is_a_miss(self, generated, small_config, monkeypatch):
+        # Version 1 stored nine fields a record: each stage's reason and the
+        # environment verdict besides the measurements. Here every verdict
+        # says similar, under the current key and with the records' own
+        # SHA-256, so only the version and the shape tell.
+        want = self.detect(generated, small_config)
+        path = generated / ASSESSMENT_CACHE
+        stored = json.loads(path.read_text())
+        records = [
+            [ble, chirps, None, mean, None if mean is not None else "no WiFi distance estimates in window",
+             score, None if score is None else sensor, True, None if score is not None else f"missing {sensor} sequence for pair"]
+            for ble, chirps, mean, sensor, score in stored["records"]
+        ]
+        digest = hashlib.sha256(json.dumps(records, separators=(",", ":")).encode("utf-8")).hexdigest()
+        payload = {"format": "sensetrace assessments", "version": 1, "key": stored["key"], "records_sha256": digest,
+                   "records": records}
+        path.write_text(json.dumps(payload, separators=(",", ":")))
+        assert read_assessment_cache(path, stored["key"], len(records)) is None
+        loads = count_trace_loads(monkeypatch)
+        assert self.detect(generated, small_config) == want
         assert loads == [generated]
 
     def test_deleted_column_cache_is_a_hit(self, generated, small_config, tmp_path, monkeypatch):

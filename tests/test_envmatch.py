@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensetrace.core import ProximityState, SensorKind
-from sensetrace.envmatch import EnvThresholds, dtw_score, env_similar, select_env_sensor
+from sensetrace.envmatch import EnvThresholds, dtw_score, select_env_sensor
 from sensetrace.errors import EmptySequence
+from sensetrace.fusion import FusionConfig, StageEvidence, decide
 
 from .oracles import brute_force_dtw, local_cost, magnitude
 
@@ -114,10 +115,29 @@ class TestDtwScore:
         assert dtw_score(a, b) == pytest.approx(expected)
 
 
+def env_verdict(a, b, sensor, thresholds=EnvThresholds()):
+    """The environment score of ``a`` and ``b`` on ``sensor`` (both phones in
+    the open for the barometer, pocketed for the magnetometer) and whether
+    ``decide`` finds them similar: in a window whose appearance and
+    distance pass, the contact is the environment's verdict."""
+    prox = ProximityState.FAR if sensor is SensorKind.BAROMETER else ProximityState.NEAR
+    evidence = StageEvidence(
+        ble_seen=(True,),
+        chirps=(),
+        wifi_distances=((0.0, 0.5),),
+        sound_distances=(),
+        env_sequences={"a": {sensor: tuple(a)}, "b": {sensor: tuple(b)}},
+        prox_states={"a": prox, "b": prox},
+    )
+    d = decide(evidence, FusionConfig(env_thresholds=thresholds))
+    assert d.env_sensor_used is sensor
+    return d.env_score, d.contact
+
+
 class TestEnvSimilar:
     def test_identical_pressure_sequences(self):
         seq = [1012.4, 1012.41, 1012.39, 1012.4]
-        score, ok = env_similar(seq, seq, SensorKind.BAROMETER, EnvThresholds())
+        score, ok = env_verdict(seq, seq, SensorKind.BAROMETER)
         assert score == 0.0
         assert ok is True
 
@@ -126,14 +146,14 @@ class TestEnvSimilar:
         # normalized score 900, sqrt -> 30 > 20 threshold.
         a = [50.0] * 8
         b = [80.0] * 8
-        score, ok = env_similar(a, b, SensorKind.MAGNETOMETER, EnvThresholds())
+        score, ok = env_verdict(a, b, SensorKind.MAGNETOMETER)
         assert score == pytest.approx(30.0)
         assert ok is False
 
     def test_constant_pressure_sequences_tenth_hpa_apart(self):
         a = [1012.5] * 6
         b = [1012.6] * 6
-        score, ok = env_similar(a, b, SensorKind.BAROMETER, EnvThresholds())
+        score, ok = env_verdict(a, b, SensorKind.BAROMETER)
         assert score == pytest.approx(0.1)
         assert ok is True
 
@@ -144,8 +164,8 @@ class TestEnvSimilar:
             b = [rng.uniform(20, 80) for _ in range(rng.randint(1, 10))]
             lo = EnvThresholds(magnetic_ut=5.0)
             hi = EnvThresholds(magnetic_ut=50.0)
-            _, ok_lo = env_similar(a, b, SensorKind.MAGNETOMETER, lo)
-            _, ok_hi = env_similar(a, b, SensorKind.MAGNETOMETER, hi)
+            _, ok_lo = env_verdict(a, b, SensorKind.MAGNETOMETER, lo)
+            _, ok_hi = env_verdict(a, b, SensorKind.MAGNETOMETER, hi)
             if ok_lo:
                 assert ok_hi  # raising the threshold never flips true -> false
 

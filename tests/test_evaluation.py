@@ -215,9 +215,8 @@ class TestAssessThenFuse:
 
 
 SMALL_ASSESSMENTS = [
-    Assessment(True, True, None, 0.8, None, 0.0, SensorKind.BAROMETER, True, None),
-    Assessment(False, False, "no BLE scan attempts in window", None, "no WiFi distance estimates in window",
-               None, None, False, "proximity state missing for one or both devices"),
+    Assessment(True, True, 0.8, SensorKind.BAROMETER, 0.0),
+    Assessment(None, None, None, None, None),
 ]
 KEY = {"config_sha256": "c" * 16, "traces": [["a.jsonl", "0" * 64]]}
 
@@ -252,14 +251,14 @@ class TestAssessmentCache:
             pytest.param(lambda data: data[:-30], id="truncated"),
             pytest.param(lambda data: bytes(random.Random(1).randrange(256) for _ in data), id="garbage"),
             pytest.param(lambda data: b"[" * 100_000, id="deep_nesting"),
-            pytest.param(lambda data: data.replace(b'"version":1', b'"version":2'), id="other_version"),
+            pytest.param(lambda data: data.replace(b'"version":2', b'"version":3'), id="other_version"),
             pytest.param(_edit_payload(lambda p: p["key"].update(config_sha256="d" * 16)), id="other_key"),
             pytest.param(_edit_payload(lambda p: p["records"].pop()), id="one_record_short"),
             pytest.param(_edit_payload(lambda p: p["records"][0].pop()), id="record_short"),
             pytest.param(_edit_payload(lambda p: p["records"].__setitem__(0, {})), id="record_not_a_list"),
             pytest.param(_edit_payload(lambda p: p["records"][0].__setitem__(0, 1)), id="int_for_bool"),
-            pytest.param(_edit_payload(lambda p: p["records"][0].__setitem__(3, 1)), id="int_for_float"),
-            pytest.param(_edit_payload(lambda p: p["records"][0].__setitem__(6, "SONAR")), id="unknown_sensor"),
+            pytest.param(_edit_payload(lambda p: p["records"][0].__setitem__(2, 1)), id="int_for_float"),
+            pytest.param(_edit_payload(lambda p: p["records"][0].__setitem__(3, "SONAR")), id="unknown_sensor"),
             pytest.param(_edit_payload(lambda p: p.__setitem__("records", None)), id="no_records"),
         ],
     )

@@ -11,10 +11,10 @@ from sensetrace.core import (
     ProximityState,
     SensorKind,
     SensorSample,
+    Trace,
     make_window,
 )
-from sensetrace.errors import InsufficientEvidence
-from sensetrace.evaluation import TierSpec, tier_gates
+from sensetrace.evaluation import TierSpec, assess_instances, fuse_instances, tier_gates
 from sensetrace.fusion import (
     PAIR_TOLERANCE_S,
     Assessment,
@@ -101,9 +101,9 @@ class TestStageAppearance:
         assert stage_appearance(ev, CFG) is False
 
     def test_no_attempts_is_insufficient(self):
-        ev = evidence(ble_seen=())
-        with pytest.raises(InsufficientEvidence):
-            stage_appearance(ev, CFG)
+        ev = evidence(ble_seen=(), chirps=[(0.0, 10.0, True)])
+        assert stage_appearance(ev, CFG) is None
+        assert stage_appearance(ev, CFG, use_chirp_votes=False) is None
 
     def test_quiet_unheard_chirps_vote_against(self):
         # 6/10 BLE alone passes; 10 quiet unheard chirps dilute it to 6/20.
@@ -167,8 +167,7 @@ class TestStageDistance:
         assert stage_distance(ev, CFG) == pytest.approx(2.0)
 
     def test_no_wifi_is_insufficient(self):
-        with pytest.raises(InsufficientEvidence):
-            stage_distance(evidence(), CFG)
+        assert stage_distance(evidence(sound=timed([1.0])), CFG) is None
 
     def test_mixed_availability_matches_scripted_oracle(self):
         rng = random.Random(21)
@@ -229,8 +228,7 @@ class TestStageDistance:
 
 class TestStageEnvironment:
     def test_identical_pressure_open_space(self):
-        score, sensor, ok = stage_environment(evidence(), CFG)
-        assert (score, sensor, ok) == (0.0, SensorKind.BAROMETER, True)
+        assert stage_environment(evidence()) == (SensorKind.BAROMETER, 0.0)
 
     def test_pocketed_magnetic_thirty_apart(self):
         env = {
@@ -238,28 +236,26 @@ class TestStageEnvironment:
             "b": {SensorKind.BAROMETER: (1012.4,) * 5, SensorKind.MAGNETOMETER: (70.0,) * 5},
         }
         prox = {"a": ProximityState.NEAR, "b": ProximityState.FAR}
-        score, sensor, ok = stage_environment(evidence(env=env, prox=prox), CFG)
+        sensor, score = stage_environment(evidence(env=env, prox=prox))
         assert sensor is SensorKind.MAGNETOMETER
         assert score == pytest.approx(30.0)
-        assert ok is False
 
     def test_adjacent_floor_pressure_gap(self):
         env = {
             "a": {SensorKind.BAROMETER: (1012.40,) * 5, SensorKind.MAGNETOMETER: (50.0,) * 5},
             "b": {SensorKind.BAROMETER: (1012.83,) * 5, SensorKind.MAGNETOMETER: (50.0,) * 5},
         }
-        score, sensor, ok = stage_environment(evidence(env=env), CFG)
+        sensor, score = stage_environment(evidence(env=env))
         assert sensor is SensorKind.BAROMETER
         assert score == pytest.approx(0.43)
-        assert ok is False
 
     def test_missing_sequence_is_insufficient(self):
         env = {
             "a": {SensorKind.BAROMETER: (), SensorKind.MAGNETOMETER: ()},
             "b": {SensorKind.BAROMETER: (1012.4,), SensorKind.MAGNETOMETER: (50.0,)},
         }
-        with pytest.raises(InsufficientEvidence):
-            stage_environment(evidence(env=env), CFG)
+        assert stage_environment(evidence(env=env)) == (SensorKind.BAROMETER, None)
+        assert stage_environment(evidence(prox={"b": ProximityState.FAR})) == (None, None)
 
 
 class TestDecide:
@@ -443,14 +439,99 @@ class TestAssess:
         assert assess(ev, CFG) == Assessment(
             appearance_ble=False,
             appearance_chirps=True,
-            appearance_reason=None,
             mean_distance=0.8,
-            distance_reason=None,
-            env_score=None,
             env_sensor=None,
-            env_similar=False,
-            env_reason="proximity state missing for one or both devices",
+            env_score=None,
         )
+
+
+APPEARANCE_ONLY, APPEARANCE_DISTANCE, FULL = TierSpec
+NO_BLE = "appearance: no BLE scan attempts in window"
+NO_WIFI = "distance: no WiFi distance estimates in window"
+NO_PROXIMITY = "environment: proximity state missing for one or both devices"
+# Each evidence gap: its evidence, the tiers whose decision names it, and the reason.
+GAPS = {
+    "no BLE attempt": (evidence(ble_seen=(), wifi=timed([0.8])), set(TierSpec), NO_BLE),
+    "no WiFi": (evidence(), {APPEARANCE_DISTANCE, FULL}, NO_WIFI),
+    "no proximity state": (evidence(wifi=timed([0.8]), prox={"b": ProximityState.FAR}), {FULL}, NO_PROXIMITY),
+    "no sensor sequence": (
+        evidence(wifi=timed([0.8]), env={"a": {SensorKind.BAROMETER: (1012.4,)}, "b": {}}),
+        {FULL},
+        "environment: missing BAROMETER sequence for pair",
+    ),
+}
+
+
+class TestDegradedReason:
+    """Each evidence gap's reason at every tier, written out: hand-built
+    evidence, the per-window reference and the batch all decide as
+    ``gated_decide``, which words the reasons itself."""
+
+    @pytest.mark.parametrize("tier", list(TierSpec), ids=lambda tier: tier.name)
+    @pytest.mark.parametrize("gap", sorted(GAPS))
+    def test_hand_built_evidence(self, gap, tier):
+        ev, tiers, reason = GAPS[gap]
+        gates = tier_gates(tier)
+        got = decide(ev, CFG, gates)
+        assert got == decide(assess(ev, CFG), CFG, gates) == gated_decide(ev, CFG, gates)
+        assert got.degraded_reason == (reason if tier in tiers else None)
+        assert not (got.contact and tier in tiers)
+
+    def test_exact_decisions(self):
+        full = tier_gates(FULL)
+        assert decide(GAPS["no BLE attempt"][0], CFG, full) == ContactDecision(
+            appearance=False, mean_distance=0.8, env_score=0.0, env_sensor_used=SensorKind.BAROMETER,
+            contact=False, degraded_reason=NO_BLE,
+        )
+        # The sensor is chosen, but without its score no sensor is reported.
+        assert decide(GAPS["no sensor sequence"][0], CFG, full) == ContactDecision(
+            appearance=True, mean_distance=0.8, env_score=None, env_sensor_used=None,
+            contact=False, degraded_reason="environment: missing BAROMETER sequence for pair",
+        )
+        every_gap = evidence(ble_seen=(), prox={})
+        assert decide(every_gap, CFG, full).degraded_reason == f"{NO_BLE}; {NO_WIFI}; {NO_PROXIMITY}"
+        appearance_only = decide(every_gap, CFG, tier_gates(APPEARANCE_ONLY))
+        assert appearance_only == ContactDecision(False, None, None, None, False, NO_BLE)
+
+    @staticmethod
+    def traces(wifi=True, b_sensor=True, pocketed=False):
+        """A pair side by side for a whole window: BLE both ways, WiFi if
+        ``wifi``, and the environment sensor the proximity states choose
+        (the magnetometer when ``a`` is ``pocketed``, else the barometer) on
+        ``a``, and on ``b`` if ``b_sensor``."""
+        rows = {"a": [], "b": []}
+        sensor, value = (SensorKind.MAGNETOMETER, (0.0, 0.0, 50.0)) if pocketed else (SensorKind.BAROMETER, 1012.4)
+        for t in (k * 30.0 for k in range(30)):
+            for device, peer in (("a", "b"), ("b", "a")):
+                rows[device].append(SensorSample(t, SensorKind.BLE_RSS, -60.0, src=device, obs=peer))
+                if device == "a" or b_sensor:
+                    rows[device].append(SensorSample(t, sensor, value, src=device))
+            if wifi:
+                rows["a"].append(SensorSample(t, SensorKind.WIFI_RSS, -59.0, src="a", obs="b"))
+            rows["a"].append(SensorSample(t, SensorKind.PROXIMITY, 1.0 if pocketed else 0.0, src="a"))
+        return {device: Trace.from_samples(r) for device, r in rows.items()}
+
+    @pytest.mark.parametrize(
+        "kwargs, tiers, reason",
+        [
+            ({"wifi": False}, {APPEARANCE_DISTANCE, FULL}, NO_WIFI),
+            ({"b_sensor": False}, {FULL}, "environment: missing BAROMETER sequence for pair"),
+            ({"b_sensor": False, "pocketed": True}, {FULL}, "environment: missing MAGNETOMETER sequence for pair"),
+        ],
+        ids=["no WiFi", "no barometer sequence", "no magnetometer sequence"],
+    )
+    def test_batch_and_reference(self, kwargs, tiers, reason):
+        # Traces leave only these gaps: every window has BLE slots, and a
+        # device without proximity samples counts as in the open.
+        traces = self.traces(**kwargs)
+        instances = [(("a", "b"), 0.0, 900.0)]
+        assessments = assess_instances(traces, instances, CFG)
+        ev = build_evidence(make_window(traces["a"] + traces["b"], ("a", "b"), 0.0, 900.0), CFG)
+        for tier in TierSpec:
+            gates = tier_gates(tier)
+            [record] = fuse_instances(instances, assessments, CFG, gates)
+            assert record.decision == decide(ev, CFG, gates) == gated_decide(ev, CFG, gates)
+            assert record.decision.degraded_reason == (reason if tier in tiers else None)
 
 
 class TestBuildEvidence:
