@@ -26,7 +26,9 @@ key also gives away the ids the reporter will use for the rest of it.
 
 A log entry keeps the epoch its peer's id was derived from, so the
 centralized server derives one id per registered device for each epoch a
-report logs, and scans no epoch range. The uploaded epoch tells that
+report logs, and scans no epoch range. It keeps the day keys of the last
+report's days in a table, checked against the registry before each use,
+so a report over the same days derives no key. The uploaded epoch tells that
 server nothing the uploaded window times do not: a phone that rotates on
 time logs the clock epoch of the window, and the epoch of any id the
 server resolves is the one its secret yields the id at, which a scan of
@@ -42,6 +44,7 @@ import math
 import secrets
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import ContactDecision, ContactWindow
@@ -176,6 +179,13 @@ class ServerState:
     uploaded_contact_lists: dict[str, list[ContactLogEntry]] = field(default_factory=dict)
     lookback_s: float = DEFAULT_LOOKBACK_S
     _counter: int = field(default=0, init=False)
+    # The day-key table of centralized reports (``_resolve_temp_ids``): a
+    # copy of ``device_secrets`` and its sorted ids, and for each day of the
+    # last report the keys of those devices in that order, 16 bytes each.
+    _key_registry: tuple[dict[str, bytes], tuple[str, ...]] = field(
+        default_factory=lambda: ({}, ()), init=False, repr=False, compare=False
+    )
+    _day_keys: dict[int, bytes] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, ReportMode):
@@ -253,10 +263,16 @@ def _resolve_temp_ids(
     An entry is looked up only when its ``peer_epoch`` is an ``int`` (not a
     ``bool``) from 0 to ``max_epoch - 1`` and its id is ``t`` and 16
     lowercase hex digits, compared as its 8 raw bytes; any other entry
-    matches nothing. For each distinct logged day, each registered device's
-    day key and id prefix are hashed once; for each distinct logged epoch,
-    one id is derived per device, in sorted device order, and the first
-    match wins. Nothing is kept between reports.
+    matches nothing. For each distinct logged epoch, one id is derived per
+    registered device from its key of the epoch's day, in sorted device
+    order, and the first match wins.
+
+    The day keys come from the server's table, which holds the keys of the
+    last report's days. It is verified, not trusted: when
+    ``device_secrets`` differs from the copy the table was derived from
+    (a registration, or a secret replaced by hand), the table is rebuilt.
+    It then keeps only this report's days, deriving each registered
+    device's key for a day it does not hold.
     """
     keys: list[Optional[tuple[bytes, bytes]]] = []
     days: dict[int, dict[bytes, set[bytes]]] = {}  # logged day -> epoch digits -> raw ids
@@ -267,14 +283,22 @@ def _resolve_temp_ids(
             key = (f"{epoch}".encode(), raw)
             days.setdefault(epoch // EPOCHS_PER_DAY, {}).setdefault(key[0], set()).add(raw)
         keys.append(key)
+    registry, order = server._key_registry
+    held = server._day_keys
+    if registry != server.device_secrets:
+        registry = dict(server.device_secrets)
+        order = tuple(sorted(registry))
+        server._key_registry, held = (registry, order), {}
+    server._day_keys = table = {
+        day: held.get(day) or b"".join(day_key(registry[permanent], day) for permanent in order) for day in days
+    }
     found: dict[tuple[bytes, bytes], str] = {}
-    for permanent, secret in sorted(server.device_secrets.items()):
-        for day, epochs in days.items():
-            prefix = _id_prefix(day_key(secret, day))
-            for digits, raws in epochs.items():
-                raw = _id_key(prefix.copy(), digits)
-                if raw in raws:
-                    found.setdefault((digits, raw), permanent)
+    for day, epochs in days.items():
+        day_keys = table[day]
+        for digits, raws in epochs.items():
+            ids = [_id_key(_id_prefix(day_keys[k : k + 16]), digits) for k in range(0, len(day_keys), 16)]
+            for raw in raws.intersection(ids):
+                found[digits, raw] = order[ids.index(raw)]  # the first match in sorted order
     return [found.get(key) for key in keys]  # a None key is never found
 
 
@@ -355,11 +379,12 @@ def report_positive_decentralized(
 def check_exposure(device: DeviceState, published: frozenset[str]) -> bool:
     """True when any id of ``published`` (a set of temporary ids, as
     ``report_positive_decentralized`` returns) appears in this device's log:
-    one membership test per logged id. Anything but a ``set`` or
-    ``frozenset`` raises ``TypeError``."""
+    one set-disjointness test over the logged ids, a membership test each
+    until one matches. Anything but a ``set`` or ``frozenset`` raises
+    ``TypeError``."""
     if not isinstance(published, (set, frozenset)):
         raise TypeError(f"published ids must be a set of temporary ids, got {type(published).__name__}")
-    exposed = any(entry.peer_temp_id in published for entry in device.contact_log)
+    exposed = not published.isdisjoint(map(attrgetter("peer_temp_id"), device.contact_log))
     if exposed:
         device.exposure_status = ExposureStatus.NOTIFIED
     return exposed

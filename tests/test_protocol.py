@@ -659,10 +659,11 @@ class TestCentralizedReport:
         assert server.uploaded_contact_lists == expected_server.uploaded_contact_lists
 
     def test_one_day_key_per_logged_day_and_one_id_per_logged_epoch(self, monkeypatch):
-        # For each registered device, each distinct logged day below the
-        # 256-epoch bound has its key and its id prefix hashed once, and
-        # each distinct logged epoch below it copies its day's prefix state
-        # once. Entries from epoch 256 on hash nothing.
+        # A cold report derives each registered device's key once for each
+        # distinct logged day below the 256-epoch bound, and one id per
+        # device for each distinct logged epoch below it. A second report
+        # over the same days derives the ids only. Entries from epoch 256 on
+        # hash nothing. No hash state is copied (Counting has no copy).
         server = ServerState(ReportMode.CENTRALIZED)
         reporter, peer = register_device(server), register_device(server)
         register_device(server)  # met by no one
@@ -673,40 +674,47 @@ class TestCentralizedReport:
                 rotate_id(device, epoch * 900.0)
             contact(reporter, device, start=epoch * 900.0)
         beyond = DeviceState("beyond", contact_log=reporter.contact_log[4:])
-        prefixes, copies = [], []
+        hashed = []  # per hash object: the data it was made from, then each update
 
         class Counting:
-            def __init__(self, h):
-                self.h = h
-
-            def copy(self):
-                copies.append(1)
-                return Counting(self.h.copy())
+            def __init__(self, data):
+                self.h = hashlib.sha256(data)
+                self.data = [data]
+                hashed.append(self.data)
 
             def update(self, data):
+                self.data.append(data)
                 self.h.update(data)
 
             def digest(self):
                 return self.h.digest()
 
-        def sha256(data):
-            prefixes.append(data)
-            return Counting(hashlib.sha256(data))
-
-        hashed = [
-            data
-            for s in server.device_secrets.values()
-            for day in (0, 1)
-            for data in (s + f"|{day}".encode(), day_key(s, day) + b"|")
-        ]
-        monkeypatch.setattr(protocol, "hashlib", types.SimpleNamespace(sha256=sha256))
+        registry = server.device_secrets.values()
+        day_keys = [[s + f"|{day}".encode()] for s in registry for day in (0, 1)]
+        ids = [[day_key(s, e // 96) + b"|", f"{e}".encode()] for s in registry for e in (5, 7, 100)]
+        monkeypatch.setattr(protocol, "hashlib", types.SimpleNamespace(sha256=Counting))
         assert report_positive_centralized(reporter, server) == {peer.permanent_id}
-        assert sorted(prefixes) == sorted(hashed)
-        assert len(copies) == len(server.registered) * 3  # epochs 5, 7 and 100
-        prefixes.clear()
-        copies.clear()
+        assert sorted(hashed) == sorted(day_keys + ids)
+        hashed.clear()
+        assert report_positive_centralized(reporter, server) == {peer.permanent_id}
+        assert sorted(hashed) == sorted(ids)
+        hashed.clear()
         assert report_positive_centralized(beyond, server) == set()
-        assert prefixes == copies == []
+        assert hashed == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: ids logged from epoch 256 on are not resolved; "
+        "the bound stays until the protocol benchmark stops counting those misses",
+    )
+    def test_contact_at_epoch_280_is_notified(self):
+        server = ServerState(ReportMode.CENTRALIZED)
+        a, b = register_device(server), register_device(server)
+        for d in (a, b):
+            rotate_id(d, 280 * 900.0)
+        contact(a, b, start=280 * 900.0)
+        assert a.contact_log[0].peer_epoch == 280
+        assert report_positive_centralized(a, server) == {b.permanent_id}
 
     def test_an_id_of_two_devices_resolves_to_the_first_in_sorted_order(self):
         # Devices registered under one secret yield the same ids, which is
@@ -850,6 +858,96 @@ class TestCentralizedReport:
         notify_devices(notified, devices)
         assert b.exposure_status is ExposureStatus.NOTIFIED
         assert a.exposure_status is ExposureStatus.NONE
+
+
+class TestDayKeyTable:
+    """The centralized server's table of day keys, kept between reports."""
+
+    # Every pair of six devices meets once, in days 0 to 2 (epochs below 256).
+    MEETINGS = [(i, j, (37 * i + 53 * j) % 250) for i in range(6) for j in range(i + 1, 6)]
+
+    @classmethod
+    def six_devices(cls):
+        devices = [DeviceState(f"d{k}", secret=secret(k)) for k in range(6)]
+        for i, j, epoch in sorted(cls.MEETINGS, key=lambda m: m[2]):
+            for d in (devices[i], devices[j]):
+                if d.epoch < epoch:
+                    rotate_id(d, epoch * 900.0)
+            contact(devices[i], devices[j], start=epoch * 900.0)
+        return devices
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("register", "reregister", "swap")),
+                st.integers(0, 5),
+                st.integers(0, 6),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_reports_match_the_oracle_across_registry_changes(self, steps):
+        # Between reports, a device registers, a registered one registers
+        # again, or one's secret is replaced by hand (by another device's,
+        # or by a new one when the draw is 6). Each report notifies whom the
+        # per-entry scan of the registry at that moment notifies, so no key
+        # the table holds outlives the registry it came from.
+        devices = self.six_devices()
+        server = ServerState(ReportMode.CENTRALIZED)
+        for d in devices[:3]:
+            register_device(server, d)
+        for kind, k, other, reporter in [("none", 0, 0, 0)] + steps:
+            permanent = devices[k].permanent_id
+            if kind == "register" and permanent not in server.registered:
+                register_device(server, devices[k])
+            elif kind == "reregister" and permanent in server.registered:
+                register_device(server, DeviceState(permanent, secret=server.device_secrets[permanent]))
+            elif kind == "swap" and permanent in server.registered:
+                server.device_secrets[permanent] = secret(other if other < 6 else "new")
+            expected_server = copy.deepcopy(server)
+            notified = report_positive_centralized(devices[reporter], server)
+            assert notified == report_centralized_per_entry(devices[reporter], expected_server)
+            assert server.notifications_sent == expected_server.notifications_sent
+
+    def test_holds_only_the_days_of_the_last_report(self):
+        server = ServerState(ReportMode.CENTRALIZED)
+        devices = [register_device(server, DeviceState(f"d{k}", secret=secret(k))) for k in range(3)]
+        a, b, c = devices
+        for epoch, peer in ((5, b), (100, c), (200, b)):
+            for d in devices:
+                rotate_id(d, epoch * 900.0)
+            contact(a, peer, start=epoch * 900.0)
+        report_positive_centralized(DeviceState("r1", contact_log=a.contact_log[:2]), server)
+        assert sorted(server._day_keys) == [0, 1]
+        report_positive_centralized(DeviceState("r2", contact_log=a.contact_log[2:]), server)
+        assert list(server._day_keys) == [2]
+        assert server._day_keys[2] == b"".join(day_key(secret(k), 2) for k in range(3))
+
+    def test_table_is_out_of_the_repr_and_the_comparison(self):
+        server = ServerState(ReportMode.CENTRALIZED)
+        a, b = (register_device(server, DeviceState(f"d{k}", secret=secret(k))) for k in range(2))
+        contact(a, b)
+        cold = copy.deepcopy(server)
+        assert report_positive_centralized(a, server) == report_centralized_per_entry(a, cold) == {"d1"}
+        assert server._day_keys and not cold._day_keys
+        assert server == cold
+        text = repr(server)
+        for s in (secret(0), secret(1)):
+            for hidden in (s, day_key(s, 0)):
+                assert repr(hidden) not in text and hidden.hex() not in text
+        assert "_day_keys" not in text and "_key_registry" not in text
+
+    def test_decentralized_server_never_fills_the_table(self):
+        server = ServerState(ReportMode.DECENTRALIZED)
+        a, b = register_device(server), register_device(server)
+        contact(a, b)
+        assert check_exposure(a, report_positive_decentralized(b, server))
+        with pytest.raises(ModeError):
+            report_positive_centralized(a, server)
+        assert server._day_keys == {} and server._key_registry == ({}, ())
 
 
 class TestDecentralizedReport:
