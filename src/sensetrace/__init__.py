@@ -27,12 +27,12 @@ from .errors import (
     ScenarioError,
     SenseTraceError,
 )
-from .evaluation import ConfusionCounts, TierSpec, accuracy, confusion
+from .evaluation import ConfusionCounts, accuracy, confusion
 from .fusion import (
     Assessment,
     FusionConfig,
     StageEvidence,
-    StageGates,
+    TierSpec,
     assess,
     build_evidence,
     decide,

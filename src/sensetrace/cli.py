@@ -73,7 +73,6 @@ from .errors import SenseTraceError
 from .evaluation import (
     ASSESSMENT_CACHE,
     Instance,
-    TierSpec,
     accuracy,
     assess_instances,
     confusion,
@@ -84,10 +83,9 @@ from .evaluation import (
     magnitude_sequences,
     matched,
     read_assessment_cache,
-    tier_gates,
     write_assessment_cache,
 )
-from .fusion import decision_from_record, decision_to_json
+from .fusion import TierSpec, decision_from_record, decision_to_json
 from .simulator import config_hash, generate_traces, load_scenario
 
 
@@ -424,7 +422,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         devices = (device for pair, _, _ in instances for device in pair)
         assessments = assess_instances(_load_traces(data_dir, digests, devices), instances, cfg)
         write_assessment_cache(data_dir / ASSESSMENT_CACHE, key, assessments)
-    records = fuse_instances(instances, assessments, cfg, tier_gates(tier))
+    records = fuse_instances(instances, assessments, cfg, tier)
     atomic_write(data_dir / name, "".join(decision_to_json(r) + "\n" for r in records))
     contacts = sum(1 for r in records if r.decision.contact)
     print(f"{tier.value}: {contacts}/{len(records)} contacts -> {data_dir / name}")

@@ -1,11 +1,11 @@
 """Evaluation: detection over a run's instances, confusion tallies, the
-accuracy metric, staged-system tiers, distance-error CDFs and the magnetic
-separation report.
+accuracy metric, distance-error CDFs and the magnetic separation report.
 
 Detection assesses each instance's window once (``assess_instances``), into
 the five stage measurements of a ``fusion.Assessment``, and fuses each
 tier's decisions from the assessments (``fuse_instances``), where
-``fusion.decide`` turns the measurements into the tier's verdicts;
+``fusion.decide`` turns the measurements into the verdicts of a
+``fusion.TierSpec``;
 ``write_assessment_cache`` keeps a run's assessments so that
 ``read_assessment_cache`` can stand in for assessing its windows again.
 ``assess_instances`` assesses every window of a run as one batch
@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -45,7 +44,7 @@ from .fusion import (
     Assessment,
     DecisionRecord,
     FusionConfig,
-    StageGates,
+    TierSpec,
     WindowRows,
     assess_windows,
     build_evidence,  # not called here, but perfbench/pipeline.py wraps evaluation.build_evidence
@@ -72,24 +71,9 @@ class ConfusionCounts:
         return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
 
 
-class TierSpec(Enum):
-    """Staged system mechanics, each enabling a superset of the previous
-    tier's gates: BLE-only appearance, then distance, then environment."""
-
-    APPEARANCE_ONLY = "APPEARANCE_ONLY"
-    APPEARANCE_DISTANCE = "APPEARANCE_DISTANCE"
-    FULL = "FULL"
-
-
-def tier_gates(tier: TierSpec) -> StageGates:
-    """Map a tier to pipeline gates. The BLE-only tier drops the microphone
-    entirely (chirp votes belong to the sound stage); later gates count as
-    passed when disabled."""
-    if tier is TierSpec.APPEARANCE_ONLY:
-        return StageGates(use_chirp_votes=False, gate_distance=False, gate_environment=False)
-    if tier is TierSpec.APPEARANCE_DISTANCE:
-        return StageGates(use_chirp_votes=True, gate_distance=True, gate_environment=False)
-    return StageGates(use_chirp_votes=True, gate_distance=True, gate_environment=True)
+# Not called here: perfbench/pipeline.py passes tier_gates(TierSpec(tier)) to decide.
+def tier_gates(tier: TierSpec) -> TierSpec:
+    return tier
 
 
 def _unique(what: str, items: Iterable[tuple]) -> dict:
@@ -271,15 +255,15 @@ def fuse_instances(
     instances: Iterable[Instance],
     assessments: Iterable[Assessment],
     cfg: FusionConfig,
-    gates: StageGates = StageGates(),
+    tier: TierSpec,
 ) -> list[DecisionRecord]:
-    """Each instance's decision under ``gates``, fused from its assessment.
+    """Each instance's decision by ``tier``, fused from its assessment.
 
     ``assessments`` holds one assessment per instance, in order; a count
     that differs raises ValueError.
     """
     return [
-        DecisionRecord(pair=canonical_pair(pair), start=start, end=end, decision=decide(assessment, cfg, gates))
+        DecisionRecord(pair=canonical_pair(pair), start=start, end=end, decision=decide(assessment, cfg, tier))
         for (pair, start, end), assessment in zip(instances, assessments, strict=True)
     ]
 
@@ -398,14 +382,16 @@ class BucketStat:
 
 def magnetic_separation_report(
     items: Iterable[tuple[float, Sequence[float], Sequence[float]]],
-    buckets: Sequence[tuple[float, float]] = DEFAULT_REPORT_BUCKETS,
 ) -> list[BucketStat]:
     """Per-distance-band statistics of the Euclidean distance between the two
-    phones' magnetic magnitude sequences (truncated to the shorter length).
+    phones' magnetic magnitude sequences (truncated to the shorter length),
+    over the bands of ``DEFAULT_REPORT_BUCKETS``.
 
     ``items`` yields (true distance, magnitudes of phone A, magnitudes of B).
-    Empty buckets are reported with no statistics rather than failing.
+    Empty buckets are reported with no statistics rather than failing; an
+    item outside every band raises ``EvaluationError``.
     """
+    buckets = DEFAULT_REPORT_BUCKETS
     values: dict[int, list[float]] = {i: [] for i in range(len(buckets))}
     for true_distance, seq_a, seq_b in items:
         n = min(len(seq_a), len(seq_b))
@@ -416,6 +402,11 @@ def magnetic_separation_report(
             if lo <= true_distance < hi or (hi == buckets[-1][1] and true_distance == hi):
                 values[bi].append(dist)
                 break
+        else:
+            raise EvaluationError(
+                f"true distance {true_distance:.1f} m ({true_distance!r}) lies outside every report band; "
+                f"the last is [{buckets[-1][0]}, {buckets[-1][1]}] m"
+            )
     stats = []
     for bi, (lo, hi) in enumerate(buckets):
         vals = values[bi]

@@ -5,12 +5,12 @@ ambient noise and listens for chirps, stage 3 averages WiFi and sound
 distances, stage 4 scores the shared environment. Each stage measures and
 nothing more; a stage without evidence leaves its measurement None.
 
-``assess`` runs every stage once per window, for every gate setting at
-once, into an ``Assessment`` of five measurements. ``decide`` alone judges
-them: it fuses an assessment into the verdict of one ``StageGates``, tests
-the environment score against its sensor's threshold and says why a gated
-stage had no evidence, so the tiers of one window share a single
-assessment.
+``assess`` runs every stage once per window, for every tier at once, into
+an ``Assessment`` of five measurements. ``decide`` alone judges them: it
+fuses an assessment into the verdict of one ``TierSpec``, the staged
+system that sets which stages gate it, tests the environment score against
+its sensor's threshold and says why a gated stage had no evidence, so the
+tiers of one window share a single assessment.
 
 ``build_evidence`` and the ``stage_*`` functions take one window; they are
 the reference. ``assess_windows``, which detection uses, assesses a whole
@@ -27,6 +27,7 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -93,17 +94,14 @@ class FusionConfig:
         return 120.0 / self.wifi_scan_cap
 
 
-@dataclass(frozen=True)
-class StageGates:
-    """Which parts of the pipeline participate in the verdict; disabled gates
-    count as passed. Used to reproduce the staged system comparisons."""
+class TierSpec(Enum):
+    """The staged systems compared, each gating on a superset of the
+    previous one's stages: BLE-only appearance; then chirp votes and the
+    WiFi/sound distance; then the environment match as well."""
 
-    use_chirp_votes: bool = True
-    gate_distance: bool = True
-    gate_environment: bool = True
-
-
-FULL_GATES = StageGates()
+    APPEARANCE_ONLY = "APPEARANCE_ONLY"
+    APPEARANCE_DISTANCE = "APPEARANCE_DISTANCE"
+    FULL = "FULL"
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ def stage_environment(evidence: StageEvidence) -> tuple[Optional[SensorKind], Op
 @dataclass(frozen=True)
 class Assessment:
     """Every stage's measurement for one window, before any gate: all that
-    ``decide`` needs to fuse the verdict under any ``StageGates``.
+    ``decide`` needs to fuse the verdict of any ``TierSpec``.
 
     ``appearance_ble`` is the appearance vote over BLE scans alone and
     ``appearance_chirps`` the vote with chirp attempts added. A stage
@@ -259,38 +257,40 @@ def assess(evidence: StageEvidence, cfg: FusionConfig) -> Assessment:
 def decide(
     evidence: Union[StageEvidence, Assessment],
     cfg: FusionConfig,
-    gates: StageGates = FULL_GATES,
+    tier: TierSpec = TierSpec.FULL,
 ) -> ContactDecision:
-    """Fuse the verdict from the window's ``Assessment``, made here first
-    when ``evidence`` is the window's ``StageEvidence``.
+    """Fuse ``tier``'s verdict from the window's ``Assessment``, made here
+    first when ``evidence`` is the window's ``StageEvidence``.
 
     contact = appearance AND distance <= radius AND environment score <=
-    the sensor's threshold, with disabled gates counting as passed. A stage
-    left unknown by missing evidence forces contact=False when its gate is
-    active, and the decision says why. The sensor is reported only with
-    its score.
+    the sensor's threshold. Every tier but APPEARANCE_ONLY counts chirp
+    votes in appearance and gates on distance; only FULL gates on the
+    environment. A gate the tier lacks counts as passed. A stage left
+    unknown by missing evidence forces contact=False when the tier gates
+    on it, and the decision says why. The sensor is reported only with its
+    score. A ``tier`` that is not a ``TierSpec`` raises TypeError.
     """
+    if not isinstance(tier, TierSpec):
+        raise TypeError(f"tier must be a TierSpec, got {tier!r}")
     a = evidence if isinstance(evidence, Assessment) else assess(evidence, cfg)
+    sound = tier is not TierSpec.APPEARANCE_ONLY  # chirp votes and the distance gate
+    gate_environment = tier is TierSpec.FULL
     sensor, score = a.env_sensor, a.env_score
     reasons = []
     if a.appearance_ble is None:
         reasons.append("appearance: no BLE scan attempts in window")
-    if gates.gate_distance and a.mean_distance is None:
+    if sound and a.mean_distance is None:
         reasons.append("distance: no WiFi distance estimates in window")
-    if gates.gate_environment and score is None:
+    if gate_environment and score is None:
         reasons.append(
             "environment: proximity state missing for one or both devices"
             if sensor is None
             else f"environment: missing {sensor.value} sequence for pair"
         )
-    appearance = bool(a.appearance_chirps if gates.use_chirp_votes else a.appearance_ble)  # None votes no
+    appearance = bool(a.appearance_chirps if sound else a.appearance_ble)  # None votes no
     distance_pass = a.mean_distance is not None and a.mean_distance <= cfg.contact_radius
     env_pass = score is not None and score <= cfg.env_thresholds.for_sensor(sensor)
-    contact = (
-        appearance
-        and (distance_pass if gates.gate_distance else True)
-        and (env_pass if gates.gate_environment else True)
-    )
+    contact = appearance and (distance_pass if sound else True) and (env_pass if gate_environment else True)
     return ContactDecision(
         appearance=appearance,
         mean_distance=a.mean_distance,

@@ -7,7 +7,7 @@ enumerates every monotone warping path instead of filling a DP matrix, the
 sample oracle checks one sample at a time with scalar rules instead of
 whole columns, the trace oracle simulates one sample at a time with the
 scalar signal models instead of one instance at a time in columns, and the
-decision oracle runs the stages the gates need for one tier instead of
+decision oracle runs the stages of one tier alone instead of
 fusing one assessment made for every tier, the centralized-report
 oracle resolves each logged temporary id by its own search of the registry
 over every epoch below the bound (or, in ``resolve_logged_id``, at its
@@ -59,18 +59,16 @@ from sensetrace.protocol import (
 )
 from sensetrace.evaluation import (
     ConfusionCounts,
-    TierSpec,
     assess_instances,
     confusion,
     fuse_instances,
-    tier_gates,
 )
 from sensetrace.fusion import (
     Assessment,
     DecisionRecord,
     FusionConfig,
     StageEvidence,
-    StageGates,
+    TierSpec,
     assess,
     build_evidence,
     stage_appearance,
@@ -447,34 +445,37 @@ def run_tier(
     """One system tier over every labelled instance, through the batch path
     ``detect`` runs: the decisions and their confusion counts."""
     instances = [(label.pair, label.start, label.end) for label in truth]
-    records = fuse_instances(instances, assess_instances(traces, instances, cfg), cfg, tier_gates(tier))
+    records = fuse_instances(instances, assess_instances(traces, instances, cfg), cfg, tier)
     return records, confusion(records, truth)
 
 
-def gated_decide(evidence: StageEvidence, cfg: FusionConfig, gates: StageGates) -> ContactDecision:
-    """The decision for one ``StageGates``, from the stages run for that
-    gate setting alone: appearance with chirp votes only when the gates use
-    them, the environment threshold tested here, and the reason for each
-    stage without evidence, in words of its own, kept only when its gate is
-    active."""
+def gated_decide(evidence: StageEvidence, cfg: FusionConfig, tier: TierSpec) -> ContactDecision:
+    """The decision of one ``TierSpec``, from the stages run for that tier
+    alone: the sound stage (chirp votes and the distance gate) from
+    APPEARANCE_DISTANCE on and the environment gate in FULL, the
+    environment threshold tested here, and the reason for each stage
+    without evidence, in words of its own, kept only when the tier gates
+    on that stage."""
+    use_sound = tier in (TierSpec.APPEARANCE_DISTANCE, TierSpec.FULL)
+    gate_environment = tier == TierSpec.FULL
     reasons = []
-    appearance = stage_appearance(evidence, cfg, gates.use_chirp_votes)
+    appearance = stage_appearance(evidence, cfg, use_sound)
     if appearance is None:
         appearance = False
         reasons.append("appearance: no BLE scan attempts in window")
     mean_distance = stage_distance(evidence, cfg)
-    if mean_distance is None and gates.gate_distance:
+    if mean_distance is None and use_sound:
         reasons.append("distance: no WiFi distance estimates in window")
     env_sensor, env_score = stage_environment(evidence)
-    if env_score is None and gates.gate_environment:
+    if env_score is None and gate_environment:
         if env_sensor is None:
             reasons.append("environment: proximity state missing for one or both devices")
         else:
             reasons.append(f"environment: missing {env_sensor.value} sequence for pair")
     contact = appearance
-    if gates.gate_distance:
+    if use_sound:
         contact = contact and mean_distance is not None and mean_distance <= cfg.contact_radius
-    if gates.gate_environment:
+    if gate_environment:
         contact = contact and env_score is not None and env_score <= cfg.env_thresholds.for_sensor(env_sensor)
     return ContactDecision(
         appearance=appearance,

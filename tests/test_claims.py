@@ -10,7 +10,7 @@ its seed. The spread of the counts is README's table beside the seed-42 one.
 
 import pytest
 
-from sensetrace.evaluation import TierSpec, accuracy, assess_instances, confusion, fuse_instances, tier_gates
+from sensetrace.evaluation import TierSpec, accuracy, assess_instances, confusion, fuse_instances
 from sensetrace.simulator import generate_traces, load_scenario
 
 from .conftest import STANDARD
@@ -29,7 +29,7 @@ def counts():
         instances = [(label.pair, label.start, label.end) for label in data.labels]
         assessments = assess_instances(data.traces, instances, scenario.fusion)
         out[seed] = {
-            tier: confusion(fuse_instances(instances, assessments, scenario.fusion, tier_gates(tier)), data.labels)
+            tier: confusion(fuse_instances(instances, assessments, scenario.fusion, tier), data.labels)
             for tier in TierSpec
         }
     return out

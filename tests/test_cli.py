@@ -586,6 +586,24 @@ class TestDetectEvaluateReport:
         assert lines[1].startswith("# config_sha256=")
         assert lines[2:] == ["abs_error_m,cumulative_fraction"]
 
+    def test_report_rejects_an_instance_beyond_every_band(self, tmp_path, capsys):
+        # At seed 42 the sixth of these instances is 30.45 m apart, beyond
+        # the last report band: report writes no CSV and fails.
+        raw = standard_raw()
+        raw["instances"]["buckets"] = [{"range_m": [3.0, 50.0], "indoor": 0, "outdoor": 6}]
+        config = tmp_path / "far.yaml"
+        config.write_text(yaml.safe_dump(raw, sort_keys=False))
+        data = tmp_path / "run"
+        assert run(["generate", "--config", config, "--out", data]) == 0
+        assert run(["detect", "--data", data, "--config", config]) == 0
+        capsys.readouterr()
+        assert run(["report", "--data", data, "--decisions", "decisions_full.jsonl"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "EvaluationError"
+        assert "true distance 30.5 m" in error["message"] and "[3.0, 30.0] m" in error["message"]
+        assert not (data / "cdf.csv").exists() and not (data / "magnetic_buckets.csv").exists()
+
     def test_computed_counts_win_over_meta(self, generated, small_config):
         run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"])
         assert run(["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0

@@ -1,9 +1,12 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensetrace.core import ContactDecision, GroundTruthLabel, SensorKind, make_window
 from sensetrace.errors import EvaluationError
@@ -18,10 +21,9 @@ from sensetrace.evaluation import (
     magnetic_separation_report,
     magnitude_sequences,
     read_assessment_cache,
-    tier_gates,
     write_assessment_cache,
 )
-from sensetrace.fusion import Assessment, DecisionRecord, assess, build_evidence, decide
+from sensetrace.fusion import Assessment, DecisionRecord, FusionConfig, assess, build_evidence, decide
 
 from .oracles import gated_decide, run_tier
 
@@ -129,15 +131,52 @@ class TestAccuracy:
             accuracy(ConfusionCounts())
 
 
+# Any assessment, each measurement possibly missing (a score only with its
+# sensor): distances and scores either side of the 1 m radius and of the
+# 0.15 hPa and 20 uT thresholds.
+environments = st.tuples(st.none(), st.none()) | st.tuples(
+    st.sampled_from([SensorKind.BAROMETER, SensorKind.MAGNETOMETER]),
+    st.none() | st.sampled_from([0.0, 0.1, 0.15, 0.2, 19.0, 20.0, 25.0]),
+)
+assessments = st.builds(
+    lambda ble, chirps, distance, environment: Assessment(ble, chirps, distance, *environment),
+    st.none() | st.booleans(),
+    st.none() | st.booleans(),
+    st.none() | st.sampled_from([0.0, 0.5, 1.0, 1.5, 30.0]),
+    environments,
+)
+
+
+def verdict(decision):
+    """What a tier judges, without the measurements it reports as made."""
+    return decision.appearance, decision.contact, decision.degraded_reason
+
+
 class TestTierGates:
-    def test_each_tier_enables_superset(self):
-        g1 = tier_gates(TierSpec.APPEARANCE_ONLY)
-        g2 = tier_gates(TierSpec.APPEARANCE_DISTANCE)
-        g3 = tier_gates(TierSpec.FULL)
-        enabled = lambda g: (g.use_chirp_votes, g.gate_distance, g.gate_environment)
-        assert sum(enabled(g1)) < sum(enabled(g2)) < sum(enabled(g3))
-        for a, b in zip(enabled(g2), enabled(g3)):
-            assert b or not a
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(assessments, assessments)
+    def test_each_tier_enables_superset(self, a, other):
+        """Each tier gates on a superset of the previous tier's stages: a
+        measurement a tier does not gate on leaves its verdict as it is, a
+        FULL contact is an APPEARANCE_DISTANCE contact, and each tier names
+        every gap the previous tier names."""
+        cfg = FusionConfig()
+        only, distance, full = (decide(a, cfg, tier) for tier in TierSpec)
+        assert distance.contact or not full.contact
+        sound = replace(
+            a,
+            appearance_chirps=other.appearance_chirps,
+            mean_distance=other.mean_distance,
+            env_sensor=other.env_sensor,
+            env_score=other.env_score,
+        )
+        assert verdict(decide(sound, cfg, TierSpec.APPEARANCE_ONLY)) == verdict(only)
+        environment = replace(a, env_sensor=other.env_sensor, env_score=other.env_score)
+        assert verdict(decide(environment, cfg, TierSpec.APPEARANCE_DISTANCE)) == verdict(distance)
+        only_gaps, distance_gaps, full_gaps = (
+            set(d.degraded_reason.split("; ")) if d.degraded_reason else set() for d in (only, distance, full)
+        )
+        assert only_gaps <= distance_gaps <= full_gaps
 
 
 class TestRunTier:
@@ -193,10 +232,9 @@ class TestAssessThenFuse:
         for ev in standard_evidence:
             assessment = assess(ev, cfg)
             for tier in TierSpec:
-                gates = tier_gates(tier)
-                want = gated_decide(ev, cfg, gates)
-                assert decide(ev, cfg, gates) == want
-                assert decide(assessment, cfg, gates) == want
+                want = gated_decide(ev, cfg, tier)
+                assert decide(ev, cfg, tier) == want
+                assert decide(assessment, cfg, tier) == want
                 contacts[tier] += want.contact
         assert contacts == {TierSpec.APPEARANCE_ONLY: 235, TierSpec.APPEARANCE_DISTANCE: 56, TierSpec.FULL: 50}
 
@@ -211,7 +249,7 @@ class TestAssessThenFuse:
         assert stored == assessments
         for tier in TierSpec:
             records = run_tier(standard_data.traces, standard_data.labels, tier, cfg)[0]
-            assert fuse_instances(instances, stored, cfg, tier_gates(tier)) == records
+            assert fuse_instances(instances, stored, cfg, tier) == records
 
 
 SMALL_ASSESSMENTS = [
@@ -326,6 +364,16 @@ class TestMagneticSeparationReport:
         stats = magnetic_separation_report([(0.5, [50.0], [50.0])])
         assert stats[2].count == 0
         assert stats[2].mean is None
+
+    def test_last_band_holds_its_upper_edge(self):
+        stats = magnetic_separation_report([(30.0, [50.0], [50.0])])
+        assert [s.count for s in stats] == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("distance", [30.452604538898576, -0.5, math.nan])
+    def test_item_outside_every_band_rejected(self, distance):
+        with pytest.raises(EvaluationError, match=r"the last is \[3\.0, 30\.0\] m") as caught:
+            magnetic_separation_report([(0.5, [50.0], [50.0]), (distance, [50.0], [50.0])])
+        assert f"true distance {distance:.1f} m ({distance!r})" in str(caught.value)
 
     def test_bucket_means_non_decreasing_on_standard_scenario(self, standard_data):
         items = []

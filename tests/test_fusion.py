@@ -14,14 +14,14 @@ from sensetrace.core import (
     Trace,
     make_window,
 )
-from sensetrace.evaluation import TierSpec, assess_instances, fuse_instances, tier_gates
+from sensetrace.evaluation import assess_instances, fuse_instances
 from sensetrace.fusion import (
     PAIR_TOLERANCE_S,
     Assessment,
     DecisionRecord,
     FusionConfig,
     StageEvidence,
-    StageGates,
+    TierSpec,
     assess,
     build_evidence,
     decide,
@@ -383,11 +383,15 @@ class TestDecide:
             wifi=timed([5.0, 5.0]),  # clearly beyond the radius
         )
         full = decide(ev, CFG)
-        appearance_only = decide(
-            ev, CFG, StageGates(use_chirp_votes=False, gate_distance=False, gate_environment=False)
-        )
+        appearance_only = decide(ev, CFG, TierSpec.APPEARANCE_ONLY)
         assert full.contact is False
         assert appearance_only.contact is True
+
+    @pytest.mark.parametrize("tier", ["FULL", None, 2])
+    def test_a_tier_that_is_no_tier_spec_is_rejected(self, tier):
+        # "FULL" would otherwise pass the distance gate and skip the environment's.
+        with pytest.raises(TypeError, match="tier must be a TierSpec"):
+            decide(evidence(), CFG, tier)
 
 
 # Times on a 5 s grid, so that chirps, sound and WiFi estimates often share
@@ -424,10 +428,9 @@ class TestAssess:
     def test_fusing_the_assessment_is_deciding_the_tier(self, ev):
         assessment = assess(ev, CFG)
         for tier in TierSpec:
-            gates = tier_gates(tier)
-            want = gated_decide(ev, CFG, gates)
-            assert decide(ev, CFG, gates) == want
-            assert decide(assessment, CFG, gates) == want
+            want = gated_decide(ev, CFG, tier)
+            assert decide(ev, CFG, tier) == want
+            assert decide(assessment, CFG, tier) == want
 
     def test_every_stage_is_assessed_once_for_every_gate(self):
         ev = evidence(
@@ -471,26 +474,24 @@ class TestDegradedReason:
     @pytest.mark.parametrize("gap", sorted(GAPS))
     def test_hand_built_evidence(self, gap, tier):
         ev, tiers, reason = GAPS[gap]
-        gates = tier_gates(tier)
-        got = decide(ev, CFG, gates)
-        assert got == decide(assess(ev, CFG), CFG, gates) == gated_decide(ev, CFG, gates)
+        got = decide(ev, CFG, tier)
+        assert got == decide(assess(ev, CFG), CFG, tier) == gated_decide(ev, CFG, tier)
         assert got.degraded_reason == (reason if tier in tiers else None)
         assert not (got.contact and tier in tiers)
 
     def test_exact_decisions(self):
-        full = tier_gates(FULL)
-        assert decide(GAPS["no BLE attempt"][0], CFG, full) == ContactDecision(
+        assert decide(GAPS["no BLE attempt"][0], CFG, FULL) == ContactDecision(
             appearance=False, mean_distance=0.8, env_score=0.0, env_sensor_used=SensorKind.BAROMETER,
             contact=False, degraded_reason=NO_BLE,
         )
         # The sensor is chosen, but without its score no sensor is reported.
-        assert decide(GAPS["no sensor sequence"][0], CFG, full) == ContactDecision(
+        assert decide(GAPS["no sensor sequence"][0], CFG, FULL) == ContactDecision(
             appearance=True, mean_distance=0.8, env_score=None, env_sensor_used=None,
             contact=False, degraded_reason="environment: missing BAROMETER sequence for pair",
         )
         every_gap = evidence(ble_seen=(), prox={})
-        assert decide(every_gap, CFG, full).degraded_reason == f"{NO_BLE}; {NO_WIFI}; {NO_PROXIMITY}"
-        appearance_only = decide(every_gap, CFG, tier_gates(APPEARANCE_ONLY))
+        assert decide(every_gap, CFG, FULL).degraded_reason == f"{NO_BLE}; {NO_WIFI}; {NO_PROXIMITY}"
+        appearance_only = decide(every_gap, CFG, APPEARANCE_ONLY)
         assert appearance_only == ContactDecision(False, None, None, None, False, NO_BLE)
 
     @staticmethod
@@ -528,9 +529,8 @@ class TestDegradedReason:
         assessments = assess_instances(traces, instances, CFG)
         ev = build_evidence(make_window(traces["a"] + traces["b"], ("a", "b"), 0.0, 900.0), CFG)
         for tier in TierSpec:
-            gates = tier_gates(tier)
-            [record] = fuse_instances(instances, assessments, CFG, gates)
-            assert record.decision == decide(ev, CFG, gates) == gated_decide(ev, CFG, gates)
+            [record] = fuse_instances(instances, assessments, CFG, tier)
+            assert record.decision == decide(ev, CFG, tier) == gated_decide(ev, CFG, tier)
             assert record.decision.degraded_reason == (reason if tier in tiers else None)
 
 

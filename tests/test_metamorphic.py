@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from sensetrace.cli import main
 from sensetrace.core import Trace
-from sensetrace.evaluation import TierSpec, assess_instances, fuse_instances, tier_gates
+from sensetrace.evaluation import TierSpec, assess_instances, fuse_instances
 
 SHIFT_S = 900.0
 
@@ -70,7 +70,7 @@ def detected(traces, instances, cfg):
     decision for every tier."""
     assessments = assess_instances(traces, instances, cfg)
     decisions = {
-        tier: [r.decision for r in fuse_instances(instances, assessments, cfg, tier_gates(tier))] for tier in TierSpec
+        tier: [r.decision for r in fuse_instances(instances, assessments, cfg, tier)] for tier in TierSpec
     }
     return [
         (tuple(map(repr, astuple(a))), {tier: decisions[tier][i] for tier in TierSpec})
