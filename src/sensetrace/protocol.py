@@ -24,15 +24,22 @@ registration, to resolve a report's ids; the decentralized one never
 does. A key yields every id of its day, so publishing the current day's
 key also gives away the ids the reporter will use for the rest of it.
 
+Each id costs one SHA-256 call over its day key, ``|`` and its epoch's
+digits. ``derive_temp_id`` makes that call itself, and so does the
+centralized server for each id it derives; a phone expanding a published
+key hashes ``key|`` once and copies that state for each epoch of the day.
+
 A log entry keeps the epoch its peer's id was derived from, so the
 centralized server derives one id per registered device for each epoch a
-report logs, and scans no epoch range. It keeps the day keys of the last
-report's days in a table, checked against the registry before each use,
-so a report over the same days derives no key. The uploaded epoch tells that
-server nothing the uploaded window times do not: a phone that rotates on
-time logs the clock epoch of the window, and the epoch of any id the
-server resolves is the one its secret yields the id at, which a scan of
-every epoch finds as well. Only epochs 0 to 255 are resolved: the
+report logs, and scans no epoch range. It keeps day keys in a table,
+checked against the registry before each use, that holds every day within
+the lookback of the newest day it holds, so a report over days it holds
+derives no key. The table takes 16 bytes per device per day held: 3 days
+while the 256-epoch bound below stands, 15 once it is lifted (0.24 MB at
+1k devices). The uploaded epoch tells that server nothing the uploaded
+window times do not: a phone that rotates on time logs the clock epoch of
+the window, and the epoch of any id the server resolves is the one its
+secret yields the id at, which a scan of every epoch finds as well. Only epochs 0 to 255 are resolved: the
 protocol benchmark counts each miss from epoch 256 on, so lifting the
 bound is a change to the benchmark (ROADMAP items 1 and 2).
 """
@@ -44,6 +51,7 @@ import math
 import secrets
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, starmap
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
@@ -72,32 +80,24 @@ def day_key(secret: bytes, day: int) -> bytes:
     return hashlib.sha256(secret + f"|{day}".encode("utf-8")).digest()[:16]
 
 
-# An id hashes its day key, "|" and its epoch's digits. The two helpers
-# below split that hash so that whoever derives many epochs of one day
-# hashes the "<key>|" prefix once and copies the state for each epoch.
-def _id_prefix(key: bytes):
-    return hashlib.sha256(key + b"|")
-
-
-def _id_key(prefix, epoch_digits: bytes) -> bytes:
-    """The 8 raw bytes of the id; ``prefix`` (an ``_id_prefix`` state, or
-    a copy of one) is consumed."""
-    prefix.update(epoch_digits)
-    return prefix.digest()[:8]
-
-
 def derive_temp_id(secret: bytes, epoch: int) -> str:
     """The temporary id at ``epoch`` of the device holding ``secret``: ``t``
     and the first 8 bytes, in hex, of SHA-256 over the key of the epoch's
     day, ``|`` and the digits of ``epoch``."""
-    return "t" + _id_key(_id_prefix(day_key(secret, epoch // EPOCHS_PER_DAY)), f"{epoch}".encode()).hex()
+    return "t" + hashlib.sha256(day_key(secret, epoch // EPOCHS_PER_DAY) + b"|%d" % epoch).digest()[:8].hex()
 
 
 def _day_ids(key: bytes, first: int, last: int) -> list[str]:
     """The ids that the day key ``key`` yields for epochs ``first`` to
-    ``last``, as a phone expands a downloaded key."""
-    prefix = _id_prefix(key)
-    return ["t" + _id_key(prefix.copy(), f"{e}".encode()).hex() for e in range(first, last + 1)]
+    ``last``, as a phone expands a downloaded key: the ``key|`` state is
+    hashed once and copied for each epoch."""
+    prefix = hashlib.sha256(key + b"|")
+    ids = []
+    for epoch in range(first, last + 1):
+        state = prefix.copy()
+        state.update(b"%d" % epoch)
+        ids.append("t" + state.digest()[:8].hex())
+    return ids
 
 
 def _parse_temp_id(temp_id: object) -> Optional[bytes]:
@@ -180,8 +180,9 @@ class ServerState:
     lookback_s: float = DEFAULT_LOOKBACK_S
     _counter: int = field(default=0, init=False)
     # The day-key table of centralized reports (``_resolve_temp_ids``): a
-    # copy of ``device_secrets`` and its sorted ids, and for each day of the
-    # last report the keys of those devices in that order, 16 bytes each.
+    # copy of ``device_secrets`` and its sorted ids, and for each day within
+    # the lookback of the newest one held the keys of those devices in that
+    # order, 16 bytes each.
     _key_registry: tuple[dict[str, bytes], tuple[str, ...]] = field(
         default_factory=lambda: ({}, ()), init=False, repr=False, compare=False
     )
@@ -264,23 +265,26 @@ def _resolve_temp_ids(
     ``bool``) from 0 to ``max_epoch - 1`` and its id is ``t`` and 16
     lowercase hex digits, compared as its 8 raw bytes; any other entry
     matches nothing. For each distinct logged epoch, one id is derived per
-    registered device from its key of the epoch's day, in sorted device
-    order, and the first match wins.
+    registered device, one SHA-256 over its key of the epoch's day, ``|``
+    and the epoch's digits, in sorted device order, and the first match
+    wins.
 
-    The day keys come from the server's table, which holds the keys of the
-    last report's days. It is verified, not trusted: when
-    ``device_secrets`` differs from the copy the table was derived from
-    (a registration, or a secret replaced by hand), the table is rebuilt.
-    It then keeps only this report's days, deriving each registered
-    device's key for a day it does not hold.
+    The day keys come from the server's table. It is verified, not
+    trusted: when ``device_secrets`` differs from the copy the table was
+    derived from (a registration, or a secret replaced by hand), the table
+    is rebuilt. A report derives each registered device's key for a logged
+    day the table does not hold. The table then keeps the days, held or
+    logged, that lie within ``server.lookback_s`` of the newest of them, so
+    a report over fewer days drops none that a later one needs, and the
+    table never holds more than ``ceil(lookback_s / 86400) + 1`` days.
     """
     keys: list[Optional[tuple[bytes, bytes]]] = []
-    days: dict[int, dict[bytes, set[bytes]]] = {}  # logged day -> epoch digits -> raw ids
+    days: dict[int, dict[bytes, set[bytes]]] = {}  # logged day -> "|" and the epoch's digits -> raw ids
     for entry in entries:
         epoch, raw = entry.peer_epoch, _parse_temp_id(entry.peer_temp_id)
         key = None
         if type(epoch) is int and 0 <= epoch < max_epoch and raw is not None:
-            key = (f"{epoch}".encode(), raw)
+            key = (b"|%d" % epoch, raw)
             days.setdefault(epoch // EPOCHS_PER_DAY, {}).setdefault(key[0], set()).add(raw)
         keys.append(key)
     registry, order = server._key_registry
@@ -289,16 +293,19 @@ def _resolve_temp_ids(
         registry = dict(server.device_secrets)
         order = tuple(sorted(registry))
         server._key_registry, held = (registry, order), {}
-    server._day_keys = table = {
-        day: held.get(day) or b"".join(day_key(registry[permanent], day) for permanent in order) for day in days
-    }
+    table = {day: held.get(day) or b"".join(day_key(registry[permanent], day) for permanent in order) for day in days}
+    kept = {**held, **table}
+    oldest = max(kept, default=0) - server.lookback_s / (EPOCHS_PER_DAY * DEFAULT_ROTATION_PERIOD_S)
+    server._day_keys = {day: day_keys for day, day_keys in kept.items() if day >= oldest}
+    sha256 = hashlib.sha256
     found: dict[tuple[bytes, bytes], str] = {}
     for day, epochs in days.items():
-        day_keys = table[day]
-        for digits, raws in epochs.items():
-            ids = [_id_key(_id_prefix(day_keys[k : k + 16]), digits) for k in range(0, len(day_keys), 16)]
+        joined = table[day]
+        device_keys = [joined[k : k + 16] for k in range(0, len(joined), 16)]
+        for suffix, raws in epochs.items():
+            ids = [sha256(device_key + suffix).digest()[:8] for device_key in device_keys]
             for raw in raws.intersection(ids):
-                found[digits, raw] = order[ids.index(raw)]  # the first match in sorted order
+                found[suffix, raw] = order[ids.index(raw)]  # the first match in sorted order
     return [found.get(key) for key in keys]  # a None key is never found
 
 
@@ -373,7 +380,10 @@ def report_positive_decentralized(
         for day in range(first // EPOCHS_PER_DAY, device.epoch // EPOCHS_PER_DAY + 1)
     ]
     server.published_positive_ids.extend(records)
-    return frozenset(temp_id for record in records for temp_id in _day_ids(*record))
+    return frozenset(chain.from_iterable(starmap(_day_ids, records)))
+
+
+_peer_temp_id = attrgetter("peer_temp_id")
 
 
 def check_exposure(device: DeviceState, published: frozenset[str]) -> bool:
@@ -384,7 +394,7 @@ def check_exposure(device: DeviceState, published: frozenset[str]) -> bool:
     ``TypeError``."""
     if not isinstance(published, (set, frozenset)):
         raise TypeError(f"published ids must be a set of temporary ids, got {type(published).__name__}")
-    exposed = not published.isdisjoint(map(attrgetter("peer_temp_id"), device.contact_log))
+    exposed = not published.isdisjoint(map(_peer_temp_id, device.contact_log))
     if exposed:
         device.exposure_status = ExposureStatus.NOTIFIED
     return exposed

@@ -22,6 +22,7 @@ import yaml
 from ..core import atomic_write
 from ..envmatch import EnvThresholds
 from ..errors import ScenarioError
+from ..evaluation import DEFAULT_REPORT_BUCKETS
 from ..fusion import FusionConfig
 from ..ranging import ChirpSpec, PathLossParams
 from .scenario import BucketSpec, Scenario
@@ -156,6 +157,18 @@ def _testbed(tb: dict, noise: dict) -> Testbed:
     )
 
 
+def _bucket(section: dict, path: str) -> BucketSpec:
+    """One instance bucket, whose band must end within the last band of the
+    magnetic report, which refuses an instance it cannot place."""
+    bucket = _build(BucketSpec, section, path)
+    limit = DEFAULT_REPORT_BUCKETS[-1][1]
+    if bucket.d_hi > limit:
+        raise ScenarioError(
+            f"{path}.range_m reaches {bucket.d_hi} m, beyond the last report band, which ends at {limit} m"
+        )
+    return bucket
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from a plain mapping; raises ScenarioError naming the
     key of any unknown, missing or malformed entry."""
@@ -175,7 +188,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             testbed=_testbed(_child(raw, "", "testbed", required=True), noise),
             fusion=fusion,
             noise=_build(PropagationNoise, noise, "noise", ("wall_loss_db",)),
-            buckets=tuple(_build(BucketSpec, b, p) for b, p in _items(instances, "instances", "buckets", True)),
+            buckets=tuple(_bucket(b, p) for b, p in _items(instances, "instances", "buckets", True)),
             **seed,
             **_fields(_child(raw, "", "cadence"), "cadence", Scenario, ("sound_period", "env_period")),
             **_fields(instances, "instances", Scenario, ("pocket_probability",), nested=("buckets",)),

@@ -210,6 +210,7 @@ BAD_VALUES = [
     pytest.param(set_bucket(indoor=-1), "bucket counts must be >= 0, got indoor=-1, outdoor=1",
                  id="bucket_count_negative"),
     pytest.param(set_bucket(range_m=[3, 1]), "bad distance band [3.0, 1.0]", id="bucket_band_inverted"),
+    pytest.param(set_bucket(range_m=[3, 31]), "instances.buckets[0].range_m reaches 31.0 m", id="bucket_beyond_report"),
     pytest.param(set_key("instances", "buckets", []), "instances.buckets needs a count > 0", id="no_buckets"),
     pytest.param(set_key("instances", "buckets", [{"range_m": [0, 1]}]), "instances.buckets needs a count > 0",
                  id="bucket_counts_0"),
@@ -509,6 +510,25 @@ class TestGenerate:
         assert payload["error"] == "ScenarioError"
         assert named in payload["message"]
 
+    def test_bucket_beyond_the_last_report_band_is_refused(self, tmp_path, capsys):
+        # Six outdoor instances drawn 3-50 m apart put one 30.45 m apart at
+        # seed 42, beyond the last report band (3-30 m): generate refuses
+        # the bucket with one JSON line before drawing, and writes nothing.
+        raw = standard_raw()
+        raw["instances"]["buckets"] = [{"range_m": [0.0, 3.0], "indoor": 2}, {"range_m": [3.0, 50.0], "outdoor": 6}]
+        config = tmp_path / "far.yaml"
+        config.write_text(yaml.safe_dump(raw, sort_keys=False))
+        capsys.readouterr()
+        assert run(["generate", "--config", config, "--out", tmp_path / "run"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ScenarioError"
+        assert "instances.buckets[1].range_m" in error["message"] and "30.0 m" in error["message"]
+        assert not (tmp_path / "run").exists()
+        raw["instances"]["buckets"][1]["range_m"] = [3.0, 30.0]  # the last band's own edge
+        config.write_text(yaml.safe_dump(raw, sort_keys=False))
+        assert run(["generate", "--config", config, "--out", tmp_path / "run"]) == 0
+
 
 class TestDetectEvaluateReport:
     @pytest.fixture()
@@ -586,23 +606,22 @@ class TestDetectEvaluateReport:
         assert lines[1].startswith("# config_sha256=")
         assert lines[2:] == ["abs_error_m,cumulative_fraction"]
 
-    def test_report_rejects_an_instance_beyond_every_band(self, tmp_path, capsys):
-        # At seed 42 the sixth of these instances is 30.45 m apart, beyond
-        # the last report band: report writes no CSV and fails.
-        raw = standard_raw()
-        raw["instances"]["buckets"] = [{"range_m": [3.0, 50.0], "indoor": 0, "outdoor": 6}]
-        config = tmp_path / "far.yaml"
-        config.write_text(yaml.safe_dump(raw, sort_keys=False))
-        data = tmp_path / "run"
-        assert run(["generate", "--config", config, "--out", data]) == 0
-        assert run(["detect", "--data", data, "--config", config]) == 0
+    def test_report_rejects_an_instance_beyond_every_band(self, generated, small_config, capsys):
+        # generate refuses a bucket that reaches past the last report band,
+        # so only a hand-edited truth file gets here: report writes no CSV
+        # and fails, naming the distance.
+        assert run(["detect", "--data", generated, "--config", small_config]) == 0
+        truth = generated / "truth.jsonl"
+        lines = truth.read_text().splitlines()
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "true_distance_m": 30.5})
+        truth.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert run(["report", "--data", data, "--decisions", "decisions_full.jsonl"]) == 1
+        assert run(["report", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 1
         [line] = capsys.readouterr().err.splitlines()
         error = json.loads(line)
         assert error["error"] == "EvaluationError"
         assert "true distance 30.5 m" in error["message"] and "[3.0, 30.0] m" in error["message"]
-        assert not (data / "cdf.csv").exists() and not (data / "magnetic_buckets.csv").exists()
+        assert not (generated / "cdf.csv").exists() and not (generated / "magnetic_buckets.csv").exists()
 
     def test_computed_counts_win_over_meta(self, generated, small_config):
         run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"])

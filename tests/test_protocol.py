@@ -663,7 +663,9 @@ class TestCentralizedReport:
         # distinct logged day below the 256-epoch bound, and one id per
         # device for each distinct logged epoch below it. A second report
         # over the same days derives the ids only. Entries from epoch 256 on
-        # hash nothing. No hash state is copied (Counting has no copy).
+        # hash nothing. Each id is one hash over the key, "|" and the
+        # epoch's digits, with no update and no copied state (Counting has
+        # no copy).
         server = ServerState(ReportMode.CENTRALIZED)
         reporter, peer = register_device(server), register_device(server)
         register_device(server)  # met by no one
@@ -691,7 +693,7 @@ class TestCentralizedReport:
 
         registry = server.device_secrets.values()
         day_keys = [[s + f"|{day}".encode()] for s in registry for day in (0, 1)]
-        ids = [[day_key(s, e // 96) + b"|", f"{e}".encode()] for s in registry for e in (5, 7, 100)]
+        ids = [[day_key(s, e // 96) + f"|{e}".encode()] for s in registry for e in (5, 7, 100)]
         monkeypatch.setattr(protocol, "hashlib", types.SimpleNamespace(sha256=Counting))
         assert report_positive_centralized(reporter, server) == {peer.permanent_id}
         assert sorted(hashed) == sorted(day_keys + ids)
@@ -912,8 +914,11 @@ class TestDayKeyTable:
             assert notified == report_centralized_per_entry(devices[reporter], expected_server)
             assert server.notifications_sent == expected_server.notifications_sent
 
-    def test_holds_only_the_days_of_the_last_report(self):
-        server = ServerState(ReportMode.CENTRALIZED)
+    def test_keeps_the_days_within_the_lookback_of_the_newest_day(self):
+        # With a one-day lookback the table keeps the newest day it holds
+        # or logs and the day before. A report over an older day derives
+        # that day's keys for itself and leaves the table as it was.
+        server = ServerState(ReportMode.CENTRALIZED, lookback_s=86400.0)
         devices = [register_device(server, DeviceState(f"d{k}", secret=secret(k))) for k in range(3)]
         a, b, c = devices
         for epoch, peer in ((5, b), (100, c), (200, b)):
@@ -923,8 +928,39 @@ class TestDayKeyTable:
         report_positive_centralized(DeviceState("r1", contact_log=a.contact_log[:2]), server)
         assert sorted(server._day_keys) == [0, 1]
         report_positive_centralized(DeviceState("r2", contact_log=a.contact_log[2:]), server)
-        assert list(server._day_keys) == [2]
+        assert sorted(server._day_keys) == [1, 2]
         assert server._day_keys[2] == b"".join(day_key(secret(k), 2) for k in range(3))
+        assert report_positive_centralized(DeviceState("r3", contact_log=a.contact_log[:1]), server) == {"d1"}
+        assert sorted(server._day_keys) == [1, 2]
+        server.lookback_s = protocol.DEFAULT_LOOKBACK_S
+        report_positive_centralized(DeviceState("r4", contact_log=a.contact_log[:1]), server)
+        assert sorted(server._day_keys) == [0, 1, 2]
+
+    def test_reports_over_held_days_derive_no_day_key(self, monkeypatch):
+        # Days {0, 1, 2}, then {0, 1}, then {0, 1, 2}: only the first report
+        # derives day keys, one per registered device and day.
+        server = ServerState(ReportMode.CENTRALIZED)
+        devices = [register_device(server, DeviceState(f"d{k}", secret=secret(k))) for k in range(3)]
+        a = devices[0]
+        for epoch in (5, 100, 200):
+            for d in devices:
+                rotate_id(d, epoch * 900.0)
+            contact(a, devices[1], start=epoch * 900.0)
+        hashed = []
+
+        def counting(data):
+            hashed.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(protocol, "hashlib", types.SimpleNamespace(sha256=counting))
+        secrets = {secret(k) for k in range(3)}
+        derived = []
+        for log in (a.contact_log, a.contact_log[:2], a.contact_log):
+            hashed.clear()
+            assert report_positive_centralized(DeviceState("r", contact_log=log), server) == {"d1"}
+            derived.append(sorted(data for data in hashed if data[:16] in secrets))
+        assert derived == [sorted(s + f"|{day}".encode() for s in secrets for day in (0, 1, 2)), [], []]
+        assert sorted(server._day_keys) == [0, 1, 2]
 
     def test_table_is_out_of_the_repr_and_the_comparison(self):
         server = ServerState(ReportMode.CENTRALIZED)
@@ -1048,6 +1084,27 @@ class TestDecentralizedReport:
         exposed = exposed_by_scan(device, server.published_positive_ids)
         assert check_exposure(device, published) is exposed
         assert (device.exposure_status is ExposureStatus.NOTIFIED) is exposed
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.binary(min_size=16, max_size=16), st.integers(0, 9999 - 200), st.integers(0, 200))
+    @example(secret(1), 95, 2)
+    @example(secret(1), 96, 0)
+    @example(secret(1), 0, 12)
+    @example(secret(1), 9, 1)
+    @example(secret(1), 99, 1)
+    @example(secret(1), 999, 1)
+    @example(secret(1), 9999 - 200, 200)
+    def test_published_ids_are_the_oracle_ids_of_the_published_epochs(self, key, first, span):
+        # The reporter is at epoch ``first + span`` and looks back to
+        # ``first``: the ids it returns are the hex-digest ids of exactly
+        # those epochs, across day boundaries and 1- to 4-digit epochs.
+        last = first + span
+        server = ServerState(ReportMode.DECENTRALIZED, lookback_s=span * 900.0)
+        reporter = DeviceState("r", epoch=last, secret=key)
+        published = report_positive_decentralized(reporter, server, now=last * 900.0 + 450)
+        epochs = [e for _, lo, hi in server.published_positive_ids for e in range(lo, hi + 1)]
+        assert epochs == list(range(first, last + 1))
+        assert published == {hexdigest_temp_id(key, e) for e in epochs}
 
 
 class TestLookback:
