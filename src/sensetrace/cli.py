@@ -22,15 +22,20 @@ before the new directory is removed. ``detect`` replays
 the fusion pipeline over the traces and keeps each window's assessment in
 ``assessments.json``, keyed by the config, the detector's source, the
 instances and the traces, so that a later ``detect`` of the run, for any
-tier, only fuses them. ``detect`` and ``report`` refuse a run that lacks
-the trace file of a device an instance names (``_require_traces``), load
-each trace when its first window or label comes and let it go after its
-last (``_RunTraces``), so no command holds the whole run, and refuse
-another device's rows and a repeated row;
-``evaluate`` emits the confusion counts and accuracy; ``report`` emits
-plot-ready CSVs (distance-error CDF, magnetic separation per distance band).
+tier, only fuses them. Every command but ``generate`` first reads
+``meta.json`` (``_read_meta``), which must hold exactly ``seed``,
+``config_sha256``, ``instances`` and ``devices``; a run without it is
+refused. ``detect`` and ``report`` open the traces through one call
+(``_RunTraces``) that hashes them and refuses a run that lacks the trace
+file of a device an instance names; it loads each trace when its first
+window or label comes and lets it go after its last, so no command holds
+the whole run, and refuses another device's rows and a repeated row.
+Every record of a run file must have exactly its type's keys
+(``core.exact_fields``). ``evaluate`` emits the confusion counts and
+accuracy; ``report`` emits plot-ready CSVs (distance-error CDF, magnetic
+separation per distance band).
 Every other output file is written atomically, and the metrics and report
-CSVs embed the seed and a config digest.
+CSVs embed ``meta.json``'s seed and config digest.
 Errors print one machine-readable JSON object on stderr and exit non-zero;
 a usage error, such as an unknown ``--tier``, exits 2.
 """
@@ -50,7 +55,7 @@ import sys
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Callable, Iterator, NoReturn, Optional, Sequence
 
 from .core import (
     TRACE_CACHE,
@@ -59,6 +64,7 @@ from .core import (
     atomic_write,
     canonical_pair,
     encode_trace,
+    exact_fields,
     label_from_record,
     label_to_json,
     read_jsonl,
@@ -94,12 +100,14 @@ def _instance_to_json(pair: tuple[str, str], window: tuple[float, float]) -> str
 
 
 def _read_instances(path: Path) -> list[Instance]:
-    """Every (pair, start, end) line of ``path``; a repeated instance is an error."""
+    """Every (pair, start, end) line of ``path``, each exactly a ``pair``
+    and a ``window``; a repeated instance is an error."""
     seen: set[Instance] = set()
 
     def parse(record: dict) -> Instance:
-        start, end = window_bounds(record["window"])
-        instance = (canonical_pair(record["pair"]), start, end)
+        pair, window = exact_fields(record, ("pair", "window"))
+        start, end = window_bounds(window)
+        instance = (canonical_pair(pair), start, end)
         if instance in seen:
             raise ValueError(f"duplicate instance {instance}")
         seen.add(instance)
@@ -108,17 +116,26 @@ def _read_instances(path: Path) -> list[Instance]:
     return read_jsonl(path, parse)
 
 
-def _read_meta(data_dir: Path) -> dict:
+# The keys of ``meta.json``, in the order ``generate`` writes them.
+_META_KEYS = ("seed", "config_sha256", "instances", "devices")
+
+
+def _read_meta(data_dir: Path) -> tuple[dict, list[str]]:
+    """The run's ``meta.json``, which every command reads first: an object
+    of exactly the ``_META_KEYS``, the seed and the counts non-negative
+    integers and the digest a string. With it, the comment lines that start
+    each CSV the run's reports write."""
     path = data_dir / "meta.json"
-    if not path.exists():
-        return {}
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
+        if not isinstance(meta, dict):
+            raise SenseTraceError(f"{path}:1: expected a JSON object")
+        seed, digest, *counts = exact_fields(meta, _META_KEYS)
+        if not all(type(n) is int and n >= 0 for n in (seed, *counts)) or type(digest) is not str:
+            raise TypeError("seed, instances and devices must be non-negative integers, config_sha256 a string")
+    except (ValueError, KeyError, TypeError) as exc:
         raise SenseTraceError(f"{path}:{getattr(exc, 'lineno', 1)}: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise SenseTraceError(f"{path}:1: expected a JSON object")
-    return meta
+    return meta, [f"seed={seed}", f"config_sha256={digest}"]
 
 
 def _sha256(path: str | Path, dir_fd: Optional[int] = None) -> str:
@@ -165,21 +182,28 @@ _LOAD_AHEAD = 32
 
 
 class _RunTraces:
-    """The run's trace files (``_trace_digests``) by device, each loaded
-    when ``get`` asks for it: from the column cache when the file's SHA-256
-    is the one the cache holds, else decoded.
+    """The run's trace files by device, each loaded when ``get`` asks for
+    it: from the column cache when the file's SHA-256 is the one the cache
+    holds, else decoded. Opening hashes every file (``digests``) and refuses
+    a run that lacks the file of a device that ``instances`` (read from the
+    run's file ``source``) names; a file that no instance names is allowed.
 
-    ``devices`` is the order in which they will be asked for. A load takes
-    the next ``_LOAD_AHEAD`` of them, and ``get`` hands a trace over without
-    keeping it, so that at most those wait in memory; a device asked for
-    again is loaded again.
+    The devices are asked for in the order ``instances`` names them. A load
+    takes the next ``_LOAD_AHEAD`` of them, and ``get`` hands a trace over
+    without keeping it, so that at most those wait in memory; a device
+    asked for again is loaded again.
     """
 
-    def __init__(self, data_dir: Path, digests: dict[str, str], devices: Iterable[str]) -> None:
-        self.data_dir, self.digests = data_dir, digests
-        self.index = read_trace_cache(data_dir / TRACE_CACHE)
-        self.upcoming = iter(dict.fromkeys(devices))
+    def __init__(self, data_dir: Path, source: str, instances: Sequence[Instance]) -> None:
+        self.data_dir, self.digests = data_dir, _trace_digests(data_dir)
+        for pair, start, end in instances:
+            for device in pair:
+                if f"{device}.jsonl" not in self.digests:
+                    path, instance = data_dir / "traces" / f"{device}.jsonl", f"{list(pair)} [{start}, {end})"
+                    raise SenseTraceError(f"{path}: no such trace file, for {source} instance {instance}")
+        self.upcoming = iter(dict.fromkeys(device for pair, _, _ in instances for device in pair))
         self.ready: dict[str, Trace] = {}
+        self.index: Optional[dict[str, CachedTrace]] = None
 
     def get(self, device: str, default=None):
         if device not in self.ready:
@@ -188,7 +212,9 @@ class _RunTraces:
         return self.ready.pop(device, default)
 
     def _load(self, devices: list[str]) -> None:
-        names = [f"{device}.jsonl" for device in devices]  # each has a file: the command ran ``_require_traces``
+        names = [f"{device}.jsonl" for device in devices]  # each has a file: ``__init__`` checked
+        if self.index is None:
+            self.index = read_trace_cache(self.data_dir / TRACE_CACHE)
         # An entry is used once: a device asked for again is decoded.
         entries = [self.index.pop(name, None) for name in names]
         hits = [entry for entry in entries if entry is not None and entry.sha256 == self.digests[entry.name]]
@@ -210,24 +236,6 @@ def _own_rows(traces: Path, device: str, trace: Trace) -> Trace:
         other = trace.names[trace.src[row]]
         raise SenseTraceError(f"{path}:{lineno}: ValueError: a row of {other!r} in {device}'s trace")
     return trace
-
-
-def _require_traces(data_dir: Path, digests: dict[str, str], source: str, instances: Iterable[Instance]) -> None:
-    """SenseTraceError naming the first device of ``instances`` (read from
-    ``source``) whose trace file is not among ``digests``: a run that lacks
-    one is not decided or reported on. Files that no instance names are
-    allowed."""
-    for pair, start, end in instances:
-        for device in pair:
-            if f"{device}.jsonl" not in digests:
-                path = data_dir / "traces" / f"{device}.jsonl"
-                instance = f"{source} instance {list(pair)} [{start}, {end})"
-                raise SenseTraceError(f"{path}: no such trace file, for {instance}")
-
-
-def _load_traces(data_dir: Path, digests: dict[str, str], devices: Iterable[str]) -> _RunTraces:
-    """The trace files of ``digests``, loaded as ``devices`` asks for them."""
-    return _RunTraces(data_dir, digests, devices)
 
 
 def _assessment_key(data_dir: Path, config_sha256: str, digests: dict[str, str]) -> dict:
@@ -383,12 +391,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "".join(_instance_to_json(lb.pair, (lb.start, lb.end)) + "\n" for lb in data.labels),
     )
 
-    meta = {
-        "seed": scenario.seed,
-        "config_sha256": config_hash(raw),
-        "instances": len(data.instances),
-        "devices": len(data.traces),
-    }
+    meta = dict(zip(_META_KEYS, (scenario.seed, config_hash(raw), len(data.instances), len(data.traces))))
     atomic_write(out / "meta.json", json.dumps(meta, indent=2) + "\n")
     print(f"generated {len(data.instances)} instances / {len(data.traces)} traces -> {out}")
     return 0
@@ -404,23 +407,21 @@ def cmd_detect(args: argparse.Namespace) -> int:
     name = f"decisions_{tier.value.lower()}.jsonl" if args.out is None else args.out
     if name in ("", ".", "..", *_RUN_FILES) or Path(name).name != name:
         raise SenseTraceError(f"--out must be a file name with no directory part, not one of {_RUN_FILES}: {name!r}")
-    meta = _read_meta(data_dir)
+    meta, _ = _read_meta(data_dir)
     # Hashed with the run's seed applied, as generate --seed hashes it.
-    scenario, raw = load_scenario(args.config, seed=meta.get("seed"))
-    if "config_sha256" in meta and config_hash(raw) != meta["config_sha256"]:
+    scenario, raw = load_scenario(args.config, seed=meta["seed"])
+    if config_hash(raw) != meta["config_sha256"]:
         raise SenseTraceError(
             f"{args.config} has config_sha256 {config_hash(raw)} but the run in {data_dir} "
             f"was generated with config_sha256 {meta['config_sha256']}"
         )
     cfg = scenario.fusion
-    digests = _trace_digests(data_dir)
     instances = _read_instances(data_dir / "instances.jsonl")
-    _require_traces(data_dir, digests, "instances.jsonl", instances)
-    key = _assessment_key(data_dir, config_hash(raw), digests)
+    traces = _RunTraces(data_dir, "instances.jsonl", instances)
+    key = _assessment_key(data_dir, meta["config_sha256"], traces.digests)
     assessments = read_assessment_cache(data_dir / ASSESSMENT_CACHE, key, len(instances))
     if assessments is None:
-        devices = (device for pair, _, _ in instances for device in pair)
-        assessments = assess_instances(_load_traces(data_dir, digests, devices), instances, cfg)
+        assessments = assess_instances(traces, instances, cfg)
         write_assessment_cache(data_dir / ASSESSMENT_CACHE, key, assessments)
     records = fuse_instances(instances, assessments, cfg, tier)
     atomic_write(data_dir / name, "".join(decision_to_json(r) + "\n" for r in records))
@@ -431,27 +432,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
+    meta, comments = _read_meta(data_dir)
     truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
     records = read_jsonl(data_dir / args.decisions, decision_from_record)
 
     counts = confusion(records, truth)
     acc = accuracy(counts)
-    meta = _read_meta(data_dir)
-    comments = [
-        f"seed={meta.get('seed', 'unknown')}",
-        f"config_sha256={meta.get('config_sha256', 'unknown')}",
-    ]
-    rows = [
-        ["tp", counts.tp],
-        ["fp", counts.fp],
-        ["tn", counts.tn],
-        ["fn", counts.fn],
-        ["accuracy", f"{acc:.6f}"],
-    ]
+    rows = [*counts.as_dict().items(), ("accuracy", f"{acc:.6f}")]
     atomic_write(data_dir / "metrics.csv", _csv_text(comments, ["metric", "value"], rows))
-    computed = {**counts.as_dict(), "accuracy": acc}
-    # The computed keys come first and keep their values; meta adds the rest.
-    payload = {**computed, **meta, **computed}
+    payload = {**counts.as_dict(), "accuracy": acc, **meta}  # meta.json has none of the computed keys
     atomic_write(data_dir / "confusion.json", json.dumps(payload, indent=2) + "\n")
     print(
         f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn} "
@@ -462,15 +451,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
+    _, comments = _read_meta(data_dir)
     truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
     records = read_jsonl(data_dir / args.decisions, decision_from_record)
-    digests = _trace_digests(data_dir)
-    _require_traces(data_dir, digests, "truth.jsonl", ((label.pair, label.start, label.end) for label in truth))
-    meta = _read_meta(data_dir)
-    comments = [
-        f"seed={meta.get('seed', 'unknown')}",
-        f"config_sha256={meta.get('config_sha256', 'unknown')}",
-    ]
+    traces = _RunTraces(data_dir, "truth.jsonl", [(label.pair, label.start, label.end) for label in truth])
 
     estimated, actual = [], []
     for rec, label in matched(records, truth):
@@ -479,8 +463,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             actual.append(label.true_distance)
     # With no estimates the CDF is written with no rows, not left stale.
     cdf = distance_error_cdf(estimated, actual) if estimated else []
-
-    traces = _load_traces(data_dir, digests, (device for label in truth for device in label.pair))
 
     def items():
         for label in truth:

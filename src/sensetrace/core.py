@@ -15,7 +15,8 @@ through ``atomic_write`` (or ``_atomic_file``), except the trace files:
 ``generate`` hands each one's ``encode_trace`` bytes to a writer process
 that puts them in a fresh directory, which it swaps in for ``traces/``
 whole. Every JSON-lines file other than a trace is read through
-``read_jsonl``.
+``read_jsonl``, and every record of a run file, a trace row too, must have
+exactly its type's keys (``exact_fields``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -478,25 +479,29 @@ def read_jsonl(path: Union[str, Path], parse: Callable[[Any], T]) -> list[T]:
     return out
 
 
+def exact_fields(record: Any, keys: Sequence[str]) -> tuple:
+    """The values of ``keys`` in ``record``, a JSON object with exactly
+    those keys; one it lacks raises KeyError and one beyond them ValueError,
+    naming the key, and a record that is not an object TypeError."""
+    values = tuple(record[key] for key in keys)
+    if len(record) != len(keys):
+        raise ValueError(f"unknown key {next(key for key in record if key not in keys)!r}")
+    return values
+
+
+# The keys of a truth line, in the order ``label_to_json`` writes them.
+_LABEL_KEYS = ("pair", "window", "true_distance_m", "is_contact")
+
+
 def label_to_json(label: GroundTruthLabel) -> str:
-    record = {
-        "pair": list(label.pair),
-        "window": [label.start, label.end],
-        "true_distance_m": label.true_distance,
-        "is_contact": label.is_contact,
-    }
-    return json.dumps(record, separators=(",", ":"))
+    values = (list(label.pair), [label.start, label.end], label.true_distance, label.is_contact)
+    return json.dumps(dict(zip(_LABEL_KEYS, values)), separators=(",", ":"))
 
 
 def label_from_record(record: dict) -> GroundTruthLabel:
-    start, end = window_bounds(record["window"])
-    return GroundTruthLabel(
-        pair=canonical_pair(record["pair"]),
-        start=start,
-        end=end,
-        true_distance=record["true_distance_m"],
-        is_contact=record["is_contact"],
-    )
+    pair, window, true_distance, is_contact = exact_fields(record, _LABEL_KEYS)
+    start, end = window_bounds(window)
+    return GroundTruthLabel(canonical_pair(pair), start, end, true_distance, is_contact)
 
 
 _KIND_JSON = tuple(json.dumps(k.value) for k in KINDS)
@@ -542,18 +547,23 @@ def write_trace(path: Union[str, Path], samples: Union[Trace, Iterable[SensorSam
 
 # Two records on one line of a trace file.
 _MERGED_RECORDS = re.compile(rb"\}\s*,\s*\{")
-_FIELDS = itemgetter("t", "kind", "value", "src")
-_OBS = methodcaller("get", "obs")
+# The keys of a trace-file record, in the order a line writes them.
+_ROW_KEYS = ("t", "kind", "value", "src", "obs")
+_ROW = itemgetter(*_ROW_KEYS)
 
 
 def _from_records(records: list) -> Union[Trace, tuple[int, str]]:
     """``Trace._build`` of decoded trace-file records; one that is not an
-    object with ``t``, ``kind`` (a ``SensorKind``), ``value`` and ``src`` raises."""
-    t, kinds, values, src = zip(*map(_FIELDS, records)) if records else ((),) * 4
+    object with exactly the ``_ROW_KEYS`` (``exact_fields``), ``kind`` a
+    ``SensorKind``, raises."""
+    t, kinds, values, src, obs = zip(*map(_ROW, records)) if records else ((),) * 5
+    if set(map(len, records)) - {len(_ROW_KEYS)}:  # each has every key: one has another key too
+        for record in records:
+            exact_fields(record, _ROW_KEYS)
     codes = list(map(_CODE_OF_NAME.get, kinds))
     if None in codes:
         SensorKind(kinds[codes.index(None)])  # raises, naming the kind
-    return Trace._build(t, codes, values, src, list(map(_OBS, records)))
+    return Trace._build(t, codes, values, src, obs)
 
 
 def _from_lines(path: Union[str, Path], lines: list[bytes]) -> Union[Trace, tuple[int, str]]:

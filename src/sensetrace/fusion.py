@@ -40,6 +40,7 @@ from .core import (
     ProximityState,
     SensorKind,
     canonical_pair,
+    exact_fields,
     window_bounds,
 )
 from . import envmatch  # dtw_score is looked up there, where perfbench wraps it
@@ -559,35 +560,37 @@ class DecisionRecord:
         return (self.pair, self.start, self.end)
 
 
+# The keys of a decision line, in the order ``decision_to_json`` writes them.
+_DECISION_KEYS = (
+    "pair", "window", "appearance", "mean_distance_m", "env_score", "env_sensor", "contact", "degraded_reason",
+)
+
+
 def decision_to_json(record: DecisionRecord) -> str:
     d = record.decision
-    payload = {
-        "pair": list(record.pair),
-        "window": [record.start, record.end],
-        "appearance": d.appearance,
-        "mean_distance_m": d.mean_distance,
-        "env_score": d.env_score,
-        "env_sensor": d.env_sensor_used.value if d.env_sensor_used else None,
-        "contact": d.contact,
-        "degraded_reason": d.degraded_reason,
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    sensor = d.env_sensor_used.value if d.env_sensor_used else None
+    values = (list(record.pair), [record.start, record.end], d.appearance, d.mean_distance, d.env_score, sensor,
+              d.contact, d.degraded_reason)
+    return json.dumps(dict(zip(_DECISION_KEYS, values)), separators=(",", ":"))
 
 
 def decision_from_record(p: dict) -> DecisionRecord:
-    """The decision of a JSON object whose ``appearance`` and ``contact`` are
+    """The decision of a JSON object with exactly the ``_DECISION_KEYS``
+    (``exact_fields``), whose ``appearance`` and ``contact`` are
     bools, ``mean_distance_m`` and ``env_score`` null or finite non-bool
     numbers, ``env_sensor`` null or a ``SensorKind`` value and
-    ``degraded_reason`` null or a string; else ValueError or TypeError."""
+    ``degraded_reason`` null or a string; else KeyError, ValueError or
+    TypeError."""
     if not isinstance(p, dict):
         raise TypeError(f"a decision must be a JSON object, got {type(p).__name__}")
+    exact_fields(p, _DECISION_KEYS)
     for key in ("appearance", "contact"):
         if not isinstance(p[key], bool):
             raise TypeError(f"{key} must be true or false, got {p[key]!r}")
     for key in ("mean_distance_m", "env_score"):  # math.isfinite raises OverflowError on a huge int
         if p[key] is not None and (type(p[key]) not in (int, float) or not math.isfinite(p[key])):
             raise ValueError(f"{key} must be null or a finite number, got {p[key]!r}")
-    sensor, reason = p.get("env_sensor"), p.get("degraded_reason")
+    sensor, reason = p["env_sensor"], p["degraded_reason"]
     if not (reason is None or isinstance(reason, str)):
         raise TypeError(f"degraded_reason must be null or a string, got {reason!r}")
     decision = ContactDecision(

@@ -209,7 +209,7 @@ def sample_from_record(record: dict) -> SensorSample:
             SensorKind(record["kind"]),
             tuple(value) if isinstance(value, list) else value,
             record["src"],
-            record.get("obs"),
+            record["obs"],
         )
     )
 

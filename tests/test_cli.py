@@ -632,12 +632,12 @@ class TestDetectEvaluateReport:
         assert list(computed) == ["tp", "fp", "tn", "fn", "accuracy"]
         assert written == json.dumps({**computed, **meta}, indent=2) + "\n"
 
+        # A meta.json holding a computed key is refused, so none replaces a computed value.
+        metrics = (generated / "metrics.csv").read_bytes()
         (generated / "meta.json").write_text(json.dumps({**meta, "tp": 999, "accuracy": 1.0}))
-        assert run(["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0
+        assert run(["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 1
         assert (generated / "confusion.json").read_text() == written
-        metrics = dict(line.split(",") for line in (generated / "metrics.csv").read_text().splitlines()[3:])
-        assert metrics["tp"] == str(computed["tp"])
-        assert metrics["accuracy"] == f"{computed['accuracy']:.6f}"
+        assert (generated / "metrics.csv").read_bytes() == metrics
 
     @pytest.mark.parametrize(
         "text, message",
@@ -657,14 +657,27 @@ class TestDetectEvaluateReport:
         assert payload["error"] == "SenseTraceError"
         assert payload["message"].startswith(f"{generated / 'meta.json'}{message}")
 
-    def test_evaluate_without_meta_writes_unknown_seed(self, generated, small_config):
+    def test_missing_meta_is_refused(self, generated, small_config, capsys):
+        # Without meta.json, detect once skipped its config check and
+        # evaluate wrote seed=unknown; now each command fails as it does
+        # without instances.jsonl, naming the file, and writes nothing.
         run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"])
+        (generated / "instances.jsonl").rename(generated / "kept.jsonl")
+        assert run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"]) == 2
+        (generated / "kept.jsonl").rename(generated / "instances.jsonl")
         (generated / "meta.json").unlink()
-        assert run(["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]) == 0
-        lines = (generated / "metrics.csv").read_text().splitlines()
-        assert lines[:2] == ["# seed=unknown", "# config_sha256=unknown"]
-        confusion = json.loads((generated / "confusion.json").read_text())
-        assert list(confusion) == ["tp", "fp", "tn", "fn", "accuracy"]
+        before = {path: path.read_bytes() for path in generated.iterdir() if path.is_file()}
+        for argv in (
+            ["detect", "--data", generated, "--config", small_config, "--tier", "FULL", "--out", "again.jsonl"],
+            ["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"],
+            ["report", "--data", generated, "--decisions", "decisions_full.jsonl"],
+        ):
+            capsys.readouterr()
+            assert run(argv) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            payload = json.loads(line)
+            assert payload["error"] == "OSError" and str(generated / "meta.json") in payload["message"]
+        assert {path: path.read_bytes() for path in generated.iterdir() if path.is_file()} == before
 
     def test_trace_digests_hash_every_trace_file_in_order(self, generated):
         traces = generated / "traces"
@@ -1055,15 +1068,17 @@ TIERS = ("APPEARANCE_ONLY", "APPEARANCE_DISTANCE", "FULL")
 
 
 def count_trace_loads(monkeypatch) -> list:
-    """One entry for every time ``detect`` or ``report`` loads the run's traces."""
+    """One entry, the run directory, for every ``detect`` or ``report``
+    that loads any of the run's traces."""
     loads = []
-    load = cli._load_traces
 
-    def counting_load(*args):
-        loads.append(args[0])
-        return load(*args)
+    class CountingTraces(cli._RunTraces):
+        def _load(self, devices):
+            if self.index is None:  # the first load of this command
+                loads.append(self.data_dir)
+            super()._load(devices)
 
-    monkeypatch.setattr(cli, "_load_traces", counting_load)
+    monkeypatch.setattr(cli, "_RunTraces", CountingTraces)
     return loads
 
 
@@ -1175,14 +1190,14 @@ class TestAssessmentCache:
 
     def test_another_config_is_a_miss(self, generated, small_config, tmp_path, monkeypatch):
         self.detect(generated, small_config)
-        # A run whose meta.json names no config digest takes any config.
-        meta = json.loads((generated / "meta.json").read_text())
-        del meta["config_sha256"]
-        (generated / "meta.json").write_text(json.dumps(meta))
+        # The run's meta.json is made to name the other config's digest.
         raw = yaml.safe_load(small_config.read_text())
         raw["fusion"]["contact_radius_m"] = 2.5
         other = tmp_path / "other.yaml"
         other.write_text(yaml.safe_dump(raw, sort_keys=False))
+        meta = json.loads((generated / "meta.json").read_text())
+        meta["config_sha256"] = config_hash(load_scenario(other, seed=meta["seed"])[1])
+        (generated / "meta.json").write_text(json.dumps(meta))
         want = self.uncached(generated, other, tmp_path)
         loads = count_trace_loads(monkeypatch)
         assert self.detect(generated, other) == want
@@ -1247,7 +1262,7 @@ class TestTracesLiveUntilTheirLastUse:
         reports = ("cdf.csv", "magnetic_buckets.csv")
         assert run(["report", "--data", out, "--decisions", "decisions_full.jsonl"]) == 0
         got = [(out / name).read_bytes() for name in reports]
-        monkeypatch.setattr(cli, "_load_traces", lambda data_dir, digests, devices: whole)
+        monkeypatch.setattr(cli, "_RunTraces", lambda data_dir, source, instances: whole)
         assert run(["report", "--data", out, "--decisions", "decisions_full.jsonl"]) == 0
         assert got == [(out / name).read_bytes() for name in reports]
 
@@ -1353,31 +1368,45 @@ def _first_trace(data):
     return sorted((data / "traces").glob("*.jsonl"))[0]
 
 
-# (file, subcommand that reads it, key a record needs, a field the record type rejects)
+def _meta_on_one_line(data):
+    """The run's ``meta.json``, rewritten on one line, so that its record is line 1."""
+    path = data / "meta.json"
+    path.write_text(json.dumps(json.loads(path.read_text())) + "\n")
+    return path
+
+
+# (file, subcommand that reads it, line of the edited record, key a record
+# needs, a field the record type rejects)
 MALFORMED_FILES = {
-    "trace": (_first_trace, "detect", "kind", _with(kind="BLE_RSS", value=5.0, obs="zz")),
-    "truth": (lambda d: d / "truth.jsonl", "evaluate", "is_contact", _with(true_distance_m=0.5, is_contact=False)),
-    "instances": (lambda d: d / "instances.jsonl", "detect", "window", _with(pair=["a", "a"])),
-    "decisions": (lambda d: d / "decisions_full.jsonl", "evaluate", "contact", _with(env_sensor="SONAR")),
+    "trace": (_first_trace, "detect", 2, "kind", _with(kind="BLE_RSS", value=5.0, obs="zz")),
+    "truth": (lambda d: d / "truth.jsonl", "evaluate", 2, "is_contact", _with(true_distance_m=0.5, is_contact=False)),
+    "instances": (lambda d: d / "instances.jsonl", "detect", 2, "window", _with(pair=["a", "a"])),
+    "decisions": (lambda d: d / "decisions_full.jsonl", "evaluate", 2, "env_sensor", _with(env_sensor="SONAR")),
+    "meta": (_meta_on_one_line, "detect", 1, "config_sha256", _with(seed=True)),
 }
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("breakage", ["truncated", "missing_key", "bad_value"])
+    @pytest.mark.parametrize("breakage", ["truncated", "missing_key", "extra_key", "bad_value"])
     @pytest.mark.parametrize("kind", sorted(MALFORMED_FILES))
     def test_one_line_json_error_naming_file_and_line(self, detected_run, tmp_path, capsys, kind, breakage):
         config, original = detected_run
         data = tmp_path / "run"
         shutil.copytree(original, data)
-        locate, command, required, reject = MALFORMED_FILES[kind]
+        locate, command, lineno, required, reject = MALFORMED_FILES[kind]
         path = locate(data)
+        misspelt = required + required[-1]  # a misspelling beside the real key
         if breakage == "truncated":
             lines = path.read_text().splitlines()
             lineno = len(lines)
             path.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]))
         else:
-            lineno = 2
-            _rewrite_line(path, lineno, _without(required) if breakage == "missing_key" else reject)
+            edit = {
+                "missing_key": _without(required),
+                "extra_key": lambda record: {**record, misspelt: record[required]},
+                "bad_value": reject,
+            }[breakage]
+            _rewrite_line(path, lineno, edit)
         argv = {
             "detect": ["detect", "--data", data, "--config", config, "--tier", "FULL"],
             "evaluate": ["evaluate", "--data", data, "--decisions", "decisions_full.jsonl"],
@@ -1390,6 +1419,9 @@ class TestMalformedInput:
         payload = json.loads(err)
         assert payload["error"] == "SenseTraceError"
         assert f"{path}:{lineno}:" in payload["message"]
+        if breakage in ("missing_key", "extra_key"):
+            key = required if breakage == "missing_key" else misspelt
+            assert payload["message"].endswith(repr(key))
 
     def test_duplicate_instance_rejected(self, detected_run, tmp_path, capsys):
         config, original = detected_run

@@ -209,7 +209,7 @@ GOOD_RECORDS = [
     {"t": 0.0, "kind": "BLE_RSS", "value": -60.0, "src": "a", "obs": "b"},
     {"t": 1.5, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None},
     {"t": 2, "kind": "MAGNETOMETER", "value": [1.0, 2, -3.5], "src": "a", "obs": None},
-    {"t": 3.0, "kind": "PROXIMITY", "value": 1, "src": "a"},
+    {"t": 3.0, "kind": "PROXIMITY", "value": 1, "src": "a", "obs": None},
 ]
 
 # One record per rejection SensorSample (or the record reader) makes.
@@ -237,6 +237,8 @@ REJECTED = {
     "unobserved_wifi": {"t": 1.0, "kind": "WIFI_RSS", "value": -60.0, "src": "a", "obs": None},
     "observed_barometer": {"t": 1.0, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": "b"},
     "overflowing_time": {"t": 10**400, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None},
+    "missing_obs": {"t": 1.0, "kind": "BAROMETER", "value": 1012.0, "src": "a"},
+    "extra_key": {"t": 1.0, "kind": "BAROMETER", "value": 1012.0, "src": "a", "obs": None, "obss": None},
 }
 
 # The message each REJECTED record fails with on line 3 of a trace file.
@@ -266,6 +268,8 @@ MESSAGES = {
     "unobserved_wifi": "ValueError: WIFI_RSS samples must name an observed device",
     "observed_barometer": "ValueError: BAROMETER samples cannot name an observed device",
     "overflowing_time": "OverflowError: int too large to convert to float",
+    "missing_obs": "KeyError: 'obs'",
+    "extra_key": "ValueError: unknown key 'obss'",
 }
 
 
