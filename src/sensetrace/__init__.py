@@ -23,7 +23,6 @@ from .errors import (
     InvalidMeasure,
     ModeError,
     NoContact,
-    NotDue,
     ScenarioError,
     SenseTraceError,
 )

@@ -25,11 +25,15 @@ instances and the traces, so that a later ``detect`` of the run, for any
 tier, only fuses them. Every command but ``generate`` first reads
 ``meta.json`` (``_read_meta``), which must hold exactly ``seed``,
 ``config_sha256``, ``instances`` and ``devices``; a run without it is
-refused. ``detect`` and ``report`` open the traces through one call
-(``_RunTraces``) that hashes them and refuses a run that lacks the trace
-file of a device an instance names; it loads each trace when its first
-window or label comes and lets it go after its last, so no command holds
-the whole run, and refuses another device's rows and a repeated row.
+refused, and so is one whose ``instances`` is not the number of lines of
+``instances.jsonl`` (``detect``) or ``truth.jsonl`` (``evaluate`` and
+``report``), or, in ``detect`` and ``report``, whose ``devices`` is not the
+number of devices those lines name (``_check_counts``). ``detect`` and
+``report`` open the traces through one call (``_RunTraces``) that hashes
+them and refuses a run that lacks the trace file of a device an instance
+names; it loads each trace when its first window or label comes and lets
+it go after its last, so no command holds the whole run, and refuses
+another device's rows and a repeated row.
 Every record of a run file must have exactly its type's keys
 (``core.exact_fields``). ``evaluate`` emits the confusion counts and
 accuracy; ``report`` emits plot-ready CSVs (distance-error CDF, magnetic
@@ -136,6 +140,18 @@ def _read_meta(data_dir: Path) -> tuple[dict, list[str]]:
     except (ValueError, KeyError, TypeError) as exc:
         raise SenseTraceError(f"{path}:{getattr(exc, 'lineno', 1)}: {type(exc).__name__}: {exc}") from exc
     return meta, [f"seed={seed}", f"config_sha256={digest}"]
+
+
+def _check_counts(data_dir: Path, meta: dict, source: str, instances: Sequence[Instance], devices: bool) -> None:
+    """Refuses a run whose ``meta.json`` miscounts what its file ``source``
+    holds: ``instances`` against the instances read from it, and with
+    ``devices``, ``devices`` against the distinct devices they name."""
+    counts = {"instances": len(instances)}
+    if devices:
+        counts["devices"] = len({device for pair, _, _ in instances for device in pair})
+    for key, count in counts.items():
+        if meta[key] != count:
+            raise SenseTraceError(f"{data_dir / 'meta.json'}: {key} is {meta[key]}, but {source} has {count}")
 
 
 def _sha256(path: str | Path, dir_fd: Optional[int] = None) -> str:
@@ -417,6 +433,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         )
     cfg = scenario.fusion
     instances = _read_instances(data_dir / "instances.jsonl")
+    _check_counts(data_dir, meta, "instances.jsonl", instances, devices=True)
     traces = _RunTraces(data_dir, "instances.jsonl", instances)
     key = _assessment_key(data_dir, meta["config_sha256"], traces.digests)
     assessments = read_assessment_cache(data_dir / ASSESSMENT_CACHE, key, len(instances))
@@ -434,6 +451,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     meta, comments = _read_meta(data_dir)
     truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
+    _check_counts(data_dir, meta, "truth.jsonl", [(lb.pair, lb.start, lb.end) for lb in truth], devices=False)
     records = read_jsonl(data_dir / args.decisions, decision_from_record)
 
     counts = confusion(records, truth)
@@ -451,10 +469,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
-    _, comments = _read_meta(data_dir)
+    meta, comments = _read_meta(data_dir)
     truth = read_jsonl(data_dir / "truth.jsonl", label_from_record)
+    instances = [(label.pair, label.start, label.end) for label in truth]
+    _check_counts(data_dir, meta, "truth.jsonl", instances, devices=True)
     records = read_jsonl(data_dir / args.decisions, decision_from_record)
-    traces = _RunTraces(data_dir, "truth.jsonl", [(label.pair, label.start, label.end) for label in truth])
+    traces = _RunTraces(data_dir, "truth.jsonl", instances)
 
     estimated, actual = [], []
     for rec, label in matched(records, truth):

@@ -25,10 +25,6 @@ class NoContact(SenseTraceError):
     """A contact-log operation was attempted for a negative decision."""
 
 
-class NotDue(SenseTraceError):
-    """An ID rotation was requested at a time not in a later clock epoch."""
-
-
 class ModeError(SenseTraceError):
     """A report operation was invoked against a server in the wrong mode."""
 

@@ -1,4 +1,4 @@
-"""Registration, temporary-ID rotation, local contact logs and infection
+"""Registration, clock-epoch temporary ids, local contact logs and infection
 reporting over an in-process, ordered, loss-free message exchange.
 
 Two reporting modes exist. Centralized: a positive reporter uploads their
@@ -13,8 +13,8 @@ time, either mode leaves out what ended before the lookback.
 Epochs come from a shared clock, as in Exposure Notification and DP-3T:
 epoch ``e`` runs from ``e * period`` to ``(e + 1) * period``, the period
 being ``DEFAULT_ROTATION_PERIOD_S``, and day ``e // EPOCHS_PER_DAY`` holds
-it. A device keeps only its current epoch, so a phone that rotates late
-skips the epochs it slept through; its report still publishes them.
+it. A device stores no epoch: the ids two phones exchange are those of the
+clock epoch in which their contact window starts.
 
 Ids come from daily keys, as in Exposure Notification: a device's random
 secret gives one key a day (``day_key``) and each key that day's ids
@@ -35,13 +35,10 @@ report logs, and scans no epoch range. It keeps day keys in a table,
 checked against the registry before each use, that holds every day within
 the lookback of the newest day it holds, so a report over days it holds
 derives no key. The table takes 16 bytes per device per day held: 3 days
-while the 256-epoch bound below stands, 15 once it is lifted (0.24 MB at
-1k devices). The uploaded epoch tells that server nothing the uploaded
-window times do not: a phone that rotates on time logs the clock epoch of
-the window, and the epoch of any id the server resolves is the one its
-secret yields the id at, which a scan of every epoch finds as well. Only epochs 0 to 255 are resolved: the
-protocol benchmark counts each miss from epoch 256 on, so lifting the
-bound is a change to the benchmark (ROADMAP items 1 and 2).
+while the 256-epoch bound (``_RESOLVED_EPOCHS``) stands, 15 once it is
+lifted (0.24 MB at 1k devices). The uploaded epoch tells that server
+nothing the uploaded window times do not: it is the clock epoch of the
+window's start.
 """
 
 from __future__ import annotations
@@ -56,12 +53,17 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import ContactDecision, ContactWindow
-from .errors import ModeError, NoContact, NotDue
+from .errors import ModeError, NoContact
 
 DEFAULT_ROTATION_PERIOD_S = 900.0
 DEFAULT_LOOKBACK_S = 14 * 86400.0
 EPOCHS_PER_DAY = 96
 SECRET_BYTES = 16
+# A centralized report resolves ids logged at epochs 0 to 255 only, short of
+# the 1,344 epochs of the default lookback. ROADMAP item 2 lifts this bound;
+# the protocol benchmark counts each miss from epoch 256 on, so lifting it
+# is a change to the benchmark (item 1).
+_RESOLVED_EPOCHS = 256
 
 
 class ReportMode(Enum):
@@ -117,9 +119,9 @@ def _parse_temp_id(temp_id: object) -> Optional[bytes]:
 
 @dataclass(frozen=True, slots=True)
 class ContactLogEntry:
-    """What a device persists about a registered contact: the peer's current
-    temporary id, the peer's epoch that id was derived from, and the window
-    metadata. No raw sensor data, no permanent id."""
+    """What a device persists about a registered contact: the peer's
+    temporary id, the window's clock epoch that id was derived from, and the
+    window metadata. No raw sensor data, no permanent id."""
 
     peer_temp_id: str
     peer_epoch: int
@@ -131,12 +133,11 @@ class ContactLogEntry:
 @dataclass(slots=True)
 class DeviceState:
     """One participating phone: its permanent id (a non-empty ``str``), its
-    current clock epoch, its local contact log, whether it has been told of
-    an exposure, and its secret, ``SECRET_BYTES`` random bytes unless given.
-    ``temp_id`` derives the temporary id on each read; none is stored."""
+    local contact log, whether it has been told of an exposure, and its
+    secret, ``SECRET_BYTES`` random bytes unless given. It stores no epoch
+    and no temporary id: an exchange derives the id of its window's epoch."""
 
     permanent_id: str
-    epoch: int = 0
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
     secret: bytes = field(default_factory=lambda: secrets.token_bytes(SECRET_BYTES), repr=False)
@@ -146,18 +147,10 @@ class DeviceState:
             raise TypeError(f"permanent_id must be a str, got {self.permanent_id!r}")
         if not self.permanent_id:
             raise ValueError("permanent_id must not be empty")
-        if not isinstance(self.epoch, int) or isinstance(self.epoch, bool):
-            raise TypeError(f"epoch must be an int, got {self.epoch!r}")
-        if self.epoch < 0:
-            raise ValueError("epoch must be >= 0")
         if type(self.secret) is not bytes:
             raise TypeError(f"secret must be bytes, got {type(self.secret).__name__}")
         if len(self.secret) != SECRET_BYTES:
             raise ValueError(f"secret must be {SECRET_BYTES} bytes, got {len(self.secret)}")
-
-    @property
-    def temp_id(self) -> str:
-        return derive_temp_id(self.secret, self.epoch)
 
 
 @dataclass
@@ -218,19 +211,12 @@ def register_device(server: ServerState, device: Optional[DeviceState] = None) -
 
 
 def rotate_id(device: DeviceState, now: float) -> DeviceState:
-    """Move the device to the clock epoch of ``now``, ``floor(now /
-    period)``; ``temp_id`` derives the new id when read. A non-finite
-    ``now`` raises ``ValueError``, and one whose epoch is not after the
-    device's ``NotDue``; either leaves the device unchanged. (The epoch
-    could be read off the clock at each exchange; this call stays because
-    perfbench's protocol workload rotates every device through it.)"""
-    try:
-        epoch = math.floor(now / DEFAULT_ROTATION_PERIOD_S)
-    except (ValueError, OverflowError):
-        raise ValueError(f"rotation time must be finite, got {now}") from None
-    if epoch <= device.epoch:
-        raise NotDue(f"rotation at t={now} is in epoch {epoch}, not after epoch {device.epoch}")
-    device.epoch = epoch
+    """Returns ``device`` unchanged: a device stores no epoch, so there is
+    nothing to rotate. A non-finite ``now`` raises ``ValueError``. It stays
+    only because perfbench's protocol workload calls it for every device at
+    every epoch; ROADMAP item 1's protocol part deletes it with that call."""
+    if not math.isfinite(now):
+        raise ValueError(f"rotation time must be finite, got {now}")
     return device
 
 
@@ -240,29 +226,32 @@ def exchange_ids(
     decision: ContactDecision,
     window: ContactWindow,
 ) -> tuple[DeviceState, DeviceState]:
-    """After a positive decision, both phones log each other's current
-    temporary id and epoch with the window metadata. The window must name
-    ``a`` and ``b``, two distinct devices; otherwise ``ValueError``, and
-    neither log changes."""
+    """After a positive decision, each phone logs the other's temporary id
+    at the clock epoch of the window's start, ``floor(window.start /
+    period)``, with that epoch and the window metadata. The window must
+    name ``a`` and ``b``, two distinct devices, and start at or after time
+    0; otherwise ``ValueError``, and neither log changes."""
     if not decision.contact:
         raise NoContact("id exchange requires a positive contact decision")
     # A window's pair names two distinct devices, so this also refuses a is b.
     if {a.permanent_id, b.permanent_id} != set(window.pair):
         raise ValueError(f"window of {window.pair} does not pair {a.permanent_id!r} with {b.permanent_id!r}")
-    a.contact_log.append(ContactLogEntry(b.temp_id, b.epoch, window.start, window.end, decision.mean_distance))
-    b.contact_log.append(ContactLogEntry(a.temp_id, a.epoch, window.start, window.end, decision.mean_distance))
+    start, end, distance = window.start, window.end, decision.mean_distance
+    if not start >= 0:
+        raise ValueError(f"window starts at t={start}, before the clock's epoch 0")
+    epoch = math.floor(start / DEFAULT_ROTATION_PERIOD_S)
+    a.contact_log.append(ContactLogEntry(derive_temp_id(b.secret, epoch), epoch, start, end, distance))
+    b.contact_log.append(ContactLogEntry(derive_temp_id(a.secret, epoch), epoch, start, end, distance))
     return a, b
 
 
-def _resolve_temp_ids(
-    server: ServerState, entries: Sequence[ContactLogEntry], max_epoch: int = 256
-) -> list[Optional[str]]:
+def _resolve_temp_ids(server: ServerState, entries: Sequence[ContactLogEntry]) -> list[Optional[str]]:
     """Server-side epoch registry: the device each entry's temporary id
     resolves to at its logged epoch, or None. Possible because registration
     reveals secrets to the server.
 
     An entry is looked up only when its ``peer_epoch`` is an ``int`` (not a
-    ``bool``) from 0 to ``max_epoch - 1`` and its id is ``t`` and 16
+    ``bool``) from 0 to ``_RESOLVED_EPOCHS - 1`` and its id is ``t`` and 16
     lowercase hex digits, compared as its 8 raw bytes; any other entry
     matches nothing. For each distinct logged epoch, one id is derived per
     registered device, one SHA-256 over its key of the epoch's day, ``|``
@@ -283,7 +272,7 @@ def _resolve_temp_ids(
     for entry in entries:
         epoch, raw = entry.peer_epoch, _parse_temp_id(entry.peer_temp_id)
         key = None
-        if type(epoch) is int and 0 <= epoch < max_epoch and raw is not None:
+        if type(epoch) is int and 0 <= epoch < _RESOLVED_EPOCHS and raw is not None:
             key = (b"|%d" % epoch, raw)
             days.setdefault(epoch // EPOCHS_PER_DAY, {}).setdefault(key[0], set()).add(raw)
         keys.append(key)
@@ -342,11 +331,7 @@ def report_positive_centralized(
     return notified
 
 
-def report_positive_decentralized(
-    device: DeviceState,
-    server: ServerState,
-    now: Optional[float] = None,
-) -> frozenset[str]:
+def report_positive_decentralized(device: DeviceState, server: ServerState, now: float) -> frozenset[str]:
     """Publish the reporter's day keys to the anonymous public list, one
     ``(day key, first epoch, last epoch)`` record a day; returns the ids
     they yield, expanded as a phone would, as the ``frozenset`` that
@@ -354,30 +339,24 @@ def report_positive_decentralized(
 
     The epochs run from the first that ends at or after ``now -
     server.lookback_s`` (the current epoch ends at ``now``), never below
-    epoch 0, to the device's current epoch; ``now=None`` publishes from
-    epoch 0. A non-finite ``now``, or one whose clock epoch is before the
-    device's, raises ``ValueError`` and publishes nothing."""
+    epoch 0, to the clock epoch of ``now``, ``floor(now / period)``. A
+    ``now`` that is not finite, or is before time 0, raises ``ValueError``
+    and publishes nothing."""
     if server.mode is not ReportMode.DECENTRALIZED:
         raise ModeError("decentralized report sent to a non-decentralized server")
-    first = 0
-    if now is not None:
-        if not math.isfinite(now):
-            raise ValueError(f"report time must be finite, got {now}")
-        if math.floor(now / DEFAULT_ROTATION_PERIOD_S) < device.epoch:
-            raise ValueError(f"report time {now} is before the start of the device's epoch {device.epoch}")
-        # Epoch e ends at (e + 1) * period, so the first to end at or after
-        # the cut is ceil(cut / period) - 1. The quotient is rounded, but it
-        # rounds to an integer n only when cut == n * period exactly (below
-        # 2**53 / period epochs), so its ceiling is the exact one.
-        cut = now - server.lookback_s
-        first = min(math.ceil(cut / DEFAULT_ROTATION_PERIOD_S) - 1, device.epoch) if cut > 0 else 0
+    if not (math.isfinite(now) and now >= 0):
+        raise ValueError(f"report time must be finite and at or after time 0, got {now}")
+    last = math.floor(now / DEFAULT_ROTATION_PERIOD_S)
+    # Epoch e ends at (e + 1) * period, so the first to end at or after the
+    # cut is ceil(cut / period) - 1. The quotient is rounded, but it rounds
+    # to an integer n only when cut == n * period exactly (below 2**53 /
+    # period epochs), so its ceiling is the exact one; and it is at most
+    # now / period, so that epoch is at most ``last``.
+    cut = now - server.lookback_s
+    first = math.ceil(cut / DEFAULT_ROTATION_PERIOD_S) - 1 if cut > 0 else 0
     records = [
-        (
-            day_key(device.secret, day),
-            max(first, day * EPOCHS_PER_DAY),
-            min(device.epoch, (day + 1) * EPOCHS_PER_DAY - 1),
-        )
-        for day in range(first // EPOCHS_PER_DAY, device.epoch // EPOCHS_PER_DAY + 1)
+        (day_key(device.secret, day), max(first, day * EPOCHS_PER_DAY), min(last, (day + 1) * EPOCHS_PER_DAY - 1))
+        for day in range(first // EPOCHS_PER_DAY, last // EPOCHS_PER_DAY + 1)
     ]
     server.published_positive_ids.extend(records)
     return frozenset(chain.from_iterable(starmap(_day_ids, records)))

@@ -16,8 +16,9 @@ each id derived whole from
 hex digests of its day key and itself (``hexdigest_temp_id``) instead of
 from raw bytes and a hash state shared across a day's epochs, the exposure
 oracle expands every published day key and scans its ids instead of
-looking the device's log up in a set, and the clock device
-reads its epoch off the clock in exact rational arithmetic and publishes by
+looking the device's log up in a set, and the clock reference
+reads each epoch off the clock in exact rational arithmetic, logs each
+exchanged id derived whole from hex digests, and publishes by
 testing every epoch from 0 against the lookback and grouping the epochs
 kept by day, instead of dividing floats and computing the first epoch and
 each day's bounds.
@@ -49,7 +50,7 @@ from sensetrace.core import (
     as_trace,
     make_window,
 )
-from sensetrace.errors import NotDue, ScenarioError
+from sensetrace.errors import ScenarioError
 from sensetrace.protocol import (
     DEFAULT_ROTATION_PERIOD_S,
     ContactLogEntry,
@@ -553,54 +554,52 @@ def clock_epoch(t: float) -> int:
     return math.floor(Fraction(t) / Fraction(DEFAULT_ROTATION_PERIOD_S))
 
 
-def temp_id_history(device) -> dict[int, str]:
-    """Every temporary id ``device`` can have used, by epoch: one for each
-    clock epoch up to its current one, which only the holder of its secret
-    can resolve."""
-    return {e: hexdigest_temp_id(device.secret, e) for e in range(device.epoch + 1)}
+def temp_id_history(device, now: float) -> dict[int, str]:
+    """Every temporary id ``device`` can have used by time ``now``, by
+    epoch: one for each clock epoch up to that of ``now``, which only the
+    holder of its secret can resolve."""
+    return {e: hexdigest_temp_id(device.secret, e) for e in range(clock_epoch(now) + 1)}
 
 
 @dataclass
 class ClockDevice:
-    """The reference for ``DeviceState``: its temporary id is written out
-    from hex digests at each read, and its secret is all zeros unless
-    given. It has every attribute
-    ``register_device``, ``exchange_ids``, ``check_exposure`` and
-    ``notify_devices`` read, so those run on it unchanged."""
+    """The reference for ``DeviceState``: its secret is all zeros unless
+    given, and it has every attribute ``register_device``,
+    ``check_exposure`` and ``notify_devices`` read, so those run on it
+    unchanged."""
 
     permanent_id: str
-    epoch: int = 0
     contact_log: list[ContactLogEntry] = field(default_factory=list)
     exposure_status: ExposureStatus = ExposureStatus.NONE
     secret: bytes = bytes(16)
 
-    @property
-    def temp_id(self) -> str:
-        return hexdigest_temp_id(self.secret, self.epoch)
+
+def clock_exchange(a, b, decision: ContactDecision, window) -> None:
+    """``exchange_ids`` written out, for a positive ``decision`` on a
+    ``window`` of ``a`` and ``b``: each logs the other's id at the clock
+    epoch of the window's start, derived whole from hex digests. A window
+    that starts before time 0 raises ``ValueError``."""
+    epoch = clock_epoch(window.start)
+    if epoch < 0:
+        raise ValueError(f"window starts at t={window.start}, in epoch {epoch}")
+    for device, peer in ((a, b), (b, a)):
+        temp_id = hexdigest_temp_id(peer.secret, epoch)
+        device.contact_log.append(ContactLogEntry(temp_id, epoch, window.start, window.end, decision.mean_distance))
 
 
-def clock_rotate(device: ClockDevice, now: float) -> None:
-    """``rotate_id`` for a ``ClockDevice``: move to the clock epoch of
-    ``now`` if it is later than the device's, else ``NotDue``."""
-    epoch = clock_epoch(now)
-    if epoch <= device.epoch:
-        raise NotDue(f"rotation at t={now} too early")
-    device.epoch = epoch
-
-
-def clock_report_decentralized(device, server: ServerState, now: Optional[float]) -> frozenset[str]:
+def clock_report_decentralized(device, server: ServerState, now: float) -> frozenset[str]:
     """``report_positive_decentralized`` written out: every epoch from 0 to
-    the device's current one whose end, ``(e + 1) * period`` exactly or
-    ``now`` for the current epoch, is not before ``now - lookback``; every
-    epoch when ``now`` is None. The epochs kept are grouped by day, and
-    each day's key is published with the first and last of them. A ``now``
-    in an epoch before the device's raises ``ValueError``."""
-    if now is not None and clock_epoch(now) < device.epoch:
-        raise ValueError(f"report time {now} is before epoch {device.epoch}")
+    the clock epoch of ``now`` whose end, ``(e + 1) * period`` exactly or
+    ``now`` for the last, is not before ``now - lookback``. The epochs kept
+    are grouped by day, and each day's key is published with the first and
+    last of them. A ``now`` before time 0 raises ``ValueError``."""
+    if now < 0:
+        raise ValueError(f"report time {now} is before time 0")
+    last = clock_epoch(now)
     period = Fraction(DEFAULT_ROTATION_PERIOD_S)
     kept: dict[int, list[int]] = {}
-    for e in range(device.epoch + 1):
-        if now is None or e == device.epoch or (e + 1) * period >= now - server.lookback_s:
+    for e in range(last + 1):
+        if e == last or (e + 1) * period >= now - server.lookback_s:
             kept.setdefault(e // 96, []).append(e)
     server.published_positive_ids.extend(
         (hexdigest_day_key(device.secret, day), epochs[0], epochs[-1]) for day, epochs in sorted(kept.items())

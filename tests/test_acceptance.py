@@ -17,7 +17,6 @@ import pytest
 from sensetrace.cli import main as cli_main
 from sensetrace.envmatch import dtw_score
 from sensetrace.evaluation import ConfusionCounts, TierSpec, accuracy
-from sensetrace.errors import NotDue
 from sensetrace.protocol import (
     ReportMode,
     ServerState,
@@ -26,7 +25,6 @@ from sensetrace.protocol import (
     register_device,
     report_positive_centralized,
     report_positive_decentralized,
-    rotate_id,
 )
 from sensetrace.core import ContactDecision, ContactWindow, SensorKind, SensorSample
 from sensetrace.ranging import ChirpSpec, PathLossParams, distance_from_rss, rss_from_distance
@@ -208,11 +206,6 @@ def _random_protocol_run(seed, mode):
             window = ContactWindow((a.permanent_id, b.permanent_id), now, now + 900.0, (sample,))
             exchange_ids(a, b, decision, window)
             exchanges.append((a, b))
-        elif roll < 0.85:
-            try:
-                rotate_id(rng.choice(devices), now)
-            except NotDue:
-                pass
         now += 900.0
     return server, devices, exchanges, now
 

@@ -639,6 +639,36 @@ class TestDetectEvaluateReport:
         assert (generated / "confusion.json").read_text() == written
         assert (generated / "metrics.csv").read_bytes() == metrics
 
+    def test_a_miscounting_meta_is_refused(self, generated, small_config, capsys):
+        # With "instances": 0 and "devices": 3 in meta.json, detect, evaluate
+        # and report once all exited 0, and confusion.json repeated both
+        # counts. Each command now counts the instances of the file it reads,
+        # and detect and report the devices they name, and a mismatch names
+        # meta.json, the key and both counts, and writes nothing.
+        detect = ["detect", "--data", generated, "--config", small_config, "--tier", "FULL", "--out", "again.jsonl"]
+        evaluate = ["evaluate", "--data", generated, "--decisions", "decisions_full.jsonl"]
+        report = ["report", "--data", generated, "--decisions", "decisions_full.jsonl"]
+        assert run(["detect", "--data", generated, "--config", small_config, "--tier", "FULL"]) == 0
+        path = generated / "meta.json"
+        meta = json.loads(path.read_text())
+        instances, devices = meta["instances"], meta["devices"]
+        wrong = {"instances": 0, "devices": 3}
+        cases = [
+            (wrong, detect, f"instances is 0, but instances.jsonl has {instances}"),
+            (wrong, evaluate, f"instances is 0, but truth.jsonl has {instances}"),
+            (wrong, report, f"instances is 0, but truth.jsonl has {instances}"),
+            ({"devices": 3}, detect, f"devices is 3, but instances.jsonl has {devices}"),
+            ({"devices": 3}, report, f"devices is 3, but truth.jsonl has {devices}"),
+        ]
+        for change, argv, message in cases:
+            path.write_text(json.dumps({**meta, **change}))
+            before = {p: p.read_bytes() for p in generated.iterdir() if p.is_file()}
+            capsys.readouterr()
+            assert run(argv) == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert json.loads(line) == {"error": "SenseTraceError", "message": f"{path}: {message}"}
+            assert {p: p.read_bytes() for p in generated.iterdir() if p.is_file()} == before
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -1087,9 +1117,20 @@ def _drop_ble(path):
     path.write_text("".join(line + "\n" for line in lines if '"BLE_RSS"' not in line))
 
 
+def _recount_meta(data):
+    """Writes into the run's ``meta.json`` the number of lines of
+    ``instances.jsonl`` and of the devices they name, which detect checks,
+    as generate would have written them for those instances."""
+    pairs = [json.loads(line)["pair"] for line in (data / "instances.jsonl").read_text().splitlines()]
+    meta = json.loads((data / "meta.json").read_text())
+    meta.update(instances=len(pairs), devices=len({device for pair in pairs for device in pair}))
+    (data / "meta.json").write_text(json.dumps(meta))
+
+
 def _drop_last_instance(data):
     lines = (data / "instances.jsonl").read_text().splitlines()
     (data / "instances.jsonl").write_text("".join(line + "\n" for line in lines[:-1]))
+    _recount_meta(data)
 
 
 def _edit_cache(edit):
@@ -1248,6 +1289,7 @@ class TestTracesLiveUntilTheirLastUse:
         (out / "instances.jsonl").write_text(
             "".join(cli._instance_to_json(lb.pair, (lb.start, lb.end)) + "\n" for lb in labels)
         )
+        _recount_meta(out)
         monkeypatch.setattr(cli, "_LOAD_AHEAD", 3)  # several loads, even for this small run
         loaded, decoded = count_cache_loads(monkeypatch), count_decodes(monkeypatch)
         cfg = load_scenario(small_config)[0].fusion

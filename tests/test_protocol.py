@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sensetrace import protocol
 from sensetrace.core import ContactDecision, ContactWindow, SensorKind, SensorSample
-from sensetrace.errors import ModeError, NoContact, NotDue
+from sensetrace.errors import ModeError, NoContact
 from sensetrace.protocol import (
     ContactLogEntry,
     DeviceState,
@@ -34,8 +34,8 @@ from sensetrace.protocol import (
 from .oracles import (
     ClockDevice,
     clock_epoch,
+    clock_exchange,
     clock_report_decentralized,
-    clock_rotate,
     expand_public_list,
     exposed_by_scan,
     hexdigest_day_key,
@@ -68,12 +68,14 @@ def secret(k):
 
 class TestRegisterDevice:
     def test_fresh_device_epoch_zero_empty_log(self):
+        # A device stores no epoch and no id; its id at epoch 0 is not its
+        # permanent id.
         server = ServerState(ReportMode.CENTRALIZED)
         d = register_device(server)
-        assert d.epoch == 0
         assert d.contact_log == []
         assert d.permanent_id in server.registered
-        assert d.temp_id != d.permanent_id
+        assert derive_temp_id(d.secret, 0) != d.permanent_id
+        assert not hasattr(d, "epoch") and not hasattr(d, "temp_id")
 
     def test_reregistration_idempotent(self):
         server = ServerState(ReportMode.CENTRALIZED)
@@ -138,82 +140,63 @@ class TestRegisterDevice:
 
 
 class TestRotateId:
+    """``rotate_id`` is a bare time check: the epoch an exchange logs is the
+    clock epoch of its window, whatever was rotated."""
+
     def test_rotation_at_period(self):
         server = ServerState(ReportMode.CENTRALIZED)
-        d = register_device(server)
-        rotate_id(d, 900.0)
-        assert d.epoch == 1
+        a, b = register_device(server), register_device(server)
+        before = copy.deepcopy(b)
+        assert rotate_id(b, 900.0) is b and b == before
+        contact(a, b, start=900.0)
+        assert a.contact_log[0].peer_epoch == 1
 
     def test_temp_ids_pairwise_distinct(self):
         server = ServerState(ReportMode.CENTRALIZED)
-        d = register_device(server)
-        ids = {d.temp_id}
-        rotate_id(d, 900.0)
-        ids.add(d.temp_id)
-        rotate_id(d, 1800.0)
-        ids.add(d.temp_id)
-        assert len(ids) == 3
-
-    def test_early_rotation_rejected(self):
-        server = ServerState(ReportMode.CENTRALIZED)
-        d = register_device(server)
-        with pytest.raises(NotDue):
-            rotate_id(d, 100.0)
+        a, b = register_device(server), register_device(server)
+        for k in range(3):
+            contact(a, b, start=k * 900.0)
+        assert len({e.peer_temp_id for e in a.contact_log}) == 3
 
     def test_exchange_after_rotation_records_new_id(self):
-        # Scripted two-device replay: the peer logs the rotated id only.
+        # Scripted two-device replay: once the clock has moved to epoch 1,
+        # the peer logs the epoch-1 id only.
         server = ServerState(ReportMode.CENTRALIZED)
-        a = register_device(server)
-        b = register_device(server)
-        old = b.temp_id
-        rotate_id(b, 900.0)
+        a, b = register_device(server), register_device(server)
+        contact(a, b)
         contact(a, b, start=900.0)
-        assert a.contact_log[0].peer_temp_id == b.temp_id
-        assert a.contact_log[0].peer_temp_id != old
+        assert [e.peer_temp_id for e in a.contact_log] == [derive_temp_id(b.secret, e) for e in (0, 1)]
 
     def test_old_ids_resolvable_by_owner(self):
         server = ServerState(ReportMode.CENTRALIZED)
         d = register_device(server)
-        rotate_id(d, 900.0)
-        history = temp_id_history(d)
+        history = temp_id_history(d, 900.0)
         assert set(history) == {0, 1}
         assert history[0] == derive_temp_id(d.secret, 0)
 
     def test_device_first_seen_at_a_later_epoch(self):
-        # A device that starts at epoch 5 and rotates on the clock publishes
-        # the clock epochs inside the lookback; with no report time, every
-        # epoch from 0, before it existed too.
+        # A device first seen in epoch 5 publishes the clock epochs inside
+        # the lookback; with no bound on the lookback, every epoch from 0,
+        # before it existed too.
         server = ServerState(ReportMode.DECENTRALIZED, lookback_s=2000.0)
-        d = register_device(server, DeviceState("p5", epoch=5, secret=secret(5)))
-        for k in range(6, 11):
-            rotate_id(d, k * 900.0)
-        assert d.epoch == 10
+        d = register_device(server, DeviceState("p5", secret=secret(5)))
+        contact(d, register_device(server), start=5 * 900.0)
         # The cut is 7500 s: epoch 7 ended at 7200 s, epoch 8 at 8100 s.
         delta = report_positive_decentralized(d, server, now=9500.0)
         key = hexdigest_day_key(secret(5), 0)
         assert server.published_positive_ids == [(key, 8, 10)]
         assert delta == {derive_temp_id(secret(5), e) for e in (8, 9, 10)}
-        assert expand_public_list(server.published_positive_ids) == [temp_id_history(d)[e] for e in (8, 9, 10)]
-        report_positive_decentralized(d, server)
+        assert expand_public_list(server.published_positive_ids) == [temp_id_history(d, 9500.0)[e] for e in (8, 9, 10)]
+        server.lookback_s = math.inf
+        report_positive_decentralized(d, server, now=9500.0)
         assert server.published_positive_ids[1:] == [(key, 0, 10)]
-
-    def test_late_rotation_skips_epochs(self):
-        # A phone asleep from 900 s to 5000 s rotates once, into the clock's
-        # epoch 5; its report still publishes an id for epochs 2 to 4.
-        server = ServerState(ReportMode.DECENTRALIZED)
-        a, b = register_device(server), register_device(server)
-        rotate_id(b, 900.0)
-        contact(a, b, start=900.0)
-        rotate_id(b, 5000.0)
-        assert b.epoch == 5 and b.temp_id == derive_temp_id(b.secret, 5)
-        published = report_positive_decentralized(b, server, now=5000.0)
-        assert server.published_positive_ids == [(day_key(b.secret, 0), 0, 5)]
-        assert check_exposure(a, published)
 
 
 class TestIdDerivedOnRead:
     def test_rotation_derives_no_id_and_a_read_derives_one(self, monkeypatch):
-        d = register_device(ServerState(ReportMode.CENTRALIZED))
+        # Rotations derive nothing; an exchange derives each side's id once,
+        # at the clock epoch of the window's start.
+        a, b = DeviceState("pa"), DeviceState("pb")
         derived = []
 
         def counting(key, epoch):
@@ -222,20 +205,33 @@ class TestIdDerivedOnRead:
 
         monkeypatch.setattr(protocol, "derive_temp_id", counting)
         for k in range(1, 1001):
-            rotate_id(d, k * 900.0)
+            rotate_id(a, k * 900.0)
         assert derived == []
-        assert d.temp_id == derive_temp_id(d.secret, 1000)
-        assert derived == [(d.secret, 1000)]
+        exchange_ids(a, b, positive_decision(), window(a, b, 1000 * 900.0))
+        assert sorted(derived) == sorted([(a.secret, 1000), (b.secret, 1000)])
 
     def test_negative_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            DeviceState("p", epoch=-1)
+        # A window that starts before time 0 is in a negative clock epoch: it
+        # is refused, by the library and the clock reference alike, and
+        # neither log changes. Time 0 itself, as -0.0 too, is epoch 0.
+        a, b = DeviceState("pa"), DeviceState("pb")
+        ra, rb = ClockDevice("pa"), ClockDevice("pb")
+        for start in (-900.0, -1.0, math.nextafter(0.0, -math.inf), -math.inf):
+            w = ContactWindow(("pa", "pb"), start, max(start + 900.0, 0.0), ())
+            with pytest.raises(ValueError, match="before"):
+                exchange_ids(a, b, positive_decision(), w)
+            with pytest.raises(ValueError):
+                clock_exchange(ra, rb, positive_decision(), w)
+        assert a.contact_log == b.contact_log == ra.contact_log == rb.contact_log == []
+        for start in (-0.0, 0.0):
+            exchange_ids(a, b, positive_decision(), ContactWindow(("pa", "pb"), start, 900.0, ()))
+        assert [e.peer_epoch for e in a.contact_log + b.contact_log] == [0] * 4
 
     @pytest.mark.parametrize("bad", [True, False, 2.0, "3", None])
     def test_epoch_that_is_not_an_int_rejected(self, bad):
-        # A bool would derive its id from "p|True" but publish epoch 1's id;
-        # a float would fail only at report time.
-        with pytest.raises(TypeError, match="epoch must be an int"):
+        # A device takes no epoch at all, of any type: the ids it exchanges
+        # come from the window's clock epoch.
+        with pytest.raises(TypeError, match="epoch"):
             DeviceState("p", epoch=bad)
 
     @pytest.mark.parametrize("bad", [5, None, b"p", ("p",)])
@@ -261,7 +257,8 @@ class TestIdDerivedOnRead:
 
     def test_secret_is_random_and_out_of_the_repr(self):
         a, b = DeviceState("p"), DeviceState("p")
-        assert len(a.secret) == 16 and a.secret != b.secret and a.temp_id != b.temp_id
+        assert len(a.secret) == 16 and a.secret != b.secret
+        assert derive_temp_id(a.secret, 0) != derive_temp_id(b.secret, 0)
         assert a.secret.hex() not in repr(a) and "secret" not in repr(a)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -273,51 +270,33 @@ class TestIdDerivedOnRead:
     @staticmethod
     def twin_session(seed, mode):
         """One random session played on ``DeviceState``s with the library and
-        on ``ClockDevice``s with the reference, checking every identity read
-        on the way. Time moves on by up to 300 epochs, on and off the 900 s
-        grid, or not at all; each device rotates to the clock's epoch, or
-        sleeps. Some start past epoch 0, ahead of the clock, and report only
-        once it has caught up; the last is never registered. Reports go to
+        on ``ClockDevice``s with the reference, checking every log on the
+        way. Time moves on by up to 300 epochs, on and off the 900 s grid,
+        or not at all; the last device is never registered. Reports go to
         the ``mode`` server."""
         rng = random.Random(seed)
         lookback = rng.choice((2000.0, 40 * 900.0, protocol.DEFAULT_LOOKBACK_S))
         server, ref_server = ServerState(mode, lookback_s=lookback), ServerState(mode, lookback_s=lookback)
-        firsts = [rng.choice((0, 0, 5, 300)) for _ in range(rng.randint(3, 6))]
-        devices = [DeviceState(f"p{k}", epoch=e, secret=secret(k)) for k, e in enumerate(firsts)]
-        refs = [ClockDevice(f"p{k}", e, secret=secret(k)) for k, e in enumerate(firsts)]
+        count = rng.randint(3, 6)
+        devices = [DeviceState(f"p{k}", secret=secret(k)) for k in range(count)]
+        refs = [ClockDevice(f"p{k}", secret=secret(k)) for k in range(count)]
         for d, r in zip(devices[:-1], refs[:-1]):
             register_device(server, d)
             register_device(ref_server, r)
         now = 0.0
         for _ in range(rng.randint(5, 15)):
             now += rng.choice((0.0, 450.5, 900.0, 900.0, 40 * 900.0, 300 * 900.0))
-            for d, r in zip(devices, refs):
-                if rng.random() < 0.2:
-                    continue
-                if clock_epoch(now) > r.epoch:
-                    rotate_id(d, now)
-                    clock_rotate(r, now)
-                else:
-                    with pytest.raises(NotDue):
-                        rotate_id(d, now)
-                    with pytest.raises(NotDue):
-                        clock_rotate(r, now)
             for _ in range(rng.randint(0, 3)):
-                i, j = rng.sample(range(len(devices)), 2)
+                i, j = rng.sample(range(count), 2)
                 exchange_ids(devices[i], devices[j], positive_decision(), window(devices[i], devices[j], now))
-                exchange_ids(refs[i], refs[j], positive_decision(), window(refs[i], refs[j], now))
+                clock_exchange(refs[i], refs[j], positive_decision(), window(refs[i], refs[j], now))
             if rng.random() < 0.4:
-                k = rng.randrange(len(devices) - 1)
+                k = rng.randrange(count - 1)
                 if mode is ReportMode.CENTRALIZED:
                     notified = report_positive_centralized(devices[k], server)
                     assert notified == report_centralized_per_entry(refs[k], ref_server)
                     notify_devices(notified, {d.permanent_id: d for d in devices})
                     notify_devices(notified, {r.permanent_id: r for r in refs})
-                elif clock_epoch(now) < refs[k].epoch:
-                    with pytest.raises(ValueError):
-                        report_positive_decentralized(devices[k], server, now)
-                    with pytest.raises(ValueError):
-                        clock_report_decentralized(refs[k], ref_server, now)
                 else:
                     delta = report_positive_decentralized(devices[k], server, now)
                     ref_delta = clock_report_decentralized(refs[k], ref_server, now)
@@ -325,7 +304,7 @@ class TestIdDerivedOnRead:
                     assert server.published_positive_ids == ref_server.published_positive_ids
                     for d, r in zip(devices, refs):
                         assert check_exposure(d, delta) == check_exposure(r, ref_delta)
-            assert [(d.epoch, d.temp_id) for d in devices] == [(r.epoch, r.temp_id) for r in refs]
+            assert [d.contact_log for d in devices] == [r.contact_log for r in refs]
         return (server, devices), (ref_server, refs)
 
     def test_matches_clock_reference(self):
@@ -366,25 +345,23 @@ class TestIdDerivedOnRead:
         ),
     )
     def test_off_grid_times_match_clock_reference(self, offset, steps):
-        # Rotation times from an offset of 0, 1/3 or pi: on-time steps of one
-        # period, whose sum drifts from offset + k * 900.0 by rounding, late
-        # jumps of several, off-grid extras and repeated times (a step of 0).
-        # After each, the device is in the clock's epoch of that time, and
-        # every report agrees with the clock reference, for lookbacks that
-        # cut exactly at an epoch's end and one ulp to either side.
-        d = DeviceState("p", secret=secret(0))
+        # Contact times from an offset of 0, 1/3 or pi: steps of one period,
+        # whose sum drifts from offset + k * 900.0 by rounding, jumps of
+        # several, off-grid extras and repeated times (a step of 0). Each
+        # exchange logs the clock epoch of its window's start, and every
+        # report at that time agrees with the clock reference, for lookbacks
+        # that cut exactly at an epoch's end and one ulp to either side.
+        d, q = DeviceState("p", secret=secret(0)), ClockDevice("q")
         t = offset
         for periods, extra in steps:
             t += periods * 900.0 + extra
-            if clock_epoch(t) > d.epoch:
-                rotate_id(d, t)
-            else:
-                with pytest.raises(NotDue):
-                    rotate_id(d, t)
-            assert d.epoch == math.floor(t / 900.0) == clock_epoch(t)
-            assert d.temp_id == hexdigest_temp_id(secret(0), d.epoch)
+            exchange_ids(d, q, positive_decision(), window(d, q, t))
+            entry = q.contact_log[-1]
+            epoch = entry.peer_epoch
+            assert epoch == math.floor(t / 900.0) == clock_epoch(t)
+            assert entry.peer_temp_id == hexdigest_temp_id(secret(0), epoch)
             cuts = 0
-            for e in {0, d.epoch // 2, d.epoch - 2, d.epoch - 1} - {-2, -1}:
+            for e in {0, epoch // 2, epoch - 2, epoch - 1} - {-2, -1}:
                 end = (e + 1) * 900.0
                 for cut in (end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)):
                     lookback = self.lookback_to(t, cut)
@@ -397,9 +374,10 @@ class TestIdDerivedOnRead:
                     assert delta == clock_report_decentralized(d, ref_server, t)
                     assert server.published_positive_ids == ref_server.published_positive_ids
             # The lookbacks did cut at the end of the epoch before the current one.
-            assert cuts or d.epoch == 0
-        server, ref_server = ServerState(ReportMode.DECENTRALIZED), ServerState(ReportMode.DECENTRALIZED)
-        assert report_positive_decentralized(d, server) == clock_report_decentralized(d, ref_server, None)
+            assert cuts or epoch == 0
+        server = ServerState(ReportMode.DECENTRALIZED, lookback_s=math.inf)
+        ref_server = ServerState(ReportMode.DECENTRALIZED, lookback_s=math.inf)
+        assert report_positive_decentralized(d, server, t) == clock_report_decentralized(d, ref_server, t)
         assert server.published_positive_ids == ref_server.published_positive_ids
 
 
@@ -407,47 +385,99 @@ class TestNonFiniteTimes:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rotation_rejected_and_device_unchanged(self, bad):
         d = DeviceState("p")
-        rotate_id(d, 900.0)
-        rotate_id(d, 2000.0)
-        with pytest.raises(ValueError):
+        before = copy.deepcopy(d)
+        with pytest.raises(ValueError, match="finite"):
             rotate_id(d, bad)
-        assert d.epoch == 2
-        # The rejected time left the device in its epoch.
-        with pytest.raises(NotDue):
-            rotate_id(d, 2001.0)
-        rotate_id(d, 2900.0)
-        assert d.epoch == 3
+        assert d == before
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_clock_reference_rejects_alike(self, bad):
-        r = ClockDevice("p")
         with pytest.raises(ValueError):
-            clock_rotate(r, bad)
-        assert r.epoch == 0
+            clock_epoch(bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_construction_rejected(self, bad):
-        # A device holds no time, and its epoch must be an int.
-        with pytest.raises(TypeError, match="epoch must be an int"):
-            DeviceState("p", epoch=bad)
+        # A device holds no time: the one time an exchange reads is its
+        # window's start, and a window at a non-finite time is refused, by
+        # ContactWindow or by exchange_ids, with neither log changed.
+        a, b = DeviceState("pa"), DeviceState("pb")
+        with pytest.raises(ValueError):
+            exchange_ids(a, b, positive_decision(), ContactWindow(("pa", "pb"), bad, 900.0, ()))
+        assert a.contact_log == b.contact_log == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_decentralized_report_rejected(self, bad):
         server = ServerState(ReportMode.DECENTRALIZED)
         d = register_device(server)
-        rotate_id(d, 900.0)
         with pytest.raises(ValueError):
             report_positive_decentralized(d, server, now=bad)
         assert len(server.published_positive_ids) == 0
-        assert d.epoch == 1
 
-    def test_no_time_publishes_every_epoch(self):
-        server = ServerState(ReportMode.DECENTRALIZED, lookback_s=1.0)
+    def test_decentralized_report_needs_a_time(self):
+        # A report without a time once published every epoch from 0 to the
+        # device's stored one; there is no stored epoch to publish up to.
+        server = ServerState(ReportMode.DECENTRALIZED)
         d = register_device(server)
-        rotate_id(d, 900.0)
-        rotate_id(d, 5000.0)
-        report_positive_decentralized(d, server, now=None)
-        assert server.published_positive_ids == [(day_key(d.secret, 0), 0, 5)]
+        with pytest.raises(TypeError):
+            report_positive_decentralized(d, server)
+        assert len(server.published_positive_ids) == 0
+
+
+class TestWindowClock:
+    """The epoch of an exchange is the clock epoch of its window's start."""
+
+    def test_never_rotated_device_logs_the_window_epoch(self):
+        # Neither device is ever rotated; the window starts in epoch 200.
+        server = ServerState(ReportMode.DECENTRALIZED)
+        a = register_device(server, DeviceState("pa", secret=secret(0)))
+        b = register_device(server, DeviceState("pb", secret=secret(1)))
+        contact(a, b, start=200 * 900.0)
+        assert a.contact_log == [ContactLogEntry(derive_temp_id(secret(1), 200), 200, 180000.0, 180900.0, 0.7)]
+        assert b.contact_log == [ContactLogEntry(derive_temp_id(secret(0), 200), 200, 180000.0, 180900.0, 0.7)]
+        assert check_exposure(a, report_positive_decentralized(b, server, now=200 * 900.0))
+
+    @staticmethod
+    def play(meetings, shift_s):
+        """Five devices registered with a server of each mode, meeting as
+        ``meetings`` says, each meeting ``shift_s`` later than its epoch and
+        offset; then device 0 reports in both modes, at the end of epoch 60
+        shifted alike. Returns each device's logged epochs, the centralized
+        report's notified ids and the ids the decentralized one exposes."""
+        central, decentral = ServerState(ReportMode.CENTRALIZED), ServerState(ReportMode.DECENTRALIZED)
+        devices = [
+            register_device(decentral, register_device(central, DeviceState(f"d{k}", secret=secret(k))))
+            for k in range(5)
+        ]
+        for i, j, epoch, offset in sorted(meetings, key=lambda m: (m[2], m[3])):
+            a, b = devices[i], devices[(i + 1 + j) % 5]
+            start = epoch * 900.0 + offset + shift_s
+            pair = (a.permanent_id, b.permanent_id)
+            exchange_ids(a, b, positive_decision(), ContactWindow(pair, start, start + 900.0, ()))
+        now = 61 * 900.0 + shift_s
+        notified = report_positive_centralized(devices[0], central, now)
+        published = report_positive_decentralized(devices[0], decentral, now)
+        exposed = {d.permanent_id for d in devices if check_exposure(d, published)}
+        return [[e.peer_epoch for e in d.contact_log] for d in devices], notified, exposed
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(0, 60), st.floats(0.0, 899.0)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(1, 2),
+    )
+    def test_whole_day_shift_shifts_every_logged_epoch(self, meetings, days):
+        # Shifting every window and the report time by whole days shifts each
+        # logged epoch by 96 a day and leaves whom either mode tells as it
+        # was. Every epoch stays below 256, which a centralized report
+        # resolves.
+        epochs, notified, exposed = self.play(meetings, 0.0)
+        shifted, shifted_notified, shifted_exposed = self.play(meetings, days * 86400.0)
+        assert shifted == [[e + 96 * days for e in log] for log in epochs]
+        assert max(max(log, default=0) for log in shifted) < 256
+        assert shifted_notified == notified == exposed == shifted_exposed
 
 
 class TestExchangeIds:
@@ -457,17 +487,17 @@ class TestExchangeIds:
         contact(a, b)
         assert len(a.contact_log) == 1
         assert len(b.contact_log) == 1
-        assert a.contact_log[0].peer_temp_id == b.temp_id
-        assert b.contact_log[0].peer_temp_id == a.temp_id
+        assert a.contact_log[0].peer_temp_id == derive_temp_id(b.secret, 0)
+        assert b.contact_log[0].peer_temp_id == derive_temp_id(a.secret, 0)
 
     def test_positive_decision_gives_each_device_one_entry(self):
-        # Each side logs the peer's current temporary id and epoch, the
-        # window bounds and the decision's mean distance: no permanent id,
-        # no samples.
-        a, b = DeviceState("pa", epoch=3), DeviceState("pb", epoch=9)
+        # Each side logs the peer's temporary id at the window's clock epoch,
+        # that epoch, the window bounds and the decision's mean distance: no
+        # permanent id, no samples.
+        a, b = DeviceState("pa"), DeviceState("pb")
         exchange_ids(a, b, positive_decision(), window(a, b, 1800.0))
-        assert a.contact_log == [ContactLogEntry(derive_temp_id(b.secret, 9), 9, 1800.0, 2700.0, 0.7)]
-        assert b.contact_log == [ContactLogEntry(derive_temp_id(a.secret, 3), 3, 1800.0, 2700.0, 0.7)]
+        assert a.contact_log == [ContactLogEntry(derive_temp_id(b.secret, 2), 2, 1800.0, 2700.0, 0.7)]
+        assert b.contact_log == [ContactLogEntry(derive_temp_id(a.secret, 2), 2, 1800.0, 2700.0, 0.7)]
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.contact_log[0].peer_temp_id = "pb"
 
@@ -478,16 +508,15 @@ class TestExchangeIds:
         rotate_id(b, 900.0)
         contact(a, b, start=900.0)
         contact(a, b, start=1800.0)
-        # Each entry holds b's epoch at the exchange, from which its id was
-        # derived: epoch 1 in the window of clock epoch 2, as b did not
-        # rotate again.
+        # Each entry holds the clock epoch of its window, from which its id
+        # was derived, whether the peer rotated (b, once) or not (a).
         assert a.contact_log == [
             ContactLogEntry(derive_temp_id(b.secret, 0), 0, 0.0, 900.0, 0.7),
             ContactLogEntry(derive_temp_id(b.secret, 1), 1, 900.0, 1800.0, 0.7),
-            ContactLogEntry(derive_temp_id(b.secret, 1), 1, 1800.0, 2700.0, 0.7),
+            ContactLogEntry(derive_temp_id(b.secret, 2), 2, 1800.0, 2700.0, 0.7),
         ]
-        # a did not rotate: b logged a's epoch-0 id each time.
-        assert [(e.peer_temp_id, e.peer_epoch) for e in b.contact_log] == [(derive_temp_id(a.secret, 0), 0)] * 3
+        expected = [(derive_temp_id(a.secret, e), e) for e in range(3)]
+        assert [(e.peer_temp_id, e.peer_epoch) for e in b.contact_log] == expected
 
     def test_two_windows_two_entries(self):
         server = ServerState(ReportMode.CENTRALIZED)
@@ -543,7 +572,6 @@ class TestExchangeIds:
     def test_logs_never_contain_permanent_ids(self):
         server = ServerState(ReportMode.CENTRALIZED)
         a, b = register_device(server), register_device(server)
-        rotate_id(b, 900.0)
         contact(a, b, start=900.0)
         for entry in a.contact_log + b.contact_log:
             assert entry.peer_temp_id not in (a.permanent_id, b.permanent_id)
@@ -572,7 +600,7 @@ class TestCentralizedReport:
         notified = report_positive_centralized(a, server)
         naive = set()
         for entry in a.contact_log:
-            naive.add(b.permanent_id if entry.peer_temp_id in temp_id_history(b).values() else None)
+            naive.add(b.permanent_id if entry.peer_temp_id in temp_id_history(b, 2700.0).values() else None)
         naive.discard(None)
         assert notified == naive == {b.permanent_id}
         # All three windows still land in the notification record.
@@ -581,8 +609,6 @@ class TestCentralizedReport:
     def test_resolves_rotated_ids(self):
         server = ServerState(ReportMode.CENTRALIZED)
         a, b = register_device(server), register_device(server)
-        rotate_id(b, 900.0)
-        rotate_id(b, 1800.0)
         contact(a, b, start=1800.0)
         assert report_positive_centralized(a, server) == {b.permanent_id}
 
@@ -594,18 +620,15 @@ class TestCentralizedReport:
 
     @staticmethod
     def random_session(seed):
-        """A few registered devices and one never registered, rotating at
-        random (past epoch 256 in most sessions); the first device logs
-        contacts with the others, some repeatedly."""
+        """A few registered devices and one never registered; the first
+        device logs contacts with the others, some repeatedly, one epoch
+        after another."""
         rng = random.Random(seed)
         server = ServerState(ReportMode.CENTRALIZED)
         devices = [register_device(server) for _ in range(rng.randint(2, 4))]
         stranger = DeviceState("stranger")
         reporter, peers = devices[0], devices[1:] + [stranger]
         for step in range(rng.randint(4, 12)):
-            for d in devices + [stranger]:
-                for _ in range(rng.choice((0, 1, 40, 90))):
-                    rotate_id(d, (d.epoch + 1) * 900.0)
             for _ in range(rng.randint(0, 3)):
                 contact(reporter, rng.choice(peers), start=step * 900.0)
         return server, reporter
@@ -623,23 +646,21 @@ class TestCentralizedReport:
             notified_windows = sum(len(v) for v in server.notifications_sent.values())
             if notified_windows < len(reporter.contact_log):
                 unresolved.add(seed)
-        # Unresolvable ids (a stranger's, or from epoch 256 on) did occur.
+        # Unresolvable ids (a stranger's) did occur.
         assert len(unresolved) >= 10
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         st.integers(1, 4),
         st.lists(
-            st.tuples(st.integers(0, 300), st.integers(0, 31), st.integers(0, 3), st.floats(0.0, 899.0)),
+            st.tuples(st.integers(0, 300), st.integers(0, 3), st.floats(0.0, 899.0)),
             min_size=1,
             max_size=10,
         ),
     )
     def test_same_notifications_as_the_full_scan(self, registered, meetings):
         # Honest histories on the shared clock. At each meeting, in clock
-        # epoch 0 to 300, the devices whose bit is set in ``rotating``
-        # rotate to it and the others stay late, skipping epochs when the
-        # clock jumps; the reporter then meets a registered device or the
+        # epoch 0 to 300, the reporter meets a registered device or the
         # stranger. Entries logged below epoch 256 resolve as a scan of
         # every epoch resolves them, and those logged from 256 on as it
         # does not.
@@ -647,12 +668,8 @@ class TestCentralizedReport:
         devices = [register_device(server, DeviceState(f"d{k}", secret=secret(k))) for k in range(registered)]
         devices.append(DeviceState("stranger", secret=secret("stranger")))
         reporter, peers = devices[0], devices[1:]
-        for epoch, rotating, peer, offset in sorted(meetings):
-            now = epoch * 900.0 + offset
-            for k, d in enumerate(devices):
-                if rotating >> k & 1 and d.epoch < epoch:
-                    rotate_id(d, now)
-            contact(reporter, peers[peer % len(peers)], start=now)
+        for epoch, peer, offset in sorted(meetings):
+            contact(reporter, peers[peer % len(peers)], start=epoch * 900.0 + offset)
         expected_server = copy.deepcopy(server)
         assert report_positive_centralized(reporter, server) == report_centralized_per_entry(reporter, expected_server)
         assert server.notifications_sent == expected_server.notifications_sent
@@ -672,8 +689,6 @@ class TestCentralizedReport:
         strangers = [DeviceState(f"s{k}") for k in range(4)]
         met = [(peer, 5), (strangers[0], 5), (strangers[1], 7), (strangers[2], 100), (peer, 300), (strangers[3], 1000)]
         for device, epoch in met:
-            if device.epoch < epoch:
-                rotate_id(device, epoch * 900.0)
             contact(reporter, device, start=epoch * 900.0)
         beyond = DeviceState("beyond", contact_log=reporter.contact_log[4:])
         hashed = []  # per hash object: the data it was made from, then each update
@@ -712,8 +727,6 @@ class TestCentralizedReport:
     def test_contact_at_epoch_280_is_notified(self):
         server = ServerState(ReportMode.CENTRALIZED)
         a, b = register_device(server), register_device(server)
-        for d in (a, b):
-            rotate_id(d, 280 * 900.0)
         contact(a, b, start=280 * 900.0)
         assert a.contact_log[0].peer_epoch == 280
         assert report_positive_centralized(a, server) == {b.permanent_id}
@@ -872,9 +885,6 @@ class TestDayKeyTable:
     def six_devices(cls):
         devices = [DeviceState(f"d{k}", secret=secret(k)) for k in range(6)]
         for i, j, epoch in sorted(cls.MEETINGS, key=lambda m: m[2]):
-            for d in (devices[i], devices[j]):
-                if d.epoch < epoch:
-                    rotate_id(d, epoch * 900.0)
             contact(devices[i], devices[j], start=epoch * 900.0)
         return devices
 
@@ -922,8 +932,6 @@ class TestDayKeyTable:
         devices = [register_device(server, DeviceState(f"d{k}", secret=secret(k))) for k in range(3)]
         a, b, c = devices
         for epoch, peer in ((5, b), (100, c), (200, b)):
-            for d in devices:
-                rotate_id(d, epoch * 900.0)
             contact(a, peer, start=epoch * 900.0)
         report_positive_centralized(DeviceState("r1", contact_log=a.contact_log[:2]), server)
         assert sorted(server._day_keys) == [0, 1]
@@ -943,8 +951,6 @@ class TestDayKeyTable:
         devices = [register_device(server, DeviceState(f"d{k}", secret=secret(k))) for k in range(3)]
         a = devices[0]
         for epoch in (5, 100, 200):
-            for d in devices:
-                rotate_id(d, epoch * 900.0)
             contact(a, devices[1], start=epoch * 900.0)
         hashed = []
 
@@ -980,7 +986,7 @@ class TestDayKeyTable:
         server = ServerState(ReportMode.DECENTRALIZED)
         a, b = register_device(server), register_device(server)
         contact(a, b)
-        assert check_exposure(a, report_positive_decentralized(b, server))
+        assert check_exposure(a, report_positive_decentralized(b, server, now=0.0))
         with pytest.raises(ModeError):
             report_positive_centralized(a, server)
         assert server._day_keys == {} and server._key_registry == ({}, ())
@@ -991,8 +997,8 @@ class TestDecentralizedReport:
         server = ServerState(ReportMode.DECENTRALIZED)
         a, b = register_device(server), register_device(server)
         contact(a, b)
-        published = report_positive_decentralized(b, server)
-        assert published == {b.temp_id}
+        published = report_positive_decentralized(b, server, now=0.0)
+        assert published == {derive_temp_id(b.secret, 0)}
         assert check_exposure(a, published) is True
         assert a.exposure_status is ExposureStatus.NOTIFIED
 
@@ -1000,50 +1006,45 @@ class TestDecentralizedReport:
         server = ServerState(ReportMode.DECENTRALIZED)
         a, b, c = (register_device(server) for _ in range(3))
         contact(a, b)
-        assert check_exposure(a, report_positive_decentralized(c, server)) is False
+        assert check_exposure(a, report_positive_decentralized(c, server, now=0.0)) is False
 
     def test_rotated_out_epoch_still_matches_within_lookback(self):
-        # Scripted multi-epoch replay: the contact used b's epoch-0 id, b
-        # rotates twice, then reports; the published list includes the old
+        # Scripted multi-epoch replay: the contact used b's epoch-0 id, and b
+        # reports three epochs later; the published list includes the old
         # epoch and the match still fires.
         server = ServerState(ReportMode.DECENTRALIZED)
         a, b = register_device(server), register_device(server)
         contact(a, b)
-        rotate_id(b, 900.0)
-        rotate_id(b, 1800.0)
         published = report_positive_decentralized(b, server, now=2700.0)
-        assert server.published_positive_ids == [(day_key(b.secret, 0), 0, 2)]
+        assert server.published_positive_ids == [(day_key(b.secret, 0), 0, 3)]
         assert check_exposure(a, published) is True
 
     def test_lookback_excludes_ancient_epochs(self):
         server = ServerState(ReportMode.DECENTRALIZED, lookback_s=1000.0)
         a, b = register_device(server), register_device(server)
         contact(a, b)  # logs epoch-0 id at t=0
-        rotate_id(b, 900.0)
-        rotate_id(b, 1800.0)
-        # Lookback window is [4000, 5000]: epochs 0 and 1 ended before it.
+        # Lookback window is [4000, 5000]: epochs 0 to 3 ended before it.
         published = report_positive_decentralized(b, server, now=5000.0)
-        assert server.published_positive_ids == [(day_key(b.secret, 0), 2, 2)]
+        assert server.published_positive_ids == [(day_key(b.secret, 0), 4, 5)]
         assert check_exposure(a, published) is False
 
-    def test_report_before_the_device_epoch_rejected(self):
-        # Epoch 1 starts at 900 s, so a report at 0 s once published an id
-        # that had not yet been used; every later time is in or after it.
+    def test_report_before_time_zero_rejected(self):
+        # The clock's epochs start at time 0, so a report before it has no
+        # epoch to publish; time 0 publishes epoch 0.
         server = ServerState(ReportMode.DECENTRALIZED)
         d = register_device(server)
-        rotate_id(d, 900.0)
-        for now in (0.0, 899.9, math.nextafter(900.0, 0.0), -1.0):
-            with pytest.raises(ValueError, match="before"):
+        for now in (-900.0, -1.0, math.nextafter(0.0, -math.inf)):
+            with pytest.raises(ValueError, match="time 0"):
                 report_positive_decentralized(d, server, now=now)
         assert len(server.published_positive_ids) == 0
-        report_positive_decentralized(d, server, now=900.0)
-        assert server.published_positive_ids == [(day_key(d.secret, 0), 0, 1)]
+        report_positive_decentralized(d, server, now=0.0)
+        assert server.published_positive_ids == [(day_key(d.secret, 0), 0, 0)]
 
     def test_wrong_mode_rejected(self):
         server = ServerState(ReportMode.CENTRALIZED)
         a = register_device(server)
         with pytest.raises(ModeError):
-            report_positive_decentralized(a, server)
+            report_positive_decentralized(a, server, now=0.0)
 
     @pytest.mark.parametrize("shape", ["list of ids", "public list", "tuple", "dict"])
     def test_published_ids_must_be_a_set(self, shape):
@@ -1051,7 +1052,7 @@ class TestDecentralizedReport:
         server = ServerState(ReportMode.DECENTRALIZED)
         a, b = register_device(server), register_device(server)
         contact(a, b)
-        published = report_positive_decentralized(b, server)
+        published = report_positive_decentralized(b, server, now=0.0)
         given_as = {
             "list of ids": list(published),
             "public list": server.published_positive_ids,
@@ -1067,17 +1068,16 @@ class TestDecentralizedReport:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         st.lists(st.one_of(st.sampled_from(POOL), st.text(max_size=3)), max_size=10),
-        st.integers(0, 300),
-        st.integers(0, 320),
+        st.integers(0, 620),
         st.sampled_from((900.0, 50 * 900.0, 200 * 900.0)),
     )
-    def test_matches_scan_of_every_published_id(self, logged, epoch, later, lookback):
-        # A reporter with a fixed secret at ``epoch`` reports at the start
-        # of epoch ``epoch + later``: a device is exposed exactly when a scan
-        # of every id its day keys yield finds one of its logged ids.
-        reporter = DeviceState("r", epoch=epoch, secret=secret(0))
+    def test_matches_scan_of_every_published_id(self, logged, epoch, lookback):
+        # A reporter with a fixed secret reports at the start of ``epoch``:
+        # a device is exposed exactly when a scan of every id its day keys
+        # yield finds one of its logged ids.
+        reporter = DeviceState("r", secret=secret(0))
         server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
-        published = report_positive_decentralized(reporter, server, now=(epoch + later) * 900.0)
+        published = report_positive_decentralized(reporter, server, now=epoch * 900.0)
         assert set(expand_public_list(server.published_positive_ids)) == published
         device = DeviceState("d")
         device.contact_log.extend(ContactLogEntry(peer, 0, 0.0, 900.0, 0.5) for peer in logged)
@@ -1095,12 +1095,12 @@ class TestDecentralizedReport:
     @example(secret(1), 999, 1)
     @example(secret(1), 9999 - 200, 200)
     def test_published_ids_are_the_oracle_ids_of_the_published_epochs(self, key, first, span):
-        # The reporter is at epoch ``first + span`` and looks back to
+        # The reporter reports in epoch ``first + span`` and looks back to
         # ``first``: the ids it returns are the hex-digest ids of exactly
         # those epochs, across day boundaries and 1- to 4-digit epochs.
         last = first + span
         server = ServerState(ReportMode.DECENTRALIZED, lookback_s=span * 900.0)
-        reporter = DeviceState("r", epoch=last, secret=key)
+        reporter = DeviceState("r", secret=key)
         published = report_positive_decentralized(reporter, server, now=last * 900.0 + 450)
         epochs = [e for _, lo, hi in server.published_positive_ids for e in range(lo, hi + 1)]
         assert epochs == list(range(first, last + 1))
@@ -1121,14 +1121,15 @@ class TestLookback:
         server = ServerState(mode, lookback_s=math.inf)
         a, b = register_device(server), register_device(server)
         contact(a, b)
-        for k in range(1, 4):
-            rotate_id(b, k * 900.0)
-        now = 1e9
         if mode is ReportMode.CENTRALIZED:
-            assert report_positive_centralized(a, server, now=now) == {b.permanent_id}
+            assert report_positive_centralized(a, server, now=1e9) == {b.permanent_id}
         else:
+            # Twice the default lookback: epochs 0 to 2,688, in days 0 to 28.
+            now = 2 * protocol.DEFAULT_LOOKBACK_S
             assert check_exposure(a, report_positive_decentralized(b, server, now=now))
-            assert server.published_positive_ids == [(day_key(b.secret, 0), 0, 3)]
+            assert server.published_positive_ids == [
+                (day_key(b.secret, day), 96 * day, min(96 * day + 95, 2688)) for day in range(29)
+            ]
 
 
 class TestPrivacyInvariants:
@@ -1144,12 +1145,6 @@ class TestPrivacyInvariants:
                 a, b = rng.sample(devices, 2)
                 contact(a, b, start=now)
                 exchanges.append((a, b))
-            elif action < 0.8:
-                d = rng.choice(devices)
-                try:
-                    rotate_id(d, now)
-                except NotDue:
-                    pass
             now += 900.0
         return server, devices, exchanges, now
 
@@ -1200,18 +1195,15 @@ class TestPrivacyInvariants:
 class TestModesAgree:
     @staticmethod
     def history(seed):
-        """Registered devices that rotate at random and log contacts through
-        ``exchange_ids`` with sample-free windows, as the phones do, over at
-        most 40 steps: below epoch 256 and well inside the lookback."""
+        """Registered devices that log contacts through ``exchange_ids`` with
+        sample-free windows, as the phones do, over at most 40 steps: below
+        epoch 256 and well inside the lookback."""
         rng = random.Random(seed)
         central, decentral = ServerState(ReportMode.CENTRALIZED), ServerState(ReportMode.DECENTRALIZED)
         devices = [register_device(decentral, register_device(central)) for _ in range(rng.randint(3, 8))]
         now = 0.0
         for _ in range(rng.randint(1, 40)):
             now += 900.0 * rng.choice((1, 1, 2, 5))
-            for d in devices:
-                if rng.random() < 0.5:
-                    rotate_id(d, now)
             for _ in range(rng.randint(0, 3)):
                 a, b = rng.sample(devices, 2)
                 pair = (a.permanent_id, b.permanent_id)
@@ -1222,7 +1214,7 @@ class TestModesAgree:
         told = 0
         for seed in range(40):
             central, decentral, devices, now = self.history(seed)
-            assert max(d.epoch for d in devices) < 256
+            assert clock_epoch(now) < 256
             reporter = random.Random(seed).choice(devices)
             notified = report_positive_centralized(reporter, central)
             published = report_positive_decentralized(reporter, decentral, now=now)
@@ -1238,12 +1230,12 @@ class TestPublicList:
         # keys of days 0 to 14, the last holding epoch 1344 only; a shorter
         # lookback cuts the first day's record inside its day.
         server = ServerState(ReportMode.DECENTRALIZED)
-        d = register_device(server, DeviceState("p", epoch=1344, secret=secret(0)))
+        d = register_device(server, DeviceState("p", secret=secret(0)))
         delta = report_positive_decentralized(d, server, now=1344 * 900.0)
         assert server.published_positive_ids == [
             (day_key(d.secret, day), 96 * day, min(96 * day + 95, 1344)) for day in range(15)
         ]
-        assert len(delta) == 1345 and delta == set(temp_id_history(d).values())
+        assert len(delta) == 1345 and delta == set(temp_id_history(d, 1344 * 900.0).values())
         # Epoch 1243 ends at the cut, 1244 * 900 s, so it is published.
         server.lookback_s = 100 * 900.0
         report_positive_decentralized(d, server, now=1344 * 900.0)
@@ -1259,7 +1251,7 @@ class TestPublicList:
         for epoch in range(0, 3 * 96, 7):
             for lookback in (900.0, 95 * 900.0, 96 * 900.0, 130 * 900.0, math.inf):
                 for now in (epoch * 900.0, epoch * 900.0 + 450.0):
-                    d = DeviceState("p", epoch=epoch, secret=secret(epoch))
+                    d = DeviceState("p", secret=secret(epoch))
                     server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
                     ref_server = ServerState(ReportMode.DECENTRALIZED, lookback_s=lookback)
                     delta = report_positive_decentralized(d, server, now)
@@ -1273,9 +1265,6 @@ class TestPublicList:
         # published id is such a hash.
         server = ServerState(ReportMode.DECENTRALIZED)
         devices = [register_device(server) for _ in range(20)]
-        for k in range(1, 301):
-            for d in devices:
-                rotate_id(d, k * 900.0)
         published = set()
         for d in devices[::4]:
             published |= report_positive_decentralized(d, server, now=300 * 900.0)
@@ -1291,7 +1280,7 @@ class TestPublicList:
         # each, where the 1,345 ids a report yields once took about 16 bytes
         # each, packed.
         server = ServerState(ReportMode.DECENTRALIZED)
-        devices = [register_device(server, DeviceState(f"p{k}", epoch=1344)) for k in range(10)]
+        devices = [register_device(server, DeviceState(f"p{k}")) for k in range(10)]
         gc.collect()
         tracemalloc.start()
         try:
